@@ -30,13 +30,15 @@
 // clean SIGTERM drain. A state dir is bound to the shard count that created
 // it. Drive it with cmd/lucidload to measure sustained req/s and latency.
 //
-// With -ingest-queue N telemetry ingest (POST /metrics, POST /agents) turns
-// asynchronous: each shard buffers up to N acked ops in a bounded queue
-// drained by a shard-owned applier that coalesces WAL appends into batched
-// fsyncs; full queues shed load with 429 + Retry-After instead of blocking.
-// Job submissions stay synchronous (fsynced before the 201). Reads barrier on
-// the queue first, so /jobs, /schedule and /agents still observe every acked
-// sample.
+// Every state change is one logged op through one apply function; what
+// -ingest-queue chooses is when a telemetry POST (/metrics, /agents) is
+// answered. At 0 the handler applies its op inline and answers 200 with the
+// result. With -ingest-queue N it answers 202 once the op sits on its shard's
+// bounded queue of N, and a shard-owned applier runs the queued ops through
+// that same function in batches, one fsync per batch; full queues shed load
+// with 429 + Retry-After instead of blocking. Job submissions are always
+// inline (fsynced before the 201). Reads barrier on the queue first, so
+// /jobs, /schedule and /agents still observe every acked sample.
 //
 // GET /metrics serves the daemon's own instruments (request latency and
 // status codes per endpoint, WAL append/fsync latency, snapshot cost, queue

@@ -1,22 +1,17 @@
 package lucidd
 
-import (
-	"context"
-	"time"
+import "context"
 
-	"repro/internal/dtrace"
-)
-
-// Async telemetry ingest. When Options.IngestQueue > 0, POST /metrics
-// samples and POST /agents heartbeats stop applying state under the shard
-// mutex on the request path. Instead the handler validates, builds the
-// walOp, and enqueues it on the owning shard's bounded queue; a single
-// applier goroutine per shard drains the queue in batches, applying ops
-// under one mutex acquisition and coalescing their WAL appends into one
-// fsync per batch. The request is acknowledged with 202 Accepted at enqueue
-// time — or refused with 429 + Retry-After when the queue is full
-// (backpressure), so an overloaded shard sheds telemetry load explicitly
-// instead of queueing unboundedly.
+// Async telemetry ingest. A POST /metrics or POST /agents handler always
+// does the same work: validate, route, build the walOp. With
+// Options.IngestQueue == 0 it then applies the op inline (shard.applyOne) and
+// answers with the result; with IngestQueue > 0 it enqueues the op on the
+// owning shard's bounded queue instead, and a single applier goroutine per
+// shard drains the queue in batches through the same applyOpsLocked — one
+// mutex acquisition, one stale sweep and one fsync per batch. The request is
+// acknowledged with 202 Accepted at enqueue time — or refused with 429 +
+// Retry-After when the queue is full (backpressure), so an overloaded shard
+// sheds telemetry load explicitly instead of queueing unboundedly.
 //
 // Ordering and visibility contract:
 //
@@ -137,62 +132,24 @@ func (sh *shard) applier() {
 	}
 }
 
-// applyBatch applies queued ops under one mutex acquisition: per op the
-// same apply/log mutators the sync path uses (WAL appends unsynced), one
-// stale-agent sweep for the whole batch, then a single fsync covering every
-// append. A bare barrier (empty batch) still fsyncs, upgrading previously
-// applied-but-unsynced ops to durable before the barrier releases.
+// applyBatch applies queued ops under one mutex acquisition, then a single
+// fsync covering every append. A bare barrier (empty batch) still fsyncs,
+// upgrading previously applied-but-unsynced ops to durable before the barrier
+// releases. Nobody is waiting on an ack here, so a persist error can only be
+// counted.
 func (sh *shard) applyBatch(ops []walOp) {
-	now := sh.srv.opts.Clock()
 	met := sh.srv.met
-	var events []dtrace.Event
+	now := sh.srv.opts.Clock()
 	sh.mu.Lock()
-	swept := false
-	for _, op := range ops {
-		switch op.Op {
-		case "metrics":
-			js, ok := sh.jobs[op.ID]
-			if !ok {
-				continue // job evicted between ack and apply
-			}
-			crossed := sh.applySampleLocked(js, op.GPUUtil, op.GPUMemMB, op.GPUMemUtil)
-			if err := sh.logOpLocked(op, false); err != nil {
-				met.ingestErrors.Inc()
-			}
-			if crossed {
-				events = append(events, dtrace.Event{Job: js.ID,
-					Action: dtrace.ActProfileStop, Reason: "min-samples-reached",
-					VC: js.VC, GPUs: js.GPUs, Score: js.Profile.GPUUtil})
-			}
-		case "agent":
-			// One sweep per batch is plenty (and it is O(evicted) anyway —
-			// the heartbeat-order list keeps the stale set a poppable
-			// prefix, so sweeping costs nothing at any fleet size).
-			if !swept {
-				sh.sweepStaleLocked(now)
-				swept = true
-			}
-			_, known := sh.applyAgentLocked(op.Name, op.VC, op.Node, time.Unix(0, op.UnixNano))
-			if err := sh.logOpLocked(op, false); err != nil {
-				met.ingestErrors.Inc()
-			}
-			if !known {
-				events = append(events, dtrace.Event{Action: dtrace.ActNodeRepair,
-					Reason: "agent-online", Node: op.Node + 1})
-			}
-		}
-	}
+	events, failed := sh.applyOpsLocked(ops, now, nil)
 	if sh.store != nil {
 		if err := sh.store.wal.Sync(); err != nil {
-			met.ingestErrors.Inc()
+			failed++
 		}
 	}
 	sh.mu.Unlock()
-	// The recorder is internally synchronized; keep it outside the shard lock
-	// like the sync handlers do.
-	for i := range events {
-		sh.srv.rec.Record(events[i])
-	}
+	sh.srv.record(events)
+	met.ingestErrors.Add(float64(failed))
 	if len(ops) > 0 {
 		met.ingestApplied.Add(float64(len(ops)))
 		met.ingestBatch.Observe(float64(len(ops)))

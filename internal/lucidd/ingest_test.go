@@ -64,7 +64,11 @@ func samplesOf(t *testing.T, s *Server, id int) int {
 // request path — and after the wedge lifts, exactly the acknowledged
 // samples (every 202, no 429) must be applied.
 func TestIngestBackpressure(t *testing.T) {
-	s := asyncServer(t, 1, 2, 8)
+	// Batch of one: the applier can hold at most one op beyond the queue's
+	// capacity when it blocks on the wedged mutex. A larger batch lets it
+	// drain two queued ops into its hand first, which made the bound below
+	// scheduler-dependent.
+	s := asyncServer(t, 1, 2, 1)
 	id := submitJob(t, s, "bp", "vc-0", 1)
 	s.Flush() // applier idle, queue empty
 

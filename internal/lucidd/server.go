@@ -122,7 +122,8 @@ type Options struct {
 	// A full queue refuses the POST with 429 + Retry-After (backpressure).
 	// Read paths and Shutdown insert flush barriers, so every acknowledged
 	// sample is observed there — see ingest.go for the full contract.
-	// 0 (default) selects synchronous ingest.
+	// 0 (default): the handler applies the op inline and answers 200 with
+	// the result. Either way the op goes through shard.applyOpsLocked.
 	IngestQueue int
 	// IngestBatch caps how many queued ops the applier applies per mutex
 	// acquisition and fsync. 0 selects the default (256). Only meaningful
@@ -252,10 +253,10 @@ func NewServerWith(opts Options) (*Server, error) {
 		s.mux.HandleFunc("/chaos", s.handleChaos)
 	}
 	if s.opts.StateDir != "" {
-		// No concurrency yet — the server isn't serving — but each shard's
-		// openStore routes through the same *Locked apply functions the
-		// handlers use, and each shard recovers independently: one shard's
-		// torn WAL tail never touches a sibling's state.
+		// No concurrency yet — the server isn't serving. Each shard replays
+		// through the same applyOpsLocked the handlers use and recovers
+		// independently: one shard's torn WAL tail never touches a
+		// sibling's state.
 		if err := s.openStores(s.opts.StateDir); err != nil {
 			return nil, err
 		}
@@ -388,14 +389,30 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// rejectOverload refuses a telemetry POST whose shard queue is at its
-// high-water mark: 429 + Retry-After, the explicit backpressure signal.
-// Clients treat it like the drain-gate 503 — back off and resend — and
-// loadgen counts it as Rejected, not an error.
-func (s *Server) rejectOverload(w http.ResponseWriter) {
-	s.met.ingestRejected.Inc()
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, "ingest queue full", http.StatusTooManyRequests)
+// enqueueAck is the async ack of a telemetry POST: an O(1) enqueue, no shard
+// lock on the request path. 202 + {"<key>":<val>,"queued":true} means
+// acknowledged, will be applied in FIFO order; a queue at its high-water mark
+// answers 429 + Retry-After, the explicit backpressure signal — clients treat
+// it like the drain-gate 503 (back off and resend) and loadgen counts it as
+// Rejected, not an error. The body is hand-rolled: this is the hottest
+// response in async mode and an encoder pass per sample is measurable at
+// benchmark rates. val must already be valid JSON.
+func (s *Server) enqueueAck(w http.ResponseWriter, sh *shard, op walOp, key string, val []byte) {
+	if !sh.enqueue(op) {
+		s.met.ingestRejected.Inc()
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "ingest queue full", http.StatusTooManyRequests)
+		return
+	}
+	buf := make([]byte, 0, len(key)+len(val)+24)
+	buf = append(buf, `{"`...)
+	buf = append(buf, key...)
+	buf = append(buf, `":`...)
+	buf = append(buf, val...)
+	buf = append(buf, `,"queued":true}`+"\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	_, _ = w.Write(buf)
 }
 
 // decode parses a JSON request body, translating the body-cap error into 413
@@ -433,28 +450,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "name and positive gpus required", http.StatusBadRequest)
 			return
 		}
+		// Submissions are never queued: the record is fsynced before the 201
+		// is written, and the client reads its job's ID and estimate back.
 		id := int(s.nextID.Add(1))
-		sh := s.shardFor(req.VC)
-		js := &jobState{ID: id, Name: req.Name, User: req.User, VC: req.VC,
-			GPUs: req.GPUs, AMP: req.AMP}
-		sh.mu.Lock()
-		sh.applyJobLocked(js)
-		// The record is fsynced (sync=true) before the 201 is written: an
-		// acknowledged submission is durable. Apply-then-log order matters —
-		// if the append lands on the compaction threshold, the snapshot that
-		// replaces the WAL must already contain this job.
-		if err := sh.logOpLocked(walOp{Op: "job", ID: id, Name: req.Name,
-			User: req.User, VC: req.VC, GPUs: req.GPUs, AMP: req.AMP}, true); err != nil {
-			sh.dropJobLocked(id)
-			sh.mu.Unlock()
-			http.Error(w, fmt.Sprintf("persist job: %v", err), http.StatusInternalServerError)
+		r := s.shardFor(req.VC).applyOne(walOp{Op: "job", ID: id, Name: req.Name,
+			User: req.User, VC: req.VC, GPUs: req.GPUs, AMP: req.AMP})
+		if r.err != nil {
+			http.Error(w, fmt.Sprintf("persist job: %v", r.err), http.StatusInternalServerError)
 			return
 		}
-		cp := *js
-		sh.mu.Unlock()
-		s.rec.Record(dtrace.Event{Job: id, Action: dtrace.ActRelease,
-			Reason: "registered", VC: cp.VC, GPUs: cp.GPUs})
-		writeJSON(w, http.StatusCreated, cp)
+		writeJSON(w, http.StatusCreated, r.job)
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, s.collectJobs(r.URL.Query().Get("vc")))
 	default:
@@ -491,34 +496,6 @@ func sortJobsByID(out []*jobState) {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 }
 
-// mergeQueues K-way merges per-shard queue views, each already sorted by
-// queueLess. The comparator's global-job-ID tie-break makes the merge
-// deterministic even when two shards hold jobs with equal priority keys.
-// Shard counts are small (≤ dozens), so a linear scan per pop beats heap
-// overhead.
-func mergeQueues(views [][]*jobState) []*jobState {
-	total := 0
-	for _, v := range views {
-		total += len(v)
-	}
-	out := make([]*jobState, 0, total)
-	heads := make([]int, len(views))
-	for len(out) < total {
-		best := -1
-		for i, v := range views {
-			if heads[i] >= len(v) {
-				continue
-			}
-			if best < 0 || queueLess(v[heads[i]], views[best][heads[best]]) {
-				best = i
-			}
-		}
-		out = append(out, views[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
 // handleMetrics is two endpoints sharing a path, split by method: POST
 // ingests one NVIDIA-SMI-style sample from a node agent (routed to the shard
 // owning the job); GET serves the server's own instruments in Prometheus
@@ -546,52 +523,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown job %d", req.Job), http.StatusNotFound)
 		return
 	}
+	op := walOp{Op: "metrics", ID: req.Job, GPUUtil: req.GPUUtil,
+		GPUMemMB: req.GPUMemMB, GPUMemUtil: req.GPUMemUtil}
 	if sh.ingestQ != nil {
-		// Async ingest: O(1) enqueue, no shard lock on the request path.
-		// 202 = acknowledged, will be applied in FIFO order; 429 = shard at
-		// its high-water mark, client should back off and resend.
-		if !sh.enqueue(walOp{Op: "metrics", ID: req.Job, GPUUtil: req.GPUUtil,
-			GPUMemMB: req.GPUMemMB, GPUMemUtil: req.GPUMemUtil}) {
-			s.rejectOverload(w)
-			return
-		}
-		// Hand-rolled body: this is the hottest response in async mode and
-		// an encoder pass per sample is measurable at benchmark rates.
-		buf := make([]byte, 0, 40)
-		buf = append(buf, `{"job":`...)
-		buf = strconv.AppendInt(buf, int64(req.Job), 10)
-		buf = append(buf, `,"queued":true}`+"\n"...)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		_, _ = w.Write(buf)
+		var num [20]byte
+		s.enqueueAck(w, sh, op, "job", strconv.AppendInt(num[:0], int64(req.Job), 10))
 		return
 	}
-	sh.mu.Lock()
-	js, ok := sh.jobs[req.Job]
-	if !ok {
-		sh.mu.Unlock()
+	switch r := sh.applyOne(op); {
+	case !r.ok:
 		http.Error(w, fmt.Sprintf("unknown job %d", req.Job), http.StatusNotFound)
-		return
+	case r.err != nil:
+		http.Error(w, fmt.Sprintf("persist sample: %v", r.err), http.StatusInternalServerError)
+	default:
+		writeJSON(w, http.StatusOK, r.job)
 	}
-	crossed := sh.applySampleLocked(js, req.GPUUtil, req.GPUMemMB, req.GPUMemUtil)
-	// Samples are logged unsynced: losing the last batch in a crash only
-	// costs telemetry the agents re-send anyway.
-	if err := sh.logOpLocked(walOp{Op: "metrics", ID: js.ID, GPUUtil: req.GPUUtil,
-		GPUMemMB: req.GPUMemMB, GPUMemUtil: req.GPUMemUtil}, false); err != nil {
-		sh.mu.Unlock()
-		http.Error(w, fmt.Sprintf("persist sample: %v", err), http.StatusInternalServerError)
-		return
-	}
-	cp := *js
-	sh.mu.Unlock()
-	if crossed {
-		// The job just crossed the profiling threshold: from here on the
-		// analyzer scores it from real metrics instead of the Jumbo prior.
-		s.rec.Record(dtrace.Event{Job: cp.ID, Action: dtrace.ActProfileStop,
-			Reason: "min-samples-reached", VC: cp.VC, GPUs: cp.GPUs,
-			Score: cp.Profile.GPUUtil})
-	}
-	writeJSON(w, http.StatusOK, cp)
 }
 
 // serveMetrics renders the Prometheus scrape. Population gauges are
@@ -630,7 +576,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			sh.flush()
 			views = append(views, sh.copyQueue(""))
 		}
-		out = mergeQueues(views)
+		out = mergeSorted(views, queueLess)
 	}
 	if len(out) > 0 {
 		// Record the ordering decision: who leads the queue and why, plus
@@ -675,43 +621,23 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sh := s.shardFor(req.VC)
+		op := walOp{Op: "agent", Name: req.Name, VC: req.VC, Node: req.Node,
+			UnixNano: now.UnixNano()}
 		if sh.ingestQ != nil {
-			if !sh.enqueue(walOp{Op: "agent", Name: req.Name, VC: req.VC,
-				Node: req.Node, UnixNano: now.UnixNano()}) {
-				s.rejectOverload(w)
-				return
-			}
-			// Hand-rolled like the sample ack: heartbeats are ~3/4 of the
-			// default mix. Agent names are validated non-empty JSON strings
-			// already decoded from the request, so re-marshal is the only
-			// correct quoting path — strconv.Quote matches encoding/json for
-			// the names loadgen and real agents use, but not for all inputs,
-			// so quote via json.Marshal (cheap for a short string).
+			// Heartbeats are ~3/4 of the default mix. The name is an
+			// arbitrary decoded string, so json.Marshal is the only correct
+			// quoting path (strconv.Quote differs on some inputs) — cheap for
+			// a short string.
 			nameJSON, _ := json.Marshal(req.Name)
-			buf := make([]byte, 0, len(nameJSON)+32)
-			buf = append(buf, `{"agent":`...)
-			buf = append(buf, nameJSON...)
-			buf = append(buf, `,"queued":true}`+"\n"...)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusAccepted)
-			_, _ = w.Write(buf)
+			s.enqueueAck(w, sh, op, "agent", nameJSON)
 			return
 		}
-		sh.mu.Lock()
-		sh.sweepStaleLocked(now)
-		cp, known := sh.applyAgentLocked(req.Name, req.VC, req.Node, now)
-		if err := sh.logOpLocked(walOp{Op: "agent", Name: req.Name, VC: req.VC,
-			Node: req.Node, UnixNano: now.UnixNano()}, false); err != nil {
-			sh.mu.Unlock()
-			http.Error(w, fmt.Sprintf("persist heartbeat: %v", err), http.StatusInternalServerError)
+		r := sh.applyOne(op)
+		if r.err != nil {
+			http.Error(w, fmt.Sprintf("persist heartbeat: %v", r.err), http.StatusInternalServerError)
 			return
 		}
-		sh.mu.Unlock()
-		if !known {
-			s.rec.Record(dtrace.Event{Action: dtrace.ActNodeRepair,
-				Reason: "agent-online", Node: cp.Node + 1})
-		}
-		writeJSON(w, http.StatusOK, cp)
+		writeJSON(w, http.StatusOK, r.agent)
 	case http.MethodGet:
 		// The listing is served from the per-shard (Name, VC, Node) indexes:
 		// a scoped read copies one pre-sorted, pre-serialized view, the
@@ -734,7 +660,7 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 			sh.flush()
 			per[i] = sh.copyAgentRefs(now)
 		}
-		writeJSONRefs(w, mergeAgentRefs(per))
+		writeJSONRefs(w, mergeSorted(per, func(a, b agentRef) bool { return a.less(b.agentKey) }))
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -762,59 +688,33 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	}
 	switch req.Action {
 	case "evict-agent":
-		// Agent names carry no shard hint, so the front door scans shards
-		// (one lock at a time) for the victim — fine for a test-only path.
-		// Each shard is flushed first so an eviction cannot overtake a
-		// heartbeat the server acknowledged before it.
-		var victim *agentState
+		// Agent names carry no shard hint, so the front door offers the op to
+		// each shard in turn (one lock at a time) until one holds the victim —
+		// fine for a test-only path. Each shard is flushed first so an
+		// eviction cannot overtake a heartbeat the server acknowledged before
+		// it. A persist error is deliberately not a 500 on either action: an
+		// unlogged chaos op is the same class as the unsynced telemetry tail.
 		for _, sh := range s.shards {
 			sh.flush()
-			sh.mu.Lock()
-			if a, ok := sh.agents[req.Agent]; ok {
-				cp := *a
-				victim = &cp
-				sh.lruUnlinkLocked(a)
-				sh.aorderRemoveLocked(a)
-				delete(sh.agents, req.Agent)
-				sh.nAgents.Store(int64(len(sh.agents)))
-				_ = sh.logOpLocked(walOp{Op: "evict-agent", Name: req.Agent}, false)
-			}
-			sh.mu.Unlock()
-			if victim != nil {
-				break
+			if r := sh.applyOne(walOp{Op: "evict-agent", Name: req.Agent}); r.ok {
+				writeJSON(w, http.StatusOK, r.agent)
+				return
 			}
 		}
-		if victim == nil {
-			http.Error(w, fmt.Sprintf("unknown agent %q", req.Agent), http.StatusNotFound)
-			return
-		}
-		s.rec.Record(dtrace.Event{Action: dtrace.ActNodeFail,
-			Reason: "chaos-evict", Node: victim.Node + 1})
-		writeJSON(w, http.StatusOK, victim)
+		http.Error(w, fmt.Sprintf("unknown agent %q", req.Agent), http.StatusNotFound)
 	case "fail-job":
 		sh, ok := s.shardOfJob(req.Job)
-		if !ok {
-			http.Error(w, fmt.Sprintf("unknown job %d", req.Job), http.StatusNotFound)
-			return
+		if ok {
+			// Barrier before the kill: samples acknowledged before this
+			// request must fold into the profile the kill then resets — the op
+			// order the parity contract fixes, regardless of ingest mode.
+			sh.flush()
+			if r := sh.applyOne(walOp{Op: "fail-job", ID: req.Job}); r.ok {
+				writeJSON(w, http.StatusOK, r.job)
+				return
+			}
 		}
-		// Barrier before the kill: samples acknowledged before this request
-		// must fold into the profile the kill then resets — the op order the
-		// parity contract fixes, regardless of ingest mode.
-		sh.flush()
-		sh.mu.Lock()
-		js, ok := sh.jobs[req.Job]
-		if !ok {
-			sh.mu.Unlock()
-			http.Error(w, fmt.Sprintf("unknown job %d", req.Job), http.StatusNotFound)
-			return
-		}
-		sh.applyFailJobLocked(js)
-		_ = sh.logOpLocked(walOp{Op: "fail-job", ID: js.ID}, false)
-		cp := *js
-		sh.mu.Unlock()
-		s.rec.Record(dtrace.Event{Job: cp.ID, Action: dtrace.ActRequeue,
-			Reason: "chaos-kill", VC: cp.VC, GPUs: cp.GPUs})
-		writeJSON(w, http.StatusOK, cp)
+		http.Error(w, fmt.Sprintf("unknown job %d", req.Job), http.StatusNotFound)
 	case "delay":
 		if req.DelayMS < 0 {
 			http.Error(w, "delay_ms must be non-negative", http.StatusBadRequest)
@@ -964,6 +864,10 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 
 // handlePackingModel renders the decision tree (system transparency, A5).
 func (s *Server) handlePackingModel(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, s.analyzer.Render())
 	imp := s.analyzer.FeatureImportances()

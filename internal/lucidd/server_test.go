@@ -127,6 +127,9 @@ func TestPackingModelEndpoint(t *testing.T) {
 	if !strings.Contains(body, "GPU Utilization") || !strings.Contains(body, "importance") {
 		t.Fatalf("model rendering missing content:\n%s", body)
 	}
+	if rec := do(t, s, http.MethodPost, "/models/packing", ""); rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /models/packing: status %d, want 405", rec.Code)
+	}
 }
 
 func TestTraceEndpoint(t *testing.T) {

@@ -3,6 +3,7 @@ package lucidd
 import (
 	"encoding/json"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -54,7 +55,7 @@ type shard struct {
 	aorder []*agentState
 	// lruHead/lruTail anchor the intrusive heartbeat-order list (oldest
 	// first): LastSeen stamps a monotone clock, so stale agents are always
-	// a prefix and sweepStaleLocked is O(evicted), not O(shard-agents) —
+	// a prefix and the stale sweep is O(evicted), not O(shard-agents) —
 	// cheap enough to run on every heartbeat and every read at any fleet
 	// size.
 	lruHead, lruTail *agentState
@@ -132,79 +133,207 @@ func (s *Server) bumpNextID(id int) {
 	}
 }
 
-// applyJobLocked installs a registered job (live submit and WAL replay share
-// this path) and recomputes its derived fields.
-func (sh *shard) applyJobLocked(js *jobState) {
-	js.Score = workload.Jumbo.String()
-	sh.jobs[js.ID] = js
-	sh.srv.jobShard.Store(js.ID, sh)
-	sh.srv.bumpNextID(js.ID)
-	sh.refreshLocked(js)
-	sh.orderInsertLocked(js)
-	sh.nJobs.Store(int64(len(sh.jobs)))
+// opResult is what one op did, for the callers that answer a request with it.
+type opResult struct {
+	job   jobState   // the job after a job / metrics / fail-job op
+	agent agentState // the agent after an agent op, or as it stood when evicted
+	ok    bool       // false: the op named a job or agent this shard does not hold — nothing changed, nothing was logged
+	err   error      // the WAL append failed: a job op is rolled back, any other op stays applied in memory
 }
 
-// dropJobLocked rolls back a submit whose WAL append failed: the client got
-// an error, so the job must not exist. The allocated ID is not reused — a
-// gap is harmless, a reused ID is not.
-func (sh *shard) dropJobLocked(id int) {
-	if js, ok := sh.jobs[id]; ok {
-		sh.orderRemoveLocked(js)
-	}
-	delete(sh.jobs, id)
-	sh.srv.jobShard.Delete(id)
-	sh.nJobs.Store(int64(len(sh.jobs)))
+// sweepOps is the batch the agent read paths apply before listing.
+var sweepOps = []walOp{{Op: "sweep"}}
+
+// sweepLocked evicts the shard's stale agents ahead of a listing. The events
+// are recorded under the lock; the recorder is internally synchronized.
+func (sh *shard) sweepLocked(now time.Time) {
+	events, _ := sh.applyOpsLocked(sweepOps, now, nil)
+	sh.srv.record(events)
 }
 
-// applySampleLocked folds one NVIDIA-SMI-style sample into the job's running
-// mean — what a DCGM poller would maintain — and reports whether this sample
-// crossed the profiling threshold.
-func (sh *shard) applySampleLocked(js *jobState, util, memMB, memUtil float64) bool {
-	sh.orderRemoveLocked(js)
-	n := float64(js.Samples)
-	js.Profile.GPUUtil = (js.Profile.GPUUtil*n + util) / (n + 1)
-	js.Profile.GPUMemMB = (js.Profile.GPUMemMB*n + memMB) / (n + 1)
-	js.Profile.GPUMemUtil = (js.Profile.GPUMemUtil*n + memUtil) / (n + 1)
-	js.Samples++
-	sh.refreshLocked(js)
-	sh.orderInsertLocked(js)
-	crossed := js.Samples == minSamples
-	if crossed {
-		sh.nProfiled.Add(1)
-	}
-	return crossed
-}
-
-// applyAgentLocked registers or heartbeats an agent, reporting whether it was
-// already known. The listing index and the agent's JSON fragment are
-// maintained here — the single choke point every mutation (live, replay,
-// async apply) goes through.
-func (sh *shard) applyAgentLocked(name, vc string, node int, now time.Time) (agentState, bool) {
-	a, known := sh.agents[name]
-	switch {
-	case !known:
-		a = &agentState{Name: name, VC: vc, Node: node, LastSeen: now}
-		sh.agents[name] = a
-		a.refreshFrag()
-		sh.aorderInsertLocked(a)
-		sh.lruPushBackLocked(a)
-	case a.VC != vc || a.Node != node:
-		// The listing key changed: reposition under the old key first, the
-		// same remove-before-mutate discipline the job index uses.
-		sh.aorderRemoveLocked(a)
-		a.VC, a.Node, a.LastSeen = vc, node, now
-		a.refreshFrag()
-		sh.aorderInsertLocked(a)
+// applyOpsLocked is THE mutation path: the only code that writes sh.jobs,
+// sh.agents, the two sorted indexes and the heartbeat-order list, appends to
+// the WAL, and decides which decision-trace events a mutation produces. Its
+// callers differ only in where the ops come from and what they do with the
+// outcome:
+//
+//	POST handler (inline) ─┐
+//	ingest applier (batch) ─┤                       ┌─ state (tables, indexes, LRU)
+//	/chaos evict | fail    ─┼─→ applyOpsLocked ─────┼─ WAL append (job ops fsynced)
+//	read-path stale sweep  ─┤                       └─ events → caller records them
+//	WAL replay (store nil) ─┘
+//
+// Every op is applied first and logged second: if the append lands on the
+// compaction threshold, the snapshot that replaces the WAL must already
+// contain the op's effect. Replay runs before sh.store is set, so nothing is
+// re-logged, and drops the events. res is nil when the caller wants no
+// per-op outcome, else len(ops) long; failed counts the ops whose append
+// failed, which is all the applier can use. now is the staleness reference
+// only — a heartbeat's LastSeen comes from its op — and replay passes the
+// zero time, against which nothing is stale: recovery never evicts, the
+// first live request does.
+func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (events []dtrace.Event, failed int) {
+	evict := func(a *agentState, reason string) {
 		sh.lruUnlinkLocked(a)
-		sh.lruPushBackLocked(a)
-	default:
-		a.LastSeen = now
-		a.refreshFrag()
-		sh.lruUnlinkLocked(a)
-		sh.lruPushBackLocked(a)
+		sh.aorder = removeSorted(sh.aorder, a, agentLess)
+		delete(sh.agents, a.Name)
+		events = append(events, dtrace.Event{Action: dtrace.ActNodeFail,
+			Reason: reason, Node: a.Node + 1})
 	}
+	swept := false
+	for i := range ops {
+		op := &ops[i]
+		var r opResult
+		switch op.Op {
+		case "job":
+			js := &jobState{ID: op.ID, Name: op.Name, User: op.User, VC: op.VC,
+				GPUs: op.GPUs, AMP: op.AMP}
+			sh.jobs[js.ID] = js
+			sh.srv.jobShard.Store(js.ID, sh)
+			sh.srv.bumpNextID(js.ID)
+			sh.refreshLocked(js)
+			sh.order = insertSorted(sh.order, js, queueLess)
+			// Fsynced before the caller can answer 201: an acknowledged
+			// submission is durable.
+			if r.err = sh.logOpLocked(op, true); r.err != nil {
+				// The client gets an error, so the job must not exist. The
+				// allocated ID is not reused — a gap is harmless, a reused
+				// ID is not.
+				sh.order = removeSorted(sh.order, js, queueLess)
+				delete(sh.jobs, js.ID)
+				sh.srv.jobShard.Delete(js.ID)
+			} else {
+				events = append(events, dtrace.Event{Job: js.ID, Action: dtrace.ActRelease,
+					Reason: "registered", VC: js.VC, GPUs: js.GPUs})
+			}
+			r.job, r.ok = *js, true
+		case "metrics":
+			js, ok := sh.jobs[op.ID]
+			if !ok {
+				break // evicted between ack and apply, or dropped by a snapshot before replay
+			}
+			// Fold one NVIDIA-SMI-style sample into the running mean — what a
+			// DCGM poller would maintain. Remove before mutating: the index is
+			// searched by the key the job was inserted under.
+			sh.order = removeSorted(sh.order, js, queueLess)
+			n := float64(js.Samples)
+			js.Profile.GPUUtil = (js.Profile.GPUUtil*n + op.GPUUtil) / (n + 1)
+			js.Profile.GPUMemMB = (js.Profile.GPUMemMB*n + op.GPUMemMB) / (n + 1)
+			js.Profile.GPUMemUtil = (js.Profile.GPUMemUtil*n + op.GPUMemUtil) / (n + 1)
+			js.Samples++
+			sh.refreshLocked(js)
+			sh.order = insertSorted(sh.order, js, queueLess)
+			// Samples are logged unsynced: losing the last batch in a crash
+			// only costs telemetry the agents re-send anyway.
+			r.err = sh.logOpLocked(op, false)
+			if js.Samples == minSamples {
+				// The job just crossed the profiling threshold: from here on
+				// the analyzer scores it from real metrics, not the Jumbo prior.
+				sh.nProfiled.Add(1)
+				events = append(events, dtrace.Event{Job: js.ID,
+					Action: dtrace.ActProfileStop, Reason: "min-samples-reached",
+					VC: js.VC, GPUs: js.GPUs, Score: js.Profile.GPUUtil})
+			}
+			r.job, r.ok = *js, true
+		case "agent", "sweep":
+			// Evict agents whose last heartbeat predates the staleness
+			// window, each a presumed node failure. The heartbeat-order list
+			// keeps the stale set a poppable prefix, so the sweep is
+			// O(evicted) at any fleet size — and strictly shard-local
+			// (TestSlowShardDoesNotBlockSibling). Once per batch is plenty.
+			// Never logged: it is a pure function of the logged heartbeat
+			// stamps and the clock.
+			if !swept {
+				swept = true
+				for a := sh.lruHead; a != nil && now.Sub(a.LastSeen) > sh.srv.opts.AgentStaleAfter; a = sh.lruHead {
+					evict(a, "heartbeat-stale")
+				}
+			}
+			if op.Op == "sweep" {
+				break
+			}
+			seen := time.Unix(0, op.UnixNano)
+			a, known := sh.agents[op.Name]
+			switch {
+			case !known:
+				a = &agentState{Name: op.Name, VC: op.VC, Node: op.Node, LastSeen: seen}
+				sh.agents[a.Name] = a
+				sh.aorder = insertSorted(sh.aorder, a, agentLess)
+				events = append(events, dtrace.Event{Action: dtrace.ActNodeRepair,
+					Reason: "agent-online", Node: a.Node + 1})
+			case a.VC != op.VC || a.Node != op.Node:
+				// The listing key changed: reposition under the old key
+				// first, the same remove-before-mutate discipline as above.
+				sh.aorder = removeSorted(sh.aorder, a, agentLess)
+				a.VC, a.Node, a.LastSeen = op.VC, op.Node, seen
+				sh.aorder = insertSorted(sh.aorder, a, agentLess)
+				sh.lruUnlinkLocked(a)
+			default:
+				a.LastSeen = seen
+				sh.lruUnlinkLocked(a)
+			}
+			a.refreshFrag()
+			sh.lruPushBackLocked(a)
+			r.err = sh.logOpLocked(op, false)
+			r.agent, r.ok = *a, true
+		case "evict-agent":
+			if a, ok := sh.agents[op.Name]; ok {
+				r.agent, r.ok = *a, true
+				evict(a, "chaos-evict")
+				r.err = sh.logOpLocked(op, false)
+			}
+		case "fail-job":
+			js, ok := sh.jobs[op.ID]
+			if !ok {
+				break
+			}
+			// The in-memory profile is lost and the job re-enters the system
+			// unprofiled, scored by the conservative Jumbo prior until fresh
+			// samples arrive — the simulator's requeue-through-profiler path.
+			sh.order = removeSorted(sh.order, js, queueLess)
+			if js.Samples >= minSamples {
+				sh.nProfiled.Add(-1)
+			}
+			js.Restarts++
+			js.Samples = 0
+			js.Profile = profile{}
+			sh.refreshLocked(js)
+			sh.order = insertSorted(sh.order, js, queueLess)
+			r.err = sh.logOpLocked(op, false)
+			events = append(events, dtrace.Event{Job: js.ID, Action: dtrace.ActRequeue,
+				Reason: "chaos-kill", VC: js.VC, GPUs: js.GPUs})
+			r.job, r.ok = *js, true
+		}
+		if r.err != nil {
+			failed++
+		}
+		if res != nil {
+			res[i] = r
+		}
+	}
+	sh.nJobs.Store(int64(len(sh.jobs)))
 	sh.nAgents.Store(int64(len(sh.agents)))
-	return *a, known
+	return events, failed
+}
+
+// applyOne is the inline path of the POST handlers and /chaos: one op under
+// the shard lock, its events recorded after the unlock (the recorder is
+// internally synchronized).
+func (sh *shard) applyOne(op walOp) opResult {
+	var res [1]opResult
+	now := sh.srv.opts.Clock()
+	sh.mu.Lock()
+	events, _ := sh.applyOpsLocked([]walOp{op}, now, res[:])
+	sh.mu.Unlock()
+	sh.srv.record(events)
+	return res[0]
+}
+
+// record appends events to the decision-trace flight recorder.
+func (s *Server) record(events []dtrace.Event) {
+	for i := range events {
+		s.rec.Record(events[i])
+	}
 }
 
 // lruPushBackLocked appends a (not currently linked) agent at the
@@ -234,63 +363,70 @@ func (sh *shard) lruUnlinkLocked(a *agentState) {
 	a.lruPrev, a.lruNext = nil, nil
 }
 
-// applyFailJobLocked kills a job: the in-memory profile is lost and the job
-// re-enters the system unprofiled, scored by the conservative Jumbo prior
-// until fresh samples arrive — mirroring the simulator's
-// requeue-through-profiler path.
-func (sh *shard) applyFailJobLocked(js *jobState) {
-	sh.orderRemoveLocked(js)
-	if js.Samples >= minSamples {
-		sh.nProfiled.Add(-1)
+// insertSorted and removeSorted maintain a slice ordered by a strict total
+// order — the one index implementation behind both the job priority order and
+// the agent listing order. Mutators reposition the touched element with two
+// binary searches instead of a reader re-sorting per request. An element is
+// found by its key and confirmed by identity, so callers must remove BEFORE
+// mutating anything less reads; removing an absent element is a no-op.
+func insertSorted[T any](s []T, v T, less func(a, b T) bool) []T {
+	return slices.Insert(s, rank(s, v, less), v)
+}
+
+func removeSorted[T comparable](s []T, v T, less func(a, b T) bool) []T {
+	if i := rank(s, v, less); i < len(s) && s[i] == v {
+		return slices.Delete(s, i, i+1)
 	}
-	js.Restarts++
-	js.Samples = 0
-	js.Profile = profile{}
-	sh.refreshLocked(js)
-	sh.orderInsertLocked(js)
+	return s
+}
+
+func rank[T any](s []T, v T, less func(a, b T) bool) int {
+	return sort.Search(len(s), func(i int) bool { return !less(s[i], v) })
+}
+
+// mergeSorted K-way merges per-shard views, each already sorted by less, into
+// one globally ordered slice — /schedule and the cluster-wide /agents listing
+// both end here, so neither sorts per request. less must be a total order
+// (both comparators tie-break down to a cluster-unique key), which makes the
+// merge deterministic at any shard count. Shard counts are small (≤ dozens),
+// so a linear scan per pop beats heap overhead.
+func mergeSorted[T any](views [][]T, less func(a, b T) bool) []T {
+	total := 0
+	only := []T{} // non-nil: an empty merge must still encode as [], not null
+	for _, v := range views {
+		if total += len(v); len(v) > 0 {
+			only = v
+		}
+	}
+	if len(only) == total {
+		return only // at most one shard has anything: its view is the answer
+	}
+	out := make([]T, 0, total)
+	heads := make([]int, len(views))
+	for len(out) < total {
+		best := -1
+		for i, v := range views {
+			if heads[i] < len(v) && (best < 0 || less(v[heads[i]], views[best][heads[best]])) {
+				best = i
+			}
+		}
+		out = append(out, views[best][heads[best]])
+		heads[best]++
+	}
+	return out
 }
 
 // queueLess is THE priority comparator (Algorithm 2: GPU demand × estimated
 // duration, ascending, global job ID as the total-order tie-break). The
 // per-shard index, the K-way fan-out merge and the tie-break tests all call
-// this one function, so the order is identical at any shard count.
+// this one function, so the order is identical at any shard count. It reads
+// the key refreshLocked stamped, so a job is always found where it was
+// inserted.
 func queueLess(a, b *jobState) bool {
-	pa, pb := float64(a.GPUs)*a.EstSec, float64(b.GPUs)*b.EstSec
-	if pa != pb {
-		return pa < pb
+	if a.prio != b.prio {
+		return a.prio < b.prio
 	}
 	return a.ID < b.ID
-}
-
-// orderRankLocked binary-searches the index position for a (prio, ID) key.
-func (sh *shard) orderRankLocked(prio float64, id int) int {
-	return sort.Search(len(sh.order), func(i int) bool {
-		o := sh.order[i]
-		if o.prio != prio {
-			return o.prio > prio
-		}
-		return o.ID >= id
-	})
-}
-
-// orderInsertLocked stamps the job's current priority key and inserts it at
-// its rank. Every job in the index carries the prio it was inserted under,
-// so lookups against the cached keys are exact.
-func (sh *shard) orderInsertLocked(js *jobState) {
-	js.prio = float64(js.GPUs) * js.EstSec
-	i := sh.orderRankLocked(js.prio, js.ID)
-	sh.order = append(sh.order, nil)
-	copy(sh.order[i+1:], sh.order[i:])
-	sh.order[i] = js
-}
-
-// orderRemoveLocked removes the job at its cached key (no-op if absent —
-// e.g. a replayed sample for a job the snapshot already dropped).
-func (sh *shard) orderRemoveLocked(js *jobState) {
-	i := sh.orderRankLocked(js.prio, js.ID)
-	if i < len(sh.order) && sh.order[i] == js {
-		sh.order = append(sh.order[:i], sh.order[i+1:]...)
-	}
 }
 
 // copyQueue snapshots the shard's priority order (optionally scoped to one
@@ -309,19 +445,28 @@ func (sh *shard) copyQueue(vc string) []*jobState {
 	return out
 }
 
-// agentLess is THE listing comparator: full (Name, VC, Node) key, because two
-// shards can hold same-named agents (different VCs hash apart) and Name alone
-// would leave their relative order to shard iteration — the fan-out
-// nondeterminism class PR 1 fixed for jobs. The per-shard index, the fan-out
-// merge and the tie-break tests all use this one function.
+// agentKey is the listing sort key: full (Name, VC, Node), because two shards
+// can hold same-named agents (different VCs hash apart) and Name alone would
+// leave their relative order to shard iteration — the fan-out nondeterminism
+// class PR 1 fixed for jobs. less is THE listing comparator: the per-shard
+// index, the fan-out merge and the tie-break tests all order by it.
+type agentKey struct {
+	name, vc string
+	node     int
+}
+
+func (k agentKey) less(o agentKey) bool {
+	if k.name != o.name {
+		return k.name < o.name
+	}
+	if k.vc != o.vc {
+		return k.vc < o.vc
+	}
+	return k.node < o.node
+}
+
 func agentLess(a, b *agentState) bool {
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	if a.VC != b.VC {
-		return a.VC < b.VC
-	}
-	return a.Node < b.Node
+	return agentKey{a.Name, a.VC, a.Node}.less(agentKey{b.Name, b.VC, b.Node})
 }
 
 // jsonPlain reports whether s encodes as itself inside a JSON string under
@@ -367,47 +512,13 @@ func (a *agentState) refreshFrag() {
 	a.frag = append(a.frag[:0], b...)
 }
 
-// aorderRankLocked binary-searches the listing index for an agent's key.
-func (sh *shard) aorderRankLocked(a *agentState) int {
-	return sort.Search(len(sh.aorder), func(i int) bool {
-		return !agentLess(sh.aorder[i], a)
-	})
-}
-
-func (sh *shard) aorderInsertLocked(a *agentState) {
-	i := sh.aorderRankLocked(a)
-	sh.aorder = append(sh.aorder, nil)
-	copy(sh.aorder[i+1:], sh.aorder[i:])
-	sh.aorder[i] = a
-}
-
-// aorderRemoveLocked removes the agent at its current key; callers must
-// remove BEFORE mutating key fields.
-func (sh *shard) aorderRemoveLocked(a *agentState) {
-	i := sh.aorderRankLocked(a)
-	if i < len(sh.aorder) && sh.aorder[i] == a {
-		sh.aorder = append(sh.aorder[:i], sh.aorder[i+1:]...)
-	}
-}
-
 // agentRef pairs a listing sort key with a copy of the agent's JSON fragment —
 // what a fan-out read copies out of a shard. The copy is mandatory: fragments
 // are rewritten in place on heartbeat, so a ref held after the shard unlocks
 // must own its bytes.
 type agentRef struct {
-	name, vc string
-	node     int
-	frag     []byte
-}
-
-func agentRefLess(a, b agentRef) bool {
-	if a.name != b.name {
-		return a.name < b.name
-	}
-	if a.vc != b.vc {
-		return a.vc < b.vc
-	}
-	return a.node < b.node
+	agentKey
+	frag []byte
 }
 
 // copyAgentRefs force-sweeps stale agents and snapshots the shard's listing
@@ -418,7 +529,7 @@ func agentRefLess(a, b agentRef) bool {
 func (sh *shard) copyAgentRefs(now time.Time) []agentRef {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.sweepStaleLocked(now)
+	sh.sweepLocked(now)
 	total := 0
 	for _, a := range sh.aorder {
 		total += len(a.frag)
@@ -428,7 +539,7 @@ func (sh *shard) copyAgentRefs(now time.Time) []agentRef {
 	for _, a := range sh.aorder {
 		start := len(arena)
 		arena = append(arena, a.frag...)
-		out = append(out, agentRef{a.Name, a.VC, a.Node, arena[start:len(arena):len(arena)]})
+		out = append(out, agentRef{agentKey{a.Name, a.VC, a.Node}, arena[start:len(arena):len(arena)]})
 	}
 	return out
 }
@@ -468,7 +579,7 @@ func (sh *shard) putListBuf(b []byte) {
 func (sh *shard) agentListBody(now time.Time, vc string) []byte {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.sweepStaleLocked(now)
+	sh.sweepLocked(now)
 	buf := append(sh.getListBufLocked(), '[')
 	for _, a := range sh.aorder {
 		if a.VC != vc {
@@ -482,43 +593,9 @@ func (sh *shard) agentListBody(now time.Time, vc string) []byte {
 	return append(buf, ']', '\n')
 }
 
-// mergeAgentRefs K-way-merges per-shard listing views, each pre-sorted by
-// agentLess, into one globally ordered listing — the agent-side twin of
-// mergeQueues.
-func mergeAgentRefs(per [][]agentRef) []agentRef {
-	total, live := 0, 0
-	for _, p := range per {
-		total += len(p)
-		if len(p) > 0 {
-			live++
-		}
-	}
-	if live == 1 {
-		for _, p := range per {
-			if len(p) > 0 {
-				return p
-			}
-		}
-	}
-	out := make([]agentRef, 0, total)
-	heads := make([]int, len(per))
-	for len(out) < total {
-		best := -1
-		for i, p := range per {
-			if heads[i] >= len(p) {
-				continue
-			}
-			if best < 0 || agentRefLess(p[heads[i]], per[best][heads[best]]) {
-				best = i
-			}
-		}
-		out = append(out, per[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
-// refreshLocked recomputes score and estimate from the current state.
+// refreshLocked recomputes score, estimate and the priority key from the
+// current state. The key is what sh.order is sorted by, so an indexed job is
+// removed first and re-inserted after.
 func (sh *shard) refreshLocked(js *jobState) {
 	j := job.New(js.ID, js.Name, js.User, js.VC, js.GPUs, 0, 0, workload.Config{})
 	j.AMP = js.AMP
@@ -534,24 +611,7 @@ func (sh *shard) refreshLocked(js *jobState) {
 	js.Score = sh.srv.analyzer.ScoreJob(j).String()
 	sh.est.Invalidate(j.ID)
 	js.EstSec = sh.est.EstimateSec(j)
-}
-
-// sweepStaleLocked evicts THIS shard's agents whose last heartbeat predates
-// the staleness window, recording each eviction as a presumed node failure.
-// The sweep is shard-local by construction: it touches only sh.agents and
-// holds only sh.mu, so a slow sibling shard can neither delay it nor be
-// delayed by it (the satellite-fix contract, regression-tested by
-// TestSlowShardDoesNotBlockSibling). The heartbeat-order list makes it
-// O(evicted): the stale set is always the list's front prefix.
-func (sh *shard) sweepStaleLocked(now time.Time) {
-	for a := sh.lruHead; a != nil && now.Sub(a.LastSeen) > sh.srv.opts.AgentStaleAfter; a = sh.lruHead {
-		sh.lruUnlinkLocked(a)
-		sh.aorderRemoveLocked(a)
-		delete(sh.agents, a.Name)
-		sh.srv.rec.Record(dtrace.Event{Action: dtrace.ActNodeFail,
-			Reason: "heartbeat-stale", Node: a.Node + 1})
-	}
-	sh.nAgents.Store(int64(len(sh.agents)))
+	js.prio = float64(js.GPUs) * js.EstSec
 }
 
 // snapshotLocked copies the shard's job table, sorted by ID.

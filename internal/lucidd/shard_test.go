@@ -19,9 +19,10 @@ func parityClock() func() time.Time {
 }
 
 // parityOps generates one seeded, randomized op sequence — submissions,
-// samples, heartbeats and chaos kills spread across VCs — and applies it to
-// srv. Ops are issued sequentially so the sequence (including which job IDs
-// get sampled and killed) is identical for every server it is replayed on.
+// samples, heartbeats, chaos kills and chaos evictions spread across VCs — and
+// applies it to srv. Ops are issued sequentially so the sequence (including
+// which job IDs get sampled and killed) is identical for every server it is
+// replayed on.
 // Telemetry POSTs accept 200 (sync ingest) or 202 (async ingest); anything
 // else — in particular a 429, which would silently thin the op sequence —
 // fails the run, so parity servers must be built with a queue large enough
@@ -32,7 +33,7 @@ func parityOps(t *testing.T, srv *Server, seed int64, n int) {
 	var acked []int
 	for i := 0; i < n; i++ {
 		vc := fmt.Sprintf("vc-%d", rng.Intn(5))
-		switch roll := rng.Intn(10); {
+		switch roll := rng.Intn(11); {
 		case roll < 3: // submit
 			body := fmt.Sprintf(`{"name":"par-%d","user":"u%d","vc":"%s","gpus":%d}`,
 				i, rng.Intn(3), vc, 1+rng.Intn(8))
@@ -63,13 +64,18 @@ func parityOps(t *testing.T, srv *Server, seed int64, n int) {
 			if rec := do(t, srv, http.MethodPost, "/agents", body); rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
 				t.Fatalf("op %d heartbeat: %d: %s", i, rec.Code, rec.Body)
 			}
-		default: // chaos kill
+		case roll < 10: // chaos kill
 			if len(acked) == 0 {
 				continue
 			}
 			body := fmt.Sprintf(`{"action":"fail-job","job":%d}`, acked[rng.Intn(len(acked))])
 			if rec := do(t, srv, http.MethodPost, "/chaos", body); rec.Code != http.StatusOK {
 				t.Fatalf("op %d fail-job: %d: %s", i, rec.Code, rec.Body)
+			}
+		default: // chaos evict — 404 when the agent never registered or is already gone
+			body := fmt.Sprintf(`{"action":"evict-agent","agent":"agent-%d"}`, rng.Intn(24))
+			if rec := do(t, srv, http.MethodPost, "/chaos", body); rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
+				t.Fatalf("op %d evict-agent: %d: %s", i, rec.Code, rec.Body)
 			}
 		}
 	}
@@ -85,18 +91,21 @@ func get(t *testing.T, s *Server, path string) string {
 	return rec.Body.String()
 }
 
-// TestShardParity is the sharding AND ingest-mode correctness contract: the
-// identical randomized op sequence pushed through {1,8} shards × {sync,async
-// ingest} must yield byte-identical observable state after a flush barrier —
-// job listings, schedule order, per-tenant views, agent listings and
-// population counts. Job IDs come from the global allocator, estimates from
-// per-shard clones of one fitted model, and async ingest preserves per-shard
-// FIFO apply order with chaos ops barriered behind acknowledged telemetry —
-// so nothing may depend on the shard count or the ingest mode. The CI race
-// step runs this package under -race.
+// TestShardParity is the sharding, ingest-mode AND recovery correctness
+// contract: the identical randomized op sequence pushed through {1,8} shards ×
+// {sync,async ingest}, and through a durable server that is then abandoned
+// without Shutdown and reopened from its WALs, must yield byte-identical
+// observable state after a flush barrier — job listings, schedule order,
+// per-tenant views, agent listings and population counts. Job IDs come from
+// the global allocator, estimates from per-shard clones of one fitted model,
+// async ingest preserves per-shard FIFO apply order with chaos ops barriered
+// behind acknowledged telemetry, and replay feeds the logged ops through the
+// same apply function — so nothing may depend on the shard count, the ingest
+// mode or whether the state was built live. The CI race step runs this
+// package under -race.
 func TestShardParity(t *testing.T) {
-	build := func(shards int, async bool) *Server {
-		opts := Options{Shards: shards, EnableChaos: true, Clock: parityClock()}
+	build := func(shards int, async bool, dir string) *Server {
+		opts := Options{Shards: shards, EnableChaos: true, Clock: parityClock(), StateDir: dir}
 		if async {
 			// Large enough that the sequential op stream can never trip
 			// backpressure (parityOps fails on any 429); a small batch keeps
@@ -111,25 +120,37 @@ func TestShardParity(t *testing.T) {
 		return s
 	}
 	variants := []struct {
-		name   string
-		shards int
-		async  bool
+		name      string
+		shards    int
+		async     bool
+		recovered bool
 	}{
-		{"1-sync", 1, false},
-		{"8-sync", 8, false},
-		{"1-async", 1, true},
-		{"8-async", 8, true},
+		{"1-sync", 1, false, false},
+		{"8-sync", 8, false, false},
+		{"1-async", 1, true, false},
+		{"8-async", 8, true, false},
+		{"8-async-recovered", 8, true, true},
 	}
 	servers := make([]*Server, len(variants))
 	for i, v := range variants {
-		servers[i] = build(v.shards, v.async)
+		dir := ""
+		if v.recovered {
+			dir = t.TempDir()
+		}
+		servers[i] = build(v.shards, v.async, dir)
 		if got := servers[i].Shards(); got != v.shards {
 			t.Fatalf("%s: shard count = %d", v.name, got)
 		}
 		parityOps(t, servers[i], 1234, 400)
 		// The explicit barrier: every acknowledged telemetry op must be
-		// applied before the bodies below are compared.
+		// applied (and, when durable, fsynced) before the bodies below are
+		// compared.
 		servers[i].Flush()
+		if v.recovered {
+			// Kill -9 analogue: no Shutdown, no final snapshot — what is
+			// compared below is pure WAL replay.
+			servers[i] = build(v.shards, v.async, dir)
+		}
 	}
 
 	paths := []string{"/jobs", "/schedule", "/agents"}

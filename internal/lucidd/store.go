@@ -19,9 +19,10 @@ import (
 // <StateDir>/shard-<i>/, appends under its own mutex only, and recovers
 // independently at boot — a torn tail on one shard's WAL never delays or
 // damages a sibling shard's recovery. On boot each shard loads its snapshot,
-// replays its WAL through the exact same apply functions the HTTP handlers
-// use, and truncates any torn tail — so a SIGKILLed daemon recovers every
-// acknowledged submission on every shard.
+// feeds its WAL records back through applyOpsLocked — the one function every
+// live mutation went through when the record was written, so replay cannot
+// drift from the live path — and truncates any torn tail: a SIGKILLed daemon
+// recovers every acknowledged submission on every shard.
 //
 // Durability classes:
 //
@@ -47,10 +48,13 @@ const (
 	defaultCompactEvery = 1024
 )
 
-// walOp is one logged mutation. Op selects the variant; unused fields stay
-// at their zero value and are omitted from the JSON.
+// walOp is one mutation — the unit applyOpsLocked applies and the WAL logs.
+// Op selects the variant; unused fields stay at their zero value and are
+// omitted from the JSON.
 type walOp struct {
-	Op string `json:"op"` // "job", "metrics", "agent", "evict-agent", "fail-job"
+	// "job", "metrics", "agent", "evict-agent", "fail-job"; and "sweep", the
+	// stale-agent sweep, the one variant that is never logged.
+	Op string `json:"op"`
 
 	// job: the registration with its server-assigned ID, so replay
 	// reproduces the same ID sequence the clients were told.
@@ -191,12 +195,15 @@ func (sh *shard) openStore(dir string) error {
 		return fmt.Errorf("read snapshot: %w", err)
 	}
 
+	// Replay is lenient about dangling references (a metrics op for a job a
+	// later compaction evicted cannot happen — the WAL resets at every
+	// snapshot — but leniency costs nothing and keeps recovery total).
 	wal, stats, err := snap.OpenWAL(filepath.Join(dir, walFileName), func(payload []byte) error {
-		var op walOp
-		if jerr := json.Unmarshal(payload, &op); jerr != nil {
+		var op [1]walOp
+		if jerr := json.Unmarshal(payload, &op[0]); jerr != nil {
 			return fmt.Errorf("decode wal op: %w", jerr)
 		}
-		sh.applyOpLocked(op)
+		sh.applyOpsLocked(op[:], time.Time{}, nil) // events dropped: /trace documents this incarnation only
 		return nil
 	})
 	if err != nil {
@@ -224,7 +231,6 @@ func (sh *shard) loadSnapLocked(ss shardSnap) {
 		sh.srv.jobShard.Store(js.ID, sh)
 		sh.srv.bumpNextID(js.ID)
 		sh.refreshLocked(js)
-		js.prio = float64(js.GPUs) * js.EstSec
 		sh.order = append(sh.order, js)
 		if js.Samples >= minSamples {
 			profiled++
@@ -257,37 +263,11 @@ func (sh *shard) loadSnapLocked(ss shardSnap) {
 	sh.nAgents.Store(int64(len(sh.agents)))
 }
 
-// applyOpLocked replays one WAL op through the same mutation paths the
-// handlers use. Replay is lenient about dangling references (a metrics op for
-// a job evicted by a later compaction cannot happen — the WAL resets at every
-// snapshot — but leniency costs nothing and keeps recovery total).
-func (sh *shard) applyOpLocked(op walOp) {
-	switch op.Op {
-	case "job":
-		js := &jobState{ID: op.ID, Name: op.Name, User: op.User, VC: op.VC,
-			GPUs: op.GPUs, AMP: op.AMP}
-		sh.applyJobLocked(js)
-	case "metrics":
-		if js, ok := sh.jobs[op.ID]; ok {
-			sh.applySampleLocked(js, op.GPUUtil, op.GPUMemMB, op.GPUMemUtil)
-		}
-	case "agent":
-		sh.applyAgentLocked(op.Name, op.VC, op.Node, time.Unix(0, op.UnixNano))
-	case "evict-agent":
-		delete(sh.agents, op.Name)
-		sh.nAgents.Store(int64(len(sh.agents)))
-	case "fail-job":
-		if js, ok := sh.jobs[op.ID]; ok {
-			sh.applyFailJobLocked(js)
-		}
-	}
-}
-
 // logOpLocked appends op to this shard's WAL (if durability is on). sync
 // forces an inline fsync — used for ops that must survive a crash once
 // acknowledged. After the append it compacts if the WAL has outgrown the
 // threshold.
-func (sh *shard) logOpLocked(op walOp, sync bool) error {
+func (sh *shard) logOpLocked(op *walOp, sync bool) error {
 	if sh.store == nil {
 		return nil
 	}
@@ -302,10 +282,7 @@ func (sh *shard) logOpLocked(op walOp, sync bool) error {
 		return err
 	}
 	if sh.store.wal.Records() >= sh.store.compactEvery {
-		if err := sh.compactLocked(); err != nil {
-			return err
-		}
-		sh.store.compactions++
+		return sh.compactLocked()
 	}
 	return nil
 }
@@ -325,8 +302,9 @@ func (sh *shard) compactLocked() error {
 			User: js.User, VC: js.VC, GPUs: js.GPUs, AMP: js.AMP,
 			Samples: js.Samples, Profile: js.Profile, Restarts: js.Restarts})
 	}
-	for _, name := range sortedAgentNames(sh.agents) {
-		a := sh.agents[name]
+	// Names are unique within a shard, so the listing index is in name
+	// order — the canonical order of a snapshot's agent list.
+	for _, a := range sh.aorder {
 		ss.Agents = append(ss.Agents, persistedAgent{Name: a.Name, VC: a.VC,
 			Node: a.Node, UnixNano: a.LastSeen.UnixNano()})
 	}
@@ -351,6 +329,9 @@ func (sh *shard) compactLocked() error {
 	}
 	sh.store.snapTime = sh.srv.opts.Clock()
 	sh.store.hadSnapshot = true
+	// The /statusz count and lucidd_compactions_total are bumped together,
+	// here only, so they cannot disagree.
+	sh.store.compactions++
 	sh.srv.met.compacts.Inc()
 	return nil
 }
@@ -385,13 +366,4 @@ func writeFileSync(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-func sortedAgentNames(agents map[string]*agentState) []string {
-	names := make([]string, 0, len(agents))
-	for name := range agents {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -106,6 +106,46 @@ func TestRecoverFromWAL(t *testing.T) {
 	}
 }
 
+// TestRecoverEvictedAgent: a replayed evict-agent record must remove the agent
+// from the listing index and the heartbeat-order list, not only the table.
+// Before every mutation went through one apply function, replay deleted the
+// map entry alone: the reopened server listed the evicted agent again, and
+// one more heartbeat from it listed it twice.
+func TestRecoverEvictedAgent(t *testing.T) {
+	dir := t.TempDir()
+	s1 := durableServer(t, dir, 0)
+	for _, body := range []string{`{"name":"doomed","node":3}`, `{"name":"survivor","node":4}`} {
+		if rec := do(t, s1, http.MethodPost, "/agents", body); rec.Code != http.StatusOK {
+			t.Fatalf("heartbeat: %d: %s", rec.Code, rec.Body)
+		}
+	}
+	if rec := do(t, s1, http.MethodPost, "/chaos", `{"action":"evict-agent","agent":"doomed"}`); rec.Code != http.StatusOK {
+		t.Fatalf("evict: %d: %s", rec.Code, rec.Body)
+	}
+	// s1 is dropped without Shutdown: s2 rebuilds purely from WAL replay.
+	s2 := durableServer(t, dir, 0)
+	names := func() []string {
+		var agents []agentState
+		if err := json.Unmarshal([]byte(get(t, s2, "/agents")), &agents); err != nil {
+			t.Fatal(err)
+		}
+		out := []string{}
+		for _, a := range agents {
+			out = append(out, a.Name)
+		}
+		return out
+	}
+	if got := names(); len(got) != 1 || got[0] != "survivor" {
+		t.Errorf("agents after replaying an eviction = %v, want [survivor]", got)
+	}
+	if rec := do(t, s2, http.MethodPost, "/agents", `{"name":"doomed","node":3}`); rec.Code != http.StatusOK {
+		t.Fatalf("returning heartbeat: %d: %s", rec.Code, rec.Body)
+	}
+	if got := names(); len(got) != 2 || got[0] != "doomed" || got[1] != "survivor" {
+		t.Errorf("agents after the evicted agent returned = %v, want [doomed survivor]", got)
+	}
+}
+
 // TestRecoverTornTail crashes mid-append: garbage after the last valid record
 // must be truncated, everything before it recovered.
 func TestRecoverTornTail(t *testing.T) {
