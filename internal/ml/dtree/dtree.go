@@ -9,7 +9,6 @@ package dtree
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/ml/mlmodel"
@@ -67,11 +66,12 @@ type Tree struct {
 // FitClassifier grows a classification tree on integer labels in
 // [0, numClasses).
 func FitClassifier(ds *mlmodel.Dataset, numClasses int, p Params) (*Tree, error) {
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("dtree: empty dataset")
-	}
 	if numClasses < 2 {
 		return nil, fmt.Errorf("dtree: need ≥2 classes, got %d", numClasses)
+	}
+	m, err := NewMatrix(ds)
+	if err != nil {
+		return nil, err
 	}
 	for i, y := range ds.Y {
 		c := int(y)
@@ -79,176 +79,16 @@ func FitClassifier(ds *mlmodel.Dataset, numClasses int, p Params) (*Tree, error)
 			return nil, fmt.Errorf("dtree: row %d label %v not an int in [0,%d)", i, y, numClasses)
 		}
 	}
-	b := &builder{ds: ds, p: p.normalized(), numClasses: numClasses}
-	t := &Tree{root: b.build(allIdx(ds.Len()), 0), numClasses: numClasses, names: ds.Names, totalRows: ds.Len()}
-	return t, nil
+	return m.fit(ds.Y, nil, numClasses, p)
 }
 
 // FitRegressor grows a regression tree.
 func FitRegressor(ds *mlmodel.Dataset, p Params) (*Tree, error) {
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("dtree: empty dataset")
+	m, err := NewMatrix(ds)
+	if err != nil {
+		return nil, err
 	}
-	b := &builder{ds: ds, p: p.normalized()}
-	t := &Tree{root: b.build(allIdx(ds.Len()), 0), names: ds.Names, totalRows: ds.Len()}
-	return t, nil
-}
-
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-type builder struct {
-	ds         *mlmodel.Dataset
-	p          Params
-	numClasses int // 0 → regression
-}
-
-func (b *builder) leaf(idx []int) *node {
-	n := &node{feature: -1, nSamples: len(idx)}
-	if b.numClasses > 0 {
-		n.counts = make([]float64, b.numClasses)
-		for _, i := range idx {
-			n.counts[int(b.ds.Y[i])]++
-		}
-		n.impurity = gini(n.counts, float64(len(idx)))
-		n.class = argmax(n.counts)
-		n.value = float64(n.class)
-	} else {
-		sum := 0.0
-		for _, i := range idx {
-			sum += b.ds.Y[i]
-		}
-		mean := sum / float64(len(idx))
-		v := 0.0
-		for _, i := range idx {
-			d := b.ds.Y[i] - mean
-			v += d * d
-		}
-		n.value = mean
-		n.impurity = v / float64(len(idx))
-	}
-	return n
-}
-
-func (b *builder) build(idx []int, depth int) *node {
-	n := b.leaf(idx)
-	if len(idx) < b.p.MinSamplesplit || n.impurity == 0 {
-		return n
-	}
-	if b.p.MaxDepth > 0 && depth >= b.p.MaxDepth {
-		return n
-	}
-	feat, thr, gain := b.bestSplit(idx, n.impurity)
-	if feat < 0 || gain <= 1e-12 {
-		return n
-	}
-	var li, ri []int
-	for _, i := range idx {
-		if b.ds.X[i][feat] <= thr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	if len(li) < b.p.MinSamplesLeaf || len(ri) < b.p.MinSamplesLeaf {
-		return n
-	}
-	n.feature = feat
-	n.threshold = thr
-	n.left = b.build(li, depth+1)
-	n.right = b.build(ri, depth+1)
-	return n
-}
-
-// bestSplit scans candidate features for the impurity-minimizing threshold.
-func (b *builder) bestSplit(idx []int, parentImp float64) (feat int, thr, gain float64) {
-	nf := b.ds.NumFeatures()
-	feats := make([]int, nf)
-	for i := range feats {
-		feats[i] = i
-	}
-	if b.p.MaxFeatures > 0 && b.p.MaxFeatures < nf && b.p.RNG != nil {
-		b.p.RNG.Shuffle(nf, func(i, j int) { feats[i], feats[j] = feats[j], feats[i] })
-		feats = feats[:b.p.MaxFeatures]
-	}
-
-	feat = -1
-	order := make([]int, len(idx))
-	for _, f := range feats {
-		copy(order, idx)
-		sort.Slice(order, func(i, j int) bool { return b.ds.X[order[i]][f] < b.ds.X[order[j]][f] })
-		g, t, ok := b.scanFeature(order, f, parentImp)
-		if ok && g > gain {
-			gain, thr, feat = g, t, f
-		}
-	}
-	return feat, thr, gain
-}
-
-func (b *builder) scanFeature(order []int, f int, parentImp float64) (bestGain, bestThr float64, ok bool) {
-	n := len(order)
-	if b.numClasses > 0 {
-		left := make([]float64, b.numClasses)
-		right := make([]float64, b.numClasses)
-		for _, i := range order {
-			right[int(b.ds.Y[i])]++
-		}
-		for i := 0; i < n-1; i++ {
-			c := int(b.ds.Y[order[i]])
-			left[c]++
-			right[c]--
-			if b.ds.X[order[i]][f] == b.ds.X[order[i+1]][f] {
-				continue // cannot split between equal values
-			}
-			nl, nr := float64(i+1), float64(n-i-1)
-			if int(nl) < b.p.MinSamplesLeaf || int(nr) < b.p.MinSamplesLeaf {
-				continue
-			}
-			imp := (nl*gini(left, nl) + nr*gini(right, nr)) / float64(n)
-			if g := parentImp - imp; g > bestGain {
-				bestGain = g
-				bestThr = (b.ds.X[order[i]][f] + b.ds.X[order[i+1]][f]) / 2
-				ok = true
-			}
-		}
-		return bestGain, bestThr, ok
-	}
-
-	// Regression: running sums for O(1) variance updates.
-	var sumL, sumSqL, sumR, sumSqR float64
-	for _, i := range order {
-		y := b.ds.Y[i]
-		sumR += y
-		sumSqR += y * y
-	}
-	for i := 0; i < n-1; i++ {
-		y := b.ds.Y[order[i]]
-		sumL += y
-		sumSqL += y * y
-		sumR -= y
-		sumSqR -= y * y
-		if b.ds.X[order[i]][f] == b.ds.X[order[i+1]][f] {
-			continue
-		}
-		nl, nr := float64(i+1), float64(n-i-1)
-		if int(nl) < b.p.MinSamplesLeaf || int(nr) < b.p.MinSamplesLeaf {
-			continue
-		}
-		varL := sumSqL/nl - (sumL/nl)*(sumL/nl)
-		varR := sumSqR/nr - (sumR/nr)*(sumR/nr)
-		imp := (nl*varL + nr*varR) / float64(n)
-		if g := parentImp - imp; g > bestGain {
-			bestGain = g
-			bestThr = (b.ds.X[order[i]][f] + b.ds.X[order[i+1]][f]) / 2
-			ok = true
-		}
-	}
-	return bestGain, bestThr, ok
+	return m.FitRegressor(ds.Y, nil, p)
 }
 
 func gini(counts []float64, total float64) float64 {

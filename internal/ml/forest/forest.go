@@ -64,6 +64,11 @@ func fit(ds *mlmodel.Dataset, numClasses int, p Params) (*Forest, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("forest: empty dataset")
 	}
+	// Checked here, not left to the first tree, whose rows are bootstrap
+	// positions.
+	if err := ds.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("forest: %w", err)
+	}
 	p = p.normalized(ds.NumFeatures(), numClasses > 0)
 	rng := xrand.New(p.Seed + 0x5eed)
 	f := &Forest{numClasses: numClasses}

@@ -2,6 +2,7 @@ package forest
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ml/mlmodel"
@@ -75,6 +76,32 @@ func TestForestValidation(t *testing.T) {
 	ds, _ := mlmodel.NewDataset([][]float64{{1}}, []float64{0}, nil)
 	if _, err := FitClassifier(ds, 1, Params{}); err == nil {
 		t.Fatal("single-class accepted")
+	}
+}
+
+// The error names the row of the caller's dataset, not a bootstrap position.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		x, y float64 // planted in row 7
+		want string
+	}{
+		{"NaN feature", math.NaN(), 1, "row 7 feature 1 (f1) is NaN"},
+		{"Inf feature", math.Inf(-1), 1, "row 7 feature 1 (f1) is -Inf"},
+		{"NaN target", 0.5, math.NaN(), "row 7 target is NaN"},
+		{"Inf target", 0.5, math.Inf(1), "row 7 target is +Inf"},
+	} {
+		ds := friedmanData(20, 9)
+		for i := range ds.Y {
+			ds.Y[i] = float64(i % 2)
+		}
+		ds.X[7][1], ds.Y[7] = tc.x, tc.y
+		if _, err := FitRegressor(ds, Params{NumTrees: 3}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FitRegressor error %v, want it to contain %q", tc.name, err, tc.want)
+		}
+		if _, err := FitClassifier(ds, 2, Params{NumTrees: 3}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FitClassifier error %v, want it to contain %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -66,37 +66,54 @@ type Model struct {
 }
 
 // Fit trains squared-loss gradient boosting: each round fits a regression
-// tree to the current residuals and adds it with shrinkage.
+// tree to the current residuals and adds it with shrinkage. The features are
+// presorted once (dtree.Matrix) and every round grows its tree on that
+// matrix; a subsampled round marks its rows in a reused bag instead of
+// copying them.
 func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("gbdt: empty dataset")
+	mx, err := dtree.NewMatrix(ds)
+	if err != nil {
+		return nil, fmt.Errorf("gbdt: %w", err)
 	}
 	p = p.normalized()
 	rng := xrand.New(p.Seed + 0xb005)
+	n := ds.Len()
 
-	m := &Model{base: mlmodel.Mean(ds.Y), lr: p.LearningRate}
-	pred := make([]float64, ds.Len())
+	m := &Model{base: mlmodel.Mean(ds.Y), lr: p.LearningRate, trees: make([]*dtree.Tree, 0, p.NumRounds)}
+	pred := make([]float64, n)
 	for i := range pred {
 		pred[i] = m.base
 	}
-	resid := make([]float64, ds.Len())
+	resid := make([]float64, n)
 
+	// A subsampled round draws the first k entries of a fresh permutation.
+	var perm []int
+	var inBag []bool
+	k := 0
+	if p.Subsample < 1 {
+		k = max(1, int(float64(n)*p.Subsample))
+		perm, inBag = make([]int, n), make([]bool, n)
+	}
+	swap := func(i, j int) { perm[i], perm[j] = perm[j], perm[i] }
+
+	tp := dtree.Params{MaxDepth: p.MaxDepth, MinSamplesLeaf: p.MinLeaf}
 	for round := 0; round < p.NumRounds; round++ {
 		for i := range resid {
 			resid[i] = ds.Y[i] - pred[i]
 		}
-		rds := &mlmodel.Dataset{X: ds.X, Y: resid, Names: ds.Names}
-		if p.Subsample < 1 {
-			k := int(float64(ds.Len()) * p.Subsample)
-			if k < 1 {
-				k = 1
+		if inBag != nil {
+			for i := range perm {
+				perm[i] = i
 			}
-			idx := rng.Perm(ds.Len())[:k]
-			rds = rds.Subset(idx)
+			rng.Shuffle(n, swap)
+			clear(inBag)
+			for _, i := range perm[:k] {
+				inBag[i] = true
+			}
 		}
-		tr, err := dtree.FitRegressor(rds, dtree.Params{MaxDepth: p.MaxDepth, MinSamplesLeaf: p.MinLeaf})
+		tr, err := mx.FitRegressor(resid, inBag, tp)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("gbdt: round %d: %w", round, err)
 		}
 		m.trees = append(m.trees, tr)
 		for i, row := range ds.X {

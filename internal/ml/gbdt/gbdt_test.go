@@ -2,8 +2,11 @@ package gbdt
 
 import (
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/ml/dtree"
 	"repro/internal/ml/mlmodel"
 	"repro/internal/xrand"
 )
@@ -90,5 +93,106 @@ func TestSubsampleStillLearns(t *testing.T) {
 	}
 	if m.NumTrees() != 100 {
 		t.Fatalf("NumTrees = %d", m.NumTrees())
+	}
+}
+
+// tieHeavyData has few distinct values per column and duplicated rows, so
+// every split scan crosses tie groups.
+func tieHeavyData(n int, seed uint64) *mlmodel.Dataset {
+	rng := xrand.New(seed)
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		a, b, c := float64(rng.Intn(4)), float64(rng.Intn(9)), float64(rng.Intn(30))
+		x[i] = []float64{a, b, c, 2 * a}
+		y[i] = a*b + math.Sqrt(c) + rng.Norm(0, 0.3)
+	}
+	ds, _ := mlmodel.NewDataset(x, y, nil)
+	return ds
+}
+
+func TestSameSeedSamePredictionBits(t *testing.T) {
+	ds := tieHeavyData(600, 21)
+	p := Params{NumRounds: 40, MaxDepth: 4, MinLeaf: 3, Subsample: 0.7, Seed: 3}
+	a, err := Fit(ds, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Fit(ds, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range ds.X {
+		if pa, pb := a.Predict(row), b.Predict(row); math.Float64bits(pa) != math.Float64bits(pb) {
+			t.Fatalf("row %d: %v vs %v from one seed", i, pa, pb)
+		}
+	}
+}
+
+// TestFitMatchesSubsetBoosting: Fit grows each round on a shared presorted
+// matrix and a bag of row marks. That must be the boosting loop written the
+// plain way — a fresh rng.Perm(n)[:k] per round, taken in ascending row
+// order, copied out with Dataset.Subset and handed to dtree.FitRegressor —
+// bit for bit.
+func TestFitMatchesSubsetBoosting(t *testing.T) {
+	ds := tieHeavyData(500, 22)
+	for _, p := range []Params{
+		{NumRounds: 25, MaxDepth: 3, MinLeaf: 5, Subsample: 0.6, Seed: 4},
+		{NumRounds: 25, MaxDepth: 5, MinLeaf: 1, LearningRate: 0.3, Seed: 5},
+	} {
+		m, err := Fit(ds, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = p.normalized()
+		n := ds.Len()
+		rng := xrand.New(p.Seed + 0xb005)
+		pred := make([]float64, n)
+		for i := range pred {
+			pred[i] = mlmodel.Mean(ds.Y)
+		}
+		for round := 0; round < p.NumRounds; round++ {
+			resid := make([]float64, n)
+			for i := range resid {
+				resid[i] = ds.Y[i] - pred[i]
+			}
+			rds := &mlmodel.Dataset{X: ds.X, Y: resid}
+			if p.Subsample < 1 {
+				idx := rng.Perm(n)[:int(float64(n)*p.Subsample)]
+				sort.Ints(idx)
+				rds = rds.Subset(idx)
+			}
+			tr, err := dtree.FitRegressor(rds, dtree.Params{MaxDepth: p.MaxDepth, MinSamplesLeaf: p.MinLeaf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range ds.X {
+				pred[i] += p.LearningRate * tr.Predict(row)
+			}
+		}
+		for i, row := range ds.X {
+			if got := m.Predict(row); math.Float64bits(got) != math.Float64bits(pred[i]) {
+				t.Fatalf("subsample %v row %d: Fit predicts %v, plain boosting %v", p.Subsample, i, got, pred[i])
+			}
+		}
+	}
+}
+
+func TestNonFiniteInputsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		x, y float64 // planted in row 3
+		want string
+	}{
+		{"NaN feature", math.NaN(), 1, "row 3 feature 2 (f2) is NaN"},
+		{"Inf feature", math.Inf(1), 1, "row 3 feature 2 (f2) is +Inf"},
+		{"NaN target", 1, math.NaN(), "row 3 target is NaN"},
+		{"Inf target", 1, math.Inf(-1), "row 3 target is -Inf"},
+	} {
+		ds := tieHeavyData(10, 23)
+		ds.X[3][2], ds.Y[3] = tc.x, tc.y
+		if _, err := Fit(ds, Params{NumRounds: 2}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Fit error %v, want it to contain %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -103,6 +103,26 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return &Dataset{X: x, Y: y, Names: d.Names}
 }
 
+// CheckFinite returns an error naming the first NaN or ±Inf feature value or
+// target. The tree learners sort and sum these values, and a NaN makes both
+// silently order-dependent, so they reject such a dataset instead of fitting
+// it.
+func (d *Dataset) CheckFinite() error {
+	for i, row := range d.X {
+		for f, v := range row {
+			if v-v != 0 {
+				return fmt.Errorf("row %d feature %d (%s) is %v", i, f, d.FeatureName(f), v)
+			}
+		}
+	}
+	for i, y := range d.Y {
+		if y-y != 0 {
+			return fmt.Errorf("row %d target is %v", i, y)
+		}
+	}
+	return nil
+}
+
 // Regressor is a trained model that predicts a real value per feature row.
 type Regressor interface {
 	Predict(x []float64) float64
