@@ -1,6 +1,8 @@
 package core
 
 import (
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -306,4 +308,74 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestEstimatorUpdateIsAtomic: an Update whose fit fails must leave the
+// estimator exactly as it was. Before the fix Update installed the new
+// featurizer first, so after a failed fit the old model was fed the new
+// featurizer's encodings.
+func TestEstimatorUpdateIsAtomic(t *testing.T) {
+	hist, g := historyTrace(1500)
+	est, err := TrainWorkloadEstimator(hist.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := g.Emit(200).Jobs
+	EnsureProfiles(probe)
+	estimates := func() []float64 {
+		out := make([]float64, len(probe))
+		for i, j := range probe {
+			est.Invalidate(j.ID)
+			out[i] = est.EstimateSec(j)
+		}
+		return out
+	}
+	before := estimates()
+
+	// A different history (other templates, users and means) whose fit
+	// fails: one job reports a NaN utilization, which gam.Fit rejects.
+	bad := g.Emit(1500).Jobs
+	EnsureProfiles(bad)
+	bad[7].Profile.GPUUtil = math.NaN()
+	if err := est.Update(bad); err == nil {
+		t.Fatal("Update accepted a NaN profile feature")
+	}
+	for i, v := range estimates() {
+		if v != before[i] {
+			t.Fatalf("failed Update moved job %d's estimate %v → %v", probe[i].ID, before[i], v)
+		}
+	}
+
+	// And a good Update still takes effect.
+	bad[7].Profile.GPUUtil = 50
+	if err := est.Update(bad); err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for i, v := range estimates() {
+		moved = moved || v != before[i]
+	}
+	if !moved {
+		t.Fatal("successful Update changed no estimate")
+	}
+}
+
+// TestEstimatorModelBitsPinned pins the fitted Workload Estimate Model on a
+// small seeded history: the FNV-1a hash of its Save bytes, computed at commit
+// 234a1f7 (before the gam.Fit and textdist kernels were replaced). A change
+// that is meant to move model bits re-pins it in the same commit as the
+// golden digests.
+func TestEstimatorModelBitsPinned(t *testing.T) {
+	hist, _ := historyTrace(1500)
+	est, err := TrainWorkloadEstimator(hist.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	if err := est.model.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.Sum64(), uint64(0x988a2a12c4e4dcdf); got != want {
+		t.Fatalf("estimator model hash %#x, pinned %#x", got, want)
+	}
 }

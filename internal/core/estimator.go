@@ -44,43 +44,32 @@ func trainWorkloadEstimator(history []*job.Job, monotonic bool) (*WorkloadEstima
 	if len(history) == 0 {
 		return nil, fmt.Errorf("core: estimator needs history")
 	}
-	EnsureProfiles(history)
-	w := &WorkloadEstimator{
-		feat:            feat.NewDurationFeaturizer(history, true),
-		cache:           map[int]float64{},
-		MonotonicGPUNum: monotonic,
-		params:          estimatorGAMParams(),
-	}
-	if err := w.refit(history); err != nil {
+	w := &WorkloadEstimator{MonotonicGPUNum: monotonic, params: estimatorGAMParams()}
+	if err := w.Update(history); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// refit retrains the GA²M on the given jobs with the existing featurizer.
-func (w *WorkloadEstimator) refit(history []*job.Job) error {
-	ds := w.feat.Dataset(history)
-	m, err := gam.Fit(ds, w.params)
+// Update refits featurizer and model from an extended history — the Update
+// Engine's periodic maintenance (§3.6.2). It is all or nothing: featurizer,
+// model and estimate cache are replaced together once the fit has succeeded,
+// and an error leaves the estimator exactly as it was.
+func (w *WorkloadEstimator) Update(history []*job.Job) error {
+	if len(history) == 0 {
+		return fmt.Errorf("core: empty update history")
+	}
+	EnsureProfiles(history)
+	f := feat.NewDurationFeaturizer(history, true)
+	m, err := gam.Fit(f.Dataset(history), w.params)
 	if err != nil {
 		return fmt.Errorf("core: estimator fit: %w", err)
 	}
 	if w.MonotonicGPUNum {
 		m.ApplyMonotonic(0, true) // feature 0 is gpu_num
 	}
-	w.model = m
-	w.cache = map[int]float64{}
+	w.feat, w.model, w.cache = f, m, map[int]float64{}
 	return nil
-}
-
-// Update refits featurizer and model from an extended history — the Update
-// Engine's periodic maintenance (§3.6.2).
-func (w *WorkloadEstimator) Update(history []*job.Job) error {
-	if len(history) == 0 {
-		return fmt.Errorf("core: empty update history")
-	}
-	EnsureProfiles(history)
-	w.feat = feat.NewDurationFeaturizer(history, true)
-	return w.refit(history)
 }
 
 // EstimateSec implements sched.Estimator: predicted duration in seconds,

@@ -210,6 +210,19 @@ func (f *DurationFeaturizer) Names() []string {
 // Features encodes one job. Fallback chain for the mean encodings follows
 // §3.4: template history → user history → same-GPU-demand mean → global.
 func (f *DurationFeaturizer) Features(j *job.Job) []float64 {
+	return f.appendFeatures(make([]float64, 0, f.width()), j)
+}
+
+// width is the length of a feature row.
+func (f *DurationFeaturizer) width() int {
+	if f.IncludeProfile {
+		return len(durationFeatureNames) + len(profileFeatureNames)
+	}
+	return len(durationFeatureNames)
+}
+
+// appendFeatures appends j's feature row to dst.
+func (f *DurationFeaturizer) appendFeatures(dst []float64, j *job.Job) []float64 {
 	base := TemplateBase(j.Name)
 	tm, ok := f.tmplMean[base]
 	if !ok {
@@ -233,32 +246,36 @@ func (f *DurationFeaturizer) Features(j *job.Job) []float64 {
 	if !ok {
 		gm = f.globalMean
 	}
-	row := []float64{
+	dst = append(dst,
 		float64(j.GPUs),
-		float64((j.Submit / 3600) % 24),
-		float64((j.Submit / 86400) % 7),
+		float64((j.Submit/3600)%24),
+		float64((j.Submit/86400)%7),
 		float64(f.bucketOf(base)),
 		tm,
 		f.tmplCount[base],
 		um,
 		gm,
-	}
+	)
 	if f.IncludeProfile {
 		amp := 0.0
 		if j.Profile.AMP || j.AMP {
 			amp = 1
 		}
-		row = append(row, j.Profile.GPUUtil, j.Profile.GPUMemMB, j.Profile.GPUMemUtil, amp)
+		dst = append(dst, j.Profile.GPUUtil, j.Profile.GPUMemMB, j.Profile.GPUMemUtil, amp)
 	}
-	return row
+	return dst
 }
 
-// Dataset builds the supervised table (target: duration in seconds).
+// Dataset builds the supervised table (target: duration in seconds). Its rows
+// are carved from one backing array.
 func (f *DurationFeaturizer) Dataset(jobs []*job.Job) *mlmodel.Dataset {
 	x := make([][]float64, len(jobs))
 	y := make([]float64, len(jobs))
+	cells := make([]float64, 0, len(jobs)*f.width())
 	for i, j := range jobs {
-		x[i] = f.Features(j)
+		start := len(cells)
+		cells = f.appendFeatures(cells, j)
+		x[i] = cells[start:len(cells):len(cells)]
 		y[i] = float64(j.Duration)
 	}
 	ds, err := mlmodel.NewDataset(x, y, f.Names())

@@ -2,6 +2,7 @@ package feat
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/job"
@@ -212,5 +213,38 @@ func TestDurationModelLearnsFromHistory(t *testing.T) {
 	r2 := mlmodel.R2(pred, test.Y)
 	if r2 < 0.1 {
 		t.Fatalf("duration model R2 = %v on the next month", r2)
+	}
+}
+
+// TestDatasetRowsMatchFeatures: Dataset carves its rows from one backing
+// array; each must equal Features(job), stay independent of its neighbours,
+// and the table must cost a constant number of allocations, not one per job.
+func TestDatasetRowsMatchFeatures(t *testing.T) {
+	tr := venusSample(600)
+	for _, j := range tr.Jobs {
+		j.Profile, j.Profiled = j.Config.Profile(), true
+	}
+	for _, profile := range []bool{false, true} {
+		f := NewDurationFeaturizer(tr.Jobs, profile)
+		ds := f.Dataset(tr.Jobs)
+		for i, j := range tr.Jobs {
+			if !reflect.DeepEqual(ds.X[i], f.Features(j)) {
+				t.Fatalf("profile=%v row %d = %v, Features = %v", profile, i, ds.X[i], f.Features(j))
+			}
+			if ds.Y[i] != float64(j.Duration) {
+				t.Fatalf("row %d target %v, want %d", i, ds.Y[i], j.Duration)
+			}
+		}
+		next := append([]float64(nil), ds.X[1]...)
+		_ = append(ds.X[0], -1) // must reallocate, not run into row 1
+		if !reflect.DeepEqual(ds.X[1], next) {
+			t.Fatal("appending to one row overwrote the next")
+		}
+		perTable := func(jobs []*job.Job) float64 {
+			return testing.AllocsPerRun(5, func() { f.Dataset(jobs) })
+		}
+		if few, many := perTable(tr.Jobs[:50]), perTable(tr.Jobs); many != few {
+			t.Fatalf("profile=%v: Dataset allocates %v times for 50 jobs, %v for 600", profile, few, many)
+		}
 	}
 }

@@ -1,14 +1,18 @@
-// Package ml_test holds the tree-family micro-benchmarks. CI runs them at
-// -benchtime 1x and archives the output (bench-ml.txt).
+// Package ml_test holds the micro-benchmarks of the model fits and the name
+// distance. CI runs them at -benchtime 1x and archives the output
+// (bench-ml.txt).
 package ml_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/ml/dtree"
+	"repro/internal/ml/gam"
 	"repro/internal/ml/gbdt"
 	"repro/internal/ml/mlmodel"
+	"repro/internal/ml/textdist"
 	"repro/internal/xrand"
 )
 
@@ -86,5 +90,51 @@ func BenchmarkGBDTFit(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink = m
+	}
+}
+
+// BenchmarkGAMFit is one Workload Estimate refit: the duration table widened
+// to the estimator's 12 columns by four continuous profile-like ones, fit
+// with the estimator's parameters.
+func BenchmarkGAMFit(b *testing.B) {
+	base, _ := durationLike()
+	rng := xrand.New(16)
+	x := make([][]float64, len(base.X))
+	for i, row := range base.X {
+		x[i] = append(row[:len(row):len(row)],
+			100*rng.Float64(), rng.LogNormal(8, 1), 100*rng.Float64(), float64(rng.Intn(2)))
+	}
+	names := append(base.Names[:len(base.Names):len(base.Names)], "gpu_util", "gpu_mem_mb", "gpu_mem_util", "amp")
+	ds := &mlmodel.Dataset{X: x, Y: base.Y, Names: names}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := gam.Fit(ds, gam.Params{MaxBins: 64, Rounds: 300, LearningRate: 0.05})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = m
+	}
+}
+
+// BenchmarkLevenshtein is every pair among 200 names of the trace
+// generator's shape — what the duration featurizer's name bucketing computes.
+func BenchmarkLevenshtein(b *testing.B) {
+	rng := xrand.New(17)
+	models := []string{"ResNet50", "BERT-base", "DeepSpeech2", "PointNet", "VGG16"}
+	names := make([]string, 200)
+	for i := range names {
+		names[i] = fmt.Sprintf("vc%02d-user%02d-%s-t%d-v%d", rng.Intn(20), rng.Intn(60), models[rng.Intn(len(models))], rng.Intn(600), 1+rng.Intn(40))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum := 0
+		for p := range names {
+			for q := p + 1; q < len(names); q++ {
+				sum += textdist.Levenshtein(names[p], names[q])
+			}
+		}
+		sink = sum
 	}
 }

@@ -92,124 +92,148 @@ type Model struct {
 	pairs     []*pairTerm
 }
 
-// Fit trains a GA²M on the dataset.
+// Fit trains a GA²M on the dataset. It rejects an empty dataset, a MaxBins
+// beyond the 65,536 a bin index holds, and any NaN or ±Inf feature or target,
+// naming the row and feature.
 func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("gam: empty dataset")
 	}
 	p = p.normalized()
+	if p.MaxBins > math.MaxUint16+1 {
+		return nil, fmt.Errorf("gam: MaxBins %d exceeds the %d a bin index holds", p.MaxBins, math.MaxUint16+1)
+	}
 	n := ds.Len()
 	d := ds.NumFeatures()
 
 	m := &Model{intercept: mlmodel.Mean(ds.Y)}
 	m.feats = make([]*feature, d)
 
-	// Precompute bin assignment per row per feature.
-	binIdx := make([][]int, d)
-	for j := 0; j < d; j++ {
-		f := &feature{name: ds.FeatureName(j)}
-		f.edges = quantileEdges(column(ds.X, j), p.MaxBins)
-		f.score = make([]float64, f.numBins())
-		f.count = make([]int, f.numBins())
-		idx := make([]int, n)
-		for i := 0; i < n; i++ {
-			b := f.bin(ds.X[i][j])
-			idx[i] = b
-			f.count[b]++
-		}
-		binIdx[j] = idx
-		m.feats[j] = f
-	}
-
 	pred := make([]float64, n)
-	for i := range pred {
+	for i, y := range ds.Y {
+		if y-y != 0 {
+			return nil, fmt.Errorf("gam: row %d target is %v", i, y)
+		}
 		pred[i] = m.intercept
 	}
 
-	// Cyclic boosting over unary terms.
-	binSum := make([]float64, 0, p.MaxBins+1)
-	for round := 0; round < p.Rounds; round++ {
-		for j := 0; j < d; j++ {
-			f := m.feats[j]
-			nb := f.numBins()
-			binSum = binSum[:0]
-			for b := 0; b < nb; b++ {
-				binSum = append(binSum, 0)
+	// Bin every feature once: bins[j*n+i] is row i's bin of feature j, so a
+	// boosting pass over one feature streams n contiguous 2-byte indices.
+	bins := make([]uint16, n*d)
+	col := make([]float64, n)
+	unary := make([]term[uint16], d)
+	for j := 0; j < d; j++ {
+		for i, row := range ds.X {
+			v := row[j]
+			if v-v != 0 {
+				return nil, fmt.Errorf("gam: row %d feature %d (%s) is %v", i, j, ds.FeatureName(j), v)
 			}
-			for i := 0; i < n; i++ {
-				binSum[binIdx[j][i]] += ds.Y[i] - pred[i]
-			}
-			for b := 0; b < nb; b++ {
-				if f.count[b] == 0 {
-					continue
-				}
-				f.score[b] += p.LearningRate * binSum[b] / float64(f.count[b])
-			}
-			// Apply the same deltas to the cached predictions.
-			for i := 0; i < n; i++ {
-				b := binIdx[j][i]
-				if f.count[b] != 0 {
-					pred[i] += p.LearningRate * binSum[b] / float64(f.count[b])
-				}
-			}
+			col[i] = v
 		}
+		f := &feature{name: ds.FeatureName(j)}
+		f.edges = quantileEdges(col, p.MaxBins)
+		f.score = make([]float64, f.numBins())
+		f.count = make([]int, f.numBins())
+		idx := bins[j*n : (j+1)*n : (j+1)*n]
+		for i, v := range col {
+			b := f.bin(v)
+			idx[i] = uint16(b)
+			f.count[b]++
+		}
+		m.feats[j] = f
+		unary[j] = term[uint16]{idx: idx, count: f.count, score: f.score}
 	}
 
-	// Pairwise interactions.
+	boost(ds.Y, pred, unary, p.Rounds, p.LearningRate)
+
+	// Pairwise interactions: a kept pair is one more lookup-table term over
+	// the flat cell index bin_i·nj + bin_j, computed once per row, and is
+	// boosted by the same loop. Its score rows are views of the flat table.
 	if p.Interactions > 0 && d >= 2 {
-		pairs := detectPairs(ds, m, binIdx, pred, p.Interactions)
-		for _, pr := range pairs {
-			pt := &pairTerm{i: pr[0], j: pr[1]}
-			ni := m.feats[pr[0]].numBins()
-			nj := m.feats[pr[1]].numBins()
-			pt.score = make([][]float64, ni)
+		kept := detectPairs(ds.Y, pred, m.feats, bins, p.Interactions)
+		pairs := make([]term[uint32], len(kept))
+		for k, pr := range kept {
+			ni, nj := m.feats[pr[0]].numBins(), m.feats[pr[1]].numBins()
+			t := term[uint32]{idx: make([]uint32, n), count: make([]int, ni*nj), score: make([]float64, ni*nj)}
+			bi, bj := bins[pr[0]*n:(pr[0]+1)*n], bins[pr[1]*n:(pr[1]+1)*n]
+			for i := range t.idx {
+				cell := uint32(bi[i])*uint32(nj) + uint32(bj[i])
+				t.idx[i] = cell
+				t.count[cell]++
+			}
+			pt := &pairTerm{i: pr[0], j: pr[1], score: make([][]float64, ni)}
 			for a := range pt.score {
-				pt.score[a] = make([]float64, nj)
+				pt.score[a] = t.score[a*nj : (a+1)*nj : (a+1)*nj]
 			}
 			m.pairs = append(m.pairs, pt)
+			pairs[k] = t
 		}
-		cnt := make([][]int, len(m.pairs))
-		for k, pt := range m.pairs {
-			c := make([]int, m.feats[pt.i].numBins()*m.feats[pt.j].numBins())
-			for i := 0; i < n; i++ {
-				c[binIdx[pt.i][i]*m.feats[pt.j].numBins()+binIdx[pt.j][i]]++
-			}
-			cnt[k] = c
-		}
-		for round := 0; round < p.PairRounds; round++ {
-			for k, pt := range m.pairs {
-				nj := m.feats[pt.j].numBins()
-				sums := make([]float64, m.feats[pt.i].numBins()*nj)
-				for i := 0; i < n; i++ {
-					cell := binIdx[pt.i][i]*nj + binIdx[pt.j][i]
-					sums[cell] += ds.Y[i] - pred[i]
-				}
-				for cell, s := range sums {
-					if cnt[k][cell] == 0 {
-						continue
-					}
-					delta := p.LearningRate * s / float64(cnt[k][cell])
-					pt.score[cell/nj][cell%nj] += delta
-				}
-				for i := 0; i < n; i++ {
-					cell := binIdx[pt.i][i]*nj + binIdx[pt.j][i]
-					if cnt[k][cell] != 0 {
-						pred[i] += p.LearningRate * sums[cell] / float64(cnt[k][cell])
-					}
-				}
-			}
-		}
+		boost(ds.Y, pred, pairs, p.PairRounds, p.LearningRate)
 	}
 
 	m.center()
 	return m, nil
 }
 
+// term is one additive lookup table during training: every row's cell, the
+// rows per cell and the score per cell. A unary term's cells are a feature's
+// bins (≤ 65,536, so uint16); a pair term's are the ni·nj cells of two.
+type term[I uint16 | uint32] struct {
+	idx   []I
+	count []int
+	score []float64
+}
+
+// boost runs rounds of cyclic gradient boosting over terms: each step moves
+// one term's every cell by lr × the mean residual of the cell's rows, and
+// pred follows. One step is one pass over the rows — adding the current
+// term's per-cell step to pred is fused with summing the next term's
+// residuals (wrapping to the first term of the next round).
+//
+// The fitted bits are a contract (DESIGN.md, ml/gam): the step of a cell is
+// lr*sum/float64(count) in that operation order, computed once per cell; rows
+// are visited in ascending index, so every per-cell sum keeps its order of
+// addition; the residual is always y[i]-pred[i] from the current pred, never
+// a maintained vector — (y-pred)-δ and y-(pred+δ) round differently.
+func boost[I uint16 | uint32](y, pred []float64, terms []term[I], rounds int, lr float64) {
+	if len(terms) == 0 || rounds <= 0 {
+		return
+	}
+	cells := 0
+	for _, t := range terms {
+		cells = max(cells, len(t.count))
+	}
+	sum := make([]float64, cells)
+	delta := make([]float64, cells)
+	for i, c := range terms[0].idx {
+		sum[c] += y[i] - pred[i]
+	}
+	for step, steps := 0, rounds*len(terms); step < steps; step++ {
+		cur, next := terms[step%len(terms)], terms[(step+1)%len(terms)]
+		for c, cnt := range cur.count {
+			delta[c] = 0
+			if cnt != 0 {
+				delta[c] = lr * sum[c] / float64(cnt)
+				cur.score[c] += delta[c]
+			}
+		}
+		// The sums the last step leaves behind are not used.
+		clear(sum[:len(next.count)])
+		curIdx, nextIdx := cur.idx[:len(pred)], next.idx[:len(pred)]
+		for i, yi := range y[:len(pred)] {
+			v := pred[i] + delta[curIdx[i]]
+			pred[i] = v
+			sum[nextIdx[i]] += yi - v
+		}
+	}
+}
+
 // detectPairs scores all feature pairs by the one-shot 2-D residual fit
-// (FAST heuristic) and returns the top-k index pairs.
-func detectPairs(ds *mlmodel.Dataset, m *Model, binIdx [][]int, pred []float64, k int) [][2]int {
-	d := len(m.feats)
-	n := ds.Len()
+// (FAST heuristic) and returns the top-k index pairs. bins is column-major:
+// feature j's bin of row r is bins[j*n+r].
+func detectPairs(y, pred []float64, feats []*feature, bins []uint16, k int) [][2]int {
+	d := len(feats)
+	n := len(y)
 	type cand struct {
 		i, j int
 		gain float64
@@ -217,20 +241,17 @@ func detectPairs(ds *mlmodel.Dataset, m *Model, binIdx [][]int, pred []float64, 
 	var cands []cand
 	resid := make([]float64, n)
 	for i := 0; i < n; i++ {
-		resid[i] = ds.Y[i] - pred[i]
-	}
-	base := 0.0
-	for _, r := range resid {
-		base += r * r
+		resid[i] = y[i] - pred[i]
 	}
 	for i := 0; i < d; i++ {
 		for j := i + 1; j < d; j++ {
-			nj := m.feats[j].numBins()
-			cells := m.feats[i].numBins() * nj
+			nj := feats[j].numBins()
+			cells := feats[i].numBins() * nj
 			sum := make([]float64, cells)
 			cnt := make([]int, cells)
+			bi, bj := bins[i*n:(i+1)*n], bins[j*n:(j+1)*n]
 			for r := 0; r < n; r++ {
-				cell := binIdx[i][r]*nj + binIdx[j][r]
+				cell := int(bi[r])*nj + int(bj[r])
 				sum[cell] += resid[r]
 				cnt[cell]++
 			}
@@ -435,14 +456,6 @@ func quantileEdges(vals []float64, maxBins int) []float64 {
 		}
 	}
 	return edges
-}
-
-func column(x [][]float64, j int) []float64 {
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = row[j]
-	}
-	return out
 }
 
 var _ mlmodel.Regressor = (*Model)(nil)

@@ -6,10 +6,72 @@
 // "train_v2"), so edit distance clusters them.
 package textdist
 
-// Levenshtein returns the edit distance between a and b (insertions,
-// deletions, substitutions all cost 1). Runs in O(len(a)·len(b)) time and
-// O(min) space.
+import "unicode/utf8"
+
+// Levenshtein returns the edit distance between a and b in runes (insertions,
+// deletions, substitutions all cost 1). Two ASCII strings of which the shorter
+// has at most 64 bytes — every job name the trace generator emits — take the
+// bit-parallel path: O(longer) word operations and no allocation. Anything
+// else takes the O(len(a)·len(b)) dynamic program.
 func Levenshtein(a, b string) int {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	if len(b) <= 64 && isASCII(a) && isASCII(b) {
+		return bitParallel(a, b)
+	}
+	return dp(a, b)
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// bitParallel is the Myers (1999) bit-vector algorithm in Hyyrö's (2003)
+// edit-distance form. One DP column over the pattern is held as two words of
+// vertical deltas: bit i of pv (mv) is set when cell i is one more (less) than
+// cell i-1. Each text byte advances the column with a constant number of word
+// operations, and score follows the column's last cell. The pattern must be
+// ASCII and at most 64 bytes; text must be ASCII.
+func bitParallel(text, pattern string) int {
+	m := len(pattern)
+	if m == 0 {
+		return len(text)
+	}
+	var peq [utf8.RuneSelf]uint64 // peq[c]: the positions of c in pattern
+	for i := 0; i < m; i++ {
+		peq[pattern[i]] |= 1 << uint(i)
+	}
+	pv, mv := ^uint64(0), uint64(0)
+	last := uint64(1) << uint(m-1)
+	score := m
+	for i := 0; i < len(text); i++ {
+		eq := peq[text[i]]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		ph = ph<<1 | 1 // row 0 of the table grows by one per text byte
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score
+}
+
+// dp is the two-row dynamic program over runes: the general path, and the
+// oracle the tests hold bitParallel to.
+func dp(a, b string) int {
 	ra, rb := []rune(a), []rune(b)
 	if len(ra) < len(rb) {
 		ra, rb = rb, ra
@@ -39,11 +101,7 @@ func Levenshtein(a, b string) int {
 // Similarity maps distance to [0, 1]: 1 for identical strings, approaching 0
 // as the distance reaches the longer length.
 func Similarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	longest := la
-	if lb > longest {
-		longest = lb
-	}
+	longest := max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
 	if longest == 0 {
 		return 1
 	}

@@ -1,8 +1,11 @@
 package textdist
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func TestKnownDistances(t *testing.T) {
@@ -74,3 +77,82 @@ func TestSimilarityBounds(t *testing.T) {
 		t.Fatalf("recurring names should be similar: %v", s)
 	}
 }
+
+// randomString draws n runes from alphabet; a small alphabet makes matches,
+// and so the interesting carries of the bit-vector recurrence, frequent.
+func randomString(rng *xrand.RNG, n int, alphabet []rune) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		sb.WriteRune(alphabet[rng.Intn(len(alphabet))])
+	}
+	return sb.String()
+}
+
+// TestLevenshteinMatchesDP holds the dispatching Levenshtein to the dynamic
+// program at the lengths around the one-word limit, on ASCII inputs (the
+// bit-parallel path when the shorter is ≤ 64) and mixed-Unicode ones (the
+// fallback).
+func TestLevenshteinMatchesDP(t *testing.T) {
+	rng := xrand.New(16)
+	lengths := []int{0, 1, 63, 64, 65, 200}
+	alphabets := map[string][]rune{
+		"ascii-2":  []rune("ab"),
+		"ascii-40": []rune("abcdefghijklmnopqrstuvwxyz0123456789-_#."),
+		"mixed":    []rune("abé-0ü√日本"),
+	}
+	for name, alpha := range alphabets {
+		for _, la := range lengths {
+			for _, lb := range lengths {
+				for rep := 0; rep < 8; rep++ {
+					a, b := randomString(rng, la, alpha), randomString(rng, lb, alpha)
+					if rep%2 == 1 && la > 0 {
+						// A near-copy: the distances name bucketing cares about.
+						r := []rune(a)
+						r[rng.Intn(la)] = alpha[rng.Intn(len(alpha))]
+						b = string(r[:min(la, max(lb, 1))])
+					}
+					if got, want := Levenshtein(a, b), dp(a, b); got != want {
+						t.Fatalf("%s: Levenshtein(%q,%q) = %d, DP says %d", name, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func FuzzLevenshtein(f *testing.F) {
+	for _, s := range [][2]string{
+		{"", ""}, {"", "abc"}, {"kitten", "sitting"}, {"héllo", "hello"},
+		{"vc03-user07-ResNet50-t123-v17", "vc03-user07-ResNet18-t9-v2"},
+		{strings.Repeat("a", 64), strings.Repeat("a", 63) + "b"},
+		{strings.Repeat("ab", 32) + "c", strings.Repeat("ba", 32)},
+		{strings.Repeat("x", 200), strings.Repeat("xy", 32)},
+		{"\xff\xfe", "\xff"},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > 300 || len(b) > 300 {
+			return // keeps the quadratic oracle fast
+		}
+		if got, want := Levenshtein(a, b), dp(a, b); got != want {
+			t.Fatalf("Levenshtein(%q,%q) = %d, DP says %d", a, b, got, want)
+		}
+	})
+}
+
+func TestLevenshteinFastPathDoesNotAllocate(t *testing.T) {
+	a, b := "vc03-user07-ResNet50-t123-v17", "vc11-user41-BERT-base-t7-v3"
+	long := strings.Repeat("resnet-", 40) // only the shorter string is limited to 64
+	if n := testing.AllocsPerRun(100, func() {
+		sinkInt = Levenshtein(a, b) + Levenshtein(long, b)
+		sinkFloat = Similarity(a, b)
+	}); n != 0 {
+		t.Fatalf("ASCII ≤ 64 path allocates %v times per run", n)
+	}
+}
+
+var (
+	sinkInt   int
+	sinkFloat float64
+)
