@@ -9,9 +9,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
+
+// ErrNoCapacity is what Allocate and AllocatePrefer return when the VC cannot
+// host the request right now. Schedulers hit it for every queued job that
+// does not fit, every round, so it is a sentinel rather than a formatted
+// message; test for it with errors.Is.
+var ErrNoCapacity = errors.New("cluster: no capacity")
 
 // GPUID addresses one GPU.
 type GPUID struct {
@@ -207,7 +214,7 @@ func (c *Cluster) AllocatePrefer(jobID int, vc string, n int, memPerGPU float64,
 	}
 	plan := c.planExclusive(vc, n, pref)
 	if plan == nil {
-		return nil, fmt.Errorf("cluster: no capacity for %d GPUs in VC %q", n, vc)
+		return nil, ErrNoCapacity
 	}
 	c.commit(jobID, plan, memPerGPU)
 	return plan, nil

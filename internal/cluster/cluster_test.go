@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +312,37 @@ func TestAuditCleanAndCorrupt(t *testing.T) {
 	c3.jobGPUs[3] = []GPUID{{0, 0}}
 	if probs := c3.Audit(); len(probs) == 0 {
 		t.Fatal("audit missed a maxShare violation")
+	}
+}
+
+// TestNoCapacityIsASentinel: a request that does not fit is the common case
+// of a congested scheduling round (every queued job, every round), so the
+// refusal is ErrNoCapacity itself — matched with errors.Is, never formatted,
+// never allocated. The argument-validation errors keep their text.
+func TestNoCapacityIsASentinel(t *testing.T) {
+	c := twoVC()
+	if _, err := c.Allocate(1, "vcB", 8, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		vc string
+		n  int
+	}{{"vcB", 1}, {"vcB", 9}, {"vcA", 17}, {"nowhere", 1}} {
+		if _, err := c.AllocatePrefer(2, tc.vc, tc.n, 0, PreferFast); !errors.Is(err, ErrNoCapacity) {
+			t.Errorf("%d GPUs in %q: err = %v, want ErrNoCapacity", tc.n, tc.vc, err)
+		}
+	}
+	var err error
+	if a := testing.AllocsPerRun(100, func() { _, err = c.Allocate(2, "vcB", 4, 0) }); a != 0 {
+		t.Errorf("a refused allocation allocates %v times, want 0", a)
+	}
+	if !errors.Is(err, ErrNoCapacity) {
+		t.Errorf("err = %v, want ErrNoCapacity", err)
+	}
+	if _, err := c.Allocate(1, "vcA", 1, 0); err == nil || errors.Is(err, ErrNoCapacity) {
+		t.Errorf("double allocation: err = %v, want its own message", err)
+	}
+	if _, err := c.Allocate(3, "vcA", 0, 0); err == nil || errors.Is(err, ErrNoCapacity) {
+		t.Errorf("zero-GPU request: err = %v, want its own message", err)
 	}
 }

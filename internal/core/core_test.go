@@ -3,6 +3,8 @@ package core
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -377,5 +379,99 @@ func TestEstimatorModelBitsPinned(t *testing.T) {
 	}
 	if got, want := h.Sum64(), uint64(0x988a2a12c4e4dcdf); got != want {
 		t.Fatalf("estimator model hash %#x, pinned %#x", got, want)
+	}
+}
+
+// oracleOrder is the queue ordering orchestrate had before the keys were
+// hoisted out of the comparator — sort.SliceStable re-deriving priority() on
+// every comparison — kept verbatim as the reference for orderQueue.
+func oracleOrder(l *Lucid, pending []*job.Job, now int64) []*job.Job {
+	var queued []*job.Job
+	for _, j := range pending {
+		if j.State == job.Queued {
+			queued = append(queued, j)
+		}
+	}
+	sort.SliceStable(queued, func(a, b int) bool {
+		pa, pb := l.priority(queued[a], now), l.priority(queued[b], now)
+		if pa != pb {
+			return pa < pb
+		}
+		if queued[a].Submit != queued[b].Submit {
+			return queued[a].Submit < queued[b].Submit
+		}
+		return queued[a].ID < queued[b].ID
+	})
+	return queued
+}
+
+// TestOrderQueueMatchesOracle: on queues built to collide — a handful of
+// distinct estimates and GPU counts, so GPUs×estimate ties across different
+// jobs (2×60 = 1×120), a handful of submit times, IDs in no particular order,
+// Pending jobs mixed in — orderQueue returns exactly the oracle's sequence,
+// with fairness aging off and on and with the estimator ablated, and reusing
+// its scratch from a longer round to a shorter one leaks nothing.
+func TestOrderQueueMatchesOracle(t *testing.T) {
+	cfgs := map[string]Config{
+		"default":      {},
+		"aging":        {FairnessAgingSec: 0.5},
+		"no-estimator": {DisableEstimator: true},
+	}
+	ests := []float64{60, 120, 240, 3600}
+	gpus := []int{1, 2, 4, 8}
+	for name, cfg := range cfgs {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			est := &WorkloadEstimator{cache: map[int]float64{}}
+			l := &Lucid{cfg: cfg, models: &Models{Estimator: est}}
+			n := 1 + rng.Intn(400)
+			pending := make([]*job.Job, n)
+			for i, id := range rng.Perm(n) {
+				j := job.New(id, "j", "u", "vc", gpus[rng.Intn(len(gpus))],
+					int64(rng.Intn(6))*600, 1000, workload.Config{})
+				j.State = job.Queued
+				if rng.Intn(5) == 0 {
+					j.State = job.Pending
+				}
+				est.cache[id] = ests[rng.Intn(len(ests))]
+				pending[i] = j
+			}
+			const now = 7200
+			// Longest queue first, so the second call runs on dirty scratch.
+			for _, q := range [][]*job.Job{pending, pending[:n/3]} {
+				want := oracleOrder(l, q, now)
+				got := l.orderQueue(q, now)
+				if len(got) != len(want) {
+					t.Fatalf("%s seed %d: %d jobs ordered, oracle has %d", name, seed, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].job != want[i] {
+						t.Fatalf("%s seed %d: position %d is job %d, oracle has job %d",
+							name, seed, i, got[i].job.ID, want[i].ID)
+					}
+					if len(got) > 1 && got[i].key != l.priority(want[i], now) {
+						t.Fatalf("%s seed %d: job %d carries key %v, priority is %v",
+							name, seed, want[i].ID, got[i].key, l.priority(want[i], now))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOrderQueueLoneJobAsksForNoEstimate: the estimator's cache is snapshot
+// state, and the comparator-driven sort this replaced never asked about a
+// queue of one. An estimator with no model behind it proves orderQueue still
+// does not.
+func TestOrderQueueLoneJobAsksForNoEstimate(t *testing.T) {
+	est := &WorkloadEstimator{cache: map[int]float64{}}
+	l := &Lucid{models: &Models{Estimator: est}}
+	j := job.New(7, "j", "u", "vc", 1, 0, 1000, workload.Config{})
+	j.State = job.Queued
+	if q := l.orderQueue([]*job.Job{j}, 60); len(q) != 1 || q[0].job != j {
+		t.Fatalf("lone job not returned: %v", q)
+	}
+	if len(est.cache) != 0 {
+		t.Fatalf("ordering a queue of one cached an estimate: %v", est.cache)
 	}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/dtrace"
@@ -120,6 +121,9 @@ type Lucid struct {
 	hourCount  float64
 	curHour    int64
 	lastUpdate int64
+
+	// queue is orderQueue's scratch, reused across rounds.
+	queue []keyedJob
 
 	// modelsDirty records whether the Update Engine has refit the estimator
 	// since construction. A snapshot embeds the full model bundle only then;
@@ -299,29 +303,52 @@ func (l *Lucid) score(j *job.Job) workload.SharingScore {
 	return s
 }
 
+// keyedJob is a queued job with its Algorithm 2 priority, computed once per
+// round rather than once per comparison.
+type keyedJob struct {
+	job *job.Job
+	key float64
+}
+
+// orderQueue returns the Queued jobs among pending in Algorithm 2's order:
+// priority ascending, ties by submit time, then ID. The result is scratch
+// that the next call overwrites. A queue of one is returned unkeyed: there
+// is nothing to order, and asking for an estimate fills the estimator's
+// cache, which is snapshot state.
+func (l *Lucid) orderQueue(pending []*job.Job, now int64) []keyedJob {
+	q := l.queue[:0]
+	for _, j := range pending {
+		if j.State == job.Queued {
+			q = append(q, keyedJob{job: j})
+		}
+	}
+	l.queue = q
+	if len(q) < 2 {
+		return q
+	}
+	for i := range q {
+		q[i].key = l.priority(q[i].job, now)
+	}
+	slices.SortStableFunc(q, func(a, b keyedJob) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.job.Submit, b.job.Submit); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.job.ID, b.job.ID)
+	})
+	return q
+}
+
 // orchestrate is Algorithm 2: sort the queue by priority ascending, then
 // place with sharing (if enabled) or exclusively.
 func (l *Lucid) orchestrate(env *sim.Env) {
-	var queued []*job.Job
-	for _, j := range env.Pending() {
-		if j.State == job.Queued {
-			queued = append(queued, j)
-		}
-	}
+	now := env.Now()
+	queued := l.orderQueue(env.Pending(), now)
 	if len(queued) == 0 {
 		return
 	}
-	now := env.Now()
-	sort.SliceStable(queued, func(a, b int) bool {
-		pa, pb := l.priority(queued[a], now), l.priority(queued[b], now)
-		if pa != pb {
-			return pa < pb
-		}
-		if queued[a].Submit != queued[b].Submit {
-			return queued[a].Submit < queued[b].Submit
-		}
-		return queued[a].ID < queued[b].ID
-	})
 
 	rec := env.Trace()
 	if rec.Enabled() {
@@ -333,7 +360,8 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 	if !l.cfg.DisableEstimator {
 		remaining = l.remainingEstimate
 	}
-	for _, j := range queued {
+	for _, q := range queued {
+		j := q.job
 		if sharing {
 			var p *job.Job
 			if rec.Enabled() {
@@ -362,8 +390,8 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 // the job granted the head of the queue, its priority score, and the top-K
 // jobs it was preferred over — Figure 12's "why does job A go before job
 // B?" answer.
-func (l *Lucid) traceOrder(env *sim.Env, queued []*job.Job, now int64) {
-	head := queued[0]
+func (l *Lucid) traceOrder(env *sim.Env, queued []keyedJob, now int64) {
+	head := queued[0].job
 	reason := "min-gpu-demand-x-estimate"
 	switch {
 	case l.cfg.DisableEstimator:
@@ -373,12 +401,12 @@ func (l *Lucid) traceOrder(env *sim.Env, queued []*job.Job, now int64) {
 	}
 	k := env.Trace().TopK()
 	var alts []dtrace.Alternative
-	for _, j := range queued[1:] {
+	for _, q := range queued[1:] {
 		if len(alts) >= k {
 			break
 		}
 		alts = append(alts, dtrace.Alternative{
-			Job: j.ID, Score: l.priority(j, now), Reason: "behind-in-queue"})
+			Job: q.job.ID, Score: q.key, Reason: "behind-in-queue"})
 	}
 	env.Trace().Record(dtrace.Event{
 		Tick: now, Job: head.ID, Action: dtrace.ActOrder, Reason: reason,

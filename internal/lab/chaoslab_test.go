@@ -14,7 +14,7 @@ import (
 // vacuous: the clean column sees zero faults while nonzero multipliers
 // actually kill jobs.
 func TestFigRSerialParallelIdentical(t *testing.T) {
-	eval, models := goldenWorld(t)
+	eval, models, _ := goldenWorld(t)
 	w := &World{Spec: goldenSpec(), Eval: eval, Models: models,
 		Estimator: sched.OracleEstimator{}}
 	mults := []float64{0, 8}

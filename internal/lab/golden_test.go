@@ -45,10 +45,11 @@ var goldenOnce struct {
 	sync.Once
 	eval   *trace.Trace
 	models *core.Models
+	est    *GBDTEstimator // Horus's duration model, trained on the same history
 	err    error
 }
 
-func goldenWorld(t *testing.T) (*trace.Trace, *core.Models) {
+func goldenWorld(t *testing.T) (*trace.Trace, *core.Models, *GBDTEstimator) {
 	t.Helper()
 	goldenOnce.Do(func() {
 		spec := goldenSpec()
@@ -56,18 +57,22 @@ func goldenWorld(t *testing.T) (*trace.Trace, *core.Models) {
 		hist := g.Emit(600)
 		goldenOnce.eval = g.Emit(450)
 		goldenOnce.models, goldenOnce.err = core.TrainModels(hist, core.DefaultConfig())
+		if goldenOnce.err == nil {
+			goldenOnce.est, goldenOnce.err = NewGBDTEstimator(hist)
+		}
 	})
 	if goldenOnce.err != nil {
 		t.Fatal(goldenOnce.err)
 	}
-	return goldenOnce.eval, goldenOnce.models
+	return goldenOnce.eval, goldenOnce.models, goldenOnce.est
 }
 
 // goldenSchedulers returns constructors (not instances: schedulers carry
 // state across a run, so every run needs a fresh one) for the golden set.
 // QSSF uses the oracle estimator so the golden digest depends only on
-// engine+policy code, not on GBDT training.
-func goldenSchedulers(models *core.Models) []struct {
+// engine+policy code, not on GBDT training; Horus, the one exception, runs
+// as lab.World runs it.
+func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 	name string
 	mk   func() (sim.Scheduler, sim.Options)
 } {
@@ -98,6 +103,12 @@ func goldenSchedulers(models *core.Models) []struct {
 			cs.BackoffSec = 120
 			opts.Chaos = chaos.NewInjector(cs)
 			return sched.NewFIFO(), opts
+		}},
+		// Horus as lab.World runs it (GBDT estimator, the world's seed). It
+		// holds an Env.Running() slice across its own placements, so its
+		// digest is what notices a view that changes under the caller.
+		{"Horus", func() (sim.Scheduler, sim.Options) {
+			return sched.NewHorus(est, spec.Seed), SimOpts()
 		}},
 	}
 }
@@ -134,10 +145,10 @@ func runTraced(t *testing.T, eval *trace.Trace, name string,
 // contraction on some platforms, which can perturb float low bits. The
 // run-vs-run half of the test is architecture-independent.
 func TestGoldenTraceDeterminism(t *testing.T) {
-	eval, models := goldenWorld(t)
+	eval, models, est := goldenWorld(t)
 
 	var lines []string
-	for _, gs := range goldenSchedulers(models) {
+	for _, gs := range goldenSchedulers(models, est) {
 		d1, m1, n1 := runTraced(t, eval, gs.name, gs.mk)
 		d2, m2, n2 := runTraced(t, eval, gs.name, gs.mk)
 		if d1 != d2 {

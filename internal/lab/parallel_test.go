@@ -37,8 +37,8 @@ func runTracedE(eval *trace.Trace, name string,
 // between concurrent simulations (shared models, estimator caches, the
 // pair-speed memo table).
 func TestParallelMatchesSerial(t *testing.T) {
-	eval, models := goldenWorld(t)
-	set := goldenSchedulers(models)
+	eval, models, est := goldenWorld(t)
+	set := goldenSchedulers(models, est)
 
 	type out struct {
 		digest, summary string
@@ -79,7 +79,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // full six-scheduler set, Horus and GBDT-backed QSSF included) serially and
 // in parallel over one world and demands identical metrics.
 func TestRunAllSerialParallelIdentical(t *testing.T) {
-	eval, models := goldenWorld(t)
+	eval, models, _ := goldenWorld(t)
 	w := &World{Spec: goldenSpec(), Eval: eval, Models: models,
 		Estimator: sched.OracleEstimator{}}
 

@@ -77,10 +77,10 @@ func diffFingerprints(a, b string) string {
 // issue's headline acceptance criterion: all pre-existing digests must be
 // byte-identical under the new engine.
 func TestEventEngineGoldenParity(t *testing.T) {
-	eval, models := goldenWorld(t)
+	eval, models, est := goldenWorld(t)
 	golden := readGoldenDigests(t)
 
-	for _, gs := range goldenSchedulers(models) {
+	for _, gs := range goldenSchedulers(models, est) {
 		want, ok := golden[gs.name]
 		if !ok {
 			t.Fatalf("%s: no golden digest line", gs.name)
@@ -100,7 +100,7 @@ func TestEventEngineGoldenParity(t *testing.T) {
 // multiple of the tick, and chaos under a coarse cadence (backoff expiries
 // between cadence points).
 func TestEventEngineFastParity(t *testing.T) {
-	eval, models := goldenWorld(t)
+	eval, models, _ := goldenWorld(t)
 	spec := goldenSpec()
 
 	coarse := func() sim.Options { return sim.Options{Tick: 60, SchedulerEvery: 300} }
@@ -180,13 +180,13 @@ func TestEventEngineFastParity(t *testing.T) {
 //     engine must land on the tick engine's bit-exact end state, proving the
 //     prediction heap and live window rebuild correctly from a snapshot.
 func TestEventEngineSnapshotParity(t *testing.T) {
-	eval, models := goldenWorld(t)
+	eval, models, est := goldenWorld(t)
 	golden := readGoldenDigests(t)
 	const cut = 86400
 
 	// --- compat mode, FIFO-chaos (the richest state: down nodes, backoff).
 	var mkChaos func() (sim.Scheduler, sim.Options)
-	for _, gs := range goldenSchedulers(models) {
+	for _, gs := range goldenSchedulers(models, est) {
 		if gs.name == "FIFO-chaos" {
 			mkChaos = gs.mk
 		}

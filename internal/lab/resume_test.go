@@ -48,12 +48,12 @@ func tracedRun(mk func() (sim.Scheduler, sim.Options)) (*sim.Sim, *dtrace.Record
 // metrics. It also locks in that Snapshot is canonical (same state → same
 // bytes) and read-only (the snapshotted run continues to the same digest).
 func TestSnapshotResumeMatchesGolden(t *testing.T) {
-	eval, models := goldenWorld(t)
+	eval, models, est := goldenWorld(t)
 	_ = eval
 	golden := readGoldenDigests(t)
 	const cut = 86400 // snapshot one simulated day in: queues, packs and faults in flight
 
-	for _, gs := range goldenSchedulers(models) {
+	for _, gs := range goldenSchedulers(models, est) {
 		switch gs.name {
 		case "FIFO", "Lucid", "FIFO-chaos":
 		default:
@@ -123,7 +123,7 @@ func TestSnapshotResumeMatchesGolden(t *testing.T) {
 // must embed the refit model bundle. Prefix+resume must still equal the
 // uninterrupted run exactly.
 func TestSnapshotResumeWithModelRefit(t *testing.T) {
-	_, models := goldenWorld(t)
+	_, models, _ := goldenWorld(t)
 	spec := goldenSpec()
 	mk := func() (sim.Scheduler, sim.Options) {
 		cfg := core.DefaultConfig()
@@ -175,10 +175,10 @@ func TestSnapshotResumeWithModelRefit(t *testing.T) {
 // policy state over the restored world; both must complete cleanly, and the
 // original must still match its golden digest.
 func TestForkWhatIf(t *testing.T) {
-	_, models := goldenWorld(t)
+	_, models, est := goldenWorld(t)
 	golden := readGoldenDigests(t)
 
-	base, baseRec := tracedRun(goldenSchedulers(models)[0].mk) // FIFO
+	base, baseRec := tracedRun(goldenSchedulers(models, est)[0].mk) // FIFO
 	if done := base.RunUntil(86400); done {
 		t.Fatal("run completed before the fork point")
 	}

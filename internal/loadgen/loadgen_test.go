@@ -217,9 +217,13 @@ func TestNetworkModeReusesConnections(t *testing.T) {
 	if want := int64(workers * ops); res.Requests != want {
 		t.Fatalf("requests = %d, want %d", res.Requests, want)
 	}
-	if got := atomic.LoadInt64(&dials); got > workers {
-		t.Errorf("%d requests from %d workers needed %d dials; want <= %d (one persistent conn per worker)",
-			res.Requests, workers, got, workers)
+	// Not "<= workers": when a worker's next request beats its previous
+	// connection back into the idle pool, net/http dials a spare and hands the
+	// request whichever arrives first. 420 runs here, a third of them under
+	// load: 3–8 dials, 4 in two of three, 8 once. Churn is a dial per request — 400.
+	if got := atomic.LoadInt64(&dials); got > 2*workers {
+		t.Errorf("%d requests from %d workers needed %d dials; want <= %d (one persistent conn per worker, plus at most as many raced spares)",
+			res.Requests, workers, got, 2*workers)
 	}
 }
 

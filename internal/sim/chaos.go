@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sort"
-
 	"repro/internal/dtrace"
 	"repro/internal/job"
 )
@@ -74,18 +72,9 @@ func (s *Sim) applyChaos() {
 	// Job crash-on-step: sampled over running and profiling jobs in ID
 	// order. Each (job, tick) trial is an independent hash, so the sample
 	// does not depend on which other jobs exist.
-	if len(s.running)+len(s.profiling) > 0 {
-		ids := make([]int, 0, len(s.running)+len(s.profiling))
-		for id := range s.running {
-			ids = append(ids, id)
-		}
-		for id := range s.profiling {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range inj.JobCrashes(now, dt, ids) {
+	if len(s.running.jobs)+len(s.profiling.jobs) > 0 {
+		for _, id := range inj.JobCrashes(now, dt, s.residentIDs()) {
 			s.killJob(s.byID[id], "job-crash")
-			s.dirty = true
 		}
 	}
 }
@@ -107,25 +96,9 @@ func (s *Sim) applyChaos() {
 // really did spend that GPU-time, which is exactly what the goodput metric
 // measures.
 func (s *Sim) killJob(j *job.Job, cause string) {
-	if j == nil {
+	if j == nil || !s.evict(j) {
 		return
 	}
-	switch j.State {
-	case job.Running:
-		s.main.Free(j.ID)
-		delete(s.running, j.ID)
-	case job.Profiling:
-		if s.profiler != nil {
-			s.profiler.Free(j.ID)
-		}
-		delete(s.profiling, j.ID)
-	default:
-		return
-	}
-	delete(s.speeds, j.ID)
-	delete(s.profileStart, j.ID)
-	delete(s.elastic, j.ID)
-	delete(s.genSpeed, j.ID)
 	s.jobKills++
 	s.record(EvKill, j.ID, j.GPUs, j.VC)
 

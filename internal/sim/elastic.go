@@ -38,7 +38,7 @@ func (e *Env) StartElastic(j *job.Job, gpus int) bool {
 		e.s.elastic = make(map[int]int)
 	}
 	e.s.elastic[j.ID] = gpus
-	e.s.startOn(j, e.s.running)
+	e.s.startRunning(j)
 	e.s.record(EvStartElastic, j.ID, gpus, j.VC)
 	e.s.trace(dtrace.ActPlaceElastic, j, "elastic", 0)
 	return true
@@ -65,8 +65,7 @@ func (e *Env) ResizeElastic(j *job.Job, gpus int) bool {
 		if _, err2 := e.s.main.Allocate(j.ID, j.VC, old, 0); err2 != nil {
 			// Defensive: if fragmentation somehow blocks the rollback, park
 			// the job back in the queue.
-			delete(e.s.running, j.ID)
-			delete(e.s.elastic, j.ID)
+			e.s.evict(j)
 			j.State = job.Pending
 		}
 		return false

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -263,14 +262,14 @@ func (s *Sim) catchUpCadence(w int64) {
 // arithmetic needs replaying.
 func (s *Sim) bulkAdvance(k int64) {
 	dt := float64(s.opts.Tick)
-	for id, j := range s.running {
-		sp := s.speeds[id]
+	for _, j := range s.running.jobs {
+		sp := s.speeds[j.ID]
 		if sp <= 0 {
 			sp = 1
 		}
 		advanceJobTicks(j, sp, k, dt)
 	}
-	for _, j := range s.profiling {
+	for _, j := range s.profiling.jobs {
 		advanceJobTicks(j, 1, k, dt)
 	}
 	s.now += k * s.opts.Tick
@@ -379,28 +378,20 @@ func ticksToFinish(rem, cs, sp, dt float64, limit int64) int64 {
 // StartProfiling — this also catches same-tick kill-and-restart, where the
 // membership set never saw it leave) or when recomputeSpeeds changed its
 // effective speed (packing partner change, elastic resize, chaos straggler).
+// Predictions of jobs that left need no sweep: evict drops them.
 func (s *Sim) refreshPredictions() {
-	for id := range s.preds {
-		if _, ok := s.running[id]; ok {
-			continue
-		}
-		if _, ok := s.profiling[id]; ok {
-			continue
-		}
-		delete(s.preds, id)
-	}
-	for id, j := range s.running {
-		sp := s.speeds[id]
+	for _, j := range s.running.jobs {
+		sp := s.speeds[j.ID]
 		if sp <= 0 {
 			sp = 1
 		}
-		if p, ok := s.preds[id]; ok && p.speed == sp && p.gen == s.jobGen[id] {
+		if p, ok := s.preds[j.ID]; ok && p.speed == sp && p.gen == s.jobGen[j.ID] {
 			continue
 		}
 		s.predictJob(j, sp)
 	}
-	for id, j := range s.profiling {
-		if p, ok := s.preds[id]; ok && p.speed == 1 && p.gen == s.jobGen[id] {
+	for _, j := range s.profiling.jobs {
+		if p, ok := s.preds[j.ID]; ok && p.speed == 1 && p.gen == s.jobGen[j.ID] {
 			continue
 		}
 		s.predictJob(j, 1)
@@ -439,7 +430,7 @@ func (s *Sim) chaosNext(bound int64) int64 {
 		}
 	}
 
-	rollJobs := inj.Spec().JobCrashPerDay > 0 && len(s.running)+len(s.profiling) > 0
+	rollJobs := inj.Spec().JobCrashPerDay > 0 && len(s.running.jobs)+len(s.profiling.jobs) > 0
 	var ids []int
 	if rollJobs {
 		ids = s.residentIDs()
@@ -461,16 +452,24 @@ func (s *Sim) chaosNext(bound int64) int64 {
 	return bound
 }
 
-// residentIDs returns running+profiling job ids sorted — the same population
-// applyChaos samples crash-on-step faults over.
+// residentIDs returns running+profiling job ids ascending — the population
+// crash-on-step faults are sampled over. A job is on one cluster at a time,
+// so merging the two ordered sets yields a strictly ascending list.
 func (s *Sim) residentIDs() []int {
-	ids := make([]int, 0, len(s.running)+len(s.profiling))
-	for id := range s.running {
-		ids = append(ids, id)
+	a, b := s.running.jobs, s.profiling.jobs
+	ids := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].ID < b[0].ID {
+			ids, a = append(ids, a[0].ID), a[1:]
+		} else {
+			ids, b = append(ids, b[0].ID), b[1:]
+		}
 	}
-	for id := range s.profiling {
-		ids = append(ids, id)
+	for _, j := range a {
+		ids = append(ids, j.ID)
 	}
-	sort.Ints(ids)
+	for _, j := range b {
+		ids = append(ids, j.ID)
+	}
 	return ids
 }

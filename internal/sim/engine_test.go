@@ -77,8 +77,8 @@ func TestStepOnceDelegatesToStepTick(t *testing.T) {
 	if s.dirty {
 		t.Error("dirty flag survived a forced scheduler round")
 	}
-	if len(s.running) != 2 {
-		t.Fatalf("%d jobs running after forced round, want 2 (gate must be bypassed)", len(s.running))
+	if len(s.running.jobs) != 2 {
+		t.Fatalf("%d jobs running after forced round, want 2 (gate must be bypassed)", len(s.running.jobs))
 	}
 	if s.lastSched != 10 {
 		t.Errorf("lastSched = %d, want 10", s.lastSched)

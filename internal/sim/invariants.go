@@ -12,7 +12,10 @@ import (
 //   - per-GPU capacity: at most two jobs per GPU and reserved memory within
 //     device capacity (the substrate half, cluster.Audit);
 //   - allocation consistency: the running/profiling sets, job states, and
-//     cluster allocation records agree in both directions;
+//     cluster allocation records agree in both directions — a resident set's
+//     members are exactly the jobs in its State;
+//   - resident order: each resident set is strictly ascending by job ID (the
+//     order every engine loop and Env view relies on instead of sorting);
 //   - causality: no job runs before its submission or after its retirement,
 //     and retired jobs hold no GPUs;
 //   - non-intrusiveness: a job leaving the profiler restarts from zero
@@ -72,7 +75,11 @@ func (s *Sim) checkInvariants() {
 		}
 	}
 
-	for id, j := range s.running {
+	s.checkAscending(&s.running, "running")
+	s.checkAscending(&s.profiling, "profiling")
+
+	for _, j := range s.running.jobs {
+		id := j.ID
 		if j.State != job.Running {
 			c.violate("tick %d: job %d in running set with state %v", s.now, id, j.State)
 		}
@@ -97,12 +104,13 @@ func (s *Sim) checkInvariants() {
 		if j.Finish >= 0 {
 			c.violate("tick %d: job %d runs after its retirement at %d", s.now, id, j.Finish)
 		}
-		if _, also := s.profiling[id]; also {
+		if s.profiling.has(id) {
 			c.violate("tick %d: job %d on both clusters at once", s.now, id)
 		}
 	}
 
-	for id, j := range s.profiling {
+	for _, j := range s.profiling.jobs {
+		id := j.ID
 		if j.State != job.Profiling {
 			c.violate("tick %d: job %d in profiling set with state %v", s.now, id, j.State)
 		}
@@ -128,11 +136,11 @@ func (s *Sim) checkInvariants() {
 		}
 		switch j.State {
 		case job.Running:
-			if _, ok := s.running[j.ID]; !ok {
+			if !s.running.has(j.ID) {
 				c.violate("tick %d: job %d state Running but not in the running set", s.now, j.ID)
 			}
 		case job.Profiling:
-			if _, ok := s.profiling[j.ID]; !ok {
+			if !s.profiling.has(j.ID) {
 				c.violate("tick %d: job %d state Profiling but not in the profiling set", s.now, j.ID)
 			}
 		case job.Finished:
@@ -175,6 +183,18 @@ func (s *Sim) checkInvariants() {
 				c.violate("tick %d: queued job %d kept %.1f s of progress across a restart",
 					s.now, j.ID, float64(j.Duration)-j.RemainingWork)
 			}
+		}
+	}
+}
+
+// checkAscending validates a resident set's structural order. Strictly
+// ascending also means duplicate-free, and it is what makes has (a binary
+// search) a sound membership test for the checks that follow.
+func (s *Sim) checkAscending(set *residents, name string) {
+	for i := 1; i < len(set.jobs); i++ {
+		if set.jobs[i-1].ID >= set.jobs[i].ID {
+			s.opts.Invariants.violate("tick %d: %s set out of ID order at %d: job %d before job %d",
+				s.now, name, i, set.jobs[i-1].ID, set.jobs[i].ID)
 		}
 	}
 }

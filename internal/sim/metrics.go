@@ -103,5 +103,5 @@ func (s *Sim) observeSchedState() {
 		}
 	}
 	m.queueDepth.Set(float64(depth))
-	m.runningNow.Set(float64(len(s.running)))
+	m.runningNow.Set(float64(len(s.running.jobs)))
 }

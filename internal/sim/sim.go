@@ -21,8 +21,6 @@
 package sim
 
 import (
-	"sort"
-
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/dtrace"
@@ -120,11 +118,11 @@ type Sim struct {
 
 	now        int64
 	arriveIdx  int
-	win        *liveWindow      // submitted non-terminal jobs (Pending scan window)
-	idxOf      map[int]int      // job ID → index in jobs (window maintenance)
-	backoff    evheap           // requeue-backoff expiry ticks (chaos wake-ups)
-	running    map[int]*job.Job // on the main cluster
-	profiling  map[int]*job.Job // on the profiling cluster
+	win        *liveWindow // submitted non-terminal jobs (Pending scan window)
+	idxOf      map[int]int // job ID → index in jobs (window maintenance)
+	backoff    evheap      // requeue-backoff expiry ticks (chaos wake-ups)
+	running    residents   // on the main cluster, ascending ID (residents.go)
+	profiling  residents   // on the profiling cluster, ascending ID
 	speeds     map[int]float64
 	finished   int
 	lastSched  int64
@@ -190,8 +188,6 @@ func New(tr *trace.Trace, sched Scheduler, opts Options) *Sim {
 		tr:           tr,
 		main:         cluster.New(tr.Cluster),
 		sched:        sched,
-		running:      make(map[int]*job.Job),
-		profiling:    make(map[int]*job.Job),
 		speeds:       make(map[int]float64),
 		byID:         make(map[int]*job.Job),
 		profileStart: make(map[int]int64),
@@ -329,15 +325,17 @@ func (s *Sim) RunUntil(t int64) bool {
 // advance integrates dt seconds of execution for running and profiling
 // jobs, retiring completions.
 func (s *Sim) advance(dt float64) {
-	s.advanceSet(s.running, s.main, dt)
+	s.advanceSet(&s.running, dt)
 	if s.profiler != nil {
-		s.advanceSet(s.profiling, s.profiler, dt)
+		s.advanceSet(&s.profiling, dt)
 	}
 }
 
-func (s *Sim) advanceSet(set map[int]*job.Job, cl *cluster.Cluster, dt float64) {
+func (s *Sim) advanceSet(set *residents, dt float64) {
+	// done inherits the set's ID order, so jobs retire — and the event stream
+	// (and therefore the decision-trace digest) reads — in ID order.
 	var done []*job.Job
-	for id, j := range set {
+	for _, j := range set.jobs {
 		eff := dt
 		if j.ColdStart > 0 {
 			// Checkpoint-restore overhead: wall clock passes, no progress —
@@ -355,7 +353,7 @@ func (s *Sim) advanceSet(set map[int]*job.Job, cl *cluster.Cluster, dt float64) 
 			eff -= j.ColdStart
 			j.ColdStart = 0
 		}
-		speed := s.speeds[id]
+		speed := s.speeds[j.ID]
 		if speed <= 0 {
 			speed = 1
 		}
@@ -372,28 +370,46 @@ func (s *Sim) advanceSet(set map[int]*job.Job, cl *cluster.Cluster, dt float64) 
 		}
 		j.RemainingWork -= progress
 	}
-	// done was collected in map-iteration order; retire in ID order so the
-	// event stream (and therefore the decision-trace digest) is identical
-	// across same-seed runs.
-	sort.Slice(done, func(i, k int) bool { return done[i].ID < done[k].ID })
 	retireReason := "finished"
-	if cl == s.profiler {
+	if set == &s.profiling {
 		retireReason = "finished-while-profiling"
 	}
 	for _, j := range done {
-		cl.Free(j.ID)
-		delete(set, j.ID)
-		delete(s.speeds, j.ID)
-		delete(s.profileStart, j.ID)
-		delete(s.elastic, j.ID)
-		delete(s.genSpeed, j.ID)
+		s.evict(j)
 		j.State = job.Finished
 		s.win.remove(s.idxOf[j.ID])
 		s.record(EvFinish, j.ID, j.GPUs, j.VC)
 		s.trace(dtrace.ActRetire, j, retireReason, 0)
 		s.finished++
-		s.dirty = true
 	}
+}
+
+// evict takes a resident job off whichever cluster holds it: frees its GPUs,
+// removes it from the resident set and forgets every per-job record the
+// engine keeps for a placed job. Every way a job stops being resident —
+// retire, Preempt, StopProfiling, a fault kill, an elastic rollback — goes
+// through here and then sets the job's next State itself. Freed capacity is
+// news for the scheduler, so the next tick runs a round (dirty). jobGen is
+// deliberately kept: it numbers placements, not residency. A job that is not
+// resident is left alone and evict reports false.
+func (s *Sim) evict(j *job.Job) bool {
+	switch j.State {
+	case job.Running:
+		s.main.Free(j.ID)
+		s.running.remove(j.ID)
+	case job.Profiling:
+		s.profiler.Free(j.ID)
+		s.profiling.remove(j.ID)
+	default:
+		return false
+	}
+	delete(s.speeds, j.ID)
+	delete(s.profileStart, j.ID)
+	delete(s.elastic, j.ID)
+	delete(s.genSpeed, j.ID)
+	delete(s.preds, j.ID)
+	s.dirty = true
+	return true
 }
 
 // admitArrivals releases jobs whose submit time has come.
@@ -446,7 +462,8 @@ func (s *Sim) drainBackoff() bool {
 // its current colocation, and pins profiling jobs at full speed (the
 // profiler allocates exclusively).
 func (s *Sim) recomputeSpeeds() {
-	for id, j := range s.running {
+	for _, j := range s.running.jobs {
+		id := j.ID
 		gen := s.genSpeed[id]
 		if gen <= 0 {
 			gen = 1
@@ -467,8 +484,8 @@ func (s *Sim) recomputeSpeeds() {
 		}
 		s.speeds[id] = sp * gen
 	}
-	for id := range s.profiling {
-		s.speeds[id] = 1
+	for _, j := range s.profiling.jobs {
+		s.speeds[j.ID] = 1
 	}
 }
 
@@ -480,18 +497,11 @@ func (s *Sim) sample() {
 		return
 	}
 	var util, mem float64
-	// Accumulate in sorted ID order: float addition is not associative, so
-	// map-iteration order would make the low bits of the utilization
-	// metrics differ between same-seed runs.
-	ids := make([]int, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		j := s.running[id]
+	// Accumulated in the set's ID order: float addition is not associative,
+	// so the order is part of the utilization metrics' low bits.
+	for _, j := range s.running.jobs {
 		p := j.Config.Profile()
-		sp := s.speeds[id]
+		sp := s.speeds[j.ID]
 		n := float64(j.GPUs)
 		util += p.GPUUtil * sp * n
 		mem += p.GPUMemMB * n
@@ -562,7 +572,12 @@ func (e *Env) Pending() []*job.Job {
 	// submit order (see window.go), so this scan is O(live jobs) no matter
 	// how out-of-order completions land — the old terminal-prefix cursor
 	// stalled on the first long-running job and degraded to O(total jobs).
+	// The window's other members are the residents, so the difference is the
+	// exact number of waiting jobs (backoff-hidden ones included).
 	var out []*job.Job
+	if waiting := s.win.count() - len(s.running.jobs) - len(s.profiling.jobs); waiting > 0 {
+		out = make([]*job.Job, 0, waiting)
+	}
 	for i := s.win.head; i >= 0; i = s.win.next[i] {
 		j := s.jobs[i]
 		// NextEligible hides fault-killed jobs until their requeue backoff
@@ -574,25 +589,15 @@ func (e *Env) Pending() []*job.Job {
 	return out
 }
 
-// Running returns jobs executing on the main cluster, in id order.
-func (e *Env) Running() []*job.Job {
-	out := make([]*job.Job, 0, len(e.s.running))
-	for _, j := range e.s.running {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
+// Running returns jobs executing on the main cluster, in id order. The
+// slice is a snapshot — jobs started or stopped later do not show up in it
+// — but it is shared with the engine until then (see residents.view): read
+// it, append to it, do not assign to its elements.
+func (e *Env) Running() []*job.Job { return e.s.running.view() }
 
-// Profiling returns jobs on the profiling cluster, in id order.
-func (e *Env) Profiling() []*job.Job {
-	out := make([]*job.Job, 0, len(e.s.profiling))
-	for _, j := range e.s.profiling {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
-}
+// Profiling returns jobs on the profiling cluster, in id order, under the
+// same snapshot contract as Running.
+func (e *Env) Profiling() []*job.Job { return e.s.profiling.view() }
 
 // Cluster exposes the main cluster for capacity queries.
 func (e *Env) Cluster() *cluster.Cluster { return e.s.main }
@@ -623,7 +628,7 @@ func (e *Env) StartExclusivePrefer(j *job.Job, pref cluster.Preference) bool {
 		return false
 	}
 	e.s.recordGenSpeed(j.ID, gpus)
-	e.s.startOn(j, e.s.running)
+	e.s.startRunning(j)
 	e.s.record(EvStart, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActPlace, j, placeReason(pref), 0)
 	return true
@@ -707,19 +712,19 @@ func (e *Env) StartShared(j, partner *job.Job) bool {
 		return false
 	}
 	e.s.recordGenSpeed(j.ID, gpus)
-	e.s.startOn(j, e.s.running)
+	e.s.startRunning(j)
 	e.s.sharedStarts++
 	e.s.record(EvStartShared, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActPack, j, "packed", partner.ID)
 	return true
 }
 
-func (s *Sim) startOn(j *job.Job, set map[int]*job.Job) {
+func (s *Sim) startRunning(j *job.Job) {
 	j.State = job.Running
 	if j.FirstStart < 0 {
 		j.FirstStart = s.now
 	}
-	set[j.ID] = j
+	s.running.insert(j)
 	s.speeds[j.ID] = 1
 	s.jobGen[j.ID]++ // new trajectory: any cached completion prediction is stale
 }
@@ -732,11 +737,7 @@ func (e *Env) Preempt(j *job.Job, overheadSec float64) bool {
 	if j.State != job.Running {
 		return false
 	}
-	e.s.main.Free(j.ID)
-	delete(e.s.running, j.ID)
-	delete(e.s.speeds, j.ID)
-	delete(e.s.elastic, j.ID)
-	delete(e.s.genSpeed, j.ID)
+	e.s.evict(j)
 	j.State = job.Pending
 	j.Preemptions++
 	j.ColdStart += overheadSec
@@ -745,7 +746,6 @@ func (e *Env) Preempt(j *job.Job, overheadSec float64) bool {
 	j.CheckpointedWork = float64(j.Duration) - j.RemainingWork
 	e.s.record(EvPreempt, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActPreempt, j, "checkpointed", 0)
-	e.s.dirty = true
 	return true
 }
 
@@ -761,7 +761,7 @@ func (e *Env) StartProfiling(j *job.Job) bool {
 	if j.FirstStart < 0 {
 		j.FirstStart = e.s.now
 	}
-	e.s.profiling[j.ID] = j
+	e.s.profiling.insert(j)
 	e.s.speeds[j.ID] = 1
 	e.s.jobGen[j.ID]++ // new trajectory: stale any cached completion prediction
 	e.s.profileStart[j.ID] = e.s.now
@@ -787,10 +787,7 @@ func (e *Env) StopProfiling(j *job.Job) {
 	if j.State != job.Profiling {
 		return
 	}
-	e.s.profiler.Free(j.ID)
-	delete(e.s.profiling, j.ID)
-	delete(e.s.speeds, j.ID)
-	delete(e.s.profileStart, j.ID)
+	e.s.evict(j)
 	j.State = job.Queued
 	j.Profiled = true
 	j.Profile = j.Config.Profile()
@@ -802,7 +799,6 @@ func (e *Env) StopProfiling(j *job.Job) {
 	j.CheckpointedWork = 0
 	e.s.record(EvProfileStop, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActProfileStop, j, "restart-from-zero", 0)
-	e.s.dirty = true
 }
 
 // AllJobs returns every job that has been submitted so far (any state), in

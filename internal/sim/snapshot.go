@@ -288,12 +288,12 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 		j.CheckpointedWork = js.CheckpointedWork
 		switch js.State {
 		case job.Running:
-			s.running[js.ID] = j
+			s.running.insert(j)
 		case job.Profiling:
 			if s.profiler == nil {
 				return nil, fmt.Errorf("sim: snapshot job %d is profiling but options configure no profiler cluster", js.ID)
 			}
-			s.profiling[js.ID] = j
+			s.profiling.insert(j)
 		}
 	}
 

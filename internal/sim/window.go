@@ -17,6 +17,7 @@ type liveWindow struct {
 	head, tail int
 	next, prev []int
 	in         []bool
+	n          int // members, maintained by push/remove
 }
 
 func newLiveWindow(n int) *liveWindow {
@@ -41,6 +42,7 @@ func (w *liveWindow) push(i int) {
 		return
 	}
 	w.in[i] = true
+	w.n++
 	w.prev[i] = w.tail
 	w.next[i] = -1
 	if w.tail >= 0 {
@@ -57,6 +59,7 @@ func (w *liveWindow) remove(i int) {
 		return
 	}
 	w.in[i] = false
+	w.n--
 	if w.prev[i] >= 0 {
 		w.next[w.prev[i]] = w.next[i]
 	} else {
@@ -71,11 +74,5 @@ func (w *liveWindow) remove(i int) {
 	w.prev[i] = -1
 }
 
-// len reports the number of members (O(n) — test/debug helper only).
-func (w *liveWindow) count() int {
-	n := 0
-	for i := w.head; i >= 0; i = w.next[i] {
-		n++
-	}
-	return n
-}
+// count reports the number of members; Env.Pending sizes its result from it.
+func (w *liveWindow) count() int { return w.n }
