@@ -135,13 +135,13 @@ func (sh *shard) applier() {
 // applyBatch applies queued ops under one mutex acquisition, then a single
 // fsync covering every append. A bare barrier (empty batch) still fsyncs,
 // upgrading previously applied-but-unsynced ops to durable before the barrier
-// releases. Nobody is waiting on an ack here, so a persist error can only be
-// counted.
+// releases. Nobody is waiting on an ack here, so a persist error, or a sample
+// for a job the shard no longer holds, can only be counted.
 func (sh *shard) applyBatch(ops []walOp) {
 	met := sh.srv.met
 	now := sh.srv.opts.Clock()
 	sh.mu.Lock()
-	events, failed := sh.applyOpsLocked(ops, now, nil)
+	events, failed, dropped := sh.applyOpsLocked(ops, now, nil)
 	if sh.store != nil {
 		if err := sh.store.wal.Sync(); err != nil {
 			failed++
@@ -150,6 +150,7 @@ func (sh *shard) applyBatch(ops []walOp) {
 	sh.mu.Unlock()
 	sh.srv.record(events)
 	met.ingestErrors.Add(float64(failed))
+	met.ingestDropped.Add(float64(dropped))
 	if len(ops) > 0 {
 		met.ingestApplied.Add(float64(len(ops)))
 		met.ingestBatch.Observe(float64(len(ops)))

@@ -37,8 +37,12 @@ type serverMetrics struct {
 	ingestApplied  *metrics.Counter   // lucidd_ingest_applied_total
 	ingestRejected *metrics.Counter   // lucidd_ingest_rejected_total (429 backpressure)
 	ingestErrors   *metrics.Counter   // lucidd_ingest_errors_total
+	ingestDropped  *metrics.Counter   // lucidd_ingest_dropped_total (202-acked, then inapplicable)
 	ingestBatch    *metrics.Histogram // lucidd_ingest_batch_ops
 	ingestDepth    *metrics.GaugeVec  // lucidd_ingest_queue_depth{shard}
+
+	readBarrier *metrics.HistogramVec // lucidd_read_barrier_seconds{path}
+	readCompose *metrics.HistogramVec // lucidd_read_compose_seconds{path}
 
 	recRecords *metrics.Gauge // lucidd_recovered_wal_records
 	recTorn    *metrics.Gauge // lucidd_recovered_torn_bytes
@@ -82,11 +86,19 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 			"Telemetry POSTs refused with 429 (ingest queue at high-water mark)."),
 		ingestErrors: reg.Counter("lucidd_ingest_errors_total",
 			"WAL append/fsync errors inside the async ingest appliers."),
+		ingestDropped: reg.Counter("lucidd_ingest_dropped_total",
+			"Telemetry ops acknowledged with 202 and then dropped by the applier: the job was unknown by the time the op was applied."),
 		ingestBatch: reg.Histogram("lucidd_ingest_batch_ops",
 			"Ops applied per async ingest batch (one mutex hold, one fsync).",
 			metrics.ExpBuckets(1, 2, 12)),
 		ingestDepth: reg.GaugeVec("lucidd_ingest_queue_depth",
 			"Queued telemetry ops per shard ingest queue.", "shard"),
+		readBarrier: reg.HistogramVec("lucidd_read_barrier_seconds",
+			"List read: wait for the covered shards' flush barriers (acknowledged ops applied and fsynced).",
+			latencyBuckets(), "path"),
+		readCompose: reg.HistogramVec("lucidd_read_compose_seconds",
+			"List read after the barrier: per-shard copy-out, merge and body write.",
+			latencyBuckets(), "path"),
 		recRecords: reg.Gauge("lucidd_recovered_wal_records",
 			"WAL records replayed at boot, summed across shards."),
 		recTorn: reg.Gauge("lucidd_recovered_torn_bytes",

@@ -10,9 +10,9 @@ import (
 
 // TestMetricsScrapeRoundTrip drives a scripted submit → sample → schedule
 // sequence against a durable server, then scrapes GET /metrics and checks
-// the Prometheus text covers the three instrumented layers: per-endpoint
-// request latency and status codes, WAL append+fsync latency, and the
-// population gauges.
+// the Prometheus text covers the instrumented layers: per-endpoint request
+// latency and status codes, the two halves of a list read (barrier wait,
+// compose), WAL append+fsync latency, and the population gauges.
 func TestMetricsScrapeRoundTrip(t *testing.T) {
 	s, err := NewServerWith(Options{StateDir: t.TempDir()})
 	if err != nil {
@@ -56,6 +56,11 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		`lucidd_http_request_seconds_bucket{path="/jobs",le="+Inf"} 1`,
 		"# TYPE lucidd_wal_append_seconds histogram",
 		"# TYPE lucidd_wal_fsync_seconds histogram",
+		"# TYPE lucidd_read_barrier_seconds histogram",
+		`lucidd_read_barrier_seconds_count{path="/schedule"} 1`,
+		"# TYPE lucidd_read_compose_seconds histogram",
+		`lucidd_read_compose_seconds_bucket{path="/schedule",le="+Inf"} 1`,
+		"lucidd_ingest_dropped_total 0",
 		"lucidd_queue_depth 1",
 		"lucidd_jobs_profiled 1",
 		"lucidd_agents 1",

@@ -14,12 +14,13 @@
 package lucidd
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,6 +55,23 @@ type jobState struct {
 	// index implementation detail, never serialized, and only read or
 	// written under the owning shard's mutex.
 	prio float64
+	// frag is the job's pre-marshaled listing fragment, or nil when a mutation
+	// has invalidated it (refreshLocked) and no list read has re-encoded it
+	// yet (copyJobRefs). The field is read and written under the shard mutex.
+	// Ownership rule: a jobFrag is IMMUTABLE ONCE PUBLISHED — a change
+	// replaces the pointer, nothing ever writes through it — so a reader
+	// keeps the pointer past the unlock without copying.
+	frag *jobFrag
+}
+
+// jobFrag is one version of a job as the list reads serve it: exactly the
+// bytes encoding/json emits for the job as an array element, and beside them
+// the two fields the /schedule ActOrder event names its head by (decoding them
+// back out of json would be the alternative).
+type jobFrag struct {
+	json []byte
+	vc   string
+	gpus int
 }
 
 // agentState is one registered node agent, kept alive by heartbeats. The VC
@@ -65,8 +83,11 @@ type agentState struct {
 	LastSeen time.Time `json:"last_seen"`
 
 	// frag is the agent's pre-marshaled listing fragment, refreshed by
-	// refreshFrag on every mutation (shard mutex held). Replaced wholesale,
-	// never mutated in place, so readers may retain it after unlock.
+	// refreshFrag on every mutation (shard mutex held). Ownership rule, the
+	// opposite of jobState.frag's: the buffer is REWRITTEN IN PLACE on every
+	// heartbeat (heartbeats are most of the write load, listings are rare), so
+	// a reader either uses it under the shard mutex or copies it out before
+	// the unlock — never retains it.
 	frag []byte
 	// Intrusive heartbeat-order list links (shard mutex held). Heartbeats
 	// stamp a monotone clock, so the shard's agents in list order are in
@@ -461,39 +482,61 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusCreated, r.job)
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.collectJobs(r.URL.Query().Get("vc")))
+		// ID order is not an index the shards keep: each view is sorted on
+		// its refs after the unlock, then merged like the schedule.
+		views, compose, err := s.readJobRefs("/jobs", r.URL.Query().Get("vc"))
+		defer compose.Stop()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		byID := func(a, b jobRef) int { return cmp.Compare(a.id, b.id) }
+		for _, v := range views {
+			slices.SortFunc(v, byID)
+		}
+		writeJSONRefs(w, mergeSorted(views, func(a, b jobRef) bool { return byID(a, b) < 0 }))
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
 }
 
-// collectJobs gathers job copies: from the one shard owning vc when scoped,
-// else from every shard in turn (at most one shard lock held at a time),
-// merged in ID order. Each shard is flushed before its copy, so the listing
-// reflects every sample acknowledged before the read arrived.
-func (s *Server) collectJobs(vc string) []*jobState {
-	if vc != "" {
-		sh := s.shardFor(vc)
-		sh.flush()
-		out := make([]*jobState, 0)
-		for _, js := range sh.copyJobs() {
-			if js.VC == vc {
-				out = append(out, js)
-			}
-		}
-		return out
+// readShards is the set of shards a list read covers: the one owning vc when
+// scoped, else all of them.
+func (s *Server) readShards(vc string) []*shard {
+	if vc == "" {
+		return s.shards
 	}
-	out := make([]*jobState, 0)
-	for _, sh := range s.shards {
-		sh.flush()
-		out = append(out, sh.copyJobs()...)
-	}
-	sortJobsByID(out)
-	return out
+	i := s.shardFor(vc).idx
+	return s.shards[i : i+1]
 }
 
-func sortJobsByID(out []*jobState) {
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+// readBarrier flushes the shards a list read covers, so the listing reflects
+// every sample and heartbeat acknowledged before the read arrived, and times
+// the read's two halves into lucidd_read_barrier_seconds{path} and
+// lucidd_read_compose_seconds{path}: the wait for the appliers' fsyncs, then
+// copy-out + merge + write. The caller stops compose once the body is written.
+func (s *Server) readBarrier(path string, shards []*shard) (compose metrics.Timer) {
+	t := s.met.reg.StartTimer(s.met.readBarrier.With(path))
+	for _, sh := range shards {
+		sh.flush()
+	}
+	t.Stop()
+	return s.met.reg.StartTimer(s.met.readCompose.With(path))
+}
+
+// readJobRefs is the shared front half of GET /jobs and GET /schedule: barrier,
+// then one priority-ordered view of refs per covered shard (at most one shard
+// lock held at a time). An error names a job encoding/json refuses to encode.
+func (s *Server) readJobRefs(path, vc string) (views [][]jobRef, compose metrics.Timer, err error) {
+	shards := s.readShards(vc)
+	compose = s.readBarrier(path, shards)
+	views = make([][]jobRef, len(shards))
+	for i, sh := range shards {
+		if views[i], err = sh.copyJobRefs(vc); err != nil {
+			return nil, compose, err
+		}
+	}
+	return views, compose, nil
 }
 
 // handleMetrics is two endpoints sharing a path, split by method: POST
@@ -564,38 +607,31 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	vc := r.URL.Query().Get("vc")
-	var out []*jobState
-	if vc != "" {
-		sh := s.shardFor(vc)
-		sh.flush()
-		out = sh.copyQueue(vc)
-	} else {
-		views := make([][]*jobState, 0, len(s.shards))
-		for _, sh := range s.shards {
-			sh.flush()
-			views = append(views, sh.copyQueue(""))
-		}
-		out = mergeSorted(views, queueLess)
+	views, compose, err := s.readJobRefs("/schedule", r.URL.Query().Get("vc"))
+	defer compose.Stop()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	out := mergeSorted(views, func(a, b jobRef) bool { return a.less(b.queueKey) })
 	if len(out) > 0 {
 		// Record the ordering decision: who leads the queue and why, plus
-		// the runners-up with their priority keys as counterfactuals.
+		// the runners-up with their priority keys as counterfactuals. The
+		// key IS the score: both are GPUs × EstSec (refreshLocked).
 		head := out[0]
-		ev := dtrace.Event{Job: head.ID, Action: dtrace.ActOrder,
-			Reason: "min-gpu-demand-x-estimate", VC: head.VC, GPUs: head.GPUs,
-			Score: float64(head.GPUs) * head.EstSec}
-		for _, js := range out[1:] {
+		ev := dtrace.Event{Job: head.id, Action: dtrace.ActOrder,
+			Reason: "min-gpu-demand-x-estimate", VC: head.frag.vc, GPUs: head.frag.gpus,
+			Score: head.prio}
+		for _, ref := range out[1:] {
 			if len(ev.Alternatives) >= s.rec.TopK() {
 				break
 			}
 			ev.Alternatives = append(ev.Alternatives, dtrace.Alternative{
-				Job: js.ID, Score: float64(js.GPUs) * js.EstSec,
-				Reason: "behind-in-queue"})
+				Job: ref.id, Score: ref.prio, Reason: "behind-in-queue"})
 		}
 		s.rec.Record(ev)
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSONRefs(w, out)
 }
 
 // handleAgents registers or heartbeats a node agent (POST, routed to its
@@ -645,9 +681,10 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 		// per-request struct marshal. agentLess documents why the full key
 		// (not Name alone) orders every possible cross-shard duplicate.
 		vc := r.URL.Query().Get("vc")
+		shards := s.readShards(vc)
+		defer s.readBarrier("/agents", shards).Stop()
 		if vc != "" {
-			sh := s.shardFor(vc)
-			sh.flush()
+			sh := shards[0]
 			body := sh.agentListBody(now, vc)
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
@@ -655,9 +692,8 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 			sh.putListBuf(body)
 			return
 		}
-		per := make([][]agentRef, len(s.shards))
-		for i, sh := range s.shards {
-			sh.flush()
+		per := make([][]agentRef, len(shards))
+		for i, sh := range shards {
 			per[i] = sh.copyAgentRefs(now)
 		}
 		writeJSONRefs(w, mergeSorted(per, func(a, b agentRef) bool { return a.less(b.agentKey) }))
@@ -804,15 +840,19 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.opts.Clock()
 	out := struct {
-		Status    string         `json:"status"`
-		UptimeSec float64        `json:"uptime_sec"`
-		Jobs      int            `json:"jobs"`
-		Agents    int            `json:"agents"`
-		Shards    int            `json:"shards"`
-		Draining  bool           `json:"draining"`
-		Durable   *durableStatus `json:"durable,omitempty"`
-		ByShard   []shardStatus  `json:"by_shard,omitempty"`
-	}{Status: "ok", Shards: len(s.shards), Draining: s.draining.Load()}
+		Status    string  `json:"status"`
+		UptimeSec float64 `json:"uptime_sec"`
+		Jobs      int     `json:"jobs"`
+		Agents    int     `json:"agents"`
+		Shards    int     `json:"shards"`
+		Draining  bool    `json:"draining"`
+		// IngestDropped mirrors lucidd_ingest_dropped_total: samples the
+		// server acknowledged with 202 and could not apply.
+		IngestDropped int64          `json:"ingest_dropped"`
+		Durable       *durableStatus `json:"durable,omitempty"`
+		ByShard       []shardStatus  `json:"by_shard,omitempty"`
+	}{Status: "ok", Shards: len(s.shards), Draining: s.draining.Load(),
+		IngestDropped: int64(s.met.ingestDropped.Value())}
 	if out.Draining {
 		out.Status = "draining"
 	}
@@ -882,24 +922,35 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeJSONRefs composes a 200 JSON array response from pre-marshaled agent
-// fragments — byte-identical to writeJSON of the equivalent []agentState,
-// including the encoder's trailing newline.
-func writeJSONRefs(w http.ResponseWriter, refs []agentRef) {
-	total := 3 + len(refs) // '[', ']', '\n', one ',' per gap (one spare)
-	for _, r := range refs {
-		total += len(r.frag)
-	}
-	buf := make([]byte, 0, total)
-	buf = append(buf, '[')
+// fragRef is what writeJSONRefs needs of a list element: its pre-marshaled
+// JSON. jobRef and agentRef are the two implementations.
+type fragRef interface{ fragment() []byte }
+
+// listChunk bounds the memory one list response holds beyond its refs: the
+// body is composed and written listChunk bytes at a time, never whole (a
+// global /schedule body is ~1 MB at 4,096 jobs, /agents 3 MB at 32k agents).
+const listChunk = 16 << 10
+
+// writeJSONRefs is THE fragment-list writer: it streams a 200 JSON array made
+// of pre-marshaled fragments — byte-identical to writeJSON of the equivalent
+// slice of structs, an empty list as [] and the encoder's trailing newline
+// included. Every writer (socket, recorder) copies what Write hands it, so the
+// chunk buffer is reused as soon as Write returns. A write error means the
+// client went away; like writeJSON, the handler has nobody left to tell.
+func writeJSONRefs[T fragRef](w http.ResponseWriter, refs []T) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	buf := append(make([]byte, 0, listChunk), '[')
 	for i, r := range refs {
+		frag := r.fragment()
+		if len(buf) > 0 && len(buf)+len(frag)+1 > listChunk {
+			_, _ = w.Write(buf)
+			buf = buf[:0]
+		}
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, r.frag...)
+		buf = append(buf, frag...)
 	}
-	buf = append(buf, ']', '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
+	_, _ = w.Write(append(buf, ']', '\n'))
 }
