@@ -35,8 +35,9 @@
 // answered. At 0 the handler applies its op inline and answers 200 with the
 // result. With -ingest-queue N it answers 202 once the op sits on its shard's
 // bounded queue of N, and a shard-owned applier runs the queued ops through
-// that same function in batches, one fsync per batch; full queues shed load
-// with 429 + Retry-After instead of blocking. Job submissions are always
+// that same function in batches, fsyncing only when a read barrier waits or
+// 64 records are unsynced; full queues shed load with 429 + Retry-After
+// instead of blocking. Job submissions are always
 // inline (fsynced before the 201). Reads barrier on the queue first, so
 // /jobs, /schedule and /agents still observe every acked sample.
 //
@@ -70,7 +71,7 @@ func main() {
 	drain := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
 	stateDir := flag.String("state-dir", "", "directory for WAL + snapshot durability (empty = in-memory only)")
 	ingestQueue := flag.Int("ingest-queue", 0, "per-shard async telemetry queue depth; 0 = synchronous ingest, >0 acks samples/heartbeats with 202 and sheds overload with 429+Retry-After")
-	ingestBatch := flag.Int("ingest-batch", 0, "max telemetry ops coalesced per apply+fsync batch (0 = default; only with -ingest-queue)")
+	ingestBatch := flag.Int("ingest-batch", 0, "max telemetry ops coalesced per apply batch (0 = default; only with -ingest-queue)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled); keep it private")
 	flag.Parse()
 

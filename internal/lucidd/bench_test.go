@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // discardWriter is a ResponseWriter that keeps nothing: the list benchmarks
@@ -93,3 +96,151 @@ func BenchmarkGlobalSchedule(b *testing.B) { benchList(b, "/schedule") }
 // BenchmarkScopedSchedule is GET /schedule?vc= for one tenant: one shard's
 // copy-out filtered to a sixteenth of the jobs, no merge.
 func BenchmarkScopedSchedule(b *testing.B) { benchList(b, "/schedule?vc=vc-3") }
+
+// ingestOp is the i-th op of ctl_ingest's mix in miniature: four heartbeats to
+// one sample, every 512th op a submission.
+func ingestOp(rng *rand.Rand, i, jobs, agents, vcs int) (path, body string) {
+	switch {
+	case i%512 == 511:
+		return "/jobs", fmt.Sprintf(`{"name":"burst-%d","user":"u","vc":"vc-%d","gpus":%d}`, i, rng.Intn(vcs), 1+rng.Intn(8))
+	case i%5 == 4:
+		return "/metrics", fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%d,"gpu_mem_util":%d}`,
+			1+rng.Intn(jobs), rng.Intn(101), 500+rng.Intn(30000), rng.Intn(101))
+	}
+	a := rng.Intn(agents)
+	return "/agents", fmt.Sprintf(`{"name":"agent-%05d","vc":"vc-%d","node":%d}`, a, a%vcs, a)
+}
+
+// preload fills a durable server with jobs and agents without paying an fsync
+// per submission: the ops go through applyOpsLocked under the lock like any
+// other, but nobody commits them — the benchmarks below do not crash.
+func preload(b *testing.B, s *Server, jobs, agents, vcs int) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	now := s.opts.Clock()
+	apply := func(op walOp) {
+		sh := s.shardFor(op.VC)
+		sh.mu.Lock()
+		_, failed, _ := sh.applyOpsLocked([]walOp{op}, now, nil)
+		sh.commitPointLocked()
+		sh.mu.Unlock()
+		if failed != 0 {
+			b.Fatal("preload: persist failed")
+		}
+	}
+	for i := 0; i < jobs; i++ {
+		apply(walOp{Op: "job", ID: int(s.nextID.Add(1)), Name: fmt.Sprintf("train-%03d", rng.Intn(400)),
+			User: fmt.Sprintf("user-%02d", rng.Intn(64)), VC: fmt.Sprintf("vc-%d", rng.Intn(vcs)), GPUs: 1 + rng.Intn(8)})
+	}
+	for a := 0; a < agents; a++ {
+		apply(walOp{Op: "agent", Name: fmt.Sprintf("agent-%05d", a), VC: fmt.Sprintf("vc-%d", a%vcs), Node: a, UnixNano: now.UnixNano()})
+	}
+}
+
+// BenchmarkIngestBurst is ctl_ingest without the sockets: 16 shards, state dir
+// and fsync on, async queue, two clients pushing 20,000 ops of the mix per
+// iteration and one flush barrier at the end. fsyncs/op and compactions/op are
+// the two rows the commit point and the compaction ratio move.
+func BenchmarkIngestBurst(b *testing.B) {
+	const jobs, agents, vcs, burst, clients = 1024, 8192, 16, 20000, 2
+	s, err := NewServerWith(Options{Shards: 16, IngestQueue: 4096, StateDir: b.TempDir(), AgentStaleAfter: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	preload(b, s, jobs, agents, vcs)
+	s.Flush()
+	fsyncs, compacts := s.met.walFsync.Count(), compactions(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(n*clients + c)))
+				w := &discardWriter{hdr: http.Header{}}
+				for i := c; i < burst; i += clients {
+					path, body := ingestOp(rng, i, jobs, agents, vcs)
+					for {
+						s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+						if w.code != http.StatusTooManyRequests {
+							break
+						}
+						runtime.Gosched() // backpressure: resend, like the bench client
+					}
+					if w.code != http.StatusAccepted && w.code != http.StatusCreated {
+						b.Errorf("POST %s: %d", path, w.code)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		s.Flush()
+	}
+	b.StopTimer()
+	ops := float64(b.N * burst)
+	b.ReportMetric(float64(s.met.walFsync.Count()-fsyncs)/ops, "fsyncs/op")
+	b.ReportMetric(float64(compactions(s)-compacts)/ops, "compactions/op")
+	b.ReportMetric(ops/b.Elapsed().Seconds(), "ops/s")
+}
+
+// BenchmarkRecoverWorstCase boots from the longest log the compaction rule
+// allows on the ctl_ingest working set (4,096 jobs and 32,768 agents over 16
+// shards): every shard holds a snapshot of its share and a WAL one record short
+// of compactRatio × that snapshot. This is the recovery bound DESIGN.md §3j
+// states: replay of at most compactRatio × snapshot + floor.
+func BenchmarkRecoverWorstCase(b *testing.B) {
+	const jobs, agents, vcs = 4096, 32768, 16
+	dir := b.TempDir()
+	opts := Options{Shards: 16, StateDir: dir, AgentStaleAfter: time.Hour}
+	s, err := NewServerWith(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	preload(b, s, jobs, agents, vcs)
+	now := s.opts.Clock()
+	var records, walBytes, snapBytes int64
+	for _, sh := range s.shards {
+		if sh.nAgents.Load() == 0 {
+			continue // 16 VCs hash onto fewer than 16 shards: nothing to recover here
+		}
+		sh.mu.Lock()
+		if err := sh.compactLocked(); err != nil {
+			b.Fatal(err)
+		}
+		snapshots := sh.store.compactions
+		// Heartbeats from the shard's own agents, each the size of the last,
+		// until one more would trip the rule.
+		for i, size := 0, int64(0); sh.wal.Records()+1 < sh.store.compactEvery || sh.wal.Bytes()+size < compactRatio*sh.store.snapBytes; i++ {
+			a := sh.aorder[i%len(sh.aorder)]
+			before := sh.wal.Bytes()
+			sh.applyOpsLocked([]walOp{{Op: "agent", Name: a.Name, VC: a.VC, Node: a.Node, UnixNano: now.UnixNano()}}, now, nil)
+			size = sh.wal.Bytes() - before
+		}
+		if sh.store.compactions != snapshots {
+			b.Fatalf("shard %d compacted while its log was being filled", sh.idx)
+		}
+		records, walBytes, snapBytes = records+sh.wal.Records(), walBytes+sh.wal.Bytes(), snapBytes+sh.store.snapBytes
+		sh.mu.Unlock()
+		if err := sh.wal.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		r, err := NewServerWith(opts) // s is abandoned, like a killed process
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got, _, fromSnap := r.Recovery(); int64(got) != records || !fromSnap {
+			b.Fatalf("boot replayed %d records (snapshot %v), want %d on top of snapshots", got, fromSnap, records)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(records), "records")
+	b.ReportMetric(float64(walBytes)/1e6, "wal-MB")
+	b.ReportMetric(float64(snapBytes)/1e6, "snapshot-MB")
+	b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N)/float64(records), "µs/record")
+}

@@ -133,9 +133,13 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 		v := v
 		t.Run(fmt.Sprintf("%d-shards-async-%v", v.shards, v.async), func(t *testing.T) {
 			dir := t.TempDir()
+			// snapshots counts the compactions of every incarnation, and
+			// snapAndReplay the reopens that loaded a snapshot AND replayed a
+			// log on top of it — the recovery shape the tiny floor is here for.
+			snapshots, snapAndReplay := 0, 0
 			open := func() *Server {
-				// CompactEvery 40: every shard snapshots several times during
-				// the stream, so a reopen is a snapshot load plus a WAL replay.
+				// CompactEvery 40 is the floor; past the first snapshot a shard
+				// compacts again when its log is also twice that snapshot.
 				opts := Options{Shards: v.shards, EnableChaos: true, Clock: parityClock(),
 					StateDir: dir, CompactEvery: 40}
 				if v.async {
@@ -229,7 +233,11 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 						// kill -9 analogue: flushed, then abandoned without a
 						// final snapshot.
 						s.Flush()
+						snapshots += compactions(s)
 						s = open()
+						if n, _, fromSnap := s.Recovery(); n > 0 && fromSnap {
+							snapAndReplay++
+						}
 						checkListsAgainstOracle(t, s, vc, fmt.Sprintf("op %d, after kill-and-replay", i))
 					} else {
 						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -238,6 +246,7 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						snapshots += compactions(s)
 						s = open()
 						if n, _, snap := s.Recovery(); n != 0 || !snap {
 							t.Fatalf("reopen after a drain replayed %d records, snapshot %v", n, snap)
@@ -251,6 +260,12 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 			}
 			if len(ids) < 30 {
 				t.Fatalf("degenerate stream: %d jobs", len(ids))
+			}
+			snapshots += compactions(s)
+			t.Logf("%d compactions, %d reopens that were a snapshot load plus a replay", snapshots, snapAndReplay)
+			if snapshots < v.shards || snapAndReplay == 0 {
+				t.Errorf("%d compactions over %d shards and %d snapshot-plus-replay reopens: the stream no longer exercises compaction",
+					snapshots, v.shards, snapAndReplay)
 			}
 		})
 	}
@@ -428,7 +443,7 @@ func TestAckedThenDroppedSampleIsCounted(t *testing.T) {
 	}
 	submitJob(t, s, "kept", "vc-0", 2)
 	sh := s.shards[0]
-	before, records := get(t, s, "/jobs")+get(t, s, "/schedule"), sh.store.wal.Records()
+	before, records := get(t, s, "/jobs")+get(t, s, "/schedule"), sh.wal.Records()
 	orphan := walOp{Op: "metrics", ID: 4242, GPUUtil: 50, GPUMemMB: 1000, GPUMemUtil: 10}
 
 	if r := sh.applyOne(orphan); r.ok || r.err != nil {
@@ -437,11 +452,11 @@ func TestAckedThenDroppedSampleIsCounted(t *testing.T) {
 	if got := s.met.ingestDropped.Value(); got != 0 {
 		t.Fatalf("inline apply bumped lucidd_ingest_dropped_total to %v: its caller answers 404", got)
 	}
-	sh.applyBatch([]walOp{orphan, orphan})
+	sh.applyBatch([]walOp{orphan, orphan}, false)
 	if got := s.met.ingestDropped.Value(); got != 2 {
 		t.Errorf("lucidd_ingest_dropped_total = %v after a batch of two orphan samples, want 2", got)
 	}
-	if got := sh.store.wal.Records(); got != records {
+	if got := sh.wal.Records(); got != records {
 		t.Errorf("WAL grew by %d records for ops that changed nothing", got-records)
 	}
 	if after := get(t, s, "/jobs") + get(t, s, "/schedule"); after != before {

@@ -29,10 +29,11 @@ type serverMetrics struct {
 	httpReqs    *metrics.CounterVec   // lucidd_http_requests_total{path,method,code}
 	httpLatency *metrics.HistogramVec // lucidd_http_request_seconds{path}
 
-	walAppend *metrics.Histogram // lucidd_wal_append_seconds
-	walFsync  *metrics.Histogram // lucidd_wal_fsync_seconds
-	snapshot  *metrics.Histogram // lucidd_snapshot_seconds
-	compacts  *metrics.Counter   // lucidd_compactions_total
+	walAppend   *metrics.Histogram // lucidd_wal_append_seconds
+	walFsync    *metrics.Histogram // lucidd_wal_fsync_seconds
+	walUnsynced *metrics.Gauge     // lucidd_wal_unsynced_records
+	snapshot    *metrics.Histogram // lucidd_snapshot_seconds
+	compacts    *metrics.Counter   // lucidd_compactions_total
 
 	ingestApplied  *metrics.Counter   // lucidd_ingest_applied_total
 	ingestRejected *metrics.Counter   // lucidd_ingest_rejected_total (429 backpressure)
@@ -72,10 +73,12 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 		httpLatency: reg.HistogramVec("lucidd_http_request_seconds",
 			"HTTP request latency by endpoint.", latencyBuckets(), "path"),
 		walAppend: reg.Histogram("lucidd_wal_append_seconds",
-			"WAL record append latency (including inline fsync when requested).",
+			"WAL record append latency: encode-to-write() under the shard mutex, never an fsync.",
 			latencyBuckets()),
 		walFsync: reg.Histogram("lucidd_wal_fsync_seconds",
-			"WAL fsync latency.", latencyBuckets()),
+			"WAL fsync latency (issued at a commit point, outside the shard mutex).", latencyBuckets()),
+		walUnsynced: reg.Gauge("lucidd_wal_unsynced_records",
+			"WAL records appended and not yet covered by an fsync, summed across shards."),
 		snapshot: reg.Histogram("lucidd_snapshot_seconds",
 			"Snapshot write + WAL reset (compaction) duration.", latencyBuckets()),
 		compacts: reg.Counter("lucidd_compactions_total",
@@ -89,7 +92,7 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 		ingestDropped: reg.Counter("lucidd_ingest_dropped_total",
 			"Telemetry ops acknowledged with 202 and then dropped by the applier: the job was unknown by the time the op was applied."),
 		ingestBatch: reg.Histogram("lucidd_ingest_batch_ops",
-			"Ops applied per async ingest batch (one mutex hold, one fsync).",
+			"Ops applied per async ingest batch (one mutex hold, one commit).",
 			metrics.ExpBuckets(1, 2, 12)),
 		ingestDepth: reg.GaugeVec("lucidd_ingest_queue_depth",
 			"Queued telemetry ops per shard ingest queue.", "shard"),
@@ -154,12 +157,15 @@ func (w *statusRecorder) WriteHeader(code int) {
 // view and always completes, even mid-incident with a shard wedged.
 func (s *Server) observePopulation() {
 	m := s.met
-	var jobs, profiled, agents int64
+	var jobs, profiled, agents, unsynced int64
 	for _, sh := range s.shards {
 		j, a := sh.nJobs.Load(), sh.nAgents.Load()
 		jobs += j
 		profiled += sh.nProfiled.Load()
 		agents += a
+		if sh.wal != nil {
+			unsynced += sh.wal.Unsynced() // the WAL's atomics, no lock
+		}
 		label := strconv.Itoa(sh.idx)
 		m.shardJobs.With(label).Set(float64(j))
 		m.shardAgents.With(label).Set(float64(a))
@@ -172,4 +178,5 @@ func (s *Server) observePopulation() {
 	m.queueDepth.Set(float64(jobs))
 	m.profiled.Set(float64(profiled))
 	m.agents.Set(float64(agents))
+	m.walUnsynced.Set(float64(unsynced))
 }

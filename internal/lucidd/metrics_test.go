@@ -61,6 +61,8 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		"# TYPE lucidd_read_compose_seconds histogram",
 		`lucidd_read_compose_seconds_bucket{path="/schedule",le="+Inf"} 1`,
 		"lucidd_ingest_dropped_total 0",
+		"# TYPE lucidd_wal_unsynced_records gauge",
+		"lucidd_wal_unsynced_records 4", // 3 samples + heartbeat behind the submission's fsync
 		"lucidd_queue_depth 1",
 		"lucidd_jobs_profiled 1",
 		"lucidd_agents 1",
@@ -71,13 +73,13 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		}
 	}
 	// Submit + 3 samples + heartbeat + failed-sample-404 (not logged) = 5
-	// appends; the submit fsyncs inline.
+	// appends; the submission's commit is the one fsync anybody waited for.
 	appends := s.met.walAppend.Count()
 	if appends != 5 {
 		t.Errorf("wal append observations = %d, want 5", appends)
 	}
-	if s.met.walFsync.Count() == 0 {
-		t.Error("no wal fsync observed despite synced job submission")
+	if got := s.met.walFsync.Count(); got != 1 {
+		t.Errorf("%d wal fsyncs observed, want 1: the job submission's", got)
 	}
 }
 

@@ -133,13 +133,15 @@ type Options struct {
 	// <StateDir>/shard-<idx>/ and recovers independently. Empty means
 	// in-memory only.
 	StateDir string
-	// CompactEvery overrides the per-shard WAL-records-per-snapshot
-	// compaction threshold (tests use tiny values). 0 selects the default.
+	// CompactEvery overrides the floor of the per-shard compaction rule: a
+	// WAL is compacted into a snapshot once it holds at least this many
+	// records and compactRatio × the last snapshot's bytes (tests use tiny
+	// values). 0 selects the default (1,024).
 	CompactEvery int64
 	// IngestQueue > 0 enables batched async telemetry ingest: POST /metrics
 	// samples and POST /agents heartbeats are acknowledged with 202 after
 	// landing on a per-shard bounded queue of this capacity, drained by a
-	// shard-owned applier that coalesces WAL appends into batched fsyncs.
+	// shard-owned applier in batches (one mutex hold and one commit each).
 	// A full queue refuses the POST with 429 + Retry-After (backpressure).
 	// Read paths and Shutdown insert flush barriers, so every acknowledged
 	// sample is observed there — see ingest.go for the full contract.
@@ -147,7 +149,7 @@ type Options struct {
 	// the result. Either way the op goes through shard.applyOpsLocked.
 	IngestQueue int
 	// IngestBatch caps how many queued ops the applier applies per mutex
-	// acquisition and fsync. 0 selects the default (256). Only meaningful
+	// acquisition and commit. 0 selects the default (256). Only meaningful
 	// with IngestQueue > 0.
 	IngestBatch int
 	// Clock substitutes time.Now so staleness tests are deterministic.
@@ -377,7 +379,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Shutdown drains the server: new requests get 503 immediately, and the call
 // blocks until every in-flight request has completed or ctx expires. With
 // async ingest on, the ingest queues are then closed and their appliers
-// drain every acknowledged op (applied + fsynced) before the stores close.
+// drain every acknowledged op (applied, then fsynced) before the stores close.
 // After a clean drain every shard's durable state (if any) is snapshotted
 // and its WAL closed, so the next boot restores from the snapshots alone.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -400,12 +402,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	var err error
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if cerr := sh.closeStoreLocked(); err == nil {
+		if cerr := sh.closeStore(); err == nil {
 			err = cerr
 		}
-		sh.store = nil
-		sh.mu.Unlock()
 	}
 	return err
 }
@@ -513,13 +512,11 @@ func (s *Server) readShards(vc string) []*shard {
 // readBarrier flushes the shards a list read covers, so the listing reflects
 // every sample and heartbeat acknowledged before the read arrived, and times
 // the read's two halves into lucidd_read_barrier_seconds{path} and
-// lucidd_read_compose_seconds{path}: the wait for the appliers' fsyncs, then
-// copy-out + merge + write. The caller stops compose once the body is written.
+// lucidd_read_compose_seconds{path}: the wait for the appliers to apply and
+// fsync what was queued, then copy-out + merge + write. The caller stops compose once the body is written.
 func (s *Server) readBarrier(path string, shards []*shard) (compose metrics.Timer) {
 	t := s.met.reg.StartTimer(s.met.readBarrier.With(path))
-	for _, sh := range shards {
-		sh.flush()
-	}
+	flushAll(shards)
 	t.Stop()
 	return s.met.reg.StartTimer(s.met.readCompose.With(path))
 }
@@ -814,6 +811,7 @@ type durableStatus struct {
 	StateDir           string  `json:"state_dir"`
 	WALRecords         int64   `json:"wal_records"` // records since the last snapshot
 	WALBytes           int64   `json:"wal_bytes"`
+	WALUnsynced        int64   `json:"wal_unsynced"` // appended records no fsync has covered yet
 	HasSnapshot        bool    `json:"has_snapshot"`
 	SnapshotAgeSec     float64 `json:"snapshot_age_sec"`
 	Compactions        int64   `json:"compactions"`
@@ -868,8 +866,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		if d := sh.store; d != nil {
 			st.Durable = &durableStatus{
 				StateDir:           d.dir,
-				WALRecords:         d.wal.Records(),
-				WALBytes:           d.wal.Bytes(),
+				WALRecords:         sh.wal.Records(),
+				WALBytes:           sh.wal.Bytes(),
+				WALUnsynced:        sh.wal.Unsynced(),
 				HasSnapshot:        d.hadSnapshot,
 				SnapshotAgeSec:     now.Sub(d.snapTime).Seconds(),
 				Compactions:        d.compactions,
@@ -889,6 +888,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			}
 			agg.WALRecords += st.Durable.WALRecords
 			agg.WALBytes += st.Durable.WALBytes
+			agg.WALUnsynced += st.Durable.WALUnsynced
 			agg.HasSnapshot = agg.HasSnapshot || st.Durable.HasSnapshot
 			if st.Durable.SnapshotAgeSec > agg.SnapshotAgeSec {
 				agg.SnapshotAgeSec = st.Durable.SnapshotAgeSec

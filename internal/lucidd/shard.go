@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtrace"
 	"repro/internal/job"
+	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
@@ -68,10 +69,18 @@ type shard struct {
 	// shard boundaries. Estimates are a pure function of the job, so clones
 	// agree bit-for-bit — the shard-parity guarantee.
 	est *core.WorkloadEstimator
-	// store is this shard's durability layer (nil when StateDir is empty).
-	// Its methods are called with mu held, keeping WAL order consistent with
-	// the state mutations the records describe.
+	// store is this shard's durability layer (nil when StateDir is empty, and
+	// again after Shutdown closed it). Read and written with mu held.
 	store *store
+	// wal is the shard's log: set at boot when durability is on and never
+	// cleared. Appends, Records/Bytes and Reset happen with mu held — WAL order
+	// is the order of the state mutations the records describe — while the
+	// fsync side (commit) and the atomics behind Unsynced are used without it.
+	wal *snap.WAL
+	// mustSync is set by a hold of mu that logged a record somebody must see
+	// durable before being answered (a job submission) and cleared by the
+	// hold's commitPointLocked.
+	mustSync bool
 
 	// Async ingest pipeline (nil/unused when Options.IngestQueue is 0; see
 	// ingest.go). ingestQ is the shard's bounded telemetry queue, drained by
@@ -139,7 +148,7 @@ type opResult struct {
 	job   jobState   // the job after a job / metrics / fail-job op
 	agent agentState // the agent after an agent op, or as it stood when evicted
 	ok    bool       // false: the op named a job or agent this shard does not hold — nothing changed, nothing was logged
-	err   error      // the WAL append failed: a job op is rolled back, any other op stays applied in memory
+	err   error      // the WAL append or the commit failed: a job op is rolled back, any other op stays applied in memory
 }
 
 // sweepOps is the batch the agent read paths apply before listing.
@@ -160,21 +169,22 @@ func (sh *shard) sweepLocked(now time.Time) {
 //
 //	POST handler (inline) ─┐
 //	ingest applier (batch) ─┤                       ┌─ state (tables, indexes, LRU)
-//	/chaos evict | fail    ─┼─→ applyOpsLocked ─────┼─ WAL append (job ops fsynced)
+//	/chaos evict | fail    ─┼─→ applyOpsLocked ─────┼─ WAL append (write only; the fsync is the caller's commit)
 //	read-path stale sweep  ─┤                       └─ events → caller records them
 //	WAL replay (store nil) ─┘
 //
 // Every op is applied first and logged second: if the append lands on the
 // compaction threshold, the snapshot that replaces the WAL must already
-// contain the op's effect. Replay runs before sh.store is set, so nothing is
-// re-logged, and drops the events. res is nil when the caller wants no
-// per-op outcome, else len(ops) long; failed counts the ops whose append
-// failed and dropped the samples that named a job the shard does not hold,
-// which is all the applier can use (an inline caller answers 404 from res;
-// the applier's client was told 202 long ago). now is the staleness reference
-// only — a heartbeat's LastSeen comes from its op — and replay passes the
-// zero time, against which nothing is stale: recovery never evicts, the
-// first live request does.
+// contain the op's effect. A caller whose ops may have been logged ends its
+// hold with commitPointLocked and calls commit after the unlock. Replay runs
+// before sh.store is set, so nothing is re-logged, and drops the events. res is
+// nil when the caller wants no per-op outcome, else len(ops) long; failed
+// counts the ops whose append failed and dropped the samples that named a job
+// the shard does not hold, which is all the applier can use (an inline caller
+// answers 404 from res; the applier's client was told 202 long ago). now is the
+// staleness reference only — a heartbeat's LastSeen comes from its op — and
+// replay passes the zero time, against which nothing is stale: recovery never
+// evicts, the first live request does.
 func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (events []dtrace.Event, failed, dropped int) {
 	evict := func(a *agentState, reason string) {
 		sh.lruUnlinkLocked(a)
@@ -182,6 +192,14 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 		delete(sh.agents, a.Name)
 		events = append(events, dtrace.Event{Action: dtrace.ActNodeFail,
 			Reason: reason, Node: a.Node + 1})
+	}
+	dropJob := func(js *jobState) {
+		sh.order = removeSorted(sh.order, js, queueLess)
+		delete(sh.jobs, js.ID)
+		sh.srv.jobShard.Delete(js.ID)
+		if js.Samples >= minSamples {
+			sh.nProfiled.Add(-1)
+		}
 	}
 	swept := false
 	for i := range ops {
@@ -196,20 +214,29 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			sh.srv.bumpNextID(js.ID)
 			sh.refreshLocked(js)
 			sh.order = insertSorted(sh.order, js, queueLess)
-			// Fsynced before the caller can answer 201: an acknowledged
-			// submission is durable.
-			if r.err = sh.logOpLocked(op, true); r.err != nil {
+			if r.err = sh.logOpLocked(op); r.err != nil {
 				// The client gets an error, so the job must not exist. The
 				// allocated ID is not reused — a gap is harmless, a reused
 				// ID is not.
-				sh.order = removeSorted(sh.order, js, queueLess)
-				delete(sh.jobs, js.ID)
-				sh.srv.jobShard.Delete(js.ID)
+				dropJob(js)
 			} else {
+				// An acknowledged submission is durable: the caller may answer
+				// 201 only after its commit has fsynced this record (replay and
+				// an in-memory server logged nothing and owe nobody).
+				sh.mustSync = sh.store != nil
 				events = append(events, dtrace.Event{Job: js.ID, Action: dtrace.ActRelease,
 					Reason: "registered", VC: js.VC, GPUs: js.GPUs})
 			}
 			r.job, r.ok = *js, true
+		case "abort-job":
+			// The submission's commit failed after its hold ended (applyOne):
+			// withdraw it. Never logged — the client was told 500, and a replay
+			// that finds the "job" record after all only resurrects a job
+			// nobody was promised.
+			if js, ok := sh.jobs[op.ID]; ok {
+				dropJob(js)
+				r.job, r.ok = *js, true
+			}
 		case "metrics":
 			js, ok := sh.jobs[op.ID]
 			if !ok {
@@ -227,9 +254,9 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			js.Samples++
 			sh.refreshLocked(js)
 			sh.order = insertSorted(sh.order, js, queueLess)
-			// Samples are logged unsynced: losing the last batch in a crash
-			// only costs telemetry the agents re-send anyway.
-			r.err = sh.logOpLocked(op, false)
+			// Samples never ask for an fsync: losing the unsynced tail in a
+			// power cut only costs telemetry the agents re-send anyway.
+			r.err = sh.logOpLocked(op)
 			if js.Samples == minSamples {
 				// The job just crossed the profiling threshold: from here on
 				// the analyzer scores it from real metrics, not the Jumbo prior.
@@ -278,13 +305,13 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			}
 			a.refreshFrag()
 			sh.lruPushBackLocked(a)
-			r.err = sh.logOpLocked(op, false)
+			r.err = sh.logOpLocked(op)
 			r.agent, r.ok = *a, true
 		case "evict-agent":
 			if a, ok := sh.agents[op.Name]; ok {
 				r.agent, r.ok = *a, true
 				evict(a, "chaos-evict")
-				r.err = sh.logOpLocked(op, false)
+				r.err = sh.logOpLocked(op)
 			}
 		case "fail-job":
 			js, ok := sh.jobs[op.ID]
@@ -303,7 +330,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			js.Profile = profile{}
 			sh.refreshLocked(js)
 			sh.order = insertSorted(sh.order, js, queueLess)
-			r.err = sh.logOpLocked(op, false)
+			r.err = sh.logOpLocked(op)
 			events = append(events, dtrace.Event{Job: js.ID, Action: dtrace.ActRequeue,
 				Reason: "chaos-kill", VC: js.VC, GPUs: js.GPUs})
 			r.job, r.ok = *js, true
@@ -321,14 +348,26 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 }
 
 // applyOne is the inline path of the POST handlers and /chaos: one op under
-// the shard lock, its events recorded after the unlock (the recorder is
-// internally synchronized).
+// the shard lock, the commit after the unlock, then its events recorded (the
+// recorder is internally synchronized).
 func (sh *shard) applyOne(op walOp) opResult {
 	var res [1]opResult
 	now := sh.srv.opts.Clock()
 	sh.mu.Lock()
 	events, _, _ := sh.applyOpsLocked([]walOp{op}, now, res[:])
+	seq, must := sh.commitPointLocked()
 	sh.mu.Unlock()
+	if err := sh.commit(seq, must); err != nil && res[0].err == nil {
+		res[0].err = err
+		if op.Op == "job" {
+			// Answered 500, so it must not be listed afterwards. Between the
+			// unlock above and this withdrawal a concurrent list read could
+			// have shown the job; ROADMAP item 1(b) replaces the rollback with
+			// a shard that turns read-only when it cannot persist.
+			sh.applyOne(walOp{Op: "abort-job", ID: op.ID})
+			events = nil // "registered" was never true
+		}
+	}
 	sh.srv.record(events)
 	return res[0]
 }

@@ -283,6 +283,11 @@ func TestShardRecoveryEdgeCases(t *testing.T) {
 			t.Fatalf("submit b-%d: %d: %s", i, rec.Code, rec.Body)
 		}
 	}
+	// The two recovery shapes below rest on exactly this: the floor fired once
+	// on shard A (no snapshot yet, so the ratio asks for nothing) and never on B.
+	if a, b := s1.shards[shardA].store.compactions, s1.shards[shardB].store.compactions; a != 1 || b != 0 {
+		t.Fatalf("compactions before the crash: shard %d %d, shard %d %d, want 1 and 0", shardA, a, shardB, b)
+	}
 	want := jobsBody(t, s1)
 	// Crash without Shutdown, then tear shard A's WAL tail.
 	torn := []byte{0xba, 0xad, 0xf0, 0x0d}

@@ -141,9 +141,15 @@ func TestSoakShardedDrainRecover(t *testing.T) {
 		t.Log("note: no 503s observed — drain landed after the last request")
 	}
 
-	// Monotonic WAL: per shard, records may only drop when compactions rose.
+	// Monotonic WAL: per shard, records may only drop when compactions rose —
+	// which says something only if compactions happened. With a 32-record
+	// floor and the log outgrowing twice a small snapshot every few dozen ops,
+	// every shard compacts many times in 600 ms of load.
 	pollMu.Lock()
 	for shard, samples := range history {
+		if last := samples[len(samples)-1]; last.compactions < 2 {
+			t.Errorf("shard %d compacted %d times during the soak: the WAL monotonicity check below is vacuous", shard, last.compactions)
+		}
 		for i := 1; i < len(samples); i++ {
 			prev, cur := samples[i-1], samples[i]
 			if cur.records < prev.records && cur.compactions <= prev.compactions {

@@ -24,14 +24,29 @@ import (
 // drift from the live path — and truncates any torn tail: a SIGKILLed daemon
 // recovers every acknowledged submission on every shard.
 //
-// Durability classes:
+// Who writes, who fsyncs. A record is write()n under the shard mutex, right
+// after the mutation it describes, so log order is state order and a killed
+// process loses nothing it applied (the page cache outlives it). The fsync —
+// what a power cut needs — is never issued under the shard mutex: every hold
+// that appended ends by reading its commit point (commitPointLocked: the
+// sequence number of its last append, and whether anyone must see it durable)
+// and calls shard.commit after the unlock. Whether the disk is asked at all is
+// one rule, snap.WAL.Commit's, for inline handlers and appliers alike:
 //
-//   - job submissions are fsynced before the HTTP response is written: an
-//     acknowledged job survives any crash;
-//   - metric samples, heartbeats and chaos ops are batched (WAL.SyncEvery):
-//     losing the last few seconds of telemetry on a crash is harmless — the
-//     agents re-send — while fsyncing each sample would serialize the hot
-//     ingest path on disk latency.
+//   - must: a job submission (the 201 is written only after its record is
+//     fsynced: an acknowledged job survives any crash), a batch that a flush
+//     barrier ended (reads, /chaos and Flush see everything acknowledged before
+//     them applied and durable), the final drain at Shutdown;
+//   - otherwise — metric samples, heartbeats, chaos ops — only once
+//     WAL.SyncEvery (64) records are unsynced: losing the last few dozen
+//     telemetry records in a power cut is harmless, the agents re-send, while
+//     an fsync per sample, or per applier batch, serializes ingest on disk
+//     latency and makes the one fsync a submission waits for queue behind
+//     sixteen nobody asked for.
+//
+// Concurrent commits on one shard group: one fsync covers every append made
+// before it started (snap.WAL.SyncTo). /statusz wal_unsynced and the
+// lucidd_wal_unsynced_records gauge show the tail.
 //
 // Deliberately NOT persisted: the decision-trace recorder (a per-process
 // flight recorder; /trace documents the current incarnation), the chaos
@@ -42,18 +57,32 @@ const (
 	walFileName  = "wal.log"
 	// snapKind is the envelope kind for lucidd state snapshots.
 	snapKind = "lucidd-state"
-	// defaultCompactEvery bounds per-shard WAL growth: once this many
-	// records accumulate past the last snapshot, the shard is
-	// re-snapshotted and its WAL reset.
+	// defaultCompactEvery is the floor of the compaction rule: a WAL shorter
+	// than this many records is never worth a snapshot.
 	defaultCompactEvery = 1024
+	// compactRatio is k in the compaction rule: a shard is re-snapshotted, and
+	// its WAL reset, when the WAL holds at least CompactEvery records AND at
+	// least k × the bytes of the shard's last snapshot envelope (0 before the
+	// first, so the first compaction fires on the floor alone). A fixed record
+	// count rewrites a large state as often as a small one; the ratio makes the
+	// cost proportional. Per WAL byte logged, compaction writes 1/k snapshot
+	// bytes, so bytes written per WAL byte = 1 + 1/k: 1.5 at k = 2, against ≈ 3
+	// under the count-only rule on ctl_ingest's working set (a 100 KB WAL
+	// triggered a 200 KB snapshot). The price is recovery: a boot replays at
+	// most k × snapshot + floor (+ one record) of WAL. Measured on ctl_ingest
+	// (DESIGN.md §3j has the table): k = 1 / 2 / 4 → 163 / 85 / 40 compactions
+	// a run with throughput inside one spread; k = 2 halves the write volume
+	// for a worst-case replay of twice the snapshot.
+	compactRatio = 2
 )
 
 // walOp is one mutation — the unit applyOpsLocked applies and the WAL logs.
 // Op selects the variant; unused fields stay at their zero value and are
 // omitted from the JSON.
 type walOp struct {
-	// "job", "metrics", "agent", "evict-agent", "fail-job"; and "sweep", the
-	// stale-agent sweep, the one variant that is never logged.
+	// "job", "metrics", "agent", "evict-agent", "fail-job"; and the two
+	// variants that are never logged: "sweep", the stale-agent sweep, and
+	// "abort-job", which withdraws a submission whose commit failed.
 	Op string `json:"op"`
 
 	// job: the registration with its server-assigned ID, so replay
@@ -107,13 +136,13 @@ type shardSnap struct {
 	Agents []persistedAgent `json:"agents"`
 }
 
-// store binds one shard to its state directory. All methods are called with
-// the shard's mu held, which also serializes WAL appends with the state
-// mutations they describe.
+// store binds one shard to its state directory (the log itself is shard.wal).
+// Fields are read and written with the shard's mu held, which also serializes
+// WAL appends with the state mutations they describe.
 type store struct {
 	dir          string
-	wal          *snap.WAL
-	compactEvery int64
+	compactEvery int64 // floor of the compaction rule, in WAL records
+	snapBytes    int64 // envelope size of the last snapshot written or loaded; 0 before the first
 	compactions  int64
 	snapTime     time.Time // last snapshot write (or boot, if none yet)
 	recovered    snap.RecoverStats
@@ -210,7 +239,7 @@ func (sh *shard) openStore(dir string) error {
 		return err
 	}
 	wal.OnSync = func(d time.Duration) { sh.srv.met.walFsync.Observe(d.Seconds()) }
-	st.wal = wal
+	sh.wal = wal
 	st.recovered = stats
 	sh.store = st
 	return nil
@@ -263,12 +292,13 @@ func (sh *shard) loadSnapLocked(ss shardSnap) {
 	sh.nAgents.Store(int64(len(sh.agents)))
 }
 
-// logOpLocked appends op to this shard's WAL (if durability is on). sync
-// forces an inline fsync — used for ops that must survive a crash once
-// acknowledged. After the append it compacts if the WAL has outgrown the
-// threshold.
-func (sh *shard) logOpLocked(op *walOp, sync bool) error {
-	if sh.store == nil {
+// logOpLocked appends op to this shard's WAL (if durability is on) — a
+// write(), never an fsync: the hold's commit point asks for that after the
+// unlock. After the append it compacts if the WAL has outgrown both the record
+// floor and compactRatio × the last snapshot.
+func (sh *shard) logOpLocked(op *walOp) error {
+	st := sh.store
+	if st == nil {
 		return nil
 	}
 	payload, err := json.Marshal(op)
@@ -276,20 +306,49 @@ func (sh *shard) logOpLocked(op *walOp, sync bool) error {
 		return fmt.Errorf("lucidd: encode wal op: %w", err)
 	}
 	t := sh.srv.met.reg.StartTimer(sh.srv.met.walAppend)
-	err = sh.store.wal.Append(payload, sync)
+	_, err = sh.wal.Log(payload)
 	t.Stop()
 	if err != nil {
 		return err
 	}
-	if sh.store.wal.Records() >= sh.store.compactEvery {
+	if sh.wal.Records() >= st.compactEvery && sh.wal.Bytes() >= compactRatio*st.snapBytes {
 		return sh.compactLocked()
 	}
 	return nil
 }
 
+// commitPointLocked ends a hold of sh.mu that may have appended: it reads the
+// sequence number of the shard's last append and whether that hold logged
+// something a client must see durable before it is answered (and clears the
+// flag). The caller unlocks, then hands both to commit.
+func (sh *shard) commitPointLocked() (seq int64, must bool) {
+	if sh.store == nil {
+		return 0, false
+	}
+	must, sh.mustSync = sh.mustSync, false
+	return sh.wal.Seq(), must
+}
+
+// commit is the write path's one commit point, called WITHOUT the shard mutex
+// by every path that appended under it (applyOne, applyBatch): records up to
+// seq are fsynced if must, or if the unsynced tail has reached WAL.SyncEvery —
+// snap.WAL.Commit holds the rule, and concurrent commits share fsyncs there.
+// sh.wal is set before the server is shared and never cleared, so no lock is
+// needed to read it.
+func (sh *shard) commit(seq int64, must bool) error {
+	if sh.wal == nil {
+		return nil
+	}
+	return sh.wal.Commit(seq, must)
+}
+
 // compactLocked writes a fresh shard snapshot (atomic tmp+rename) and resets
 // the shard's WAL. On any error the old snapshot and WAL are left intact —
-// recovery simply replays a longer log.
+// recovery simply replays a longer log. The snapshot's own fsync is the one
+// fsync issued under a shard mutex: nothing may be applied between the state it
+// captures and the truncation of the log that led to it (moving it off the
+// mutex needs WAL segments). WAL.Reset publishes everything appended so far as
+// durable, so a commit point read after a compaction costs no fsync.
 func (sh *shard) compactLocked() error {
 	if sh.store == nil {
 		return nil
@@ -324,9 +383,10 @@ func (sh *shard) compactLocked() error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("lucidd: install snapshot: %w", err)
 	}
-	if err := sh.store.wal.Reset(); err != nil {
+	if err := sh.wal.Reset(); err != nil {
 		return fmt.Errorf("lucidd: reset wal after compaction: %w", err)
 	}
+	sh.store.snapBytes = int64(buf.Len())
 	sh.store.snapTime = sh.srv.opts.Clock()
 	sh.store.hadSnapshot = true
 	// The /statusz count and lucidd_compactions_total are bumped together,
@@ -336,15 +396,20 @@ func (sh *shard) compactLocked() error {
 	return nil
 }
 
-// closeStoreLocked snapshots this shard once more (so restart replays
-// nothing) and closes its WAL. Called from Shutdown after the drain
-// completes.
-func (sh *shard) closeStoreLocked() error {
+// closeStore snapshots this shard once more (so restart replays nothing) and
+// closes its WAL. Called from Shutdown after the drain completes.
+func (sh *shard) closeStore() error {
+	sh.mu.Lock()
 	if sh.store == nil {
+		sh.mu.Unlock()
 		return nil
 	}
 	err := sh.compactLocked()
-	if cerr := sh.store.wal.Close(); err == nil {
+	sh.store = nil
+	sh.mu.Unlock()
+	// Close fsyncs whatever a failed compaction left unsynced — off the mutex,
+	// like every WAL fsync.
+	if cerr := sh.wal.Close(); err == nil {
 		err = cerr
 	}
 	return err

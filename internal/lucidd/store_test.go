@@ -272,4 +272,38 @@ func TestStatusz(t *testing.T) {
 	if status.Durable != nil {
 		t.Errorf("in-memory server reports durable status: %+v", status.Durable)
 	}
+
+	// A durable one reports how far the disk is behind the log: the
+	// submission's commit fsynced its record, the two heartbeats after it wait.
+	dir := t.TempDir()
+	d := durableServer(t, dir, 0)
+	submitJob(t, d, "j", "vc-0", 1)
+	for i := 0; i < 2; i++ {
+		if rec := do(t, d, http.MethodPost, "/agents", `{"name":"agent-0","vc":"vc-0","node":0}`); rec.Code != http.StatusOK {
+			t.Fatalf("heartbeat: %d: %s", rec.Code, rec.Body)
+		}
+	}
+	var dst struct {
+		Durable *durableStatus `json:"durable"`
+		ByShard []shardStatus  `json:"by_shard"`
+	}
+	if err := json.Unmarshal(do(t, d, http.MethodGet, "/statusz", "").Body.Bytes(), &dst); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Durable == nil || dst.Durable.WALRecords != 3 || dst.Durable.WALUnsynced != 2 {
+		t.Errorf("durable = %+v, want 3 wal_records of which 2 wal_unsynced", dst.Durable)
+	}
+	if len(dst.ByShard) != 1 || dst.ByShard[0].Durable == nil || dst.ByShard[0].Durable.WALUnsynced != 2 {
+		t.Errorf("by_shard = %+v, want one shard with 2 wal_unsynced", dst.ByShard)
+	}
+
+	// A reboot owes nobody an fsync: what replay read back is as durable as it
+	// will get, and the submission among it was answered by the last process.
+	d2 := durableServer(t, dir, 0)
+	if rec := do(t, d2, http.MethodPost, "/agents", `{"name":"agent-0","vc":"vc-0","node":0}`); rec.Code != http.StatusOK {
+		t.Fatalf("heartbeat after reboot: %d: %s", rec.Code, rec.Body)
+	}
+	if n, u := d2.met.walFsync.Count(), d2.shards[0].wal.Unsynced(); n != 0 || u != 1 {
+		t.Errorf("first heartbeat after a reboot: %d fsyncs, %d unsynced, want 0 and 1", n, u)
+	}
 }

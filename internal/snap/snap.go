@@ -112,9 +112,9 @@ func ReadEnvelope(r io.Reader) (kind string, payload []byte, err error) {
 		return "", nil, fmt.Errorf("snap: implausible payload length %d", payLen)
 	}
 	payload = make([]byte, payLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if n, err := io.ReadFull(r, payload); err != nil {
 		return "", nil, fmt.Errorf("snap: truncated payload (%d of %d bytes): %w",
-			0, payLen, err)
+			n, payLen, err)
 	}
 	if got := Digest(payload); got != wantDigest {
 		return "", nil, fmt.Errorf("snap: payload digest mismatch: got %s want %s",

@@ -70,6 +70,24 @@ func TestEnvelopeRejectsTruncationAndCorruption(t *testing.T) {
 	}
 }
 
+// TestTruncatedPayloadReportsBytesRead: the error names how much of the payload
+// arrived. It used to print the literal 0 whatever was read.
+func TestTruncatedPayloadReportsBytesRead(t *testing.T) {
+	payload := []byte("forty bytes of payload, cut off half way")
+	var buf bytes.Buffer
+	if err := WriteEnvelope(&buf, "k", payload); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Len() - len(payload) + 17
+	_, _, err := ReadEnvelope(bytes.NewReader(buf.Bytes()[:cut]))
+	if err == nil || !strings.Contains(err.Error(), "truncated payload (17 of 40 bytes)") {
+		t.Fatalf("truncated mid-payload: %v, want \"truncated payload (17 of 40 bytes)\"", err)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("cause lost: %v", err)
+	}
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("a"), {}, []byte("third record with more bytes")}
@@ -230,13 +248,13 @@ func TestWALBatchedSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.unsynced != 2 {
-		t.Fatalf("unsynced = %d before threshold, want 2", w.unsynced)
+	if w.Unsynced() != 2 {
+		t.Fatalf("unsynced = %d before threshold, want 2", w.Unsynced())
 	}
 	if err := w.Append([]byte("x"), false); err != nil {
 		t.Fatal(err)
 	}
-	if w.unsynced != 0 {
-		t.Fatalf("unsynced = %d after threshold append, want 0", w.unsynced)
+	if w.Unsynced() != 0 {
+		t.Fatalf("unsynced = %d after threshold append, want 0", w.Unsynced())
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,15 +36,22 @@ var ErrCorrupt = errors.New("snap: corrupt WAL record")
 
 // AppendRecord frames payload into w as a single contiguous write.
 func AppendRecord(w io.Writer, payload []byte) error {
-	if len(payload) > MaxRecordLen {
-		return fmt.Errorf("snap: record of %d bytes exceeds max %d", len(payload), MaxRecordLen)
-	}
-	buf := make([]byte, recHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[recHeaderLen:], payload)
-	_, err := w.Write(buf)
+	_, err := appendRecord(w, payload, nil)
 	return err
+}
+
+// appendRecord is AppendRecord building the frame in scratch, which it returns
+// (grown if need be) for the next call: a WAL is appended under its owner's
+// lock, so it keeps one frame buffer instead of allocating one per record.
+func appendRecord(w io.Writer, payload, scratch []byte) ([]byte, error) {
+	if len(payload) > MaxRecordLen {
+		return scratch, fmt.Errorf("snap: record of %d bytes exceeds max %d", len(payload), MaxRecordLen)
+	}
+	buf := binary.LittleEndian.AppendUint32(scratch[:0], uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	buf = append(buf, payload...)
+	_, err := w.Write(buf)
+	return buf, err
 }
 
 // ReadRecord reads one framed record. It returns io.EOF on a clean end
@@ -71,23 +80,45 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// WAL is an append-only, CRC-framed log backed by one file. Appends are
-// durable after Sync; Append(sync=true) syncs inline (used for operations
-// that must survive a crash once acknowledged), while sync=false batches
-// fsyncs every SyncEvery records (heartbeats, metrics — cheap to lose,
-// expensive to sync one by one).
+// WAL is an append-only, CRC-framed log backed by one file, with group commit.
+//
+// Two parties use it. The OWNER appends (Log, Append) and resets (Reset,
+// Close), one call at a time, under its own lock; every append gets the next
+// sequence number of a lifetime counter. ANYBODY, concurrently and without the
+// owner's lock, may ask for durability: SyncTo(seq) returns once record seq is
+// on stable storage, and one fsync covers every append that completed before
+// it started, so a caller that queued behind somebody else's fsync usually
+// finds itself covered and issues none. Commit is the one place that decides
+// whether to ask.
 type WAL struct {
-	f         *os.File
-	path      string
-	SyncEvery int // batched-fsync threshold for Append(sync=false); 0 = every append
+	f    *os.File
+	path string
+	// SyncEvery is the batching threshold: Commit fsyncs, asked or not, once
+	// this many appends are unsynced (0 = every append).
+	SyncEvery int
 	// OnSync, when set, observes the wall-clock duration of each fsync —
 	// an instrumentation hook (fsync latency is the WAL's dominant cost and
-	// the first thing to watch on a struggling disk). Must not call back
-	// into the WAL.
-	OnSync   func(d time.Duration)
-	unsynced int
-	records  int64
-	bytes    int64
+	// the first thing to watch on a struggling disk). It runs on the
+	// goroutine that fsynced, after the fsync was published. Must not call
+	// back into the WAL.
+	OnSync func(d time.Duration)
+
+	// Owner's side.
+	records int64  // records since the last Reset (replayed + appended)
+	bytes   int64  // valid length of the file
+	frame   []byte // appendRecord's scratch
+
+	// appended counts completed appends over the WAL's lifetime (Reset does
+	// not rewind it); durable is the highest count known to be on stable
+	// storage. durable <= appended, both only grow.
+	appended atomic.Int64
+	durable  atomic.Int64
+
+	// syncMu serializes fsyncs (and Reset against them). failSeq/failErr
+	// remember the last failed fsync and the count it would have covered.
+	syncMu  sync.Mutex
+	failSeq int64
+	failErr error
 }
 
 // RecoverStats describes what OpenWAL found on disk.
@@ -148,53 +179,111 @@ func OpenWAL(path string, apply func(payload []byte) error) (*WAL, RecoverStats,
 		f.Close()
 		return nil, stats, err
 	}
+	// The counters start at zero whatever was replayed: what OpenWAL read back
+	// is already as durable as it will get.
 	w := &WAL{f: f, path: path, SyncEvery: 64, records: int64(stats.Records), bytes: off}
 	return w, stats, nil
 }
 
-// Append frames payload onto the log. With sync=true the record is fsynced
-// before Append returns; with sync=false durability is deferred to the
-// batching threshold, an explicit Sync, or Close.
-func (w *WAL) Append(payload []byte, sync bool) error {
-	if err := AppendRecord(w.f, payload); err != nil {
-		return fmt.Errorf("snap: wal append: %w", err)
+// Log frames payload onto the log and returns its sequence number. It never
+// fsyncs: the record is durable once SyncTo(seq), or a Commit that decided to
+// sync, has returned nil. Owner only.
+func (w *WAL) Log(payload []byte) (seq int64, err error) {
+	if w.frame, err = appendRecord(w.f, payload, w.frame); err != nil {
+		return 0, fmt.Errorf("snap: wal append: %w", err)
 	}
 	w.records++
 	w.bytes += int64(recHeaderLen + len(payload))
-	w.unsynced++
-	if sync || (w.SyncEvery > 0 && w.unsynced >= w.SyncEvery) || w.SyncEvery == 0 {
-		return w.Sync()
+	return w.appended.Add(1), nil
+}
+
+// Append is Log followed by Commit on the calling goroutine: with sync=true
+// the record is fsynced before Append returns, with sync=false durability is
+// deferred to the SyncEvery threshold, a later commit, or Close.
+func (w *WAL) Append(payload []byte, sync bool) error {
+	seq, err := w.Log(payload)
+	if err != nil {
+		return err
+	}
+	return w.Commit(seq, sync)
+}
+
+// Commit is THE decision to fsync: it syncs through seq when somebody must see
+// seq durable, or when SyncEvery appends have piled up unsynced — whoever
+// notices pays, so the unsynced tail stays bounded with nobody waiting on it.
+// Safe without the owner's lock.
+func (w *WAL) Commit(seq int64, must bool) error {
+	if must || w.Unsynced() >= int64(w.SyncEvery) {
+		return w.SyncTo(seq)
 	}
 	return nil
 }
 
-// Sync flushes pending records to stable storage.
-func (w *WAL) Sync() error {
-	if w.unsynced == 0 {
+// SyncTo returns once every record up to seq is on stable storage. Safe
+// without the owner's lock, from any number of goroutines: they queue on the
+// WAL's own mutex, the one in front fsyncs and publishes the append count it
+// noted BEFORE the fsync (appends that land during it may or may not be
+// covered, so they are not claimed), and those behind it re-check and mostly
+// return without touching the disk. A failed fsync publishes nothing, and every
+// caller it would have covered gets its error until a later fsync succeeds.
+func (w *WAL) SyncTo(seq int64) error {
+	if w.durable.Load() >= seq {
 		return nil
 	}
-	start := time.Time{}
-	if w.OnSync != nil {
-		start = time.Now()
+	w.syncMu.Lock()
+	if w.durable.Load() >= seq {
+		w.syncMu.Unlock()
+		return nil
 	}
+	if seq <= w.failSeq {
+		err := w.failErr
+		w.syncMu.Unlock()
+		return err
+	}
+	covered := w.appended.Load()
+	start := time.Now()
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("snap: wal sync: %w", err)
+		w.failSeq, w.failErr = covered, fmt.Errorf("snap: wal sync: %w", err)
+		w.syncMu.Unlock()
+		return w.failErr
 	}
+	d := time.Since(start)
+	w.durable.Store(covered)
+	w.syncMu.Unlock()
 	if w.OnSync != nil {
-		w.OnSync(time.Since(start))
+		w.OnSync(d)
 	}
-	w.unsynced = 0
 	return nil
 }
 
-// Records reports how many valid records the log holds (replayed + appended).
+// Sync flushes every record appended so far to stable storage.
+func (w *WAL) Sync() error { return w.SyncTo(w.appended.Load()) }
+
+// Seq is the sequence number of the last append (0 before the first).
+func (w *WAL) Seq() int64 { return w.appended.Load() }
+
+// Unsynced reports how many appended records no fsync has covered yet. Safe
+// without the owner's lock.
+func (w *WAL) Unsynced() int64 {
+	// durable first: read the other way round, an append and its fsync landing
+	// between the two loads would make the difference negative.
+	d := w.durable.Load()
+	return w.appended.Load() - d
+}
+
+// Records reports how many valid records the log holds (replayed + appended
+// since the last Reset). Owner only, like Bytes.
 func (w *WAL) Records() int64 { return w.records }
 
 // Bytes reports the log's valid length in bytes.
 func (w *WAL) Bytes() int64 { return w.bytes }
 
-// Reset truncates the log to empty after a successful snapshot compaction.
+// Reset truncates the log to empty after a successful (fsynced) snapshot
+// compaction. Everything appended so far is in that snapshot, so it is
+// published as durable. Owner only; waits out an fsync in flight.
 func (w *WAL) Reset() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
@@ -204,7 +293,8 @@ func (w *WAL) Reset() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.records, w.bytes, w.unsynced = 0, 0, 0
+	w.records, w.bytes = 0, 0
+	w.durable.Store(w.appended.Load())
 	return nil
 }
 
