@@ -241,6 +241,18 @@ func better(pref Preference, nd *node, ndFree int, best *node, bestFree int) boo
 
 // planExclusive computes a consolidated placement or nil.
 func (c *Cluster) planExclusive(vc string, n int, pref Preference) []GPUID {
+	// A VC with fewer idle GPUs than the request cannot host it however they
+	// are spread; at high load that is the answer for most of the queue, so
+	// ask the O(1) index before scanning nodes. (The whole-cluster case would
+	// have to sum the index first and is not on a hot path.)
+	if vc != "" && c.vcFree[vc] < n {
+		return nil
+	}
+	return c.scanExclusive(vc, n, pref)
+}
+
+// scanExclusive is planExclusive's search over the VC's nodes.
+func (c *Cluster) scanExclusive(vc string, n int, pref Preference) []GPUID {
 	nodes := c.nodesOf(vc)
 	per := c.spec.GPUsPerNode
 

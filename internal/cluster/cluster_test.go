@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -344,5 +346,64 @@ func TestNoCapacityIsASentinel(t *testing.T) {
 	}
 	if _, err := c.Allocate(3, "vcA", 0, 0); err == nil || errors.Is(err, ErrNoCapacity) {
 		t.Errorf("zero-GPU request: err = %v, want its own message", err)
+	}
+}
+
+// TestFreeCountShortcutAgreesWithScan: planExclusive answers "no" from the
+// per-VC idle count without looking at a node. On randomized occupancy —
+// exclusive, distributed and packed jobs, frees, nodes going down and coming
+// back — it must return exactly what the node scan returns, for every VC,
+// size and preference, and the shortcut must actually be taken.
+func TestFreeCountShortcutAgreesWithScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	spec := Spec{GPUsPerNode: 8, FastNodesFrac: 0.5, FastSpeed: 1.5,
+		VCs: []VCSpec{{"vcA", 5}, {"vcB", 3}, {"vcC", 1}}}
+	vcs := []string{"vcA", "vcB", "vcC", "", "nowhere"}
+	sizes := []int{1, 2, 3, 4, 7, 8, 9, 12, 16, 17, 24, 40, 41}
+	shortcuts := 0
+	for round := 0; round < 20; round++ {
+		c := New(spec)
+		var live []int
+		for step, next := 0, 1; step < 150; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				if _, err := c.Allocate(next, vcs[rng.Intn(3)], sizes[rng.Intn(len(sizes))], 0); err == nil {
+					live = append(live, next)
+				}
+				next++
+			case op < 6 && len(live) > 0:
+				if _, err := c.AllocateShared(next, live[rng.Intn(len(live))], 0); err == nil {
+					live = append(live, next)
+				}
+				next++
+			case op < 8 && len(live) > 0:
+				k := rng.Intn(len(live))
+				c.Free(live[k])
+				live = append(live[:k], live[k+1:]...)
+			case op < 9:
+				// Victims keep their GPUs until freed, as the engine's kill
+				// path leaves them for a moment: idle-but-down must not count.
+				c.FailNode(rng.Intn(c.NumNodes()))
+			default:
+				c.RepairNode(rng.Intn(c.NumNodes()))
+			}
+			for _, vc := range vcs {
+				for _, n := range sizes {
+					for _, pref := range []Preference{PreferAny, PreferFast, PreferSlow} {
+						got, want := c.planExclusive(vc, n, pref), c.scanExclusive(vc, n, pref)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("round %d step %d: plan(%q, %d, %v) = %v, the scan says %v",
+								round, step, vc, n, pref, got, want)
+						}
+					}
+					if vc != "" && c.FreeGPUs(vc) < n {
+						shortcuts++
+					}
+				}
+			}
+		}
+	}
+	if shortcuts == 0 {
+		t.Fatal("the shortcut was never taken")
 	}
 }

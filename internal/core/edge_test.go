@@ -180,3 +180,49 @@ func TestLucidWithoutProfilerPartition(t *testing.T) {
 		t.Fatalf("profiling started with no partition; actions: %v", sum.Actions)
 	}
 }
+
+// TestProfiledJobIsPlacedInTheRoundItLeavesTheProfiler: Lucid reads the
+// waiting set once, at the top of a round, when a job about to be evicted
+// from the profiler is still Profiling and therefore not in it. The
+// orchestrator must see that job all the same — with the main cluster idle
+// it starts in the very round that handed it back, not a round later.
+func TestProfiledJobIsPlacedInTheRoundItLeavesTheProfiler(t *testing.T) {
+	spec := trace.Venus()
+	spec.Name = "handback"
+	spec.Nodes = 4
+	spec.NumVCs = 2
+	spec.NumJobs = 600
+	spec.Days = 3
+	hist := trace.NewGenerator(spec).Emit(600)
+	models, err := TrainModels(hist, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.Config{Model: workload.ResNet18, BatchSize: 64}
+	eval := &trace.Trace{Name: "t", Cluster: probeSpec(), Days: 1, Jobs: []*job.Job{
+		job.New(1, "long", "u", "vc", 1, 0, 5000, cfg),
+		job.New(2, "late", "u", "vc", 1, 100, 5000, cfg), // a second, ordinary, waiting job
+	}}
+	res := sim.New(eval, New(models, DefaultConfig()), sim.Options{Tick: 10, SchedulerEvery: 10,
+		ProfilerNodes: 1, RecordTimeline: true, Invariants: sim.NewInvariantChecker(true)}).Run()
+	if res.Unfinished != 0 {
+		t.Fatalf("unfinished: %d", res.Unfinished)
+	}
+	for id := 1; id <= 2; id++ {
+		stop, start := int64(-1), int64(-1)
+		for _, e := range res.Timeline {
+			if e.JobID != id {
+				continue
+			}
+			switch e.Kind {
+			case sim.EvProfileStop:
+				stop = e.Time
+			case sim.EvStart, sim.EvStartShared:
+				start = e.Time
+			}
+		}
+		if stop < 0 || start != stop {
+			t.Errorf("job %d left the profiler at %d and started at %d, want the same round", id, stop, start)
+		}
+	}
+}

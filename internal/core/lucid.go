@@ -217,18 +217,22 @@ func (l *Lucid) NextWake(env *sim.Env) int64 {
 	return next
 }
 
-// Tick implements the full Figure 4 workflow.
+// Tick implements the full Figure 4 workflow. The waiting set is read once:
+// every stage filters it by State as the State stands when the stage runs,
+// so the list taken at the top serves them all — together with the jobs the
+// profiler hands back this round, which were Profiling when it was taken.
 func (l *Lucid) Tick(env *sim.Env) {
-	l.observeArrivals(env)
+	waiting := env.Pending()
+	l.observeArrivals(waiting)
 	l.hourlyMaintenance(env)
-	l.profiler.Step(env, func(j *job.Job) { l.onProfiled(j) })
-	l.orchestrate(env)
+	back := l.profiler.Step(env, waiting, l.onProfiled)
+	l.orchestrate(env, append(waiting, back...))
 	l.updateEngine(env)
 }
 
 // observeArrivals counts new submissions for the throughput model.
-func (l *Lucid) observeArrivals(env *sim.Env) {
-	for _, j := range env.Pending() {
+func (l *Lucid) observeArrivals(waiting []*job.Job) {
+	for _, j := range waiting {
 		if !l.seen[j.ID] {
 			l.seen[j.ID] = true
 			l.hourCount++
@@ -341,11 +345,12 @@ func (l *Lucid) orderQueue(pending []*job.Job, now int64) []keyedJob {
 	return q
 }
 
-// orchestrate is Algorithm 2: sort the queue by priority ascending, then
-// place with sharing (if enabled) or exclusively.
-func (l *Lucid) orchestrate(env *sim.Env) {
+// orchestrate is Algorithm 2: sort the Queued jobs among waiting by priority
+// ascending, then place with sharing (if enabled) or exclusively. The order
+// of waiting does not matter: orderQueue's comparator is total.
+func (l *Lucid) orchestrate(env *sim.Env, waiting []*job.Job) {
 	now := env.Now()
-	queued := l.orderQueue(env.Pending(), now)
+	queued := l.orderQueue(waiting, now)
 	if len(queued) == 0 {
 		return
 	}

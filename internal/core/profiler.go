@@ -84,11 +84,13 @@ func (p *Profiler) CurrentTprof() int64 {
 	return p.tprofNow
 }
 
-// Step runs one profiler round (Algorithm 1): evict overtime jobs, admit
-// oversized jobs on the fly, then fill the partition least-GPUs-first.
-// onProfiled is invoked for each job that leaves the profiler with a fresh
-// profile.
-func (p *Profiler) Step(env *sim.Env, onProfiled func(*job.Job)) {
+// Step runs one profiler round (Algorithm 1) over waiting, the round's
+// Env.Pending(): evict overtime jobs, admit oversized jobs on the fly, then
+// fill the partition least-GPUs-first. onProfiled is invoked for each job
+// that leaves the profiler with a fresh profile. The evicted jobs are
+// returned: they are Queued now but were not waiting when the list was
+// taken, so the caller's placement stage has to be told about them.
+func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.Job)) (evicted []*job.Job) {
 	rec := env.Trace()
 
 	// CheckRunningJobs: evict jobs that exceeded the limit.
@@ -103,13 +105,14 @@ func (p *Profiler) Step(env *sim.Env, onProfiled func(*job.Job)) {
 			}
 			env.StopProfiling(j)
 			onProfiled(j)
+			evicted = append(evicted, j)
 		}
 	}
 
 	pc := env.ProfilerCluster()
 	if pc == nil {
 		// No profiling partition: everything is observed on the fly.
-		for _, j := range env.Pending() {
+		for _, j := range waiting {
 			if j.State == job.Pending {
 				if rec.Enabled() {
 					rec.Record(dtrace.Event{Tick: env.Now(), Job: j.ID,
@@ -121,7 +124,7 @@ func (p *Profiler) Step(env *sim.Env, onProfiled func(*job.Job)) {
 				onProfiled(j)
 			}
 		}
-		return
+		return evicted
 	}
 
 	// Job scale limit: oversized jobs skip profiling (metrics on the fly).
@@ -134,7 +137,7 @@ func (p *Profiler) Step(env *sim.Env, onProfiled func(*job.Job)) {
 		effLimit = budget
 	}
 	var queue []*job.Job
-	for _, j := range env.Pending() {
+	for _, j := range waiting {
 		if j.State != job.Pending {
 			continue
 		}
@@ -178,4 +181,5 @@ func (p *Profiler) Step(env *sim.Env, onProfiled func(*job.Job)) {
 		}
 		used += j.GPUs
 	}
+	return evicted
 }

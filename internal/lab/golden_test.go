@@ -110,6 +110,11 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 		{"Horus", func() (sim.Scheduler, sim.Options) {
 			return sched.NewHorus(est, spec.Seed), SimOpts()
 		}},
+		// Pollux is the only policy that starts and resizes jobs elastically,
+		// so its digest — and the invariant checker's from-scratch speeds
+		// under it — is what notices an elastic allocation the engine's
+		// per-placement record got wrong.
+		{"Pollux", func() (sim.Scheduler, sim.Options) { return sched.NewPollux(), SimOpts() }},
 	}
 }
 

@@ -178,7 +178,7 @@ func TestEventEngineFastParity(t *testing.T) {
 //     under the event engine (and vice versa) to the committed golden digest;
 //  2. fast mode: an event-engine prefix snapshot resumed under the event
 //     engine must land on the tick engine's bit-exact end state, proving the
-//     prediction heap and live window rebuild correctly from a snapshot.
+//     prediction heap and waiting set rebuild correctly from a snapshot.
 func TestEventEngineSnapshotParity(t *testing.T) {
 	eval, models, est := goldenWorld(t)
 	golden := readGoldenDigests(t)

@@ -3,7 +3,6 @@ package sched
 import (
 	"math"
 
-	"repro/internal/job"
 	"repro/internal/sim"
 )
 
@@ -50,8 +49,8 @@ func (*Horus) NextWake(*sim.Env) int64 { return sim.NoWake }
 // all.
 func (t *Tiresias) NextWake(env *sim.Env) int64 {
 	now := env.Now()
-	pending := env.Pending()
-	if len(pending) == 0 {
+	queues := env.Queues()
+	if len(queues) == 0 {
 		return sim.NoWake
 	}
 	// A crossing is pending until a scheduler round has run at or after it —
@@ -83,15 +82,14 @@ func (t *Tiresias) NextWake(env *sim.Env) int64 {
 			consider(started + int64(math.Ceil(t.MinRunQuantumSec)))
 		}
 	}
-	for _, j := range pending {
-		if j.State == job.Running {
-			continue
-		}
-		if j.FirstStart < 0 {
-			consider(j.Submit + t.PromoteIntervalSec + 1)
-		}
-		if stopped, ok := t.stoppedAt[j.ID]; ok {
-			consider(stopped + t.PromoteIntervalSec + 1)
+	for _, q := range queues {
+		for _, j := range q.Jobs {
+			if j.FirstStart < 0 {
+				consider(j.Submit + t.PromoteIntervalSec + 1)
+			}
+			if stopped, ok := t.stoppedAt[j.ID]; ok {
+				consider(stopped + t.PromoteIntervalSec + 1)
+			}
 		}
 	}
 	if next == math.MaxInt64 {

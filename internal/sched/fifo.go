@@ -16,8 +16,7 @@ func (*FIFO) Name() string { return "FIFO" }
 
 // Tick places each VC's queue head; a blocked head blocks its whole VC.
 func (*FIFO) Tick(env *sim.Env) {
-	groups := byVC(env.Pending())
-	for _, vc := range sortedVCs(groups) {
-		placeStrict(env, groups[vc]) // Pending() is already submit-ordered
+	for _, q := range env.Queues() {
+		placeStrict(env, q.Jobs) // a queue is already in arrival order
 	}
 }

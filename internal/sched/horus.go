@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"repro/internal/job"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -71,10 +73,9 @@ func (h *Horus) predict(j *job.Job) workload.Profile {
 // Tick drains each VC by predicted service, packing when exclusive
 // placement fails.
 func (h *Horus) Tick(env *sim.Env) {
-	groups := byVC(env.Pending())
 	running := env.Running()
-	for _, vc := range sortedVCs(groups) {
-		jobs := groups[vc]
+	for _, q := range env.Queues() {
+		jobs := slices.Clone(q.Jobs) // the queue itself is the engine's
 		stableSortBy(jobs, func(j *job.Job) float64 {
 			return h.est.EstimateSec(j) * float64(j.GPUs)
 		})

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"repro/internal/job"
 	"repro/internal/sim"
 )
@@ -24,9 +26,8 @@ func (*QSSF) Name() string { return "QSSF" }
 
 // Tick drains each VC queue in predicted-service order.
 func (q *QSSF) Tick(env *sim.Env) {
-	groups := byVC(env.Pending())
-	for _, vc := range sortedVCs(groups) {
-		jobs := groups[vc]
+	for _, qu := range env.Queues() {
+		jobs := slices.Clone(qu.Jobs) // the queue itself is the engine's
 		stableSortBy(jobs, func(j *job.Job) float64 {
 			return q.est.EstimateSec(j) * float64(j.GPUs)
 		})

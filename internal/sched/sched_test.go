@@ -32,7 +32,10 @@ func holTrace() *trace.Trace {
 
 func run(t *testing.T, tr *trace.Trace, s sim.Scheduler) *sim.Result {
 	t.Helper()
-	res := sim.New(tr, s, sim.Options{Tick: 10, SchedulerEvery: 30}).Run()
+	// Fatal invariants: among them, every speed the engine recorded equals
+	// the one its placement gives when recomputed from scratch.
+	res := sim.New(tr, s, sim.Options{Tick: 10, SchedulerEvery: 30,
+		Invariants: sim.NewInvariantChecker(true)}).Run()
 	if res.Unfinished != 0 {
 		t.Fatalf("%s left %d unfinished", s.Name(), res.Unfinished)
 	}

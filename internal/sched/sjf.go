@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"repro/internal/job"
 	"repro/internal/sim"
 )
@@ -20,9 +22,8 @@ func (*SJF) Name() string { return "SJF" }
 // Tick drains each VC queue in true-duration order, skipping jobs that do
 // not fit.
 func (*SJF) Tick(env *sim.Env) {
-	groups := byVC(env.Pending())
-	for _, vc := range sortedVCs(groups) {
-		jobs := groups[vc]
+	for _, q := range env.Queues() {
+		jobs := slices.Clone(q.Jobs) // the queue itself is the engine's
 		stableSortBy(jobs, func(j *job.Job) float64 { return float64(j.Duration) })
 		placeGreedy(env, jobs)
 	}

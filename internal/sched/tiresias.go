@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/sim"
@@ -72,11 +74,11 @@ func (t *Tiresias) queueOf(j *job.Job, now int64) int {
 // realize it.
 func (t *Tiresias) Tick(env *sim.Env) {
 	now := env.Now()
-	pending := env.Pending()
-	running := env.Running()
-
-	all := append(append([]*job.Job(nil), pending...), running...)
-	groups := byVC(all)
+	// Each VC's candidates: its queue, then its running jobs.
+	groups := byVC(env.Running())
+	for _, q := range env.Queues() {
+		groups[q.VC] = append(slices.Clone(q.Jobs), groups[q.VC]...)
+	}
 	cl := env.Cluster()
 
 	for _, vc := range sortedVCs(groups) {

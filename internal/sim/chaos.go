@@ -108,7 +108,6 @@ func (s *Sim) killJob(j *job.Job, cause string) {
 		j.State = job.Failed
 		j.RemainingWork = 0
 		j.ColdStart = 0
-		s.win.remove(s.idxOf[j.ID])
 		s.exhausted++
 		s.finished++ // terminal: leaves the system, like Finished
 		s.trace(dtrace.ActExhaust, j, cause, 0)
@@ -129,6 +128,7 @@ func (s *Sim) killJob(j *job.Job, cause string) {
 	} else {
 		j.State = job.Pending
 	}
+	s.enqueue(j)
 	j.NextEligible = s.now + spec.Backoff(j.Restarts)
 	s.pushBackoff(j)
 	s.requeues++

@@ -23,7 +23,7 @@ const ElasticResizeOverheadSec = 30
 // StartElastic places the job with an allocation of gpus (which may be below
 // its demand) and registers elastic speed scaling for it.
 func (e *Env) StartElastic(j *job.Job, gpus int) bool {
-	if j.State == job.Running || j.State == job.Finished || gpus <= 0 {
+	if _, bad := unplaceable(j); bad || gpus <= 0 {
 		return false
 	}
 	if gpus > j.GPUs {
@@ -33,12 +33,7 @@ func (e *Env) StartElastic(j *job.Job, gpus int) bool {
 	if err != nil {
 		return false
 	}
-	e.s.recordGenSpeed(j.ID, placed)
-	if e.s.elastic == nil {
-		e.s.elastic = make(map[int]int)
-	}
-	e.s.elastic[j.ID] = gpus
-	e.s.startRunning(j)
+	e.s.startRunning(j, placed, gpus)
 	e.s.record(EvStartElastic, j.ID, gpus, j.VC)
 	e.s.trace(dtrace.ActPlaceElastic, j, "elastic", 0)
 	return true
@@ -51,33 +46,51 @@ func (e *Env) ResizeElastic(j *job.Job, gpus int) bool {
 	if j.State != job.Running {
 		return false
 	}
-	old, ok := e.s.elastic[j.ID]
-	if !ok || gpus == old || gpus <= 0 {
+	old := e.ElasticAlloc(j)
+	if old == 0 || gpus == old || gpus <= 0 {
 		return false
 	}
 	if gpus > j.GPUs {
 		gpus = j.GPUs
 	}
-	e.s.main.Free(j.ID)
-	if _, err := e.s.main.Allocate(j.ID, j.VC, gpus, 0); err != nil {
+	s := e.s
+	s.freeMain(j.ID)
+	placed, err := s.main.Allocate(j.ID, j.VC, gpus, 0)
+	resized := err == nil
+	if !resized {
 		// Roll back to the old allocation; the cluster was just holding it,
 		// so this cannot fail.
-		if _, err2 := e.s.main.Allocate(j.ID, j.VC, old, 0); err2 != nil {
+		gpus = old
+		if placed, err = s.main.Allocate(j.ID, j.VC, old, 0); err != nil {
 			// Defensive: if fragmentation somehow blocks the rollback, park
 			// the job back in the queue.
-			e.s.evict(j)
+			s.evict(j)
 			j.State = job.Pending
+			s.enqueue(j)
+			return false
 		}
-		return false
 	}
-	e.s.elastic[j.ID] = gpus
-	j.ColdStart += ElasticResizeOverheadSec
-	return true
+	// The job sits on the nodes the allocator picked this time: its
+	// generation factor is theirs, not that of the nodes it left, and its
+	// speed follows.
+	p := s.running.rec(j.ID)
+	p.gen, p.elastic = s.genFactor(placed), gpus
+	s.running.markStale(j.ID)
+	if resized {
+		j.ColdStart += ElasticResizeOverheadSec
+		p.predSeq = 0 // the restart moves the completion even at an equal speed
+	}
+	return resized
 }
 
 // ElasticAlloc returns the job's current elastic allocation (0 if the job is
 // not elastically scheduled).
-func (e *Env) ElasticAlloc(j *job.Job) int { return e.s.elastic[j.ID] }
+func (e *Env) ElasticAlloc(j *job.Job) int {
+	if p := e.s.running.rec(j.ID); p != nil {
+		return p.elastic
+	}
+	return 0
+}
 
 // elasticSpeed converts an allocation fraction into execution speed.
 func elasticSpeed(alloc, demand int) float64 {

@@ -86,16 +86,6 @@ type EventAware interface {
 	NextWake(env *Env) int64
 }
 
-// predInfo records the trajectory a completion prediction was computed
-// from. A prediction stays valid while the job's placement generation and
-// speed are unchanged — advance then follows the predicted trajectory
-// exactly, so the predicted retire tick cannot move.
-type predInfo struct {
-	seq   uint64  // identifies this prediction's heap entry
-	gen   uint64  // jobGen at prediction time
-	speed float64 // effective speed the prediction assumed
-}
-
 // runEvent is Run's body under EngineEvent.
 func (s *Sim) runEvent() *Result {
 	s.eventLoop(&Env{s: s}, s.opts.MaxHorizon)
@@ -180,7 +170,7 @@ func (s *Sim) nextWake(env *Env, until int64, elide bool) int64 {
 		if !ok {
 			break
 		}
-		if p, live := s.preds[top.id]; live && p.seq == top.gen {
+		if s.predSeqOf(top.id) == top.gen {
 			consider(top.at)
 			break
 		}
@@ -262,12 +252,8 @@ func (s *Sim) catchUpCadence(w int64) {
 // arithmetic needs replaying.
 func (s *Sim) bulkAdvance(k int64) {
 	dt := float64(s.opts.Tick)
-	for _, j := range s.running.jobs {
-		sp := s.speeds[j.ID]
-		if sp <= 0 {
-			sp = 1
-		}
-		advanceJobTicks(j, sp, k, dt)
+	for i, j := range s.running.jobs {
+		advanceJobTicks(j, s.running.recs[i].speed, k, dt)
 	}
 	for _, j := range s.profiling.jobs {
 		advanceJobTicks(j, 1, k, dt)
@@ -374,43 +360,49 @@ func ticksToFinish(rem, cs, sp, dt float64, limit int64) int64 {
 
 // refreshPredictions reconciles the completion heap with the current
 // running/profiling population after an executed tick. A job needs a fresh
-// prediction when it (re)entered a cluster (jobGen bumped by startOn /
-// StartProfiling — this also catches same-tick kill-and-restart, where the
-// membership set never saw it leave) or when recomputeSpeeds changed its
-// effective speed (packing partner change, elastic resize, chaos straggler).
-// Predictions of jobs that left need no sweep: evict drops them.
+// prediction when it (re)entered a cluster — a new placement is a new record
+// without one, which also covers same-tick kill-and-restart — or when
+// recomputeSpeeds changed its speed (packing partner change, elastic
+// resize). Running jobs first, then profiling ones, each in ID order: the
+// sequence numbers handed out here are part of the heap's order.
+// Predictions of jobs that left need no sweep: they went with the record.
 func (s *Sim) refreshPredictions() {
-	for _, j := range s.running.jobs {
-		sp := s.speeds[j.ID]
-		if sp <= 0 {
-			sp = 1
+	for _, set := range []*residents{&s.running, &s.profiling} {
+		for i := range set.recs {
+			if p := &set.recs[i]; p.predSeq == 0 || p.predSpeed != p.speed {
+				s.predict(set.jobs[i], p)
+			}
 		}
-		if p, ok := s.preds[j.ID]; ok && p.speed == sp && p.gen == s.jobGen[j.ID] {
-			continue
-		}
-		s.predictJob(j, sp)
-	}
-	for _, j := range s.profiling.jobs {
-		if p, ok := s.preds[j.ID]; ok && p.speed == 1 && p.gen == s.jobGen[j.ID] {
-			continue
-		}
-		s.predictJob(j, 1)
 	}
 }
 
-// predictJob computes the job's retire tick under its current trajectory and
+// predict computes the job's retire tick under its current trajectory and
 // registers the wake-up. Predictions beyond the horizon are recorded (so the
 // refresh scan stays cheap) but get no heap entry — the run ends first, and
 // any speed change re-predicts.
-func (s *Sim) predictJob(j *job.Job, sp float64) {
+func (s *Sim) predict(j *job.Job, p *placement) {
 	tick := s.opts.Tick
 	limit := (firstTickGE(s.opts.MaxHorizon, tick) - s.now) / tick
 	s.predSeq++
-	s.preds[j.ID] = predInfo{seq: s.predSeq, gen: s.jobGen[j.ID], speed: sp}
-	k := ticksToFinish(j.RemainingWork, j.ColdStart, sp, float64(tick), limit)
+	p.predSeq, p.predSpeed = s.predSeq, p.speed
+	k := ticksToFinish(j.RemainingWork, j.ColdStart, p.speed, float64(tick), limit)
 	if k > 0 {
 		s.completions.push(tickEvent{at: s.now + k*tick, id: j.ID, gen: s.predSeq})
 	}
+}
+
+// predSeqOf returns the sequence number of the resident job's live
+// prediction, 0 if the job is not resident or has none: a heap entry is
+// current exactly when it carries this number.
+func (s *Sim) predSeqOf(id int) uint64 {
+	p := s.running.rec(id)
+	if p == nil {
+		p = s.profiling.rec(id)
+	}
+	if p == nil {
+		return 0
+	}
+	return p.predSeq
 }
 
 // chaosNext scans the injector's deterministic schedule for the first tick

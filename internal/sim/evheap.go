@@ -2,9 +2,11 @@ package sim
 
 // tickEvent is a future engine wake-up bound to a job: a predicted
 // completion or a requeue-backoff expiry, quantized to the tick grid. gen
-// is a generation counter for lazy invalidation — the event engine bumps a
-// job's generation whenever its trajectory changes (speed change, preempt,
-// kill), so stale predictions pop harmlessly. The backoff heap leaves gen 0.
+// is for lazy invalidation: a completion carries the sequence number of the
+// prediction it came from, and the job's placement record holds the number
+// of its latest one (none once the job has left), so entries overtaken by a
+// speed change, preemption or kill pop harmlessly. The backoff heap leaves
+// gen 0.
 type tickEvent struct {
 	at  int64
 	id  int

@@ -96,3 +96,44 @@ func TestFairnessIndexPerfectlyFair(t *testing.T) {
 		t.Fatalf("Jain index = %v for identical users", fi)
 	}
 }
+
+// TestResizeElasticTakesTheNewNodesGeneration: a resize frees the job and
+// allocates it again, possibly on other nodes. The job must then run at the
+// pace of the nodes it is on — it used to keep the factor of the ones it
+// left, here running 2× too fast on a baseline-speed node.
+func TestResizeElasticTakesTheNewNodesGeneration(t *testing.T) {
+	s := New(heteroTrace(mkJob(1, 8, 0, 50000), mkJob(2, 1, 0, 50000)), &handSched{},
+		Options{Tick: 10, SchedulerEvery: 10, Invariants: NewInvariantChecker(true)})
+	s.StepOnce()
+	env := &Env{s: s}
+	j := s.byID[1]
+	// Both nodes idle: best-fit ties go to the first, the fast one. Job 2
+	// then takes a GPU beside it, so the full 8 only fit on the slow node.
+	if !env.StartElastic(j, 4) || !env.StartExclusive(s.byID[2]) {
+		t.Fatal("setup: placement failed")
+	}
+	if n := s.main.GPUsOf(1)[0].Node; n != 0 {
+		t.Fatalf("setup: job 1 on node %d, want the fast node 0", n)
+	}
+	s.StepOnce()
+	before := j.RemainingWork
+	s.StepOnce()
+	if got := before - j.RemainingWork; got != 10 { // half the demand × 2.0 × 10 s
+		t.Fatalf("on the fast node at half size: %v s of work a tick, want 10", got)
+	}
+
+	if !env.ResizeElastic(j, 8) {
+		t.Fatal("resize failed")
+	}
+	if n := s.main.GPUsOf(1)[0].Node; n != 1 {
+		t.Fatalf("job 1 on node %d after the resize, want the slow node 1", n)
+	}
+	for i := 0; i < 3; i++ { // the resize's 30 s restart
+		s.StepOnce()
+	}
+	before = j.RemainingWork
+	s.StepOnce() // fatal invariants compare the speed with one computed from scratch
+	if got := before - j.RemainingWork; got != 10 {
+		t.Fatalf("on the slow node at full size: %v s of work a tick, want 10 (20 is the old node's factor)", got)
+	}
+}

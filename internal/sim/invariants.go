@@ -15,7 +15,14 @@ import (
 //     cluster allocation records agree in both directions — a resident set's
 //     members are exactly the jobs in its State;
 //   - resident order: each resident set is strictly ascending by job ID (the
-//     order every engine loop and Env view relies on instead of sorting);
+//     order every engine loop and Env view relies on instead of sorting), one
+//     placement record per member;
+//   - speeds: every running job's recorded speed equals the one computed
+//     from scratch out of the cluster's current allocation — the engine
+//     recomputes a speed only where it was told the colocation changed, and
+//     this is what notices a change nobody told it about;
+//   - the waiting set: its members are exactly the submitted Pending and
+//     Queued jobs, each in its own VC's queue, ascending by trace index;
 //   - causality: no job runs before its submission or after its retirement,
 //     and retired jobs hold no GPUs;
 //   - non-intrusiveness: a job leaving the profiler restarts from zero
@@ -77,9 +84,11 @@ func (s *Sim) checkInvariants() {
 
 	s.checkAscending(&s.running, "running")
 	s.checkAscending(&s.profiling, "profiling")
+	s.checkWaiting()
 
-	for _, j := range s.running.jobs {
+	for i, j := range s.running.jobs {
 		id := j.ID
+		p := s.running.recs[i]
 		if j.State != job.Running {
 			c.violate("tick %d: job %d in running set with state %v", s.now, id, j.State)
 		}
@@ -87,11 +96,17 @@ func (s *Sim) checkInvariants() {
 			c.violate("tick %d: job %d running without a main-cluster allocation", s.now, id)
 		} else {
 			want := j.GPUs
-			if alloc, ok := s.elastic[id]; ok {
-				want = alloc
+			if p.elastic > 0 {
+				want = p.elastic
 			}
 			if got := len(s.main.GPUsOf(id)); got != want {
 				c.violate("tick %d: job %d holds %d GPUs, expected %d", s.now, id, got, want)
+			}
+			// A stale record is waiting for the end of the tick; any other
+			// must already hold what a full recomputation would give it.
+			if sp := s.speedOf(j, s.genFactor(s.main.GPUsOf(id)), p.elastic); !p.stale && p.speed != sp {
+				c.violate("tick %d: job %d recorded at speed %v, its placement gives %v",
+					s.now, id, p.speed, sp)
 			}
 		}
 		if j.Submit > s.now {
@@ -168,6 +183,9 @@ func (s *Sim) checkInvariants() {
 				c.violate("tick %d: job %d both Failed and finished at %d", s.now, j.ID, j.Finish)
 			}
 		default: // Pending, Queued
+			if q := &s.waiting[s.vcPos[j.VC]]; !q.has(int32(i)) {
+				c.violate("tick %d: job %d state %v but not in the waiting set", s.now, j.ID, j.State)
+			}
 			if s.main.Allocated(j.ID) {
 				c.violate("tick %d: job %d state %v but holds main-cluster GPUs",
 					s.now, j.ID, j.State)
@@ -195,6 +213,31 @@ func (s *Sim) checkAscending(set *residents, name string) {
 		if set.jobs[i-1].ID >= set.jobs[i].ID {
 			s.opts.Invariants.violate("tick %d: %s set out of ID order at %d: job %d before job %d",
 				s.now, name, i, set.jobs[i-1].ID, set.jobs[i].ID)
+		}
+	}
+}
+
+// checkWaiting validates the per-VC queues from their own side: every member
+// is a submitted job of that VC in a waiting State, at the position its trace
+// index gives it. (checkInvariants' walk over all jobs checks the other
+// direction: every such job is a member.)
+func (s *Sim) checkWaiting() {
+	c := s.opts.Invariants
+	for qi := range s.waiting {
+		q := &s.waiting[qi]
+		for k, i := range q.idx {
+			j := q.jobs[k]
+			switch {
+			case k > 0 && q.idx[k-1] >= i:
+				c.violate("tick %d: queue %s out of trace order at %d: index %d before %d",
+					s.now, q.vc, k, q.idx[k-1], i)
+			case int(i) >= s.arriveIdx || s.jobs[i] != j:
+				c.violate("tick %d: queue %s holds job %d under trace index %d", s.now, q.vc, j.ID, i)
+			case j.VC != q.vc:
+				c.violate("tick %d: queue %s holds job %d of VC %s", s.now, q.vc, j.ID, j.VC)
+			case j.State != job.Pending && j.State != job.Queued:
+				c.violate("tick %d: job %d in the waiting set with state %v", s.now, j.ID, j.State)
+			}
 		}
 	}
 }

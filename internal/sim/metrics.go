@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/job"
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Engine observability: when Options.Metrics is set, every tick records its
 // phase timings (progress integration, fault injection, scheduler
@@ -89,19 +86,11 @@ func (m *simMetrics) time(p timedPhase) metrics.Timer {
 }
 
 // observeSchedState updates the population gauges after a scheduler call.
-// Counting the schedulable window reuses the same compacted scan Env.Pending
-// does, but only when metrics are on.
 func (s *Sim) observeSchedState() {
 	m := s.met
 	if m == nil {
 		return
 	}
-	depth := 0
-	for i := s.win.head; i >= 0; i = s.win.next[i] {
-		if st := s.jobs[i].State; st == job.Pending || st == job.Queued {
-			depth++
-		}
-	}
-	m.queueDepth.Set(float64(depth))
+	m.queueDepth.Set(float64(s.waitingCount()))
 	m.runningNow.Set(float64(len(s.running.jobs)))
 }

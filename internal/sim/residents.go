@@ -6,22 +6,57 @@ import (
 	"repro/internal/job"
 )
 
+// placement is everything the engine knows about one resident job beyond the
+// job itself. It lives beside the job in the resident set, so it is created
+// when the job is placed and gone when the job leaves: nothing has to
+// remember to forget it, and every per-resident loop reads it by position.
+type placement struct {
+	// speed is the job's execution speed under its current colocation,
+	// generation factor included. A pure function of the placement, so it is
+	// recomputed only when stale is set (see Sim.recomputeSpeeds).
+	speed float64
+	stale bool
+	// gen is the GPU-generation speed factor: the minimum across the job's
+	// nodes (a distributed job goes at its slowest worker's pace), times any
+	// chaos straggler factor. 1.0 on homogeneous clusters. 0 — a snapshot
+	// that did not carry it — reads as 1.
+	gen float64
+	// elastic is the job's current GPU allocation when it was placed through
+	// StartElastic (Pollux baseline; see elastic.go), 0 otherwise.
+	elastic int
+	// profStart is when the job's profiling run began (profiling set only).
+	profStart int64
+	// predSeq and predSpeed describe the completion prediction the event
+	// engine holds for this placement: the heap entry's sequence number (0 =
+	// none yet) and the speed it assumed. The prediction stays valid while
+	// the speed is unchanged; a new placement is a new record, so it starts
+	// without one.
+	predSeq   uint64
+	predSpeed float64
+}
+
 // residents is the set of jobs resident on one cluster (main or profiler),
-// held in strictly ascending job-ID order. It is the only record of
-// membership — a job is in the running set exactly when its State is
-// Running, in the profiling set exactly when it is Profiling (checked every
-// tick under Options.Invariants) — and the order is structural: every engine
-// loop and every Env view ranges over the slice as it stands, nothing sorts.
+// held in strictly ascending job-ID order, with each job's placement record
+// at the same position in recs. It is the only record of membership — a job
+// is in the running set exactly when its State is Running, in the profiling
+// set exactly when it is Profiling (checked every tick under
+// Options.Invariants) — and the order is structural: every engine loop and
+// every Env view ranges over the slices as they stand, nothing sorts and
+// nothing looks a job up by ID.
 //
-// view hands the slice itself to schedulers, so the set is copy-on-write: the
+// view hands the job slice itself to schedulers, so it is copy-on-write: the
 // first insert or remove after a view moves the set to a fresh backing array
 // and the caller's slice keeps the population it was taken over. Schedulers
 // depend on that (Horus holds one view across its own placements; the
-// profiler stops jobs while ranging over one).
+// profiler stops jobs while ranging over one). recs is never lent and is
+// edited in place.
 type residents struct {
 	jobs []*job.Job
+	recs []placement
 	// lent is set while a caller may hold the current backing array.
 	lent bool
+	// stale is set while some record's speed needs recomputing.
+	stale bool
 }
 
 // view returns the members in ID order without copying. The capacity is
@@ -43,6 +78,23 @@ func (r *residents) has(id int) bool {
 	return ok
 }
 
+// rec returns the placement record of the job with the given ID, nil for a
+// non-member. The pointer is good until the next insert or remove.
+func (r *residents) rec(id int) *placement {
+	if i, ok := r.find(id); ok {
+		return &r.recs[i]
+	}
+	return nil
+}
+
+// markStale asks for the member's speed to be recomputed at the end of the
+// tick (a no-op for non-members).
+func (r *residents) markStale(id int) {
+	if p := r.rec(id); p != nil {
+		p.stale, r.stale = true, true
+	}
+}
+
 // own moves the set off a backing array a caller may still be reading.
 func (r *residents) own() {
 	if r.lent {
@@ -50,17 +102,21 @@ func (r *residents) own() {
 	}
 }
 
-// insert adds j at its ID position (a no-op if it is already a member).
-func (r *residents) insert(j *job.Job) {
+// insert adds j at its ID position with the given record (a no-op if it is
+// already a member).
+func (r *residents) insert(j *job.Job, p placement) {
 	i, ok := r.find(j.ID)
 	if ok {
 		return
 	}
 	r.own()
 	r.jobs = slices.Insert(r.jobs, i, j)
+	r.recs = slices.Insert(r.recs, i, p)
+	r.stale = r.stale || p.stale
 }
 
-// remove deletes the job with the given ID (a no-op for non-members).
+// remove deletes the job with the given ID and its record (a no-op for
+// non-members).
 func (r *residents) remove(id int) {
 	i, ok := r.find(id)
 	if !ok {
@@ -68,4 +124,5 @@ func (r *residents) remove(id int) {
 	}
 	r.own()
 	r.jobs = slices.Delete(r.jobs, i, i+1)
+	r.recs = slices.Delete(r.recs, i, i+1)
 }

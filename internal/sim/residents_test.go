@@ -53,10 +53,11 @@ func ids(js []*job.Job) []int {
 
 // TestEvictIsTheOneWayOut drives each of the five ways a job stops being
 // resident and checks they all leave the engine in the same state: GPUs
-// freed, the job in no resident set and in no per-job map, and dirty set so
-// the scheduler hears about the capacity. The elastic rollback used to clear
-// only running and elastic, leaving speeds and genSpeed behind and dirty
-// unset.
+// freed, the job in no resident set, its placement record gone with it (so
+// no prediction of it is live), the job waiting again unless it retired, and
+// dirty set so the scheduler hears about the capacity. The elastic rollback
+// used to clear only running and elastic, leaving speeds and genSpeed behind
+// and dirty unset.
 func TestEvictIsTheOneWayOut(t *testing.T) {
 	cases := []struct {
 		name string
@@ -116,20 +117,20 @@ func TestEvictIsTheOneWayOut(t *testing.T) {
 			if s.main.Allocated(1) || s.profiler.Allocated(1) {
 				t.Error("job still holds GPUs")
 			}
-			if _, ok := s.speeds[1]; ok {
-				t.Error("speeds still mentions the job")
+			if s.running.rec(1) != nil || s.profiling.rec(1) != nil {
+				t.Error("the job's placement record outlived the placement")
 			}
-			if _, ok := s.genSpeed[1]; ok {
-				t.Error("genSpeed still mentions the job")
+			if len(s.running.recs) != len(s.running.jobs) || len(s.profiling.recs) != len(s.profiling.jobs) {
+				t.Error("a resident set and its records differ in length")
 			}
-			if _, ok := s.elastic[1]; ok {
-				t.Error("elastic still mentions the job")
+			if env.ElasticAlloc(j) != 0 || env.ProfilingElapsed(j) != 0 {
+				t.Error("Env still reports an allocation or a profiling run")
 			}
-			if _, ok := s.profileStart[1]; ok {
-				t.Error("profileStart still mentions the job")
+			if s.predSeqOf(1) != 0 {
+				t.Error("a completion prediction of the job is still live")
 			}
-			if _, ok := s.preds[1]; ok {
-				t.Error("preds still mentions the job")
+			if got, want := slices.Contains(ids(env.Pending()), 1), tc.want != job.Finished; got != want {
+				t.Errorf("job waiting = %v, want %v", got, want)
 			}
 			if !s.dirty {
 				t.Error("dirty not set: the scheduler is not told capacity came back")
@@ -146,7 +147,7 @@ func TestEvictIsTheOneWayOut(t *testing.T) {
 
 // TestEvictLeavesANonResidentAlone: the one eviction path checks its own
 // precondition. Asked about a job that is on neither cluster it reports
-// false, keeps the job's records and does not force a scheduler round.
+// false, leaves the job waiting and does not force a scheduler round.
 func TestEvictLeavesANonResidentAlone(t *testing.T) {
 	s, env, _ := newHandSim(t, mkJob(1, 1, 0, 15))
 	j := s.byID[1]
@@ -154,13 +155,12 @@ func TestEvictLeavesANonResidentAlone(t *testing.T) {
 		t.Fatal("setup: placement failed")
 	}
 	env.Preempt(j, 62)
-	s.preds[1] = predInfo{} // any per-job record a later caller could wipe
 	s.dirty = false
 	if s.evict(j) {
 		t.Errorf("evict reported true for a %v job", j.State)
 	}
-	if _, ok := s.preds[1]; !ok {
-		t.Error("evict cleared a non-resident job's record")
+	if got := ids(env.Pending()); !slices.Equal(got, []int{1}) {
+		t.Errorf("evict of a waiting job left Pending() = %v", got)
 	}
 	if s.dirty {
 		t.Error("evict of a non-resident forced a scheduler round")
@@ -311,4 +311,44 @@ func TestInvariantsCatchBrokenResidentSet(t *testing.T) {
 	if !mentions(c, "in running set with state") {
 		t.Errorf("non-Running member not reported: %v", c.Samples())
 	}
+}
+
+// TestStartElasticRefusesWhatTheOtherStartsRefuse: StartElastic had its own
+// guard (Running or Finished only), so it would put a job that is on the
+// profiling cluster on the main one as well, and bring a Failed job — its
+// retries exhausted for good — back to life.
+func TestStartElasticRefusesWhatTheOtherStartsRefuse(t *testing.T) {
+	spec := quietSpec()
+	spec.MaxRetries = 0 // the first kill is final
+	s := New(mkTrace(mkJob(1, 2, 0, 5000), mkJob(2, 2, 0, 5000)), &handSched{},
+		Options{Tick: 10, SchedulerEvery: 10, ProfilerNodes: 1,
+			Chaos: chaos.NewInjector(spec), Invariants: NewInvariantChecker(true)})
+	s.StepOnce()
+	env := &Env{s: s}
+	prof, failed := s.byID[1], s.byID[2]
+
+	if !env.StartProfiling(prof) {
+		t.Fatal("setup: profiling failed")
+	}
+	if env.StartElastic(prof, 1) {
+		t.Error("StartElastic placed a job that is still profiling")
+	}
+	if prof.State != job.Profiling || s.main.Allocated(1) || s.running.has(1) {
+		t.Errorf("profiling job touched: state %v, main allocation %v", prof.State, s.main.Allocated(1))
+	}
+
+	if !env.StartExclusive(failed) {
+		t.Fatal("setup: placement failed")
+	}
+	s.killJob(failed, "job-crash")
+	if failed.State != job.Failed {
+		t.Fatalf("setup: state %v after the kill, want Failed", failed.State)
+	}
+	if env.StartElastic(failed, 1) {
+		t.Error("StartElastic resurrected a Failed job")
+	}
+	if failed.State != job.Failed || s.main.Allocated(2) {
+		t.Errorf("failed job touched: state %v, main allocation %v", failed.State, s.main.Allocated(2))
+	}
+	s.checkInvariants()
 }

@@ -118,33 +118,28 @@ type Sim struct {
 
 	now        int64
 	arriveIdx  int
-	win        *liveWindow // submitted non-terminal jobs (Pending scan window)
-	idxOf      map[int]int // job ID → index in jobs (window maintenance)
+	idxOf      map[int]int // job ID → index in jobs, asked at state transitions
 	backoff    evheap      // requeue-backoff expiry ticks (chaos wake-ups)
 	running    residents   // on the main cluster, ascending ID (residents.go)
 	profiling  residents   // on the profiling cluster, ascending ID
-	speeds     map[int]float64
 	finished   int
 	lastSched  int64
 	lastSample int64
 
+	// waiting is the waiting set, one ordered queue per VC in name order
+	// (waiting.go); vcPos finds a VC's queue. queues and merge are the
+	// scratch behind Env.Queues and Env.Pending.
+	waiting []waitq
+	vcPos   map[string]int
+	queues  []Queue
+	merge   []waitq
+
 	utilSum, memSum float64
 	utilSamples     int
-
-	profileStart map[int]int64 // when each job started its current profiling run
 
 	// dirty records completions/preemptions since the last scheduler call,
 	// forcing an extra invocation so freed capacity is reused promptly.
 	dirty bool
-
-	// elastic maps job ID → current GPU allocation for elastically scheduled
-	// jobs (Pollux baseline); see elastic.go.
-	elastic map[int]int
-
-	// genSpeed caches each running job's GPU-generation speed factor (the
-	// minimum across its nodes — a distributed job goes at its slowest
-	// worker's pace). 1.0 on homogeneous clusters.
-	genSpeed map[int]float64
 
 	// timeline is the optional event log (Options.RecordTimeline).
 	timeline []TimelineEvent
@@ -171,12 +166,9 @@ type Sim struct {
 	met *simMetrics
 
 	// Event-engine state (Options.Engine == EngineEvent; see engine.go):
-	// predicted completion ticks, their validity bookkeeping, and a
-	// placement-generation counter bumped on every (re)start so stale
-	// predictions are recognized even across same-tick kill-and-restart.
+	// predicted completion ticks and the sequence number that ties a heap
+	// entry to the placement record it was computed for.
 	completions evheap
-	preds       map[int]predInfo
-	jobGen      map[int]uint64
 	predSeq     uint64
 }
 
@@ -184,17 +176,12 @@ type Sim struct {
 func New(tr *trace.Trace, sched Scheduler, opts Options) *Sim {
 	opts = opts.normalized(tr.Days)
 	s := &Sim{
-		opts:         opts,
-		tr:           tr,
-		main:         cluster.New(tr.Cluster),
-		sched:        sched,
-		speeds:       make(map[int]float64),
-		byID:         make(map[int]*job.Job),
-		profileStart: make(map[int]int64),
-		genSpeed:     make(map[int]float64),
-		met:          newSimMetrics(opts.Metrics),
-		preds:        make(map[int]predInfo),
-		jobGen:       make(map[int]uint64),
+		opts:  opts,
+		tr:    tr,
+		main:  cluster.New(tr.Cluster),
+		sched: sched,
+		byID:  make(map[int]*job.Job),
+		met:   newSimMetrics(opts.Metrics),
 	}
 	if opts.ProfilerNodes > 0 {
 		s.profiler = cluster.New(cluster.Spec{
@@ -206,7 +193,7 @@ func New(tr *trace.Trace, sched Scheduler, opts Options) *Sim {
 	// Fresh runtime state per run: clone the jobs so a trace can be replayed
 	// under several schedulers.
 	s.jobs = make([]*job.Job, len(tr.Jobs))
-	s.win = newLiveWindow(len(tr.Jobs))
+	s.waiting, s.vcPos = newWaiting(tr.Jobs)
 	s.idxOf = make(map[int]int, len(tr.Jobs))
 	for i, j := range tr.Jobs {
 		s.idxOf[j.ID] = i
@@ -335,7 +322,7 @@ func (s *Sim) advanceSet(set *residents, dt float64) {
 	// done inherits the set's ID order, so jobs retire — and the event stream
 	// (and therefore the decision-trace digest) reads — in ID order.
 	var done []*job.Job
-	for _, j := range set.jobs {
+	for i, j := range set.jobs {
 		eff := dt
 		if j.ColdStart > 0 {
 			// Checkpoint-restore overhead: wall clock passes, no progress —
@@ -353,10 +340,7 @@ func (s *Sim) advanceSet(set *residents, dt float64) {
 			eff -= j.ColdStart
 			j.ColdStart = 0
 		}
-		speed := s.speeds[j.ID]
-		if speed <= 0 {
-			speed = 1
-		}
+		speed := set.recs[i].speed
 		progress := speed * eff
 		j.RunTime += dt
 		j.AttainedGPUT += dt * float64(j.GPUs)
@@ -377,25 +361,23 @@ func (s *Sim) advanceSet(set *residents, dt float64) {
 	for _, j := range done {
 		s.evict(j)
 		j.State = job.Finished
-		s.win.remove(s.idxOf[j.ID])
 		s.record(EvFinish, j.ID, j.GPUs, j.VC)
 		s.trace(dtrace.ActRetire, j, retireReason, 0)
 		s.finished++
 	}
 }
 
-// evict takes a resident job off whichever cluster holds it: frees its GPUs,
-// removes it from the resident set and forgets every per-job record the
-// engine keeps for a placed job. Every way a job stops being resident —
-// retire, Preempt, StopProfiling, a fault kill, an elastic rollback — goes
-// through here and then sets the job's next State itself. Freed capacity is
-// news for the scheduler, so the next tick runs a round (dirty). jobGen is
-// deliberately kept: it numbers placements, not residency. A job that is not
+// evict takes a resident job off whichever cluster holds it: frees its GPUs
+// and removes it, with its placement record, from the resident set. Every way
+// a job stops being resident — retire, Preempt, StopProfiling, a fault kill,
+// an elastic rollback — goes through here and then sets the job's next State
+// itself (and, if that State waits, enqueues it). Freed capacity is news for
+// the scheduler, so the next tick runs a round (dirty). A job that is not
 // resident is left alone and evict reports false.
 func (s *Sim) evict(j *job.Job) bool {
 	switch j.State {
 	case job.Running:
-		s.main.Free(j.ID)
+		s.freeMain(j.ID)
 		s.running.remove(j.ID)
 	case job.Profiling:
 		s.profiler.Free(j.ID)
@@ -403,13 +385,19 @@ func (s *Sim) evict(j *job.Job) bool {
 	default:
 		return false
 	}
-	delete(s.speeds, j.ID)
-	delete(s.profileStart, j.ID)
-	delete(s.elastic, j.ID)
-	delete(s.genSpeed, j.ID)
-	delete(s.preds, j.ID)
 	s.dirty = true
 	return true
+}
+
+// freeMain releases a running job's GPUs. A packing partner left behind runs
+// alone from now on, so its speed is stale; the cluster forgets who shared
+// with whom the moment the GPUs are freed, hence PartnerOf first.
+func (s *Sim) freeMain(id int) {
+	partner := s.main.PartnerOf(id)
+	s.main.Free(id)
+	if partner >= 0 {
+		s.running.markStale(partner)
+	}
 }
 
 // admitArrivals releases jobs whose submit time has come.
@@ -417,8 +405,9 @@ func (s *Sim) admitArrivals() bool {
 	any := false
 	for s.arriveIdx < len(s.jobs) && s.jobs[s.arriveIdx].Submit <= s.now {
 		// State stays Pending; schedulers decide what Pending means.
-		s.trace(dtrace.ActRelease, s.jobs[s.arriveIdx], "submitted", 0)
-		s.win.push(s.arriveIdx)
+		j := s.jobs[s.arriveIdx]
+		s.trace(dtrace.ActRelease, j, "submitted", 0)
+		s.enqueueAt(s.arriveIdx, j)
 		s.arriveIdx++
 		any = true
 	}
@@ -458,35 +447,44 @@ func (s *Sim) drainBackoff() bool {
 	}
 }
 
-// recomputeSpeeds refreshes execution speed for every main-cluster job from
-// its current colocation, and pins profiling jobs at full speed (the
-// profiler allocates exclusively).
+// recomputeSpeeds brings every stale speed up to date. A running job's speed
+// is a pure function of its placement (speedOf), and a placement changes at
+// five places, each of which marks what it touched: startRunning marks the
+// job, StartShared the partner it joins, freeMain the partner it leaves,
+// ResizeElastic the job, Resume everyone. Profiling jobs run at full speed
+// (the profiler allocates exclusively) and are never stale.
 func (s *Sim) recomputeSpeeds() {
-	for _, j := range s.running.jobs {
-		id := j.ID
-		gen := s.genSpeed[id]
-		if gen <= 0 {
-			gen = 1
+	r := &s.running
+	if !r.stale {
+		return
+	}
+	r.stale = false
+	for i := range r.recs {
+		if p := &r.recs[i]; p.stale {
+			p.speed, p.stale = s.speedOf(r.jobs[i], p.gen, p.elastic), false
 		}
-		if alloc, ok := s.elastic[id]; ok {
-			s.speeds[id] = elasticSpeed(alloc, j.GPUs) * gen
-			continue
-		}
-		partner := s.main.PartnerOf(id)
-		sp := 1.0
-		if partner >= 0 {
-			pj := s.byID[partner]
-			sa, _ := workload.PairSpeed(j.Config, pj.Config)
-			sp = sa
+	}
+}
+
+// speedOf computes a running job's execution speed from its colocation, its
+// generation factor and its elastic allocation (0 = not elastic).
+func (s *Sim) speedOf(j *job.Job, gen float64, elastic int) float64 {
+	if gen <= 0 {
+		gen = 1
+	}
+	if elastic > 0 {
+		return elasticSpeed(elastic, j.GPUs) * gen
+	}
+	sp := 1.0
+	if partner := s.main.PartnerOf(j.ID); partner >= 0 {
+		if k, ok := s.running.find(partner); ok {
+			sp, _ = workload.PairSpeed(j.Config, s.running.jobs[k].Config)
 			if j.Distributed() {
 				sp *= workload.CrossNodePenalty
 			}
 		}
-		s.speeds[id] = sp * gen
 	}
-	for _, j := range s.profiling.jobs {
-		s.speeds[j.ID] = 1
-	}
+	return sp * gen
 }
 
 // sample records cluster-wide GPU utilization and memory occupancy from the
@@ -499,9 +497,9 @@ func (s *Sim) sample() {
 	var util, mem float64
 	// Accumulated in the set's ID order: float addition is not associative,
 	// so the order is part of the utilization metrics' low bits.
-	for _, j := range s.running.jobs {
+	for i, j := range s.running.jobs {
 		p := j.Config.Profile()
-		sp := s.speeds[j.ID]
+		sp := s.running.recs[i].speed
 		n := float64(j.GPUs)
 		util += p.GPUUtil * sp * n
 		mem += p.GPUMemMB * n
@@ -562,33 +560,6 @@ func (e *Env) Now() int64 { return e.s.now }
 // arrivals in other VCs) without the scheduler ever acting.
 func (e *Env) LastSchedulerRun() int64 { return e.s.lastSched }
 
-// Pending returns submitted jobs not yet running or finished, in
-// (submit, id) order. It includes both Pending (never profiled) and Queued
-// (profiled, awaiting the main cluster) jobs; schedulers distinguish by
-// State.
-func (e *Env) Pending() []*job.Job {
-	s := e.s
-	// The live window holds exactly the submitted non-terminal jobs in
-	// submit order (see window.go), so this scan is O(live jobs) no matter
-	// how out-of-order completions land — the old terminal-prefix cursor
-	// stalled on the first long-running job and degraded to O(total jobs).
-	// The window's other members are the residents, so the difference is the
-	// exact number of waiting jobs (backoff-hidden ones included).
-	var out []*job.Job
-	if waiting := s.win.count() - len(s.running.jobs) - len(s.profiling.jobs); waiting > 0 {
-		out = make([]*job.Job, 0, waiting)
-	}
-	for i := s.win.head; i >= 0; i = s.win.next[i] {
-		j := s.jobs[i]
-		// NextEligible hides fault-killed jobs until their requeue backoff
-		// elapses (always 0 without chaos).
-		if (j.State == job.Pending || j.State == job.Queued) && j.NextEligible <= s.now {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Running returns jobs executing on the main cluster, in id order. The
 // slice is a snapshot — jobs started or stopped later do not show up in it
 // — but it is shared with the engine until then (see residents.view): read
@@ -627,8 +598,7 @@ func (e *Env) StartExclusivePrefer(j *job.Job, pref cluster.Preference) bool {
 		e.s.trace(dtrace.ActPlaceFail, j, "no-capacity", 0)
 		return false
 	}
-	e.s.recordGenSpeed(j.ID, gpus)
-	e.s.startRunning(j)
+	e.s.startRunning(j, gpus, 0)
 	e.s.record(EvStart, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActPlace, j, placeReason(pref), 0)
 	return true
@@ -665,9 +635,8 @@ func placeReason(pref cluster.Preference) string {
 	}
 }
 
-// recordGenSpeed caches the slowest generation factor across the job's
-// placement.
-func (s *Sim) recordGenSpeed(jobID int, gpus []cluster.GPUID) {
+// genFactor is the slowest generation factor across a placement.
+func (s *Sim) genFactor(gpus []cluster.GPUID) float64 {
 	min := 0.0
 	for _, g := range gpus {
 		sp := s.main.SpeedOf(g)
@@ -683,7 +652,7 @@ func (s *Sim) recordGenSpeed(jobID int, gpus []cluster.GPUID) {
 	if min <= 0 {
 		min = 1
 	}
-	s.genSpeed[jobID] = min
+	return min
 }
 
 // StartShared packs the job onto partner's GPUs. The caller is responsible
@@ -711,22 +680,25 @@ func (e *Env) StartShared(j, partner *job.Job) bool {
 		e.s.trace(dtrace.ActPackReject, j, "no-share-capacity", partner.ID)
 		return false
 	}
-	e.s.recordGenSpeed(j.ID, gpus)
-	e.s.startRunning(j)
+	e.s.startRunning(j, gpus, 0)
+	e.s.running.markStale(partner.ID) // it has company now
 	e.s.sharedStarts++
 	e.s.record(EvStartShared, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActPack, j, "packed", partner.ID)
 	return true
 }
 
-func (s *Sim) startRunning(j *job.Job) {
+// startRunning moves a waiting job that was just allocated gpus into the
+// running set. elastic is its allocation when StartElastic placed it, else 0.
+// The record starts stale: the speed is computed at the end of the tick, once
+// the round's packing is settled.
+func (s *Sim) startRunning(j *job.Job, gpus []cluster.GPUID, elastic int) {
+	s.dequeue(j)
 	j.State = job.Running
 	if j.FirstStart < 0 {
 		j.FirstStart = s.now
 	}
-	s.running.insert(j)
-	s.speeds[j.ID] = 1
-	s.jobGen[j.ID]++ // new trajectory: any cached completion prediction is stale
+	s.running.insert(j, placement{speed: 1, stale: true, gen: s.genFactor(gpus), elastic: elastic})
 }
 
 // Preempt checkpoints a running job back to the queue (intrusive — Tiresias
@@ -739,6 +711,7 @@ func (e *Env) Preempt(j *job.Job, overheadSec float64) bool {
 	}
 	e.s.evict(j)
 	j.State = job.Pending
+	e.s.enqueue(j)
 	j.Preemptions++
 	j.ColdStart += overheadSec
 	// The checkpoint is durable: if a fault later kills this job, it resumes
@@ -757,14 +730,12 @@ func (e *Env) StartProfiling(j *job.Job) bool {
 	if _, err := e.s.profiler.Allocate(j.ID, "profiler", j.GPUs, 0); err != nil {
 		return false
 	}
+	e.s.dequeue(j)
 	j.State = job.Profiling
 	if j.FirstStart < 0 {
 		j.FirstStart = e.s.now
 	}
-	e.s.profiling.insert(j)
-	e.s.speeds[j.ID] = 1
-	e.s.jobGen[j.ID]++ // new trajectory: stale any cached completion prediction
-	e.s.profileStart[j.ID] = e.s.now
+	e.s.profiling.insert(j, placement{speed: 1, profStart: e.s.now})
 	e.s.record(EvProfileStart, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActProfileStart, j, "admitted", 0)
 	return true
@@ -773,11 +744,11 @@ func (e *Env) StartProfiling(j *job.Job) bool {
 // ProfilingElapsed returns seconds the job has spent in its current
 // profiling run (0 if not profiling).
 func (e *Env) ProfilingElapsed(j *job.Job) int64 {
-	start, ok := e.s.profileStart[j.ID]
-	if !ok {
+	p := e.s.profiling.rec(j.ID)
+	if p == nil {
 		return 0
 	}
-	return e.s.now - start
+	return e.s.now - p.profStart
 }
 
 // StopProfiling ends the job's profiling run: the measured profile is
@@ -789,6 +760,7 @@ func (e *Env) StopProfiling(j *job.Job) {
 	}
 	e.s.evict(j)
 	j.State = job.Queued
+	e.s.enqueue(j)
 	j.Profiled = true
 	j.Profile = j.Config.Profile()
 	j.RemainingWork = float64(j.Duration) // restart: profiling work is lost

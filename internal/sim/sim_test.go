@@ -417,10 +417,10 @@ func TestStopProfilingClearsCheckpointDebt(t *testing.T) {
 }
 
 func TestPendingSkipsFinishedJobs(t *testing.T) {
-	// Pending must keep returning every waiting job while the live window
-	// unlinks terminal ones. A burst of short jobs finishes first; the late
-	// arrival must still be scheduled, and once everything completes the
-	// window must be empty — terminal jobs never linger in the scan.
+	// Pending must keep returning every waiting job while finished ones drop
+	// out. A burst of short jobs finishes first; the late arrival must still
+	// be scheduled, and once everything completes nobody is waiting or
+	// resident — terminal jobs never linger in anything a round scans.
 	jobs := []*job.Job{}
 	for i := 1; i <= 6; i++ {
 		jobs = append(jobs, mkJob(i, 1, 0, 50))
@@ -432,8 +432,8 @@ func TestPendingSkipsFinishedJobs(t *testing.T) {
 	if res.Unfinished != 0 {
 		t.Fatalf("unfinished: %d", res.Unfinished)
 	}
-	if n := s.win.count(); n != 0 {
-		t.Fatalf("live window holds %d jobs after all finished, want 0", n)
+	if n := s.waitingCount() + len(s.running.jobs); n != 0 {
+		t.Fatalf("%d jobs still waiting or running after all finished, want 0", n)
 	}
 	if late := res.Jobs[6]; late.Finish < 0 || late.QueueDelay() > 30 {
 		t.Fatalf("late job mishandled: finish=%d queue=%d", late.Finish, late.QueueDelay())
@@ -443,8 +443,8 @@ func TestPendingSkipsFinishedJobs(t *testing.T) {
 func TestPendingWindowUnlinksOutOfOrder(t *testing.T) {
 	// The old terminal-*prefix* cursor stalled permanently on the first
 	// non-terminal job: one long-running early job kept every later
-	// (finished) job inside the scan window forever. The live window must
-	// unlink terminal jobs individually, regardless of completion order.
+	// (finished) job inside the scan window forever. Jobs must leave what a
+	// round scans individually, regardless of completion order.
 	jobs := []*job.Job{
 		mkJob(1, 1, 0, 100000), // long-running head, still alive at the end
 	}
@@ -457,8 +457,8 @@ func TestPendingWindowUnlinksOutOfOrder(t *testing.T) {
 	if got := s.byID[1].State; got != job.Running {
 		t.Fatalf("head job state = %v, want still Running", got)
 	}
-	if n := s.win.count(); n != 1 {
-		t.Fatalf("live window holds %d jobs, want 1 (only the running head)", n)
+	if w, r := s.waitingCount(), len(s.running.jobs); w != 0 || r != 1 {
+		t.Fatalf("%d waiting and %d running, want 0 and 1 (only the running head)", w, r)
 	}
 }
 

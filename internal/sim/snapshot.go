@@ -50,8 +50,9 @@ type jobSnap struct {
 
 // worldSnap is the complete serializable state of a Sim between two ticks.
 // Deliberately NOT persisted (all reconstructible or replaceable): the trace
-// itself (fingerprinted instead), the speeds map (a pure function of
-// placement, rebuilt by recomputeSpeeds), the pending-annotation buffer
+// itself (fingerprinted instead), the speeds (a pure function of placement,
+// rebuilt by recomputeSpeeds), the waiting set and completion predictions
+// (pure functions of job state), the pending-annotation buffer
 // (always empty at tick boundaries), retained dtrace events and the trace
 // sink (the digest and counters carry the continuation), and the chaos
 // straggler set (a pure function of seed and cluster shape).
@@ -181,14 +182,19 @@ func (s *Sim) Snapshot(w io.Writer) error {
 			CheckpointedWork: j.CheckpointedWork,
 		}
 	}
-	if len(s.profileStart) > 0 {
-		dto.ProfileStart = copyMap(s.profileStart)
+	// The format carries the per-placement records as three ID-keyed maps,
+	// each absent when it would be empty.
+	for i, j := range s.profiling.jobs {
+		put(&dto.ProfileStart, j.ID, s.profiling.recs[i].profStart)
 	}
-	if len(s.elastic) > 0 {
-		dto.Elastic = copyMap(s.elastic)
-	}
-	if len(s.genSpeed) > 0 {
-		dto.GenSpeed = copyMap(s.genSpeed)
+	for i, j := range s.running.jobs {
+		p := &s.running.recs[i]
+		if p.elastic > 0 {
+			put(&dto.Elastic, j.ID, p.elastic)
+		}
+		if p.gen != 0 {
+			put(&dto.GenSpeed, j.ID, p.gen)
+		}
 	}
 	if inj := s.opts.Chaos; inj != nil {
 		dto.ChaosDown = inj.DownState()
@@ -286,28 +292,30 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 		j.Restarts = js.Restarts
 		j.NextEligible = js.NextEligible
 		j.CheckpointedWork = js.CheckpointedWork
+		// Every running record starts stale: speeds are a pure function of
+		// placement + colocation + generation factors, rebuilt below once the
+		// clusters are restored.
 		switch js.State {
 		case job.Running:
-			s.running.insert(j)
+			s.running.insert(j, placement{speed: 1, stale: true,
+				gen: dto.GenSpeed[js.ID], elastic: dto.Elastic[js.ID]})
 		case job.Profiling:
 			if s.profiler == nil {
 				return nil, fmt.Errorf("sim: snapshot job %d is profiling but options configure no profiler cluster", js.ID)
 			}
-			s.profiling.insert(j)
+			s.profiling.insert(j, placement{speed: 1, profStart: dto.ProfileStart[js.ID]})
 		}
 	}
 
-	// The live window and the backoff heap are pure functions of restored
-	// job state — rebuild rather than serialize. Window order is identical
-	// to a continuous run's: both append in index (= admission) order.
-	for i := 0; i < s.arriveIdx; i++ {
-		if !s.jobs[i].State.Terminal() {
-			s.win.push(i)
-		}
-	}
-	for _, j := range s.jobs[:s.arriveIdx] {
-		if (j.State == job.Pending || j.State == job.Queued) && j.NextEligible > s.now {
-			s.pushBackoff(j)
+	// The waiting set and the backoff heap are pure functions of restored
+	// job state — rebuild rather than serialize. Queue order is identical to
+	// a continuous run's: both are ascending trace index.
+	for i, j := range s.jobs[:s.arriveIdx] {
+		if j.State == job.Pending || j.State == job.Queued {
+			s.enqueueAt(i, j)
+			if j.NextEligible > s.now {
+				s.pushBackoff(j)
+			}
 		}
 	}
 
@@ -321,12 +329,6 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 		if err := s.profiler.Restore(*dto.Profiler); err != nil {
 			return nil, fmt.Errorf("sim: restore profiler cluster: %w", err)
 		}
-	}
-
-	s.profileStart = copyOrEmpty(dto.ProfileStart)
-	s.genSpeed = copyOrEmpty(dto.GenSpeed)
-	if len(dto.Elastic) > 0 {
-		s.elastic = copyMap(dto.Elastic)
 	}
 
 	if len(dto.ChaosDown) > 0 && s.opts.Chaos == nil {
@@ -353,8 +355,6 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 		}
 	}
 
-	// speeds is a pure function of placement + colocation + generation
-	// factors, all just restored — rebuild rather than serialize.
 	s.recomputeSpeeds()
 	return s, nil
 }
@@ -370,17 +370,10 @@ func (s *Sim) Fork(sched Scheduler, opts Options) (*Sim, error) {
 	return Resume(s.tr, sched, opts, &buf)
 }
 
-func copyMap[K comparable, V any](m map[K]V) map[K]V {
-	out := make(map[K]V, len(m))
-	for k, v := range m {
-		out[k] = v
+// put sets m[k] = v, making the map on first use.
+func put[V any](m *map[int]V, k int, v V) {
+	if *m == nil {
+		*m = make(map[int]V)
 	}
-	return out
-}
-
-func copyOrEmpty[K comparable, V any](m map[K]V) map[K]V {
-	if m == nil {
-		return make(map[K]V)
-	}
-	return copyMap(m)
+	(*m)[k] = v
 }
