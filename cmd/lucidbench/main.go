@@ -40,7 +40,6 @@ type experiment struct {
 // excludedFromAll keeps an experiment out of -exp all (it still runs when
 // named by id) and documents why in -list/-help output.
 var excludedFromAll = map[string]string{
-	"scale":  "wall-clock benchmark with deliberately slow tick-engine baselines, not a paper artifact",
 	"evolve": "multi-generation search over full suite runs; orders of magnitude costlier than one experiment",
 }
 
@@ -111,7 +110,6 @@ func experiments() []experiment {
 		{"hetero", "heterogeneous GPU generations extension (§6)", lab.HeterogeneityStudy},
 		{"figr", "goodput & JCT under failure-rate sweep (chaos extension)", lab.FigR},
 		{"warmstart", "warm-started what-if sweep via in-memory world forks", lab.WarmStartStudy},
-		{"scale", "tick vs event engine wall-clock + 10k-GPU/1M-job run (writes BENCH_scale.json)", lab.BenchScale},
 		{"evolve", "closed-loop knob tuning against the simulator (writes BENCH_evolve.json)", func(scale float64) (string, error) {
 			return evolve.Bench(*evolveSpec, scale, *evolveCheckpoint)
 		}},
@@ -138,6 +136,37 @@ func listExperiments() string {
 		}
 	}
 	return sb.String()
+}
+
+// selectExperiments resolves an -exp value (ids separated by commas, or
+// "all") against the registry, in registry order. Experiments in
+// excludedFromAll are selected only when named. Any unknown id is an error,
+// so a typo cannot quietly shrink the list.
+func selectExperiments(exps []experiment, spec string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(strings.ToLower(spec), ",") {
+		want[strings.TrimSpace(id)] = true
+	}
+	var picked []experiment
+	known := make([]string, 0, len(exps))
+	for _, e := range exps {
+		known = append(known, e.id)
+		if want[e.id] || (want["all"] && excludedFromAll[e.id] == "") {
+			picked = append(picked, e)
+		}
+		delete(want, e.id)
+	}
+	delete(want, "all")
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, id)
+		}
+		sort.Strings(unknown)
+		sort.Strings(known)
+		return nil, fmt.Errorf("unknown experiment %q; known: %s", strings.Join(unknown, ","), strings.Join(known, " "))
+	}
+	return picked, nil
 }
 
 func allSpecs() []trace.GenSpec {
@@ -203,16 +232,14 @@ func main() {
 	flag.Parse()
 
 	lab.SetParallelism(*parallel)
-	exps := experiments()
 	if *list {
 		fmt.Print(listExperiments())
 		return
 	}
-
-	ids := strings.Split(strings.ToLower(*expID), ",")
-	want := map[string]bool{}
-	for _, id := range ids {
-		want[strings.TrimSpace(id)] = true
+	exps, err := selectExperiments(experiments(), *expID)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	// The suite registry makes a benchmark run scrape-compatible with the
 	// rest of the system: per-experiment wall-clock and world-cache hit
@@ -223,14 +250,8 @@ func main() {
 		"Wall-clock seconds per experiment.", "exp")
 	expRuns := reg.Counter("lucidbench_experiments_total", "Experiments executed.")
 
-	ran := 0
 	suiteStart := time.Now()
 	for _, e := range exps {
-		// Experiments in excludedFromAll only run when asked for by id.
-		if !want[e.id] && !(want["all"] && excludedFromAll[e.id] == "") {
-			continue
-		}
-		ran++
 		fmt.Printf("=== %s — %s ===\n", e.id, e.desc)
 		t0 := time.Now()
 		rep, err := e.run(*scale)
@@ -245,11 +266,11 @@ func main() {
 		fmt.Printf("(%.1fs)\n\n", elapsed)
 	}
 	builds, hits := lab.WorldCacheStats()
-	if ran > 1 {
+	if len(exps) > 1 {
 		fmt.Printf("suite wall-clock: %.1fs (parallelism %d; worlds built %d, cache hits %d)\n",
 			time.Since(suiteStart).Seconds(), lab.Parallelism(), builds, hits)
 	}
-	if *metricsOut != "" && ran > 0 {
+	if *metricsOut != "" {
 		reg.Gauge("lucidbench_suite_seconds", "Suite wall-clock seconds.").
 			Set(time.Since(suiteStart).Seconds())
 		reg.Gauge("lucidbench_worlds_built", "Worlds (trace + trained models) built.").
@@ -263,14 +284,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("suite metrics → %s\n", *metricsOut)
-	}
-	if ran == 0 {
-		known := make([]string, 0, len(exps))
-		for _, e := range exps {
-			known = append(known, e.id)
-		}
-		sort.Strings(known)
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", *expID, strings.Join(known, " "))
-		os.Exit(2)
 	}
 }

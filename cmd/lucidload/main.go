@@ -1,45 +1,33 @@
-// Command lucidload drives load against a lucidd control plane and reports
-// sustained req/s and latency quantiles. It has two modes:
-//
-// Network mode hammers a live daemon:
+// Command lucidload drives load against a live lucidd control plane and
+// reports sustained req/s and latency quantiles:
 //
 //	lucidd -addr :8080 -shards 8 &
 //	lucidload -addr http://localhost:8080 -agents 1024 -vcs 8 -duration 10s
 //
-// Self-benchmark mode builds two in-process servers — one shard versus
-// -shards N — runs the identical deterministic workload through each with no
-// network in the way, and writes the comparison to -out (BENCH_lucidd.json).
-// This is the repeatable artifact behind the sharding numbers in
-// EXPERIMENTS.md:
-//
-//	lucidload -selfbench -shards 8 -agents 4096 -vcs 8 -duration 5s
-//
 // The workload simulates node agents heartbeating and pushing GPU samples
 // across virtual clusters, plus job submissions and tenant-scoped schedule
-// and agent queries — the traffic shape sharding exists to serve. Both sides
-// of the self-benchmark replay the same seeded op streams, so the comparison
-// isolates the server's per-op cost.
+// and agent queries — the traffic shape sharding exists to serve. One seed
+// replays the same per-worker op streams. The repository's measured numbers
+// for the same server come from bench/ (ctl_ingest, ctl_read).
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"runtime/pprof"
+	"sort"
 	"time"
 
 	"repro/internal/loadgen"
-	"repro/internal/lucidd"
 )
 
 func main() {
-	addr := flag.String("addr", "", "base URL of a running lucidd (network mode)")
-	selfbench := flag.Bool("selfbench", false, "run the in-process 1-shard vs -shards comparison instead of network mode")
-	shards := flag.Int("shards", 8, "shard count for the sharded side of -selfbench")
+	addr := flag.String("addr", "", "base URL of a running lucidd")
 	agents := flag.Int("agents", 2048, "simulated node agents")
 	vcs := flag.Int("vcs", 8, "virtual clusters the agents and jobs spread across")
 	workers := flag.Int("workers", 8, "concurrent client goroutines")
@@ -48,10 +36,7 @@ func main() {
 	ops := flag.Int("ops", 0, "per-worker op budget (0 = run for -duration)")
 	seed := flag.Int64("seed", 1, "workload seed (same seed, same per-worker op streams)")
 	mixSpec := flag.String("mix", loadgen.DefaultMix().String(), "op mix weights, e.g. heartbeat=8,sample=4,submit=1,schedule=1,agents=2")
-	out := flag.String("out", "BENCH_lucidd.json", "where -selfbench writes its JSON comparison")
-	ingestQueue := flag.Int("ingest-queue", 0, "per-shard async ingest queue for the -selfbench servers (0 = synchronous)")
-	ingestBatch := flag.Int("ingest-batch", 0, "apply+fsync batch size for the -selfbench servers (0 = server default)")
-	verifyAcks := flag.Bool("verify-acks", false, "network mode: after the run, GET /jobs and fail unless every 201-acked job is present")
+	verifyAcks := flag.Bool("verify-acks", false, "after the run, GET /jobs and fail unless every 201-acked job is present")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	flag.Parse()
 
@@ -71,33 +56,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := loadgen.Options{
-		Agents: *agents, VCs: *vcs, Workers: *workers,
+	if *addr == "" {
+		log.Fatal("lucidload: need -addr, the base URL of a running lucidd")
+	}
+	res, err := loadgen.Run(loadgen.Options{
+		BaseURL: *addr,
+		Agents:  *agents, VCs: *vcs, Workers: *workers,
 		Duration: *duration, Ramp: *ramp, OpsPerWorker: *ops,
 		Seed: *seed, Mix: mix,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	switch {
-	case *selfbench:
-		if err := runSelfbench(base, *shards, *ingestQueue, *ingestBatch, *out); err != nil {
+	fmt.Println(res.Summary())
+	printPerOp(os.Stdout, res)
+	if *verifyAcks {
+		if err := runVerifyAcks(*addr, res.AckedJobs); err != nil {
 			log.Fatal(err)
 		}
-	case *addr != "":
-		opts := base
-		opts.BaseURL = *addr
-		res, err := loadgen.Run(opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(res.Summary())
-		printPerOp(res)
-		if *verifyAcks {
-			if err := runVerifyAcks(*addr, res.AckedJobs); err != nil {
-				log.Fatal(err)
-			}
-		}
-	default:
-		log.Fatal("lucidload: need -addr (network mode) or -selfbench")
 	}
 }
 
@@ -137,123 +113,17 @@ func runVerifyAcks(addr string, acked []int) error {
 	return nil
 }
 
-func printPerOp(res *loadgen.Result) {
-	for op, st := range res.PerOp {
-		fmt.Printf("  %-10s count=%-8d p50=%.3fms p99=%.3fms p999=%.3fms errors=%d\n",
+// printPerOp writes one line per op kind, sorted by name so that two runs
+// of one seed print alike.
+func printPerOp(w io.Writer, res *loadgen.Result) {
+	ops := make([]string, 0, len(res.PerOp))
+	for op := range res.PerOp {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	for _, op := range ops {
+		st := res.PerOp[op]
+		fmt.Fprintf(w, "  %-10s count=%-8d p50=%.3fms p99=%.3fms p999=%.3fms errors=%d\n",
 			op, st.Count, st.P50ms, st.P99ms, st.P999ms, st.Errors)
 	}
-}
-
-// benchReport is the BENCH_lucidd.json schema.
-type benchReport struct {
-	Bench  string `json:"bench"`
-	Config struct {
-		Shards      int     `json:"shards"`
-		Agents      int     `json:"agents"`
-		VCs         int     `json:"vcs"`
-		Workers     int     `json:"workers"`
-		DurationSec float64 `json:"duration_sec"`
-		Seed        int64   `json:"seed"`
-		Mix         string  `json:"mix"`
-		IngestQueue int     `json:"ingest_queue"`
-		IngestBatch int     `json:"ingest_batch"`
-	} `json:"config"`
-	SingleShard *loadgen.Result `json:"single_shard"`
-	Sharded     *loadgen.Result `json:"sharded"`
-	Speedup     float64         `json:"speedup_req_per_sec"`
-	P99Ratio    float64         `json:"p99_ratio_sharded_over_single"`
-}
-
-// runSelfbench runs the identical workload against an in-memory 1-shard
-// server and an in-memory N-shard server, prefilling each with the full
-// agent fleet and a seed queue first so the measured window is steady-state
-// (per-op cost dominated by shard population, not by ramp-up).
-func runSelfbench(base loadgen.Options, shards, ingestQueue, ingestBatch int, out string) error {
-	if shards < 2 {
-		return fmt.Errorf("lucidload: -selfbench needs -shards >= 2 (got %d)", shards)
-	}
-	run := func(n int) (*loadgen.Result, error) {
-		srv, err := lucidd.NewServerWith(lucidd.Options{Shards: n,
-			IngestQueue: ingestQueue, IngestBatch: ingestBatch})
-		if err != nil {
-			return nil, err
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(ctx)
-		}()
-
-		// Prefill: register every agent (one heartbeat each) and seed each VC
-		// with a handful of jobs, deterministically.
-		pre := base
-		pre.Handler = srv
-		pre.Duration = 0
-		pre.Ramp = 0
-		pre.Mix = loadgen.Mix{Heartbeat: 1}
-		pre.OpsPerWorker = (base.Agents + base.Workers - 1) / base.Workers
-		if _, err := loadgen.Run(pre); err != nil {
-			return nil, err
-		}
-		pre.Mix = loadgen.Mix{Submit: 1}
-		pre.OpsPerWorker = 4 * ((base.VCs + base.Workers - 1) / base.Workers)
-		if _, err := loadgen.Run(pre); err != nil {
-			return nil, err
-		}
-
-		opts := base
-		opts.Handler = srv
-		res, err := loadgen.Run(opts)
-		if err != nil {
-			return nil, err
-		}
-		if res.Errors > 0 {
-			return nil, fmt.Errorf("selfbench (%d shards): %d request errors — benchmark invalid", n, res.Errors)
-		}
-		return res, nil
-	}
-
-	log.Printf("selfbench: single shard, %d agents, %d VCs, %d workers, %s ...",
-		base.Agents, base.VCs, base.Workers, base.Duration)
-	single, err := run(1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("single shard: %s\n", single.Summary())
-
-	log.Printf("selfbench: %d shards ...", shards)
-	sharded, err := run(shards)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d shards:     %s\n", shards, sharded.Summary())
-
-	var rep benchReport
-	rep.Bench = "lucidd_shard_scaling"
-	rep.Config.Shards = shards
-	rep.Config.Agents = base.Agents
-	rep.Config.VCs = base.VCs
-	rep.Config.Workers = base.Workers
-	rep.Config.DurationSec = base.Duration.Seconds()
-	rep.Config.Seed = base.Seed
-	rep.Config.Mix = base.Mix.String()
-	rep.Config.IngestQueue = ingestQueue
-	rep.Config.IngestBatch = ingestBatch
-	rep.SingleShard = single
-	rep.Sharded = sharded
-	if single.ReqPerSec > 0 {
-		rep.Speedup = sharded.ReqPerSec / single.ReqPerSec
-	}
-	if single.P99ms > 0 {
-		rep.P99Ratio = sharded.P99ms / single.P99ms
-	}
-	b, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("speedup: %.2fx req/s (p99 ratio %.2f); wrote %s\n", rep.Speedup, rep.P99Ratio, out)
-	return nil
 }

@@ -7,12 +7,13 @@
 //	lucidsim -trace philly -sched all
 //	lucidsim -trace venus -sched lucid -decision-trace out.jsonl -invariants
 //	lucidsim -trace venus -sched fifo -chaos "nodefail=0.5,jobcrash=1,retries=3"
-//	lucidsim -trace venus -sched all -engine event
+//	lucidsim -trace venus -sched all -engine tick
 //	lucidsim -summarize out.jsonl
 //
-// -engine selects the advancement strategy: "tick" replays every fixed tick
-// (the reference engine), "event" jumps between wake-up events and produces
-// bit-identical results orders of magnitude faster on large worlds.
+// -engine selects the advancement strategy: "event" (the default) jumps
+// between wake-up events; "tick" executes every fixed tick and is the
+// reference the event engine reproduces bit for bit, orders of magnitude
+// slower on large worlds.
 //
 // -chaos arms deterministic fault injection (node crashes, GPU faults, job
 // crashes, stragglers) from a comma-separated key=value spec; "default"
@@ -69,7 +70,7 @@ func main() {
 	scale := flag.Float64("scale", 0.2, "fraction of the Table 2 job count to replay (0 < s ≤ 1)")
 	util := flag.String("util", "M", "workload utilization mix: L | M | H (Figure 12a)")
 	decisionTrace := flag.String("decision-trace", "", "write a JSONL decision trace to this path and print its summary")
-	invariants := flag.Bool("invariants", false, "check engine invariants every tick and report violations")
+	invariants := flag.Bool("invariants", false, "check engine invariants on every executed tick and report violations")
 	summarize := flag.String("summarize", "", "summarize an existing JSONL decision trace and exit")
 	metricsOut := flag.String("metrics-out", "", "write each run's engine metrics (tick phase timings, scheduler decision latency) to this path in Prometheus text format")
 	chaosSpec := flag.String("chaos", "", `fault-injection spec, e.g. "nodefail=0.5,jobcrash=1" ("default" | "off" | key=value,...)`)
@@ -78,7 +79,7 @@ func main() {
 	resumeFrom := flag.String("resume", "", "restore a -snapshot-at world snapshot and run it to completion")
 	resumeAt := flag.Int64("resume-at", 0, "time-travel fork: run the base scheduler to this simulated second, then fork into -with-scheduler")
 	withSched := flag.String("with-scheduler", "", "scheduler the -resume-at fork continues with")
-	engineName := flag.String("engine", "tick", "advancement engine: tick (classic fixed-tick loop) | event (discrete-event, bit-identical results)")
+	engineName := flag.String("engine", "event", "advancement engine: event (discrete-event) | tick (every fixed tick; the bit-identical reference)")
 	flag.Parse()
 
 	engine, err := sim.ParseEngine(*engineName)
@@ -89,7 +90,6 @@ func main() {
 
 	var faultSpec chaos.Spec
 	if *chaosSpec != "" {
-		var err error
 		faultSpec, err = chaos.ParseSpec(*chaosSpec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bad -chaos spec: %v\n", err)
@@ -135,6 +135,8 @@ func main() {
 		}
 	}
 
+	flags := runFlags{engine: engine, invariants: *invariants, fault: faultSpec}
+
 	// Snapshot / resume / fork modes operate on one explicit scheduler.
 	if *snapshotAt > 0 || *resumeFrom != "" || *resumeAt > 0 {
 		if err := runDurable(w, durableFlags{
@@ -144,9 +146,7 @@ func main() {
 			resumeFrom: *resumeFrom,
 			resumeAt:   *resumeAt,
 			withSched:  *withSched,
-			invariants: *invariants,
-			fault:      faultSpec,
-			engine:     engine,
+			runFlags:   flags,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -161,15 +161,7 @@ func main() {
 			continue
 		}
 		ran = true
-		nr.Opts.Engine = engine
-		if *invariants {
-			nr.Opts.Invariants = sim.NewInvariantChecker(false)
-		}
-		if *chaosSpec != "" && faultSpec.Enabled() {
-			// One injector per run: injectors carry per-run repair state, and
-			// a fresh one per scheduler replays the identical fault schedule.
-			nr.Opts.Chaos = chaos.NewInjector(faultSpec)
-		}
+		flags.apply(&nr.Opts)
 		var rec *dtrace.Recorder
 		var closeTrace func() error
 		if *decisionTrace != "" {
@@ -241,13 +233,30 @@ type durableFlags struct {
 	resumeFrom string
 	resumeAt   int64
 	withSched  string
-	invariants bool
-	fault      chaos.Spec
-	engine     sim.EngineKind
+	runFlags
 }
 
-// pickRun resolves one scheduler by name, applying the invariants and chaos
-// flags exactly as the normal run loop does.
+// runFlags are the flags every run takes, whichever mode starts it.
+type runFlags struct {
+	engine     sim.EngineKind
+	invariants bool
+	fault      chaos.Spec
+}
+
+// apply sets the flags on one run's options. Each run gets its own checker
+// and its own injector: injectors carry per-run repair state, and a fresh one
+// per scheduler replays the identical fault schedule.
+func (f runFlags) apply(opts *sim.Options) {
+	opts.Engine = f.engine
+	if f.invariants {
+		opts.Invariants = sim.NewInvariantChecker(false)
+	}
+	if f.fault.Enabled() {
+		opts.Chaos = chaos.NewInjector(f.fault)
+	}
+}
+
+// pickRun resolves one scheduler by name.
 func pickRun(w *lab.World, name string, f durableFlags) (lab.NamedRun, error) {
 	if strings.ToLower(name) == "all" || name == "" {
 		return lab.NamedRun{}, fmt.Errorf("snapshot/resume modes need one explicit scheduler, not %q", name)
@@ -256,13 +265,7 @@ func pickRun(w *lab.World, name string, f durableFlags) (lab.NamedRun, error) {
 		if !strings.EqualFold(nr.Name, name) {
 			continue
 		}
-		nr.Opts.Engine = f.engine
-		if f.invariants {
-			nr.Opts.Invariants = sim.NewInvariantChecker(false)
-		}
-		if f.fault.Enabled() {
-			nr.Opts.Chaos = chaos.NewInjector(f.fault)
-		}
+		f.apply(&nr.Opts)
 		return nr, nil
 	}
 	return lab.NamedRun{}, fmt.Errorf("unknown scheduler %q", name)

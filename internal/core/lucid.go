@@ -272,15 +272,21 @@ func (l *Lucid) onProfiled(j *job.Job) {
 	l.models.Estimator.Invalidate(j.ID)
 }
 
-// priority implements Algorithm 2 line 4: GPU demand × estimated duration.
-// With the estimator ablated, ordering degrades to submission order. The
-// fairness extension subtracts an aging credit proportional to waiting
-// time, bounding starvation of long/large jobs (§6 future work).
+// Priority is Algorithm 2 line 4: GPU demand × estimated duration, smaller
+// first. The simulator's orchestrator and lucidd's /schedule both order by it.
+func Priority(gpus int, estSec float64) float64 {
+	return float64(gpus) * estSec
+}
+
+// priority is the key orderQueue sorts by: Priority, less the fairness
+// extension's aging credit proportional to waiting time, which bounds
+// starvation of long/large jobs (§6 future work). With the estimator
+// ablated, ordering degrades to submission order.
 func (l *Lucid) priority(j *job.Job, now int64) float64 {
 	if l.cfg.DisableEstimator {
 		return float64(j.Submit)
 	}
-	p := float64(j.GPUs) * l.models.Estimator.EstimateSec(j)
+	p := Priority(j.GPUs, l.models.Estimator.EstimateSec(j))
 	if l.cfg.FairnessAgingSec > 0 {
 		p -= l.cfg.FairnessAgingSec * float64(now-j.Submit)
 	}

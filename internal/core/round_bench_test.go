@@ -40,7 +40,6 @@ func BenchmarkLucidRoundCongested(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.UpdateIntervalSec = 0
 	opts := lab.LucidOpts(w.Spec)
-	opts.Engine = sim.EngineEvent
 
 	probe := &envProbe{Scheduler: w.NewLucid(cfg)}
 	mid := sim.New(w.Eval, probe, opts)

@@ -98,7 +98,6 @@ func Explain(best Genome, bestFit Fitness, ev *Evaluator) (*Explanation, error) 
 	run := func(g Genome) (dtrace.Summary, error) {
 		rec := dtrace.New()
 		opts := lab.LucidOpts(w.Spec)
-		opts.Engine = sim.EngineEvent
 		opts.DecisionTrace = rec
 		sched, err := w.NewLucidTuned(g.Config())
 		if err != nil {

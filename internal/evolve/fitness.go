@@ -145,10 +145,6 @@ func (e *Evaluator) cellCount() int { return len(e.worlds) * len(e.mults) }
 func (e *Evaluator) runCell(g Genome, wi, mi int) (CellMetrics, error) {
 	w := e.worlds[wi]
 	opts := lab.LucidOpts(w.Spec)
-	// The discrete-event engine is bit-identical to the tick engine (the
-	// PR 6 parity suite) and materially faster on month-long traces, so
-	// fitness evaluation — the search's inner loop — runs on it.
-	opts.Engine = sim.EngineEvent
 	if m := e.mults[mi]; m > 0 {
 		opts.Chaos = chaos.NewInjector(lab.ChaosSweepSpec(m))
 	}

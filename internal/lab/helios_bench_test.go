@@ -8,10 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
-// BenchmarkHeliosMonth is BenchScale's datacenter run on its own: the
-// Helios-calibrated month (1,000,000 jobs, 10,000 GPUs, 40 VCs) under FIFO
-// on the event engine, the same options, without the engine-pair table in
-// front of it. The numbers in EXPERIMENTS.md come from
+// BenchmarkHeliosMonth is the datacenter-scale run: the Helios-calibrated
+// month (1,000,000 jobs, 10,000 GPUs, 40 VCs) under FIFO on the default
+// (event) engine. TestEventEngineFastParity holds a shrunken copy of this
+// world to the tick engine bit for bit. The numbers in EXPERIMENTS.md come from
 //
 //	go test ./internal/lab/ -run '^$' -bench BenchmarkHeliosMonth -benchtime 1x -timeout 30m
 //
@@ -19,7 +19,7 @@ import (
 func BenchmarkHeliosMonth(b *testing.B) {
 	spec := trace.Helios()
 	tr := trace.NewGenerator(spec).Emit(spec.NumJobs)
-	opts := sim.Options{Tick: 60, SchedulerEvery: 60, SampleEvery: 600, Engine: sim.EngineEvent}
+	opts := sim.Options{Tick: 60, SchedulerEvery: 60, SampleEvery: 600}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sim.New(tr, sched.NewFIFO(), opts).Run()

@@ -1,8 +1,8 @@
 // Package lab is the experiment harness: one function per table and figure
 // of the paper's evaluation (§4), each regenerating the artifact's rows or
-// series from this repository's substrates. cmd/lucidbench and the root
-// bench_test.go are thin wrappers over this package; EXPERIMENTS.md records
-// the outputs next to the paper's numbers.
+// series from this repository's substrates. cmd/lucidbench is a thin wrapper
+// over this package; EXPERIMENTS.md records the outputs next to the paper's
+// numbers.
 //
 // Every experiment accepts a Scale in (0, 1] that subsamples the trace job
 // counts so the full suite can run quickly in CI (Scale 1.0 reproduces the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dtrace"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // The event engine's design constraint is bit-identical parity with the
@@ -26,6 +27,21 @@ import (
 //     bit, across schedulers, cadence configurations and chaos;
 //   - snapshot interop: compat-mode snapshots are engine-independent bytes,
 //     and a fast-mode event prefix resumes to the tick engine's end state.
+
+// scaleHelios shrinks the Helios spec's jobs and nodes together, which
+// preserves the offered load, and keeps as many VCs as can still own two
+// nodes each (the largest jobs need 16 GPUs). Small VCs under a month of
+// datacenter load are where Tiresias's queues run hundreds deep and PROMOTE
+// fires — state the golden world never reaches.
+func scaleHelios(scale float64) trace.GenSpec {
+	spec := trace.Helios()
+	spec.NumJobs = int(float64(spec.NumJobs) * scale)
+	spec.Nodes = int(float64(spec.Nodes) * scale)
+	if n := spec.Nodes / 2; n < spec.NumVCs {
+		spec.NumVCs = n
+	}
+	return spec
+}
 
 // withEngine wraps a scheduler constructor to force an engine choice.
 func withEngine(mk func() (sim.Scheduler, sim.Options), k sim.EngineKind) func() (sim.Scheduler, sim.Options) {
@@ -97,8 +113,10 @@ func TestEventEngineGoldenParity(t *testing.T) {
 // golden set plus Horus (cached noisy predictions — the RNG-position half of
 // the EventAware contract), plus configurations the golden worlds do not
 // cover: a scheduler cadence coarser than the tick, a cadence that is not a
-// multiple of the tick, and chaos under a coarse cadence (backoff expiries
-// between cadence points).
+// multiple of the tick, chaos under a coarse cadence (backoff expiries
+// between cadence points), and a Helios-shaped world — many VCs, tens of
+// thousands of jobs — at the options BenchmarkHeliosMonth runs the full
+// one with.
 func TestEventEngineFastParity(t *testing.T) {
 	eval, models, _ := goldenWorld(t)
 	spec := goldenSpec()
@@ -121,36 +139,43 @@ func TestEventEngineFastParity(t *testing.T) {
 		return base
 	}
 
+	hspec := scaleHelios(0.02)
+	helios := trace.NewGenerator(hspec).Emit(hspec.NumJobs)
+	heliosOpts := func() sim.Options { return sim.Options{Tick: 60, SchedulerEvery: 60, SampleEvery: 600} }
+
 	cases := []struct {
 		name string
+		tr   *trace.Trace
 		mk   func() (sim.Scheduler, sim.Options)
 	}{
-		{"FIFO", func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), SimOpts() }},
-		{"SJF", func() (sim.Scheduler, sim.Options) { return sched.NewSJF(), SimOpts() }},
-		{"QSSF", func() (sim.Scheduler, sim.Options) { return sched.NewQSSF(sched.OracleEstimator{}), SimOpts() }},
-		{"Horus", func() (sim.Scheduler, sim.Options) {
+		{"FIFO", eval, func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), SimOpts() }},
+		{"SJF", eval, func() (sim.Scheduler, sim.Options) { return sched.NewSJF(), SimOpts() }},
+		{"QSSF", eval, func() (sim.Scheduler, sim.Options) { return sched.NewQSSF(sched.OracleEstimator{}), SimOpts() }},
+		{"Horus", eval, func() (sim.Scheduler, sim.Options) {
 			return sched.NewHorus(sched.OracleEstimator{}, spec.Seed), SimOpts()
 		}},
-		{"Tiresias", func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), SimOpts() }},
-		{"Lucid", func() (sim.Scheduler, sim.Options) {
+		{"Tiresias", eval, func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), SimOpts() }},
+		{"Lucid", eval, func() (sim.Scheduler, sim.Options) {
 			return core.New(models.Clone(), core.DefaultConfig()), LucidOpts(spec)
 		}},
-		{"FIFO-coarse", func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), coarse() }},
-		{"Tiresias-coarse", func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), coarse() }},
-		{"FIFO-ragged", func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), ragged() }},
-		{"Tiresias-fine", func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), fine() }},
-		{"FIFO-chaos", func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), chaosOpts(SimOpts()) }},
-		{"FIFO-chaos-coarse", func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), chaosOpts(coarse()) }},
-		{"Tiresias-chaos", func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), chaosOpts(coarse()) }},
+		{"FIFO-coarse", eval, func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), coarse() }},
+		{"Tiresias-coarse", eval, func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), coarse() }},
+		{"FIFO-ragged", eval, func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), ragged() }},
+		{"Tiresias-fine", eval, func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), fine() }},
+		{"FIFO-chaos", eval, func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), chaosOpts(SimOpts()) }},
+		{"FIFO-chaos-coarse", eval, func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), chaosOpts(coarse()) }},
+		{"Tiresias-chaos", eval, func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), chaosOpts(coarse()) }},
+		{"Helios-FIFO", helios, func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), heliosOpts() }},
+		{"Helios-Tiresias", helios, func() (sim.Scheduler, sim.Options) { return sched.NewTiresias(), heliosOpts() }},
 	}
 
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			sT, oT := withEngine(tc.mk, sim.EngineTick)()
-			resT := sim.New(eval, sT, oT).Run()
+			resT := sim.New(tc.tr, sT, oT).Run()
 			sE, oE := withEngine(tc.mk, sim.EngineEvent)()
-			resE := sim.New(eval, sE, oE).Run()
+			resE := sim.New(tc.tr, sE, oE).Run()
 
 			fT, fE := fingerprint(resT), fingerprint(resE)
 			if fT != fE {
@@ -178,7 +203,9 @@ func TestEventEngineFastParity(t *testing.T) {
 //     under the event engine (and vice versa) to the committed golden digest;
 //  2. fast mode: an event-engine prefix snapshot resumed under the event
 //     engine must land on the tick engine's bit-exact end state, proving the
-//     prediction heap and waiting set rebuild correctly from a snapshot.
+//     prediction heap and waiting set rebuild correctly from a snapshot;
+//  3. fork: a prefix continued by a different scheduler ends the same under
+//     both engines.
 func TestEventEngineSnapshotParity(t *testing.T) {
 	eval, models, est := goldenWorld(t)
 	golden := readGoldenDigests(t)
@@ -258,5 +285,35 @@ func TestEventEngineSnapshotParity(t *testing.T) {
 	got := fingerprint(res2.Run())
 	if got != refFP {
 		t.Errorf("fast event prefix+resume end state differs from tick run:\n%s", diffFingerprints(refFP, got))
+	}
+
+	// --- fork: a FIFO prefix continued by schedulers that did not run it,
+	// cut at an hour when FIFO's head of line is blocked. What FIFO left
+	// behind is no fixed point of theirs (SJF starts short jobs behind the
+	// blocked head), so their first cadence round acts with nothing else
+	// changed and the event engine must not elide it.
+	const forkCut = 44 * 3600
+	for _, alt := range []func() sim.Scheduler{
+		func() sim.Scheduler { return sched.NewSJF() },
+		func() sim.Scheduler { return sched.NewTiresias() },
+	} {
+		var fps [2]string
+		for i, k := range []sim.EngineKind{sim.EngineTick, sim.EngineEvent} {
+			opts := SimOpts()
+			opts.Engine = k
+			base := sim.New(eval, sched.NewFIFO(), opts)
+			if done := base.RunUntil(forkCut); done {
+				t.Fatal("prefix completed before the cut")
+			}
+			fk, err := base.Fork(alt(), opts)
+			if err != nil {
+				t.Fatalf("fork: %v", err)
+			}
+			fps[i] = fingerprint(fk.Run())
+		}
+		if fps[0] != fps[1] {
+			t.Errorf("FIFO prefix forked into %s ends differently under the two engines:\n%s",
+				alt().Name(), diffFingerprints(fps[0], fps[1]))
+		}
 	}
 }

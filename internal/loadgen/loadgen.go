@@ -3,7 +3,7 @@
 // clusters, heartbeating, submitting jobs, pushing NVIDIA-SMI-style samples
 // and issuing tenant-scoped queue/agent queries, with a configurable op mix,
 // worker ramp and duration. It drives either an in-process http.Handler
-// (zero network overhead — the mode the shard benchmarks and soak tests use)
+// (zero network overhead — the mode the soak and parity tests use)
 // or a live daemon over HTTP, and reports sustained req/s plus p50/p99/p999
 // latency through the repo's own metrics registry. cmd/lucidload is the CLI.
 //
@@ -506,8 +506,8 @@ func parseJobID(body []byte) int {
 }
 
 // handlerTarget delivers requests straight into an http.Handler — no
-// sockets, no syscalls, pure control-plane cost. Used by the self-benchmark
-// and the soak test.
+// sockets, no syscalls, pure control-plane cost. Used by the soak and parity
+// tests.
 type handlerTarget struct{ h http.Handler }
 
 func (t *handlerTarget) do(method, path, body string, wantBody bool) (int, time.Duration, []byte, error) {

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sort"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // asyncServer builds a chaos-enabled async-ingest server with a pinned clock.
@@ -306,6 +308,58 @@ func TestCrossShardScheduleTieBreak(t *testing.T) {
 			t.Errorf("equal keys not in global ID order: position %d holds job %d after job %d",
 				i, sched[i].ID, sched[i-1].ID)
 		}
+	}
+}
+
+// TestScheduleOrderIsCorePriority: /schedule is exactly "sort by core.Priority,
+// then by ID" — the function the simulator's orchestrator sorts by, so the
+// daemon cannot drift from Algorithm 2 line 4 on its own. The queue mixes
+// unequal keys (different names and GPU demands, one job re-estimated after
+// profiling) with equal ones on different shards (same name, user and demand).
+func TestScheduleOrderIsCorePriority(t *testing.T) {
+	s := asyncServer(t, 4, 1024, 32)
+	vcA, vcB := twoVCsOnDistinctShards(t, s)
+	for i, gpus := range []int{4, 1, 8, 2, 1, 2, 16, 1} {
+		submitJob(t, s, fmt.Sprintf("train-%d", i%3), vcA, gpus)
+		submitJob(t, s, "tie", []string{vcA, vcB}[i%2], 2)
+	}
+	profiled := submitJob(t, s, "train-0", vcB, 4)
+	for i := 0; i < minSamples; i++ {
+		if code := postSample(t, s, profiled); code != http.StatusOK && code != http.StatusAccepted {
+			t.Fatalf("sample: status %d", code)
+		}
+	}
+
+	var all, sched []jobState
+	if err := json.Unmarshal([]byte(get(t, s, "/jobs")), &all); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(get(t, s, "/schedule")), &sched); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		pi, pj := core.Priority(all[i].GPUs, all[i].EstSec), core.Priority(all[j].GPUs, all[j].EstSec)
+		if pi != pj {
+			return pi < pj
+		}
+		return all[i].ID < all[j].ID
+	})
+	if len(sched) != len(all) || len(all) != 17 {
+		t.Fatalf("/schedule lists %d jobs, /jobs %d, want 17", len(sched), len(all))
+	}
+	ties, distinct := 0, map[float64]bool{}
+	for i := range all {
+		if sched[i].ID != all[i].ID {
+			t.Fatalf("/schedule[%d] = job %d, sorting by (core.Priority, ID) says job %d", i, sched[i].ID, all[i].ID)
+		}
+		p := core.Priority(all[i].GPUs, all[i].EstSec)
+		if i > 0 && p == core.Priority(all[i-1].GPUs, all[i-1].EstSec) {
+			ties++
+		}
+		distinct[p] = true
+	}
+	if ties < 7 || len(distinct) < 4 {
+		t.Fatalf("queue has %d ties and %d distinct keys: the test no longer covers both", ties, len(distinct))
 	}
 }
 

@@ -483,11 +483,17 @@ func mergeSorted[T any](views [][]T, less func(a, b T) bool) []T {
 	return out
 }
 
-// queueKey is the priority sort key (Algorithm 2: GPU demand × estimated
-// duration, ascending, global job ID as the total-order tie-break). less is THE
-// priority comparator: the per-shard index, the K-way fan-out merge and the
-// tie-break tests all order by it, so the order is identical at any shard
-// count.
+// queueKey is the priority sort key: core.Priority ascending, global job ID as
+// the total-order tie-break. less is THE priority comparator: the per-shard
+// index, the K-way fan-out merge and the tie-break tests all order by it, so
+// the order is identical at any shard count.
+//
+// It is also the simulator's order (core.Lucid.orderQueue) at the paper
+// default. That one subtracts the §6 aging credit, which is zero unless
+// FairnessAgingSec is set — the daemon has none: its index is re-keyed when a
+// job changes, and a credit that grows with the clock would re-key every job
+// on every read. And it breaks ties by (Submit, ID), which is the ID order
+// here because the daemon allocates IDs in submit order.
 type queueKey struct {
 	prio float64
 	id   int
@@ -713,7 +719,7 @@ func (sh *shard) refreshLocked(js *jobState) {
 	js.Score = sh.srv.analyzer.ScoreJob(j).String()
 	sh.est.Invalidate(j.ID)
 	js.EstSec = sh.est.EstimateSec(j)
-	js.prio = float64(js.GPUs) * js.EstSec
+	js.prio = core.Priority(js.GPUs, js.EstSec)
 	js.frag = nil // every serialized field is settled here; the next list read re-encodes
 }
 

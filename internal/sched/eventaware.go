@@ -42,9 +42,16 @@ func (*Horus) NextWake(*sim.Env) int64 { return sim.NoWake }
 //   - the MinRunQuantum preemption shield expiring on a running job, which
 //     can unblock an eviction that was desired but suppressed.
 //
+// And once by its own hand: a job started out of PROMOTE is ranked by its
+// attained service again the moment it runs, so the round after the one that
+// started it orders the VC differently with nothing else changed — a fresh
+// job the promoted one had displaced from the desired set can then take a
+// GPU that a desired but unplaceable job left free. That round is requested
+// explicitly (found by the Helios-shaped case of TestEventEngineFastParity).
+//
 // Over-waking is safe (a round that finds nothing to do is a no-op), so
 // each crossing is reported without checking whether it will actually
-// change a decision. With no waiting jobs none of the three can change the
+// change a decision. With no waiting jobs none of these can change the
 // placement — every running job stays desired — so no wake is needed at
 // all.
 func (t *Tiresias) NextWake(env *sim.Env) int64 {
@@ -80,6 +87,11 @@ func (t *Tiresias) NextWake(env *sim.Env) int64 {
 		}
 		if started, ok := t.startedAt[j.ID]; ok {
 			consider(started + int64(math.Ceil(t.MinRunQuantumSec)))
+			if started == lastRound {
+				if stopped, ok := t.stoppedAt[j.ID]; ok && started-stopped > t.PromoteIntervalSec {
+					consider(started + 1)
+				}
+			}
 		}
 	}
 	for _, q := range queues {

@@ -35,7 +35,7 @@ func BenchmarkBaselineRoundDeepQueue(b *testing.B) {
 	spec := trace.Saturn()
 	spec.Nodes, spec.NumJobs, spec.TargetLoad = spec.Nodes/13, spec.NumJobs/3, 4.0
 	tr := trace.NewGenerator(spec).Emit(0)
-	opts := sim.Options{Tick: 30, SchedulerEvery: 300, Engine: sim.EngineEvent}
+	opts := sim.Options{Tick: 30, SchedulerEvery: 300}
 
 	probe := &envProbe{Scheduler: NewFIFO()}
 	mid := sim.New(tr, probe, opts)

@@ -4,14 +4,17 @@
 // validates — our Table 3 experiment performs the same validation between a
 // 1-second fine-grained engine and the coarse event loop used at scale).
 //
-// The engine advances in fixed ticks. Each tick it (1) integrates the
-// progress of running jobs under the colocation interference model,
-// (2) retires finished jobs with sub-tick completion timestamps,
-// (3) releases newly submitted jobs to the scheduler, (4) invokes the
-// scheduler, and (5) recomputes execution speeds from the resulting
-// placement. Schedulers drive placement exclusively through Env, which also
-// exposes the decoupled profiling cluster Lucid's Non-intrusive Job Profiler
-// manages (§3.2).
+// Time is a fixed tick grid. The default engine (EngineEvent, engine.go)
+// executes only the ticks on which something observable can happen and
+// replays the skipped ones in closed form; EngineTick executes every tick and
+// is the oracle the parity tests hold it to, bit for bit. On each executed
+// tick the engine (1) integrates the progress of running jobs under the
+// colocation interference model, (2) retires finished jobs with sub-tick
+// completion timestamps, (3) releases newly submitted jobs to the scheduler,
+// (4) invokes the scheduler, and (5) recomputes execution speeds from the
+// resulting placement. Schedulers drive placement exclusively through Env,
+// which also exposes the decoupled profiling cluster Lucid's Non-intrusive
+// Job Profiler manages (§3.2).
 //
 // Non-intrusiveness is a simulation rule, not just a slogan: a job moved off
 // the profiling cluster restarts from zero progress (no checkpoints exist
@@ -40,12 +43,12 @@ type Scheduler interface {
 
 // Options tunes the engine.
 type Options struct {
-	// Engine selects the advancement strategy. EngineTick (the default)
-	// steps every fixed tick; EngineEvent jumps the clock between wake-up
-	// events (arrivals, predicted completions, backoff expiries, chaos
-	// fires, cadence and sampling timers) and replays the skipped ticks'
-	// arithmetic in closed form, reproducing tick-engine results
-	// bit-identically (see engine.go).
+	// Engine selects the advancement strategy. EngineEvent (the zero
+	// value) jumps the clock between wake-up events (arrivals, predicted
+	// completions, backoff expiries, chaos fires, cadence and sampling
+	// timers) and replays the skipped ticks' arithmetic in closed form;
+	// EngineTick steps every fixed tick and is the oracle the event engine
+	// reproduces bit-identically (see engine.go).
 	Engine EngineKind
 
 	Tick           int64 // seconds per step (default 30)
@@ -68,8 +71,8 @@ type Options struct {
 	DecisionTrace *dtrace.Recorder
 
 	// Invariants validates the engine's physical invariants after every
-	// tick (see InvariantChecker). Nil (the default) disables checking;
-	// violations otherwise surface on Result.Violations.
+	// executed tick (see InvariantChecker). Nil (the default) disables
+	// checking; violations otherwise surface on Result.Violations.
 	Invariants *InvariantChecker
 
 	// Chaos injects node/GPU/job faults each tick (see internal/chaos and
@@ -125,6 +128,11 @@ type Sim struct {
 	finished   int
 	lastSched  int64
 	lastSample int64
+	// unseen is set from Resume until the scheduler's first round. The
+	// world may have been left by another policy or configuration (Fork),
+	// and nothing says this one would leave it alone, so until then the
+	// event engine elides no cadence point.
+	unseen bool
 
 	// waiting is the waiting set, one ordered queue per VC in name order
 	// (waiting.go); vcPos finds a VC's queue. queues and merge are the
@@ -251,7 +259,7 @@ func (s *Sim) stepTick(env *Env, force bool) {
 		arrived = true
 	}
 	if force || arrived || s.now-s.lastSched >= s.opts.SchedulerEvery || s.dirty {
-		s.dirty = false
+		s.dirty, s.unseen = false, false
 		t = m.time(timeDecide)
 		s.sched.Tick(env)
 		t.Stop()

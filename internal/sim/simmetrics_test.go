@@ -75,3 +75,32 @@ func TestSimMetricsExposition(t *testing.T) {
 		t.Errorf("sim_running_jobs = %v after drain, want 0", g.Value())
 	}
 }
+
+// TestZeroOptionsRunTheEventEngine: a caller who sets nothing gets the event
+// engine — Options' zero value and ParseEngine("") both name it, and a run
+// says so itself: sim_ticks_total counts every simulated tick under either
+// engine, the advance phase is timed once per executed one, and only the
+// tick engine executes them all.
+func TestZeroOptionsRunTheEventEngine(t *testing.T) {
+	if k := (sim.Options{}).Engine; k != sim.EngineEvent {
+		t.Errorf("Options{}.Engine = %v, want event", k)
+	}
+	if k, err := sim.ParseEngine(""); err != nil || k != sim.EngineEvent {
+		t.Errorf(`ParseEngine("") = %v, %v, want event`, k, err)
+	}
+	ticks := func(opts sim.Options) (simulated float64, executed uint64) {
+		reg := metrics.New()
+		opts.Metrics = reg
+		sim.New(drainTrace(xrand.New(3), 40), sched.NewFIFO(), opts).Run()
+		advance := reg.HistogramVec("sim_phase_seconds", "", metrics.ExpBuckets(1e-7, 2, 22), "phase").With("advance")
+		return reg.Counter("sim_ticks_total", "").Value(), advance.Count()
+	}
+	simulated, executed := ticks(sim.Options{})
+	if float64(executed) >= simulated {
+		t.Errorf("zero options executed %d of %.0f simulated ticks: that is the tick engine", executed, simulated)
+	}
+	allSim, allExec := ticks(sim.Options{Engine: sim.EngineTick})
+	if float64(allExec) != allSim || allSim != simulated {
+		t.Errorf("tick engine executed %d of %.0f ticks, want all of the same %.0f", allExec, allSim, simulated)
+	}
+}

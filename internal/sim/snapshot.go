@@ -265,6 +265,7 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 	s.memSum = dto.MemSum
 	s.utilSamples = dto.UtilSamples
 	s.dirty = dto.Dirty
+	s.unseen = true
 	s.sharedStarts = dto.SharedStarts
 	s.sharedGPUSum = dto.SharedGPUSum
 	s.nodeFailures = dto.NodeFailures
