@@ -34,11 +34,11 @@
 // -ingest-queue chooses is when a telemetry POST (/metrics, /agents) is
 // answered. At 0 the handler applies its op inline and answers 200 with the
 // result. With -ingest-queue N it answers 202 once the op sits on its shard's
-// bounded queue of N, and a shard-owned applier runs the queued ops through
-// that same function in batches, fsyncing only when a read barrier waits or
-// 64 records are unsynced; full queues shed load with 429 + Retry-After
-// instead of blocking. Job submissions are always
-// inline (fsynced before the 201). Reads barrier on the queue first, so
+// queue of at most N, which whoever next holds the shard mutex drains through
+// that same function in ack order: the shard's drainer, fsyncing only once 64
+// records are unsynced, or a read flushing it; full queues shed load with
+// 429 + Retry-After instead of blocking. Job submissions are always
+// inline (fsynced before the 201). Reads flush the queue first, so
 // /jobs, /schedule and /agents still observe every acked sample.
 //
 // GET /metrics serves the daemon's own instruments (request latency and
@@ -71,7 +71,6 @@ func main() {
 	drain := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
 	stateDir := flag.String("state-dir", "", "directory for WAL + snapshot durability (empty = in-memory only)")
 	ingestQueue := flag.Int("ingest-queue", 0, "per-shard async telemetry queue depth; 0 = synchronous ingest, >0 acks samples/heartbeats with 202 and sheds overload with 429+Retry-After")
-	ingestBatch := flag.Int("ingest-batch", 0, "max telemetry ops coalesced per apply batch (0 = default; only with -ingest-queue)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled); keep it private")
 	flag.Parse()
 
@@ -82,7 +81,6 @@ func main() {
 		EnableChaos:     *chaos,
 		StateDir:        *stateDir,
 		IngestQueue:     *ingestQueue,
-		IngestBatch:     *ingestBatch,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -100,7 +98,7 @@ func main() {
 	}
 
 	if *ingestQueue > 0 {
-		log.Printf("lucidd async telemetry ingest: per-shard queue %d (batched apply+fsync; overload answers 429)", *ingestQueue)
+		log.Printf("lucidd async telemetry ingest: per-shard queue %d (drained in ack order; overload answers 429)", *ingestQueue)
 	}
 
 	if *pprofAddr != "" {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -122,7 +123,6 @@ func preload(b *testing.B, s *Server, jobs, agents, vcs int) {
 		sh := s.shardFor(op.VC)
 		sh.mu.Lock()
 		_, failed, _ := sh.applyOpsLocked([]walOp{op}, now, nil)
-		sh.commitPointLocked()
 		sh.mu.Unlock()
 		if failed != 0 {
 			b.Fatal("preload: persist failed")
@@ -184,6 +184,61 @@ func BenchmarkIngestBurst(b *testing.B) {
 	b.ReportMetric(float64(s.met.walFsync.Count()-fsyncs)/ops, "fsyncs/op")
 	b.ReportMetric(float64(compactions(s)-compacts)/ops, "compactions/op")
 	b.ReportMetric(ops/b.Elapsed().Seconds(), "ops/s")
+}
+
+// BenchmarkSubmitAfterTelemetry is the sync side of the write path: one client
+// of a durable 16-shard async server posts k heartbeats, then one submission,
+// 64 times an iteration, and the submission's p50 and p90 are reported. The
+// submission is applied and fsynced on its handler's goroutine while the
+// drainers apply the heartbeats; handing it to a per-shard applier goroutine
+// instead is what this row ruled out (DESIGN.md §3j).
+func BenchmarkSubmitAfterTelemetry(b *testing.B) {
+	const jobs, agents, vcs, rounds = 1024, 8192, 16, 64
+	beats := make([]string, agents)
+	for a := range beats {
+		beats[a] = fmt.Sprintf(`{"name":"agent-%05d","vc":"vc-%d","node":%d}`, a, a%vcs, a)
+	}
+	for _, k := range []int{0, 32, 511} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			s, err := NewServerWith(Options{Shards: 16, IngestQueue: 4096, StateDir: b.TempDir(), AgentStaleAfter: time.Hour})
+			if err != nil {
+				b.Fatal(err)
+			}
+			preload(b, s, jobs, agents, vcs)
+			s.Flush()
+			rng := rand.New(rand.NewSource(1))
+			w := &discardWriter{hdr: http.Header{}}
+			post := func(path, body string, want int) time.Duration {
+				for {
+					start := time.Now()
+					s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+					d := time.Since(start)
+					if w.code == want {
+						return d
+					}
+					if w.code != http.StatusTooManyRequests {
+						b.Fatalf("POST %s: %d", path, w.code)
+					}
+					runtime.Gosched() // backpressure: resend, like the bench client
+				}
+			}
+			lat := make([]time.Duration, 0, b.N*rounds)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for r := 0; r < rounds; r++ {
+					for i := 0; i < k; i++ {
+						post("/agents", beats[rng.Intn(agents)], http.StatusAccepted)
+					}
+					lat = append(lat, post("/jobs", fmt.Sprintf(`{"name":"train-%03d","user":"u","vc":"vc-%d","gpus":%d}`,
+						rng.Intn(400), rng.Intn(vcs), 1+rng.Intn(8)), http.StatusCreated))
+				}
+			}
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2])/1e3, "submit-p50-µs")
+			b.ReportMetric(float64(lat[len(lat)*9/10])/1e3, "submit-p90-µs")
+		})
+	}
 }
 
 // BenchmarkRecoverWorstCase boots from the longest log the compaction rule

@@ -19,7 +19,7 @@ import (
 // written under the shard mutex and fsynced outside it, and the disk is asked
 // only when somebody is waiting or SyncEvery records have piled up.
 
-// waitApplied blocks until the appliers have applied n telemetry ops in total.
+// waitApplied blocks until the drainers have applied n telemetry ops in total.
 // Deliberately not a flush barrier: a barrier would fsync what the caller is
 // about to count as unsynced.
 func waitApplied(t *testing.T, s *Server, n int) {
@@ -27,7 +27,7 @@ func waitApplied(t *testing.T, s *Server, n int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for s.met.ingestApplied.Value() < float64(n) {
 		if time.Now().After(deadline) {
-			t.Fatalf("appliers applied %v ops, waiting for %d", s.met.ingestApplied.Value(), n)
+			t.Fatalf("drainers applied %v ops, waiting for %d", s.met.ingestApplied.Value(), n)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
@@ -85,7 +85,7 @@ func TestFlushMeansDurable(t *testing.T) {
 		t.Run(fmt.Sprintf("async-%v", async), func(t *testing.T) {
 			opts := Options{Shards: 4, StateDir: t.TempDir(), EnableChaos: true, Clock: parityClock()}
 			if async {
-				opts.IngestQueue, opts.IngestBatch = 1024, 16
+				opts.IngestQueue = 1024
 			}
 			s, err := NewServerWith(opts)
 			if err != nil {
@@ -201,7 +201,7 @@ func TestFlushMeansDurable(t *testing.T) {
 // the appends happen under.
 func TestGroupCommitNoAckLost(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 4, StateDir: dir, IngestQueue: 256, IngestBatch: 16}
+	opts := Options{Shards: 4, StateDir: dir, IngestQueue: 256}
 	s1, err := NewServerWith(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestGroupCommitNoAckLost(t *testing.T) {
 	t.Logf("%d fsyncs for %d acknowledged jobs (%.2f per job) beside %v applied heartbeats",
 		fsyncs, len(acked), float64(fsyncs)/float64(len(acked)), s1.met.ingestApplied.Value())
 
-	// Kill -9 analogue: wedge every shard so the appliers can never reach a WAL
+	// Kill -9 analogue: wedge every shard so the drainers can never reach a WAL
 	// again, and boot a second server from what the files hold.
 	for _, sh := range s1.shards {
 		sh.mu.Lock()
@@ -444,12 +444,12 @@ func TestCompactionByRatio(t *testing.T) {
 	}
 }
 
-// TestBarriersOverlapAcrossShards: a multi-shard barrier is enqueued on every
-// shard before any is waited for, so one slow shard delays the caller but not
-// its siblings' fsyncs. Barriers taken one shard after another would leave the
-// last shard's tail unsynced for as long as the first is wedged.
+// TestBarriersOverlapAcrossShards: a multi-shard flush runs on every shard at
+// once, so one slow shard delays the caller but not its siblings' fsyncs.
+// Flushes taken one shard after another would leave the last shard's tail
+// unsynced for as long as the first is wedged.
 func TestBarriersOverlapAcrossShards(t *testing.T) {
-	s, err := NewServerWith(Options{Shards: 4, StateDir: t.TempDir(), IngestQueue: 64, IngestBatch: 8, Clock: parityClock()})
+	s, err := NewServerWith(Options{Shards: 4, StateDir: t.TempDir(), IngestQueue: 64, Clock: parityClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestBarriersOverlapAcrossShards(t *testing.T) {
 	}
 
 	first := s.shards[0]
-	first.mu.Lock() // its applier will block applying the barrier's (empty) batch
+	first.mu.Lock() // its flush will block on the mutex
 	flushed := make(chan struct{})
 	go func() {
 		s.Flush()

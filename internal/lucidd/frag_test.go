@@ -143,7 +143,7 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 				opts := Options{Shards: v.shards, EnableChaos: true, Clock: parityClock(),
 					StateDir: dir, CompactEvery: 40}
 				if v.async {
-					opts.IngestQueue, opts.IngestBatch = 4096, 16
+					opts.IngestQueue = 4096
 				}
 				s, err := NewServerWith(opts)
 				if err != nil {
@@ -312,7 +312,7 @@ func TestMergeSortedMatchesFullSort(t *testing.T) {
 // functions of the sample count alone — a fragment torn between two versions,
 // or rewritten under a reader, breaks that (or trips -race).
 func TestRetainedFragmentsUnderWriters(t *testing.T) {
-	s, err := NewServerWith(Options{Shards: 4, EnableChaos: true, IngestQueue: 256, IngestBatch: 8})
+	s, err := NewServerWith(Options{Shards: 4, EnableChaos: true, IngestQueue: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestRetainedFragmentsUnderWriters(t *testing.T) {
 // TestAckedThenDroppedSampleIsCounted: a sample for a job the shard does not
 // hold (evicted between the 202 and the apply, or dropped by a snapshot before
 // replay) changes nothing and is not logged — inline, the caller answers 404
-// from res.ok; in the applier nobody is left to tell, so it must be counted.
+// from res.ok; in a queue drain nobody is left to tell, so it must be counted.
 func TestAckedThenDroppedSampleIsCounted(t *testing.T) {
 	s, err := NewServerWith(Options{StateDir: t.TempDir(), EnableChaos: true})
 	if err != nil {
@@ -452,7 +452,10 @@ func TestAckedThenDroppedSampleIsCounted(t *testing.T) {
 	if got := s.met.ingestDropped.Value(); got != 0 {
 		t.Fatalf("inline apply bumped lucidd_ingest_dropped_total to %v: its caller answers 404", got)
 	}
-	sh.applyBatch([]walOp{orphan, orphan}, false)
+	// Through the queue, applied by a flush: with no queue capacity there is no
+	// drainer to race it for the two ops.
+	sh.queue = append(sh.queue, orphan, orphan)
+	sh.drain(0)
 	if got := s.met.ingestDropped.Value(); got != 2 {
 		t.Errorf("lucidd_ingest_dropped_total = %v after a batch of two orphan samples, want 2", got)
 	}

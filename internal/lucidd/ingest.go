@@ -1,175 +1,119 @@
 package lucidd
 
-import "context"
+import "sync"
 
 // Async telemetry ingest. A POST /metrics or POST /agents handler always
 // does the same work: validate, route, build the walOp. With
 // Options.IngestQueue == 0 it then applies the op inline (shard.applyOne) and
-// answers with the result; with IngestQueue > 0 it enqueues the op on the
-// owning shard's bounded queue instead, and a single applier goroutine per
-// shard drains the queue in batches through the same applyOpsLocked — one
-// mutex acquisition, one stale sweep and one commit point per batch. The
-// request is acknowledged with 202 Accepted at enqueue time — or refused with
-// 429 + Retry-After when the queue is full (backpressure), so an overloaded
-// shard sheds telemetry load explicitly instead of queueing unboundedly.
+// answers with the result; with IngestQueue > 0 it appends the op to the
+// owning shard's ack-ordered queue instead and answers 202 Accepted — or 429 +
+// Retry-After when the queue already holds IngestQueue ops (backpressure), so
+// an overloaded shard sheds telemetry load explicitly instead of queueing
+// unboundedly.
+//
+// Only a holder of the shard mutex takes ops off the queue, always the oldest
+// first, and applies them through applyOpsLocked in the same hold. Two kinds of
+// holder do:
+//
+//   - the shard's drainer — a goroutine started by an op enqueued while none
+//     is running — applies at most drainBatch ops per hold, commits each hold
+//     without must, and exits once its take leaves the queue empty;
+//   - a flush — a list read (/jobs, /schedule, /agents), /chaos, Flush and
+//     Shutdown — takes everything queued on the caller's own goroutine and
+//     commits with must.
 //
 // Ordering and visibility contract:
 //
-//   - Per-shard FIFO: ops are applied in exact enqueue order, so a job's
-//     samples fold into its running-mean profile in the same order the
-//     server acknowledged them — bit-identical to synchronous ingest.
-//   - Flush barriers: a barrier enqueued behind the acked ops blocks until
-//     the applier has applied AND fsynced everything ahead of it. Read
-//     paths (/jobs, /schedule, /agents), /chaos mutations and Shutdown all
-//     barrier first, so every acknowledged sample is observable there and
-//     no chaos op can overtake telemetry it arrived after.
+//   - Per-shard FIFO: ops are applied in exact ack order, so a job's samples
+//     fold into its running-mean profile in the same order the server
+//     acknowledged them — bit-identical to synchronous ingest.
+//   - Flushes: read paths, /chaos mutations and Shutdown flush the shards they
+//     cover first, so every acknowledged sample is observable there and no
+//     chaos op can overtake telemetry it arrived after. A flush returns with
+//     the ops applied and fsynced; the counters and trace events of a drain
+//     the drainer ran beside it may land a moment later.
 //   - Durability: an acked-but-still-queued op is in memory only; an applied
 //     op is in the WAL file (a killed process loses nothing it applied) and
 //     reaches stable storage with the next fsync on its shard — same class
 //     as sync mode's unsynced WAL tail, telemetry the agents re-send anyway;
-//     an op a barrier has flushed is on disk. Recovery replays exactly what
+//     an op a flush has covered is on disk. Recovery replays exactly what
 //     the files hold per shard.
 //
-// The applier asks the disk only when somebody is waiting for it: a batch
-// that a barrier ended (or the drain at Shutdown) commits with must, any other
-// batch fsyncs only once WAL.SyncEvery records are unsynced, and either way
-// the fsync runs after the shard mutex is released (shard.commit, store.go) —
-// a submission on the same shard waits neither for the lock nor behind fsyncs
-// nobody asked for.
+// The drainer asks the disk only when WAL.SyncEvery records are unsynced, and
+// either way the fsync runs after the shard mutex is released (shard.commit,
+// store.go) — a submission on the same shard waits neither for the lock nor
+// behind fsyncs nobody asked for.
 //
-// The throughput win on the request path is O(1) enqueue instead of
-// lock + apply + WAL append, and on the apply path one stale sweep per batch
-// and one fsync per barrier or per SyncEvery records instead of per heartbeat.
+// The throughput win on the request path is an O(1) append instead of
+// lock + apply + WAL append, and on the apply path one stale sweep per drain
+// and one fsync per flush or per SyncEvery records instead of per heartbeat.
 
-// ingestItem is one queue entry: either a telemetry op or a flush barrier
-// (barrier != nil), never both.
-type ingestItem struct {
-	op      walOp
-	barrier chan struct{}
-}
+// drainBatch caps the ops the drainer applies per hold of the shard mutex: it
+// bounds how long a submission or a read waits behind the drainer for the lock.
+const drainBatch = 256
 
-// defaultIngestBatch caps ops applied per mutex acquisition / commit point.
-const defaultIngestBatch = 256
-
-// startApplier arms the shard's ingest queue and starts its applier.
-func (sh *shard) startApplier(queue, batch int) {
-	sh.ingestQ = make(chan ingestItem, queue)
-	sh.applierDone = make(chan struct{})
-	sh.batchMax = batch
-	go sh.applier()
-}
-
-// enqueue attempts a non-blocking put; false means the queue is at its
-// high-water mark and the caller must refuse the request with 429.
+// enqueue appends op to the shard's queue; false means the queue is at its
+// high-water mark and the caller must refuse the request with 429. With no
+// drainer running, the op starts one. A drainer runs until its own take
+// leaves the queue empty, and both sides look under qmu, so an acknowledged op
+// is always either taken or ahead of a drainer's next take. Nothing waits for
+// a drainer: a flush leaves it nothing to apply.
 func (sh *shard) enqueue(op walOp) bool {
-	select {
-	case sh.ingestQ <- ingestItem{op: op}:
-		return true
-	default:
+	sh.qmu.Lock()
+	defer sh.qmu.Unlock()
+	if len(sh.queue) >= sh.srv.opts.IngestQueue {
 		return false
 	}
-}
-
-// barrier enqueues a flush barrier and returns the channel the applier closes
-// once it has applied and fsynced every op acknowledged before it (0 unsynced
-// records on the shard, unless somebody appended meanwhile); nil in sync mode,
-// where there is no queue to flush. Must not be called after Shutdown has
-// closed the queue (request paths cannot get here then — the drain gate
-// refuses them before the handler runs).
-func (sh *shard) barrier() <-chan struct{} {
-	if sh.ingestQ == nil {
-		return nil
+	sh.queue = append(sh.queue, op)
+	if !sh.draining {
+		sh.draining = true
+		go func() {
+			for sh.drain(drainBatch) > 0 {
+			}
+		}()
 	}
-	done := make(chan struct{})
-	sh.ingestQ <- ingestItem{barrier: done}
-	return done
+	return true
 }
 
-// flush is one barrier, waited for. No-op in sync mode.
-func (sh *shard) flush() {
-	if done := sh.barrier(); done != nil {
-		<-done
-	}
-}
-
-// flushAll puts a barrier on every shard before waiting for any, so the
-// appliers' fsyncs — one per shard with anything unsynced, now that nobody
-// fsyncs unasked — overlap instead of queueing one behind another.
-func flushAll(shards []*shard) {
-	waits := make([]<-chan struct{}, 0, len(shards))
-	for _, sh := range shards {
-		if done := sh.barrier(); done != nil {
-			waits = append(waits, done)
+// takeLocked removes the oldest ops from the queue — at most max (the
+// drainer), all of them when max is 0 (a flush) — and reports how many it
+// left. The shard mutex is held: that is what keeps the ops of two takes from
+// being applied out of order. A whole take swaps the queue with the buffer the
+// previous whole take returned, which its taker applied before releasing the
+// mutex, so the queue does not regrow from nil on every drain.
+func (sh *shard) takeLocked(max int) (ops []walOp, left int) {
+	sh.qmu.Lock()
+	defer sh.qmu.Unlock()
+	ops = sh.queue
+	if max > 0 && len(ops) > max {
+		ops, sh.queue = ops[:max], ops[max:]
+	} else {
+		sh.queue, sh.spare = sh.spare[:0], ops
+		if max > 0 {
+			sh.draining = false // the drainer's last take: the next enqueue starts another
 		}
 	}
-	for _, done := range waits {
-		<-done
-	}
+	return ops, len(sh.queue)
 }
 
-// Flush blocks until every telemetry op acknowledged before the call is
-// applied and durable on every shard — the explicit cluster-wide barrier
-// (parity tests use it before comparing bodies). No-op in sync mode; must
-// not be called concurrently with or after Shutdown.
-func (s *Server) Flush() { flushAll(s.shards) }
-
-// applier is the shard's ingest loop: block for one item, then opportunistically
-// collect up to batchMax-1 more without blocking, apply the batch under one
-// mutex acquisition, commit it, and signal any barrier that ended the batch.
-// Exits when the queue is closed and fully drained (Shutdown); the last batch —
-// possibly empty — commits with must, so a graceful drain leaves every
-// acknowledged op applied and fsynced.
-func (sh *shard) applier() {
-	defer close(sh.applierDone)
-	batch := make([]walOp, 0, sh.batchMax)
-	for closed := false; !closed; {
-		batch = batch[:0]
-		var barrier chan struct{}
-		item, ok := <-sh.ingestQ
-		for {
-			switch {
-			case !ok: // only observable once the closed queue is empty
-				closed = true
-			case item.barrier != nil:
-				barrier = item.barrier
-			default:
-				batch = append(batch, item.op)
-			}
-			if closed || barrier != nil || len(batch) >= sh.batchMax {
-				break
-			}
-			select {
-			case item, ok = <-sh.ingestQ:
-				continue
-			default:
-			}
-			break
-		}
-		sh.applyBatch(batch, barrier != nil || closed)
-		if barrier != nil {
-			close(barrier)
-		}
-	}
-}
-
-// applyBatch applies queued ops under one mutex acquisition and commits them
-// after the unlock. must says somebody is waiting for the disk — a flush
-// barrier ended the batch, or this is the drain at Shutdown — and then the
-// commit fsyncs everything the shard has appended so far, this batch and any
-// earlier unsynced tail alike, before the barrier releases. Otherwise the
-// commit touches the disk only when WAL.SyncEvery records are unsynced: sixteen
-// appliers share one disk with the submissions, and every fsync nobody asked
-// for is one a 201 queues behind. Nobody is waiting on an ack here, so a
-// persist error, or a sample for a job the shard no longer holds, can only be
-// counted.
-func (sh *shard) applyBatch(ops []walOp, must bool) {
+// drain applies up to max queued ops (all of them when max is 0: a flush) in
+// one hold of the shard mutex, commits them after the unlock, and reports how
+// many ops it left queued. A flush commits with must: everything the shard has
+// appended so far, these ops and any earlier unsynced tail alike, is fsynced
+// before it returns. The drainer's commit touches the disk only when
+// WAL.SyncEvery records are unsynced: sixteen drainers share one disk with the
+// submissions, and every fsync nobody asked for is one a 201 queues behind.
+// Nobody is waiting on an ack here, so a persist error, or a sample for a job
+// the shard no longer holds, can only be counted.
+func (sh *shard) drain(max int) (left int) {
 	met := sh.srv.met
 	now := sh.srv.opts.Clock()
 	sh.mu.Lock()
+	ops, left := sh.takeLocked(max)
 	events, failed, dropped := sh.applyOpsLocked(ops, now, nil)
-	seq, owed := sh.commitPointLocked()
+	seq := sh.commitPointLocked()
 	sh.mu.Unlock()
-	if err := sh.commit(seq, must || owed); err != nil {
+	if err := sh.commit(seq, max == 0); err != nil {
 		failed++
 	}
 	sh.srv.record(events)
@@ -179,30 +123,37 @@ func (sh *shard) applyBatch(ops []walOp, must bool) {
 		met.ingestApplied.Add(float64(len(ops)))
 		met.ingestBatch.Observe(float64(len(ops)))
 	}
+	return left
 }
 
-// stopAppliers closes every ingest queue and waits for the appliers to
-// drain them (apply every acknowledged op, then one last must-commit). Called
-// from Shutdown after the in-flight drain: no producer can exist anymore.
-// Idempotent.
-func (s *Server) stopAppliers(ctx context.Context) error {
-	if !s.appliersStopped.CompareAndSwap(false, true) {
-		return nil
+// flush applies and fsyncs everything queued on the shard. No-op in sync
+// mode, where there is no queue.
+func (sh *shard) flush() {
+	if sh.srv.opts.IngestQueue > 0 {
+		sh.drain(0)
 	}
-	for _, sh := range s.shards {
-		if sh.ingestQ != nil {
-			close(sh.ingestQ)
-		}
-	}
-	for _, sh := range s.shards {
-		if sh.applierDone == nil {
-			continue
-		}
-		select {
-		case <-sh.applierDone:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
 }
+
+// flushAll flushes every given shard, one goroutine per shard when there are
+// several, so one wedged shard delays the caller but not its siblings' fsyncs —
+// one per shard with anything unsynced, now that nobody fsyncs unasked.
+func flushAll(shards []*shard) {
+	if len(shards) == 1 || shards[0].srv.opts.IngestQueue == 0 {
+		shards[0].flush()
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(shards))
+	for _, sh := range shards {
+		go func() {
+			defer wg.Done()
+			sh.drain(0)
+		}()
+	}
+	wg.Wait()
+}
+
+// Flush blocks until every telemetry op acknowledged before the call is
+// applied and durable on every shard — the explicit cluster-wide barrier
+// (parity tests use it before comparing bodies). No-op in sync mode.
+func (s *Server) Flush() { flushAll(s.shards) }

@@ -3,18 +3,22 @@ package lucidd
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 )
 
 // asyncServer builds a chaos-enabled async-ingest server with a pinned clock.
-func asyncServer(t *testing.T, shards, queue, batch int) *Server {
+func asyncServer(t *testing.T, shards, queue int) *Server {
 	t.Helper()
 	s, err := NewServerWith(Options{Shards: shards, EnableChaos: true,
-		IngestQueue: queue, IngestBatch: batch, Clock: parityClock()})
+		IngestQueue: queue, Clock: parityClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,25 +64,21 @@ func samplesOf(t *testing.T, s *Server, id int) int {
 	return -1
 }
 
-// TestIngestBackpressure wedges a shard's applier (by holding the shard
-// mutex) and fills its tiny queue: the server must refuse further telemetry
-// with 429 + Retry-After instead of queueing unboundedly or blocking the
-// request path — and after the wedge lifts, exactly the acknowledged
-// samples (every 202, no 429) must be applied.
+// TestIngestBackpressure wedges a shard (by holding its mutex, which every
+// taker of the queue needs) and fills its tiny queue: the server must refuse
+// further telemetry with 429 + Retry-After instead of queueing unboundedly or
+// blocking the request path — after exactly capacity 202s — and after the
+// wedge lifts, exactly the acknowledged samples (every 202, no 429) must be
+// applied.
 func TestIngestBackpressure(t *testing.T) {
-	// Batch of one: the applier can hold at most one op beyond the queue's
-	// capacity when it blocks on the wedged mutex. A larger batch lets it
-	// drain two queued ops into its hand first, which made the bound below
-	// scheduler-dependent.
-	s := asyncServer(t, 1, 2, 1)
+	const capacity = 2
+	s := asyncServer(t, 1, capacity)
 	id := submitJob(t, s, "bp", "vc-0", 1)
-	s.Flush() // applier idle, queue empty
+	s.Flush() // queue empty
 
 	sh := s.shards[0]
 	sh.mu.Lock()
 	accepted, rejected := 0, 0
-	// Capacity 2 plus at most one item the applier pulled into its batch
-	// before blocking on the mutex: a 429 must appear by the 4th POST.
 	for i := 0; i < 10 && rejected == 0; i++ {
 		rec := do(t, s, http.MethodPost, "/metrics",
 			fmt.Sprintf(`{"job":%d,"gpu_util":10,"gpu_mem_mb":100,"gpu_mem_util":5}`, id))
@@ -95,10 +95,14 @@ func TestIngestBackpressure(t *testing.T) {
 		}
 	}
 	if rejected == 0 {
-		t.Fatalf("no 429 after %d accepted samples on a queue of 2", accepted)
+		t.Fatalf("no 429 after %d accepted samples on a queue of %d", accepted, capacity)
 	}
-	if accepted > 3 {
-		t.Errorf("queue of 2 accepted %d samples before backpressure (max 3: capacity + 1 in applier hand)", accepted)
+	if accepted != capacity {
+		t.Errorf("queue of %d accepted %d samples before backpressure, want exactly %d", capacity, accepted, capacity)
+	}
+	// The depth gauge never waits for the wedged shard.
+	if want := fmt.Sprintf("lucidd_ingest_queue_depth{shard=\"0\"} %d\n", capacity); !strings.Contains(get(t, s, "/metrics"), want) {
+		t.Errorf("GET /metrics with the shard wedged lacks %q", want)
 	}
 	sh.mu.Unlock()
 
@@ -115,7 +119,7 @@ func TestIngestBackpressure(t *testing.T) {
 // client that saw its telemetry acknowledged observes it in the very next
 // GET — no explicit Flush needed.
 func TestFlushBarrierReadYourWrites(t *testing.T) {
-	s := asyncServer(t, 4, 1024, 64)
+	s := asyncServer(t, 4, 1024)
 	id := submitJob(t, s, "ryw", "vc-0", 2)
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -145,11 +149,11 @@ func TestFlushBarrierReadYourWrites(t *testing.T) {
 // behind them) must be recovered exactly; samples acknowledged but still
 // queued when the process dies are in-memory only and may be lost — the
 // same durability class as sync mode's unsynced WAL tail. The crash is
-// simulated by wedging both shard mutexes (the appliers can never reach
+// simulated by wedging both shard mutexes (the drainers can never reach
 // the WAL again) and booting a second server over the same state dir.
 func TestCrashDuringAsyncIngest(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 2, StateDir: dir, IngestQueue: 64, IngestBatch: 8}
+	opts := Options{Shards: 2, StateDir: dir, IngestQueue: 64}
 	s1, err := NewServerWith(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +221,7 @@ func TestCrashDuringAsyncIngest(t *testing.T) {
 // from-scratch sort of its job table, every cached prio must equal the live
 // key, and the merged /schedule must equal a brute-force global sort.
 func TestIncrementalOrderMatchesFullSort(t *testing.T) {
-	s := asyncServer(t, 4, 4096, 32)
+	s := asyncServer(t, 4, 4096)
 	parityOps(t, s, 777, 300)
 	s.Flush()
 
@@ -278,8 +282,8 @@ func TestIncrementalOrderMatchesFullSort(t *testing.T) {
 // estimates are equal) must merge in global job-ID order, and the merged
 // body must match the single-shard server fed the same sequence.
 func TestCrossShardScheduleTieBreak(t *testing.T) {
-	multi := asyncServer(t, 4, 1024, 32)
-	single := asyncServer(t, 1, 1024, 32)
+	multi := asyncServer(t, 4, 1024)
+	single := asyncServer(t, 1, 1024)
 	vcA, vcB := twoVCsOnDistinctShards(t, multi)
 	for i := 0; i < 6; i++ {
 		vc := vcA
@@ -317,7 +321,7 @@ func TestCrossShardScheduleTieBreak(t *testing.T) {
 // unequal keys (different names and GPU demands, one job re-estimated after
 // profiling) with equal ones on different shards (same name, user and demand).
 func TestScheduleOrderIsCorePriority(t *testing.T) {
-	s := asyncServer(t, 4, 1024, 32)
+	s := asyncServer(t, 4, 1024)
 	vcA, vcB := twoVCsOnDistinctShards(t, s)
 	for i, gpus := range []int{4, 1, 8, 2, 1, 2, 16, 1} {
 		submitJob(t, s, fmt.Sprintf("train-%d", i%3), vcA, gpus)
@@ -367,7 +371,7 @@ func TestScheduleOrderIsCorePriority(t *testing.T) {
 // the same name (VCs hash apart), and the fan-out /agents listing must order
 // the duplicates by the full (Name, VC, Node) key, not shard iteration luck.
 func TestAgentListDeterministicTieBreak(t *testing.T) {
-	s := asyncServer(t, 4, 64, 8)
+	s := asyncServer(t, 4, 64)
 	vcA, vcB := twoVCsOnDistinctShards(t, s)
 	for _, hb := range []string{
 		fmt.Sprintf(`{"name":"dup","vc":%q,"node":7}`, vcA),
@@ -391,5 +395,71 @@ func TestAgentListDeterministicTieBreak(t *testing.T) {
 	if agents[0].VC != wantFirstVC {
 		t.Errorf("duplicate-name agents ordered %q before %q; want VC tie-break (%q first)",
 			agents[0].VC, agents[1].VC, wantFirstVC)
+	}
+}
+
+// TestAckOrderUnderConcurrentTakers: one poster's samples for one job fold
+// into running means that depend on their order (gpu_util alternates 0 and
+// 100, the memory fields never repeat), while scoped /schedule and /agents
+// reads and Flush calls take the shard's queue beside its drainer. The job
+// must end bit-equal to a sync-mode server fed the same samples: every taker
+// holds the shard mutex from its take to its last apply, so no op can be
+// applied ahead of one acknowledged before it. Run under -race in CI.
+func TestAckOrderUnderConcurrentTakers(t *testing.T) {
+	const n, vc = 10000, "vc-0"
+	async := asyncServer(t, 4, 1024)
+	ref, err := NewServerWith(Options{Shards: 4, Clock: parityClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, async, "order", vc, 2)
+	if got := submitJob(t, ref, "order", vc, 2); got != id {
+		t.Fatalf("ID divergence: %d vs %d", id, got)
+	}
+	rng := rand.New(rand.NewSource(11))
+	bodies := make([]string, n)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%v,"gpu_mem_util":%v}`,
+			id, 100*(i%2), 1000+rng.Float64()*1e5, rng.Float64()*100)
+	}
+
+	stop := make(chan struct{})
+	var takers sync.WaitGroup
+	for _, take := range []func(){
+		func() { do(t, async, http.MethodGet, "/schedule?vc="+vc, "") },
+		func() { do(t, async, http.MethodGet, "/agents?vc="+vc, "") },
+		async.Flush,
+	} {
+		takers.Add(1)
+		go func() {
+			defer takers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					take()
+				}
+			}
+		}()
+	}
+	for i, body := range bodies {
+		code := do(t, async, http.MethodPost, "/metrics", body).Code
+		for ; code == http.StatusTooManyRequests; code = do(t, async, http.MethodPost, "/metrics", body).Code {
+			runtime.Gosched() // backpressure: the sample was not acknowledged, resend it
+		}
+		if code != http.StatusAccepted {
+			close(stop)
+			takers.Wait()
+			t.Fatalf("async sample %d: %d", i, code)
+		}
+		if code := do(t, ref, http.MethodPost, "/metrics", body).Code; code != http.StatusOK {
+			t.Fatalf("sync sample %d: %d", i, code)
+		}
+	}
+	close(stop)
+	takers.Wait()
+	if got, want := get(t, async, "/jobs"), get(t, ref, "/jobs"); got != want {
+		t.Errorf("samples applied out of ack order:\n async %s\n sync  %s", got, want)
 	}
 }

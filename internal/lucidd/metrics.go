@@ -84,20 +84,24 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 		compacts: reg.Counter("lucidd_compactions_total",
 			"Snapshot compactions performed."),
 		ingestApplied: reg.Counter("lucidd_ingest_applied_total",
-			"Telemetry ops applied by the async ingest appliers."),
+			"Telemetry ops applied from the async ingest queues."),
 		ingestRejected: reg.Counter("lucidd_ingest_rejected_total",
 			"Telemetry POSTs refused with 429 (ingest queue at high-water mark)."),
 		ingestErrors: reg.Counter("lucidd_ingest_errors_total",
-			"WAL append/fsync errors inside the async ingest appliers."),
+			"WAL append/fsync errors while applying the async ingest queues."),
 		ingestDropped: reg.Counter("lucidd_ingest_dropped_total",
-			"Telemetry ops acknowledged with 202 and then dropped by the applier: the job was unknown by the time the op was applied."),
+			"Telemetry ops acknowledged with 202 and then dropped: the job was unknown by the time the op was applied."),
+		// One observation per non-empty drain: the drainer's (at most
+		// drainBatch ops) and a flush's (everything queued) alike.
 		ingestBatch: reg.Histogram("lucidd_ingest_batch_ops",
-			"Ops applied per async ingest batch (one mutex hold, one commit).",
+			"Ops applied per ingest queue drain (one mutex hold, one commit), flushes included.",
 			metrics.ExpBuckets(1, 2, 12)),
+		// Read under the queue's own mutex, never the shard mutex, so a
+		// wedged shard still scrapes (TestIngestBackpressure).
 		ingestDepth: reg.GaugeVec("lucidd_ingest_queue_depth",
 			"Queued telemetry ops per shard ingest queue.", "shard"),
 		readBarrier: reg.HistogramVec("lucidd_read_barrier_seconds",
-			"List read: wait for the covered shards' flush barriers (acknowledged ops applied and fsynced).",
+			"List read: flush of the covered shards (acknowledged ops applied and fsynced).",
 			latencyBuckets(), "path"),
 		readCompose: reg.HistogramVec("lucidd_read_compose_seconds",
 			"List read after the barrier: per-shard copy-out, merge and body write.",
@@ -169,10 +173,11 @@ func (s *Server) observePopulation() {
 		label := strconv.Itoa(sh.idx)
 		m.shardJobs.With(label).Set(float64(j))
 		m.shardAgents.With(label).Set(float64(a))
-		if sh.ingestQ != nil {
-			// len() on a channel is safe concurrently — the scrape stays
-			// lock-free even with the applier mid-batch.
-			m.ingestDepth.With(label).Set(float64(len(sh.ingestQ)))
+		if s.opts.IngestQueue > 0 {
+			sh.qmu.Lock()
+			depth := len(sh.queue)
+			sh.qmu.Unlock()
+			m.ingestDepth.With(label).Set(float64(depth))
 		}
 	}
 	m.queueDepth.Set(float64(jobs))

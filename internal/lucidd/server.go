@@ -138,20 +138,17 @@ type Options struct {
 	// records and compactRatio × the last snapshot's bytes (tests use tiny
 	// values). 0 selects the default (1,024).
 	CompactEvery int64
-	// IngestQueue > 0 enables batched async telemetry ingest: POST /metrics
-	// samples and POST /agents heartbeats are acknowledged with 202 after
-	// landing on a per-shard bounded queue of this capacity, drained by a
-	// shard-owned applier in batches (one mutex hold and one commit each).
-	// A full queue refuses the POST with 429 + Retry-After (backpressure).
-	// Read paths and Shutdown insert flush barriers, so every acknowledged
-	// sample is observed there — see ingest.go for the full contract.
-	// 0 (default): the handler applies the op inline and answers 200 with
-	// the result. Either way the op goes through shard.applyOpsLocked.
+	// IngestQueue > 0 enables async telemetry ingest: POST /metrics samples
+	// and POST /agents heartbeats are acknowledged with 202 once they are on
+	// a per-shard queue of at most this many ops, which whoever next holds the
+	// shard mutex drains in ack order — the shard's drainer in holds of up
+	// to 256 ops, or a flush. A full queue refuses the POST with 429 +
+	// Retry-After (backpressure). Read paths, /chaos and Shutdown flush
+	// first, so every acknowledged sample is observed there — see ingest.go
+	// for the full contract. 0 (default): the handler applies the op inline
+	// and answers 200 with the result. Either way the op goes through
+	// shard.applyOpsLocked.
 	IngestQueue int
-	// IngestBatch caps how many queued ops the applier applies per mutex
-	// acquisition and commit. 0 selects the default (256). Only meaningful
-	// with IngestQueue > 0.
-	IngestBatch int
 	// Clock substitutes time.Now so staleness tests are deterministic.
 	Clock func() time.Time
 }
@@ -165,9 +162,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AgentStaleAfter == 0 {
 		o.AgentStaleAfter = 90 * time.Second
-	}
-	if o.IngestQueue > 0 && o.IngestBatch <= 0 {
-		o.IngestBatch = defaultIngestBatch
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -210,9 +204,6 @@ type Server struct {
 	// delayMS is a chaos knob: artificial per-request latency, letting tests
 	// hold requests in flight deterministically while Shutdown drains.
 	delayMS atomic.Int64
-	// appliersStopped guards the one-shot close of the ingest queues (a
-	// second Shutdown must not close them again).
-	appliersStopped atomic.Bool
 }
 
 // Model training is deterministic and expensive, so every server shares one
@@ -282,12 +273,6 @@ func NewServerWith(opts Options) (*Server, error) {
 		// sibling's state.
 		if err := s.openStores(s.opts.StateDir); err != nil {
 			return nil, err
-		}
-	}
-	if s.opts.IngestQueue > 0 {
-		// After recovery: the appliers must never race WAL replay.
-		for _, sh := range s.shards {
-			sh.startApplier(s.opts.IngestQueue, s.opts.IngestBatch)
 		}
 	}
 	return s, nil
@@ -378,8 +363,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Shutdown drains the server: new requests get 503 immediately, and the call
 // blocks until every in-flight request has completed or ctx expires. With
-// async ingest on, the ingest queues are then closed and their appliers
-// drain every acknowledged op (applied, then fsynced) before the stores close.
+// async ingest on, every acknowledged op still queued is then applied and
+// fsynced before the stores close.
 // After a clean drain every shard's durable state (if any) is snapshotted
 // and its WAL closed, so the next boot restores from the snapshots alone.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -395,11 +380,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
-	// In-flight handlers are done, so no producer can touch a queue again:
-	// safe to close them and wait for the drain.
-	if err := s.stopAppliers(ctx); err != nil {
-		return err
-	}
+	// In-flight handlers are done, so nothing is enqueued again: apply and
+	// fsync what is queued.
+	flushAll(s.shards)
 	var err error
 	for _, sh := range s.shards {
 		if cerr := sh.closeStore(); err == nil {
@@ -411,7 +394,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // enqueueAck is the async ack of a telemetry POST: an O(1) enqueue, no shard
 // lock on the request path. 202 + {"<key>":<val>,"queued":true} means
-// acknowledged, will be applied in FIFO order; a queue at its high-water mark
+// acknowledged, will be applied in ack order; a queue at its high-water mark
 // answers 429 + Retry-After, the explicit backpressure signal — clients treat
 // it like the drain-gate 503 (back off and resend) and loadgen counts it as
 // Rejected, not an error. The body is hand-rolled: this is the hottest
@@ -512,8 +495,8 @@ func (s *Server) readShards(vc string) []*shard {
 // readBarrier flushes the shards a list read covers, so the listing reflects
 // every sample and heartbeat acknowledged before the read arrived, and times
 // the read's two halves into lucidd_read_barrier_seconds{path} and
-// lucidd_read_compose_seconds{path}: the wait for the appliers to apply and
-// fsync what was queued, then copy-out + merge + write. The caller stops compose once the body is written.
+// lucidd_read_compose_seconds{path}: the flush that applies and fsyncs what
+// was queued, then copy-out + merge + write. The caller stops compose once the body is written.
 func (s *Server) readBarrier(path string, shards []*shard) (compose metrics.Timer) {
 	t := s.met.reg.StartTimer(s.met.readBarrier.With(path))
 	flushAll(shards)
@@ -565,7 +548,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	op := walOp{Op: "metrics", ID: req.Job, GPUUtil: req.GPUUtil,
 		GPUMemMB: req.GPUMemMB, GPUMemUtil: req.GPUMemUtil}
-	if sh.ingestQ != nil {
+	if s.opts.IngestQueue > 0 {
 		var num [20]byte
 		s.enqueueAck(w, sh, op, "job", strconv.AppendInt(num[:0], int64(req.Job), 10))
 		return
@@ -656,7 +639,7 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 		sh := s.shardFor(req.VC)
 		op := walOp{Op: "agent", Name: req.Name, VC: req.VC, Node: req.Node,
 			UnixNano: now.UnixNano()}
-		if sh.ingestQ != nil {
+		if s.opts.IngestQueue > 0 {
 			// Heartbeats are ~3/4 of the default mix. The name is an
 			// arbitrary decoded string, so json.Marshal is the only correct
 			// quoting path (strconv.Quote differs on some inputs) — cheap for
@@ -738,7 +721,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	case "fail-job":
 		sh, ok := s.shardOfJob(req.Job)
 		if ok {
-			// Barrier before the kill: samples acknowledged before this
+			// Flush before the kill: samples acknowledged before this
 			// request must fold into the profile the kill then resets — the op
 			// order the parity contract fixes, regardless of ingest mode.
 			sh.flush()

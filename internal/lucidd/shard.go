@@ -77,18 +77,17 @@ type shard struct {
 	// is the order of the state mutations the records describe — while the
 	// fsync side (commit) and the atomics behind Unsynced are used without it.
 	wal *snap.WAL
-	// mustSync is set by a hold of mu that logged a record somebody must see
-	// durable before being answered (a job submission) and cleared by the
-	// hold's commitPointLocked.
-	mustSync bool
 
-	// Async ingest pipeline (nil/unused when Options.IngestQueue is 0; see
-	// ingest.go). ingestQ is the shard's bounded telemetry queue, drained by
-	// one applier goroutine per shard; applierDone closes when the applier
-	// has drained the closed queue. batchMax caps ops per critical section.
-	ingestQ     chan ingestItem
-	applierDone chan struct{}
-	batchMax    int
+	// Async ingest (unused when Options.IngestQueue is 0; see ingest.go).
+	// queue holds the acknowledged, not yet applied telemetry ops in ack
+	// order, and draining says a drainer goroutine is running, both under
+	// qmu. A holder of mu may take qmu, never the reverse, so enqueue and the
+	// depth gauge never wait for mu. spare is the buffer the last whole take
+	// swapped out (mu held).
+	qmu      sync.Mutex
+	queue    []walOp
+	draining bool
+	spare    []walOp
 
 	// Population counters published outside mu for lock-free observation:
 	// GET /metrics and the /statusz counts read these without touching the
@@ -168,7 +167,7 @@ func (sh *shard) sweepLocked(now time.Time) {
 // outcome:
 //
 //	POST handler (inline) ─┐
-//	ingest applier (batch) ─┤                       ┌─ state (tables, indexes, LRU)
+//	queue drain | flush    ─┤                       ┌─ state (tables, indexes, LRU)
 //	/chaos evict | fail    ─┼─→ applyOpsLocked ─────┼─ WAL append (write only; the fsync is the caller's commit)
 //	read-path stale sweep  ─┤                       └─ events → caller records them
 //	WAL replay (store nil) ─┘
@@ -180,8 +179,8 @@ func (sh *shard) sweepLocked(now time.Time) {
 // before sh.store is set, so nothing is re-logged, and drops the events. res is
 // nil when the caller wants no per-op outcome, else len(ops) long; failed
 // counts the ops whose append failed and dropped the samples that named a job
-// the shard does not hold, which is all the applier can use (an inline caller
-// answers 404 from res; the applier's client was told 202 long ago). now is the
+// the shard does not hold, which is all a drain can use (an inline caller
+// answers 404 from res; a queued op's client was told 202 long ago). now is the
 // staleness reference only — a heartbeat's LastSeen comes from its op — and
 // replay passes the zero time, against which nothing is stale: recovery never
 // evicts, the first live request does.
@@ -220,10 +219,6 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 				// ID is not.
 				dropJob(js)
 			} else {
-				// An acknowledged submission is durable: the caller may answer
-				// 201 only after its commit has fsynced this record (replay and
-				// an in-memory server logged nothing and owe nobody).
-				sh.mustSync = sh.store != nil
 				events = append(events, dtrace.Event{Job: js.ID, Action: dtrace.ActRelease,
 					Reason: "registered", VC: js.VC, GPUs: js.GPUs})
 			}
@@ -349,15 +344,24 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 
 // applyOne is the inline path of the POST handlers and /chaos: one op under
 // the shard lock, the commit after the unlock, then its events recorded (the
-// recorder is internally synchronized).
+// recorder is internally synchronized). A submission commits with must: the
+// handler answers 201 only once its record is fsynced.
+//
+// Submissions, sync-mode telemetry and /chaos ops are applied here, on their
+// handler's goroutine, in async mode too — by measurement. Handed to one
+// applier goroutine per shard instead (2-core Xeon, go1.24.0), a submission
+// waited for a CPU behind the other shards' busy appliers: the traced
+// ctl_ingest post_jobs_p50_ms went 0.15–0.19 → 0.54–0.59 ms, and the
+// submission p50 behind 511 queued heartbeats (BenchmarkSubmitAfterTelemetry)
+// 200 → 712 µs.
 func (sh *shard) applyOne(op walOp) opResult {
 	var res [1]opResult
 	now := sh.srv.opts.Clock()
 	sh.mu.Lock()
 	events, _, _ := sh.applyOpsLocked([]walOp{op}, now, res[:])
-	seq, must := sh.commitPointLocked()
+	seq := sh.commitPointLocked()
 	sh.mu.Unlock()
-	if err := sh.commit(seq, must); err != nil && res[0].err == nil {
+	if err := sh.commit(seq, op.Op == "job"); err != nil && res[0].err == nil {
 		res[0].err = err
 		if op.Op == "job" {
 			// Answered 500, so it must not be listed afterwards. Between the

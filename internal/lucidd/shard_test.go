@@ -108,10 +108,8 @@ func TestShardParity(t *testing.T) {
 		opts := Options{Shards: shards, EnableChaos: true, Clock: parityClock(), StateDir: dir}
 		if async {
 			// Large enough that the sequential op stream can never trip
-			// backpressure (parityOps fails on any 429); a small batch keeps
-			// many flush barriers landing mid-batch.
+			// backpressure (parityOps fails on any 429).
 			opts.IngestQueue = 4096
-			opts.IngestBatch = 32
 		}
 		s, err := NewServerWith(opts)
 		if err != nil {

@@ -47,11 +47,11 @@ func TestSoakShardedDrainRecover(t *testing.T) {
 	dir := t.TempDir()
 	const shards = 4
 	// Async ingest with a deliberately small queue: the soak also exercises
-	// the applier goroutines (batched apply/fsync, barrier handling, drain
-	// on Shutdown) under -race, and lets real 429 backpressure land — which
+	// the queue drains (drainers, flushes, the final flush on Shutdown)
+	// under -race, and lets real 429 backpressure land — which
 	// loadgen must classify as Rejected, never as an error.
 	srv, err := NewServerWith(Options{Shards: shards, StateDir: dir, CompactEvery: 32,
-		IngestQueue: 64, IngestBatch: 16})
+		IngestQueue: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,20 +29,20 @@ import (
 // process loses nothing it applied (the page cache outlives it). The fsync —
 // what a power cut needs — is never issued under the shard mutex: every hold
 // that appended ends by reading its commit point (commitPointLocked: the
-// sequence number of its last append, and whether anyone must see it durable)
-// and calls shard.commit after the unlock. Whether the disk is asked at all is
-// one rule, snap.WAL.Commit's, for inline handlers and appliers alike:
+// sequence number of its last append) and calls shard.commit after the unlock,
+// saying whether anyone must see it durable. Whether the disk is asked at all
+// is one rule, snap.WAL.Commit's, for inline handlers and queue drains alike:
 //
 //   - must: a job submission (the 201 is written only after its record is
-//     fsynced: an acknowledged job survives any crash), a batch that a flush
-//     barrier ended (reads, /chaos and Flush see everything acknowledged before
-//     them applied and durable), the final drain at Shutdown;
+//     fsynced: an acknowledged job survives any crash), a flush of the ingest
+//     queue (reads, /chaos, Flush and Shutdown see everything acknowledged
+//     before them applied and durable);
 //   - otherwise — metric samples, heartbeats, chaos ops — only once
 //     WAL.SyncEvery (64) records are unsynced: losing the last few dozen
 //     telemetry records in a power cut is harmless, the agents re-send, while
-//     an fsync per sample, or per applier batch, serializes ingest on disk
-//     latency and makes the one fsync a submission waits for queue behind
-//     sixteen nobody asked for.
+//     an fsync per sample, or per drain, serializes ingest on disk latency and
+//     makes the one fsync a submission waits for queue behind sixteen nobody
+//     asked for.
 //
 // Concurrent commits on one shard group: one fsync covers every append made
 // before it started (snap.WAL.SyncTo). /statusz wal_unsynced and the
@@ -318,19 +318,17 @@ func (sh *shard) logOpLocked(op *walOp) error {
 }
 
 // commitPointLocked ends a hold of sh.mu that may have appended: it reads the
-// sequence number of the shard's last append and whether that hold logged
-// something a client must see durable before it is answered (and clears the
-// flag). The caller unlocks, then hands both to commit.
-func (sh *shard) commitPointLocked() (seq int64, must bool) {
+// sequence number of the shard's last append. The caller unlocks, then hands
+// it to commit with whether somebody must see it durable.
+func (sh *shard) commitPointLocked() int64 {
 	if sh.store == nil {
-		return 0, false
+		return 0
 	}
-	must, sh.mustSync = sh.mustSync, false
-	return sh.wal.Seq(), must
+	return sh.wal.Seq()
 }
 
 // commit is the write path's one commit point, called WITHOUT the shard mutex
-// by every path that appended under it (applyOne, applyBatch): records up to
+// by every path that appended under it (applyOne, drain): records up to
 // seq are fsynced if must, or if the unsynced tail has reached WAL.SyncEvery —
 // snap.WAL.Commit holds the rule, and concurrent commits share fsyncs there.
 // sh.wal is set before the server is shared and never cleared, so no lock is
