@@ -95,13 +95,7 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 		// digest; a fresh injector per mk() call keeps repeat runs identical.
 		{"FIFO-chaos", func() (sim.Scheduler, sim.Options) {
 			opts := SimOpts()
-			cs := chaos.DefaultSpec()
-			cs.NodeFailPerDay = 4
-			cs.GPUFailPerDay = 0.5
-			cs.JobCrashPerDay = 6
-			cs.MaxRetries = 3
-			cs.BackoffSec = 120
-			opts.Chaos = chaos.NewInjector(cs)
+			opts.Chaos = chaos.NewInjector(goldenChaos())
 			return sched.NewFIFO(), opts
 		}},
 		// Horus as lab.World runs it (GBDT estimator, the world's seed). It
@@ -115,7 +109,26 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 		// under it — is what notices an elastic allocation the engine's
 		// per-placement record got wrong.
 		{"Pollux", func() (sim.Scheduler, sim.Options) { return sched.NewPollux(), SimOpts() }},
+		// Lucid under FIFO-chaos's faults: killed jobs come back Queued
+		// behind a backoff, so this digest is what notices a requeued job
+		// Lucid fails to take back into its queue.
+		{"Lucid-chaos", func() (sim.Scheduler, sim.Options) {
+			opts := LucidOpts(spec)
+			opts.Chaos = chaos.NewInjector(goldenChaos())
+			return core.New(models.Clone(), core.DefaultConfig()), opts
+		}},
 	}
+}
+
+// goldenChaos is the heavy deterministic fault schedule of the chaos lines.
+func goldenChaos() chaos.Spec {
+	cs := chaos.DefaultSpec()
+	cs.NodeFailPerDay = 4
+	cs.GPUFailPerDay = 0.5
+	cs.JobCrashPerDay = 6
+	cs.MaxRetries = 3
+	cs.BackoffSec = 120
+	return cs
 }
 
 // runTraced executes one traced, invariant-checked simulation and returns
