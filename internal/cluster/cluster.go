@@ -204,17 +204,20 @@ func (c *Cluster) Allocate(jobID int, vc string, n int, memPerGPU float64) ([]GP
 	return c.AllocatePrefer(jobID, vc, n, memPerGPU, PreferAny)
 }
 
-// AllocatePrefer is Allocate with a GPU-generation preference.
+// AllocatePrefer is Allocate with a GPU-generation preference. A request the
+// VC has no room for is answered ErrNoCapacity before the job's ID is looked
+// up: under congestion that is most requests, and planExclusive's first check
+// is O(1).
 func (c *Cluster) AllocatePrefer(jobID int, vc string, n int, memPerGPU float64, pref Preference) ([]GPUID, error) {
-	if _, dup := c.jobGPUs[jobID]; dup {
-		return nil, fmt.Errorf("cluster: job %d already allocated", jobID)
-	}
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: job %d requests %d GPUs", jobID, n)
 	}
 	plan := c.planExclusive(vc, n, pref)
 	if plan == nil {
 		return nil, ErrNoCapacity
+	}
+	if _, dup := c.jobGPUs[jobID]; dup {
+		return nil, fmt.Errorf("cluster: job %d already allocated", jobID)
 	}
 	c.commit(jobID, plan, memPerGPU)
 	return plan, nil

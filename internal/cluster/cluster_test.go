@@ -349,6 +349,38 @@ func TestNoCapacityIsASentinel(t *testing.T) {
 	}
 }
 
+// TestDuplicateIDCheckedAfterCapacity: AllocatePrefer asks for room before
+// it looks the job's ID up. A job that already holds GPUs is refused with
+// its own message wherever room exists — a VC with idle GPUs, another VC, a
+// distributed request — and gets ErrNoCapacity where none does; either way
+// the cluster is left as it was.
+func TestDuplicateIDCheckedAfterCapacity(t *testing.T) {
+	c := twoVC()
+	if _, err := c.Allocate(1, "vcA", 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Allocate(2, "vcB", 8, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := c.FreeGPUs("")
+	for _, tc := range []struct {
+		vc    string
+		n     int
+		noCap bool
+	}{{"vcA", 1, false}, {"vcA", 6, false}, {"vcB", 1, true}, {"vcA", 14, false}, {"vcA", 15, true}} {
+		_, err := c.AllocatePrefer(1, tc.vc, tc.n, 0, PreferAny)
+		switch {
+		case err == nil:
+			t.Errorf("job 1 allocated twice (%d GPUs in %s)", tc.n, tc.vc)
+		case tc.noCap != errors.Is(err, ErrNoCapacity):
+			t.Errorf("job 1, %d GPUs in %s: err = %v, want ErrNoCapacity %v", tc.n, tc.vc, err, tc.noCap)
+		}
+	}
+	if got := c.FreeGPUs(""); got != before || len(c.GPUsOf(1)) != 2 {
+		t.Fatalf("refusals moved the books: %d idle GPUs (was %d), job 1 holds %d", got, before, len(c.GPUsOf(1)))
+	}
+}
+
 // TestFreeCountShortcutAgreesWithScan: planExclusive answers "no" from the
 // per-VC idle count without looking at a node. On randomized occupancy —
 // exclusive, distributed and packed jobs, frees, nodes going down and coming

@@ -171,10 +171,9 @@ func (b *Binder) FindPartnerExplain(env *sim.Env, j *job.Job,
 	memCap := workload.GPUMemMBCap * (1 - b.MemMarginFrac)
 	var best *job.Job
 	bestKey := 1e18
-	for _, r := range env.Running() {
-		if r.VC != j.VC || r.GPUs != j.GPUs {
-			continue // rule 2 (same VC and demand); not a meaningful counterfactual
-		}
+	// Rule 2 (same VC and demand) picks the candidates; jobs it rules out are
+	// not meaningful counterfactuals.
+	for _, r := range env.RunningWith(j.VC, j.GPUs) {
 		if r.Distributed() {
 			ex.add(r.ID, 0, "distributed-partner") // rule 5
 			continue

@@ -117,13 +117,27 @@ type Lucid struct {
 	binder   *Binder
 
 	scores     map[int]workload.SharingScore
-	seen       map[int]bool
 	hourCount  float64
 	curHour    int64
 	lastUpdate int64
+	// arrived is len(env.AllJobs()) when arrivals were last counted, -1 until
+	// a fresh instance's first round.
+	arrived int
 
-	// queue is orderQueue's scratch, reused across rounds.
-	queue []keyedJob
+	// queue is Algorithm 2's order, kept rather than rebuilt: the Queued jobs
+	// by (key, Submit, ID) ascending. A job enters when it becomes Queued
+	// (onProfiled) or comes back from a fault requeue (Env.Requeued), and
+	// leaves when orchestrate places it; a refit re-keys it. primed is unset
+	// until a round has built it from the waiting set, which is how a fresh,
+	// restored or forked instance starts.
+	queue  []keyedJob
+	primed bool
+	// unprofiled is the profiler's input: the visible Pending jobs in trace
+	// order, kept the same way — arrivals join at the end, the jobs the
+	// profiler took or admitted leave after its step.
+	unprofiled []*job.Job
+	// roundHook, when set (tests), sees the queue at the top of orchestrate.
+	roundHook func(env *sim.Env, queue []keyedJob)
 
 	// modelsDirty records whether the Update Engine has refit the estimator
 	// since construction. A snapshot embeds the full model bundle only then;
@@ -164,7 +178,7 @@ func New(models *Models, cfg Config) *Lucid {
 		profiler: p,
 		binder:   b,
 		scores:   map[int]workload.SharingScore{},
-		seen:     map[int]bool{},
+		arrived:  -1,
 	}
 }
 
@@ -193,9 +207,9 @@ func (l *Lucid) ModelsRefit() bool { return l.modelsDirty }
 // Everything else reacts to queue/cluster changes, which wake the engine on
 // their own. The binder's time-aware packing rule (partner remaining time
 // below MinRemainSec) only *removes* pack options as runtime accrues, and
-// the fairness-aging priority only *reorders* a queue that the greedy
-// orchestrator replays in full each round — neither can turn an idle round
-// into an acting one, so neither needs a wake-up.
+// the fairness-aging credit grows alike for every waiting job, so it never
+// reorders the queue (see key) — neither can turn an idle round into an
+// acting one, so neither needs a wake-up.
 func (l *Lucid) NextWake(env *sim.Env) int64 {
 	now := env.Now()
 	next := (l.curHour + 1) * 3600
@@ -217,27 +231,60 @@ func (l *Lucid) NextWake(env *sim.Env) int64 {
 	return next
 }
 
-// Tick implements the full Figure 4 workflow. The waiting set is read once:
-// every stage filters it by State as the State stands when the stage runs,
-// so the list taken at the top serves them all — together with the jobs the
-// profiler hands back this round, which were Profiling when it was taken.
+// Tick implements the full Figure 4 workflow. Every job the profiler turns
+// Queued enters the orchestrator's queue through onProfiled, the same round.
 func (l *Lucid) Tick(env *sim.Env) {
-	waiting := env.Pending()
-	l.observeArrivals(waiting)
+	l.observe(env)
 	l.hourlyMaintenance(env)
-	back := l.profiler.Step(env, waiting, l.onProfiled)
-	l.orchestrate(env, append(waiting, back...))
+	l.profiler.Step(env, l.unprofiled, l.onProfiled)
+	l.unprofiled = slices.DeleteFunc(l.unprofiled, func(j *job.Job) bool { return j.State != job.Pending })
+	l.orchestrate(env)
 	l.updateEngine(env)
 }
 
-// observeArrivals counts new submissions for the throughput model.
-func (l *Lucid) observeArrivals(waiting []*job.Job) {
-	for _, j := range waiting {
-		if !l.seen[j.ID] {
-			l.seen[j.ID] = true
-			l.hourCount++
+// observe catches up with what the engine did since the last round: it
+// counts the submissions for the throughput model, appends them to the
+// profiler's list, and takes requeued Queued jobs back into the queue. Two
+// cases read the waiting set instead. A requeued unprofiled job belongs
+// somewhere inside the profiler's list, at a place only the trace order
+// knows, so the list is rebuilt. A fresh instance builds both lists, and
+// counts the visible waiting jobs as its first round's arrivals.
+func (l *Lucid) observe(env *sim.Env) {
+	all := env.AllJobs()
+	resync := !l.primed
+	if l.primed {
+		l.unprofiled = append(l.unprofiled, all[l.arrived:]...)
+		for _, j := range env.Requeued() {
+			if j.State == job.Queued {
+				l.enqueue(j)
+			} else {
+				resync = true
+			}
 		}
 	}
+	if resync {
+		waiting := env.Pending()
+		l.unprofiled = l.unprofiled[:0]
+		for _, j := range waiting {
+			if j.State == job.Pending {
+				l.unprofiled = append(l.unprofiled, j)
+			}
+		}
+		if !l.primed {
+			l.primed = true
+			for _, j := range waiting {
+				if j.State == job.Queued {
+					l.queue = append(l.queue, keyedJob{job: j, key: l.key(j)})
+				}
+			}
+			slices.SortFunc(l.queue, compareKeyed)
+			if l.arrived < 0 {
+				l.arrived = len(all) - len(waiting)
+			}
+		}
+	}
+	l.hourCount += float64(len(all) - l.arrived)
+	l.arrived = len(all)
 }
 
 // hourlyMaintenance rolls the submission counter into the throughput model
@@ -265,11 +312,13 @@ func (l *Lucid) hourlyMaintenance(env *sim.Env) {
 	}
 }
 
-// onProfiled classifies a freshly profiled job and refreshes its estimate
-// (the profile adds features the estimator can use).
+// onProfiled classifies a freshly profiled job, refreshes its estimate (the
+// profile adds features the estimator can use) and queues it: every profiler
+// path that turns a job Queued calls it.
 func (l *Lucid) onProfiled(j *job.Job) {
 	l.scores[j.ID] = l.models.Analyzer.ScoreJob(j)
 	l.models.Estimator.Invalidate(j.ID)
+	l.enqueue(j)
 }
 
 // Priority is Algorithm 2 line 4: GPU demand × estimated duration, smaller
@@ -278,10 +327,10 @@ func Priority(gpus int, estSec float64) float64 {
 	return float64(gpus) * estSec
 }
 
-// priority is the key orderQueue sorts by: Priority, less the fairness
+// priority is a job's score at time now: Priority, less the fairness
 // extension's aging credit proportional to waiting time, which bounds
 // starvation of long/large jobs (§6 future work). With the estimator
-// ablated, ordering degrades to submission order.
+// ablated, ordering degrades to submission order. Decision traces report it.
 func (l *Lucid) priority(j *job.Job, now int64) float64 {
 	if l.cfg.DisableEstimator {
 		return float64(j.Submit)
@@ -289,6 +338,23 @@ func (l *Lucid) priority(j *job.Job, now int64) float64 {
 	p := Priority(j.GPUs, l.models.Estimator.EstimateSec(j))
 	if l.cfg.FairnessAgingSec > 0 {
 		p -= l.cfg.FairnessAgingSec * float64(now-j.Submit)
+	}
+	return p
+}
+
+// key is what the queue orders by: priority with the clock taken out. The
+// aging credit a·(now − Submit) is Priority + a·Submit − a·now, and the last
+// term is the same for every job in a round, so Priority + a·Submit orders
+// the queue as priority does and stays fixed while the job waits. At a = 0
+// (the paper's setting) and with the estimator ablated it is priority, bit
+// for bit; with aging on, rounding can split a near-tie the other way.
+func (l *Lucid) key(j *job.Job) float64 {
+	if l.cfg.DisableEstimator {
+		return float64(j.Submit)
+	}
+	p := Priority(j.GPUs, l.models.Estimator.EstimateSec(j))
+	if a := l.cfg.FairnessAgingSec; a > 0 {
+		p += a * float64(j.Submit)
 	}
 	return p
 }
@@ -313,54 +379,54 @@ func (l *Lucid) score(j *job.Job) workload.SharingScore {
 	return s
 }
 
-// keyedJob is a queued job with its Algorithm 2 priority, computed once per
-// round rather than once per comparison.
+// keyedJob is a queued job with its key, computed when it enters the queue
+// rather than once per comparison or per round.
 type keyedJob struct {
 	job *job.Job
 	key float64
 }
 
-// orderQueue returns the Queued jobs among pending in Algorithm 2's order:
-// priority ascending, ties by submit time, then ID. The result is scratch
-// that the next call overwrites. A queue of one is returned unkeyed: there
-// is nothing to order, and asking for an estimate fills the estimator's
-// cache, which is snapshot state.
-func (l *Lucid) orderQueue(pending []*job.Job, now int64) []keyedJob {
-	q := l.queue[:0]
-	for _, j := range pending {
-		if j.State == job.Queued {
-			q = append(q, keyedJob{job: j})
-		}
+// compareKeyed is Algorithm 2's order: key ascending, ties by submit time,
+// then ID — total, so the queue's order never depends on how it was built.
+func compareKeyed(a, b keyedJob) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
 	}
-	l.queue = q
-	if len(q) < 2 {
-		return q
+	if c := cmp.Compare(a.job.Submit, b.job.Submit); c != 0 {
+		return c
 	}
-	for i := range q {
-		q[i].key = l.priority(q[i].job, now)
-	}
-	slices.SortStableFunc(q, func(a, b keyedJob) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.job.Submit, b.job.Submit); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.job.ID, b.job.ID)
-	})
-	return q
+	return cmp.Compare(a.job.ID, b.job.ID)
 }
 
-// orchestrate is Algorithm 2: sort the Queued jobs among waiting by priority
-// ascending, then place with sharing (if enabled) or exclusively. The order
-// of waiting does not matter: orderQueue's comparator is total.
-func (l *Lucid) orchestrate(env *sim.Env, waiting []*job.Job) {
-	now := env.Now()
-	queued := l.orderQueue(waiting, now)
+// enqueue puts a Queued job in its place (a no-op for a member).
+func (l *Lucid) enqueue(j *job.Job) {
+	kj := keyedJob{job: j, key: l.key(j)}
+	if i, ok := slices.BinarySearchFunc(l.queue, kj, compareKeyed); !ok {
+		l.queue = slices.Insert(l.queue, i, kj)
+	}
+}
+
+// rekey re-derives every key and restores the order, after a refit has
+// changed the estimates behind them.
+func (l *Lucid) rekey() {
+	for i := range l.queue {
+		l.queue[i].key = l.key(l.queue[i].job)
+	}
+	slices.SortFunc(l.queue, compareKeyed)
+}
+
+// orchestrate is Algorithm 2: walk the queue in priority order and place
+// each job with sharing (if enabled) or exclusively. Placed jobs leave the
+// queue; the rest keep their places for the next round.
+func (l *Lucid) orchestrate(env *sim.Env) {
+	if l.roundHook != nil {
+		l.roundHook(env, l.queue)
+	}
+	queued := l.queue
 	if len(queued) == 0 {
 		return
 	}
-
+	now := env.Now()
 	rec := env.Trace()
 	if rec.Enabled() {
 		l.traceOrder(env, queued, now)
@@ -371,6 +437,7 @@ func (l *Lucid) orchestrate(env *sim.Env, waiting []*job.Job) {
 	if !l.cfg.DisableEstimator {
 		remaining = l.remainingEstimate
 	}
+	kept := queued[:0]
 	for _, q := range queued {
 		j := q.job
 		if sharing {
@@ -380,10 +447,8 @@ func (l *Lucid) orchestrate(env *sim.Env, waiting []*job.Job) {
 			} else {
 				p = l.binder.FindPartner(env, j, l.score, remaining)
 			}
-			if p != nil {
-				if env.StartShared(j, p) {
-					continue
-				}
+			if p != nil && env.StartShared(j, p) {
+				continue
 			}
 		}
 		pref := l.placementPref(j)
@@ -393,14 +458,18 @@ func (l *Lucid) orchestrate(env *sim.Env, waiting []*job.Job) {
 			env.Annotate(j.ID, "steer-long-job-to-fast-generation",
 				l.models.Estimator.EstimateSec(j), 0, nil)
 		}
-		env.StartExclusivePrefer(j, pref)
+		if !env.StartExclusivePrefer(j, pref) {
+			kept = append(kept, q)
+		}
 	}
+	clear(queued[len(kept):])
+	l.queue = kept
 }
 
 // traceOrder records the Resource Orchestrator's queue-ordering decision:
 // the job granted the head of the queue, its priority score, and the top-K
 // jobs it was preferred over — Figure 12's "why does job A go before job
-// B?" answer.
+// B?" answer. Scores are priority's, aging credit at now included.
 func (l *Lucid) traceOrder(env *sim.Env, queued []keyedJob, now int64) {
 	head := queued[0].job
 	reason := "min-gpu-demand-x-estimate"
@@ -417,7 +486,7 @@ func (l *Lucid) traceOrder(env *sim.Env, queued []keyedJob, now int64) {
 			break
 		}
 		alts = append(alts, dtrace.Alternative{
-			Job: q.job.ID, Score: q.key, Reason: "behind-in-queue"})
+			Job: q.job.ID, Score: l.priority(q.job, now), Reason: "behind-in-queue"})
 	}
 	env.Trace().Record(dtrace.Event{
 		Tick: now, Job: head.ID, Action: dtrace.ActOrder, Reason: reason,
@@ -503,5 +572,6 @@ func (l *Lucid) updateEngine(env *sim.Env) {
 	// must never take the scheduler down.
 	if err := l.models.Estimator.Update(merged); err == nil {
 		l.modelsDirty = true
+		l.rekey()
 	}
 }

@@ -84,13 +84,13 @@ func (p *Profiler) CurrentTprof() int64 {
 	return p.tprofNow
 }
 
-// Step runs one profiler round (Algorithm 1) over waiting, the round's
-// Env.Pending(): evict overtime jobs, admit oversized jobs on the fly, then
-// fill the partition least-GPUs-first. onProfiled is invoked for each job
-// that leaves the profiler with a fresh profile. The evicted jobs are
-// returned: they are Queued now but were not waiting when the list was
-// taken, so the caller's placement stage has to be told about them.
-func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.Job)) (evicted []*job.Job) {
+// Step runs one profiler round (Algorithm 1) over the Pending jobs among
+// waiting, which must be in trace order (Env.Pending's, or any list that
+// keeps it): evict overtime jobs, admit oversized jobs on the fly, then fill
+// the partition least-GPUs-first. onProfiled is invoked for each job that
+// leaves the profiler Queued with a fresh profile — evicted, or admitted
+// without a run.
+func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.Job)) {
 	rec := env.Trace()
 
 	// CheckRunningJobs: evict jobs that exceeded the limit.
@@ -105,7 +105,6 @@ func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.J
 			}
 			env.StopProfiling(j)
 			onProfiled(j)
-			evicted = append(evicted, j)
 		}
 	}
 
@@ -124,7 +123,7 @@ func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.J
 				onProfiled(j)
 			}
 		}
-		return evicted
+		return
 	}
 
 	// Job scale limit: oversized jobs skip profiling (metrics on the fly).
@@ -181,5 +180,4 @@ func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.J
 		}
 		used += j.GPUs
 	}
-	return evicted
 }

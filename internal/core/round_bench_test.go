@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/lab"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -68,4 +70,66 @@ func BenchmarkLucidRoundCongested(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*roundsPerOp)/1e3, "µs/round")
 	b.ReportMetric(float64(queue), "queued")
 	b.ReportMetric(float64(residents), "running")
+}
+
+// BenchmarkLucidRoundDeepQueue times Lucid rounds over the deep queue of
+// sched's BenchmarkBaselineRoundDeepQueue: the same FIFO mid-trace state
+// (over 7,000 jobs waiting in a dozen VCs on 160 GPUs), forked under Lucid
+// with static models and no profiling partition, so that its first round
+// observes every waiting job on the fly and all of them are Queued —
+// Algorithm 2 ordering and placing thousands of jobs a round, the regime of
+// the paper's Fig 10a. That first round is run once, untimed; one iteration
+// forks its result and times roundsPerOp forced rounds, ticks included.
+//
+//	go test ./internal/core/ -run '^$' -bench BenchmarkLucidRoundDeepQueue -benchtime 5x
+func BenchmarkLucidRoundDeepQueue(b *testing.B) {
+	const roundsPerOp = 64
+	spec := trace.Saturn()
+	spec.Nodes, spec.NumJobs, spec.TargetLoad = spec.Nodes/13, spec.NumJobs/3, 4.0
+	g := trace.NewGenerator(spec)
+	tr := g.Emit(0)
+	models, err := core.TrainModels(g.Emit(5000), core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.UpdateIntervalSec = 0
+	opts := sim.Options{Tick: 30, SchedulerEvery: 300}
+
+	fifo := sim.New(tr, sched.NewFIFO(), opts)
+	if done := fifo.RunUntil(int64(spec.Days) * 86400 / 2); done {
+		b.Fatal("run completed before mid-trace")
+	}
+	probe := &envProbe{Scheduler: core.New(models.Clone(), cfg)}
+	mid, err := fifo.Fork(probe, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mid.StepOnce() // Lucid's first round: every waiting job observed and Queued
+	queued, running := 0, len(probe.env.Running())
+	for _, j := range probe.env.Pending() {
+		if j.State == job.Queued {
+			queued++
+		}
+	}
+	if queued < 5000 {
+		b.Fatalf("mid-trace queue is not deep: %d Queued", queued)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := mid.Fork(core.New(models.Clone(), cfg), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for r := 0; r < roundsPerOp; r++ {
+			s.StepOnce()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*roundsPerOp)/1e3, "µs/round")
+	b.ReportMetric(float64(queued), "queued")
+	b.ReportMetric(float64(running), "running")
 }

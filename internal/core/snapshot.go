@@ -4,18 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/workload"
 )
 
 // Lucid's sim.SchedulerState implementation. The captured state is every
-// run-mutable field of the Figure 4 pipeline: the sharing-score and
-// seen-arrival caches, the hourly throughput counter, the Binder's pack
-// mode, the Profiler's Time-aware Scaling position, the estimator's
-// per-job estimate cache (state, not memoization — entries cached before a
-// job's profile attached are intentionally stale until Invalidate), and the
-// forecaster's live observation window.
+// run-mutable field of the Figure 4 pipeline: the sharing-score cache, the
+// arrival count, the hourly throughput counter, the Binder's pack mode, the
+// Profiler's Time-aware Scaling position, the estimator's per-job estimate
+// cache (state, not memoization — entries cached before a job's profile
+// attached are intentionally stale until Invalidate), and the forecaster's
+// live observation window. The orchestrator's queue is not state: it is the
+// waiting set's Queued jobs in key order, and the first round after a
+// restore builds it again.
 //
 // The trained model weights are embedded (via Models.Save) only when the
 // Update Engine has refit them mid-run: until then they are exactly the
@@ -25,7 +26,7 @@ import (
 // construction-time input, exactly as Models.Save documents.
 type lucidState struct {
 	Scores     map[int]workload.SharingScore `json:"scores,omitempty"`
-	Seen       []int                         `json:"seen,omitempty"`
+	Arrived    int                           `json:"arrived"`
 	HourCount  float64                       `json:"hour_count"`
 	CurHour    int64                         `json:"cur_hour"`
 	LastUpdate int64                         `json:"last_update"`
@@ -45,6 +46,7 @@ type lucidState struct {
 func (l *Lucid) SnapshotState() ([]byte, error) {
 	st := lucidState{
 		Scores:           l.scores,
+		Arrived:          l.arrived,
 		HourCount:        l.hourCount,
 		CurHour:          l.curHour,
 		LastUpdate:       l.lastUpdate,
@@ -55,11 +57,6 @@ func (l *Lucid) SnapshotState() ([]byte, error) {
 		TPRecent:         append([]float64(nil), l.models.Throughput.recent...),
 		ModelsDirty:      l.modelsDirty,
 	}
-	st.Seen = make([]int, 0, len(l.seen))
-	for id := range l.seen {
-		st.Seen = append(st.Seen, id)
-	}
-	sort.Ints(st.Seen)
 	if l.modelsDirty {
 		var buf bytes.Buffer
 		if err := l.models.Save(&buf); err != nil {
@@ -84,10 +81,7 @@ func (l *Lucid) RestoreState(blob []byte) error {
 	for id, s := range st.Scores {
 		l.scores[id] = s
 	}
-	l.seen = make(map[int]bool, len(st.Seen))
-	for _, id := range st.Seen {
-		l.seen[id] = true
-	}
+	l.arrived = st.Arrived
 	l.hourCount = st.HourCount
 	l.curHour = st.CurHour
 	l.lastUpdate = st.LastUpdate

@@ -492,12 +492,13 @@ func mergeSorted[T any](views [][]T, less func(a, b T) bool) []T {
 // index, the K-way fan-out merge and the tie-break tests all order by it, so
 // the order is identical at any shard count.
 //
-// It is also the simulator's order (core.Lucid.orderQueue) at the paper
-// default. That one subtracts the §6 aging credit, which is zero unless
-// FairnessAgingSec is set — the daemon has none: its index is re-keyed when a
-// job changes, and a credit that grows with the clock would re-key every job
-// on every read. And it breaks ties by (Submit, ID), which is the ID order
-// here because the daemon allocates IDs in submit order.
+// It is also the simulator's order at the paper default: core.Lucid keeps its
+// queue the same way, keyed once and re-keyed when an estimate changes. Its
+// key adds the §6 aging credit in static form, rate × Submit, which is zero
+// unless FairnessAgingSec is set; the daemon has no aging knob, though the
+// static form would need no re-key on reads either. And it breaks ties by
+// (Submit, ID), which is the ID order here because the daemon allocates IDs
+// in submit order.
 type queueKey struct {
 	prio float64
 	id   int

@@ -23,6 +23,8 @@ import (
 //     this is what notices a change nobody told it about;
 //   - the waiting set: its members are exactly the submitted Pending and
 //     Queued jobs, each in its own VC's queue, ascending by trace index;
+//   - the partner index, once built: each (VC, GPUs) set is exactly the
+//     running set filtered by that VC and demand, ascending by ID;
 //   - causality: no job runs before its submission or after its retirement,
 //     and retired jobs hold no GPUs;
 //   - non-intrusiveness: a job leaving the profiler restarts from zero
@@ -85,6 +87,7 @@ func (s *Sim) checkInvariants() {
 	s.checkAscending(&s.running, "running")
 	s.checkAscending(&s.profiling, "profiling")
 	s.checkWaiting()
+	s.checkPeers()
 
 	for i, j := range s.running.jobs {
 		id := j.ID
@@ -214,6 +217,38 @@ func (s *Sim) checkAscending(set *residents, name string) {
 			s.opts.Invariants.violate("tick %d: %s set out of ID order at %d: job %d before job %d",
 				s.now, name, i, set.jobs[i-1].ID, set.jobs[i].ID)
 		}
+	}
+}
+
+// checkPeers validates the partner index against the running set it cuts:
+// every member of a set is a running job of that VC and demand, in ID order,
+// and the sets together hold as many jobs as are running — so none is
+// missing.
+func (s *Sim) checkPeers() {
+	if s.peers == nil {
+		return
+	}
+	c := s.opts.Invariants
+	n := 0
+	for vc, sets := range s.peers {
+		for _, set := range sets {
+			n += len(set.jobs)
+			for k, j := range set.jobs {
+				switch {
+				case k > 0 && set.jobs[k-1].ID >= j.ID:
+					c.violate("tick %d: partner set %s/%d out of ID order at %d", s.now, s.waiting[vc].vc, set.gpus, k)
+				case j.VC != s.waiting[vc].vc || j.GPUs != set.gpus:
+					c.violate("tick %d: partner set %s/%d holds job %d of %s/%d",
+						s.now, s.waiting[vc].vc, set.gpus, j.ID, j.VC, j.GPUs)
+				case !s.running.has(j.ID):
+					c.violate("tick %d: partner set %s/%d holds job %d, which is not running",
+						s.now, s.waiting[vc].vc, set.gpus, j.ID)
+				}
+			}
+		}
+	}
+	if n != len(s.running.jobs) {
+		c.violate("tick %d: partner index holds %d jobs, %d are running", s.now, n, len(s.running.jobs))
 	}
 }
 

@@ -51,31 +51,69 @@ type placement struct {
 // profiler stops jobs while ranging over one). recs is never lent and is
 // edited in place.
 type residents struct {
-	jobs []*job.Job
+	idset
 	recs []placement
-	// lent is set while a caller may hold the current backing array.
-	lent bool
 	// stale is set while some record's speed needs recomputing.
 	stale bool
+}
+
+// idset is a job list in strictly ascending ID order, lent to schedulers
+// without copying and copy-on-write after that: the resident sets' members,
+// and the running set's (VC, GPUs) slices behind Env.RunningWith.
+type idset struct {
+	jobs []*job.Job
+	// lent is set while a caller may hold the current backing array.
+	lent bool
 }
 
 // view returns the members in ID order without copying. The capacity is
 // clipped, so a caller's append reallocates instead of writing past the end
 // into engine memory. Callers must not assign to elements.
-func (r *residents) view() []*job.Job {
+func (r *idset) view() []*job.Job {
 	r.lent = true
 	return r.jobs[:len(r.jobs):len(r.jobs)]
 }
 
 // find returns the position of the job with the given ID, or where it would
 // be inserted.
-func (r *residents) find(id int) (int, bool) {
+func (r *idset) find(id int) (int, bool) {
 	return slices.BinarySearchFunc(r.jobs, id, func(j *job.Job, id int) int { return j.ID - id })
 }
 
-func (r *residents) has(id int) bool {
+func (r *idset) has(id int) bool {
 	_, ok := r.find(id)
 	return ok
+}
+
+// own moves the set off a backing array a caller may still be reading.
+func (r *idset) own() {
+	if r.lent {
+		r.jobs, r.lent = slices.Clone(r.jobs), false
+	}
+}
+
+// add puts j at its ID position and returns it; ok is false, and nothing
+// changes, for a member.
+func (r *idset) add(j *job.Job) (at int, ok bool) {
+	i, dup := r.find(j.ID)
+	if dup {
+		return i, false
+	}
+	r.own()
+	r.jobs = slices.Insert(r.jobs, i, j)
+	return i, true
+}
+
+// drop takes the job with the given ID out and returns where it was; ok is
+// false, and nothing changes, for a non-member.
+func (r *idset) drop(id int) (at int, ok bool) {
+	i, ok := r.find(id)
+	if !ok {
+		return i, false
+	}
+	r.own()
+	r.jobs = slices.Delete(r.jobs, i, i+1)
+	return i, true
 }
 
 // rec returns the placement record of the job with the given ID, nil for a
@@ -95,34 +133,45 @@ func (r *residents) markStale(id int) {
 	}
 }
 
-// own moves the set off a backing array a caller may still be reading.
-func (r *residents) own() {
-	if r.lent {
-		r.jobs, r.lent = slices.Clone(r.jobs), false
-	}
-}
-
 // insert adds j at its ID position with the given record (a no-op if it is
 // already a member).
 func (r *residents) insert(j *job.Job, p placement) {
-	i, ok := r.find(j.ID)
-	if ok {
-		return
+	if i, ok := r.add(j); ok {
+		r.recs = slices.Insert(r.recs, i, p)
+		r.stale = r.stale || p.stale
 	}
-	r.own()
-	r.jobs = slices.Insert(r.jobs, i, j)
-	r.recs = slices.Insert(r.recs, i, p)
-	r.stale = r.stale || p.stale
 }
 
 // remove deletes the job with the given ID and its record (a no-op for
 // non-members).
 func (r *residents) remove(id int) {
-	i, ok := r.find(id)
-	if !ok {
-		return
+	if i, ok := r.drop(id); ok {
+		r.recs = slices.Delete(r.recs, i, i+1)
 	}
-	r.own()
-	r.jobs = slices.Delete(r.jobs, i, i+1)
-	r.recs = slices.Delete(r.recs, i, i+1)
+}
+
+// peers is the running set cut by (VC, GPU demand), the candidates §3.3's
+// rule 2 allows a packing partner to come from: per VC position (Sim.vcPos),
+// one set per demand present. The engine builds it on the first
+// Env.RunningWith and from then on keeps it beside the running set, at the
+// two places a job enters and leaves that set (startRunning, evict), so a
+// policy that never asks pays one nil check per placement.
+type peers [][]peerSet
+
+type peerSet struct {
+	gpus int
+	idset
+}
+
+// of returns the set of the given VC position and demand, making it on first
+// use.
+func (p peers) of(vc, gpus int) *idset {
+	sets := &p[vc]
+	for i := range *sets {
+		if (*sets)[i].gpus == gpus {
+			return &(*sets)[i].idset
+		}
+	}
+	*sets = append(*sets, peerSet{gpus: gpus})
+	return &(*sets)[len(*sets)-1].idset
 }

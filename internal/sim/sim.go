@@ -125,6 +125,8 @@ type Sim struct {
 	backoff    evheap      // requeue-backoff expiry ticks (chaos wake-ups)
 	running    residents   // on the main cluster, ascending ID (residents.go)
 	profiling  residents   // on the profiling cluster, ascending ID
+	peers      peers       // running by (VC, GPUs); nil until Env.RunningWith
+	requeued   []*job.Job  // backoff expiries of this tick (Env.Requeued)
 	finished   int
 	lastSched  int64
 	lastSample int64
@@ -387,6 +389,9 @@ func (s *Sim) evict(j *job.Job) bool {
 	case job.Running:
 		s.freeMain(j.ID)
 		s.running.remove(j.ID)
+		if s.peers != nil {
+			s.peers.of(s.vcPos[j.VC], j.GPUs).drop(j.ID)
+		}
 	case job.Profiling:
 		s.profiler.Free(j.ID)
 		s.profiling.remove(j.ID)
@@ -439,18 +444,19 @@ func firstTickGE(t, tick int64) int64 {
 
 // drainBackoff pops every backoff entry due by now and reports whether any
 // of them woke a job that is actually schedulable (stale entries — the job
-// re-ran and died again, or turned terminal — are discarded).
+// re-ran and died again, or turned terminal — are discarded). The woken jobs
+// are this tick's Env.Requeued.
 func (s *Sim) drainBackoff() bool {
-	woke := false
+	s.requeued = s.requeued[:0]
 	for {
 		top, ok := s.backoff.peek()
 		if !ok || top.at > s.now {
-			return woke
+			return len(s.requeued) > 0
 		}
 		s.backoff.pop()
 		j := s.byID[top.id]
 		if (j.State == job.Pending || j.State == job.Queued) && j.NextEligible <= s.now {
-			woke = true
+			s.requeued = append(s.requeued, j)
 		}
 	}
 }
@@ -573,6 +579,33 @@ func (e *Env) LastSchedulerRun() int64 { return e.s.lastSched }
 // — but it is shared with the engine until then (see residents.view): read
 // it, append to it, do not assign to its elements.
 func (e *Env) Running() []*job.Job { return e.s.running.view() }
+
+// RunningWith returns the running jobs of the VC that demand gpus GPUs, in id
+// order, under Running's snapshot contract: the packing partners §3.3's rule
+// 2 permits a job of that VC and demand. The first call indexes the running
+// set (peers); the engine maintains the index from then on.
+func (e *Env) RunningWith(vc string, gpus int) []*job.Job {
+	s := e.s
+	p, ok := s.vcPos[vc]
+	if !ok {
+		return nil
+	}
+	if s.peers == nil {
+		s.peers = make(peers, len(s.waiting))
+		for _, j := range s.running.jobs {
+			s.peers.of(s.vcPos[j.VC], j.GPUs).add(j)
+		}
+	}
+	return s.peers.of(p, gpus).view()
+}
+
+// Requeued returns the waiting jobs that became visible on this tick because
+// their requeue backoff elapsed — fault-killed jobs, back in Queues and
+// Pending after being hidden there since the kill. It is the only way a job
+// rejoins the waiting set without a scheduler's own action or an arrival, so
+// a scheduler that tracks its queue incrementally reads it every round (a
+// tick that has any runs one). The slice is scratch the next tick overwrites.
+func (e *Env) Requeued() []*job.Job { return e.s.requeued }
 
 // Profiling returns jobs on the profiling cluster, in id order, under the
 // same snapshot contract as Running.
@@ -707,6 +740,9 @@ func (s *Sim) startRunning(j *job.Job, gpus []cluster.GPUID, elastic int) {
 		j.FirstStart = s.now
 	}
 	s.running.insert(j, placement{speed: 1, stale: true, gen: s.genFactor(gpus), elastic: elastic})
+	if s.peers != nil {
+		s.peers.of(s.vcPos[j.VC], j.GPUs).add(j)
+	}
 }
 
 // Preempt checkpoints a running job back to the queue (intrusive — Tiresias

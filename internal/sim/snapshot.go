@@ -52,7 +52,8 @@ type jobSnap struct {
 // Deliberately NOT persisted (all reconstructible or replaceable): the trace
 // itself (fingerprinted instead), the speeds (a pure function of placement,
 // rebuilt by recomputeSpeeds), the waiting set and completion predictions
-// (pure functions of job state), the pending-annotation buffer
+// (pure functions of job state), the partner index (built again from the
+// restored running set by the first Env.RunningWith), the pending-annotation buffer
 // (always empty at tick boundaries), retained dtrace events and the trace
 // sink (the digest and counters carry the continuation), and the chaos
 // straggler set (a pure function of seed and cluster shape).
