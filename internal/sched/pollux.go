@@ -35,23 +35,31 @@ func (*Pollux) Name() string { return "Pollux" }
 // Tick admits every waiting job at minimum size, then rebalances GPUs
 // toward the jobs with the largest marginal goodput gain.
 func (p *Pollux) Tick(env *sim.Env) {
-	// Admit: every pending job tries to start with 1 GPU (or its full demand
-	// when the cluster is idle enough). If not even one GPU is free, shrink
-	// the fattest running job to make room — Pollux's defining move.
-	for _, j := range env.Pending() {
-		if env.Cluster().FreeGPUs(j.VC) >= j.GPUs {
-			if env.StartElastic(j, j.GPUs) {
-				continue
-			}
-		}
-		if env.StartElastic(j, 1) {
-			continue
-		}
-		if p.shrinkFattest(env, j.VC) {
-			env.StartElastic(j, 1)
+	// Admission reads and changes only the job's own VC, so the VCs are
+	// walked one after another.
+	for _, q := range env.Queues() {
+		for _, j := range q.Jobs {
+			p.admit(env, j)
 		}
 	}
+	p.realloc(env)
+}
 
+// admit tries to start a waiting job with its full demand when its VC is idle
+// enough, else with 1 GPU. If not even one GPU is free, it shrinks the VC's
+// fattest running job to make room — Pollux's defining move.
+func (p *Pollux) admit(env *sim.Env, j *job.Job) {
+	if env.Cluster().FreeGPUs(j.VC) >= j.GPUs && env.StartElastic(j, j.GPUs) {
+		return
+	}
+	if !env.StartElastic(j, 1) && p.shrinkFattest(env, j.VC) {
+		env.StartElastic(j, 1)
+	}
+}
+
+// realloc re-optimizes the running jobs' allocations, at most once every
+// ReallocEverySec.
+func (p *Pollux) realloc(env *sim.Env) {
 	if env.Now()-p.lastRealloc < p.ReallocEverySec {
 		return
 	}
