@@ -31,7 +31,7 @@ func newBinderProbe(b *Binder, score func(*job.Job) workload.SharingScore) *bind
 
 func (bp *binderProbe) Name() string { return "binder-probe" }
 func (bp *binderProbe) Tick(env *sim.Env) {
-	for _, j := range env.Pending() {
+	for _, j := range waiting(env) {
 		j.Profiled = true
 		j.Profile = bp.prof
 		ex := &PackExplain{}

@@ -132,9 +132,10 @@ type Lucid struct {
 	// restored or forked instance starts.
 	queue  []keyedJob
 	primed bool
-	// unprofiled is the profiler's input: the visible Pending jobs in trace
-	// order, kept the same way — arrivals join at the end, the jobs the
-	// profiler took or admitted leave after its step.
+	// unprofiled is the profiler's input: the visible Pending jobs by
+	// (Submit, ID), kept the same way — arrivals and requeued unprofiled jobs
+	// join at their place, the jobs the profiler took or admitted leave after
+	// its step.
 	unprofiled []*job.Job
 	// roundHook, when set (tests), sees the queue at the top of orchestrate.
 	roundHook func(env *sim.Env, queue []keyedJob)
@@ -243,44 +244,42 @@ func (l *Lucid) Tick(env *sim.Env) {
 }
 
 // observe catches up with what the engine did since the last round: it
-// counts the submissions for the throughput model, appends them to the
-// profiler's list, and takes requeued Queued jobs back into the queue. Two
-// cases read the waiting set instead. A requeued unprofiled job belongs
-// somewhere inside the profiler's list, at a place only the trace order
-// knows, so the list is rebuilt. A fresh instance builds both lists, and
-// counts the visible waiting jobs as its first round's arrivals.
+// counts the submissions for the throughput model and hands each job that
+// joined the waiting set — an arrival, or a fault requeue out of its backoff
+// (Env.Requeued) — to the list its State names. A fresh instance builds both
+// lists from the waiting set instead, and counts the visible waiting jobs as
+// its first round's arrivals.
 func (l *Lucid) observe(env *sim.Env) {
 	all := env.AllJobs()
-	resync := !l.primed
 	if l.primed {
-		l.unprofiled = append(l.unprofiled, all[l.arrived:]...)
+		for _, j := range all[l.arrived:] {
+			l.addUnprofiled(j)
+		}
 		for _, j := range env.Requeued() {
 			if j.State == job.Queued {
 				l.enqueue(j)
 			} else {
-				resync = true
+				l.addUnprofiled(j)
 			}
 		}
-	}
-	if resync {
-		waiting := env.Pending()
-		l.unprofiled = l.unprofiled[:0]
-		for _, j := range waiting {
-			if j.State == job.Pending {
-				l.unprofiled = append(l.unprofiled, j)
-			}
-		}
-		if !l.primed {
-			l.primed = true
-			for _, j := range waiting {
-				if j.State == job.Queued {
+	} else {
+		l.primed = true
+		waiting := 0
+		for _, q := range env.Queues() {
+			waiting += len(q.Jobs)
+			for _, j := range q.Jobs {
+				switch j.State {
+				case job.Pending:
+					l.unprofiled = append(l.unprofiled, j)
+				case job.Queued:
 					l.queue = append(l.queue, keyedJob{job: j, key: l.key(j)})
 				}
 			}
-			slices.SortFunc(l.queue, compareKeyed)
-			if l.arrived < 0 {
-				l.arrived = len(all) - len(waiting)
-			}
+		}
+		slices.SortFunc(l.unprofiled, bySubmit)
+		slices.SortFunc(l.queue, compareKeyed)
+		if l.arrived < 0 {
+			l.arrived = len(all) - waiting
 		}
 	}
 	l.hourCount += float64(len(all) - l.arrived)
@@ -386,16 +385,21 @@ type keyedJob struct {
 	key float64
 }
 
-// compareKeyed is Algorithm 2's order: key ascending, ties by submit time,
-// then ID — total, so the queue's order never depends on how it was built.
+// compareKeyed is Algorithm 2's order: key ascending, ties by bySubmit —
+// total, so the queue's order never depends on how it was built.
 func compareKeyed(a, b keyedJob) int {
 	if c := cmp.Compare(a.key, b.key); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.job.Submit, b.job.Submit); c != 0 {
+	return bySubmit(a.job, b.job)
+}
+
+// bySubmit orders jobs by submit time, then ID: the profiler list's order.
+func bySubmit(a, b *job.Job) int {
+	if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.job.ID, b.job.ID)
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // enqueue puts a Queued job in its place (a no-op for a member).
@@ -403,6 +407,19 @@ func (l *Lucid) enqueue(j *job.Job) {
 	kj := keyedJob{job: j, key: l.key(j)}
 	if i, ok := slices.BinarySearchFunc(l.queue, kj, compareKeyed); !ok {
 		l.queue = slices.Insert(l.queue, i, kj)
+	}
+}
+
+// addUnprofiled puts a Pending job in its place in the profiler's list (a
+// no-op for a member). Every generated trace submits in this order, so an
+// arrival is an append.
+func (l *Lucid) addUnprofiled(j *job.Job) {
+	if n := len(l.unprofiled); n == 0 || bySubmit(l.unprofiled[n-1], j) < 0 {
+		l.unprofiled = append(l.unprofiled, j)
+		return
+	}
+	if i, ok := slices.BinarySearchFunc(l.unprofiled, j, bySubmit); !ok {
+		l.unprofiled = slices.Insert(l.unprofiled, i, j)
 	}
 }
 

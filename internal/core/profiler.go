@@ -85,8 +85,8 @@ func (p *Profiler) CurrentTprof() int64 {
 }
 
 // Step runs one profiler round (Algorithm 1) over the Pending jobs among
-// waiting, which must be in trace order (Env.Pending's, or any list that
-// keeps it): evict overtime jobs, admit oversized jobs on the fly, then fill
+// waiting, which must be in (Submit, ID) order — the FIFO order without
+// SpaceAware: evict overtime jobs, admit oversized jobs on the fly, then fill
 // the partition least-GPUs-first. onProfiled is invoked for each job that
 // leaves the profiler Queued with a fresh profile — evicted, or admitted
 // without a run.

@@ -53,7 +53,7 @@ type profilerOnly struct {
 
 func (po *profilerOnly) Name() string { return "profiler-only" }
 func (po *profilerOnly) Tick(env *sim.Env) {
-	po.p.Step(env, env.Pending(), func(j *job.Job) { po.profiled = append(po.profiled, j.ID) })
+	po.p.Step(env, waiting(env), func(j *job.Job) { po.profiled = append(po.profiled, j.ID) })
 }
 
 func TestSpaceAwareOrdering(t *testing.T) {

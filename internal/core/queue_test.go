@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/job"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -32,23 +35,41 @@ func queueWorld(t *testing.T, seed uint64) (*trace.Trace, *Models) {
 	return eval, models
 }
 
+// waiting is the engine's waiting set as one list in (Submit, ID) order.
+func waiting(env *sim.Env) []*job.Job {
+	var out []*job.Job
+	for _, q := range env.Queues() {
+		out = append(out, q.Jobs...)
+	}
+	slices.SortFunc(out, func(a, b *job.Job) int {
+		return cmp.Or(cmp.Compare(a.Submit, b.Submit), cmp.Compare(a.ID, b.ID))
+	})
+	return out
+}
+
 // TestQueueMatchesPerRoundSort: in every round, orchestrate walks exactly the
 // jobs, in exactly the order and under exactly the keys, that re-keying and
-// sorting the round's waiting set gives — orderQueue over Env.Pending taken
-// at the top of orchestrate, which is the old orderQueue(waiting ++ back)
-// (the profiler has run by then, so its hand-backs are waiting and what it
-// took is not). Random worlds × the configurations that change what enters
-// the queue or its keys: the estimator ablated (submit order), FIFO
-// profiling, a refit every day (re-key), and faults that requeue placed jobs
-// behind a backoff (Env.Requeued) — and that last world again, snapshotted
-// mid-run and resumed on a fresh instance, which builds its queue from the
-// waiting set.
+// sorting the round's waiting set gives — orderQueue over the waiting set
+// taken at the top of orchestrate, which is the old orderQueue(waiting ++
+// back) (the profiler has run by then, so its hand-backs are waiting and what
+// it took is not). The profiler's kept list is held to the same waiting set:
+// by then it must be exactly the visible Pending jobs, by (Submit, ID).
+// Random worlds × the configurations that change what enters the queue or
+// its keys: the estimator ablated (submit order), FIFO profiling, a refit
+// every day (re-key), and faults that requeue placed and profiling jobs
+// behind a backoff (Env.Requeued), and that world again snapshotted mid-run
+// and resumed on a fresh instance, which builds both lists from the waiting
+// set. Both fault worlds run once more in a burst, where FIFO profiling on a
+// one-node partition keeps a backlog: requeued unprofiled jobs must rejoin it
+// at their place, and a resumed instance must build it in order.
 func TestQueueMatchesPerRoundSort(t *testing.T) {
+	fifoProfiling := func(c *Config) { c.DisableSpaceAware, c.TprofSec = true, 600 }
 	cases := []struct {
 		name   string
 		cfg    func(*Config)
 		chaos  bool
 		resume bool
+		burst  bool // arrivals four times as dense, one profiling node
 	}{
 		{name: "default"},
 		{name: "no-estimator", cfg: func(c *Config) { c.DisableEstimator = true }},
@@ -56,9 +77,18 @@ func TestQueueMatchesPerRoundSort(t *testing.T) {
 		{name: "refit", cfg: func(c *Config) { c.UpdateIntervalSec = 86400 }},
 		{name: "chaos", chaos: true},
 		{name: "chaos-resumed", chaos: true, resume: true},
+		{name: "chaos-burst-no-space-aware", cfg: fifoProfiling, chaos: true, burst: true},
+		{name: "chaos-burst-no-space-aware-resumed", cfg: fifoProfiling, chaos: true, burst: true, resume: true},
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		eval, models := queueWorld(t, seed)
+		burst := *eval
+		burst.Jobs = nil
+		for _, j := range eval.Jobs {
+			cp := *j
+			cp.Submit /= 4
+			burst.Jobs = append(burst.Jobs, &cp)
+		}
 		for _, tc := range cases {
 			cfg := DefaultConfig()
 			cfg.UpdateIntervalSec = 0
@@ -68,6 +98,9 @@ func TestQueueMatchesPerRoundSort(t *testing.T) {
 			opts := func() sim.Options {
 				o := sim.Options{Tick: 60, SchedulerEvery: 60, ProfilerNodes: 2,
 					Invariants: sim.NewInvariantChecker(true)}
+				if tc.burst {
+					o.ProfilerNodes = 1
+				}
 				if tc.chaos {
 					cs := chaos.DefaultSpec()
 					cs.NodeFailPerDay, cs.GPUFailPerDay, cs.JobCrashPerDay = 4, 0.5, 6
@@ -76,11 +109,19 @@ func TestQueueMatchesPerRoundSort(t *testing.T) {
 				}
 				return o
 			}
+			world := eval
+			if tc.burst {
+				world = &burst
+			}
 			l := New(models.Clone(), cfg)
-			s := sim.New(eval, l, opts())
+			s := sim.New(world, l, opts())
 			if tc.resume {
-				pre := sim.New(eval, New(models.Clone(), cfg), opts())
-				if done := pre.RunUntil(36 * 3600); done {
+				cut := int64(36 * 3600)
+				if tc.burst {
+					cut /= 4
+				}
+				pre := sim.New(world, New(models.Clone(), cfg), opts())
+				if done := pre.RunUntil(cut); done {
 					t.Fatalf("seed %d: run completed before the cut", seed)
 				}
 				var err error
@@ -88,10 +129,24 @@ func TestQueueMatchesPerRoundSort(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			long, requeued := 0, 0
+			long, requeued, reprofiled := 0, 0, 0
 			l.roundHook = func(env *sim.Env, queue []keyedJob) {
 				now := env.Now()
-				want := l.orderQueue(env.Pending(), now)
+				w := waiting(env)
+				var pend []*job.Job
+				for _, j := range w {
+					if j.State == job.Pending {
+						pend = append(pend, j)
+						if j.Restarts > 0 {
+							reprofiled++
+						}
+					}
+				}
+				if !slices.Equal(l.unprofiled, pend) {
+					t.Fatalf("seed %d %s t=%d: the profiler list is %v, the waiting set's Pending jobs by (Submit, ID) are %v",
+						seed, tc.name, now, jobIDs(l.unprofiled), jobIDs(pend))
+				}
+				want := l.orderQueue(w, now)
 				if len(queue) != len(want) {
 					t.Fatalf("seed %d %s t=%d: the round walks %d jobs, the per-round sort %d:\n  %v\n  %v",
 						seed, tc.name, now, len(queue), len(want), keyedIDs(queue), keyedIDs(want))
@@ -120,10 +175,21 @@ func TestQueueMatchesPerRoundSort(t *testing.T) {
 				t.Fatalf("seed %d refit: the Update Engine never refit", seed)
 			}
 			if tc.chaos && requeued == 0 {
-				t.Fatalf("seed %d chaos: no requeued job was ever waiting to be ordered", seed)
+				t.Fatalf("seed %d %s: no requeued job was ever waiting to be ordered", seed, tc.name)
+			}
+			if tc.burst && !tc.resume && reprofiled == 0 {
+				t.Fatalf("seed %d %s: no requeued job was ever waiting to be profiled", seed, tc.name)
 			}
 		}
 	}
+}
+
+func jobIDs(js []*job.Job) []int {
+	out := make([]int, len(js))
+	for i, j := range js {
+		out[i] = j.ID
+	}
+	return out
 }
 
 func keyedIDs(q []keyedJob) []int {

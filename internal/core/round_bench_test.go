@@ -49,7 +49,10 @@ func BenchmarkLucidRoundCongested(b *testing.B) {
 		b.Fatal("run completed before mid-trace")
 	}
 	mid.StepOnce() // leaves probe.env on mid-trace state
-	queue, residents := len(probe.env.Pending()), len(probe.env.Running())
+	queue, residents := 0, len(probe.env.Running())
+	for _, q := range probe.env.Queues() {
+		queue += len(q.Jobs)
+	}
 	if queue == 0 || residents == 0 {
 		b.Fatalf("mid-trace state is not congested: %d queued, %d running", queue, residents)
 	}
@@ -107,9 +110,11 @@ func BenchmarkLucidRoundDeepQueue(b *testing.B) {
 	}
 	mid.StepOnce() // Lucid's first round: every waiting job observed and Queued
 	queued, running := 0, len(probe.env.Running())
-	for _, j := range probe.env.Pending() {
-		if j.State == job.Queued {
-			queued++
+	for _, q := range probe.env.Queues() {
+		for _, j := range q.Jobs {
+			if j.State == job.Queued {
+				queued++
+			}
 		}
 	}
 	if queued < 5000 {

@@ -43,7 +43,10 @@ func BenchmarkBaselineRoundDeepQueue(b *testing.B) {
 		b.Fatal("run completed before mid-trace")
 	}
 	mid.StepOnce() // leaves probe.env on mid-trace state
-	queued, vcs, running := len(probe.env.Pending()), len(probe.env.Queues()), len(probe.env.Running())
+	queued, vcs, running := 0, len(probe.env.Queues()), len(probe.env.Running())
+	for _, q := range probe.env.Queues() {
+		queued += len(q.Jobs)
+	}
 	if queued < 5000 || vcs < spec.NumVCs/2 {
 		b.Fatalf("mid-trace queue is not deep: %d waiting in %d VCs", queued, vcs)
 	}

@@ -42,7 +42,7 @@ func (s *Sim) applyChaos() {
 		s.nodeFailures++
 		s.chaosNodeEvent(dtrace.ActNodeFail, "node-crash", n)
 		for _, id := range victims {
-			s.killJob(s.byID[id], "node-crash")
+			s.killJob(s.jobs[s.idxOf[id]], "node-crash")
 		}
 		s.dirty = true
 	}
@@ -62,8 +62,8 @@ func (s *Sim) applyChaos() {
 		s.chaosNodeEvent(dtrace.ActGPUFail, "gpu-fault", g.Node)
 		for _, id := range victims {
 			// A node crash above may already have killed a co-resident.
-			if s.byID[id].State == job.Running {
-				s.killJob(s.byID[id], "gpu-fault")
+			if j := s.jobs[s.idxOf[id]]; j.State == job.Running {
+				s.killJob(j, "gpu-fault")
 			}
 		}
 		s.dirty = true
@@ -74,7 +74,7 @@ func (s *Sim) applyChaos() {
 	// does not depend on which other jobs exist.
 	if len(s.running.jobs)+len(s.profiling.jobs) > 0 {
 		for _, id := range inj.JobCrashes(now, dt, s.residentIDs()) {
-			s.killJob(s.byID[id], "job-crash")
+			s.killJob(s.jobs[s.idxOf[id]], "job-crash")
 		}
 	}
 }
@@ -91,7 +91,7 @@ func (s *Sim) applyChaos() {
 //     be the same phantom-debt bug StopProfiling fixes for the profiler
 //     path.
 //
-// Requeued jobs are hidden from Env.Pending until an exponential backoff
+// Requeued jobs are hidden from Env.Queues until an exponential backoff
 // elapses. AttainedGPUT and RunTime are deliberately untouched: the cluster
 // really did spend that GPU-time, which is exactly what the goodput metric
 // measures.

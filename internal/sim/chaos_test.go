@@ -36,7 +36,7 @@ func TestChaosKillVoidsPhantomColdStart(t *testing.T) {
 	s := newChaosSim(t, quietSpec(), mkJob(1, 2, 0, 1000))
 	env := &Env{s: s}
 	s.StepOnce()
-	j := s.byID[1]
+	j := s.byID(1)
 	if j.State != job.Running {
 		t.Fatalf("setup: state = %v, want Running", j.State)
 	}
@@ -80,7 +80,7 @@ func TestChaosKillRestoresCheckpoint(t *testing.T) {
 	for i := 0; i < 20; i++ { // place, then make real progress
 		s.StepOnce()
 	}
-	j := s.byID[1]
+	j := s.byID(1)
 	if j.State != job.Running || j.RemainingWork >= float64(j.Duration) {
 		t.Fatalf("setup: state=%v remaining=%v", j.State, j.RemainingWork)
 	}
@@ -117,7 +117,7 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	spec.MaxRetries = 0
 	s := newChaosSim(t, spec, mkJob(1, 2, 0, 100000))
 	s.StepOnce()
-	j := s.byID[1]
+	j := s.byID(1)
 	s.killJob(j, "node-crash")
 	if j.State != job.Failed {
 		t.Fatalf("state = %v, want Failed", j.State)
@@ -134,7 +134,7 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestChaosBackoffDelaysRequeue: a killed job is hidden from Env.Pending
+// TestChaosBackoffDelaysRequeue: a killed job is hidden from Env.Queues
 // until its backoff elapses, then reruns to completion.
 func TestChaosBackoffDelaysRequeue(t *testing.T) {
 	spec := quietSpec()
@@ -143,14 +143,14 @@ func TestChaosBackoffDelaysRequeue(t *testing.T) {
 	s := newChaosSim(t, spec, mkJob(1, 2, 0, 300))
 	env := &Env{s: s}
 	s.StepOnce()
-	j := s.byID[1]
+	j := s.byID(1)
 	killedAt := s.now
 	s.killJob(j, "job-crash")
 	if j.NextEligible != killedAt+500 {
 		t.Fatalf("NextEligible = %d, want %d", j.NextEligible, killedAt+500)
 	}
-	if got := env.Pending(); len(got) != 0 {
-		t.Fatalf("Pending returned %d jobs during backoff", len(got))
+	if got := pending(env); len(got) != 0 {
+		t.Fatalf("Queues returned %d jobs during backoff", len(got))
 	}
 	res := s.Run()
 	if res.Unfinished != 0 || res.Violations > 0 {

@@ -36,7 +36,7 @@ func TestBackoffExpiryWakesScheduler(t *testing.T) {
 			if done := s.RunUntil(20); done {
 				t.Fatal("finished before the kill point")
 			}
-			j := s.byID[1]
+			j := s.byID(1)
 			if j.State != job.Running {
 				t.Fatalf("state at t=20: %v, want Running", j.State)
 			}
@@ -249,7 +249,7 @@ func TestEventEngineHorizonParity(t *testing.T) {
 		tr := mkTrace(mkJob(1, 1, 0, 1_000_000))
 		s := New(tr, fifoLike{}, Options{Tick: 10, MaxHorizon: 505, Engine: eng})
 		s.Run()
-		return s.byID[1]
+		return s.byID(1)
 	}
 	a, b := run(EngineTick), run(EngineEvent)
 	if math.Float64bits(a.RunTime) != math.Float64bits(b.RunTime) ||

@@ -14,7 +14,7 @@ type fastPrefSched struct{ pref cluster.Preference }
 
 func (f fastPrefSched) Name() string { return "test-hetero" }
 func (f fastPrefSched) Tick(env *Env) {
-	for _, j := range env.Pending() {
+	for _, j := range pending(env) {
 		env.StartExclusivePrefer(j, f.pref)
 	}
 }
@@ -106,10 +106,10 @@ func TestResizeElasticTakesTheNewNodesGeneration(t *testing.T) {
 		Options{Tick: 10, SchedulerEvery: 10, Invariants: NewInvariantChecker(true)})
 	s.StepOnce()
 	env := &Env{s: s}
-	j := s.byID[1]
+	j := s.byID(1)
 	// Both nodes idle: best-fit ties go to the first, the fast one. Job 2
 	// then takes a GPU beside it, so the full 8 only fit on the slow node.
-	if !env.StartElastic(j, 4) || !env.StartExclusive(s.byID[2]) {
+	if !env.StartElastic(j, 4) || !env.StartExclusive(s.byID(2)) {
 		t.Fatal("setup: placement failed")
 	}
 	if n := s.main.GPUsOf(1)[0].Node; n != 0 {

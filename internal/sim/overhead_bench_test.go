@@ -83,7 +83,7 @@ func drainTrace(r *xrand.RNG, n int) *trace.Trace {
 // BenchmarkSimLongTracePending runs a full long trace; the scheduler scans
 // the queue every tick, so queue-scan cost is part of the end-to-end figure.
 //
-//	go test ./internal/sim/ -run '^$' -bench 'BenchmarkSimLongTracePending|BenchmarkPendingAfterLongRun'
+//	go test ./internal/sim/ -run '^$' -bench BenchmarkSimLongTracePending
 func BenchmarkSimLongTracePending(b *testing.B) {
 	tr := drainTrace(xrand.New(11), 2500)
 	b.ReportAllocs()
@@ -92,40 +92,6 @@ func BenchmarkSimLongTracePending(b *testing.B) {
 		res := sim.New(tr, sched.NewFIFO(), sim.Options{Tick: 30, SchedulerEvery: 30}).Run()
 		if res.Violations > 0 {
 			b.Fatalf("violations: %v", res.ViolationSamples)
-		}
-	}
-}
-
-// envCapture keeps the Env the engine hands the scheduler, so a benchmark
-// can probe Env methods against end-of-run state.
-type envCapture struct {
-	inner sim.Scheduler
-	env   *sim.Env
-}
-
-func (c *envCapture) Name() string { return c.inner.Name() }
-func (c *envCapture) Tick(env *sim.Env) {
-	c.env = env
-	c.inner.Tick(env)
-}
-
-// BenchmarkPendingAfterLongRun isolates the Env.Pending scan once a long
-// trace has drained. Every submitted job is finished, which is the worst
-// case for a naive rescan: O(total submitted) work per call to return an
-// empty queue. The finished-prefix skip makes it O(still-waiting) — here
-// ~2500× less work, the asymptotic gap that compounds over a run's tens of
-// thousands of scheduler ticks.
-func BenchmarkPendingAfterLongRun(b *testing.B) {
-	cap := &envCapture{inner: sched.NewFIFO()}
-	res := sim.New(drainTrace(xrand.New(11), 2500), cap, sim.Options{Tick: 30, SchedulerEvery: 30}).Run()
-	if res.Unfinished != 0 {
-		b.Fatalf("unfinished: %d", res.Unfinished)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n := len(cap.env.Pending()); n != 0 {
-			b.Fatalf("pending = %d on a drained cluster", n)
 		}
 	}
 }

@@ -46,7 +46,7 @@ type peerSched struct {
 func (*peerSched) Name() string { return "test-peers" }
 func (p *peerSched) Tick(env *Env) {
 	checkPeerViews(p.t, env, p.where)
-	for _, j := range env.Pending() {
+	for _, j := range pending(env) {
 		placed := false
 		for _, r := range env.RunningWith(j.VC, j.GPUs) {
 			if env.ElasticAlloc(r) == 0 && env.Cluster().CanShare(r.ID, 0) {
@@ -91,7 +91,7 @@ func TestRunningWithMatchesScan(t *testing.T) {
 		}
 		requeued := 0
 		for step := 0; step < 1500; step++ {
-			waiting, running := env.Pending(), env.Running()
+			waiting, running := pending(env), env.Running()
 			held := pick(running)
 			var view []*job.Job
 			var viewIDs []int

@@ -19,7 +19,7 @@ func (h *handSched) Tick(env *Env) {
 	if !h.on {
 		return
 	}
-	for _, j := range env.Pending() {
+	for _, j := range pending(env) {
 		env.StartExclusive(j)
 	}
 }
@@ -98,7 +98,7 @@ func TestEvictIsTheOneWayOut(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, env, h := newHandSim(t, mkJob(1, 8, 0, 15), mkJob(2, 1, 0, 15))
-			j := s.byID[1]
+			j := s.byID(1)
 			if !tc.place(s, env, j) {
 				t.Fatal("setup: placement failed")
 			}
@@ -129,7 +129,7 @@ func TestEvictIsTheOneWayOut(t *testing.T) {
 			if s.predSeqOf(1) != 0 {
 				t.Error("a completion prediction of the job is still live")
 			}
-			if got, want := slices.Contains(ids(env.Pending()), 1), tc.want != job.Finished; got != want {
+			if got, want := slices.Contains(ids(pending(env)), 1), tc.want != job.Finished; got != want {
 				t.Errorf("job waiting = %v, want %v", got, want)
 			}
 			if !s.dirty {
@@ -150,7 +150,7 @@ func TestEvictIsTheOneWayOut(t *testing.T) {
 // false, leaves the job waiting and does not force a scheduler round.
 func TestEvictLeavesANonResidentAlone(t *testing.T) {
 	s, env, _ := newHandSim(t, mkJob(1, 1, 0, 15))
-	j := s.byID[1]
+	j := s.byID(1)
 	if !env.StartExclusive(j) {
 		t.Fatal("setup: placement failed")
 	}
@@ -159,8 +159,8 @@ func TestEvictLeavesANonResidentAlone(t *testing.T) {
 	if s.evict(j) {
 		t.Errorf("evict reported true for a %v job", j.State)
 	}
-	if got := ids(env.Pending()); !slices.Equal(got, []int{1}) {
-		t.Errorf("evict of a waiting job left Pending() = %v", got)
+	if got := ids(pending(env)); !slices.Equal(got, []int{1}) {
+		t.Errorf("evict of a waiting job left the waiting set %v", got)
 	}
 	if s.dirty {
 		t.Error("evict of a non-resident forced a scheduler round")
@@ -182,7 +182,7 @@ func TestRunningViewIsASnapshot(t *testing.T) {
 		mkJob(1, 1, 0, 15), mkJob(2, 1, 0, 5000), mkJob(3, 1, 0, 5000), mkJob(4, 1, 0, 5000),
 		mkJob(5, 1, 0, 5000), mkJob(6, 1, 0, 5000), mkJob(7, 1, 0, 5000))
 	for _, id := range []int{1, 2, 4, 6} {
-		if !env.StartExclusive(s.byID[id]) {
+		if !env.StartExclusive(s.byID(id)) {
 			t.Fatalf("setup: start %d", id)
 		}
 	}
@@ -204,18 +204,18 @@ func TestRunningViewIsASnapshot(t *testing.T) {
 	want := []int{1, 2, 4, 6}
 	check("taken", view, want, want)
 
-	env.StartExclusive(s.byID[3]) // lands in the middle
+	env.StartExclusive(s.byID(3)) // lands in the middle
 	check("StartExclusive", view, want, []int{1, 2, 3, 4, 6})
 
 	v2 := env.Running()
-	if !env.StartShared(s.byID[5], s.byID[4]) {
+	if !env.StartShared(s.byID(5), s.byID(4)) {
 		t.Fatal("setup: pack 5 with 4")
 	}
 	check("StartShared", view, want, []int{1, 2, 3, 4, 5, 6})
 	check("StartShared", v2, []int{1, 2, 3, 4, 6}, []int{1, 2, 3, 4, 5, 6})
 
 	v3 := env.Running()
-	env.Preempt(s.byID[2], 0)
+	env.Preempt(s.byID(2), 0)
 	check("Preempt", v3, []int{1, 2, 3, 4, 5, 6}, []int{1, 3, 4, 5, 6})
 
 	v4 := env.Running()
@@ -225,12 +225,12 @@ func TestRunningViewIsASnapshot(t *testing.T) {
 
 	// append to a view reallocates; it must not show up in the engine's array.
 	v5 := env.Running()
-	grown := append(v5, s.byID[7])
+	grown := append(v5, s.byID(7))
 	if len(grown) != len(v5)+1 {
 		t.Fatal("append did not grow the caller's slice")
 	}
 	for _, j := range s.running.jobs[:cap(s.running.jobs)] {
-		if j == s.byID[7] {
+		if j == s.byID(7) {
 			t.Fatal("append to a view wrote job 7 into the engine's resident array")
 		}
 	}
@@ -239,14 +239,14 @@ func TestRunningViewIsASnapshot(t *testing.T) {
 
 func TestProfilingViewIsASnapshot(t *testing.T) {
 	s, env, _ := newHandSim(t, mkJob(1, 1, 0, 5000), mkJob(2, 1, 0, 5000), mkJob(3, 1, 0, 5000))
-	env.StartProfiling(s.byID[1])
-	env.StartProfiling(s.byID[3])
+	env.StartProfiling(s.byID(1))
+	env.StartProfiling(s.byID(3))
 
 	view := env.Profiling()
 	for _, j := range view { // the profiler's own loop shape
 		env.StopProfiling(j)
 	}
-	env.StartProfiling(s.byID[2])
+	env.StartProfiling(s.byID(2))
 	if got := ids(view); !slices.Equal(got, []int{1, 3}) {
 		t.Fatalf("earlier view now reads %v, want [1 3]", got)
 	}
@@ -260,9 +260,9 @@ func TestProfilingViewIsASnapshot(t *testing.T) {
 // queued job per round.
 func TestViewsDoNotAllocate(t *testing.T) {
 	s, env, _ := newHandSim(t, mkJob(1, 1, 0, 5000), mkJob(2, 1, 0, 5000), mkJob(3, 1, 0, 5000))
-	env.StartExclusive(s.byID[1])
-	env.StartExclusive(s.byID[2])
-	env.StartProfiling(s.byID[3])
+	env.StartExclusive(s.byID(1))
+	env.StartExclusive(s.byID(2))
+	env.StartProfiling(s.byID(3))
 	var n int
 	if a := testing.AllocsPerRun(100, func() { n += len(env.Running()) + len(env.Profiling()) }); a != 0 {
 		t.Fatalf("Running()+Profiling() allocate %v times per call, want 0", a)
@@ -277,8 +277,8 @@ func TestViewsDoNotAllocate(t *testing.T) {
 func TestInvariantsCatchBrokenResidentSet(t *testing.T) {
 	build := func() (*Sim, *InvariantChecker) {
 		s, env, _ := newHandSim(t, mkJob(1, 1, 0, 5000), mkJob(2, 1, 0, 5000))
-		env.StartExclusive(s.byID[1])
-		env.StartExclusive(s.byID[2])
+		env.StartExclusive(s.byID(1))
+		env.StartExclusive(s.byID(2))
 		c := NewInvariantChecker(false)
 		s.opts.Invariants = c
 		s.checkInvariants()
@@ -306,7 +306,7 @@ func TestInvariantsCatchBrokenResidentSet(t *testing.T) {
 	}
 
 	s, c = build()
-	s.byID[1].State = job.Queued // the set still lists it
+	s.byID(1).State = job.Queued // the set still lists it
 	s.checkInvariants()
 	if !mentions(c, "in running set with state") {
 		t.Errorf("non-Running member not reported: %v", c.Samples())
@@ -325,7 +325,7 @@ func TestStartElasticRefusesWhatTheOtherStartsRefuse(t *testing.T) {
 			Chaos: chaos.NewInjector(spec), Invariants: NewInvariantChecker(true)})
 	s.StepOnce()
 	env := &Env{s: s}
-	prof, failed := s.byID[1], s.byID[2]
+	prof, failed := s.byID(1), s.byID(2)
 
 	if !env.StartProfiling(prof) {
 		t.Fatal("setup: profiling failed")

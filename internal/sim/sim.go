@@ -114,14 +114,13 @@ type Sim struct {
 	opts     Options
 	tr       *trace.Trace // retained for Snapshot fingerprinting and Fork
 	jobs     []*job.Job
-	byID     map[int]*job.Job
 	main     *cluster.Cluster
 	profiler *cluster.Cluster
 	sched    Scheduler
 
 	now        int64
 	arriveIdx  int
-	idxOf      map[int]int // job ID → index in jobs, asked at state transitions
+	idxOf      map[int]int // job ID → index in jobs, the engine's one ID index
 	backoff    evheap      // requeue-backoff expiry ticks (chaos wake-ups)
 	running    residents   // on the main cluster, ascending ID (residents.go)
 	profiling  residents   // on the profiling cluster, ascending ID
@@ -137,12 +136,11 @@ type Sim struct {
 	unseen bool
 
 	// waiting is the waiting set, one ordered queue per VC in name order
-	// (waiting.go); vcPos finds a VC's queue. queues and merge are the
-	// scratch behind Env.Queues and Env.Pending.
+	// (waiting.go); vcPos finds a VC's queue. queues is the scratch behind
+	// Env.Queues.
 	waiting []waitq
 	vcPos   map[string]int
 	queues  []Queue
-	merge   []waitq
 
 	utilSum, memSum float64
 	utilSamples     int
@@ -190,7 +188,6 @@ func New(tr *trace.Trace, sched Scheduler, opts Options) *Sim {
 		tr:    tr,
 		main:  cluster.New(tr.Cluster),
 		sched: sched,
-		byID:  make(map[int]*job.Job),
 		met:   newSimMetrics(opts.Metrics),
 	}
 	if opts.ProfilerNodes > 0 {
@@ -221,7 +218,6 @@ func New(tr *trace.Trace, sched Scheduler, opts Options) *Sim {
 		cp.NextEligible = 0
 		cp.CheckpointedWork = 0
 		s.jobs[i] = &cp
-		s.byID[cp.ID] = &cp
 	}
 	if opts.Chaos != nil {
 		// (Re)bind resets the injector's mutable fault state, so a reused
@@ -454,7 +450,7 @@ func (s *Sim) drainBackoff() bool {
 			return len(s.requeued) > 0
 		}
 		s.backoff.pop()
-		j := s.byID[top.id]
+		j := s.jobs[s.idxOf[top.id]]
 		if (j.State == job.Pending || j.State == job.Queued) && j.NextEligible <= s.now {
 			s.requeued = append(s.requeued, j)
 		}
@@ -600,11 +596,11 @@ func (e *Env) RunningWith(vc string, gpus int) []*job.Job {
 }
 
 // Requeued returns the waiting jobs that became visible on this tick because
-// their requeue backoff elapsed — fault-killed jobs, back in Queues and
-// Pending after being hidden there since the kill. It is the only way a job
-// rejoins the waiting set without a scheduler's own action or an arrival, so
-// a scheduler that tracks its queue incrementally reads it every round (a
-// tick that has any runs one). The slice is scratch the next tick overwrites.
+// their requeue backoff elapsed — fault-killed jobs, back in Queues after
+// being hidden there since the kill. It is the only way a job rejoins the
+// waiting set without a scheduler's own action or an arrival, so a scheduler
+// that tracks its queue incrementally reads it every round (a tick that has
+// any runs one). The slice is scratch the next tick overwrites.
 func (e *Env) Requeued() []*job.Job { return e.s.requeued }
 
 // Profiling returns jobs on the profiling cluster, in id order, under the

@@ -15,7 +15,7 @@ type fifoLike struct{}
 
 func (fifoLike) Name() string { return "test-greedy" }
 func (fifoLike) Tick(env *Env) {
-	for _, j := range env.Pending() {
+	for _, j := range pending(env) {
 		env.StartExclusive(j)
 	}
 }
@@ -89,7 +89,7 @@ type sharingSched struct{}
 
 func (sharingSched) Name() string { return "test-sharing" }
 func (sharingSched) Tick(env *Env) {
-	pend := env.Pending()
+	pend := pending(env)
 	for _, j := range pend {
 		if j.ID == 1 {
 			env.StartExclusive(j)
@@ -143,7 +143,7 @@ type preemptSched struct{ preempted bool }
 
 func (p *preemptSched) Name() string { return "test-preempt" }
 func (p *preemptSched) Tick(env *Env) {
-	pend := env.Pending() // captured before preemption: excludes the victim
+	pend := pending(env) // captured before preemption: excludes the victim
 	for _, j := range pend {
 		if j.ID == 2 && !p.preempted {
 			for _, r := range env.Running() {
@@ -159,7 +159,7 @@ func (p *preemptSched) Tick(env *Env) {
 	}
 	if p.preempted {
 		// Victim restarts only once the cluster frees up.
-		for _, j := range env.Pending() {
+		for _, j := range pending(env) {
 			env.StartExclusive(j)
 		}
 	}
@@ -192,7 +192,7 @@ func (p *profSched) Tick(env *Env) {
 			env.StopProfiling(j)
 		}
 	}
-	for _, j := range env.Pending() {
+	for _, j := range pending(env) {
 		switch j.State {
 		case job.Pending:
 			env.StartProfiling(j)
@@ -278,7 +278,7 @@ type elasticHalf struct{}
 
 func (elasticHalf) Name() string { return "test-elastic" }
 func (elasticHalf) Tick(env *Env) {
-	for _, j := range env.Pending() {
+	for _, j := range pending(env) {
 		env.StartElastic(j, j.GPUs/2)
 	}
 }
@@ -365,7 +365,7 @@ func (p *preemptProfSched) Tick(env *Env) {
 	p.ticks++
 	if !p.preempted {
 		if p.ticks <= 10 {
-			for _, j := range env.Pending() {
+			for _, j := range pending(env) {
 				env.StartExclusive(j)
 			}
 			return
@@ -384,7 +384,7 @@ func (p *preemptProfSched) Tick(env *Env) {
 			env.StopProfiling(j)
 		}
 	}
-	for _, j := range env.Pending() {
+	for _, j := range pending(env) {
 		switch j.State {
 		case job.Pending:
 			env.StartProfiling(j)
@@ -417,7 +417,7 @@ func TestStopProfilingClearsCheckpointDebt(t *testing.T) {
 }
 
 func TestPendingSkipsFinishedJobs(t *testing.T) {
-	// Pending must keep returning every waiting job while finished ones drop
+	// The waiting set must keep every waiting job while finished ones drop
 	// out. A burst of short jobs finishes first; the late arrival must still
 	// be scheduled, and once everything completes nobody is waiting or
 	// resident — terminal jobs never linger in anything a round scans.
@@ -454,7 +454,7 @@ func TestPendingWindowUnlinksOutOfOrder(t *testing.T) {
 	tr := mkTrace(jobs...)
 	s := New(tr, fifoLike{}, Options{Tick: 10, MaxHorizon: 2000})
 	s.Run()
-	if got := s.byID[1].State; got != job.Running {
+	if got := s.byID(1).State; got != job.Running {
 		t.Fatalf("head job state = %v, want still Running", got)
 	}
 	if w, r := s.waitingCount(), len(s.running.jobs); w != 0 || r != 1 {
@@ -516,7 +516,7 @@ type packUnprofiledSched struct{}
 
 func (packUnprofiledSched) Name() string { return "test-pack-unprofiled" }
 func (packUnprofiledSched) Tick(env *Env) {
-	pend := env.Pending()
+	pend := pending(env)
 	for _, j := range pend {
 		if j.ID == 1 {
 			env.StartExclusive(j)

@@ -277,10 +277,11 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 	s.timeline = dto.Timeline
 
 	for _, js := range dto.Jobs {
-		j, ok := s.byID[js.ID]
+		i, ok := s.idxOf[js.ID]
 		if !ok {
 			return nil, fmt.Errorf("sim: snapshot job %d not in trace", js.ID)
 		}
+		j := s.jobs[i]
 		j.State = js.State
 		j.RemainingWork = js.RemainingWork
 		j.FirstStart = js.FirstStart

@@ -18,7 +18,7 @@ type Queue struct {
 // — the order jobs were admitted in, which is submit order with the trace's
 // own tie-break. idx holds the keys, jobs the members, position for position.
 // Together the VCs' sets are the only record of who is waiting: Env.Queues
-// lends them, Env.Pending merges them, the metrics gauge sums their lengths.
+// lends them, the metrics gauge sums their lengths.
 //
 // jobs is lent to schedulers like residents.jobs and is copy-on-write in the
 // same way, with two cheaper cases. Taking the head off only moves the start
@@ -171,61 +171,4 @@ func (s *Sim) onlyVisible(jobs []*job.Job) []*job.Job {
 		}
 	}
 	return out
-}
-
-// Pending returns the same jobs as Queues in one list, in trace order
-// (submit order, ties as the trace has them). The slice is the caller's.
-func (e *Env) Pending() []*job.Job {
-	s := e.s
-	n := s.waitingCount()
-	if n == 0 {
-		return nil
-	}
-	out := make([]*job.Job, 0, n)
-	// K-way merge by trace index over a binary min-heap of the non-empty
-	// queues, each a cursor that shrinks from the front.
-	h := s.merge[:0]
-	for i := range s.waiting {
-		if q := &s.waiting[i]; len(q.idx) > 0 {
-			h = append(h, waitq{idx: q.idx, jobs: q.jobs})
-		}
-	}
-	s.merge = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for len(h) > 1 {
-		c := &h[0]
-		if j := c.jobs[0]; s.visible(j) {
-			out = append(out, j)
-		}
-		if c.idx, c.jobs = c.idx[1:], c.jobs[1:]; len(c.idx) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(h, 0)
-	}
-	for _, j := range h[0].jobs {
-		if s.visible(j) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// siftDown restores the heap order (smallest head index first) below i.
-func siftDown(h []waitq, i int) {
-	for {
-		small := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			if h[c].idx[0] < h[small].idx[0] {
-				small = c
-			}
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 }
