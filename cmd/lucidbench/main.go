@@ -14,7 +14,9 @@
 // Independent simulation runs within each experiment fan out across a
 // bounded worker pool (-parallel, default GOMAXPROCS); -parallel 1 forces
 // serial execution. Worlds (traces + trained models) are memoized
-// process-wide, so experiments sharing a (cluster, scale) pair train once.
+// process-wide, so experiments sharing a (cluster, scale) pair train once;
+// the suite line and -metrics-out report how many were built and the
+// seconds the builds took.
 package main
 
 import (
@@ -265,16 +267,19 @@ func main() {
 		fmt.Println(rep)
 		fmt.Printf("(%.1fs)\n\n", elapsed)
 	}
-	builds, hits := lab.WorldCacheStats()
+	builds, hits, buildSec := lab.WorldCacheStats()
 	if len(exps) > 1 {
-		fmt.Printf("suite wall-clock: %.1fs (parallelism %d; worlds built %d, cache hits %d)\n",
-			time.Since(suiteStart).Seconds(), lab.Parallelism(), builds, hits)
+		fmt.Printf("suite wall-clock: %.1fs (parallelism %d; worlds built %d in %.2fs, cache hits %d)\n",
+			time.Since(suiteStart).Seconds(), lab.Parallelism(), builds, buildSec, hits)
 	}
 	if *metricsOut != "" {
 		reg.Gauge("lucidbench_suite_seconds", "Suite wall-clock seconds.").
 			Set(time.Since(suiteStart).Seconds())
 		reg.Gauge("lucidbench_worlds_built", "Worlds (trace + trained models) built.").
 			Set(float64(builds))
+		reg.Gauge("lucidbench_world_build_seconds",
+			"Wall seconds spent building worlds, summed over builds (GBDT estimator fits happen in the runs).").
+			Set(buildSec)
 		reg.Gauge("lucidbench_world_cache_hits", "World cache hits.").
 			Set(float64(hits))
 		reg.Gauge("lucidbench_parallelism", "Concurrent simulation-run cap.").

@@ -29,8 +29,14 @@
 //
 // With -metrics-out, each run records engine metrics (tick phase timings,
 // scheduler decision latency, queue depth) and dumps them in Prometheus text
-// format (again one file per scheduler when -sched all). Metrics never
-// influence the run: digests are identical with or without them.
+// format (again one file per scheduler when -sched all), beside the world
+// build's wall time (lucidsim_world_build_seconds, also printed after the
+// build). Metrics never influence the run: digests are identical with or
+// without them.
+//
+// The build leaves the QSSF/Horus GBDT estimator to its first use, so the
+// first of those runs over a world includes the estimator fit in its wall
+// time.
 //
 // Snapshot / resume / time-travel (all require a single -sched, and the
 // world flags — trace, scale, util, chaos — must match the original run;
@@ -120,11 +126,14 @@ func main() {
 	}
 
 	fmt.Printf("building %s world at scale %.2f (training models on a history month)...\n", spec.Name, *scale)
+	buildStart := time.Now()
 	w, err := lab.BuildWorld(spec, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	buildSec := time.Since(buildStart).Seconds()
+	fmt.Printf("world built in %.2fs\n", buildSec)
 	fmt.Printf("evaluation month: %d jobs on %d GPUs across %d VCs\n\n",
 		len(w.Eval.Jobs), w.Eval.Cluster.TotalGPUs(), len(w.Eval.Cluster.VCs))
 	if *chaosSpec != "" {
@@ -188,6 +197,8 @@ func main() {
 		var reg *metrics.Registry
 		if *metricsOut != "" {
 			reg = metrics.New()
+			reg.Gauge("lucidsim_world_build_seconds", "Wall seconds to build the world this run replays.").
+				Set(buildSec)
 			nr.Opts.Metrics = reg
 		}
 		t0 := time.Now()

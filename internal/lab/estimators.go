@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/feat"
@@ -34,6 +35,32 @@ func NewGBDTEstimator(hist *trace.Trace) (*GBDTEstimator, error) {
 		return nil, err
 	}
 	return &GBDTEstimator{feat: f, model: m, cache: map[int]float64{}}, nil
+}
+
+// lazyGBDT is what BuildWorld stores in World.Estimator: the GBDT estimator
+// of the world's history month, fit on the first EstimateSec. Only QSSF and
+// Horus read it, so a Lucid-only run never pays for the fit. Concurrent
+// first callers (QSSF and Horus under the parallel harness) share one fit.
+type lazyGBDT struct {
+	world string
+	hist  *trace.Trace
+	once  sync.Once
+	est   *GBDTEstimator
+}
+
+// EstimateSec implements sched.Estimator.
+func (l *lazyGBDT) EstimateSec(j *job.Job) float64 {
+	l.once.Do(func() {
+		est, err := NewGBDTEstimator(l.hist)
+		if err != nil {
+			// Unreachable: gbdt.Fit rejects only an empty or non-finite
+			// dataset, and BuildWorld's history is at least 500 generated
+			// jobs that core.TrainModels has already fit over.
+			panic(fmt.Sprintf("lab: %s: GBDT estimator: %v", l.world, err))
+		}
+		l.est = est
+	})
+	return l.est.EstimateSec(j)
 }
 
 // EstimateSec implements sched.Estimator.

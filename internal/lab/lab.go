@@ -28,7 +28,10 @@ type World struct {
 	Eval    *trace.Trace
 	Models  *core.Models
 	// Estimator is the black-box GBDT duration model QSSF and Horus use
-	// (their papers use LightGBM-family models).
+	// (their papers use LightGBM-family models). BuildWorld fits it on the
+	// history month at its first EstimateSec, not during the build, so the
+	// first QSSF or Horus run over a world pays for the fit in its own wall
+	// time.
 	Estimator sched.Estimator
 }
 
@@ -37,6 +40,12 @@ type World struct {
 // the offered-load profile — and therefore the queueing behaviour the
 // schedulers differ on — matches the full-size trace. Scale 1.0 reproduces
 // the Table 2 configuration exactly.
+//
+// The build emits the history month, then trains Lucid's models on it
+// while the same generator emits the evaluation month, and returns once
+// both are done. The GBDT estimator is left to its first use (see
+// World.Estimator); the bytes of every month and model are those of doing
+// each step in turn.
 func BuildWorld(spec trace.GenSpec, scale float64) (*World, error) {
 	if scale <= 0 || scale > 1 {
 		scale = 1
@@ -76,17 +85,23 @@ func BuildWorld(spec trace.GenSpec, scale float64) (*World, error) {
 	}
 	g := trace.NewGenerator(spec)
 	hist := g.Emit(n)
-	eval := g.Emit(n)
 
-	cfg := core.DefaultConfig()
-	models, err := core.TrainModels(hist, cfg)
+	// The fits read only the history month and the evaluation month only
+	// the generator, so the two overlap. The evaluation month cannot start
+	// earlier: it draws from the generator's state after the history month.
+	var models *core.Models
+	var err error
+	trained := make(chan struct{})
+	go func() {
+		defer close(trained)
+		models, err = core.TrainModels(hist, core.DefaultConfig())
+	}()
+	eval := g.Emit(n)
+	<-trained
 	if err != nil {
 		return nil, fmt.Errorf("lab: %s: %w", spec.Name, err)
 	}
-	est, err := NewGBDTEstimator(hist)
-	if err != nil {
-		return nil, fmt.Errorf("lab: %s: %w", spec.Name, err)
-	}
+	est := &lazyGBDT{world: spec.Name, hist: hist}
 	return &World{Spec: spec, History: hist, Eval: eval, Models: models, Estimator: est}, nil
 }
 

@@ -113,7 +113,7 @@ func TestWorldCacheCoherence(t *testing.T) {
 	spec.NumJobs = 500 // floor; keeps the build cheap
 	ResetWorldCache()
 
-	b0, _ := WorldCacheStats()
+	b0, _, sec0 := WorldCacheStats()
 	const callers = 4
 	worlds := make([]*World, callers)
 	errs := make([]error, callers)
@@ -134,8 +134,12 @@ func TestWorldCacheCoherence(t *testing.T) {
 			t.Fatal("GetWorld returned distinct worlds for one key")
 		}
 	}
-	if b1, _ := WorldCacheStats(); b1 != b0+1 {
+	b1, _, sec1 := WorldCacheStats()
+	if b1 != b0+1 {
 		t.Fatalf("concurrent GetWorld built %d worlds, want 1", b1-b0)
+	}
+	if sec1 <= sec0 {
+		t.Fatalf("build seconds %v → %v: the build was not timed", sec0, sec1)
 	}
 
 	again, err := GetWorld(spec, 0.5)

@@ -3,19 +3,21 @@ package lab
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/trace"
 )
 
 // The world cache memoizes BuildWorld process-wide. Building a world —
-// emitting two trace months and training the GA²M/GBDT models — dominates
-// the wall-clock of every end-to-end experiment, and the suite rebuilds
+// emitting two trace months and training Lucid's GA²M models — is a large
+// share of every end-to-end experiment's wall-clock, and the suite rebuilds
 // identical worlds constantly (tab4, tab5, fig8 and fig9 all want the same
 // three; eight studies all want Venus at the same scale). A cached World
 // is shared across experiments and across goroutines, which is safe
 // because a World is read-only after construction: runs clone the trace's
-// jobs (sim.New) and the models (World.NewLucid / Schedulers), and the
-// GBDT estimator's internal cache is mutex-guarded.
+// jobs (sim.New) and the models (World.NewLucid / Schedulers), the GBDT
+// estimator is fit once under a sync.Once at its first use, and its
+// prediction cache is mutex-guarded.
 //
 // GenSpec is a flat comparable struct, so (spec, scale) keys directly.
 type worldKey struct {
@@ -30,9 +32,10 @@ type worldEntry struct {
 }
 
 var (
-	worldCache  sync.Map // worldKey → *worldEntry
-	worldBuilds atomic.Int64
-	worldHits   atomic.Int64
+	worldCache   sync.Map // worldKey → *worldEntry
+	worldBuilds  atomic.Int64
+	worldBuildNs atomic.Int64 // Σ BuildWorld wall time over worldBuilds
+	worldHits    atomic.Int64
 )
 
 // GetWorld returns the memoized world for (spec, scale), building it on
@@ -48,7 +51,9 @@ func GetWorld(spec trace.GenSpec, scale float64) (*World, error) {
 	}
 	ent.once.Do(func() {
 		worldBuilds.Add(1)
+		start := time.Now()
 		ent.w, ent.err = BuildWorld(spec, scale)
+		worldBuildNs.Add(int64(time.Since(start)))
 	})
 	return ent.w, ent.err
 }
@@ -68,9 +73,12 @@ func GetWorlds(specs []trace.GenSpec, scale float64) ([]*World, error) {
 }
 
 // WorldCacheStats reports lifetime cache traffic: worlds built from
-// scratch vs. requests served from the cache.
-func WorldCacheStats() (builds, hits int64) {
-	return worldBuilds.Load(), worldHits.Load()
+// scratch vs. requests served from the cache, and the wall seconds the
+// builds took in total (summed across concurrent builds). A GBDT estimator
+// fit at first use is part of the run that first asks for an estimate, not
+// of the build.
+func WorldCacheStats() (builds, hits int64, buildSec float64) {
+	return worldBuilds.Load(), worldHits.Load(), time.Duration(worldBuildNs.Load()).Seconds()
 }
 
 // ResetWorldCache drops every cached world and memoized Table 4 sweep
