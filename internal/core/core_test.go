@@ -414,7 +414,7 @@ func (l *Lucid) orderQueue(pending []*job.Job, now int64) []keyedJob {
 	var q []keyedJob
 	for _, j := range pending {
 		if j.State == job.Queued {
-			q = append(q, keyedJob{job: j, key: l.priority(j, now)})
+			q = append(q, keyedJob{job: j, prio: l.priority(j, now)})
 		}
 	}
 	slices.SortStableFunc(q, compareKeyed)
@@ -474,9 +474,9 @@ func TestOrderQueueMatchesOracle(t *testing.T) {
 						t.Fatalf("%s seed %d: position %d is job %d, oracle has job %d",
 							name, seed, i, got[i].job.ID, want[i].ID)
 					}
-					if len(got) > 1 && got[i].key != l.priority(want[i], now) {
+					if len(got) > 1 && got[i].prio != l.priority(want[i], now) {
 						t.Fatalf("%s seed %d: job %d carries key %v, priority is %v",
-							name, seed, want[i].ID, got[i].key, l.priority(want[i], now))
+							name, seed, want[i].ID, got[i].prio, l.priority(want[i], now))
 					}
 				}
 				split += checkKeyOrder(t, l, want, now)
@@ -496,7 +496,7 @@ func checkKeyOrder(t *testing.T, l *Lucid, want []*job.Job, now int64) int {
 	t.Helper()
 	got := make([]keyedJob, len(want))
 	for i, j := range want {
-		got[i] = keyedJob{job: j, key: l.key(j)}
+		got[i] = keyedJob{job: j, prio: l.key(j).Prio}
 	}
 	slices.SortFunc(got, compareKeyed)
 	split := 0

@@ -125,7 +125,7 @@ type Lucid struct {
 	arrived int
 
 	// queue is Algorithm 2's order, kept rather than rebuilt: the Queued jobs
-	// by (key, Submit, ID) ascending. A job enters when it becomes Queued
+	// by Key ascending. A job enters when it becomes Queued
 	// (onProfiled) or comes back from a fault requeue (Env.Requeued), and
 	// leaves when orchestrate places it; a refit re-keys it. primed is unset
 	// until a round has built it from the waiting set, which is how a fresh,
@@ -272,7 +272,7 @@ func (l *Lucid) observe(env *sim.Env) {
 				case job.Pending:
 					l.unprofiled = append(l.unprofiled, j)
 				case job.Queued:
-					l.queue = append(l.queue, keyedJob{job: j, key: l.key(j)})
+					l.queue = append(l.queue, keyedJob{job: j, prio: l.key(j).Prio})
 				}
 			}
 		}
@@ -320,21 +320,46 @@ func (l *Lucid) onProfiled(j *job.Job) {
 	l.enqueue(j)
 }
 
-// Priority is Algorithm 2 line 4: GPU demand × estimated duration, smaller
-// first. The simulator's orchestrator and lucidd's /schedule both order by it.
-func Priority(gpus int, estSec float64) float64 {
-	return float64(gpus) * estSec
+// Key is Algorithm 2's order, the one both systems keep: Prio ascending, then
+// Submit, then ID, which makes it total. Lucid's queue, and lucidd's
+// /schedule index, K-way merge and ActOrder scores all read it.
+type Key struct {
+	Prio   float64
+	Submit int64
+	ID     int
 }
 
-// priority is a job's score at time now: Priority, less the fairness
-// extension's aging credit proportional to waiting time, which bounds
-// starvation of long/large jobs (§6 future work). With the estimator
+// NewKey keys a job: Algorithm 2 line 4, GPU demand × estimated duration,
+// plus aging·submit, the static form of the §6 aging credit (Lucid.key says
+// why). lucidd has neither and passes 0 for both: its ties fall to the ID.
+func NewKey(gpus int, estSec, aging float64, submit int64, id int) Key {
+	p := float64(gpus) * estSec
+	if aging != 0 {
+		p += aging * float64(submit)
+	}
+	return Key{Prio: p, Submit: submit, ID: id}
+}
+
+// Compare orders k before o (-1), after it (+1) or as the same key (0).
+func (k Key) Compare(o Key) int {
+	if c := cmp.Compare(k.Prio, o.Prio); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.Submit, o.Submit); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.ID, o.ID)
+}
+
+// priority is a job's score at time now: line 4 (NewKey without aging), less
+// the fairness extension's aging credit proportional to waiting time, which
+// bounds starvation of long/large jobs (§6 future work). With the estimator
 // ablated, ordering degrades to submission order. Decision traces report it.
 func (l *Lucid) priority(j *job.Job, now int64) float64 {
 	if l.cfg.DisableEstimator {
 		return float64(j.Submit)
 	}
-	p := Priority(j.GPUs, l.models.Estimator.EstimateSec(j))
+	p := NewKey(j.GPUs, l.models.Estimator.EstimateSec(j), 0, 0, j.ID).Prio
 	if l.cfg.FairnessAgingSec > 0 {
 		p -= l.cfg.FairnessAgingSec * float64(now-j.Submit)
 	}
@@ -342,20 +367,16 @@ func (l *Lucid) priority(j *job.Job, now int64) float64 {
 }
 
 // key is what the queue orders by: priority with the clock taken out. The
-// aging credit a·(now − Submit) is Priority + a·Submit − a·now, and the last
-// term is the same for every job in a round, so Priority + a·Submit orders
-// the queue as priority does and stays fixed while the job waits. At a = 0
-// (the paper's setting) and with the estimator ablated it is priority, bit
+// aging credit a·(now − Submit) is line 4 + a·Submit − a·now, and the last
+// term is the same for every job in a round, so line 4 + a·Submit orders the
+// queue as priority does and stays fixed while the job waits. At a = 0 (the
+// paper's setting) and with the estimator ablated its Prio is priority, bit
 // for bit; with aging on, rounding can split a near-tie the other way.
-func (l *Lucid) key(j *job.Job) float64 {
+func (l *Lucid) key(j *job.Job) Key {
 	if l.cfg.DisableEstimator {
-		return float64(j.Submit)
+		return Key{Prio: float64(j.Submit), Submit: j.Submit, ID: j.ID}
 	}
-	p := Priority(j.GPUs, l.models.Estimator.EstimateSec(j))
-	if a := l.cfg.FairnessAgingSec; a > 0 {
-		p += a * float64(j.Submit)
-	}
-	return p
+	return NewKey(j.GPUs, l.models.Estimator.EstimateSec(j), l.cfg.FairnessAgingSec, j.Submit, j.ID)
 }
 
 // remainingEstimate is the binder's time-awareness hook: estimated duration
@@ -378,20 +399,17 @@ func (l *Lucid) score(j *job.Job) workload.SharingScore {
 	return s
 }
 
-// keyedJob is a queued job with its key, computed when it enters the queue
-// rather than once per comparison or per round.
+// keyedJob is a queued job with its Key's Prio, computed when it enters the
+// queue rather than once per comparison or per round. The rest of the Key is
+// the job's own, which keeps an element at 16 bytes for a deep queue's shifts.
 type keyedJob struct {
-	job *job.Job
-	key float64
+	job  *job.Job
+	prio float64
 }
 
-// compareKeyed is Algorithm 2's order: key ascending, ties by bySubmit —
-// total, so the queue's order never depends on how it was built.
+// compareKeyed is Algorithm 2's order: Key.Compare.
 func compareKeyed(a, b keyedJob) int {
-	if c := cmp.Compare(a.key, b.key); c != 0 {
-		return c
-	}
-	return bySubmit(a.job, b.job)
+	return Key{a.prio, a.job.Submit, a.job.ID}.Compare(Key{b.prio, b.job.Submit, b.job.ID})
 }
 
 // bySubmit orders jobs by submit time, then ID: the profiler list's order.
@@ -404,7 +422,7 @@ func bySubmit(a, b *job.Job) int {
 
 // enqueue puts a Queued job in its place (a no-op for a member).
 func (l *Lucid) enqueue(j *job.Job) {
-	kj := keyedJob{job: j, key: l.key(j)}
+	kj := keyedJob{job: j, prio: l.key(j).Prio}
 	if i, ok := slices.BinarySearchFunc(l.queue, kj, compareKeyed); !ok {
 		l.queue = slices.Insert(l.queue, i, kj)
 	}
@@ -427,7 +445,7 @@ func (l *Lucid) addUnprofiled(j *job.Job) {
 // changed the estimates behind them.
 func (l *Lucid) rekey() {
 	for i := range l.queue {
-		l.queue[i].key = l.key(l.queue[i].job)
+		l.queue[i].prio = l.key(l.queue[i].job).Prio
 	}
 	slices.SortFunc(l.queue, compareKeyed)
 }

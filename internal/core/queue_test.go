@@ -152,9 +152,9 @@ func TestQueueMatchesPerRoundSort(t *testing.T) {
 						seed, tc.name, now, len(queue), len(want), keyedIDs(queue), keyedIDs(want))
 				}
 				for i := range want {
-					if queue[i].job != want[i].job || queue[i].key != want[i].key {
+					if queue[i].job != want[i].job || queue[i].prio != want[i].prio {
 						t.Fatalf("seed %d %s t=%d: position %d is job %d key %v, the per-round sort has job %d key %v",
-							seed, tc.name, now, i, queue[i].job.ID, queue[i].key, want[i].job.ID, want[i].key)
+							seed, tc.name, now, i, queue[i].job.ID, queue[i].prio, want[i].job.ID, want[i].prio)
 					}
 					if want[i].job.Restarts > 0 {
 						requeued++

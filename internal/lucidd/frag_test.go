@@ -2,6 +2,7 @@ package lucidd
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/dtrace"
+	"repro/internal/workload"
 )
 
 // The job list read path this package served until fragments replaced it —
@@ -39,8 +41,20 @@ func (sh *shard) oracleCopy(vc string) []*jobState {
 	return out
 }
 
+// scheduleLess is /schedule's order written out by hand — GPUs × estimate,
+// then ID — rather than read from core.Key, which the index, the merge and the
+// simulator all share: a bug there moves every one of them together, and
+// shows only against an order that does not share it.
+func scheduleLess(a, b *jobState) bool {
+	pa, pb := float64(a.GPUs)*a.EstSec, float64(b.GPUs)*b.EstSec
+	if pa != pb {
+		return pa < pb
+	}
+	return a.ID < b.ID
+}
+
 // oracleList gathers the copies a list read of vc covers and orders them with a
-// full sort — by queueLess for /schedule, by ID for /jobs.
+// full sort — by scheduleLess for /schedule, by ID for /jobs.
 func oracleList(s *Server, vc string, less func(a, b *jobState) bool) []*jobState {
 	out := make([]*jobState, 0)
 	for _, sh := range s.readShards(vc) {
@@ -93,7 +107,7 @@ func checkListsAgainstOracle(t *testing.T, s *Server, vc, when string) {
 			t.Fatalf("%s: GET /jobs%s differs from the replaced encoder:\n got %s\nwant %s", when, query, got, want)
 		}
 		got := get(t, s, "/schedule"+query)
-		queue := oracleList(s, scope, queueLess)
+		queue := oracleList(s, scope, scheduleLess)
 		if want := oracleBody(t, queue); got != want {
 			t.Fatalf("%s: GET /schedule%s differs from the replaced encoder:\n got %s\nwant %s", when, query, got, want)
 		}
@@ -178,13 +192,12 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 
 			// Two jobs whose profile means sit where float formatting changes
 			// shape: exponent form below 1e-6 and from 1e21 up, and a negative
-			// zero (-5e-324 then 0 averages to a negative underflow). The
-			// random stream below leaves them alone.
+			// zero, which no sample reaches any more (plantProfile says why
+			// it is still served). The random stream below leaves them alone.
 			edge := submit("edge-floats", "u", "vc-0")
 			sample(edge, 1e-7, 1e21, 0)
 			negZero := submit("edge-negzero", "u", "vc-1")
-			sample(negZero, -5e-324, 1, 1)
-			sample(negZero, 0, 1, 1)
+			plantProfile(s, negZero, 2, profile{GPUUtil: math.Copysign(0, -1), GPUMemMB: 1, GPUMemUtil: 1})
 			// Two adjacent jobs whose fragments each exceed writeJSONRefs' chunk:
 			// every body below crosses chunk boundaries, once with nothing
 			// buffered between two oversized elements.
@@ -276,7 +289,6 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 // views of very different lengths.
 func TestMergeSortedMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	less := func(a, b int) bool { return a < b }
 	for trial := 0; trial < 400; trial++ {
 		views := make([][]int, rng.Intn(20))
 		var want []int
@@ -292,7 +304,7 @@ func TestMergeSortedMatchesFullSort(t *testing.T) {
 			want = append(want, views[i]...)
 		}
 		sort.Ints(want)
-		got := mergeSorted(views, less)
+		got := mergeSorted(views, cmp.Compare[int])
 		if got == nil || len(got) != len(want) {
 			t.Fatalf("trial %d: merged %d of %d elements (nil: %v)", trial, len(got), len(want), got == nil)
 		}
@@ -307,7 +319,7 @@ func TestMergeSortedMatchesFullSort(t *testing.T) {
 // TestRetainedFragmentsUnderWriters is the race test for fragments a reader
 // keeps past the shard unlock: writers post samples and kill jobs while
 // readers loop on the global and scoped lists. Every body must parse, be in
-// queueLess (resp. ID) order, and every element must be ONE version of its job:
+// scheduleLess (resp. ID) order, and every element must be ONE version of its job:
 // the samples are a constant, so samples, profile, score and estimate are all
 // functions of the sample count alone — a fragment torn between two versions,
 // or rewritten under a reader, breaks that (or trips -race).
@@ -368,11 +380,10 @@ func TestRetainedFragmentsUnderWriters(t *testing.T) {
 			if i == 0 {
 				continue
 			}
-			prev := list[i-1]
+			prev := &list[i-1]
 			inOrder := prev.ID < js.ID
 			if strings.HasPrefix(path, "/schedule") {
-				a, b := float64(prev.GPUs)*prev.EstSec, float64(js.GPUs)*js.EstSec
-				inOrder = queueKey{a, prev.ID}.less(queueKey{b, js.ID})
+				inOrder = scheduleLess(prev, &list[i])
 			}
 			if !inOrder {
 				return fmt.Errorf("%s: job %d listed before job %d", path, prev.ID, js.ID)
@@ -479,22 +490,112 @@ func TestAckedThenDroppedSampleIsCounted(t *testing.T) {
 	}
 }
 
-// TestUnencodableJobFailsTheListLoudly: two samples near MaxFloat64 overflow a
-// running mean to +Inf, which encoding/json refuses. The replaced path answered
-// such a list with 200 and an empty body; the fragment path names the job.
+// plantProfile sets a job's sample count and profile means under its shard's
+// lock, for means that folding non-negative samples by increments never
+// reaches but a list read must still serve: a -0 that a snapshot written by
+// an older build stores verbatim, or a +Inf that replaying the negative
+// samples of an older build's WAL folds to.
+func plantProfile(s *Server, id, samples int, p profile) {
+	sh, _ := s.shardOfJob(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	js := sh.jobs[id]
+	js.Samples, js.Profile, js.frag = samples, p, nil
+}
+
+// TestUnencodableJobFailsTheListLoudly: a +Inf profile mean, which
+// encoding/json refuses. The replaced path answered such a list with 200 and
+// an empty body; the fragment path names the job.
 func TestUnencodableJobFailsTheListLoudly(t *testing.T) {
 	s, err := NewServerWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := submitJob(t, s, "overflow", "vc-0", 1)
-	for i := 0; i < 2; i++ {
-		do(t, s, http.MethodPost, "/metrics", fmt.Sprintf(`{"job":%d,"gpu_util":%v}`, id, math.MaxFloat64))
-	}
+	plantProfile(s, id, 2, profile{GPUUtil: math.Inf(1)})
 	for _, path := range []string{"/schedule", "/jobs", "/schedule?vc=vc-0", "/jobs?vc=vc-0"} {
 		rec := do(t, s, http.MethodGet, path, "")
 		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), fmt.Sprintf("encode job %d", id)) {
 			t.Errorf("GET %s with a +Inf profile mean: %d %q, want 500 naming the job", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestEqualSamplesListTheirProfile: a job sampled minSamples times with one
+// profile lists exactly that profile, for every catalog configuration's — the
+// mean of equal samples is the sample, bit for bit, so the estimate read from
+// it is the one the simulator makes from the profile itself.
+func TestEqualSamplesListTheirProfile(t *testing.T) {
+	s, err := NewServerWith(Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]profile{}
+	for i, c := range workload.AllConfigs() {
+		p := c.Profile()
+		id := submitJob(t, s, fmt.Sprint("cfg-", i), fmt.Sprint("vc-", i%8), 1)
+		body := fmt.Sprintf(`{"job":%d,"gpu_util":%v,"gpu_mem_mb":%v,"gpu_mem_util":%v}`, id, p.GPUUtil, p.GPUMemMB, p.GPUMemUtil)
+		for k := 0; k < minSamples; k++ {
+			if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusOK {
+				t.Fatalf("sample: %d: %s", rec.Code, rec.Body)
+			}
+		}
+		want[id] = profile{p.GPUUtil, p.GPUMemMB, p.GPUMemUtil}
+	}
+	var jobs []jobState
+	if err := json.Unmarshal([]byte(get(t, s, "/jobs")), &jobs); err != nil {
+		t.Fatal(err)
+	}
+	for _, js := range jobs {
+		if js.Profile != want[js.ID] {
+			t.Errorf("job %d: %d samples of %+v list %+v", js.ID, js.Samples, want[js.ID], js.Profile)
+		}
+	}
+}
+
+// TestHugeSamplesKeepListsEncodable: two MaxFloat64 samples average to
+// MaxFloat64. A mean that overflowed to +Inf would fail every list read
+// afterwards, since encoding/json refuses it.
+func TestHugeSamplesKeepListsEncodable(t *testing.T) {
+	s, err := NewServerWith(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, s, "huge", "vc-0", 1)
+	for i := 0; i < 2; i++ {
+		body := fmt.Sprintf(`{"job":%d,"gpu_util":%v,"gpu_mem_mb":%v}`, id, math.MaxFloat64, math.MaxFloat64)
+		if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusOK {
+			t.Fatalf("sample: %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for _, path := range []string{"/jobs", "/schedule"} {
+		var jobs []jobState
+		if err := json.Unmarshal([]byte(get(t, s, path)), &jobs); err != nil {
+			t.Fatal(err)
+		}
+		if p := jobs[0].Profile; p.GPUUtil != math.MaxFloat64 || p.GPUMemMB != math.MaxFloat64 {
+			t.Errorf("GET %s: profile %+v, want both means MaxFloat64", path, p)
+		}
+	}
+}
+
+// TestNegativeSampleIsRejected: utilization and memory are never negative. A
+// sample that says otherwise gets 400 in both ingest modes and changes nothing.
+func TestNegativeSampleIsRejected(t *testing.T) {
+	for _, queue := range []int{0, 64} {
+		s, err := NewServerWith(Options{IngestQueue: queue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := submitJob(t, s, "negative", "vc-0", 1)
+		for _, field := range []string{"gpu_util", "gpu_mem_mb", "gpu_mem_util"} {
+			body := fmt.Sprintf(`{"job":%d,%q:-1}`, id, field)
+			if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusBadRequest {
+				t.Errorf("queue %d: %s -1: %d, want 400", queue, field, rec.Code)
+			}
+		}
+		if got := samplesOf(t, s, id); got != 0 {
+			t.Errorf("queue %d: %d samples applied after three rejected ones", queue, got)
 		}
 	}
 }

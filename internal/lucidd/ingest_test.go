@@ -218,8 +218,10 @@ func TestCrashDuringAsyncIngest(t *testing.T) {
 // TestIncrementalOrderMatchesFullSort is the index-integrity property test:
 // after a randomized op sequence (submits, samples, kills — each of which
 // repositions jobs), every shard's incremental order must equal a
-// from-scratch sort of its job table, every cached prio must equal the live
-// key, and the merged /schedule must equal a brute-force global sort.
+// from-scratch sort of its job table, every cached key must equal the live
+// one — Prio GPUs × EstSec, Submit 0, the job's ID — and the merged /schedule
+// must equal a brute-force global sort. Both sorts are written out by hand,
+// not read from core.Key.
 func TestIncrementalOrderMatchesFullSort(t *testing.T) {
 	s := asyncServer(t, 4, 4096)
 	parityOps(t, s, 777, 300)
@@ -234,7 +236,7 @@ func TestIncrementalOrderMatchesFullSort(t *testing.T) {
 		for _, js := range sh.jobs {
 			want = append(want, js)
 		}
-		sort.Slice(want, func(i, j int) bool { return queueLess(want[i], want[j]) })
+		sort.Slice(want, func(i, j int) bool { return scheduleLess(want[i], want[j]) })
 		for i := range want {
 			if i < len(sh.order) && sh.order[i] != want[i] {
 				t.Errorf("shard %d: index[%d] = job %d, full sort says job %d",
@@ -243,8 +245,8 @@ func TestIncrementalOrderMatchesFullSort(t *testing.T) {
 			}
 		}
 		for _, js := range sh.order {
-			if live := float64(js.GPUs) * js.EstSec; js.prio != live {
-				t.Errorf("shard %d job %d: cached prio %v != live key %v", sh.idx, js.ID, js.prio, live)
+			if live := (core.Key{Prio: float64(js.GPUs) * js.EstSec, ID: js.ID}); js.key != live {
+				t.Errorf("shard %d job %d: cached key %+v != live key %+v", sh.idx, js.ID, js.key, live)
 			}
 		}
 		sh.mu.Unlock()
@@ -312,58 +314,6 @@ func TestCrossShardScheduleTieBreak(t *testing.T) {
 			t.Errorf("equal keys not in global ID order: position %d holds job %d after job %d",
 				i, sched[i].ID, sched[i-1].ID)
 		}
-	}
-}
-
-// TestScheduleOrderIsCorePriority: /schedule is exactly "sort by core.Priority,
-// then by ID" — the function the simulator's orchestrator sorts by, so the
-// daemon cannot drift from Algorithm 2 line 4 on its own. The queue mixes
-// unequal keys (different names and GPU demands, one job re-estimated after
-// profiling) with equal ones on different shards (same name, user and demand).
-func TestScheduleOrderIsCorePriority(t *testing.T) {
-	s := asyncServer(t, 4, 1024)
-	vcA, vcB := twoVCsOnDistinctShards(t, s)
-	for i, gpus := range []int{4, 1, 8, 2, 1, 2, 16, 1} {
-		submitJob(t, s, fmt.Sprintf("train-%d", i%3), vcA, gpus)
-		submitJob(t, s, "tie", []string{vcA, vcB}[i%2], 2)
-	}
-	profiled := submitJob(t, s, "train-0", vcB, 4)
-	for i := 0; i < minSamples; i++ {
-		if code := postSample(t, s, profiled); code != http.StatusOK && code != http.StatusAccepted {
-			t.Fatalf("sample: status %d", code)
-		}
-	}
-
-	var all, sched []jobState
-	if err := json.Unmarshal([]byte(get(t, s, "/jobs")), &all); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(get(t, s, "/schedule")), &sched); err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		pi, pj := core.Priority(all[i].GPUs, all[i].EstSec), core.Priority(all[j].GPUs, all[j].EstSec)
-		if pi != pj {
-			return pi < pj
-		}
-		return all[i].ID < all[j].ID
-	})
-	if len(sched) != len(all) || len(all) != 17 {
-		t.Fatalf("/schedule lists %d jobs, /jobs %d, want 17", len(sched), len(all))
-	}
-	ties, distinct := 0, map[float64]bool{}
-	for i := range all {
-		if sched[i].ID != all[i].ID {
-			t.Fatalf("/schedule[%d] = job %d, sorting by (core.Priority, ID) says job %d", i, sched[i].ID, all[i].ID)
-		}
-		p := core.Priority(all[i].GPUs, all[i].EstSec)
-		if i > 0 && p == core.Priority(all[i-1].GPUs, all[i-1].EstSec) {
-			ties++
-		}
-		distinct[p] = true
-	}
-	if ties < 7 || len(distinct) < 4 {
-		t.Fatalf("queue has %d ties and %d distinct keys: the test no longer covers both", ties, len(distinct))
 	}
 }
 

@@ -50,29 +50,35 @@ type jobState struct {
 	// like a requeued job re-entering the simulator's profiler.
 	Restarts int `json:"restarts"`
 
-	// prio caches the job's position key in its shard's incremental priority
-	// index (GPUs × EstSec at the last reposition). Unexported: it is an
-	// index implementation detail, never serialized, and only read or
-	// written under the owning shard's mutex.
-	prio float64
+	// key is the job's Algorithm 2 key at the last refresh, core.NewKey of
+	// GPUs, EstSec and ID: its position in its shard's incremental priority
+	// index. Unexported: never serialized, and only read or written under the
+	// owning shard's mutex.
+	key core.Key
 	// frag is the job's pre-marshaled listing fragment, or nil when a mutation
 	// has invalidated it (refreshLocked) and no list read has re-encoded it
-	// yet (copyJobRefs). The field is read and written under the shard mutex.
+	// yet (copyJobFrags). The field is read and written under the shard mutex.
 	// Ownership rule: a jobFrag is IMMUTABLE ONCE PUBLISHED — a change
 	// replaces the pointer, nothing ever writes through it — so a reader
 	// keeps the pointer past the unlock without copying.
 	frag *jobFrag
 }
 
+// compare is the shard index's order: Key.Compare.
+func (js *jobState) compare(o *jobState) int { return js.key.Compare(o.key) }
+
 // jobFrag is one version of a job as the list reads serve it: exactly the
 // bytes encoding/json emits for the job as an array element, and beside them
-// the two fields the /schedule ActOrder event names its head by (decoding them
-// back out of json would be the alternative).
+// what the merge orders by and the /schedule ActOrder event names its head by.
+// List reads copy out and merge the pointers alone (BenchmarkGlobalSchedule).
 type jobFrag struct {
 	json []byte
+	key  core.Key
 	vc   string
 	gpus int
 }
+
+func (f *jobFrag) fragment() []byte { return f.json }
 
 // agentState is one registered node agent, kept alive by heartbeats. The VC
 // is the agent's routing key: it decides which shard owns the agent.
@@ -222,12 +228,17 @@ func trainShared() error {
 		if training.err != nil {
 			return
 		}
-		spec := trace.Venus()
-		spec.NumJobs = 3000
-		hist := trace.NewGenerator(spec).Emit(0)
+		hist := trace.NewGenerator(historySpec()).Emit(0)
 		training.est, training.err = core.TrainWorkloadEstimator(hist.Jobs)
 	})
 	return training.err
+}
+
+// historySpec is the synthetic history month the shared estimator trains on.
+func historySpec() trace.GenSpec {
+	spec := trace.Venus()
+	spec.NumJobs = 3000
+	return spec
 }
 
 // NewServer builds a server with default hardening options.
@@ -465,18 +476,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusCreated, r.job)
 	case http.MethodGet:
 		// ID order is not an index the shards keep: each view is sorted on
-		// its refs after the unlock, then merged like the schedule.
-		views, compose, err := s.readJobRefs("/jobs", r.URL.Query().Get("vc"))
+		// its fragments after the unlock, then merged like the schedule.
+		views, compose, err := s.readJobFrags("/jobs", r.URL.Query().Get("vc"))
 		defer compose.Stop()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		byID := func(a, b jobRef) int { return cmp.Compare(a.id, b.id) }
+		byID := func(a, b *jobFrag) int { return cmp.Compare(a.key.ID, b.key.ID) }
 		for _, v := range views {
 			slices.SortFunc(v, byID)
 		}
-		writeJSONRefs(w, mergeSorted(views, func(a, b jobRef) bool { return byID(a, b) < 0 }))
+		writeJSONRefs(w, mergeSorted(views, byID))
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -504,15 +515,15 @@ func (s *Server) readBarrier(path string, shards []*shard) (compose metrics.Time
 	return s.met.reg.StartTimer(s.met.readCompose.With(path))
 }
 
-// readJobRefs is the shared front half of GET /jobs and GET /schedule: barrier,
-// then one priority-ordered view of refs per covered shard (at most one shard
-// lock held at a time). An error names a job encoding/json refuses to encode.
-func (s *Server) readJobRefs(path, vc string) (views [][]jobRef, compose metrics.Timer, err error) {
+// readJobFrags is the shared front half of GET /jobs and GET /schedule: barrier,
+// then one priority-ordered view per covered shard (at most one shard lock
+// held at a time). An error names a job encoding/json refuses to encode.
+func (s *Server) readJobFrags(path, vc string) (views [][]*jobFrag, compose metrics.Timer, err error) {
 	shards := s.readShards(vc)
 	compose = s.readBarrier(path, shards)
-	views = make([][]jobRef, len(shards))
+	views = make([][]*jobFrag, len(shards))
 	for i, sh := range shards {
-		if views[i], err = sh.copyJobRefs(vc); err != nil {
+		if views[i], err = sh.copyJobFrags(vc); err != nil {
 			return nil, compose, err
 		}
 	}
@@ -539,6 +550,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		GPUMemUtil float64 `json:"gpu_mem_util"`
 	}
 	if !s.decode(w, r, &req) {
+		return
+	}
+	if req.GPUUtil < 0 || req.GPUMemMB < 0 || req.GPUMemUtil < 0 {
+		http.Error(w, "metrics must be non-negative", http.StatusBadRequest)
 		return
 	}
 	sh, ok := s.shardOfJob(req.Job)
@@ -576,38 +591,38 @@ func (s *Server) serveMetrics(w http.ResponseWriter) {
 // instruments or tests that assert on them).
 func (s *Server) Metrics() *metrics.Registry { return s.met.reg }
 
-// handleSchedule returns the queue in Lucid priority order
-// (GPUs × estimated duration, ascending — Algorithm 2). ?vc= scopes the
-// queue to one tenant's shard; otherwise every shard contributes its
-// pre-sorted incremental index and the front door K-way merges — no
-// per-request re-sort. Ties across shards break on global job ID
-// (queueLess), so the merged order is identical at any shard count.
+// handleSchedule returns the queue in Algorithm 2's order, core.Key's: GPUs ×
+// estimated duration ascending, then global job ID (the daemon keys every job
+// with Submit 0). ?vc= scopes the queue to one tenant's shard; otherwise
+// every shard contributes its pre-sorted incremental index and the front door
+// K-way merges by the same key — no per-request re-sort, and the merged order
+// is identical at any shard count.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	views, compose, err := s.readJobRefs("/schedule", r.URL.Query().Get("vc"))
+	views, compose, err := s.readJobFrags("/schedule", r.URL.Query().Get("vc"))
 	defer compose.Stop()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	out := mergeSorted(views, func(a, b jobRef) bool { return a.less(b.queueKey) })
+	out := mergeSorted(views, func(a, b *jobFrag) int { return a.key.Compare(b.key) })
 	if len(out) > 0 {
 		// Record the ordering decision: who leads the queue and why, plus
-		// the runners-up with their priority keys as counterfactuals. The
-		// key IS the score: both are GPUs × EstSec (refreshLocked).
+		// the runners-up with their keys as counterfactuals. The key's Prio
+		// IS the score, as in the simulator's ActOrder.
 		head := out[0]
-		ev := dtrace.Event{Job: head.id, Action: dtrace.ActOrder,
-			Reason: "min-gpu-demand-x-estimate", VC: head.frag.vc, GPUs: head.frag.gpus,
-			Score: head.prio}
-		for _, ref := range out[1:] {
+		ev := dtrace.Event{Job: head.key.ID, Action: dtrace.ActOrder,
+			Reason: "min-gpu-demand-x-estimate", VC: head.vc, GPUs: head.gpus,
+			Score: head.key.Prio}
+		for _, f := range out[1:] {
 			if len(ev.Alternatives) >= s.rec.TopK() {
 				break
 			}
 			ev.Alternatives = append(ev.Alternatives, dtrace.Alternative{
-				Job: ref.id, Score: ref.prio, Reason: "behind-in-queue"})
+				Job: f.key.ID, Score: f.key.Prio, Reason: "behind-in-queue"})
 		}
 		s.rec.Record(ev)
 	}
@@ -658,7 +673,7 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 		// The listing is served from the per-shard (Name, VC, Node) indexes:
 		// a scoped read copies one pre-sorted, pre-serialized view, the
 		// cluster-wide read K-way-merges them — no per-request sort, no
-		// per-request struct marshal. agentLess documents why the full key
+		// per-request struct marshal. agentKey documents why the full key
 		// (not Name alone) orders every possible cross-shard duplicate.
 		vc := r.URL.Query().Get("vc")
 		shards := s.readShards(vc)
@@ -676,7 +691,7 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 		for i, sh := range shards {
 			per[i] = sh.copyAgentRefs(now)
 		}
-		writeJSONRefs(w, mergeSorted(per, func(a, b agentRef) bool { return a.less(b.agentKey) }))
+		writeJSONRefs(w, mergeSorted(per, func(a, b agentRef) int { return a.compare(b.agentKey) }))
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -906,7 +921,7 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 }
 
 // fragRef is what writeJSONRefs needs of a list element: its pre-marshaled
-// JSON. jobRef and agentRef are the two implementations.
+// JSON. *jobFrag and agentRef are the two implementations.
 type fragRef interface{ fragment() []byte }
 
 // listChunk bounds the memory one list response holds beyond its refs: the

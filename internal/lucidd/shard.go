@@ -1,12 +1,14 @@
 package lucidd
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,8 +43,8 @@ type shard struct {
 	mu     sync.Mutex
 	jobs   map[int]*jobState
 	agents map[string]*agentState
-	// order is the shard's incremental priority index: every job, kept
-	// sorted by (GPUs × EstSec, global ID) at all times. Mutators reposition
+	// order is the shard's incremental priority index: every job, kept in
+	// the order of its core.Key (jobState.key) at all times. Mutators reposition
 	// the touched job with two binary searches instead of /schedule
 	// re-sorting the whole merged queue per request; cluster-wide reads
 	// K-way-merge these pre-sorted views.
@@ -187,13 +189,13 @@ func (sh *shard) sweepLocked(now time.Time) {
 func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (events []dtrace.Event, failed, dropped int) {
 	evict := func(a *agentState, reason string) {
 		sh.lruUnlinkLocked(a)
-		sh.aorder = removeSorted(sh.aorder, a, agentLess)
+		sh.aorder = removeSorted(sh.aorder, a, (*agentState).compare)
 		delete(sh.agents, a.Name)
 		events = append(events, dtrace.Event{Action: dtrace.ActNodeFail,
 			Reason: reason, Node: a.Node + 1})
 	}
 	dropJob := func(js *jobState) {
-		sh.order = removeSorted(sh.order, js, queueLess)
+		sh.order = removeSorted(sh.order, js, (*jobState).compare)
 		delete(sh.jobs, js.ID)
 		sh.srv.jobShard.Delete(js.ID)
 		if js.Samples >= minSamples {
@@ -212,7 +214,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			sh.srv.jobShard.Store(js.ID, sh)
 			sh.srv.bumpNextID(js.ID)
 			sh.refreshLocked(js)
-			sh.order = insertSorted(sh.order, js, queueLess)
+			sh.order = insertSorted(sh.order, js, (*jobState).compare)
 			if r.err = sh.logOpLocked(op); r.err != nil {
 				// The client gets an error, so the job must not exist. The
 				// allocated ID is not reused — a gap is harmless, a reused
@@ -238,17 +240,18 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 				dropped++ // evicted between ack and apply, or dropped by a snapshot before replay
 				break
 			}
-			// Fold one NVIDIA-SMI-style sample into the running mean — what a
-			// DCGM poller would maintain. Remove before mutating: the index is
-			// searched by the key the job was inserted under.
-			sh.order = removeSorted(sh.order, js, queueLess)
-			n := float64(js.Samples)
-			js.Profile.GPUUtil = (js.Profile.GPUUtil*n + op.GPUUtil) / (n + 1)
-			js.Profile.GPUMemMB = (js.Profile.GPUMemMB*n + op.GPUMemMB) / (n + 1)
-			js.Profile.GPUMemUtil = (js.Profile.GPUMemUtil*n + op.GPUMemUtil) / (n + 1)
+			// Fold one NVIDIA-SMI-style sample into the running mean, by
+			// increments: equal samples keep it exactly the sample, and
+			// non-negative ones within their range. Remove before mutating:
+			// the index is searched by the key the job was inserted under.
+			sh.order = removeSorted(sh.order, js, (*jobState).compare)
+			n := float64(js.Samples + 1)
+			js.Profile.GPUUtil += (op.GPUUtil - js.Profile.GPUUtil) / n
+			js.Profile.GPUMemMB += (op.GPUMemMB - js.Profile.GPUMemMB) / n
+			js.Profile.GPUMemUtil += (op.GPUMemUtil - js.Profile.GPUMemUtil) / n
 			js.Samples++
 			sh.refreshLocked(js)
-			sh.order = insertSorted(sh.order, js, queueLess)
+			sh.order = insertSorted(sh.order, js, (*jobState).compare)
 			// Samples never ask for an fsync: losing the unsynced tail in a
 			// power cut only costs telemetry the agents re-send anyway.
 			r.err = sh.logOpLocked(op)
@@ -284,15 +287,15 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			case !known:
 				a = &agentState{Name: op.Name, VC: op.VC, Node: op.Node, LastSeen: seen}
 				sh.agents[a.Name] = a
-				sh.aorder = insertSorted(sh.aorder, a, agentLess)
+				sh.aorder = insertSorted(sh.aorder, a, (*agentState).compare)
 				events = append(events, dtrace.Event{Action: dtrace.ActNodeRepair,
 					Reason: "agent-online", Node: a.Node + 1})
 			case a.VC != op.VC || a.Node != op.Node:
 				// The listing key changed: reposition under the old key
 				// first, the same remove-before-mutate discipline as above.
-				sh.aorder = removeSorted(sh.aorder, a, agentLess)
+				sh.aorder = removeSorted(sh.aorder, a, (*agentState).compare)
 				a.VC, a.Node, a.LastSeen = op.VC, op.Node, seen
-				sh.aorder = insertSorted(sh.aorder, a, agentLess)
+				sh.aorder = insertSorted(sh.aorder, a, (*agentState).compare)
 				sh.lruUnlinkLocked(a)
 			default:
 				a.LastSeen = seen
@@ -316,7 +319,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			// The in-memory profile is lost and the job re-enters the system
 			// unprofiled, scored by the conservative Jumbo prior until fresh
 			// samples arrive — the simulator's requeue-through-profiler path.
-			sh.order = removeSorted(sh.order, js, queueLess)
+			sh.order = removeSorted(sh.order, js, (*jobState).compare)
 			if js.Samples >= minSamples {
 				sh.nProfiled.Add(-1)
 			}
@@ -324,7 +327,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			js.Samples = 0
 			js.Profile = profile{}
 			sh.refreshLocked(js)
-			sh.order = insertSorted(sh.order, js, queueLess)
+			sh.order = insertSorted(sh.order, js, (*jobState).compare)
 			r.err = sh.logOpLocked(op)
 			events = append(events, dtrace.Event{Job: js.ID, Action: dtrace.ActRequeue,
 				Reason: "chaos-kill", VC: js.VC, GPUs: js.GPUs})
@@ -415,31 +418,29 @@ func (sh *shard) lruUnlinkLocked(a *agentState) {
 // the agent listing order. Mutators reposition the touched element with two
 // binary searches instead of a reader re-sorting per request. An element is
 // found by its key and confirmed by identity, so callers must remove BEFORE
-// mutating anything less reads; removing an absent element is a no-op.
-func insertSorted[T any](s []T, v T, less func(a, b T) bool) []T {
-	return slices.Insert(s, rank(s, v, less), v)
+// mutating anything compare reads; removing an absent element is a no-op.
+func insertSorted[T any](s []T, v T, compare func(a, b T) int) []T {
+	i, _ := slices.BinarySearchFunc(s, v, compare)
+	return slices.Insert(s, i, v)
 }
 
-func removeSorted[T comparable](s []T, v T, less func(a, b T) bool) []T {
-	if i := rank(s, v, less); i < len(s) && s[i] == v {
+func removeSorted[T comparable](s []T, v T, compare func(a, b T) int) []T {
+	if i, ok := slices.BinarySearchFunc(s, v, compare); ok && s[i] == v {
 		return slices.Delete(s, i, i+1)
 	}
 	return s
 }
 
-func rank[T any](s []T, v T, less func(a, b T) bool) int {
-	return sort.Search(len(s), func(i int) bool { return !less(s[i], v) })
-}
-
-// mergeSorted K-way merges per-shard views, each already sorted by less, into
-// one globally ordered slice — /schedule, /jobs and the cluster-wide /agents
-// listing all end here, so none sorts the merged list per request. less must
-// be a total order (every comparator tie-breaks down to a cluster-unique key),
-// which makes the merge deterministic at any shard count. The merge is a loser
-// tree: a pop replays one leaf-to-root path, log2(K) comparator calls where a
-// scan over the K heads makes K-1 (BenchmarkGlobalSchedule, 16 shards × 4,096
-// jobs, medians of five: 0.78 ms/op with the scan, 0.52 with the tree).
-func mergeSorted[T any](views [][]T, less func(a, b T) bool) []T {
+// mergeSorted K-way merges per-shard views, each already sorted by compare,
+// into one globally ordered slice — /schedule, /jobs and the cluster-wide
+// /agents listing all end here, so none sorts the merged list per request.
+// compare must be a total order (every comparator tie-breaks down to a
+// cluster-unique key), which makes the merge deterministic at any shard count.
+// The merge is a loser tree: a pop replays one leaf-to-root path, log2(K)
+// comparator calls where a scan over the K heads makes K-1
+// (BenchmarkGlobalSchedule, 16 shards × 4,096 jobs, medians of five: 0.78
+// ms/op with the scan, 0.52 with the tree).
+func mergeSorted[T any](views [][]T, compare func(a, b T) int) []T {
 	total := 0
 	only := []T{} // non-nil: an empty merge must still encode as [], not null
 	for _, v := range views {
@@ -468,7 +469,7 @@ func mergeSorted[T any](views [][]T, less func(a, b T) bool) []T {
 			// sorts first wins.
 			p := loser[t]
 			if w >= 0 && (p < 0 || (heads[p] < len(views[p]) &&
-				(heads[w] == len(views[w]) || less(views[p][heads[p]], views[w][heads[w]])))) {
+				(heads[w] == len(views[w]) || compare(views[p][heads[p]], views[w][heads[w]]) < 0))) {
 				loser[t], w = w, p
 			}
 		}
@@ -487,59 +488,18 @@ func mergeSorted[T any](views [][]T, less func(a, b T) bool) []T {
 	return out
 }
 
-// queueKey is the priority sort key: core.Priority ascending, global job ID as
-// the total-order tie-break. less is THE priority comparator: the per-shard
-// index, the K-way fan-out merge and the tie-break tests all order by it, so
-// the order is identical at any shard count.
-//
-// It is also the simulator's order at the paper default: core.Lucid keeps its
-// queue the same way, keyed once and re-keyed when an estimate changes. Its
-// key adds the §6 aging credit in static form, rate × Submit, which is zero
-// unless FairnessAgingSec is set; the daemon has no aging knob, though the
-// static form would need no re-key on reads either. And it breaks ties by
-// (Submit, ID), which is the ID order here because the daemon allocates IDs
-// in submit order.
-type queueKey struct {
-	prio float64
-	id   int
-}
-
-func (k queueKey) less(o queueKey) bool {
-	if k.prio != o.prio {
-		return k.prio < o.prio
-	}
-	return k.id < o.id
-}
-
-// queueLess orders jobs by the key refreshLocked stamped, so a job is always
-// found where it was inserted.
-func queueLess(a, b *jobState) bool {
-	return queueKey{a.prio, a.ID}.less(queueKey{b.prio, b.ID})
-}
-
-// jobRef is what a list read copies out of a shard per job: the merge key and
-// the job's fragment — retained, not copied (jobState.frag states the
-// ownership rule). 24 bytes, because the K-way merge moves every ref once and
-// the collector scans them all: carrying the ActOrder fields and the slice
-// header inline (64 bytes) cost BenchmarkGlobalSchedule 0.80 ms/op against 0.51.
-type jobRef struct {
-	queueKey
-	frag *jobFrag
-}
-
-func (r jobRef) fragment() []byte { return r.frag.json }
-
-// copyJobRefs snapshots the shard's priority order (optionally scoped to one
-// VC) as refs, already sorted — the unit step of every job list read, and the
-// one place a job becomes list JSON: a job whose fragment a mutation
+// copyJobFrags snapshots the shard's priority order (optionally scoped to one
+// VC) as fragments, already sorted — the unit step of every job list read, and
+// the one place a job becomes list JSON: a job whose fragment a mutation
 // invalidated since the last read is re-encoded here, lazily, because a job
 // changes on one write in five and encoding on every mutation taxed ingest for
-// reads that may never come. encoding/json refuses non-finite floats; a sample
-// stream that overflowed a profile mean surfaces as the error.
-func (sh *shard) copyJobRefs(vc string) ([]jobRef, error) {
+// reads that may never come. The fragments are retained, not copied
+// (jobState.frag states the ownership rule). encoding/json refuses non-finite
+// floats; a profile mean that is not finite surfaces as the error.
+func (sh *shard) copyJobFrags(vc string) ([]*jobFrag, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	out := make([]jobRef, 0, len(sh.order))
+	out := make([]*jobFrag, 0, len(sh.order))
 	for _, js := range sh.order {
 		if vc != "" && js.VC != vc {
 			continue
@@ -549,9 +509,9 @@ func (sh *shard) copyJobRefs(vc string) ([]jobRef, error) {
 			if err != nil {
 				return nil, fmt.Errorf("encode job %d: %w", js.ID, err)
 			}
-			js.frag = &jobFrag{json: b, vc: js.VC, gpus: js.GPUs}
+			js.frag = &jobFrag{json: b, key: js.key, vc: js.VC, gpus: js.GPUs}
 		}
-		out = append(out, jobRef{queueKey{js.prio, js.ID}, js.frag})
+		out = append(out, js.frag)
 	}
 	return out, nil
 }
@@ -559,25 +519,25 @@ func (sh *shard) copyJobRefs(vc string) ([]jobRef, error) {
 // agentKey is the listing sort key: full (Name, VC, Node), because two shards
 // can hold same-named agents (different VCs hash apart) and Name alone would
 // leave their relative order to shard iteration — the fan-out nondeterminism
-// class PR 1 fixed for jobs. less is THE listing comparator: the per-shard
+// class PR 1 fixed for jobs. compare is THE listing comparator: the per-shard
 // index, the fan-out merge and the tie-break tests all order by it.
 type agentKey struct {
 	name, vc string
 	node     int
 }
 
-func (k agentKey) less(o agentKey) bool {
-	if k.name != o.name {
-		return k.name < o.name
+func (k agentKey) compare(o agentKey) int {
+	if c := strings.Compare(k.name, o.name); c != 0 {
+		return c
 	}
-	if k.vc != o.vc {
-		return k.vc < o.vc
+	if c := strings.Compare(k.vc, o.vc); c != 0 {
+		return c
 	}
-	return k.node < o.node
+	return cmp.Compare(k.node, o.node)
 }
 
-func agentLess(a, b *agentState) bool {
-	return agentKey{a.Name, a.VC, a.Node}.less(agentKey{b.Name, b.VC, b.Node})
+func (a *agentState) compare(o *agentState) int {
+	return agentKey{a.Name, a.VC, a.Node}.compare(agentKey{o.Name, o.VC, o.Node})
 }
 
 // jsonPlain reports whether s encodes as itself inside a JSON string under
@@ -724,7 +684,7 @@ func (sh *shard) refreshLocked(js *jobState) {
 	js.Score = sh.srv.analyzer.ScoreJob(j).String()
 	sh.est.Invalidate(j.ID)
 	js.EstSec = sh.est.EstimateSec(j)
-	js.prio = core.Priority(js.GPUs, js.EstSec)
+	js.key = core.NewKey(js.GPUs, js.EstSec, 0, 0, js.ID)
 	js.frag = nil // every serialized field is settled here; the next list read re-encodes
 }
 

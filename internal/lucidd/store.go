@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -266,7 +267,7 @@ func (sh *shard) loadSnapLocked(ss shardSnap) {
 		}
 	}
 	// One O(n log n) rebuild at snapshot load; incremental from here on.
-	sort.Slice(sh.order, func(i, j int) bool { return queueLess(sh.order[i], sh.order[j]) })
+	slices.SortFunc(sh.order, (*jobState).compare)
 	sh.agents = make(map[string]*agentState, len(ss.Agents))
 	sh.aorder = make([]*agentState, 0, len(ss.Agents))
 	sh.lruHead, sh.lruTail = nil, nil
@@ -277,7 +278,7 @@ func (sh *shard) loadSnapLocked(ss shardSnap) {
 		sh.agents[pa.Name] = a
 		sh.aorder = append(sh.aorder, a)
 	}
-	sort.Slice(sh.aorder, func(i, j int) bool { return agentLess(sh.aorder[i], sh.aorder[j]) })
+	slices.SortFunc(sh.aorder, (*agentState).compare)
 	// Rebuild the heartbeat-order list oldest-first (name as the
 	// deterministic tie-break for equal stamps) so the prefix invariant the
 	// O(evicted) sweep relies on holds from the first post-boot request.
