@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -308,7 +309,7 @@ func TestFailedCommitWithdrawsTheJob(t *testing.T) {
 	if err != nil {
 		t.Skipf("no %s to log into: %v", os.DevNull, err)
 	}
-	if _, err := null.Log([]byte("probe")); err != nil || null.Sync() == nil {
+	if err := null.Append([]byte("probe"), false); err != nil || null.Sync() == nil {
 		t.Skipf("%s does not fail fsync here", os.DevNull)
 	}
 	s, err := NewServerWith(Options{StateDir: t.TempDir()})
@@ -496,5 +497,83 @@ func TestBarriersOverlapAcrossShards(t *testing.T) {
 	case <-flushed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Flush did not return after the wedge lifted")
+	}
+}
+
+// TestCompactionInsideOneHold: one flush applies 50 queued ops in one hold of
+// the shard mutex while the compaction rule fires several times inside it. A
+// record staged before a compaction is in the snapshot and must never reach
+// the log after it: after every request the log on disk is exactly as long as
+// /statusz says, and a reboot from the files of a server that was never shut
+// down serves what the live server serves.
+func TestCompactionInsideOneHold(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{StateDir: dir, CompactEvery: 4, IngestQueue: 64, Clock: parityClock()}
+	s, err := NewServerWith(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[0]
+	check := func(when string) {
+		t.Helper()
+		var status struct {
+			Durable durableStatus `json:"durable"`
+		}
+		if err := json.Unmarshal([]byte(get(t, s, "/statusz")), &status); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, shardDirName(0), walFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status.Durable.WALBytes != fi.Size() {
+			t.Fatalf("%s: /statusz wal_bytes = %d, the log file holds %d bytes", when, status.Durable.WALBytes, fi.Size())
+		}
+	}
+	jobs := []int{submitJob(t, s, "a", "vc-0", 2), submitJob(t, s, "b", "vc-0", 1)}
+	check("after the submissions")
+	op := func(i int) {
+		t.Helper()
+		path, body := "/agents", fmt.Sprintf(`{"name":"agent-%d","vc":"vc-0","node":%d}`, i%3, i%3)
+		if i%2 == 1 {
+			path, body = "/metrics", fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%d,"gpu_mem_util":%d}`, jobs[i%4/2], 10+i, 1000+i, i)
+		}
+		if rec := do(t, s, http.MethodPost, path, body); rec.Code != http.StatusAccepted {
+			t.Fatalf("op %d: %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		op(i)
+		s.Flush()
+		check(fmt.Sprintf("after op %d", i))
+	}
+
+	sh.mu.Lock() // the drainer waits: all 50 ops are taken by one holder
+	for i := 6; i < 56; i++ {
+		op(i)
+	}
+	holds, compacts := s.met.ingestBatch.Count(), compactions(s)
+	sh.mu.Unlock()
+	s.Flush()
+	if got := s.met.ingestBatch.Count() - holds; got != 1 {
+		t.Fatalf("the 50 queued ops were applied in %d holds, want 1", got)
+	}
+	if got := compactions(s) - compacts; got < 2 {
+		t.Fatalf("%d compactions inside the hold, want several", got)
+	}
+	check("after the hold")
+	for i := 56; i < 60; i++ {
+		op(i)
+		s.Flush()
+		check(fmt.Sprintf("after op %d", i))
+	}
+
+	live := get(t, s, "/jobs") + get(t, s, "/agents")
+	rebooted, err := NewServerWith(opts) // s is abandoned without Shutdown: the files are what kill -9 leaves
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := get(t, rebooted, "/jobs") + get(t, rebooted, "/agents"); got != live {
+		t.Errorf("rebooted server differs from the live one:\n got %s\nwant %s", got, live)
 	}
 }

@@ -45,8 +45,9 @@ import "sync"
 // behind fsyncs nobody asked for.
 //
 // The throughput win on the request path is an O(1) append instead of
-// lock + apply + WAL append, and on the apply path one stale sweep per drain
-// and one fsync per flush or per SyncEvery records instead of per heartbeat.
+// lock + apply + WAL append, and on the apply path one stale sweep and one
+// write() per drain, and one fsync per flush or per SyncEvery records, instead
+// of one each per heartbeat.
 
 // drainBatch caps the ops the drainer applies per hold of the shard mutex: it
 // bounds how long a submission or a read waits behind the drainer for the lock.

@@ -29,7 +29,7 @@ type serverMetrics struct {
 	httpReqs    *metrics.CounterVec   // lucidd_http_requests_total{path,method,code}
 	httpLatency *metrics.HistogramVec // lucidd_http_request_seconds{path}
 
-	walAppend   *metrics.Histogram // lucidd_wal_append_seconds
+	walAppend   *metrics.Histogram // lucidd_wal_append_seconds (snap.WAL.OnWrite)
 	walFsync    *metrics.Histogram // lucidd_wal_fsync_seconds
 	walUnsynced *metrics.Gauge     // lucidd_wal_unsynced_records
 	snapshot    *metrics.Histogram // lucidd_snapshot_seconds
@@ -73,7 +73,7 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 		httpLatency: reg.HistogramVec("lucidd_http_request_seconds",
 			"HTTP request latency by endpoint.", latencyBuckets(), "path"),
 		walAppend: reg.Histogram("lucidd_wal_append_seconds",
-			"WAL record append latency: encode-to-write() under the shard mutex, never an fsync.",
+			"WAL write() latency: one write() of a hold's records under the shard mutex (one per hold, more past 64 KiB), never an fsync.",
 			latencyBuckets()),
 		walFsync: reg.Histogram("lucidd_wal_fsync_seconds",
 			"WAL fsync latency (issued at a commit point, outside the shard mutex).", latencyBuckets()),
@@ -141,6 +141,23 @@ func normalizePath(p string) string {
 		return p
 	}
 	return "other"
+}
+
+// codeLabels holds the code label of every status an HTTP handler can write,
+// so labeling a request allocates no string.
+var codeLabels = func() (l [500]string) {
+	for i := range l {
+		l[i] = strconv.Itoa(100 + i)
+	}
+	return l
+}()
+
+// codeLabel is strconv.Itoa(code), from codeLabels when it holds the code.
+func codeLabel(code int) string {
+	if code >= 100 && code < 100+len(codeLabels) {
+		return codeLabels[code-100]
+	}
+	return strconv.Itoa(code)
 }
 
 // statusRecorder captures the status code a handler writes so ServeHTTP can

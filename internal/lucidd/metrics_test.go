@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -97,5 +98,21 @@ func TestMetricsPathLabelBounded(t *testing.T) {
 		if strings.Contains(out, leak) {
 			t.Fatalf("raw path %q leaked into exposition", leak)
 		}
+	}
+}
+
+// TestCachedSeriesLookupDoesNotAllocate: labeling a request — its status code
+// label and the lookup of a series that already exists — allocates nothing.
+func TestCachedSeriesLookupDoesNotAllocate(t *testing.T) {
+	m := newServerMetrics(time.Now, 1)
+	count := func() {
+		m.httpReqs.With("/agents", http.MethodPost, codeLabel(http.StatusAccepted)).Inc()
+	}
+	count()
+	if n := testing.AllocsPerRun(200, count); n != 0 {
+		t.Errorf("a cached lucidd_http_requests_total lookup allocates %v times, want 0", n)
+	}
+	if got := m.httpReqs.With("/agents", http.MethodPost, "202").Value(); got != 202 {
+		t.Errorf("series count = %v, want 202", got)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -342,7 +341,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t := s.met.reg.StartTimer(s.met.httpLatency.With(path))
 	defer func() {
 		t.Stop()
-		s.met.httpReqs.With(path, r.Method, strconv.Itoa(sr.code)).Inc()
+		s.met.httpReqs.With(path, r.Method, codeLabel(sr.code)).Inc()
 	}()
 	// Liveness probes bypass the drain gate (and the chaos delay): an
 	// orchestrator must be able to see "draining" as a distinct state, not
@@ -429,35 +428,14 @@ func (s *Server) enqueueAck(w http.ResponseWriter, sh *shard, op walOp, key stri
 	_, _ = w.Write(buf)
 }
 
-// decode parses a JSON request body, translating the body-cap error into 413
-// and anything else into 400. Returns false after writing the error.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
-		return false
-	}
-	return true
-}
-
 // handleJobs registers a job (POST, routed to its VC's shard) or lists jobs
 // (GET; ?vc= scopes the listing to one tenant's shard, otherwise the front
 // door fans out and merges).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var req struct {
-			Name string `json:"name"`
-			User string `json:"user"`
-			VC   string `json:"vc"`
-			GPUs int    `json:"gpus"`
-			AMP  bool   `json:"amp"`
-		}
-		if !s.decode(w, r, &req) {
+		var req jobBody
+		if !decode(w, r, &req, jobField) {
 			return
 		}
 		if req.Name == "" || req.GPUs <= 0 {
@@ -543,13 +521,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req struct {
-		Job        int     `json:"job"`
-		GPUUtil    float64 `json:"gpu_util"`
-		GPUMemMB   float64 `json:"gpu_mem_mb"`
-		GPUMemUtil float64 `json:"gpu_mem_util"`
-	}
-	if !s.decode(w, r, &req) {
+	var req sampleBody
+	if !decode(w, r, &req, sampleField) {
 		return
 	}
 	if req.GPUUtil < 0 || req.GPUMemMB < 0 || req.GPUMemUtil < 0 {
@@ -639,12 +612,8 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 	now := s.opts.Clock()
 	switch r.Method {
 	case http.MethodPost:
-		var req struct {
-			Name string `json:"name"`
-			VC   string `json:"vc"`
-			Node int    `json:"node"`
-		}
-		if !s.decode(w, r, &req) {
+		var req agentBody
+		if !decode(w, r, &req, agentField) {
 			return
 		}
 		if req.Name == "" || req.Node < 0 {
@@ -656,11 +625,10 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 			UnixNano: now.UnixNano()}
 		if s.opts.IngestQueue > 0 {
 			// Heartbeats are ~3/4 of the default mix. The name is an
-			// arbitrary decoded string, so json.Marshal is the only correct
-			// quoting path (strconv.Quote differs on some inputs) — cheap for
-			// a short string.
-			nameJSON, _ := json.Marshal(req.Name)
-			s.enqueueAck(w, sh, op, "agent", nameJSON)
+			// arbitrary decoded string, quoted as encoding/json quotes it
+			// (strconv.Quote differs on some inputs).
+			var name [64]byte
+			s.enqueueAck(w, sh, op, "agent", appendJSONString(name[:0], req.Name))
 			return
 		}
 		r := sh.applyOne(op)
@@ -714,7 +682,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		Job     int    `json:"job"`
 		DelayMS int64  `json:"delay_ms"`
 	}
-	if !s.decode(w, r, &req) {
+	if !decode(w, r, &req, nil) {
 		return
 	}
 	switch req.Action {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strconv"
@@ -79,6 +78,11 @@ type shard struct {
 	// is the order of the state mutations the records describe — while the
 	// fsync side (commit) and the atomics behind Unsynced are used without it.
 	wal *snap.WAL
+	// record is logOpLocked's encode buffer, and logged holds the indexes of
+	// the current hold's ops whose records it staged since the last snapshot —
+	// the ops a failed write fails (mu held).
+	record []byte
+	logged []int
 
 	// Async ingest (unused when Options.IngestQueue is 0; see ingest.go).
 	// queue holds the acknowledged, not yet applied telemetry ops in ack
@@ -109,17 +113,22 @@ func newShard(idx int, srv *Server) *shard {
 	}
 }
 
-// shardFor routes a VC name to its shard: FNV-1a over the name, mod the shard
-// count. The hash is stable across boots — required because each shard
-// recovers its own WAL/snapshot, so a VC must land on the same shard every
-// run (NewServerWith refuses a state dir created with a different count).
+// shardFor routes a VC name to its shard: 32-bit FNV-1a over the name, mod
+// the shard count, computed inline (hash/fnv would allocate a hasher and a
+// copy of the name per request). The hash is stable across boots — required
+// because each shard recovers its own WAL/snapshot, so a VC must land on the
+// same shard every run (NewServerWith refuses a state dir created with a
+// different count).
 func (s *Server) shardFor(vc string) *shard {
 	if len(s.shards) == 1 {
 		return s.shards[0]
 	}
-	h := fnv.New32a()
-	h.Write([]byte(vc))
-	return s.shards[int(h.Sum32()%uint32(len(s.shards)))]
+	h := uint32(2166136261)
+	for i := 0; i < len(vc); i++ {
+		h ^= uint32(vc[i])
+		h *= 16777619
+	}
+	return s.shards[int(h%uint32(len(s.shards)))]
 }
 
 // shardOfJob resolves the shard holding a job ID via the front door's
@@ -170,7 +179,7 @@ func (sh *shard) sweepLocked(now time.Time) {
 //
 //	POST handler (inline) ─┐
 //	queue drain | flush    ─┤                       ┌─ state (tables, indexes, LRU)
-//	/chaos evict | fail    ─┼─→ applyOpsLocked ─────┼─ WAL append (write only; the fsync is the caller's commit)
+//	/chaos evict | fail    ─┼─→ applyOpsLocked ─────┼─ WAL records (one write() per hold; the fsync is the caller's commit)
 //	read-path stale sweep  ─┤                       └─ events → caller records them
 //	WAL replay (store nil) ─┘
 //
@@ -215,7 +224,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			sh.srv.bumpNextID(js.ID)
 			sh.refreshLocked(js)
 			sh.order = insertSorted(sh.order, js, (*jobState).compare)
-			if r.err = sh.logOpLocked(op); r.err != nil {
+			if r.err = sh.logOpLocked(ops, i); r.err != nil {
 				// The client gets an error, so the job must not exist. The
 				// allocated ID is not reused — a gap is harmless, a reused
 				// ID is not.
@@ -254,7 +263,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			sh.order = insertSorted(sh.order, js, (*jobState).compare)
 			// Samples never ask for an fsync: losing the unsynced tail in a
 			// power cut only costs telemetry the agents re-send anyway.
-			r.err = sh.logOpLocked(op)
+			r.err = sh.logOpLocked(ops, i)
 			if js.Samples == minSamples {
 				// The job just crossed the profiling threshold: from here on
 				// the analyzer scores it from real metrics, not the Jumbo prior.
@@ -303,13 +312,13 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			}
 			a.refreshFrag()
 			sh.lruPushBackLocked(a)
-			r.err = sh.logOpLocked(op)
+			r.err = sh.logOpLocked(ops, i)
 			r.agent, r.ok = *a, true
 		case "evict-agent":
 			if a, ok := sh.agents[op.Name]; ok {
 				r.agent, r.ok = *a, true
 				evict(a, "chaos-evict")
-				r.err = sh.logOpLocked(op)
+				r.err = sh.logOpLocked(ops, i)
 			}
 		case "fail-job":
 			js, ok := sh.jobs[op.ID]
@@ -328,7 +337,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			js.Profile = profile{}
 			sh.refreshLocked(js)
 			sh.order = insertSorted(sh.order, js, (*jobState).compare)
-			r.err = sh.logOpLocked(op)
+			r.err = sh.logOpLocked(ops, i)
 			events = append(events, dtrace.Event{Job: js.ID, Action: dtrace.ActRequeue,
 				Reason: "chaos-kill", VC: js.VC, GPUs: js.GPUs})
 			r.job, r.ok = *js, true
@@ -339,6 +348,26 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 		if res != nil {
 			res[i] = r
 		}
+	}
+	// The hold's records reach the file in one write(). If it fails, so does
+	// every op the hold logged since the last snapshot, and a job among them is
+	// withdrawn before the unlock: its client is told 500, nobody may list it.
+	if sh.store != nil {
+		if err := sh.wal.Write(); err != nil {
+			for _, i := range sh.logged {
+				failed++
+				if res != nil {
+					res[i].err = err
+				}
+				if id := ops[i].ID; ops[i].Op == "job" {
+					if js, ok := sh.jobs[id]; ok {
+						dropJob(js)
+					}
+					events = slices.DeleteFunc(events, func(e dtrace.Event) bool { return e.Job == id })
+				}
+			}
+		}
+		sh.logged = sh.logged[:0]
 	}
 	sh.nJobs.Store(int64(len(sh.jobs)))
 	sh.nAgents.Store(int64(len(sh.agents)))
@@ -540,47 +569,21 @@ func (a *agentState) compare(o *agentState) int {
 	return agentKey{a.Name, a.VC, a.Node}.compare(agentKey{o.Name, o.VC, o.Node})
 }
 
-// jsonPlain reports whether s encodes as itself inside a JSON string under
-// encoding/json's default escaping (no control chars, quotes, backslashes,
-// HTML-escaped characters, or non-ASCII needing UTF-8 validation).
-func jsonPlain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
 // refreshFrag rewrites the agent's cached listing fragment in place, shard
 // mutex held (agentState.frag states the ownership rule readers follow).
 // Reusing the buffer matters: heartbeats dominate the workload, and a fresh
 // marshal allocation per heartbeat makes the collector the top CPU consumer.
-// The fast path hand-appends the encoding for plain ASCII names/VCs; anything
-// needing real escaping falls back to encoding/json. Both produce exactly the
-// bytes an element of []agentState encodes to, so a listing composed from
-// fragments matches writeJSON of the slice.
+// The bytes are exactly those an element of []agentState encodes to, so a
+// listing composed from fragments matches writeJSON of the slice; a heartbeat
+// stamp is always a year encoding/json's time format accepts.
 func (a *agentState) refreshFrag() {
-	if jsonPlain(a.Name) && jsonPlain(a.VC) {
-		b := append(a.frag[:0], `{"name":"`...)
-		b = append(b, a.Name...)
-		if a.VC != "" {
-			b = append(b, `","vc":"`...)
-			b = append(b, a.VC...)
-		}
-		b = append(b, `","node":`...)
-		b = strconv.AppendInt(b, int64(a.Node), 10)
-		b = append(b, `,"last_seen":"`...)
-		b = a.LastSeen.AppendFormat(b, time.RFC3339Nano)
-		a.frag = append(b, '"', '}')
-		return
+	b := appendJSONString(append(a.frag[:0], `{"name":`...), a.Name)
+	if a.VC != "" {
+		b = appendJSONString(append(b, `,"vc":`...), a.VC)
 	}
-	b, err := json.Marshal(a)
-	if err != nil {
-		b = nil // unreachable for this struct; never serve a stale fragment
-	}
-	a.frag = append(a.frag[:0], b...)
+	b = strconv.AppendInt(append(b, `,"node":`...), int64(a.Node), 10)
+	b = a.LastSeen.AppendFormat(append(b, `,"last_seen":"`...), time.RFC3339Nano)
+	a.frag = append(b, '"', '}')
 }
 
 // agentRef pairs a listing sort key with a copy of the agent's JSON fragment —

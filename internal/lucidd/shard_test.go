@@ -3,6 +3,7 @@ package lucidd
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"os"
@@ -356,5 +357,35 @@ func TestStateDirShardCountBinding(t *testing.T) {
 	// The matching count still works.
 	if _, err := NewServerWith(Options{Shards: 2, StateDir: dir}); err != nil {
 		t.Fatalf("reopening with the original shard count failed: %v", err)
+	}
+}
+
+// TestShardForIsFNV1a: the inline hash routes every VC name where hash/fnv's
+// FNV-1a did, at every shard count, so existing state dirs keep their tenants
+// on their shards. Names: the VC spellings of the trace generators, the load
+// generator and the benchmark, then random bytes.
+func TestShardForIsFNV1a(t *testing.T) {
+	names := []string{""}
+	for i := 0; i < 64; i++ {
+		names = append(names, fmt.Sprintf("vc%d", i), fmt.Sprintf("vc%02d", i), fmt.Sprintf("vc-%d", i))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(40))
+		rng.Read(b)
+		names = append(names, string(b))
+	}
+	for _, n := range []int{2, 3, 4, 8, 16, 17} {
+		s := &Server{shards: make([]*shard, n)}
+		for i := range s.shards {
+			s.shards[i] = &shard{idx: i}
+		}
+		for _, vc := range names {
+			h := fnv.New32a()
+			h.Write([]byte(vc))
+			if got, want := s.shardFor(vc).idx, int(h.Sum32()%uint32(n)); got != want {
+				t.Fatalf("%d shards: VC %q routed to shard %d, hash/fnv says %d", n, vc, got, want)
+			}
+		}
 	}
 }

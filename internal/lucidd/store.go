@@ -25,9 +25,12 @@ import (
 // drift from the live path — and truncates any torn tail: a SIGKILLed daemon
 // recovers every acknowledged submission on every shard.
 //
-// Who writes, who fsyncs. A record is write()n under the shard mutex, right
-// after the mutation it describes, so log order is state order and a killed
-// process loses nothing it applied (the page cache outlives it). The fsync —
+// Who writes, who fsyncs. A record is staged under the shard mutex right after
+// the mutation it describes, and every record of a hold is written in one
+// write() before the unlock (snap.WAL.Write; a hold past 64 KiB of records
+// writes the earlier ones on the way), so log order is state order and a killed
+// process still loses nothing a released hold applied (the page cache outlives
+// it). If that write fails, so does every op the hold logged. The fsync —
 // what a power cut needs — is never issued under the shard mutex: every hold
 // that appended ends by reading its commit point (commitPointLocked: the
 // sequence number of its last append) and calls shard.commit after the unlock,
@@ -240,6 +243,7 @@ func (sh *shard) openStore(dir string) error {
 		return err
 	}
 	wal.OnSync = func(d time.Duration) { sh.srv.met.walFsync.Observe(d.Seconds()) }
+	wal.OnWrite = func(d time.Duration) { sh.srv.met.walAppend.Observe(d.Seconds()) }
 	sh.wal = wal
 	st.recovered = stats
 	sh.store = st
@@ -293,28 +297,28 @@ func (sh *shard) loadSnapLocked(ss shardSnap) {
 	sh.nAgents.Store(int64(len(sh.agents)))
 }
 
-// logOpLocked appends op to this shard's WAL (if durability is on) — a
-// write(), never an fsync: the hold's commit point asks for that after the
-// unlock. After the append it compacts if the WAL has outgrown both the record
-// floor and compactRatio × the last snapshot.
-func (sh *shard) logOpLocked(op *walOp) error {
+// logOpLocked stages the record of ops[i] in this shard's WAL (if durability
+// is on) — neither a write() nor an fsync: applyOpsLocked writes the hold's
+// records at its end, and the hold's commit point asks for the fsync after the
+// unlock. The record counts toward the compaction rule at once, so a WAL that
+// has outgrown both the record floor and compactRatio × the last snapshot is
+// compacted here, mid-hold if need be; the snapshot then holds what was staged.
+func (sh *shard) logOpLocked(ops []walOp, i int) error {
 	st := sh.store
 	if st == nil {
 		return nil
 	}
-	payload, err := json.Marshal(op)
-	if err != nil {
+	var err error
+	if sh.record, err = appendWalOp(sh.record[:0], &ops[i]); err != nil {
 		return fmt.Errorf("lucidd: encode wal op: %w", err)
 	}
-	t := sh.srv.met.reg.StartTimer(sh.srv.met.walAppend)
-	_, err = sh.wal.Log(payload)
-	t.Stop()
-	if err != nil {
+	if _, err = sh.wal.Log(sh.record); err != nil {
 		return err
 	}
 	if sh.wal.Records() >= st.compactEvery && sh.wal.Bytes() >= compactRatio*st.snapBytes {
 		return sh.compactLocked()
 	}
+	sh.logged = append(sh.logged, i)
 	return nil
 }
 
@@ -385,6 +389,7 @@ func (sh *shard) compactLocked() error {
 	if err := sh.wal.Reset(); err != nil {
 		return fmt.Errorf("lucidd: reset wal after compaction: %w", err)
 	}
+	sh.logged = sh.logged[:0] // the snapshot holds them
 	sh.store.snapBytes = int64(buf.Len())
 	sh.store.snapTime = sh.srv.opts.Clock()
 	sh.store.hadSnapshot = true

@@ -419,19 +419,28 @@ func (f *family) histogram() *Histogram { return f.seriesFor(nil).(*Histogram) }
 
 // seriesFor fetches or creates the series for one label-value tuple. The
 // double-checked read lock keeps repeated lookups (the common case once a
-// component cached nothing) cheap.
+// component cached nothing) cheap, and a lookup of an existing series builds
+// its key on the stack: no allocation per labeled observation.
 func (f *family) seriesFor(values []string) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\xff")
+	var stack [128]byte
+	buf := stack[:0]
+	for i, v := range values {
+		if i > 0 {
+			buf = append(buf, '\xff')
+		}
+		buf = append(buf, v...)
+	}
 	f.mu.RLock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(buf)]
 	f.mu.RUnlock()
 	if ok {
 		return s
 	}
+	key := string(buf)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.series[key]; ok {

@@ -34,24 +34,30 @@ const (
 // implausible length). Callers distinguish it from clean EOF.
 var ErrCorrupt = errors.New("snap: corrupt WAL record")
 
+// stageLimit bounds the frames a WAL stages between two Writes: past it, Log
+// writes them at once, so a hold that logs a few thousand records pins tens of
+// kilobytes, not hundreds.
+const stageLimit = 64 << 10
+
 // AppendRecord frames payload into w as a single contiguous write.
 func AppendRecord(w io.Writer, payload []byte) error {
-	_, err := appendRecord(w, payload, nil)
+	buf, err := appendFrame(nil, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
 	return err
 }
 
-// appendRecord is AppendRecord building the frame in scratch, which it returns
-// (grown if need be) for the next call: a WAL is appended under its owner's
-// lock, so it keeps one frame buffer instead of allocating one per record.
-func appendRecord(w io.Writer, payload, scratch []byte) ([]byte, error) {
+// appendFrame appends payload's frame to buf: a WAL stages its records in one
+// buffer it keeps, instead of allocating a frame per record.
+func appendFrame(buf, payload []byte) ([]byte, error) {
 	if len(payload) > MaxRecordLen {
-		return scratch, fmt.Errorf("snap: record of %d bytes exceeds max %d", len(payload), MaxRecordLen)
+		return buf, fmt.Errorf("snap: record of %d bytes exceeds max %d", len(payload), MaxRecordLen)
 	}
-	buf := binary.LittleEndian.AppendUint32(scratch[:0], uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	return buf, err
+	return append(buf, payload...), nil
 }
 
 // ReadRecord reads one framed record. It returns io.EOF on a clean end
@@ -82,9 +88,11 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 
 // WAL is an append-only, CRC-framed log backed by one file, with group commit.
 //
-// Two parties use it. The OWNER appends (Log, Append) and resets (Reset,
-// Close), one call at a time, under its own lock; every append gets the next
-// sequence number of a lifetime counter. ANYBODY, concurrently and without the
+// Two parties use it. The OWNER appends (Log then Write, or Append) and resets
+// (Reset, Close), one call at a time, under its own lock; Log stages a record
+// and hands it the next sequence number of a lifetime counter, and Write puts
+// every record staged since the last Write in the file with one write(), which
+// is when SyncTo and Commit may claim it. ANYBODY, concurrently and without the
 // owner's lock, may ask for durability: SyncTo(seq) returns once record seq is
 // on stable storage, and one fsync covers every append that completed before
 // it started, so a caller that queued behind somebody else's fsync usually
@@ -102,15 +110,22 @@ type WAL struct {
 	// goroutine that fsynced, after the fsync was published. Must not call
 	// back into the WAL.
 	OnSync func(d time.Duration)
+	// OnWrite, when set, observes the wall-clock duration of each write() of
+	// staged records. It runs on the owner's goroutine, under the owner's
+	// lock. Must not call back into the WAL.
+	OnWrite func(d time.Duration)
 
 	// Owner's side.
-	records int64  // records since the last Reset (replayed + appended)
-	bytes   int64  // valid length of the file
-	frame   []byte // appendRecord's scratch
+	records int64  // records since the last Reset (replayed + written + staged)
+	bytes   int64  // length of the file once the staged frames are written
+	frame   []byte // staged frames, not yet written
+	staged  int64  // records in frame
+	werr    error  // a write Log made early and failed, for the next Write to report
 
-	// appended counts completed appends over the WAL's lifetime (Reset does
-	// not rewind it); durable is the highest count known to be on stable
-	// storage. durable <= appended, both only grow.
+	// appended counts records written over the WAL's lifetime (Reset does not
+	// rewind it, and counts the staged records it drops); durable is the
+	// highest count known to be on stable storage. durable <= appended, both
+	// only grow.
 	appended atomic.Int64
 	durable  atomic.Int64
 
@@ -185,24 +200,75 @@ func OpenWAL(path string, apply func(payload []byte) error) (*WAL, RecoverStats,
 	return w, stats, nil
 }
 
-// Log frames payload onto the log and returns its sequence number. It never
-// fsyncs: the record is durable once SyncTo(seq), or a Commit that decided to
-// sync, has returned nil. Owner only.
+// Log stages payload's frame for the next Write and returns the record's
+// sequence number. It never fsyncs, and writes only once stageLimit bytes are
+// staged: the record is in the file once Write has returned nil, and durable
+// once SyncTo(seq), or a Commit that decided to sync, has. Owner only.
 func (w *WAL) Log(payload []byte) (seq int64, err error) {
-	if w.frame, err = appendRecord(w.f, payload, w.frame); err != nil {
+	if w.frame, err = appendFrame(w.frame, payload); err != nil {
 		return 0, fmt.Errorf("snap: wal append: %w", err)
 	}
+	w.staged++
 	w.records++
 	w.bytes += int64(recHeaderLen + len(payload))
-	return w.appended.Add(1), nil
+	seq = w.appended.Load() + w.staged
+	if len(w.frame) >= stageLimit && w.werr == nil {
+		w.werr = w.write()
+	}
+	return seq, nil
 }
 
-// Append is Log followed by Commit on the calling goroutine: with sync=true
+// Write puts every record Log staged since the last Write in the file, with
+// one write() (those past stageLimit went earlier), and publishes their
+// sequence numbers to Seq, SyncTo and Commit. If any of those writes failed,
+// the records not in the file are dropped, uncounted, and the error is
+// returned. Owner only.
+func (w *WAL) Write() error {
+	if err := w.werr; err != nil {
+		w.werr = nil
+		w.unstage()
+		return err
+	}
+	return w.write()
+}
+
+// write is one write() of the staged frames.
+func (w *WAL) write() error {
+	if w.staged == 0 {
+		return nil
+	}
+	var start time.Time
+	if w.OnWrite != nil {
+		start = time.Now()
+	}
+	if _, err := w.f.Write(w.frame); err != nil {
+		w.unstage()
+		return fmt.Errorf("snap: wal write: %w", err)
+	}
+	if w.OnWrite != nil {
+		w.OnWrite(time.Since(start))
+	}
+	w.appended.Add(w.staged)
+	w.frame, w.staged = w.frame[:0], 0
+	return nil
+}
+
+// unstage drops the staged records.
+func (w *WAL) unstage() {
+	w.records -= w.staged
+	w.bytes -= int64(len(w.frame))
+	w.frame, w.staged = w.frame[:0], 0
+}
+
+// Append is Log, Write and Commit on the calling goroutine: with sync=true
 // the record is fsynced before Append returns, with sync=false durability is
 // deferred to the SyncEvery threshold, a later commit, or Close.
 func (w *WAL) Append(payload []byte, sync bool) error {
 	seq, err := w.Log(payload)
 	if err != nil {
+		return err
+	}
+	if err := w.Write(); err != nil {
 		return err
 	}
 	return w.Commit(seq, sync)
@@ -259,10 +325,10 @@ func (w *WAL) SyncTo(seq int64) error {
 // Sync flushes every record appended so far to stable storage.
 func (w *WAL) Sync() error { return w.SyncTo(w.appended.Load()) }
 
-// Seq is the sequence number of the last append (0 before the first).
+// Seq is the sequence number of the last record written (0 before the first).
 func (w *WAL) Seq() int64 { return w.appended.Load() }
 
-// Unsynced reports how many appended records no fsync has covered yet. Safe
+// Unsynced reports how many written records no fsync has covered yet. Safe
 // without the owner's lock.
 func (w *WAL) Unsynced() int64 {
 	// durable first: read the other way round, an append and its fsync landing
@@ -271,16 +337,17 @@ func (w *WAL) Unsynced() int64 {
 	return w.appended.Load() - d
 }
 
-// Records reports how many valid records the log holds (replayed + appended
-// since the last Reset). Owner only, like Bytes.
+// Records reports how many valid records the log holds (replayed, written and
+// staged since the last Reset). Owner only, like Bytes.
 func (w *WAL) Records() int64 { return w.records }
 
-// Bytes reports the log's valid length in bytes.
+// Bytes reports the log's valid length in bytes, staged frames included.
 func (w *WAL) Bytes() int64 { return w.bytes }
 
 // Reset truncates the log to empty after a successful (fsynced) snapshot
-// compaction. Everything appended so far is in that snapshot, so it is
-// published as durable. Owner only; waits out an fsync in flight.
+// compaction. Everything logged so far is in that snapshot, so it is
+// published as durable, and the staged frames are dropped unwritten. Owner
+// only; waits out an fsync in flight.
 func (w *WAL) Reset() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -293,13 +360,19 @@ func (w *WAL) Reset() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
+	w.appended.Add(w.staged)
+	w.frame, w.staged, w.werr = w.frame[:0], 0, nil
 	w.records, w.bytes = 0, 0
 	w.durable.Store(w.appended.Load())
 	return nil
 }
 
-// Close syncs and closes the log file.
+// Close writes what is staged, syncs and closes the log file.
 func (w *WAL) Close() error {
+	if err := w.Write(); err != nil {
+		w.f.Close()
+		return err
+	}
 	if err := w.Sync(); err != nil {
 		w.f.Close()
 		return err

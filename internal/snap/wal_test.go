@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -33,8 +34,11 @@ func TestSyncToCoversEveryEarlierAppend(t *testing.T) {
 			t.Fatalf("Log #%d = (%d, %v)", i, seq, err)
 		}
 	}
+	if err := w.Write(); err != nil {
+		t.Fatal(err)
+	}
 	if got := w.Unsynced(); got != 5 {
-		t.Fatalf("Unsynced = %d after five Logs, want 5 (Log never fsyncs)", got)
+		t.Fatalf("Unsynced = %d after five Logs and a Write, want 5 (neither fsyncs)", got)
 	}
 	if err := w.SyncTo(2); err != nil {
 		t.Fatal(err)
@@ -60,9 +64,19 @@ func TestCommitRule(t *testing.T) {
 	fsyncs := 0
 	w.OnSync = func(time.Duration) { fsyncs++ }
 	w.SyncEvery = 4
+	logWrite := func() int64 {
+		seq, err := w.Log([]byte("x"))
+		if err == nil {
+			err = w.Write()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
 	var seq int64
 	for i := 0; i < 3; i++ {
-		seq, _ = w.Log([]byte("x"))
+		seq = logWrite()
 		if err := w.Commit(seq, false); err != nil {
 			t.Fatal(err)
 		}
@@ -70,14 +84,14 @@ func TestCommitRule(t *testing.T) {
 	if fsyncs != 0 || w.Unsynced() != 3 {
 		t.Fatalf("below the threshold: %d fsyncs, %d unsynced, want 0 and 3", fsyncs, w.Unsynced())
 	}
-	seq, _ = w.Log([]byte("x"))
+	seq = logWrite()
 	if err := w.Commit(seq, false); err != nil {
 		t.Fatal(err)
 	}
 	if fsyncs != 1 || w.Unsynced() != 0 {
 		t.Fatalf("at the threshold: %d fsyncs, %d unsynced, want 1 and 0", fsyncs, w.Unsynced())
 	}
-	seq, _ = w.Log([]byte("x"))
+	seq = logWrite()
 	if err := w.Commit(seq, true); err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +109,9 @@ func TestFailedSyncPublishesNothing(t *testing.T) {
 		if _, err := w.Log([]byte("doomed")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Write(); err != nil {
+		t.Fatal(err)
 	}
 	called := false
 	w.OnSync = func(time.Duration) { called = true }
@@ -179,6 +196,9 @@ func TestConcurrentSyncAppendReset(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		owner.Lock()
 		seq, err := w.Log([]byte("record"))
+		if err == nil && i%600 != 299 { // every other Reset finds the record still staged
+			err = w.Write()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,6 +209,9 @@ func TestConcurrentSyncAppendReset(t *testing.T) {
 			if d := w.durable.Load(); d < seq {
 				t.Fatalf("durable %d < %d right after Reset", d, seq)
 			}
+		}
+		if err := w.Write(); err != nil {
+			t.Fatal(err)
 		}
 		owner.Unlock()
 	}
@@ -212,19 +235,132 @@ func TestConcurrentSyncAppendReset(t *testing.T) {
 	}
 }
 
-// TestLogDoesNotAllocate: the WAL frames into its own scratch buffer.
+// TestLogDoesNotAllocate: the WAL stages frames in its own buffer.
 func TestLogDoesNotAllocate(t *testing.T) {
 	w := openTestWAL(t)
 	defer w.Close()
 	payload := bytes.Repeat([]byte("p"), 120)
-	if _, err := w.Log(payload); err != nil { // grows the scratch once
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
+	logWrite := func() {
 		if _, err := w.Log(payload); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("Log allocates %v times per record, want 0", n)
+		if err := w.Write(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logWrite() // grows the buffer once
+	if n := testing.AllocsPerRun(200, logWrite); n != 0 {
+		t.Errorf("Log + Write allocates %v times per record, want 0", n)
+	}
+}
+
+// fileSize is the length of the WAL's file on disk.
+func fileSize(t *testing.T, w *WAL) int64 {
+	t.Helper()
+	fi, err := os.Stat(w.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestWriteIsOneWritePerBatch: Log stages, Write puts everything staged in the
+// file with one write(), and nothing staged can be claimed before that — until
+// stageLimit bytes are staged, which Log writes at once.
+func TestWriteIsOneWritePerBatch(t *testing.T) {
+	w := openTestWAL(t)
+	defer w.Close()
+	writes := 0
+	w.OnWrite = func(time.Duration) { writes++ }
+	for i := 0; i < 27; i++ {
+		if _, err := w.Log([]byte("heartbeat")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Seq() != 0 || w.Unsynced() != 0 || fileSize(t, w) != 0 {
+		t.Fatalf("staged records are visible: seq %d, unsynced %d, %d bytes on disk", w.Seq(), w.Unsynced(), fileSize(t, w))
+	}
+	if w.Records() != 27 || w.Bytes() != 27*(recHeaderLen+9) {
+		t.Fatalf("Records/Bytes = %d/%d, want the log's length once written: 27/%d", w.Records(), w.Bytes(), 27*(recHeaderLen+9))
+	}
+	if err := w.Write(); err != nil {
+		t.Fatal(err)
+	}
+	if writes != 1 || w.Seq() != 27 || fileSize(t, w) != w.Bytes() {
+		t.Fatalf("after Write: %d writes, seq %d, %d bytes on disk of %d, want 1, 27 and equal", writes, w.Seq(), fileSize(t, w), w.Bytes())
+	}
+
+	// Past stageLimit, Log writes what is staged on the spot.
+	payload := bytes.Repeat([]byte("s"), 1000)
+	for i := 0; i < 200; i++ {
+		if _, err := w.Log(payload); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.frame) >= stageLimit {
+			t.Fatalf("record %d left %d bytes staged, bound %d", i, len(w.frame), stageLimit)
+		}
+	}
+	if writes < 3 || fileSize(t, w) == w.Bytes() {
+		t.Fatalf("%d writes for 200 KB staged, %d of %d bytes on disk: want early writes and a staged tail", writes, fileSize(t, w), w.Bytes())
+	}
+	if err := w.Write(); err != nil {
+		t.Fatal(err)
+	}
+	if fileSize(t, w) != w.Bytes() || w.Seq() != 227 {
+		t.Fatalf("after Write: %d of %d bytes on disk, seq %d, want equal and 227", fileSize(t, w), w.Bytes(), w.Seq())
+	}
+}
+
+// TestResetDropsStagedFrames: a compaction between Log and Write leaves the
+// log empty — the snapshot holds what was staged — and its sequence numbers
+// are published durable with the rest.
+func TestResetDropsStagedFrames(t *testing.T) {
+	w := openTestWAL(t)
+	defer w.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := w.Log([]byte("before")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := w.Log([]byte("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(); err != nil {
+		t.Fatal(err)
+	}
+	if seq != 4 || w.Records() != 1 || fileSize(t, w) != w.Bytes() || w.Bytes() != recHeaderLen+5 {
+		t.Fatalf("seq %d, %d records, %d bytes on disk of %d; want 4, 1 and %d", seq, w.Records(), fileSize(t, w), w.Bytes(), recHeaderLen+5)
+	}
+	if w.Unsynced() != 1 {
+		t.Errorf("Unsynced = %d, want 1: the three dropped records are in the snapshot", w.Unsynced())
+	}
+}
+
+// TestFailedWriteDropsTheStagedRecords: a write() that fails publishes nothing
+// and leaves the owner's counts at what the file holds.
+func TestFailedWriteDropsTheStagedRecords(t *testing.T) {
+	w := openTestWAL(t)
+	if err := w.Append([]byte("kept"), false); err != nil {
+		t.Fatal(err)
+	}
+	records, size := w.Records(), w.Bytes()
+	for i := 0; i < 4; i++ {
+		if _, err := w.Log([]byte("lost")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.f.Close()
+	if err := w.Write(); err == nil || !strings.Contains(err.Error(), "wal write") {
+		t.Fatalf("Write on a closed descriptor: %v, want a wal write error", err)
+	}
+	if w.Seq() != 1 || w.Records() != records || w.Bytes() != size {
+		t.Errorf("after a failed Write: seq %d, %d records, %d bytes; want 1, %d, %d", w.Seq(), w.Records(), w.Bytes(), records, size)
+	}
+	if err := w.Write(); err != nil {
+		t.Errorf("a second Write with nothing staged: %v", err)
 	}
 }
