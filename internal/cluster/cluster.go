@@ -65,6 +65,7 @@ type gpu struct {
 type node struct {
 	id    int
 	vc    string
+	vci   int     // vc's index in Cluster.gen
 	speed float64 // GPU-generation speed factor (1.0 = baseline)
 	down  bool    // crashed: capacity revoked until repaired
 	gpus  []gpu
@@ -95,6 +96,10 @@ type Cluster struct {
 	// vcFree counts idle GPUs on *up* nodes per VC, so FreeGPUs is O(1)
 	// instead of a node scan (elastic schedulers call it per pending job).
 	vcFree map[string]int
+	// vcIdx numbers the VCs by first appearance in the spec, and gen[i] is
+	// the VC's generation (VCGen).
+	vcIdx map[string]int
+	gen   []uint64
 
 	maxShare int
 }
@@ -114,17 +119,24 @@ func New(spec Spec) *Cluster {
 		jobGPUs:  make(map[int][]GPUID),
 		jobMem:   make(map[int]float64),
 		vcFree:   make(map[string]int),
+		vcIdx:    make(map[string]int),
 		maxShare: 2,
 	}
 	id := 0
 	for _, vc := range spec.VCs {
+		vci, ok := c.vcIdx[vc.Name]
+		if !ok {
+			vci = len(c.gen)
+			c.vcIdx[vc.Name] = vci
+			c.gen = append(c.gen, 1)
+		}
 		fast := int(float64(vc.Nodes) * spec.FastNodesFrac)
 		for k := 0; k < vc.Nodes; k++ {
 			speed := 1.0
 			if k < fast && spec.FastSpeed > 0 {
 				speed = spec.FastSpeed
 			}
-			n := &node{id: id, vc: vc.Name, speed: speed,
+			n := &node{id: id, vc: vc.Name, vci: vci, speed: speed,
 				gpus: make([]gpu, spec.GPUsPerNode), free: spec.GPUsPerNode}
 			c.nodes = append(c.nodes, n)
 			c.vcNodes[vc.Name] = append(c.vcNodes[vc.Name], n)
@@ -170,6 +182,28 @@ func (c *Cluster) FreeGPUs(vc string) int {
 		return n
 	}
 	return c.vcFree[vc]
+}
+
+// VCIndex returns the VC's index for VCGen, or -1 for a VC the cluster does
+// not have.
+func (c *Cluster) VCIndex(vc string) int {
+	if i, ok := c.vcIdx[vc]; ok {
+		return i
+	}
+	return -1
+}
+
+// VCGen returns the generation of the VC at index i (VCIndex): a count that
+// starts at 1 and grows whenever anything a placement in the VC reads
+// changes — a GPU taken or released (exclusively or shared), a node crashed
+// or repaired, a Restore. A request the VC refused is refused again for as
+// long as its generation stays the same. 0 for an index out of range, which
+// no generation equals.
+func (c *Cluster) VCGen(i int) uint64 {
+	if i < 0 || i >= len(c.gen) {
+		return 0
+	}
+	return c.gen[i]
 }
 
 func (c *Cluster) nodesOf(vc string) []*node {
@@ -351,6 +385,7 @@ func (c *Cluster) commit(jobID int, plan []GPUID, memPerGPU float64) {
 				c.vcFree[nd.vc]--
 			}
 		}
+		c.gen[nd.vci]++
 		st.jobs = append(st.jobs, jobID)
 		st.memUsed += memPerGPU
 	}
@@ -402,6 +437,7 @@ func (c *Cluster) Free(jobID int) {
 	for _, g := range gpus {
 		nd := c.nodes[g.Node]
 		st := &nd.gpus[g.Index]
+		c.gen[nd.vci]++
 		st.memUsed -= mem
 		if st.memUsed < 0 {
 			st.memUsed = 0
@@ -619,6 +655,7 @@ func (c *Cluster) FailNode(nodeID int) []int {
 	if !nd.down {
 		nd.down = true
 		c.vcFree[nd.vc] -= nd.free
+		c.gen[nd.vci]++
 	}
 	return victims
 }
@@ -633,6 +670,7 @@ func (c *Cluster) RepairNode(nodeID int) {
 	if nd.down {
 		nd.down = false
 		c.vcFree[nd.vc] += nd.free
+		c.gen[nd.vci]++
 	}
 }
 

@@ -439,3 +439,73 @@ func TestFreeCountShortcutAgreesWithScan(t *testing.T) {
 		t.Fatal("the shortcut was never taken")
 	}
 }
+
+// TestVCGenCountsChanges: every change a placement reads moves the generation
+// of the VC it happened in and of no other, and nothing else moves it — a
+// refused request, a read, a crash of a node already down, a repair of a
+// healthy one. A VC named twice in the spec has one index.
+func TestVCGenCountsChanges(t *testing.T) {
+	c := New(Spec{GPUsPerNode: 8, VCs: []VCSpec{{"vcA", 1}, {"vcB", 1}, {"vcA", 1}}})
+	a, b := c.VCIndex("vcA"), c.VCIndex("vcB")
+	if a != 0 || b != 1 || c.VCIndex("vcC") != -1 || c.VCGen(-1) != 0 || c.VCGen(2) != 0 {
+		t.Fatalf("indexes vcA %d vcB %d vcC %d, gens of -1 and 2: %d %d",
+			a, b, c.VCIndex("vcC"), c.VCGen(-1), c.VCGen(2))
+	}
+	gens := func() [2]uint64 { return [2]uint64{c.VCGen(a), c.VCGen(b)} }
+	if gens() != [2]uint64{1, 1} {
+		t.Fatalf("a new cluster's generations are %v", gens())
+	}
+	step := func(what string, moved [2]bool, f func()) {
+		t.Helper()
+		before := gens()
+		f()
+		after := gens()
+		for i := range after {
+			if (after[i] != before[i]) != moved[i] || after[i] < before[i] {
+				t.Fatalf("%s: generations %v → %v, want moved %v", what, before, after, moved)
+			}
+		}
+	}
+	none, onlyA, onlyB, both := [2]bool{}, [2]bool{true, false}, [2]bool{false, true}, [2]bool{true, true}
+	must := func(_ []GPUID, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("refused", none, func() {
+		if _, err := c.Allocate(1, "vcB", 16, 0); !errors.Is(err, ErrNoCapacity) {
+			t.Fatalf("a 16-GPU request in an 8-GPU VC: %v", err)
+		}
+	})
+	step("allocate", onlyA, func() { must(c.Allocate(1, "vcA", 2, 1000)) })
+	step("allocate on the VC's second spec entry", onlyA, func() {
+		gpus, err := c.Allocate(2, "vcA", 8, 0)
+		must(gpus, err)
+		if gpus[0].Node != 2 {
+			t.Fatalf("an 8-GPU job beside a 2-GPU one went to node %d", gpus[0].Node)
+		}
+	})
+	step("share", onlyA, func() { must(c.AllocateShared(3, 1, 1000)) })
+	step("reads", none, func() {
+		c.CanAllocate("vcA", 4)
+		c.CanShare(1, 1000)
+		c.PartnerOf(1)
+		c.FreeGPUs("")
+		c.JobsOn(0)
+		c.SnapState()
+		c.Audit()
+	})
+	step("free", onlyA, func() { c.Free(3) })
+	step("free unknown", none, func() { c.Free(99) })
+	step("crash", onlyB, func() { c.FailNode(1) })
+	step("crash again", none, func() { c.FailNode(1) })
+	step("repair", onlyB, func() { c.RepairNode(1) })
+	step("repair healthy", none, func() { c.RepairNode(1) })
+	st := c.SnapState()
+	step("restore", both, func() {
+		if err := c.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

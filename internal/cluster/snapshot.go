@@ -84,6 +84,9 @@ func (c *Cluster) Restore(st SnapState) error {
 		c.jobMem[id] = m
 	}
 	c.rebuildFreeIndex()
+	for i := range c.gen {
+		c.gen[i]++
+	}
 	if bad := c.Audit(); len(bad) > 0 {
 		return fmt.Errorf("cluster: restored state fails audit: %s", bad[0])
 	}

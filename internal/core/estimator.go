@@ -16,8 +16,10 @@ import (
 type WorkloadEstimator struct {
 	feat  *feat.DurationFeaturizer
 	model *gam.Model
-	// cache avoids re-deriving an unchanged job's estimate on every
-	// scheduler tick (the queue is re-sorted constantly).
+	// cache keeps each job's estimate from its first use until the job is
+	// profiled (Invalidate) or the model refit (Update): a queued job's key
+	// and placement preference, and a running partner's remaining time,
+	// all read it.
 	cache map[int]float64
 
 	// MonotonicGPUNum applies the §3.6.1 System Tuner constraint: the

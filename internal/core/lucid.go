@@ -137,8 +137,16 @@ type Lucid struct {
 	// join at their place, the jobs the profiler took or admitted leave after
 	// its step.
 	unprofiled []*job.Job
+	// binderAt is the Binder the queue's failure stamps were taken under
+	// (keyedJob.failedAt); orchestrate drops them when it changes.
+	binderAt Binder
 	// roundHook, when set (tests), sees the queue at the top of orchestrate.
 	roundHook func(env *sim.Env, queue []keyedJob)
+	// retryAll, when set (tests), tries every queued job every round: the
+	// walk before failure stamps, the oracle they are held to. skipped counts
+	// the attempts the stamps saved.
+	retryAll bool
+	skipped  int
 
 	// modelsDirty records whether the Update Engine has refit the estimator
 	// since construction. A snapshot embeds the full model bundle only then;
@@ -400,11 +408,16 @@ func (l *Lucid) score(j *job.Job) workload.SharingScore {
 }
 
 // keyedJob is a queued job with its Key's Prio, computed when it enters the
-// queue rather than once per comparison or per round. The rest of the Key is
-// the job's own, which keeps an element at 16 bytes for a deep queue's shifts.
+// queue rather than once per comparison or per round (the rest of the Key is
+// the job's own), and its failure stamp: failedAt is the main cluster's
+// generation of the job's VC (Cluster.VCGen of index vc) when the job last
+// failed to place, 0 if it has not failed since it entered the queue or since
+// its stamp was dropped.
 type keyedJob struct {
-	job  *job.Job
-	prio float64
+	job      *job.Job
+	prio     float64
+	failedAt uint64
+	vc       int
 }
 
 // compareKeyed is Algorithm 2's order: Key.Compare.
@@ -442,10 +455,12 @@ func (l *Lucid) addUnprofiled(j *job.Job) {
 }
 
 // rekey re-derives every key and restores the order, after a refit has
-// changed the estimates behind them.
+// changed the estimates behind them. It drops the failure stamps too: the
+// estimates decide a job's placement preference and its partners' remaining
+// time.
 func (l *Lucid) rekey() {
-	for i := range l.queue {
-		l.queue[i].prio = l.key(l.queue[i].job).Prio
+	for i, q := range l.queue {
+		l.queue[i] = keyedJob{job: q.job, prio: l.key(q.job).Prio}
 	}
 	slices.SortFunc(l.queue, compareKeyed)
 }
@@ -453,9 +468,31 @@ func (l *Lucid) rekey() {
 // orchestrate is Algorithm 2: walk the queue in priority order and place
 // each job with sharing (if enabled) or exclusively. Placed jobs leave the
 // queue; the rest keep their places for the next round.
+//
+// A job that failed to place is not tried again while nothing its attempt
+// read has changed, since the attempt would fail the same way. The attempt
+// read the Binder, the estimates, and the job's VC: its free GPUs and, for
+// packing, its running jobs of the same demand, their partners and their
+// remaining time. Any change to the VC but the passing of time moves its
+// generation (Cluster.VCGen); time only shortens remaining time, which can
+// only turn a viable partner into one that ends too soon (NextWake relies on
+// the same). So a job whose Binder found no partner and whose exclusive
+// placement failed is stamped with its VC's generation, and skipped while
+// the generation stays. A Binder change (the hourly pack mode) and a refit
+// (rekey) drop every stamp. A job whose partner was found but refused the
+// pack is not stamped: as time passes the Binder may pick another. Skipping
+// an attempt skips nothing else — the score and estimate caches it would
+// fill were filled by the attempt that failed — and a traced round skips
+// nothing, because every failure is an event of the trace.
 func (l *Lucid) orchestrate(env *sim.Env) {
 	if l.roundHook != nil {
 		l.roundHook(env, l.queue)
+	}
+	if *l.binder != l.binderAt {
+		l.binderAt = *l.binder
+		for i := range l.queue {
+			l.queue[i].failedAt = 0
+		}
 	}
 	queued := l.queue
 	if len(queued) == 0 {
@@ -466,6 +503,8 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 	if rec.Enabled() {
 		l.traceOrder(env, queued, now)
 	}
+	main := env.Cluster()
+	skip := !rec.Enabled() && !l.retryAll
 
 	sharing := !l.cfg.DisableSharing && l.binder.SharingEnabled()
 	var remaining func(*job.Job) float64
@@ -474,9 +513,14 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 	}
 	kept := queued[:0]
 	for _, q := range queued {
+		if skip && q.failedAt != 0 && q.failedAt == main.VCGen(q.vc) {
+			l.skipped++
+			kept = append(kept, q)
+			continue
+		}
 		j := q.job
+		var p *job.Job
 		if sharing {
-			var p *job.Job
 			if rec.Enabled() {
 				p = l.findPartnerTraced(env, j, remaining, now)
 			} else {
@@ -493,9 +537,15 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 			env.Annotate(j.ID, "steer-long-job-to-fast-generation",
 				l.models.Estimator.EstimateSec(j), 0, nil)
 		}
-		if !env.StartExclusivePrefer(j, pref) {
-			kept = append(kept, q)
+		if env.StartExclusivePrefer(j, pref) {
+			continue
 		}
+		q.failedAt = 0
+		if p == nil {
+			q.vc = main.VCIndex(j.VC)
+			q.failedAt = main.VCGen(q.vc)
+		}
+		kept = append(kept, q)
 	}
 	clear(queued[len(kept):])
 	l.queue = kept

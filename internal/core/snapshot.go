@@ -16,7 +16,8 @@ import (
 // attached are intentionally stale until Invalidate), and the forecaster's
 // live observation window. The orchestrator's queue is not state: it is the
 // waiting set's Queued jobs in key order, and the first round after a
-// restore builds it again.
+// restore builds it again, without failure stamps — that round retries every
+// job, and fails the ones the uninterrupted run skipped.
 //
 // The trained model weights are embedded (via Models.Save) only when the
 // Update Engine has refit them mid-run: until then they are exactly the
