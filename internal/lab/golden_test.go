@@ -117,7 +117,21 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 			opts.Chaos = chaos.NewInjector(goldenChaos())
 			return core.New(models.Clone(), core.DefaultConfig()), opts
 		}},
+		// Lucid with a 12 h Update Engine: the golden days are too few for
+		// the weekly default, so this digest is the one that notices a change
+		// to how the estimator refits.
+		{"Lucid-refit", func() (sim.Scheduler, sim.Options) {
+			return core.New(models.Clone(), refitConfig()), LucidOpts(spec)
+		}},
 	}
+}
+
+// refitConfig is the default Lucid configuration with a 12 h refit interval:
+// several Update Engine refits inside the golden world's 3 days.
+func refitConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.UpdateIntervalSec = 43200
+	return cfg
 }
 
 // goldenChaos is the heavy deterministic fault schedule of the chaos lines.
