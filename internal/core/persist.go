@@ -29,6 +29,9 @@ type bundleDTO struct {
 	TPBaseline    float64             `json:"throughput_baseline"`
 	TPRecent      []float64           `json:"throughput_recent"`
 	Monotonic     bool                `json:"monotonic_gpu_num"`
+	// EdgeRows is the history length behind the estimator's bin edges; a
+	// bundle without it refits in full next time.
+	EdgeRows int `json:"estimator_edge_rows,omitempty"`
 }
 
 // Save serializes the bundle (History is not persisted — the Update Engine
@@ -46,6 +49,7 @@ func (m *Models) Save(w io.Writer) error {
 		TPBaseline: m.Throughput.baseline,
 		TPRecent:   m.Throughput.recent,
 		Monotonic:  m.Estimator.MonotonicGPUNum,
+		EdgeRows:   m.Estimator.edgeRows,
 	}
 	var err error
 	if dto.AnalyzerTree, err = raw(m.Analyzer.tree.Save); err != nil {
@@ -124,6 +128,7 @@ func LoadModels(r io.Reader) (*Models, error) {
 			cache:           map[int]float64{},
 			MonotonicGPUNum: dto.Monotonic,
 			params:          estimatorGAMParams(),
+			edgeRows:        dto.EdgeRows,
 		},
 		Throughput: &ThroughputModel{
 			model:    tpGAM,

@@ -198,6 +198,12 @@ var durationFeatureNames = []string{
 
 var profileFeatureNames = []string{"gpu_util", "gpu_mem_mb", "gpu_mem_util", "amp"}
 
+// HistoryEncoded lists the columns a fit derives from its history rather
+// than from the job: name_bucket (an exemplar rank, renumbered at every fit)
+// and the template, user and GPU-demand encodings. A refit re-derives them,
+// so a model fine-tuned across refits bins them afresh.
+func HistoryEncoded() []int { return []int{3, 4, 5, 6, 7} }
+
 // Names returns the feature names for this featurizer's configuration.
 func (f *DurationFeaturizer) Names() []string {
 	out := append([]string(nil), durationFeatureNames...)

@@ -95,7 +95,47 @@ type Model struct {
 // Fit trains a GA²M on the dataset. It rejects an empty dataset, a MaxBins
 // beyond the 65,536 a bin index holds, and any NaN or ±Inf feature or target,
 // naming the row and feature.
+//
+// Fit and FitFrom are one boosting path: Fit starts it from μ = mean(y) and,
+// for every feature, quantile edges and a zero shape.
 func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
+	m := &Model{intercept: mlmodel.Mean(ds.Y), feats: make([]*feature, ds.NumFeatures())}
+	return m.boostFrom(ds, p)
+}
+
+// FitFrom fine-tunes prev on the dataset: it keeps prev's intercept, bin
+// edges and shapes, re-bins only the fresh features (new quantile edges,
+// zero shape), runs p.Rounds boosting rounds from there and centres the
+// result. prev is only read, so many fits may start from one model at once.
+// It rejects what Fit rejects, a dataset whose width is not prev's, an
+// out-of-range fresh index, and a prev with pairwise terms; with
+// p.Interactions > 0 pairs are detected afresh, as in Fit.
+func FitFrom(prev *Model, ds *mlmodel.Dataset, p Params, fresh []int) (*Model, error) {
+	if len(prev.pairs) > 0 {
+		return nil, fmt.Errorf("gam: cannot fit from a model with pairwise terms")
+	}
+	if d := ds.NumFeatures(); ds.Len() > 0 && d != len(prev.feats) {
+		return nil, fmt.Errorf("gam: dataset has %d features, the model %d", d, len(prev.feats))
+	}
+	m := &Model{intercept: prev.intercept, feats: make([]*feature, len(prev.feats))}
+	for j, f := range prev.feats {
+		m.feats[j] = &feature{name: f.name, edges: f.edges, score: append([]float64(nil), f.score...)}
+	}
+	for _, j := range fresh {
+		if j < 0 || j >= len(m.feats) {
+			return nil, fmt.Errorf("gam: fresh feature %d out of range [0, %d)", j, len(m.feats))
+		}
+		m.feats[j] = nil
+	}
+	return m.boostFrom(ds, p)
+}
+
+// boostFrom is the one boosting path. m holds the start: its intercept, and
+// per feature either the edges and shape to continue from or nil, which
+// bins that feature afresh with a zero shape. It counts the rows per bin,
+// boosts p.Rounds rounds from the start's predictions, detects and boosts
+// pairs if asked, and centres the result.
+func (m *Model) boostFrom(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("gam: empty dataset")
 	}
@@ -105,9 +145,6 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	}
 	n := ds.Len()
 	d := ds.NumFeatures()
-
-	m := &Model{intercept: mlmodel.Mean(ds.Y)}
-	m.feats = make([]*feature, d)
 
 	pred := make([]float64, n)
 	for i, y := range ds.Y {
@@ -119,6 +156,7 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 
 	// Bin every feature once: bins[j*n+i] is row i's bin of feature j, so a
 	// boosting pass over one feature streams n contiguous 2-byte indices.
+	// pred starts at the start model's prediction (μ exactly, for Fit).
 	bins := make([]uint16, n*d)
 	col := make([]float64, n)
 	unary := make([]term[uint16], d)
@@ -130,17 +168,22 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 			}
 			col[i] = v
 		}
-		f := &feature{name: ds.FeatureName(j)}
-		f.edges = quantileEdges(col, p.MaxBins)
-		f.score = make([]float64, f.numBins())
+		f := m.feats[j]
+		if f == nil {
+			f = &feature{name: ds.FeatureName(j), edges: quantileEdges(col, p.MaxBins)}
+			f.score = make([]float64, f.numBins())
+			m.feats[j] = f
+		} else if f.numBins() > math.MaxUint16+1 {
+			return nil, fmt.Errorf("gam: feature %d (%s) has %d bins, beyond the %d a bin index holds", j, f.name, f.numBins(), math.MaxUint16+1)
+		}
 		f.count = make([]int, f.numBins())
 		idx := bins[j*n : (j+1)*n : (j+1)*n]
 		for i, v := range col {
 			b := f.bin(v)
 			idx[i] = uint16(b)
 			f.count[b]++
+			pred[i] += f.score[b]
 		}
-		m.feats[j] = f
 		unary[j] = term[uint16]{idx: idx, count: f.count, score: f.score}
 	}
 
