@@ -8,11 +8,16 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/feat"
+	"repro/internal/job"
+	"repro/internal/lab"
 	"repro/internal/ml/dtree"
 	"repro/internal/ml/gam"
 	"repro/internal/ml/gbdt"
 	"repro/internal/ml/mlmodel"
 	"repro/internal/ml/textdist"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -114,6 +119,54 @@ func BenchmarkGAMFit(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink = m
+	}
+}
+
+// BenchmarkEstimatorRefit is the Update Engine's third weekly refit on a
+// Saturn×0.2 world: the history month plus the evaluation month's first
+// three weeks (≈ 35,000 jobs). full is the estimator's from-zero gam.Fit,
+// warm its gam.FitFrom of the history-month model (30 rounds, history
+// encodings re-binned), and featurize the featurizer fit and Dataset build
+// that precede either.
+func BenchmarkEstimatorRefit(b *testing.B) {
+	w, err := lab.BuildWorld(trace.Saturn(), 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hist := w.History.Jobs
+	rows := append([]*job.Job(nil), hist...)
+	for _, j := range w.Eval.Jobs {
+		if j.Submit < 21*86400 {
+			rows = append(rows, j)
+		}
+	}
+	core.EnsureProfiles(rows)
+	p := gam.Params{MaxBins: 64, Rounds: 300, LearningRate: 0.05}
+	prev, err := gam.Fit(feat.NewDurationFeaturizer(hist, true).Dataset(hist), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := feat.NewDurationFeaturizer(rows, true).Dataset(rows)
+	warm := p
+	warm.Rounds = 30
+	for _, c := range []struct {
+		name string
+		fit  func() (any, error)
+	}{
+		{"full", func() (any, error) { return gam.Fit(ds, p) }},
+		{"warm", func() (any, error) { return gam.FitFrom(prev, ds, warm, feat.HistoryEncoded()) }},
+		{"featurize", func() (any, error) { return feat.NewDurationFeaturizer(rows, true).Dataset(rows), nil }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := c.fit()
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink = m
+			}
+		})
 	}
 }
 
