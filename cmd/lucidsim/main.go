@@ -31,8 +31,9 @@
 // scheduler decision latency, queue depth) and dumps them in Prometheus text
 // format (again one file per scheduler when -sched all), beside the world
 // build's wall time (lucidsim_world_build_seconds, also printed after the
-// build). Metrics never influence the run: digests are identical with or
-// without them.
+// build). A Lucid run adds its Update Engine's refit stage timings and
+// refit counts, and prints them. Metrics never influence the run: digests
+// are identical with or without them.
 //
 // The build leaves the QSSF/Horus GBDT estimator to its first use, so the
 // first of those runs over a world includes the estimator fit in its wall
@@ -63,6 +64,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/dtrace"
 	"repro/internal/lab"
 	"repro/internal/metrics"
@@ -206,11 +208,15 @@ func main() {
 		fmt.Printf("%s  (wall %.1fs)\n", res.Summary(), time.Since(t0).Seconds())
 		if reg != nil {
 			path := tracePath(*metricsOut, nr.Name, want == "all")
-			if err := os.WriteFile(path, []byte(reg.Render()), 0o644); err != nil {
+			text := reg.Render()
+			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			fmt.Printf("engine metrics → %s\n", path)
+			if strings.Contains(text, "lucid_refits_total") {
+				fmt.Println(core.UpdateEngineSummary(reg))
+			}
 		}
 		if res.Violations > 0 {
 			for _, v := range res.ViolationSamples {

@@ -85,35 +85,43 @@ func trainWorkloadEstimator(history []*job.Job, monotonic bool) (*WorkloadEstima
 // featurizer, model and estimate cache are replaced together once the fit
 // has succeeded, and an error leaves the estimator exactly as it was.
 func (w *WorkloadEstimator) Update(history []*job.Job) error {
+	return w.update(history, updateMetrics{})
+}
+
+// update is Update, timing its two stages on m.
+func (w *WorkloadEstimator) update(history []*job.Job, m updateMetrics) error {
 	if len(history) == 0 {
 		return fmt.Errorf("core: empty update history")
 	}
 	EnsureProfiles(history)
-	f := feat.NewDurationFeaturizer(history, true)
-	ds := f.Dataset(history)
+	t := m.reg.StartTimer(m.featurize)
+	f, ds := feat.Refit(w.feat, history, true)
+	t.Stop()
+	t = m.reg.StartTimer(m.fit)
 	full := w.FullRefits || w.model == nil || len(history) >= 2*w.edgeRows
-	var m *gam.Model
+	var model *gam.Model
 	var err error
 	if full {
-		m, err = gam.Fit(ds, w.params)
+		model, err = gam.Fit(ds, w.params)
 	} else {
 		p := w.params
 		p.Rounds, p.LearningRate = warmRounds, warmLearningRate
-		m, err = gam.FitFrom(w.model, ds, p, feat.HistoryEncoded())
+		model, err = gam.FitFrom(w.model, ds, p, feat.HistoryEncoded())
 	}
 	if err != nil {
 		return fmt.Errorf("core: estimator fit: %w", err)
 	}
 	if w.MonotonicGPUNum {
-		m.ApplyMonotonic(0, true) // feature 0 is gpu_num
+		model.ApplyMonotonic(0, true) // feature 0 is gpu_num
 	}
+	t.Stop()
 	if full {
 		w.edgeRows = len(history)
 		w.fullFits++
 	} else {
 		w.warmFits++
 	}
-	w.feat, w.model, w.cache = f, m, map[int]float64{}
+	w.feat, w.model, w.cache = f, model, map[int]float64{}
 	return nil
 }
 

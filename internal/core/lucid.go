@@ -2,11 +2,13 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/dtrace"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -653,10 +655,50 @@ func (l *Lucid) updateEngine(env *sim.Env) {
 		return // not enough fresh signal to be worth a refit
 	}
 	merged := append(append([]*job.Job(nil), l.models.History...), finished...)
+	met := newUpdateMetrics(env.Metrics())
+	warm, full := l.models.Estimator.Fits()
 	// Refit errors leave the previous model in place — the Update Engine
 	// must never take the scheduler down.
-	if err := l.models.Estimator.Update(merged); err == nil {
+	if err := l.models.Estimator.update(merged, met); err == nil {
 		l.modelsDirty = true
 		l.rekey()
 	}
+	nowWarm, nowFull := l.models.Estimator.Fits()
+	met.warm.Add(float64(nowWarm - warm))
+	met.full.Add(float64(nowFull - full))
+}
+
+// updateMetrics are the Update Engine's instruments on a run's registry.
+// The zero value (metrics off) times and counts nothing: a nil registry's
+// timers and nil counters are no-ops.
+type updateMetrics struct {
+	reg            *metrics.Registry
+	featurize, fit *metrics.Histogram // lucid_update_engine_seconds{stage}
+	warm, full     *metrics.Counter   // lucid_refits_total{kind}
+}
+
+// newUpdateMetrics resolves the instruments on reg (nil → the zero value).
+func newUpdateMetrics(reg *metrics.Registry) updateMetrics {
+	if reg == nil {
+		return updateMetrics{}
+	}
+	stages := reg.HistogramVec("lucid_update_engine_seconds",
+		"Wall-clock seconds per Update Engine refit stage.", metrics.ExpBuckets(1e-3, 2, 14), "stage")
+	refits := reg.CounterVec("lucid_refits_total",
+		"Update Engine refits by kind, as WorkloadEstimator.Fits counts them.", "kind")
+	return updateMetrics{
+		reg:       reg,
+		featurize: stages.With("featurize"),
+		fit:       stages.With("fit"),
+		warm:      refits.With("warm"),
+		full:      refits.With("full"),
+	}
+}
+
+// UpdateEngineSummary describes the Update Engine instruments a Lucid run
+// recorded on reg: refits by kind and seconds per stage.
+func UpdateEngineSummary(reg *metrics.Registry) string {
+	m := newUpdateMetrics(reg)
+	return fmt.Sprintf("update engine: %.0f warm + %.0f full refits; featurize %.3f s, fit %.3f s",
+		m.warm.Value(), m.full.Value(), m.featurize.Sum(), m.fit.Sum())
 }

@@ -150,3 +150,60 @@ func TestClonesRefitWarmInParallel(t *testing.T) {
 		t.Fatal("clones refit on the same history differ")
 	}
 }
+
+// featBytes is the estimator's featurizer as Save writes it.
+func featBytes(t *testing.T, w *WorkloadEstimator) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.feat.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestClonesRefitDifferentHistoriesInParallel: two clones of one trained
+// estimator refit at once on different histories, both extending the
+// featurizer lineage they share (run under -race). Each must end exactly
+// where a clone refit alone on its history does: a refit reads its parent's
+// lineage and never writes into it.
+func TestClonesRefitDifferentHistoriesInParallel(t *testing.T) {
+	hist, g := historyTrace(1000)
+	est, err := TrainWorkloadEstimator(hist.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := g.Emit(600).Jobs
+	histories := [][]*job.Job{
+		append(append([]*job.Job(nil), hist.Jobs...), extra[:300]...),
+		append(append([]*job.Job(nil), hist.Jobs...), extra[300:]...),
+	}
+	serial := make([]*WorkloadEstimator, len(histories))
+	for i, h := range histories {
+		serial[i] = est.Clone()
+		if err := serial[i].Update(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parallel := []*WorkloadEstimator{est.Clone(), est.Clone()}
+	errs := make([]error, len(parallel))
+	var wg sync.WaitGroup
+	for i, c := range parallel {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.Update(histories[i])
+		}()
+	}
+	wg.Wait()
+	for i := range parallel {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(modelBytes(t, parallel[i]), modelBytes(t, serial[i])) {
+			t.Fatalf("clone %d: model differs from its serial refit", i)
+		}
+		if !bytes.Equal(featBytes(t, parallel[i]), featBytes(t, serial[i])) {
+			t.Fatalf("clone %d: featurizer differs from its serial refit", i)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 package feat
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -30,11 +31,13 @@ type DurationFeaturizer struct {
 	MaxNameExemplars int
 
 	exemplars []string
-	// baseBucket memoizes nearest-exemplar lookups for bases unseen at fit
-	// time. One featurizer is shared by estimator clones across concurrent
-	// scheduler runs (the fitted state is read-only; this memo is the one
-	// exception), so it is mutex-guarded. The memoized value is a pure
-	// function of the base, so concurrent fills stay deterministic.
+	// baseBucket holds the name bucket of every template base the fit saw
+	// (the clustered top bases by their exemplar, the rest by their nearest
+	// one) and memoizes bucketOf's answers for bases met later. One
+	// featurizer is shared by estimator clones across concurrent scheduler
+	// runs (the fitted state is read-only; this memo is the one exception),
+	// so it is mutex-guarded. The memoized value is a pure function of the
+	// base, so concurrent fills stay deterministic.
 	bucketMu   sync.Mutex
 	baseBucket map[string]int
 	userMean   map[string]float64
@@ -42,6 +45,10 @@ type DurationFeaturizer struct {
 	tmplCount  map[string]float64
 	gpuMean    map[int]float64
 	globalMean float64
+
+	// lin is the name-similarity work the next Refit reuses; a loaded
+	// featurizer has none.
+	lin *lineage
 }
 
 // TemplateBase strips the per-submission suffix ("-v17") from a job name,
@@ -66,6 +73,30 @@ func TemplateBase(name string) string {
 
 // NewDurationFeaturizer fits the encoder on completed history jobs.
 func NewDurationFeaturizer(history []*job.Job, includeProfile bool) *DurationFeaturizer {
+	f, _ := fit(nil, history, includeProfile, false)
+	return f
+}
+
+// Refit is the Update Engine's featurizer step: it fits the encoder on
+// history and returns it with history's table, bit for bit
+// NewDurationFeaturizer(history, includeProfile).Dataset(history). It reuses
+// the name similarities along prev's lineage, so only new template bases and
+// new exemplars cost Levenshtein calls. prev is only read; nil, or a loaded
+// featurizer, starts the lineage afresh.
+func Refit(prev *DurationFeaturizer, history []*job.Job, includeProfile bool) (*DurationFeaturizer, *mlmodel.Dataset) {
+	var lin *lineage
+	if prev != nil {
+		lin = prev.lin
+	}
+	return fit(lin, history, includeProfile, true)
+}
+
+// fit fits a featurizer in one pass over history, summing durations per
+// template base, user and GPU count in history order, as map sums would.
+// With table, the pass also writes each row's job columns; the history
+// encodings (HistoryEncoded) are filled in from the per-key means once it is
+// done.
+func fit(prev *lineage, history []*job.Job, includeProfile, table bool) (*DurationFeaturizer, *mlmodel.Dataset) {
 	f := &DurationFeaturizer{
 		IncludeProfile:   includeProfile,
 		MaxNameExemplars: 150,
@@ -74,79 +105,126 @@ func NewDurationFeaturizer(history []*job.Job, includeProfile bool) *DurationFea
 		tmplMean:         map[string]float64{},
 		tmplCount:        map[string]float64{},
 		gpuMean:          map[int]float64{},
+		lin:              prev.extend(),
 	}
-	f.fit(history)
-	return f
+	type rowKeys struct{ base, user, gpu int32 }
+	keys := make([]rowKeys, len(history))
+	var x [][]float64
+	var y, cells []float64
+	if table {
+		x, y = make([][]float64, len(history)), make([]float64, len(history))
+		cells = make([]float64, 0, len(history)*f.width())
+	}
+	// The lineage's base count sizes the base table: refits see mostly the
+	// bases their predecessors saw.
+	bases := newKeySums[string](len(f.lin.bases))
+	users, gpus := newKeySums[string](0), newKeySums[int](0)
+	var total float64
+	for i, j := range history {
+		d := float64(j.Duration)
+		keys[i] = rowKeys{bases.add(TemplateBase(j.Name), d), users.add(j.User, d), gpus.add(j.GPUs, d)}
+		total += d
+		if table {
+			start := len(cells)
+			cells = f.appendRow(cells, j, 0, 0, 0, 0, 0)
+			x[i] = cells[start:len(cells):len(cells)]
+			y[i] = d
+		}
+	}
+	if len(history) > 0 {
+		f.globalMean = total / float64(len(history))
+	}
+	userMean, gpuMean := users.means(f.userMean), gpus.means(f.gpuMean)
+	tmplMean, tmplCount := bases.means(f.tmplMean), bases.n
+	for b, base := range bases.keys {
+		f.tmplCount[base] = tmplCount[b]
+	}
+	bucket := f.clusterNames(bases.keys, tmplCount)
+	f.lin.slab = nil // the lineage is published with f: no spare cells
+	if !table {
+		return f, nil
+	}
+	for i, k := range keys {
+		r := x[i]
+		r[3], r[4], r[5] = float64(bucket[k.base]), tmplMean[k.base], tmplCount[k.base]
+		r[6], r[7] = userMean[k.user], gpuMean[k.gpu]
+	}
+	ds, err := mlmodel.NewDataset(x, y, f.Names())
+	if err != nil {
+		panic("feat: internal shape error: " + err.Error())
+	}
+	return f, ds
 }
 
-func (f *DurationFeaturizer) fit(history []*job.Job) {
-	userSum, userN := map[string]float64{}, map[string]float64{}
-	tmplSum := map[string]float64{}
-	gpuSum, gpuN := map[int]float64{}, map[int]float64{}
-	baseFreq := map[string]int{}
-	var total, n float64
+// keySums sums durations per key; a key's id is its first-seen position.
+type keySums[K comparable] struct {
+	ids    map[K]int32
+	keys   []K
+	sum, n []float64
+}
 
-	for _, j := range history {
-		d := float64(j.Duration)
-		base := TemplateBase(j.Name)
-		baseFreq[base]++
-		userSum[j.User] += d
-		userN[j.User]++
-		tmplSum[base] += d
-		f.tmplCount[base]++
-		gpuSum[j.GPUs] += d
-		gpuN[j.GPUs]++
-		total += d
-		n++
+func newKeySums[K comparable](size int) *keySums[K] {
+	return &keySums[K]{
+		ids:  make(map[K]int32, size),
+		keys: make([]K, 0, size),
+		sum:  make([]float64, 0, size),
+		n:    make([]float64, 0, size),
 	}
-	if n > 0 {
-		f.globalMean = total / n
-	}
-	for u, s := range userSum {
-		f.userMean[u] = s / userN[u]
-	}
-	for b, s := range tmplSum {
-		f.tmplMean[b] = s / f.tmplCount[b]
-	}
-	for g, s := range gpuSum {
-		f.gpuMean[g] = s / gpuN[g]
-	}
+}
 
-	// Cluster the most frequent template bases by name similarity.
-	type bf struct {
-		base string
-		freq int
+// add adds d to k's sum and returns k's id.
+func (s *keySums[K]) add(k K, d float64) int32 {
+	id, ok := s.ids[k]
+	if !ok {
+		id = int32(len(s.keys))
+		s.ids[k] = id
+		s.keys = append(s.keys, k)
+		s.sum, s.n = append(s.sum, 0), append(s.n, 0)
 	}
-	var bases []bf
-	for b, c := range baseFreq {
-		bases = append(bases, bf{b, c})
+	s.sum[id] += d
+	s.n[id]++
+	return id
+}
+
+// means turns every sum into its mean, records it in m and returns the
+// means by id.
+func (s *keySums[K]) means(m map[K]float64) []float64 {
+	for id, k := range s.keys {
+		s.sum[id] /= s.n[id]
+		m[k] = s.sum[id]
 	}
-	sort.Slice(bases, func(i, k int) bool {
-		if bases[i].freq != bases[k].freq {
-			return bases[i].freq > bases[k].freq
+	return s.sum
+}
+
+// clusterNames clusters the most frequent bases (count holds their rows) by
+// name similarity and returns every base's bucket, taking the similarities
+// from the lineage.
+func (f *DurationFeaturizer) clusterNames(bases []string, count []float64) []int {
+	bucket := make([]int, len(bases))
+	order := make([]int32, len(bases)) // by descending count, then name
+	for b := range order {
+		order[b] = int32(b)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(count[b], count[a]); c != 0 {
+			return c
 		}
-		return bases[i].base < bases[k].base
+		return strings.Compare(bases[a], bases[b])
 	})
-	k := len(bases)
-	if k > f.MaxNameExemplars {
-		k = f.MaxNameExemplars
-	}
+	k := min(len(order), f.MaxNameExemplars)
 	if k == 0 {
-		return
+		return bucket
 	}
-	names := make([]string, k)
-	for i := 0; i < k; i++ {
-		names[i] = bases[i].base
+	lin := f.lin
+	ids := make([]int32, len(order)) // lineage ids, in order
+	for i, b := range order {
+		ids[i] = lin.intern(bases[b])
 	}
-	sim := make([][]float64, k)
+	sim := lin.topSimilarities(ids[:k])
 	minSim := 1.0
 	for i := range sim {
-		sim[i] = make([]float64, k)
-		for j := range sim[i] {
-			sim[i][j] = textdist.Similarity(names[i], names[j])
-			if i != j && sim[i][j] < minSim {
-				minSim = sim[i][j]
-			}
+		for j := i + 1; j < k; j++ {
+			minSim = min(minSim, sim[i][j])
 		}
 	}
 	// A low preference (the minimum similarity) biases toward coarse
@@ -154,15 +232,24 @@ func (f *DurationFeaturizer) fit(history []*job.Job) {
 	assign := affprop.Cluster(sim, affprop.Params{Preference: minSim, HasPref: true})
 	// Exemplar list in first-seen order; bucket id = exemplar rank.
 	exIdx := map[int]int{}
+	var exemplars []int32
 	for _, e := range assign {
 		if _, ok := exIdx[e]; !ok {
-			exIdx[e] = len(f.exemplars)
-			f.exemplars = append(f.exemplars, names[e])
+			exIdx[e] = len(exemplars)
+			exemplars = append(exemplars, ids[e])
+			f.exemplars = append(f.exemplars, bases[order[e]])
 		}
 	}
 	for i, e := range assign {
-		f.baseBucket[names[i]] = exIdx[e]
+		bucket[order[i]] = exIdx[e]
 	}
+	for i, bi := range lin.nearestExemplars(ids[k:], exemplars) {
+		bucket[order[k+i]] = bi
+	}
+	for b, base := range bases {
+		f.baseBucket[base] = bucket[b]
+	}
+	return bucket
 }
 
 // bucketOf maps a template base to its name bucket, assigning unseen bases
@@ -252,13 +339,18 @@ func (f *DurationFeaturizer) appendFeatures(dst []float64, j *job.Job) []float64
 	if !ok {
 		gm = f.globalMean
 	}
+	return f.appendRow(dst, j, f.bucketOf(base), tm, f.tmplCount[base], um, gm)
+}
+
+// appendRow appends j's feature row, given its history encodings, to dst.
+func (f *DurationFeaturizer) appendRow(dst []float64, j *job.Job, bucket int, tm, tc, um, gm float64) []float64 {
 	dst = append(dst,
 		float64(j.GPUs),
 		float64((j.Submit/3600)%24),
 		float64((j.Submit/86400)%7),
-		float64(f.bucketOf(base)),
+		float64(bucket),
 		tm,
-		f.tmplCount[base],
+		tc,
 		um,
 		gm,
 	)

@@ -31,6 +31,11 @@ func (p Params) normalized() Params {
 // (s[i][j] = similarity of i to j; higher is more similar) and returns the
 // exemplar index assigned to each point. Points that end up their own
 // exemplar are cluster centers. An empty input yields an empty result.
+//
+// Every pass walks the matrices row by row. The responsibility pass also
+// sums each column's positive responsibilities (rows ascending, the order
+// the textbook column loop adds them in), and the availability pass picks
+// each row's exemplar as it goes.
 func Cluster(s [][]float64, p Params) []int {
 	n := len(s)
 	if n == 0 {
@@ -46,17 +51,14 @@ func Cluster(s [][]float64, p Params) []int {
 	if !p.HasPref {
 		pref = medianOffDiagonal(s)
 	}
-	sim := make([][]float64, n)
+	sim := newMatrix(n)
 	for i := range sim {
-		sim[i] = make([]float64, n)
 		copy(sim[i], s[i])
 		sim[i][i] = pref
-	}
-	// Degeneracy breaker (Frey & Dueck's standard fix): perfectly symmetric
-	// similarities make message passing oscillate between equally good
-	// exemplars. A tiny deterministic jitter removes the ties without
-	// affecting real structure.
-	for i := range sim {
+		// Degeneracy breaker (Frey & Dueck's standard fix): perfectly
+		// symmetric similarities make message passing oscillate between
+		// equally good exemplars. A tiny deterministic jitter removes the
+		// ties without affecting real structure.
 		for j := range sim[i] {
 			h := uint64(i*2654435761) ^ uint64(j*40503)
 			h = (h ^ (h >> 13)) * 0x9e3779b97f4a7c15
@@ -66,42 +68,24 @@ func Cluster(s [][]float64, p Params) []int {
 
 	r := newMatrix(n) // responsibilities
 	a := newMatrix(n) // availabilities
+	sumPos := make([]float64, n)
+	diag := make([]float64, n) // r[k][k] after the responsibility pass
+	cur, prev := make([]int, n), make([]int, n)
+	damp := p.Damping
 
-	assign := func() []int {
-		out := make([]int, n)
-		for i := 0; i < n; i++ {
-			best, bi := negInf, i
-			for k := 0; k < n; k++ {
-				if v := a[i][k] + r[i][k]; v > best {
-					best, bi = v, k
-				}
-			}
-			out[i] = bi
-		}
-		// Make assignments consistent: points assigned to a non-exemplar get
-		// re-pointed at that point's own exemplar choice; exemplars point at
-		// themselves.
-		for i := 0; i < n; i++ {
-			e := out[i]
-			if out[e] != e {
-				// e declined to be an exemplar; fall back to self or e's
-				// exemplar.
-				out[i] = out[e]
-			}
-		}
-		return out
-	}
-
-	var prev []int
 	stable := 0
 	for iter := 0; iter < p.MaxIter; iter++ {
-		// Update responsibilities.
+		clear(sumPos)
 		for i := 0; i < n; i++ {
+			// Rows resliced to n: the inner loops then run without bounds
+			// checks.
+			ri := r[i][:n]
+			ai, si := a[i][:n], sim[i][:n]
 			// Find the top-2 values of a[i][k] + s[i][k].
 			max1, max2 := negInf, negInf
 			arg1 := -1
-			for k := 0; k < n; k++ {
-				v := a[i][k] + sim[i][k]
+			for k := range ai {
+				v := ai[k] + si[k]
 				if v > max1 {
 					max2 = max1
 					max1, arg1 = v, k
@@ -109,43 +93,55 @@ func Cluster(s [][]float64, p Params) []int {
 					max2 = v
 				}
 			}
-			for k := 0; k < n; k++ {
+			for k := range ri {
 				cmp := max1
 				if k == arg1 {
 					cmp = max2
 				}
-				nv := sim[i][k] - cmp
-				r[i][k] = p.Damping*r[i][k] + (1-p.Damping)*nv
-			}
-		}
-		// Update availabilities.
-		for k := 0; k < n; k++ {
-			sumPos := 0.0
-			for i := 0; i < n; i++ {
-				if i != k && r[i][k] > 0 {
-					sumPos += r[i][k]
+				nv := si[k] - cmp
+				rv := damp*ri[k] + (1-damp)*nv
+				ri[k] = rv
+				if i != k && rv > 0 {
+					sumPos[k] += rv
 				}
 			}
-			for i := 0; i < n; i++ {
+			diag[i] = ri[i]
+		}
+		for i := 0; i < n; i++ {
+			ri, ai := r[i][:n], a[i][:n]
+			best, bi := negInf, i
+			for k := range ri {
 				var nv float64
 				if i == k {
-					nv = sumPos
+					nv = sumPos[k]
 				} else {
-					v := r[k][k] + sumPos
-					if r[i][k] > 0 {
-						v -= r[i][k]
+					v := diag[k] + sumPos[k]
+					if ri[k] > 0 {
+						v -= ri[k]
 					}
 					if v > 0 {
 						v = 0
 					}
 					nv = v
 				}
-				a[i][k] = p.Damping*a[i][k] + (1-p.Damping)*nv
+				av := damp*ai[k] + (1-damp)*nv
+				ai[k] = av
+				if v := av + ri[k]; v > best {
+					best, bi = v, k
+				}
+			}
+			cur[i] = bi
+		}
+		// Make assignments consistent: points assigned to a non-exemplar get
+		// re-pointed at that point's own exemplar choice; exemplars point at
+		// themselves.
+		for i := 0; i < n; i++ {
+			if e := cur[i]; cur[e] != e {
+				cur[i] = cur[e]
 			}
 		}
 
-		cur := assign()
-		if prev != nil && equal(cur, prev) {
+		if iter > 0 && equal(cur, prev) {
 			stable++
 			if stable >= p.Stable {
 				return cur
@@ -153,9 +149,9 @@ func Cluster(s [][]float64, p Params) []int {
 		} else {
 			stable = 0
 		}
-		prev = cur
+		cur, prev = prev, cur
 	}
-	return assign()
+	return prev // the last iteration's assignment
 }
 
 const negInf = -1e300

@@ -126,8 +126,9 @@ func BenchmarkGAMFit(b *testing.B) {
 // Saturn×0.2 world: the history month plus the evaluation month's first
 // three weeks (≈ 35,000 jobs). full is the estimator's from-zero gam.Fit,
 // warm its gam.FitFrom of the history-month model (30 rounds, history
-// encodings re-binned), and featurize the featurizer fit and Dataset build
-// that precede either.
+// encodings re-binned), featurize the featurizer fit and Dataset build
+// that precede either, and featurize-refit the same from the featurizer of
+// the week before (the Update Engine's feat.Refit along its lineage).
 func BenchmarkEstimatorRefit(b *testing.B) {
 	w, err := lab.BuildWorld(trace.Saturn(), 0.2)
 	if err != nil {
@@ -135,9 +136,13 @@ func BenchmarkEstimatorRefit(b *testing.B) {
 	}
 	hist := w.History.Jobs
 	rows := append([]*job.Job(nil), hist...)
+	weekTwo := 0 // evaluation jobs submitted in the first two weeks
 	for _, j := range w.Eval.Jobs {
 		if j.Submit < 21*86400 {
 			rows = append(rows, j)
+		}
+		if j.Submit < 14*86400 {
+			weekTwo++
 		}
 	}
 	core.EnsureProfiles(rows)
@@ -147,6 +152,7 @@ func BenchmarkEstimatorRefit(b *testing.B) {
 		b.Fatal(err)
 	}
 	ds := feat.NewDurationFeaturizer(rows, true).Dataset(rows)
+	prevFeat, _ := feat.Refit(nil, rows[:len(hist)+weekTwo], true)
 	warm := p
 	warm.Rounds = 30
 	for _, c := range []struct {
@@ -156,6 +162,7 @@ func BenchmarkEstimatorRefit(b *testing.B) {
 		{"full", func() (any, error) { return gam.Fit(ds, p) }},
 		{"warm", func() (any, error) { return gam.FitFrom(prev, ds, warm, feat.HistoryEncoded()) }},
 		{"featurize", func() (any, error) { return feat.NewDurationFeaturizer(rows, true).Dataset(rows), nil }},
+		{"featurize-refit", func() (any, error) { _, ds := feat.Refit(prevFeat, rows, true); return ds, nil }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

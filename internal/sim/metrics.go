@@ -94,3 +94,8 @@ func (s *Sim) observeSchedState() {
 	m.queueDepth.Set(float64(s.waitingCount()))
 	m.runningNow.Set(float64(len(s.running.jobs)))
 }
+
+// Metrics returns the run's registry, nil when metrics are off. A scheduler
+// may register its own instruments on it; like the engine's, they observe
+// and never steer.
+func (e *Env) Metrics() *metrics.Registry { return e.s.opts.Metrics }

@@ -7,17 +7,21 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dtrace"
+	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
 // TestMetricsDoNotPerturbDecisions is the acceptance gate for the metrics
 // layer: timings are wall-clock observations that never feed back into
 // simulation state, so the decision-trace digest must be byte-identical
-// with metrics on or off.
+// with metrics on or off, for the engine's instruments and for those a
+// scheduler registers itself.
 func TestMetricsDoNotPerturbDecisions(t *testing.T) {
 	run := func(reg *metrics.Registry) string {
 		rec := dtrace.New()
@@ -30,6 +34,35 @@ func TestMetricsDoNotPerturbDecisions(t *testing.T) {
 	off, on := run(nil), run(metrics.New())
 	if off != on {
 		t.Fatalf("metrics perturbed decisions: digest %s (off) vs %s (on)", off, on)
+	}
+
+	// Lucid with its weekly Update Engine, whose refits Lucid times and
+	// counts on the run's registry.
+	w, err := lab.BuildWorld(trace.Venus(), 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lucid := func(reg *metrics.Registry) string {
+		rec := dtrace.New()
+		opts := lab.LucidOpts(w.Spec)
+		opts.DecisionTrace, opts.Metrics = rec, reg
+		sim.New(w.Eval, w.NewLucid(core.DefaultConfig()), opts).Run()
+		return rec.Digest()
+	}
+	reg := metrics.New()
+	if off, on := lucid(nil), lucid(reg); off != on {
+		t.Fatalf("metrics perturbed Lucid's decisions: digest %s (off) vs %s (on)", off, on)
+	}
+	refits := reg.CounterVec("lucid_refits_total", "", "kind")
+	warm, full := refits.With("warm").Value(), refits.With("full").Value()
+	if warm == 0 {
+		t.Fatalf("lucid_refits_total: %v warm, %v full; the month should refit warm", warm, full)
+	}
+	stages := reg.HistogramVec("lucid_update_engine_seconds", "", metrics.ExpBuckets(1e-3, 2, 14), "stage")
+	for _, stage := range []string{"featurize", "fit"} {
+		if n := stages.With(stage).Count(); float64(n) != warm+full {
+			t.Errorf("lucid_update_engine_seconds{stage=%q} timed %d refits, counted %v", stage, n, warm+full)
+		}
 	}
 }
 
