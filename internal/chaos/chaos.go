@@ -453,13 +453,6 @@ func (inj *Injector) AnyJobCrash(now, dt int64, ids []int) bool {
 	return false
 }
 
-// NodeIsDown reports the injector's view of a node's health (used to skip
-// GPU faults on already-dead nodes).
-func (inj *Injector) NodeIsDown(node int) bool {
-	_, down := inj.downUntil[node]
-	return down
-}
-
 // GPUFailures samples this tick's transient GPU faults on up nodes, in
 // (node, index) order.
 func (inj *Injector) GPUFailures(now, dt int64) []cluster.GPUID {

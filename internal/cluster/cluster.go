@@ -162,15 +162,6 @@ func (c *Cluster) Spec() Spec { return c.spec }
 // TotalGPUs returns the cluster-wide GPU count.
 func (c *Cluster) TotalGPUs() int { return len(c.nodes) * c.spec.GPUsPerNode }
 
-// VCNames lists the VCs in spec order.
-func (c *Cluster) VCNames() []string {
-	out := make([]string, 0, len(c.spec.VCs))
-	for _, vc := range c.spec.VCs {
-		out = append(out, vc.Name)
-	}
-	return out
-}
-
 // FreeGPUs returns the number of completely idle GPUs in the VC ("" = whole
 // cluster). O(1) from the incrementally maintained per-VC index.
 func (c *Cluster) FreeGPUs(vc string) int {
@@ -211,12 +202,6 @@ func (c *Cluster) nodesOf(vc string) []*node {
 		return c.nodes
 	}
 	return c.vcNodes[vc]
-}
-
-// CanAllocate reports whether Allocate would succeed for an exclusive,
-// consolidated placement of n GPUs in the VC.
-func (c *Cluster) CanAllocate(vc string, n int) bool {
-	return c.planExclusive(vc, n, PreferAny) != nil
 }
 
 // Preference biases node choice by GPU generation (heterogeneity-aware
@@ -587,9 +572,6 @@ func (c *Cluster) Audit() []string {
 	return out
 }
 
-// VCOf returns the VC that owns the node hosting g.
-func (c *Cluster) VCOf(g GPUID) string { return c.nodes[g.Node].vc }
-
 // NumNodes returns the node count.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
@@ -599,17 +581,6 @@ func (c *Cluster) NodeDown(nodeID int) bool {
 		return false
 	}
 	return c.nodes[nodeID].down
-}
-
-// DownNodes lists revoked nodes in ascending id order.
-func (c *Cluster) DownNodes() []int {
-	var out []int
-	for _, nd := range c.nodes {
-		if nd.down {
-			out = append(out, nd.id)
-		}
-	}
-	return out
 }
 
 // JobsOn returns the sorted, deduplicated set of jobs resident on the node.
@@ -695,25 +666,4 @@ func (c *Cluster) rebuildFreeIndex() {
 			c.vcFree[nd.vc] += idle
 		}
 	}
-}
-
-// UniformSpec is a convenience constructor: nodes evenly split across
-// numVCs VCs named vc0..vc<n-1> (numVCs = 1 gives a single "all" VC,
-// matching the Philly setup).
-func UniformSpec(totalNodes, gpusPerNode, numVCs int) Spec {
-	spec := Spec{GPUsPerNode: gpusPerNode}
-	if numVCs <= 1 {
-		spec.VCs = []VCSpec{{Name: "vc0", Nodes: totalNodes}}
-		return spec
-	}
-	base := totalNodes / numVCs
-	extra := totalNodes % numVCs
-	for i := 0; i < numVCs; i++ {
-		n := base
-		if i < extra {
-			n++
-		}
-		spec.VCs = append(spec.VCs, VCSpec{Name: fmt.Sprintf("vc%d", i), Nodes: n})
-	}
-	return spec
 }

@@ -23,8 +23,8 @@ func TestTotalsAndVCs(t *testing.T) {
 	if got := c.FreeGPUs(""); got != 24 {
 		t.Fatalf("cluster free = %d", got)
 	}
-	if names := c.VCNames(); len(names) != 2 || names[0] != "vcA" {
-		t.Fatalf("VC names = %v", names)
+	if vcs := c.Spec().VCs; len(vcs) != 2 || vcs[0].Name != "vcA" {
+		t.Fatalf("VCs = %v", vcs)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestVCIsolation(t *testing.T) {
 		t.Fatal("allocation in full VC succeeded")
 	}
 	// vcA capacity is untouched.
-	if !c.CanAllocate("vcA", 16) {
-		t.Fatal("vcA should still be empty")
+	if _, err := c.Allocate(3, "vcA", 16, 0); err != nil {
+		t.Fatalf("vcA should still be empty: %v", err)
 	}
 }
 
@@ -223,24 +223,6 @@ func TestOccupancy(t *testing.T) {
 	}
 }
 
-func TestUniformSpec(t *testing.T) {
-	spec := UniformSpec(10, 8, 3)
-	if got := spec.TotalGPUs(); got != 80 {
-		t.Fatalf("total = %d", got)
-	}
-	if len(spec.VCs) != 3 {
-		t.Fatalf("VCs = %d", len(spec.VCs))
-	}
-	// 10 = 4+3+3.
-	if spec.VCs[0].Nodes != 4 || spec.VCs[1].Nodes != 3 {
-		t.Fatalf("node split = %+v", spec.VCs)
-	}
-	one := UniformSpec(5, 8, 1)
-	if len(one.VCs) != 1 || one.VCs[0].Nodes != 5 {
-		t.Fatalf("single-VC spec = %+v", one)
-	}
-}
-
 func TestAllocateFreeInvariant(t *testing.T) {
 	// Property: any sequence of allocations followed by freeing everything
 	// returns the cluster to fully free.
@@ -269,8 +251,8 @@ func TestAllocateFreeInvariant(t *testing.T) {
 func TestVCOf(t *testing.T) {
 	c := twoVC()
 	gpus, _ := c.Allocate(1, "vcB", 1, 0)
-	if got := c.VCOf(gpus[0]); got != "vcB" {
-		t.Fatalf("VCOf = %q", got)
+	if got := c.nodes[gpus[0].Node].vc; got != "vcB" {
+		t.Fatalf("a vcB job landed on a node of %q", got)
 	}
 }
 
@@ -488,7 +470,6 @@ func TestVCGenCountsChanges(t *testing.T) {
 	})
 	step("share", onlyA, func() { must(c.AllocateShared(3, 1, 1000)) })
 	step("reads", none, func() {
-		c.CanAllocate("vcA", 4)
 		c.CanShare(1, 1000)
 		c.PartnerOf(1)
 		c.FreeGPUs("")

@@ -196,9 +196,6 @@ func New(models *Models, cfg Config) *Lucid {
 // Name implements sim.Scheduler.
 func (l *Lucid) Name() string { return "Lucid" }
 
-// Binder exposes the binder (tests and the packing-advisor example).
-func (l *Lucid) Binder() *Binder { return l.binder }
-
 // Profiler exposes the profiler (tests and benchmarks).
 func (l *Lucid) Profiler() *Profiler { return l.profiler }
 

@@ -124,10 +124,3 @@ func (t *ThroughputModel) HourShape() []gam.ShapePoint { return t.model.ShapeFun
 
 // FeatureNames lists the forecaster's inputs.
 func (t *ThroughputModel) FeatureNames() []string { return feat.ThroughputFeatureNames() }
-
-// EvalMAE scores the forecaster on a fresh series (Table 7's metric).
-func (t *ThroughputModel) EvalMAE(series []float64) float64 {
-	ds := feat.ThroughputDataset(series)
-	pred := mlmodel.PredictAll(t.model, ds.X)
-	return mlmodel.MAE(pred, ds.Y)
-}

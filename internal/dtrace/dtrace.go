@@ -36,8 +36,8 @@ import (
 type Action string
 
 // Decision kinds. Engine actions (place, pack, retire, …) record state
-// transitions; policy actions (order, steer, pack-reject, profile-skip)
-// record reasoning that did not necessarily change state.
+// transitions; policy actions (order, pack-reject, profile-skip) record
+// reasoning that did not necessarily change state.
 const (
 	ActRelease      Action = "release"       // job released to the scheduler queue
 	ActPlace        Action = "place"         // exclusive placement on the main cluster
@@ -48,10 +48,8 @@ const (
 	ActPreempt      Action = "preempt"       // intrusive checkpoint-preemption
 	ActProfileStart Action = "profile-start" // admitted to the profiling cluster
 	ActProfileStop  Action = "profile-stop"  // left the profiler (progress zeroed)
-	ActProfileEvict Action = "profile-evict" // evicted: profiling time limit hit
 	ActProfileSkip  Action = "profile-skip"  // oversized: metrics observed on the fly
 	ActOrder        Action = "order"         // queue-ordering decision (estimator)
-	ActSteer        Action = "steer"         // heterogeneity-aware generation steering
 	ActRetire       Action = "retire"        // job finished and left the cluster
 
 	// Fault-injection actions (internal/chaos): the failure half of the

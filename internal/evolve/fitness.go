@@ -84,7 +84,6 @@ type Evaluator struct {
 	worldNames []string
 	worlds     []*lab.World
 	mults      []float64
-	scale      float64
 
 	baseline []CellMetrics // default genome, aligned with cells()
 	baseFit  Fitness
@@ -115,7 +114,6 @@ func NewEvaluator(worldNames []string, chaosMults []float64, scale float64) (*Ev
 		worldNames: append([]string(nil), worldNames...),
 		worlds:     worlds,
 		mults:      append([]float64(nil), chaosMults...),
-		scale:      scale,
 		cache:      map[Genome]Fitness{},
 	}
 	base, err := e.runSuite(DefaultGenome())
@@ -131,9 +129,6 @@ func NewEvaluator(worldNames []string, chaosMults []float64, scale float64) (*Ev
 // Baseline returns the paper-default genome's fitness (Score is 1 by
 // construction).
 func (e *Evaluator) Baseline() Fitness { return e.baseFit }
-
-// Scale returns the suite's trace scale.
-func (e *Evaluator) Scale() float64 { return e.scale }
 
 // Worlds returns the suite's worlds (read-only; shared with the lab cache).
 func (e *Evaluator) Worlds() []*lab.World { return e.worlds }

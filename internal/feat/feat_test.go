@@ -31,18 +31,6 @@ func TestHourlySubmissions(t *testing.T) {
 	if int(total) != len(tr.Jobs) {
 		t.Fatalf("series sums to %v, want %d", total, len(tr.Jobs))
 	}
-	gpu := HourlyGPUDemand(tr.Jobs, tr.Days)
-	var gpuTotal float64
-	for _, v := range gpu {
-		gpuTotal += v
-	}
-	var want float64
-	for _, j := range tr.Jobs {
-		want += float64(j.GPUs)
-	}
-	if gpuTotal != want {
-		t.Fatalf("GPU series sums to %v, want %v", gpuTotal, want)
-	}
 }
 
 func TestThroughputFeaturesShape(t *testing.T) {

@@ -28,18 +28,6 @@ func HourlySubmissions(jobs []*job.Job, days int) []float64 {
 	return out
 }
 
-// HourlyGPUDemand buckets total requested GPUs of submissions per hour.
-func HourlyGPUDemand(jobs []*job.Job, days int) []float64 {
-	out := make([]float64, days*24)
-	for _, j := range jobs {
-		h := int(j.Submit / 3600)
-		if h >= 0 && h < len(out) {
-			out[h] += float64(j.GPUs)
-		}
-	}
-	return out
-}
-
 // throughputFeatureNames mirrors the Figure 7a feature inventory: calendar
 // encodings plus shifted/rolling/soft-sum statistics over the recent series.
 var throughputFeatureNames = []string{

@@ -180,20 +180,6 @@ func (w *World) Run(nr NamedRun) *sim.Result {
 	return sim.New(w.Eval, nr.Sched, nr.Opts).Run()
 }
 
-// RunAll executes the full scheduler set, fanning the runs out across the
-// harness worker pool (see parallel.go). Each run is shared-nothing:
-// sim.New clones the evaluation jobs and Schedulers() builds fresh policy
-// instances, so the results are identical to a serial sweep.
-func (w *World) RunAll() map[string]*sim.Result {
-	runs := w.Schedulers()
-	results := w.RunMany(runs)
-	out := make(map[string]*sim.Result, len(runs))
-	for i, nr := range runs {
-		out[nr.Name] = results[i]
-	}
-	return out
-}
-
 // SchedulerOrder is the canonical presentation order.
 var SchedulerOrder = []string{"FIFO", "SJF", "QSSF", "Horus", "Tiresias", "Lucid"}
 

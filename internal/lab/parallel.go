@@ -41,9 +41,12 @@ func Parallelism() int {
 	return n
 }
 
-// parallelEach runs fn(i) for every i in [0, n) on at most Parallelism()
-// goroutines. fn must confine its writes to per-index state.
-func parallelEach(n int, fn func(i int)) {
+// ForEachPar runs fn(i) for every i in [0, n) on at most Parallelism()
+// goroutines: the harness worker pool, which internal/evolve also fans its
+// fitness evaluations through. fn must confine its writes to per-index
+// state; because results are assembled by index, serial (-parallel 1) and
+// parallel execution are byte-identical.
+func ForEachPar(n int, fn func(i int)) {
 	workers := Parallelism()
 	if workers > n {
 		workers = n
@@ -72,18 +75,11 @@ func parallelEach(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForEachPar runs fn(i) for every i in [0, n) on the harness worker pool —
-// the exported face of parallelEach for sibling packages (internal/evolve
-// fans fitness evaluations through it). The same contract applies: fn must
-// confine its writes to per-index state, and because results are assembled
-// by index, serial (-parallel 1) and parallel execution are byte-identical.
-func ForEachPar(n int, fn func(i int)) { parallelEach(n, fn) }
-
 // collectPar evaluates fn over [0, n) in parallel and returns the results
 // in index order.
 func collectPar[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	parallelEach(n, func(i int) { out[i] = fn(i) })
+	ForEachPar(n, func(i int) { out[i] = fn(i) })
 	return out
 }
 

@@ -48,7 +48,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		SetParallelism(workers)
 		defer SetParallelism(0)
 		res := make([]out, len(set))
-		parallelEach(len(set), func(i int) {
+		ForEachPar(len(set), func(i int) {
 			d, s, err := runTracedE(eval, set[i].name, set[i].mk)
 			res[i] = out{d, s, err}
 		})
@@ -75,26 +75,27 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunAllSerialParallelIdentical drives the production RunAll path (the
-// full six-scheduler set, Horus and GBDT-backed QSSF included) serially and
-// in parallel over one world and demands identical metrics.
-func TestRunAllSerialParallelIdentical(t *testing.T) {
+// TestRunManySerialParallelIdentical drives World.RunMany, the pool path
+// the fairness, micro and hetero experiments run through, over the full
+// six-scheduler Schedulers() set (Horus and GBDT-backed QSSF included),
+// serially and in parallel over one world, and demands identical metrics.
+func TestRunManySerialParallelIdentical(t *testing.T) {
 	eval, models, _ := goldenWorld(t)
 	w := &World{Spec: goldenSpec(), Eval: eval, Models: models,
 		Estimator: sched.OracleEstimator{}}
 
 	SetParallelism(1)
-	serial := w.RunAll()
+	serial := w.RunMany(w.Schedulers())
 	SetParallelism(len(SchedulerOrder))
-	parallel := w.RunAll()
+	parallel := w.RunMany(w.Schedulers())
 	SetParallelism(0)
 
 	if len(serial) != len(SchedulerOrder) || len(parallel) != len(SchedulerOrder) {
 		t.Fatalf("result sets incomplete: %d and %d of %d",
 			len(serial), len(parallel), len(SchedulerOrder))
 	}
-	for _, name := range SchedulerOrder {
-		s, p := serial[name], parallel[name]
+	for i, name := range SchedulerOrder {
+		s, p := serial[i], parallel[i]
 		if s == nil || p == nil {
 			t.Fatalf("%s: missing result", name)
 		}

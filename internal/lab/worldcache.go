@@ -63,7 +63,7 @@ func GetWorld(spec trace.GenSpec, scale float64) (*World, error) {
 func GetWorlds(specs []trace.GenSpec, scale float64) ([]*World, error) {
 	worlds := make([]*World, len(specs))
 	errs := make([]error, len(specs))
-	parallelEach(len(specs), func(i int) {
+	ForEachPar(len(specs), func(i int) {
 		worlds[i], errs[i] = GetWorld(specs[i], scale)
 	})
 	if err := firstErr(errs); err != nil {

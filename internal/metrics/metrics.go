@@ -241,9 +241,6 @@ func (g *Gauge) Add(v float64) {
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -19,7 +19,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("depth", "queue depth")
 	g.Set(10)
-	g.Dec()
+	g.Add(-1)
 	g.Add(-2.5)
 	if got := g.Value(); got != 6.5 {
 		t.Fatalf("gauge = %v, want 6.5", got)
@@ -45,7 +45,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if d := tm.Stop(); d != 0 {
 		t.Fatalf("inert timer observed %v", d)
 	}
-	r.Time(h, func() {})
 	if out := r.Render(); out != "" {
 		t.Fatalf("nil registry rendered %q", out)
 	}

@@ -36,11 +36,3 @@ func (t Timer) Stop() float64 {
 	t.h.Observe(d)
 	return d
 }
-
-// Time runs fn and records its duration into h — sugar for the
-// StartTimer/Stop pair around a closed block.
-func (r *Registry) Time(h *Histogram, fn func()) {
-	t := r.StartTimer(h)
-	fn()
-	t.Stop()
-}

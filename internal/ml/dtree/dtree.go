@@ -126,27 +126,6 @@ func (t *Tree) Predict(x []float64) float64 {
 // PredictClass returns the majority class at the reached leaf.
 func (t *Tree) PredictClass(x []float64) int { return t.descend(x).class }
 
-// PredictProba returns per-class probabilities at the reached leaf
-// (classification trees only; nil otherwise).
-func (t *Tree) PredictProba(x []float64) []float64 {
-	if t.numClasses == 0 {
-		return nil
-	}
-	n := t.descend(x)
-	out := make([]float64, t.numClasses)
-	total := 0.0
-	for _, c := range n.counts {
-		total += c
-	}
-	if total == 0 {
-		return out
-	}
-	for i, c := range n.counts {
-		out[i] = c / total
-	}
-	return out
-}
-
 func (t *Tree) descend(x []float64) *node {
 	n := t.root
 	for !n.isLeaf() {
@@ -370,4 +349,3 @@ func (t *Tree) Render(classNames []string) string {
 }
 
 var _ mlmodel.Regressor = (*Tree)(nil)
-var _ mlmodel.Classifier = (*Tree)(nil)

@@ -177,23 +177,6 @@ func TestFeatureImportances(t *testing.T) {
 	}
 }
 
-func TestPredictProba(t *testing.T) {
-	ds := xorDataset()
-	tr, _ := FitClassifier(ds, 2, Params{MaxDepth: 4})
-	p := tr.PredictProba(ds.X[0])
-	if len(p) != 2 {
-		t.Fatalf("proba length %d", len(p))
-	}
-	if s := p[0] + p[1]; math.Abs(s-1) > 1e-9 {
-		t.Fatalf("probabilities sum to %v", s)
-	}
-	// Regression trees return nil.
-	reg, _ := FitRegressor(ds, Params{MaxDepth: 2})
-	if reg.PredictProba(ds.X[0]) != nil {
-		t.Fatal("regression tree returned probabilities")
-	}
-}
-
 func TestRenderContainsFeatureNames(t *testing.T) {
 	ds := xorDataset()
 	tr, _ := FitClassifier(ds, 2, Params{MaxDepth: 3})

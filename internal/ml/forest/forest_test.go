@@ -36,46 +36,9 @@ func TestRegressorBeatsMeanBaseline(t *testing.T) {
 	}
 }
 
-func TestClassifierMajorityVote(t *testing.T) {
-	rng := xrand.New(4)
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 400; i++ {
-		a, b := rng.Float64(), rng.Float64()
-		x = append(x, []float64{a, b})
-		label := 0.0
-		if a+b > 1 {
-			label = 1
-		}
-		y = append(y, label)
-	}
-	ds, _ := mlmodel.NewDataset(x, y, nil)
-	f, err := FitClassifier(ds, 2, Params{NumTrees: 30, MaxDepth: 6, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i, row := range ds.X {
-		if f.PredictClass(row) == int(ds.Y[i]) {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(ds.Len()); acc < 0.95 {
-		t.Fatalf("forest accuracy %v", acc)
-	}
-	// Predict() on a classifier returns the class as float.
-	if p := f.Predict([]float64{0.9, 0.9}); p != 1 {
-		t.Fatalf("Predict = %v, want 1", p)
-	}
-}
-
 func TestForestValidation(t *testing.T) {
 	if _, err := FitRegressor(&mlmodel.Dataset{}, Params{}); err == nil {
 		t.Fatal("empty dataset accepted")
-	}
-	ds, _ := mlmodel.NewDataset([][]float64{{1}}, []float64{0}, nil)
-	if _, err := FitClassifier(ds, 1, Params{}); err == nil {
-		t.Fatal("single-class accepted")
 	}
 }
 
@@ -92,15 +55,9 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		{"Inf target", 0.5, math.Inf(1), "row 7 target is +Inf"},
 	} {
 		ds := friedmanData(20, 9)
-		for i := range ds.Y {
-			ds.Y[i] = float64(i % 2)
-		}
 		ds.X[7][1], ds.Y[7] = tc.x, tc.y
 		if _, err := FitRegressor(ds, Params{NumTrees: 3}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: FitRegressor error %v, want it to contain %q", tc.name, err, tc.want)
-		}
-		if _, err := FitClassifier(ds, 2, Params{NumTrees: 3}); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: FitClassifier error %v, want it to contain %q", tc.name, err, tc.want)
 		}
 	}
 }

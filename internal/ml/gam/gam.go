@@ -355,9 +355,6 @@ func (m *Model) Predict(x []float64) float64 {
 	return s
 }
 
-// Intercept returns μ.
-func (m *Model) Intercept() float64 { return m.intercept }
-
 // NumPairs returns the number of learned interaction terms.
 func (m *Model) NumPairs() int { return len(m.pairs) }
 

@@ -8,8 +8,6 @@ package mlmodel
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/xrand"
 )
 
 // Dataset is a dense supervised-learning table: row-major features plus one
@@ -63,7 +61,6 @@ func (d *Dataset) FeatureName(i int) string {
 // floor(trainFrac·n) rows train, the rest test. Rows are NOT shuffled —
 // time-series data (the throughput model) must split chronologically, which
 // is also how the paper splits (train on April–August, test on September).
-// Shuffle first with ShuffledCopy for i.i.d. data.
 func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
 	n := len(d.X)
 	cut := int(float64(n) * trainFrac)
@@ -76,19 +73,6 @@ func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
 	train = &Dataset{X: d.X[:cut], Y: d.Y[:cut], Names: d.Names}
 	test = &Dataset{X: d.X[cut:], Y: d.Y[cut:], Names: d.Names}
 	return train, test
-}
-
-// ShuffledCopy returns a row-shuffled copy of the dataset.
-func (d *Dataset) ShuffledCopy(rng *xrand.RNG) *Dataset {
-	n := len(d.X)
-	perm := rng.Perm(n)
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i, p := range perm {
-		x[i] = d.X[p]
-		y[i] = d.Y[p]
-	}
-	return &Dataset{X: x, Y: y, Names: d.Names}
 }
 
 // Subset returns the dataset restricted to the given row indices (views, no
@@ -128,11 +112,6 @@ type Regressor interface {
 	Predict(x []float64) float64
 }
 
-// Classifier is a trained model that predicts a class label per feature row.
-type Classifier interface {
-	PredictClass(x []float64) int
-}
-
 // PredictAll applies a regressor row-wise.
 func PredictAll(m Regressor, x [][]float64) []float64 {
 	out := make([]float64, len(x))
@@ -154,22 +133,6 @@ func MAE(pred, truth []float64) float64 {
 	}
 	return s / float64(len(pred))
 }
-
-// MSE is the mean squared error.
-func MSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
-// RMSE is the root mean squared error.
-func RMSE(pred, truth []float64) float64 { return math.Sqrt(MSE(pred, truth)) }
 
 // R2 is the coefficient of determination (Table 7's duration metric; higher
 // is better, 1 is perfect, ≤0 means no better than predicting the mean).

@@ -71,18 +71,6 @@ func TestOracleEstimator(t *testing.T) {
 	}
 }
 
-func TestPolluxBatchInflation(t *testing.T) {
-	if BatchInflation(8, 8) != 1 || BatchInflation(4, 8) != 1 {
-		t.Fatal("no inflation at or below demand")
-	}
-	if BatchInflation(16, 8) != 2 {
-		t.Fatal("2× inflation expected")
-	}
-	if BatchInflation(0, 8) != 1 || BatchInflation(8, 0) != 1 {
-		t.Fatal("degenerate inputs must be neutral")
-	}
-}
-
 func TestSortHelpersDeterministic(t *testing.T) {
 	a := []*job.Job{mk(3, 1, 5, 10), mk(1, 1, 5, 10), mk(2, 1, 3, 10)}
 	stableSortBy(a, func(j *job.Job) float64 { return 0 }) // all equal keys

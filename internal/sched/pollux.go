@@ -148,18 +148,3 @@ func orderByHunger(env *sim.Env, jobs []*job.Job) []*job.Job {
 	})
 	return out
 }
-
-// BatchInflation reports the effective batch-size inflation Pollux applied
-// to a finished job — the input to workload.AdaptiveBatchPenalty in the
-// Figure 14b experiment. Jobs that ever ran at full allocation under load
-// get their batch scaled up roughly with allocation.
-func BatchInflation(alloc, demand int) float64 {
-	if alloc <= 0 || demand <= 0 {
-		return 1
-	}
-	f := float64(alloc) / float64(demand)
-	if f < 1 {
-		return 1
-	}
-	return f
-}

@@ -169,17 +169,6 @@ func (r *Result) JCTs() []float64 {
 	return out
 }
 
-// QueueDelays returns finished jobs' queuing delays in seconds.
-func (r *Result) QueueDelays() []float64 {
-	var out []float64
-	for _, j := range r.Jobs {
-		if j.Finish >= 0 {
-			out = append(out, float64(j.QueueDelay()))
-		}
-	}
-	return out
-}
-
 // AvgJCTHours is the Table 4 unit.
 func (r *Result) AvgJCTHours() float64 { return r.AvgJCTSec / 3600 }
 
@@ -235,18 +224,6 @@ func (r *Result) ShortJobQueuedCount(cutoffSec int64) int {
 		}
 	}
 	return n
-}
-
-// CDF returns (sorted values, cumulative fraction) pairs suitable for
-// plotting a Figure 8-style curve.
-func CDF(xs []float64) (vals, frac []float64) {
-	vals = append([]float64(nil), xs...)
-	sort.Float64s(vals)
-	frac = make([]float64, len(vals))
-	for i := range vals {
-		frac[i] = float64(i+1) / float64(len(vals))
-	}
-	return vals, frac
 }
 
 // Summary renders a one-line human-readable digest.

@@ -1,16 +1,9 @@
 package sim
 
-import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"strconv"
-)
-
 // Timeline recording: an optional per-job event log (start/preempt/finish,
 // profiling transitions, packing) for post-hoc analysis — Gantt charts,
 // per-VC occupancy plots, preemption storms. Enable with
-// Options.RecordTimeline; the log is on Result.Timeline and exports as CSV.
+// Options.RecordTimeline; the log is on Result.Timeline.
 
 // EventKind labels one timeline entry.
 type EventKind string
@@ -44,52 +37,4 @@ func (s *Sim) record(kind EventKind, jobID int, gpus int, vc string) {
 	s.timeline = append(s.timeline, TimelineEvent{
 		Time: s.now, JobID: jobID, Kind: kind, GPUs: gpus, VC: vc,
 	})
-}
-
-// WriteTimelineCSV exports a recorded timeline.
-func WriteTimelineCSV(w io.Writer, events []TimelineEvent) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time", "job", "event", "gpus", "vc"}); err != nil {
-		return err
-	}
-	for _, e := range events {
-		rec := []string{
-			strconv.FormatInt(e.Time, 10),
-			strconv.Itoa(e.JobID),
-			string(e.Kind),
-			strconv.Itoa(e.GPUs),
-			e.VC,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadTimelineCSV parses a timeline written by WriteTimelineCSV.
-func ReadTimelineCSV(r io.Reader) ([]TimelineEvent, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 || rows[0][0] != "time" {
-		return nil, fmt.Errorf("sim: malformed timeline CSV")
-	}
-	out := make([]TimelineEvent, 0, len(rows)-1)
-	for i, rec := range rows[1:] {
-		if len(rec) != 5 {
-			return nil, fmt.Errorf("sim: timeline row %d has %d fields", i+2, len(rec))
-		}
-		tm, err1 := strconv.ParseInt(rec[0], 10, 64)
-		id, err2 := strconv.Atoi(rec[1])
-		gpus, err3 := strconv.Atoi(rec[3])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("sim: timeline row %d unparseable", i+2)
-		}
-		out = append(out, TimelineEvent{Time: tm, JobID: id, Kind: EventKind(rec[2]), GPUs: gpus, VC: rec[4]})
-	}
-	return out, nil
 }

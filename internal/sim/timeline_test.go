@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTimelineRecordsLifecycle(t *testing.T) {
 	tr := mkTrace(mkJob(1, 2, 0, 300), mkJob(2, 2, 0, 300))
@@ -58,36 +54,5 @@ func TestTimelineRecordsPreemptionAndProfiling(t *testing.T) {
 	}
 	if !saw2[EvProfileStart] || !saw2[EvProfileStop] {
 		t.Fatalf("profiling transitions missing: %v", saw2)
-	}
-}
-
-func TestTimelineCSVRoundTrip(t *testing.T) {
-	events := []TimelineEvent{
-		{Time: 10, JobID: 1, Kind: EvStart, GPUs: 4, VC: "vc0"},
-		{Time: 20, JobID: 1, Kind: EvFinish, GPUs: 4, VC: "vc0"},
-	}
-	var buf bytes.Buffer
-	if err := WriteTimelineCSV(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTimelineCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[0] != events[0] || back[1] != events[1] {
-		t.Fatalf("round trip mismatch: %v", back)
-	}
-}
-
-func TestReadTimelineCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadTimelineCSV(strings.NewReader("")); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := ReadTimelineCSV(strings.NewReader("a,b,c,d,e\n1,2,3,4,5\n")); err == nil {
-		t.Fatal("bad header accepted")
-	}
-	bad := "time,job,event,gpus,vc\nx,1,start,2,vc0\n"
-	if _, err := ReadTimelineCSV(strings.NewReader(bad)); err == nil {
-		t.Fatal("non-numeric time accepted")
 	}
 }

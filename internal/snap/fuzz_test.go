@@ -13,13 +13,14 @@ import (
 // the exact prefix it was read from.
 func FuzzWALRecord(f *testing.F) {
 	seed := func(payloads ...[]byte) []byte {
-		var buf bytes.Buffer
+		var buf []byte
 		for _, p := range payloads {
-			if err := AppendRecord(&buf, p); err != nil {
+			var err error
+			if buf, err = appendFrame(buf, p); err != nil {
 				f.Fatal(err)
 			}
 		}
-		return buf.Bytes()
+		return buf
 	}
 	f.Add([]byte{})
 	f.Add(seed([]byte("hello")))
@@ -47,11 +48,11 @@ func FuzzWALRecord(f *testing.F) {
 			}
 			// A valid record must re-encode to the exact bytes it came from.
 			after := len(data) - r.Len()
-			var re bytes.Buffer
-			if aerr := AppendRecord(&re, payload); aerr != nil {
+			re, aerr := appendFrame(nil, payload)
+			if aerr != nil {
 				t.Fatalf("re-frame: %v", aerr)
 			}
-			if !bytes.Equal(re.Bytes(), data[before:after]) {
+			if !bytes.Equal(re, data[before:after]) {
 				t.Fatalf("re-framed record differs from source frame at %d..%d", before, after)
 			}
 			consumed = after

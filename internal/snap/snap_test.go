@@ -89,14 +89,15 @@ func TestTruncatedPayloadReportsBytesRead(t *testing.T) {
 }
 
 func TestRecordRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+	var buf []byte
 	payloads := [][]byte{[]byte("a"), {}, []byte("third record with more bytes")}
 	for _, p := range payloads {
-		if err := AppendRecord(&buf, p); err != nil {
+		var err error
+		if buf, err = appendFrame(buf, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := bytes.NewReader(buf.Bytes())
+	r := bytes.NewReader(buf)
 	for i, want := range payloads {
 		got, err := ReadRecord(r)
 		if err != nil {
@@ -112,11 +113,10 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestReadRecordCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := AppendRecord(&buf, []byte("payload")); err != nil {
+	whole, err := appendFrame(nil, []byte("payload"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	whole := buf.Bytes()
 
 	// Torn tail: every strict prefix (except empty = clean EOF) is corrupt.
 	for cut := 1; cut < len(whole); cut++ {

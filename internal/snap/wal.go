@@ -39,16 +39,6 @@ var ErrCorrupt = errors.New("snap: corrupt WAL record")
 // kilobytes, not hundreds.
 const stageLimit = 64 << 10
 
-// AppendRecord frames payload into w as a single contiguous write.
-func AppendRecord(w io.Writer, payload []byte) error {
-	buf, err := appendFrame(nil, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // appendFrame appends payload's frame to buf: a WAL stages its records in one
 // buffer it keeps, instead of allocating a frame per record.
 func appendFrame(buf, payload []byte) ([]byte, error) {

@@ -95,27 +95,23 @@ type modelSpec struct {
 	baseUtil    float64
 	baseMemMB   float64
 	baseMemUtil float64
-
-	// iterScale loosely captures relative per-iteration cost; trace
-	// generation uses it to bias which models get long durations.
-	iterScale float64
 }
 
 var modelSpecs = [numModels]modelSpec{
-	ResNet50:     {"ResNet-50", "ImageNet", DomainImgClassification, []int{32, 64, 128}, true, 92, 14000, 60, 3.0},
-	MobileNetV3:  {"MobileNetV3", "ImageNet", DomainImgClassification, []int{32, 64, 128}, true, 74, 9000, 44, 2.2},
-	ResNet18:     {"ResNet-18", "CIFAR-10", DomainImgClassification, []int{32, 64, 128}, true, 62, 2600, 40, 1.0},
-	MobileNetV2:  {"MobileNetV2", "CIFAR-10", DomainImgClassification, []int{32, 64, 128}, true, 55, 2800, 34, 0.9},
-	EfficientNet: {"EfficientNet", "CIFAR-10", DomainImgClassification, []int{32, 64, 128}, true, 88, 6200, 54, 1.5},
-	VGG11:        {"VGG-11", "CIFAR-10", DomainImgClassification, []int{32, 64, 128}, true, 71, 4600, 48, 1.2},
-	DCGAN:        {"DCGAN", "LSUN", DomainImgTranslation, []int{32, 64, 128}, true, 80, 5400, 56, 1.4},
-	PointNet:     {"PointNet", "ShapeNet", DomainPointCloud, []int{32, 64, 128}, true, 22, 2000, 14, 0.7},
-	BERT:         {"BERT", "SQuAD", DomainQA, []int{32}, true, 95, 16500, 64, 4.0},
-	LSTM:         {"LSTM", "Wikitext2", DomainLM, []int{64, 128}, true, 50, 3100, 70, 0.8},
-	Transformer:  {"Transformer", "Multi30k", DomainTranslation, []int{32, 64}, false, 66, 5200, 50, 1.3},
-	PPO:          {"PPO", "LunarLander", DomainRL, []int{32, 64, 128}, false, 11, 1200, 7, 0.4},
-	TD3:          {"TD3", "BipedalWalker", DomainRL, []int{32, 64, 128}, false, 15, 1400, 9, 0.4},
-	NeuMF:        {"NeuMF", "MovieLens", DomainRecommendation, []int{64, 128}, true, 36, 2300, 38, 0.6},
+	ResNet50:     {"ResNet-50", "ImageNet", DomainImgClassification, []int{32, 64, 128}, true, 92, 14000, 60},
+	MobileNetV3:  {"MobileNetV3", "ImageNet", DomainImgClassification, []int{32, 64, 128}, true, 74, 9000, 44},
+	ResNet18:     {"ResNet-18", "CIFAR-10", DomainImgClassification, []int{32, 64, 128}, true, 62, 2600, 40},
+	MobileNetV2:  {"MobileNetV2", "CIFAR-10", DomainImgClassification, []int{32, 64, 128}, true, 55, 2800, 34},
+	EfficientNet: {"EfficientNet", "CIFAR-10", DomainImgClassification, []int{32, 64, 128}, true, 88, 6200, 54},
+	VGG11:        {"VGG-11", "CIFAR-10", DomainImgClassification, []int{32, 64, 128}, true, 71, 4600, 48},
+	DCGAN:        {"DCGAN", "LSUN", DomainImgTranslation, []int{32, 64, 128}, true, 80, 5400, 56},
+	PointNet:     {"PointNet", "ShapeNet", DomainPointCloud, []int{32, 64, 128}, true, 22, 2000, 14},
+	BERT:         {"BERT", "SQuAD", DomainQA, []int{32}, true, 95, 16500, 64},
+	LSTM:         {"LSTM", "Wikitext2", DomainLM, []int{64, 128}, true, 50, 3100, 70},
+	Transformer:  {"Transformer", "Multi30k", DomainTranslation, []int{32, 64}, false, 66, 5200, 50},
+	PPO:          {"PPO", "LunarLander", DomainRL, []int{32, 64, 128}, false, 11, 1200, 7},
+	TD3:          {"TD3", "BipedalWalker", DomainRL, []int{32, 64, 128}, false, 15, 1400, 9},
+	NeuMF:        {"NeuMF", "MovieLens", DomainRecommendation, []int{64, 128}, true, 36, 2300, 38},
 }
 
 // Name returns the model's display name ("ResNet-18").
@@ -132,9 +128,6 @@ func (m Model) BatchSizes() []int { return modelSpecs[m].batches }
 
 // AMPAllowed reports whether Table 1 lists a mixed-precision variant.
 func (m Model) AMPAllowed() bool { return modelSpecs[m].ampAllowed }
-
-// IterScale returns the model's relative per-iteration cost.
-func (m Model) IterScale() float64 { return modelSpecs[m].iterScale }
 
 // Config is one training configuration: a (model, batch size, AMP) cell of
 // Table 1. Configs are the unit the profiler characterizes and the packing

@@ -16,10 +16,8 @@ import "math"
 //     asymmetric pairs (ResNet-18 at 0.59 vs LSTM at 0.79).
 //   - Combined memory-bandwidth pressure adds a further slowdown once both
 //     jobs are genuinely active (the scatter below the fitted curve).
-//   - Packing three jobs "typically suffers from acute speed degradation"
-//     (§2.3), hence TrioPenalty; distributed jobs contend on the network
-//     when packed, hence CrossNodePenalty (§3.3 rule 5 exists because of
-//     it).
+//   - Distributed jobs contend on the network when packed, hence
+//     CrossNodePenalty (§3.3 rule 5 exists because of it).
 const (
 	// CurveSpeedAt100 is the average normalized speed at 100 % accumulated
 	// utilization on the Figure 2a fitted curve.
@@ -43,9 +41,6 @@ const (
 	// (in %) below which bandwidth is effectively uncontended.
 	memContention      = 0.30
 	memBandwidthBudget = 65.0
-
-	// TrioPenalty multiplies every job's speed when three jobs share a GPU.
-	TrioPenalty = 0.55
 
 	// CrossNodePenalty multiplies a distributed (multi-node) job's speed when
 	// it is packed with another job, modeling NIC/PCIe contention.
@@ -118,13 +113,6 @@ func computePairSpeed(a, b Config) (float64, float64) {
 	return pairSpeedProfiles(pa, pb, pairNoise(a, b))
 }
 
-// PairSpeedProfiles is PairSpeed for callers that only hold measured
-// profiles (e.g. the simulator, which observes jobs rather than knowing
-// their catalog configs).
-func PairSpeedProfiles(pa, pb Profile) (float64, float64) {
-	return pairSpeedProfiles(pa, pb, 0)
-}
-
 func pairSpeedProfiles(pa, pb Profile, noise float64) (float64, float64) {
 	sa := oneSideSpeed(pa, pb) + noise
 	sb := oneSideSpeed(pb, pa) + noise
@@ -181,20 +169,6 @@ func blendIdle(s, util float64) float64 {
 	}
 	w := (40 - util) / 40
 	return clamp(s+(1-s)*w*0.9, 0.05, 1)
-}
-
-// TrioSpeed returns the normalized speeds of three configs packed together.
-// Per §2.3 this "typically suffers from acute speed degradation"; Lucid
-// never does it, but the simulator supports it so the binder's rule 3 is
-// testable.
-func TrioSpeed(a, b, c Config) (float64, float64, float64) {
-	ab1, ba1 := PairSpeed(a, b)
-	ac1, ca1 := PairSpeed(a, c)
-	bc1, cb1 := PairSpeed(b, c)
-	sa := (ab1 + ac1) / 2 * TrioPenalty
-	sb := (ba1 + bc1) / 2 * TrioPenalty
-	sc := (ca1 + cb1) / 2 * TrioPenalty
-	return clamp(sa, 0.05, 1), clamp(sb, 0.05, 1), clamp(sc, 0.05, 1)
 }
 
 // PairMeasurement is one colocation measurement: two configs, their

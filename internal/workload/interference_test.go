@@ -126,22 +126,6 @@ func TestLowUtilJobProtected(t *testing.T) {
 	}
 }
 
-func TestTrioAcuteDegradation(t *testing.T) {
-	// §2.3: three-job packing "typically suffers from acute speed
-	// degradation" — strictly worse than the corresponding pair.
-	a, b, c := cfg(ResNet18, 64, false), cfg(MobileNetV2, 64, false), cfg(VGG11, 64, false)
-	pa, _ := PairSpeed(a, b)
-	ta, tb, tc := TrioSpeed(a, b, c)
-	if ta >= pa {
-		t.Errorf("trio speed %v not worse than pair speed %v", ta, pa)
-	}
-	for _, s := range []float64{ta, tb, tc} {
-		if s <= 0 || s > 1 {
-			t.Errorf("trio speed %v out of bounds", s)
-		}
-	}
-}
-
 func TestMeasureAllPairsCount(t *testing.T) {
 	n := len(AllConfigs())
 	want := n * (n + 1) / 2
@@ -204,12 +188,9 @@ func TestMostMeasuredPairsRetain80PctAtSaturation(t *testing.T) {
 	}
 }
 
-func TestCrossNodeAndTrioConstants(t *testing.T) {
+func TestCrossNodeConstant(t *testing.T) {
 	if CrossNodePenalty >= 1 || CrossNodePenalty <= 0 {
 		t.Fatal("CrossNodePenalty out of (0,1)")
-	}
-	if TrioPenalty >= 1 || TrioPenalty <= 0 {
-		t.Fatal("TrioPenalty out of (0,1)")
 	}
 }
 

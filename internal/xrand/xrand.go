@@ -108,32 +108,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and a normal approximation for large ones.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		// Normal approximation, adequate for arrival bucketing.
-		v := r.Norm(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Zipf returns a Zipf-distributed integer in [0, n) with exponent s > 0.
 // Small ranks are most probable — used to pick which recurring job template
 // a user resubmits (a few templates dominate, matching production traces).

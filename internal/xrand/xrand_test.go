@@ -122,33 +122,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(8)
-	for _, mean := range []float64{0.5, 3, 20, 100} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean)/mean > 0.05 {
-			t.Fatalf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := New(11)
-	for i := 0; i < 10000; i++ {
-		if r.Poisson(0) != 0 {
-			t.Fatal("Poisson(0) != 0")
-		}
-		if r.Poisson(-1) != 0 {
-			t.Fatal("Poisson(-1) != 0")
-		}
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	r := New(12)
 	for i := 0; i < 10000; i++ {
