@@ -56,6 +56,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -69,6 +70,7 @@ import (
 	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/snap"
 	"repro/internal/trace"
 )
 
@@ -320,20 +322,11 @@ func runDurable(w *lab.World, f durableFlags) error {
 		if done := s.RunUntil(f.snapshotAt); done {
 			fmt.Printf("note: run completed before t=%d; snapshotting the finished world\n", f.snapshotAt)
 		}
-		file, err := os.Create(f.out)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
 			return err
 		}
-		bw := bufio.NewWriter(file)
-		if err := s.Snapshot(bw); err != nil {
-			file.Close()
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			file.Close()
-			return err
-		}
-		if err := file.Close(); err != nil {
+		if err := snap.WriteFile(snap.OS, f.out, buf.Bytes()); err != nil {
 			return err
 		}
 		fmt.Printf("snapshot at t=%d → %s\n", f.snapshotAt, f.out)

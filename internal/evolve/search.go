@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -275,7 +274,8 @@ func (s *Search) Step() (bool, error) {
 }
 
 // Run steps the search to completion, writing a checkpoint after every step
-// when checkpointPath is non-empty.
+// when checkpointPath is non-empty. snap.WriteFile installs it, so an interrupt
+// or a power cut mid-write leaves the previous checkpoint intact.
 func (s *Search) Run(checkpointPath string) error {
 	for {
 		done, err := s.Step()
@@ -283,7 +283,11 @@ func (s *Search) Run(checkpointPath string) error {
 			return err
 		}
 		if checkpointPath != "" {
-			if err := s.checkpointFile(checkpointPath); err != nil {
+			var buf bytes.Buffer
+			if err := s.Checkpoint(&buf); err != nil {
+				return err
+			}
+			if err := snap.WriteFile(snap.OS, checkpointPath, buf.Bytes()); err != nil {
 				return err
 			}
 		}
@@ -537,30 +541,13 @@ func (s *Search) Checkpoint(w *bytes.Buffer) error {
 	return snap.WriteEnvelope(w, searchStateKind, payload)
 }
 
-// checkpointFile writes the checkpoint atomically (tmp + rename), so an
-// interrupt mid-write leaves the previous checkpoint intact.
-func (s *Search) checkpointFile(path string) error {
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // LoadSearch restores a checkpointed search. The checkpoint's spec must
 // match the requested one — resuming a search under different parameters
 // would silently change the trajectory.
 func LoadSearch(data []byte, spec Spec, ev *Evaluator) (*Search, error) {
-	kind, payload, err := snap.ReadEnvelope(bytes.NewReader(data))
+	payload, err := snap.ReadEnvelope(bytes.NewReader(data), searchStateKind)
 	if err != nil {
 		return nil, err
-	}
-	if kind != searchStateKind {
-		return nil, fmt.Errorf("evolve: checkpoint kind %q (want %s)", kind, searchStateKind)
 	}
 	var st searchState
 	if err := json.Unmarshal(payload, &st); err != nil {

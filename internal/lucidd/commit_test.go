@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -303,14 +304,16 @@ func TestGroupCommitNoAckLost(t *testing.T) {
 // no "registered" event was recorded; telemetry on the same shard keeps being
 // applied (and reports the error once its commit reaches the threshold).
 func TestFailedCommitWithdrawsTheJob(t *testing.T) {
-	// A character device accepts writes and refuses fsync: the append under the
+	// A disk that takes writes and fails fsync with EIO: the append under the
 	// mutex succeeds, the commit after it does not.
-	null, _, err := snap.OpenWAL(os.DevNull, nil)
+	failing, _, err := snap.OpenWALFS(&faultFS{fail: func(op string) error {
+		if op == "sync" {
+			return syscall.EIO
+		}
+		return nil
+	}}, filepath.Join(t.TempDir(), "wal"), nil)
 	if err != nil {
-		t.Skipf("no %s to log into: %v", os.DevNull, err)
-	}
-	if err := null.Append([]byte("probe"), false); err != nil || null.Sync() == nil {
-		t.Skipf("%s does not fail fsync here", os.DevNull)
+		t.Fatal(err)
 	}
 	s, err := NewServerWith(Options{StateDir: t.TempDir()})
 	if err != nil {
@@ -319,8 +322,8 @@ func TestFailedCommitWithdrawsTheJob(t *testing.T) {
 	kept := submitJob(t, s, "kept", "vc-0", 1)
 	sh := s.shards[0]
 	good := sh.wal
-	null.SyncEvery = good.SyncEvery
-	sh.wal = null
+	failing.SyncEvery = good.SyncEvery
+	sh.wal = failing
 
 	rec := do(t, s, http.MethodPost, "/jobs", `{"name":"doomed","user":"u","vc":"vc-0","gpus":2}`)
 	if rec.Code != http.StatusInternalServerError {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtrace"
 	"repro/internal/metrics"
+	"repro/internal/snap"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -156,6 +157,8 @@ type Options struct {
 	IngestQueue int
 	// Clock substitutes time.Now so staleness tests are deterministic.
 	Clock func() time.Time
+	// fs opens and installs the state files: snap.OS, or a test's faults.
+	fs snap.FS
 }
 
 func (o Options) withDefaults() Options {
@@ -170,6 +173,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
+	}
+	if o.fs == nil {
+		o.fs = snap.OS
 	}
 	return o
 }

@@ -211,12 +211,9 @@ func (sh *shard) openStore(dir string) error {
 
 	snapPath := filepath.Join(dir, snapFileName)
 	if raw, err := os.ReadFile(snapPath); err == nil {
-		kind, payload, rerr := snap.ReadEnvelope(bytes.NewReader(raw))
+		payload, rerr := snap.ReadEnvelope(bytes.NewReader(raw), snapKind)
 		if rerr != nil {
 			return fmt.Errorf("read snapshot %s: %w", snapPath, rerr)
-		}
-		if kind != snapKind {
-			return fmt.Errorf("snapshot %s has kind %q, want %q", snapPath, kind, snapKind)
 		}
 		var ss shardSnap
 		if jerr := json.Unmarshal(payload, &ss); jerr != nil {
@@ -231,7 +228,7 @@ func (sh *shard) openStore(dir string) error {
 	// Replay is lenient about dangling references (a metrics op for a job a
 	// later compaction evicted cannot happen — the WAL resets at every
 	// snapshot — but leniency costs nothing and keeps recovery total).
-	wal, stats, err := snap.OpenWAL(filepath.Join(dir, walFileName), func(payload []byte) error {
+	wal, stats, err := snap.OpenWALFS(sh.srv.opts.fs, filepath.Join(dir, walFileName), func(payload []byte) error {
 		var op [1]walOp
 		if jerr := json.Unmarshal(payload, &op[0]); jerr != nil {
 			return fmt.Errorf("decode wal op: %w", jerr)
@@ -345,13 +342,15 @@ func (sh *shard) commit(seq int64, must bool) error {
 	return sh.wal.Commit(seq, must)
 }
 
-// compactLocked writes a fresh shard snapshot (atomic tmp+rename) and resets
-// the shard's WAL. On any error the old snapshot and WAL are left intact —
-// recovery simply replays a longer log. The snapshot's own fsync is the one
-// fsync issued under a shard mutex: nothing may be applied between the state it
-// captures and the truncation of the log that led to it (moving it off the
-// mutex needs WAL segments). WAL.Reset publishes everything appended so far as
-// durable, so a commit point read after a compaction costs no fsync.
+// compactLocked installs a fresh shard snapshot and resets the shard's WAL. An
+// error up to the rename leaves the old snapshot and WAL: recovery replays a
+// longer log. A failed WAL truncate after it leaves a snapshot that holds the
+// WAL, and recovery replays it twice (ROADMAP 1(b)(vi)). The snapshot's own
+// fsync is the one fsync issued under a shard mutex: nothing may be applied
+// between the state it captures and the truncation of the log that led to it
+// (moving it off the mutex needs WAL segments). WAL.Reset publishes everything
+// appended so far as durable, so a commit point read after a compaction costs
+// no fsync.
 func (sh *shard) compactLocked() error {
 	if sh.store == nil {
 		return nil
@@ -378,13 +377,8 @@ func (sh *shard) compactLocked() error {
 	if err := snap.WriteEnvelope(&buf, snapKind, payload); err != nil {
 		return err
 	}
-	final := filepath.Join(sh.store.dir, snapFileName)
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, buf.Bytes()); err != nil {
+	if err := snap.WriteFile(sh.srv.opts.fs, filepath.Join(sh.store.dir, snapFileName), buf.Bytes()); err != nil {
 		return fmt.Errorf("lucidd: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("lucidd: install snapshot: %w", err)
 	}
 	if err := sh.wal.Reset(); err != nil {
 		return fmt.Errorf("lucidd: reset wal after compaction: %w", err)
@@ -417,22 +411,4 @@ func (sh *shard) closeStore() error {
 		err = cerr
 	}
 	return err
-}
-
-// writeFileSync writes data and fsyncs before closing, so the following
-// rename publishes fully-durable bytes.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

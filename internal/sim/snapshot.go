@@ -233,12 +233,9 @@ func (s *Sim) Snapshot(w io.Writer) error {
 // matching stateful scheduler that cannot restore is an error, because the
 // continuation would silently diverge.
 func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, error) {
-	kind, payload, err := snap.ReadEnvelope(r)
+	payload, err := snap.ReadEnvelope(r, SnapshotKind)
 	if err != nil {
 		return nil, err
-	}
-	if kind != SnapshotKind {
-		return nil, fmt.Errorf("sim: snapshot kind %q, want %q", kind, SnapshotKind)
 	}
 	var dto worldSnap
 	if err := json.Unmarshal(payload, &dto); err != nil {

@@ -82,43 +82,48 @@ func WriteEnvelope(w io.Writer, kind string, payload []byte) error {
 	return nil
 }
 
-// ReadEnvelope parses an envelope, verifying magic, version and payload
-// digest. Truncated or corrupted input fails with a descriptive error —
-// never with a silently zero-valued payload.
-func ReadEnvelope(r io.Reader) (kind string, payload []byte, err error) {
+// ReadEnvelope parses an envelope of the given kind and returns its payload,
+// verifying magic, version, kind and payload digest. Truncated or corrupted
+// input fails with a descriptive error, never a zero-valued payload, and the
+// payload grows with the bytes that arrive, not with the length claimed.
+func ReadEnvelope(r io.Reader, kind string) ([]byte, error) {
 	fixed := make([]byte, len(magic)+4+2)
 	if _, err := io.ReadFull(r, fixed); err != nil {
-		return "", nil, fmt.Errorf("snap: truncated header: %w", err)
+		return nil, fmt.Errorf("snap: truncated header: %w", err)
 	}
 	if string(fixed[:len(magic)]) != magic {
-		return "", nil, fmt.Errorf("snap: bad magic %q", fixed[:len(magic)])
+		return nil, fmt.Errorf("snap: bad magic %q", fixed[:len(magic)])
 	}
 	ver := binary.LittleEndian.Uint32(fixed[len(magic):])
 	if ver != CurrentVersion {
-		return "", nil, fmt.Errorf("snap: unsupported version %d (want %d)", ver, CurrentVersion)
+		return nil, fmt.Errorf("snap: unsupported version %d (want %d)", ver, CurrentVersion)
 	}
 	kindLen := int(binary.LittleEndian.Uint16(fixed[len(magic)+4:]))
 	if kindLen == 0 || kindLen > maxKindLen {
-		return "", nil, fmt.Errorf("snap: bad kind length %d", kindLen)
+		return nil, fmt.Errorf("snap: bad kind length %d", kindLen)
 	}
 	rest := make([]byte, kindLen+8+8)
 	if _, err := io.ReadFull(r, rest); err != nil {
-		return "", nil, fmt.Errorf("snap: truncated header: %w", err)
+		return nil, fmt.Errorf("snap: truncated header: %w", err)
 	}
-	kind = string(rest[:kindLen])
+	if got := string(rest[:kindLen]); got != kind {
+		return nil, fmt.Errorf("snap: envelope kind %q, want %q", got, kind)
+	}
 	payLen := binary.LittleEndian.Uint64(rest[kindLen:])
 	wantDigest := binary.LittleEndian.Uint64(rest[kindLen+8:])
 	if payLen > 1<<33 {
-		return "", nil, fmt.Errorf("snap: implausible payload length %d", payLen)
+		return nil, fmt.Errorf("snap: implausible payload length %d", payLen)
 	}
-	payload = make([]byte, payLen)
-	if n, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, fmt.Errorf("snap: truncated payload (%d of %d bytes): %w",
-			n, payLen, err)
+	payload, err := io.ReadAll(io.LimitReader(r, int64(payLen)))
+	if err == nil && uint64(len(payload)) < payLen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("snap: truncated payload (%d of %d bytes): %w", len(payload), payLen, err)
 	}
 	if got := Digest(payload); got != wantDigest {
-		return "", nil, fmt.Errorf("snap: payload digest mismatch: got %s want %s",
+		return nil, fmt.Errorf("snap: payload digest mismatch: got %s want %s",
 			DigestString(got), DigestString(wantDigest))
 	}
-	return kind, payload, nil
+	return payload, nil
 }

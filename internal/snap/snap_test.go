@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -16,12 +17,25 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if err := WriteEnvelope(&buf, "sim-world", payload); err != nil {
 		t.Fatal(err)
 	}
-	kind, got, err := ReadEnvelope(bytes.NewReader(buf.Bytes()))
+	got, err := ReadEnvelope(bytes.NewReader(buf.Bytes()), "sim-world")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != "sim-world" || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip mismatch: kind=%q payload=%q", kind, got)
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("round trip mismatch: payload=%q", got)
+	}
+}
+
+// TestEnvelopeRejectsWrongKind: a reader asking for one kind never gets the
+// payload of another, however intact the envelope.
+func TestEnvelopeRejectsWrongKind(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteEnvelope(&buf, "evolve-search", []byte("a search checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadEnvelope(bytes.NewReader(buf.Bytes()), "sim-world")
+	if err == nil || got != nil || !strings.Contains(err.Error(), `kind "evolve-search", want "sim-world"`) {
+		t.Fatalf("wrong kind: payload %q, error %v; want no payload and an error naming both kinds", got, err)
 	}
 }
 
@@ -49,7 +63,7 @@ func TestEnvelopeRejectsTruncationAndCorruption(t *testing.T) {
 
 	// Every proper prefix must fail loudly, never parse as empty state.
 	for cut := 0; cut < len(whole); cut++ {
-		if _, _, err := ReadEnvelope(bytes.NewReader(whole[:cut])); err == nil {
+		if _, err := ReadEnvelope(bytes.NewReader(whole[:cut]), "sim-world"); err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(whole))
 		}
 	}
@@ -57,14 +71,14 @@ func TestEnvelopeRejectsTruncationAndCorruption(t *testing.T) {
 	for i := len(whole) - len(payload); i < len(whole); i++ {
 		mut := append([]byte(nil), whole...)
 		mut[i] ^= 0x40
-		if _, _, err := ReadEnvelope(bytes.NewReader(mut)); err == nil {
+		if _, err := ReadEnvelope(bytes.NewReader(mut), "sim-world"); err == nil {
 			t.Fatalf("flipped payload byte %d accepted", i)
 		}
 	}
 	// Wrong magic.
 	mut := append([]byte(nil), whole...)
 	mut[0] = 'X'
-	if _, _, err := ReadEnvelope(bytes.NewReader(mut)); err == nil ||
+	if _, err := ReadEnvelope(bytes.NewReader(mut), "sim-world"); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic not rejected: %v", err)
 	}
@@ -79,7 +93,7 @@ func TestTruncatedPayloadReportsBytesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Len() - len(payload) + 17
-	_, _, err := ReadEnvelope(bytes.NewReader(buf.Bytes()[:cut]))
+	_, err := ReadEnvelope(bytes.NewReader(buf.Bytes()[:cut]), "k")
 	if err == nil || !strings.Contains(err.Error(), "truncated payload (17 of 40 bytes)") {
 		t.Fatalf("truncated mid-payload: %v, want \"truncated payload (17 of 40 bytes)\"", err)
 	}
@@ -256,5 +270,30 @@ func TestWALBatchedSync(t *testing.T) {
 	}
 	if w.Unsynced() != 0 {
 		t.Fatalf("unsynced = %d after threshold append, want 0", w.Unsynced())
+	}
+}
+
+// TestWriteFileKeepsTheOldFileOnFailure: whichever storage call of an install
+// fails, path still holds the previous bytes in full; once nothing fails it
+// holds the new ones.
+func TestWriteFileKeepsTheOldFileOnFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.snap")
+	if err := WriteFile(OS, path, []byte("old state")); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"open", "write", "sync", "rename"} {
+		on := true
+		if err := WriteFile(failOn(op, syscall.EIO, &on), path, []byte("new state, longer")); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("install with a failing %s: %v, want EIO", op, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != "old state" {
+			t.Fatalf("after a failing %s the file holds %q (%v), want the old state", op, got, err)
+		}
+	}
+	if err := WriteFile(OS, path, []byte("new state")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new state" {
+		t.Fatalf("after an install the file holds %q (%v)", got, err)
 	}
 }

@@ -89,8 +89,7 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 // finds itself covered and issues none. Commit is the one place that decides
 // whether to ask.
 type WAL struct {
-	f    *os.File
-	path string
+	f File
 	// SyncEvery is the batching threshold: Commit fsyncs, asked or not, once
 	// this many appends are unsynced (0 = every append).
 	SyncEvery int
@@ -132,13 +131,18 @@ type RecoverStats struct {
 	TornBytes int64 // bytes truncated from a damaged tail
 }
 
-// OpenWAL opens (creating if absent) the log at path, replays every valid
-// record through apply, truncates any torn tail, and leaves the file
-// positioned for appending. apply may be nil to skip replay consumption
-// (the scan still validates and truncates).
+// OpenWAL is OpenWALFS on the operating system's files.
 func OpenWAL(path string, apply func(payload []byte) error) (*WAL, RecoverStats, error) {
+	return OpenWALFS(OS, path, apply)
+}
+
+// OpenWALFS opens (creating if absent) the log at path through fs, replays
+// every valid record through apply, truncates any torn tail, and leaves the
+// file positioned for appending. apply may be nil to skip replay consumption
+// (the scan still validates and truncates).
+func OpenWALFS(fs FS, path string, apply func(payload []byte) error) (*WAL, RecoverStats, error) {
 	var stats RecoverStats
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, stats, fmt.Errorf("snap: open wal: %w", err)
 	}
@@ -151,10 +155,9 @@ func OpenWAL(path string, apply func(payload []byte) error) (*WAL, RecoverStats,
 		f.Close()
 		return nil, stats, err
 	}
-	var off int64
-	br := newCountingReader(f)
+	var off int64 // the end of the last valid frame
 	for {
-		payload, rerr := ReadRecord(br)
+		payload, rerr := ReadRecord(f)
 		if rerr == io.EOF {
 			break
 		}
@@ -178,7 +181,7 @@ func OpenWAL(path string, apply func(payload []byte) error) (*WAL, RecoverStats,
 			}
 		}
 		stats.Records++
-		off = br.n
+		off += recHeaderLen + int64(len(payload))
 	}
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		f.Close()
@@ -186,7 +189,7 @@ func OpenWAL(path string, apply func(payload []byte) error) (*WAL, RecoverStats,
 	}
 	// The counters start at zero whatever was replayed: what OpenWAL read back
 	// is already as durable as it will get.
-	w := &WAL{f: f, path: path, SyncEvery: 64, records: int64(stats.Records), bytes: off}
+	w := &WAL{f: f, SyncEvery: 64, records: int64(stats.Records), bytes: off}
 	return w, stats, nil
 }
 
@@ -368,19 +371,4 @@ func (w *WAL) Close() error {
 		return err
 	}
 	return w.f.Close()
-}
-
-// countingReader tracks the byte offset consumed so replay knows where the
-// last valid record ended.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func newCountingReader(r io.Reader) *countingReader { return &countingReader{r: r} }
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -2,18 +2,78 @@ package snap
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
 
 func openTestWAL(t *testing.T) *WAL {
 	t.Helper()
-	w, _, err := OpenWAL(filepath.Join(t.TempDir(), "wal"), nil)
+	return openFaultWAL(t, OS)
+}
+
+// faultFS is OS with a hook in front of every open, rename, write and fsync:
+// fail gets the call's name and returns the error to inject, or nil to let
+// the call through.
+type faultFS struct{ fail func(op string) error }
+
+type faultFile struct {
+	File
+	fail func(op string) error
+}
+
+func (fs faultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	if err := fs.fail("open"); err != nil {
+		return nil, err
+	}
+	f, err := OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return faultFile{f, fs.fail}, nil
+}
+
+func (fs faultFS) Rename(oldpath, newpath string) error {
+	if err := fs.fail("rename"); err != nil {
+		return err
+	}
+	return OS.Rename(oldpath, newpath)
+}
+
+func (f faultFile) Write(p []byte) (int, error) {
+	if err := f.fail("write"); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f faultFile) Sync() error {
+	if err := f.fail("sync"); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// failOn injects err into every call named op while *on is true.
+func failOn(op string, err error, on *bool) faultFS {
+	return faultFS{fail: func(got string) error {
+		if got == op && *on {
+			return err
+		}
+		return nil
+	}}
+}
+
+// openFaultWAL opens a WAL in a fresh directory through fs.
+func openFaultWAL(t *testing.T, fs FS) *WAL {
+	t.Helper()
+	w, _, err := OpenWALFS(fs, filepath.Join(t.TempDir(), "wal"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +160,12 @@ func TestCommitRule(t *testing.T) {
 	}
 }
 
-// TestFailedSyncPublishesNothing: with the descriptor gone the fsync fails; the
+// TestFailedSyncPublishesNothing: the disk fails the fsync with EIO; the
 // durable mark and Unsynced must not move, and a caller the failed fsync would
 // have covered gets the same error without a second attempt passing it.
 func TestFailedSyncPublishesNothing(t *testing.T) {
-	w := openTestWAL(t)
+	failing := true
+	w := openFaultWAL(t, failOn("sync", syscall.EIO, &failing))
 	for i := 0; i < 3; i++ {
 		if _, err := w.Log([]byte("doomed")); err != nil {
 			t.Fatal(err)
@@ -115,13 +176,12 @@ func TestFailedSyncPublishesNothing(t *testing.T) {
 	}
 	called := false
 	w.OnSync = func(time.Duration) { called = true }
-	w.f.Close()
 	err := w.SyncTo(3)
 	if err == nil {
-		t.Fatal("SyncTo on a closed descriptor succeeded")
+		t.Fatal("SyncTo succeeded on a disk that fails fsync")
 	}
-	if !strings.Contains(err.Error(), "wal sync") {
-		t.Errorf("error %q does not name the sync", err)
+	if !strings.Contains(err.Error(), "wal sync") || !errors.Is(err, syscall.EIO) {
+		t.Errorf("error %q does not name the sync and its EIO", err)
 	}
 	if got := w.durable.Load(); got != 0 {
 		t.Errorf("durable mark moved to %d on a failed fsync", got)
@@ -257,7 +317,7 @@ func TestLogDoesNotAllocate(t *testing.T) {
 // fileSize is the length of the WAL's file on disk.
 func fileSize(t *testing.T, w *WAL) int64 {
 	t.Helper()
-	fi, err := os.Stat(w.path)
+	fi, err := w.f.(*os.File).Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +400,11 @@ func TestResetDropsStagedFrames(t *testing.T) {
 	}
 }
 
-// TestFailedWriteDropsTheStagedRecords: a write() that fails publishes nothing
-// and leaves the owner's counts at what the file holds.
+// TestFailedWriteDropsTheStagedRecords: a write() that fails (here with a full
+// disk) publishes nothing and leaves the owner's counts at what the file holds.
 func TestFailedWriteDropsTheStagedRecords(t *testing.T) {
-	w := openTestWAL(t)
+	full := false
+	w := openFaultWAL(t, failOn("write", syscall.ENOSPC, &full))
 	if err := w.Append([]byte("kept"), false); err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +414,9 @@ func TestFailedWriteDropsTheStagedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.f.Close()
-	if err := w.Write(); err == nil || !strings.Contains(err.Error(), "wal write") {
-		t.Fatalf("Write on a closed descriptor: %v, want a wal write error", err)
+	full = true
+	if err := w.Write(); err == nil || !strings.Contains(err.Error(), "wal write") || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Write on a full disk: %v, want a wal write error wrapping ENOSPC", err)
 	}
 	if w.Seq() != 1 || w.Records() != records || w.Bytes() != size {
 		t.Errorf("after a failed Write: seq %d, %d records, %d bytes; want 1, %d, %d", w.Seq(), w.Records(), w.Bytes(), records, size)
