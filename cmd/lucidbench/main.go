@@ -8,7 +8,7 @@
 //
 //	lucidbench -exp tab4 -scale 0.2
 //	lucidbench -exp all -scale 0.1 -parallel 8
-//	lucidbench -exp evolve -scale 0.05 -evolve-spec strategy=evo,seed=1
+//	lucidbench -exp evolve -scale 0.05 -evolve-spec seed=1
 //	lucidbench -list
 //
 // Independent simulation runs within each experiment fan out across a
@@ -122,7 +122,7 @@ func experiments() []experiment {
 // built in experiments() after flag.Parse).
 var (
 	evolveSpec = flag.String("evolve-spec", "default",
-		"evolve search spec, comma-separated key=value (strategy=evo|coord, seed, pop, gens, budget, worlds=venus+saturn+philly, chaos=0+1); 'default' = "+evolve.DefaultSpec().String())
+		"evolve search spec, comma-separated key=value (seed, pop, gens, budget, worlds=venus+saturn+philly, chaos=0+1); 'default' = "+evolve.DefaultSpec().String())
 	evolveCheckpoint = flag.String("evolve-checkpoint", "",
 		"evolve: snap-envelope checkpoint path, written after every search step and resumed from when the file already exists")
 )

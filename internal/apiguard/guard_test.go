@@ -1,9 +1,12 @@
-// Package apiguard keeps the module free of exported functions that only
-// tests call. It has no non-test code: its one test parses every non-test
-// Go file under cmd/, internal/, bench/ and examples/ and fails, naming the
-// function, when an exported func or method has no caller in those files.
-// A test that needs such a function goes through the API production code
-// uses instead, or keeps its helper in a _test.go file.
+// Package apiguard keeps the module free of exported functions and option
+// fields that only tests use. It has no non-test code. Its tests parse every
+// non-test Go file under cmd/, internal/, bench/ and examples/ and fail,
+// naming the declaration, when an exported func or method has no caller in
+// those files, or when an exported field of an exported *Options, *Config,
+// *Spec or *Params struct is never written there. A test that needs such a
+// function goes through the API production code uses instead, or keeps its
+// helper in a _test.go file; a knob only tests turn is deleted, or becomes
+// an unexported seam of its package.
 //
 // Run it with: go test ./internal/apiguard/
 package apiguard
@@ -66,7 +69,10 @@ type file struct {
 	ast *ast.File
 }
 
-func TestNoExportOnlyTestsCall(t *testing.T) {
+// parseTree parses every non-test Go file under roots, returning each with
+// its directory below the module root, and each directory's package name.
+func parseTree(t *testing.T) (*token.FileSet, []file, map[string]string) {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	var files []file
@@ -93,6 +99,11 @@ func TestNoExportOnlyTestsCall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return fset, files, pkgName
+}
+
+func TestNoExportOnlyTestsCall(t *testing.T) {
+	fset, files, pkgName := parseTree(t)
 
 	// A package-level function is used where its package names it bare or
 	// another package names it through an import ("dir.Func"). A method is
@@ -172,6 +183,130 @@ func TestNoExportOnlyTestsCall(t *testing.T) {
 			t.Errorf("allowlist entry %s names no exported declaration", k)
 		}
 	}
+}
+
+// optionSuffixes name the structs whose exported fields are knobs: a type
+// whose name ends in one of them holds options a caller sets.
+var optionSuffixes = []string{"Options", "Config", "Spec", "Params"}
+
+// allowedFields lists the option fields that no non-test code writes, each
+// with the reason it stays. Keys are "dir.Type.Field".
+var allowedFields = map[string]string{
+	"internal/ml/gam.Params.Interactions": "the paper's GA²M has pair terms; turning them on is a model re-baseline, and without them it is a plain GAM",
+	"internal/ml/gam.Params.PairRounds":   "the boosting rounds of those pair terms, set with Interactions",
+	"internal/loadgen.Options.Stop":       "lucidd's soak test stops the load from another package after a mid-run drain",
+	"internal/sim.Options.MaxHorizon":     "tests cut runs short to reach the horizon's own rules (an arrival past it, jobs it leaves unfinished); runs stop at 6× the trace window",
+	"internal/sim.Options.SampleEvery":    "tests move the sampling instants to put an event-engine wake-up where they need one; runs sample every 600 s",
+}
+
+// TestNoOptionOnlyTestsSet fails on an exported field of an exported
+// options struct (see optionSuffixes) that nothing outside _test.go writes:
+// a knob only tests turn. The check goes by name, as the function guard
+// does: a field is written when a composite literal outside tests keys it
+// or an assignment or ++/-- outside tests stores to a selector of its name,
+// whatever the struct. Writes in the options types' own methods (the
+// normalized defaults) do not count, since they only fill in what no caller
+// set.
+func TestNoOptionOnlyTestsSet(t *testing.T) {
+	fset, files, _ := parseTree(t)
+
+	type field struct {
+		key  string // "dir.Type.Field"
+		name string
+		pos  token.Position
+	}
+	var fields []field
+	isOption := map[string]bool{} // "dir.Type" of every options struct
+	for _, f := range files {
+		for _, d := range f.ast.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, sp := range gd.Specs {
+				ts := sp.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !hasOptionSuffix(ts.Name.Name) {
+					continue
+				}
+				isOption[f.dir+"."+ts.Name.Name] = true
+				for _, fl := range st.Fields.List {
+					for _, n := range fl.Names {
+						if n.IsExported() {
+							fields = append(fields, field{f.dir + "." + ts.Name.Name + "." + n.Name, n.Name, fset.Position(n.Pos())})
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("no option fields found: wrong module root?")
+	}
+
+	written := map[string]bool{} // field name → written outside tests
+	store := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			written[sel.Sel.Name] = true
+		}
+	}
+	for _, f := range files {
+		for _, d := range f.ast.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && isOption[f.dir+"."+recvType(fn.Recv.List[0].Type)] {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if k, ok := kv.Key.(*ast.Ident); ok {
+								written[k.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						store(l)
+					}
+				case *ast.IncDecStmt:
+					store(n.X)
+				}
+				return true
+			})
+		}
+	}
+
+	declared := map[string]bool{}
+	var unset []string
+	for _, fl := range fields {
+		declared[fl.key] = true
+		if written[fl.name] {
+			if allowedFields[fl.key] != "" {
+				t.Errorf("%s is on the allowlist but is written outside tests: take it off", fl.key)
+			}
+		} else if allowedFields[fl.key] == "" {
+			unset = append(unset, fl.key+" ("+fl.pos.String()+")")
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("option field %s is written only by tests: delete it, unexport it, or add it to the allowlist with the reason", u)
+	}
+	for k := range allowedFields {
+		if !declared[k] {
+			t.Errorf("allowlist entry %s names no option field", k)
+		}
+	}
+}
+
+func hasOptionSuffix(name string) bool {
+	for _, s := range optionSuffixes {
+		if strings.HasSuffix(name, s) {
+			return true
+		}
+	}
+	return false
 }
 
 // recvType names a method receiver's base type: T for T, *T, T[K] and *T[K].

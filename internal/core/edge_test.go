@@ -203,22 +203,23 @@ func TestProfiledJobIsPlacedInTheRoundItLeavesTheProfiler(t *testing.T) {
 		job.New(1, "long", "u", "vc", 1, 0, 5000, cfg),
 		job.New(2, "late", "u", "vc", 1, 100, 5000, cfg), // a second, ordinary, waiting job
 	}}
+	rec := dtrace.New()
 	res := sim.New(eval, New(models, DefaultConfig()), sim.Options{Tick: 10, SchedulerEvery: 10,
-		ProfilerNodes: 1, RecordTimeline: true, Invariants: sim.NewInvariantChecker(true)}).Run()
+		ProfilerNodes: 1, DecisionTrace: rec, Invariants: sim.NewInvariantChecker(true)}).Run()
 	if res.Unfinished != 0 {
 		t.Fatalf("unfinished: %d", res.Unfinished)
 	}
 	for id := 1; id <= 2; id++ {
 		stop, start := int64(-1), int64(-1)
-		for _, e := range res.Timeline {
-			if e.JobID != id {
+		for _, e := range rec.Events() {
+			if e.Job != id {
 				continue
 			}
-			switch e.Kind {
-			case sim.EvProfileStop:
-				stop = e.Time
-			case sim.EvStart, sim.EvStartShared:
-				start = e.Time
+			switch e.Action {
+			case dtrace.ActProfileStop:
+				stop = e.Tick
+			case dtrace.ActPlace, dtrace.ActPack:
+				start = e.Tick
 			}
 		}
 		if stop < 0 || start != stop {

@@ -52,18 +52,12 @@ type Config struct {
 	DisableEstimator  bool // "w/o Estimator": runtime-agnostic ordering
 	DisableSpaceAware bool // profiler FIFO instead of least-GPUs-first
 	DisableTimeAware  bool // static profiler configuration
-	DisableDynamic    bool // fixed GSS regardless of load
 }
 
-// DefaultConfig returns the paper's defaults.
+// DefaultConfig returns the paper's defaults: Normalized's, with the
+// Update Engine refitting weekly.
 func DefaultConfig() Config {
-	return Config{
-		TprofSec:          200,
-		Nprof:             8,
-		GSS:               2,
-		Thresholds:        workload.DefaultThresholds,
-		UpdateIntervalSec: 7 * 86400,
-	}
+	return Config{UpdateIntervalSec: 7 * 86400}.Normalized()
 }
 
 // Models bundles Lucid's three interpretable models plus the history they
@@ -145,10 +139,13 @@ type Lucid struct {
 	// roundHook, when set (tests), sees the queue at the top of orchestrate.
 	roundHook func(env *sim.Env, queue []keyedJob)
 	// retryAll, when set (tests), tries every queued job every round: the
-	// walk before failure stamps, the oracle they are held to. skipped counts
-	// the attempts the stamps saved.
-	retryAll bool
-	skipped  int
+	// walk before failure stamps, the oracle they are held to. traceSkips,
+	// when set (tests), skips in traced rounds too, so a trace can show that
+	// skipping moves no engine transition. skipped counts the attempts the
+	// stamps saved.
+	retryAll   bool
+	traceSkips bool
+	skipped    int
 
 	// modelsDirty records whether the Update Engine has refit the estimator
 	// since construction. A snapshot embeds the full model bundle only then;
@@ -310,11 +307,7 @@ func (l *Lucid) hourlyMaintenance(env *sim.Env) {
 	level := l.models.Throughput.Level(forecast)
 	l.profiler.Retune(level)
 	if !l.cfg.DisableSharing {
-		if l.cfg.DisableDynamic {
-			l.binder.SetMode(PackDefault)
-		} else {
-			l.binder.SetMode(ModeFromLoad(level))
-		}
+		l.binder.SetMode(ModeFromLoad(level))
 	}
 }
 
@@ -503,7 +496,7 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 		l.traceOrder(env, queued, now)
 	}
 	main := env.Cluster()
-	skip := !rec.Enabled() && !l.retryAll
+	skip := (!rec.Enabled() || l.traceSkips) && !l.retryAll
 
 	sharing := !l.cfg.DisableSharing && l.binder.SharingEnabled()
 	var remaining func(*job.Job) float64

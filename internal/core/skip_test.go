@@ -6,20 +6,23 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/dtrace"
 	"repro/internal/sim"
 )
 
 // TestSkippedRetriesChangeNothing holds the walk that skips a job whose VC
 // has not changed since it failed to the walk that retries every job every
-// round (retryAll): the same placements at the same instants, job for job,
-// and the same world and scheduler state, serialized, at a mid-run cut and at
-// the end. Random worlds, in a burst so queues stay long, × every input of a
-// failed attempt the stamp must answer for: the Binder's pack mode (dynamic,
-// and held at Default), its rules (naive packing, sharing off), the
-// estimates (ablated, a refit every day re-keying the queue, aging), the
-// placement preference (a heterogeneous cluster), the profiler (none, so
-// every job is queued on arrival), and faults that crash and repair nodes
-// and kill jobs, once more resumed on fresh instances mid-run.
+// round (retryAll): the same world and scheduler state, serialized, at a
+// mid-run cut and at the end, and the same result, job for job. Once more
+// with a decision trace on both walks (the skipping one told to skip in
+// traced rounds too): the same engine transitions at the same instants.
+// Random worlds, in a burst so queues stay long, × every input of a failed
+// attempt the stamp must answer for: the Binder's pack mode (dynamic, and
+// flapping), its rules (naive packing, sharing off), the estimates (ablated,
+// a refit every day re-keying the queue, aging), the placement preference
+// (a heterogeneous cluster), the profiler (none, so every job is queued on
+// arrival), and faults that crash and repair nodes and kill jobs, once more
+// resumed on fresh instances mid-run.
 func TestSkippedRetriesChangeNothing(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -31,7 +34,6 @@ func TestSkippedRetriesChangeNothing(t *testing.T) {
 		resume bool
 	}{
 		{name: "default"},
-		{name: "static-pack-mode", cfg: func(c *Config) { c.DisableDynamic = true }},
 		{name: "flapping-pack-mode", flap: true},
 		{name: "naive-binder", cfg: func(c *Config) { c.DisableBinder = true }},
 		{name: "no-sharing", cfg: func(c *Config) { c.DisableSharing = true }},
@@ -64,8 +66,8 @@ func TestSkippedRetriesChangeNothing(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			opts := func() sim.Options {
-				o := sim.Options{Tick: 60, SchedulerEvery: 300, ProfilerNodes: 1, RecordTimeline: true,
+			opts := func(rec *dtrace.Recorder) sim.Options {
+				o := sim.Options{Tick: 60, SchedulerEvery: 300, ProfilerNodes: 1, DecisionTrace: rec,
 					Invariants: sim.NewInvariantChecker(true)}
 				if tc.noProf {
 					o.ProfilerNodes = 0
@@ -78,29 +80,40 @@ func TestSkippedRetriesChangeNothing(t *testing.T) {
 				}
 				return o
 			}
-			run := func(retryAll bool) (*Lucid, *sim.Sim) {
+			// run builds one walk; traced ones record on a fresh recorder.
+			run := func(retryAll, traced bool) (*Lucid, *sim.Sim, *dtrace.Recorder) {
+				var rec *dtrace.Recorder
+				if traced {
+					rec = dtrace.New()
+				}
 				l := New(models.Clone(), cfg)
-				l.retryAll = retryAll
+				l.retryAll, l.traceSkips = retryAll, traced
 				if tc.flap {
 					l.roundHook = func(env *sim.Env, _ []keyedJob) {
 						l.binder.SetMode(PackMode(env.Now() / 600 % 2)) // Default, Apathetic
 					}
 				}
 				if !tc.resume {
-					return l, sim.New(world, l, opts())
+					return l, sim.New(world, l, opts(rec)), rec
 				}
-				pre := sim.New(world, New(models.Clone(), cfg), opts())
+				pre := sim.New(world, New(models.Clone(), cfg), opts(nil))
 				if done := pre.RunUntil(12 * 3600); done {
 					t.Fatalf("seed %d %s: run completed before the resume point", seed, tc.name)
 				}
-				s, err := pre.Fork(l, opts())
+				s, err := pre.Fork(l, opts(rec))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return l, s
+				return l, s, rec
 			}
-			oracle, want := run(true)
-			l, got := run(false)
+			checkSkipped := func(oracle, l *Lucid, walk string) {
+				if oracle.skipped != 0 || l.skipped == 0 {
+					t.Fatalf("seed %d %s: %d attempts skipped %s, %d by the walk that retries every job", seed, tc.name, l.skipped, walk, oracle.skipped)
+				}
+			}
+
+			oracle, want, _ := run(true, false)
+			l, got, _ := run(false, false)
 			const cut = 18 * 3600
 			want.RunUntil(cut)
 			got.RunUntil(cut)
@@ -108,30 +121,67 @@ func TestSkippedRetriesChangeNothing(t *testing.T) {
 				t.Fatalf("seed %d %s: at t=%d the state differs from the walk that retries every job", seed, tc.name, cut)
 			}
 			wantRes, gotRes := want.Run(), got.Run()
-			if gotRes.Unfinished != 0 || len(gotRes.Timeline) == 0 {
-				t.Fatalf("seed %d %s: %d jobs unfinished, %d timeline events", seed, tc.name, gotRes.Unfinished, len(gotRes.Timeline))
+			if gotRes.Unfinished != 0 {
+				t.Fatalf("seed %d %s: %d jobs unfinished", seed, tc.name, gotRes.Unfinished)
 			}
 			if !reflect.DeepEqual(wantRes, gotRes) {
-				for i := range min(len(wantRes.Timeline), len(gotRes.Timeline)) {
-					if wantRes.Timeline[i] != gotRes.Timeline[i] {
-						t.Fatalf("seed %d %s: timeline event %d is %+v, the walk that retries every job has %+v",
-							seed, tc.name, i, gotRes.Timeline[i], wantRes.Timeline[i])
-					}
-				}
 				t.Fatalf("seed %d %s: the result differs from the walk that retries every job", seed, tc.name)
 			}
 			if !bytes.Equal(snapshotBytes(t, want), snapshotBytes(t, got)) {
 				t.Fatalf("seed %d %s: the final state differs from the walk that retries every job", seed, tc.name)
 			}
-			if oracle.skipped != 0 || l.skipped == 0 {
-				t.Fatalf("seed %d %s: %d attempts skipped, %d by the walk that retries every job", seed, tc.name, l.skipped, oracle.skipped)
-			}
+			checkSkipped(oracle, l, "untraced")
 			if tc.name == "refit" && !l.ModelsRefit() {
 				t.Fatalf("seed %d refit: the Update Engine never refit", seed)
 			}
+
+			oracle, want, wantRec := run(true, true)
+			l, got, gotRec := run(false, true)
+			want.Run()
+			got.Run()
+			wantEv, gotEv := transitions(wantRec), transitions(gotRec)
+			if len(gotEv) == 0 {
+				t.Fatalf("seed %d %s: no engine transition traced", seed, tc.name)
+			}
+			for i := range min(len(wantEv), len(gotEv)) {
+				if wantEv[i] != gotEv[i] {
+					t.Fatalf("seed %d %s: engine transition %d is %+v, the walk that retries every job has %+v",
+						seed, tc.name, i, gotEv[i], wantEv[i])
+				}
+			}
+			if len(wantEv) != len(gotEv) {
+				t.Fatalf("seed %d %s: %d engine transitions traced, the walk that retries every job has %d",
+					seed, tc.name, len(gotEv), len(wantEv))
+			}
+			checkSkipped(oracle, l, "traced")
 			t.Logf("seed %d %s: %d attempts skipped", seed, tc.name, l.skipped)
 		}
 	}
+}
+
+// transition is one engine state change of a decision trace, without the
+// policy's reasoning.
+type transition struct {
+	Tick   int64
+	Job    int
+	Action dtrace.Action
+	GPUs   int
+	VC     string
+}
+
+// transitions lists the engine state changes a trace recorded, in order. It
+// leaves out place-fail and pack-reject: they record attempts, and skipping
+// an attempt that would fail is the point.
+func transitions(rec *dtrace.Recorder) []transition {
+	var out []transition
+	for _, e := range rec.Events() {
+		switch e.Action {
+		case dtrace.ActPlace, dtrace.ActPack, dtrace.ActPlaceElastic, dtrace.ActPreempt,
+			dtrace.ActProfileStart, dtrace.ActProfileStop, dtrace.ActRetire, dtrace.ActRequeue, dtrace.ActExhaust:
+			out = append(out, transition{e.Tick, e.Job, e.Action, e.GPUs, e.VC})
+		}
+	}
+	return out
 }
 
 // TestRekeyDropsStamps: a refit drops every failure stamp. It can lengthen a

@@ -3,6 +3,8 @@ package evolve
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestDefaultGenomeValid(t *testing.T) {
@@ -129,5 +131,14 @@ func TestGenomeConfigValidates(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("genome %s maps to invalid config: %v", g, err)
 		}
+	}
+}
+
+// TestDefaultGenomeIsDefaultConfig: the gene table's defaults are Lucid's
+// paper defaults, knob for knob, so the search starts from the scheduler
+// the paper evaluates.
+func TestDefaultGenomeIsDefaultConfig(t *testing.T) {
+	if got, want := DefaultGenome().Config(), core.DefaultConfig(); got != want {
+		t.Fatalf("DefaultGenome().Config() = %+v\ncore.DefaultConfig()   = %+v", got, want)
 	}
 }

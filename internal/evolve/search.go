@@ -12,40 +12,25 @@ import (
 	"repro/internal/xrand"
 )
 
-// The search layer walks the genome box with two deterministic, seedable
-// strategies:
+// The search layer walks the genome box with a deterministic, seedable
+// (μ+λ)-style population search — elitism, tournament selection, uniform
+// crossover, Gaussian mutation — whose every random draw comes from a stream
+// derived statelessly from (seed, generation, individual), so breeding order
+// and worker interleaving cannot change the trajectory.
 //
-//   - "evo": a (μ+λ)-style population search — elitism, tournament
-//     selection, uniform crossover, Gaussian mutation — whose every random
-//     draw comes from a stream derived statelessly from (seed, generation,
-//     individual), so breeding order and worker interleaving cannot change
-//     the trajectory;
-//   - "coord": coordinate descent over one knob at a time (a grid of
-//     candidates per gene, keep the best), the cheap interpretable baseline
-//     the evolutionary strategy must beat to justify its budget.
-//
-// Both strategies advance in discrete Steps and serialize their complete
+// The search advances one generation per Step and serializes its complete
 // state into an internal/snap envelope after each one, so a long search
 // survives interruption: resuming from a checkpoint replays the exact
 // trajectory an uninterrupted run would have taken (byte-identical log and
 // best genome — the snapshot/resume test locks this in).
 
-// Strategy names.
-const (
-	StrategyEvo   = "evo"
-	StrategyCoord = "coord"
-)
-
-// Spec configures one search: strategy, seed, budget and the fitness suite.
+// Spec configures one search: seed, budget and the fitness suite.
 type Spec struct {
-	Strategy string
 	// Seed keys every random draw of the search.
 	Seed uint64
-	// Pop is the population size (evo) or the per-gene candidate count
-	// (coord).
+	// Pop is the population size.
 	Pop int
-	// Gens bounds the generations (evo) or full passes over the genes
-	// (coord).
+	// Gens bounds the generations.
 	Gens int
 	// Budget soft-caps fitness evaluations: the search stops at the first
 	// step boundary at or past it (0 = unlimited). Counted per evaluated
@@ -62,7 +47,6 @@ type Spec struct {
 // budget.
 func DefaultSpec() Spec {
 	return Spec{
-		Strategy:   StrategyEvo,
 		Seed:       1,
 		Pop:        8,
 		Gens:       8,
@@ -75,8 +59,6 @@ func DefaultSpec() Spec {
 // Validate reports the first bad field, or nil.
 func (s Spec) Validate() error {
 	switch {
-	case s.Strategy != StrategyEvo && s.Strategy != StrategyCoord:
-		return fmt.Errorf("evolve: unknown strategy %q (want %s or %s)", s.Strategy, StrategyEvo, StrategyCoord)
 	case s.Pop < 2:
 		return fmt.Errorf("evolve: pop %d < 2", s.Pop)
 	case s.Gens < 1:
@@ -108,14 +90,14 @@ func (s Spec) String() string {
 	for i, m := range s.ChaosMults {
 		mults[i] = ftoa(m)
 	}
-	return fmt.Sprintf("strategy=%s,seed=%d,pop=%d,gens=%d,budget=%d,worlds=%s,chaos=%s",
-		s.Strategy, s.Seed, s.Pop, s.Gens, s.Budget,
+	return fmt.Sprintf("seed=%d,pop=%d,gens=%d,budget=%d,worlds=%s,chaos=%s",
+		s.Seed, s.Pop, s.Gens, s.Budget,
 		strings.Join(s.Worlds, "+"), strings.Join(mults, "+"))
 }
 
 // ParseSpec parses a comma-separated key=value search spec, e.g.
 //
-//	"strategy=coord,seed=7,pop=5,gens=3,worlds=venus,chaos=0+1"
+//	"seed=7,pop=5,gens=3,worlds=venus,chaos=0+1"
 //
 // Unset keys keep their DefaultSpec values; "default" (or "") yields
 // DefaultSpec unchanged. List-valued keys use '+' as the separator.
@@ -137,8 +119,6 @@ func ParseSpec(text string) (Spec, error) {
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		var err error
 		switch key {
-		case "strategy":
-			s.Strategy = val
 		case "seed":
 			s.Seed, err = strconv.ParseUint(val, 10, 64)
 		case "pop":
@@ -199,22 +179,17 @@ func splitMults(val string) ([]float64, error) {
 }
 
 // Search is a resumable optimization run. All exported state is part of the
-// checkpoint; Step advances one generation (evo) or one gene move (coord).
+// checkpoint; Step advances one generation.
 type Search struct {
 	Spec Spec
 	ev   *Evaluator
 
-	// Gen is the next generation (evo) or completed-pass counter (coord).
+	// Gen is the next generation.
 	Gen int
-	// Pop/Fits are the evo population; Fits[i] == nil means not yet
-	// evaluated (elites carry their fitness across generations).
+	// Pop/Fits are the population; Fits[i] == nil means not yet evaluated
+	// (elites carry their fitness across generations).
 	Pop  []Genome
 	Fits []*Fitness
-	// Cur/CurFit/GeneCursor/Improved are the coord cursor state.
-	Cur        Genome
-	CurFit     *Fitness
-	GeneCursor int
-	Improved   bool
 
 	Best     Genome
 	BestFit  Fitness
@@ -230,26 +205,18 @@ type Search struct {
 // NewSearch initializes a fresh search over an evaluator built for the same
 // spec suite.
 func NewSearch(spec Spec, ev *Evaluator) *Search {
-	s := &Search{Spec: spec, ev: ev}
-	switch spec.Strategy {
-	case StrategyEvo:
-		s.Pop = make([]Genome, spec.Pop)
-		s.Fits = make([]*Fitness, spec.Pop)
-		// Individual 0 is the paper default — the search must never lose to
-		// it — and the rest scatter uniformly over the box, each from its own
-		// derived stream.
-		s.Pop[0] = DefaultGenome()
-		for i := 1; i < spec.Pop; i++ {
-			s.Pop[i] = randomGenome(rngFor(spec.Seed, 0, i))
-		}
-	case StrategyCoord:
-		s.Cur = DefaultGenome()
+	s := &Search{Spec: spec, ev: ev, Pop: make([]Genome, spec.Pop), Fits: make([]*Fitness, spec.Pop)}
+	// Individual 0 is the paper default — the search must never lose to it —
+	// and the rest scatter uniformly over the box, each from its own derived
+	// stream.
+	s.Pop[0] = DefaultGenome()
+	for i := 1; i < spec.Pop; i++ {
+		s.Pop[i] = randomGenome(rngFor(spec.Seed, 0, i))
 	}
 	return s
 }
 
-// Step runs one unit of search (a generation or a gene move) and reports
-// whether the search is complete.
+// Step runs one generation and reports whether the search is complete.
 func (s *Search) Step() (bool, error) {
 	if s.Done {
 		return true, nil
@@ -258,16 +225,7 @@ func (s *Search) Step() (bool, error) {
 		s.Done = true
 		return true, nil
 	}
-	var err error
-	switch s.Spec.Strategy {
-	case StrategyEvo:
-		err = s.stepEvo()
-	case StrategyCoord:
-		err = s.stepCoord()
-	default:
-		err = fmt.Errorf("evolve: unknown strategy %q", s.Spec.Strategy)
-	}
-	if err != nil {
+	if err := s.step(); err != nil {
 		return false, err
 	}
 	return s.Done, nil
@@ -321,8 +279,8 @@ func (s *Search) noteBest(g Genome, f Fitness) {
 	}
 }
 
-// stepEvo evaluates the current population and breeds the next one.
-func (s *Search) stepEvo() error {
+// step evaluates the current population and breeds the next one.
+func (s *Search) step() error {
 	// Evaluate every slot that doesn't carry fitness from the previous
 	// generation. Budget counts slots, not cache misses, so accounting is a
 	// pure function of the trajectory (resume-exact).
@@ -392,105 +350,6 @@ func (s *Search) stepEvo() error {
 	return nil
 }
 
-// geneCandidates builds the coord candidate list for one gene: an even grid
-// of Pop points across its range plus the current value and the paper
-// default, deduplicated in value order, each clamped so only this gene
-// moves (the medium/tiny ordering is preserved by clamping, not swapping).
-func (s *Search) geneCandidates(gene int) []Genome {
-	d := Genes[gene]
-	vals := []float64{s.Cur[gene], d.Default}
-	steps := s.Spec.Pop
-	for k := 0; k < steps; k++ {
-		v := d.Min + (d.Max-d.Min)*float64(k)/float64(steps-1)
-		vals = append(vals, v)
-	}
-	var out []Genome
-	seen := map[float64]bool{}
-	sort.Float64s(vals)
-	for _, v := range vals {
-		if d.Integer {
-			v = float64(int64(v + 0.5))
-		}
-		// Clamp into the ordering constraint instead of letting repair swap
-		// genes: a coord move must change exactly one coordinate.
-		if gene == GeneMedium && v > s.Cur[GeneTiny] {
-			v = s.Cur[GeneTiny]
-		}
-		if gene == GeneTiny && v < s.Cur[GeneMedium] {
-			v = s.Cur[GeneMedium]
-		}
-		if v < d.Min {
-			v = d.Min
-		}
-		if v > d.Max {
-			v = d.Max
-		}
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		g := s.Cur
-		g[gene] = v
-		out = append(out, g)
-	}
-	return out
-}
-
-// stepCoord evaluates one gene's candidate grid and moves the cursor.
-func (s *Search) stepCoord() error {
-	if s.CurFit == nil {
-		f, err := s.ev.Evaluate(s.Cur)
-		if err != nil {
-			return err
-		}
-		s.CurFit = &f
-		s.Evals++
-		s.Log = append(s.Log, logLine("pass=0 gene=start", 0, s.Cur, f))
-		s.noteBest(s.Cur, f)
-		return nil
-	}
-
-	gene := s.GeneCursor
-	cands := s.geneCandidates(gene)
-	fits, err := s.ev.EvaluateAll(cands)
-	if err != nil {
-		return err
-	}
-	step := fmt.Sprintf("pass=%d gene=%s", s.Gen, Genes[gene].Key)
-	bestIdx := -1
-	for i, g := range cands {
-		s.Evals++
-		s.Log = append(s.Log, logLine(step, i, g, fits[i]))
-		s.noteBest(g, fits[i])
-		if bestIdx < 0 || better(g, fits[i], cands[bestIdx], fits[bestIdx]) {
-			bestIdx = i
-		}
-	}
-	// Move only on strict improvement; ties keep the incumbent, so a flat
-	// gene never causes drift.
-	if fits[bestIdx].Score < s.CurFit.Score {
-		s.Cur = cands[bestIdx]
-		f := fits[bestIdx]
-		s.CurFit = &f
-		s.Improved = true
-	}
-
-	s.GeneCursor++
-	if s.GeneCursor >= NumGenes {
-		s.GeneCursor = 0
-		s.Gen++
-		improved := s.Improved
-		s.Improved = false
-		if s.Gen >= s.Spec.Gens || !improved {
-			s.Done = true
-		}
-	}
-	if s.Spec.Budget > 0 && s.Evals >= s.Spec.Budget {
-		s.Done = true
-	}
-	return nil
-}
-
 // --- checkpointing ---
 
 // searchStateKind is the snap envelope kind for search checkpoints.
@@ -501,35 +360,27 @@ const searchStateKind = "evolve-search"
 // floats survive encoding/json exactly, so a resumed search is
 // bit-identical to an uninterrupted one.
 type searchState struct {
-	Spec       string     `json:"spec"`
-	Gen        int        `json:"gen"`
-	Pop        []string   `json:"pop,omitempty"`
-	Fits       []*Fitness `json:"fits,omitempty"`
-	Cur        string     `json:"cur,omitempty"`
-	CurFit     *Fitness   `json:"cur_fit,omitempty"`
-	GeneCursor int        `json:"gene_cursor"`
-	Improved   bool       `json:"improved"`
-	Best       string     `json:"best,omitempty"`
-	BestFit    Fitness    `json:"best_fit"`
-	HaveBest   bool       `json:"have_best"`
-	Log        []string   `json:"log,omitempty"`
-	Evals      int        `json:"evals"`
-	Done       bool       `json:"done"`
+	Spec     string     `json:"spec"`
+	Gen      int        `json:"gen"`
+	Pop      []string   `json:"pop,omitempty"`
+	Fits     []*Fitness `json:"fits,omitempty"`
+	Best     string     `json:"best,omitempty"`
+	BestFit  Fitness    `json:"best_fit"`
+	HaveBest bool       `json:"have_best"`
+	Log      []string   `json:"log,omitempty"`
+	Evals    int        `json:"evals"`
+	Done     bool       `json:"done"`
 }
 
 // Checkpoint serializes the complete search state into a snap envelope.
 func (s *Search) Checkpoint(w *bytes.Buffer) error {
 	st := searchState{
 		Spec: s.Spec.String(), Gen: s.Gen, Fits: s.Fits,
-		CurFit: s.CurFit, GeneCursor: s.GeneCursor, Improved: s.Improved,
 		BestFit: s.BestFit, HaveBest: s.haveBest,
 		Log: s.Log, Evals: s.Evals, Done: s.Done,
 	}
 	for _, g := range s.Pop {
 		st.Pop = append(st.Pop, g.String())
-	}
-	if s.Spec.Strategy == StrategyCoord {
-		st.Cur = s.Cur.String()
 	}
 	if s.haveBest {
 		st.Best = s.Best.String()
@@ -558,7 +409,6 @@ func LoadSearch(data []byte, spec Spec, ev *Evaluator) (*Search, error) {
 	}
 	s := &Search{
 		Spec: spec, ev: ev, Gen: st.Gen, Fits: st.Fits,
-		CurFit: st.CurFit, GeneCursor: st.GeneCursor, Improved: st.Improved,
 		BestFit: st.BestFit, haveBest: st.HaveBest,
 		Log: st.Log, Evals: st.Evals, Done: st.Done,
 	}
@@ -568,11 +418,6 @@ func LoadSearch(data []byte, spec Spec, ev *Evaluator) (*Search, error) {
 			return nil, fmt.Errorf("evolve: checkpoint population: %w", err)
 		}
 		s.Pop = append(s.Pop, g)
-	}
-	if st.Cur != "" {
-		if s.Cur, err = ParseGenomeSpec(st.Cur); err != nil {
-			return nil, fmt.Errorf("evolve: checkpoint cursor: %w", err)
-		}
 	}
 	if st.Best != "" {
 		if s.Best, err = ParseGenomeSpec(st.Best); err != nil {

@@ -14,19 +14,13 @@ import (
 // real queueing, small enough that a full search runs in seconds.
 const testScale = 0.02
 
-func testSpec(strategy string) Spec {
+func testSpec() Spec {
 	s := DefaultSpec()
-	s.Strategy = strategy
 	s.Seed = 7
 	s.Pop = 4
 	s.Gens = 2
 	s.Worlds = []string{"philly"}
 	s.ChaosMults = []float64{0}
-	if strategy == StrategyCoord {
-		// Coord visits ~pop candidates per gene; a small budget keeps the
-		// test short while still crossing several step boundaries.
-		s.Budget = 10
-	}
 	return s
 }
 
@@ -57,9 +51,8 @@ func fingerprint(s *Search) string {
 func TestSpecRoundTrip(t *testing.T) {
 	specs := []Spec{
 		DefaultSpec(),
-		testSpec(StrategyEvo),
-		testSpec(StrategyCoord),
-		{Strategy: StrategyCoord, Seed: 18446744073709551615, Pop: 3, Gens: 9,
+		testSpec(),
+		{Seed: 18446744073709551615, Pop: 3, Gens: 9,
 			Budget: 77, Worlds: []string{"saturn", "venus"}, ChaosMults: []float64{0, 0.5, 16}},
 	}
 	for _, s := range specs {
@@ -78,7 +71,7 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestParseSpecRejects(t *testing.T) {
 	cases := []struct{ text, wantSub string }{
-		{"strategy=magic", "unknown strategy"},
+		{"strategy=evo", "unknown key"},
 		{"pop=1", "pop"},
 		{"gens=0", "gens"},
 		{"budget=-1", "budget"},
@@ -99,21 +92,19 @@ func TestParseSpecRejects(t *testing.T) {
 // best genome and fitness log across independent runs (fresh evaluators —
 // the memo cache must be a pure optimization).
 func TestSearchDeterministic(t *testing.T) {
-	for _, strat := range []string{StrategyEvo, StrategyCoord} {
-		t.Run(strat, func(t *testing.T) {
-			spec := testSpec(strat)
-			a, b := runSearch(t, spec), runSearch(t, spec)
-			if fingerprint(a) != fingerprint(b) {
-				t.Fatalf("same seed diverged:\n--- run A ---\n%s\n--- run B ---\n%s", fingerprint(a), fingerprint(b))
-			}
-			if a.Evals != b.Evals {
-				t.Fatalf("eval counts diverged: %d vs %d", a.Evals, b.Evals)
-			}
-		})
-	}
+	t.Run("evo", func(t *testing.T) {
+		spec := testSpec()
+		a, b := runSearch(t, spec), runSearch(t, spec)
+		if fingerprint(a) != fingerprint(b) {
+			t.Fatalf("same seed diverged:\n--- run A ---\n%s\n--- run B ---\n%s", fingerprint(a), fingerprint(b))
+		}
+		if a.Evals != b.Evals {
+			t.Fatalf("eval counts diverged: %d vs %d", a.Evals, b.Evals)
+		}
+	})
 	// Different seeds must actually move the search (guards against the RNG
 	// being ignored).
-	specA, specB := testSpec(StrategyEvo), testSpec(StrategyEvo)
+	specA, specB := testSpec(), testSpec()
 	specB.Seed = 8
 	if fingerprint(runSearch(t, specA)) == fingerprint(runSearch(t, specB)) {
 		t.Fatal("different seeds produced identical trajectories")
@@ -124,7 +115,7 @@ func TestSearchDeterministic(t *testing.T) {
 // pool must not perturb a single bit of the log or winner.
 func TestSerialVsParallelIdentical(t *testing.T) {
 	defer lab.SetParallelism(0)
-	spec := testSpec(StrategyEvo)
+	spec := testSpec()
 
 	lab.SetParallelism(1)
 	serial := runSearch(t, spec)
@@ -141,60 +132,58 @@ func TestSerialVsParallelIdentical(t *testing.T) {
 // fresh evaluator — no warm cache) must finish with a byte-identical final
 // checkpoint to the uninterrupted run.
 func TestSnapshotResume(t *testing.T) {
-	for _, strat := range []string{StrategyEvo, StrategyCoord} {
-		t.Run(strat, func(t *testing.T) {
-			spec := testSpec(strat)
+	t.Run("evo", func(t *testing.T) {
+		spec := testSpec()
 
-			// Uninterrupted run, capturing the checkpoint after every step.
-			full := NewSearch(spec, newTestEvaluator(t, spec))
-			var mid []byte
-			steps := 0
-			for {
-				done, err := full.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				steps++
-				if steps == 1 {
-					var buf bytes.Buffer
-					if err := full.Checkpoint(&buf); err != nil {
-						t.Fatal(err)
-					}
-					mid = buf.Bytes()
-				}
-				if done {
-					break
-				}
-			}
-			if steps < 2 {
-				t.Fatalf("search finished in %d step(s); resume not exercised", steps)
-			}
-
-			resumed, err := LoadSearch(mid, spec, newTestEvaluator(t, spec))
+		// Uninterrupted run, capturing the checkpoint after every step.
+		full := NewSearch(spec, newTestEvaluator(t, spec))
+		var mid []byte
+		steps := 0
+		for {
+			done, err := full.Step()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := resumed.Run(""); err != nil {
-				t.Fatal(err)
+			steps++
+			if steps == 1 {
+				var buf bytes.Buffer
+				if err := full.Checkpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+				mid = buf.Bytes()
 			}
+			if done {
+				break
+			}
+		}
+		if steps < 2 {
+			t.Fatalf("search finished in %d step(s); resume not exercised", steps)
+		}
 
-			var wantBuf, gotBuf bytes.Buffer
-			if err := full.Checkpoint(&wantBuf); err != nil {
-				t.Fatal(err)
-			}
-			if err := resumed.Checkpoint(&gotBuf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
-				t.Fatalf("resumed run's final checkpoint diverged from uninterrupted run\nfull:    %s\nresumed: %s",
-					fingerprint(full), fingerprint(resumed))
-			}
-		})
-	}
+		resumed, err := LoadSearch(mid, spec, newTestEvaluator(t, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Run(""); err != nil {
+			t.Fatal(err)
+		}
+
+		var wantBuf, gotBuf bytes.Buffer
+		if err := full.Checkpoint(&wantBuf); err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Checkpoint(&gotBuf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
+			t.Fatalf("resumed run's final checkpoint diverged from uninterrupted run\nfull:    %s\nresumed: %s",
+				fingerprint(full), fingerprint(resumed))
+		}
+	})
 }
 
 func TestLoadSearchRejectsMismatchedSpec(t *testing.T) {
-	spec := testSpec(StrategyCoord)
+	spec := testSpec()
 	ev := newTestEvaluator(t, spec)
 	s := NewSearch(spec, ev)
 	if _, err := s.Step(); err != nil {

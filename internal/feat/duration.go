@@ -229,7 +229,7 @@ func (f *DurationFeaturizer) clusterNames(bases []string, count []float64) []int
 	}
 	// A low preference (the minimum similarity) biases toward coarse
 	// buckets: recurring name families collapse onto one exemplar.
-	assign := affprop.Cluster(sim, affprop.Params{Preference: minSim, HasPref: true})
+	assign := affprop.Cluster(sim, minSim)
 	// Exemplar list in first-seen order; bucket id = exemplar rank.
 	exIdx := map[int]int{}
 	var exemplars []int32

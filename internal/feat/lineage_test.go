@@ -91,7 +91,7 @@ func oracleFit(history []*job.Job, includeProfile bool) *DurationFeaturizer {
 			}
 		}
 	}
-	assign := affprop.Cluster(sim, affprop.Params{Preference: minSim, HasPref: true})
+	assign := affprop.Cluster(sim, minSim)
 	exIdx := map[int]int{}
 	for _, e := range assign {
 		if _, ok := exIdx[e]; !ok {

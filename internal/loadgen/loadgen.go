@@ -147,18 +147,19 @@ type Options struct {
 	// to stop workers after a mid-run drain).
 	Stop <-chan struct{}
 
-	// RetryAfterCap bounds how long a worker honors a server's Retry-After
+	// The seams below are set only by this package's tests.
+
+	// dialContext, when non-nil, replaces the network dialer in BaseURL
+	// mode. The connection-reuse regression test counts physical dials
+	// through it.
+	dialContext func(ctx context.Context, network, addr string) (net.Conn, error)
+	// retryAfterCap bounds how long a worker honors a server's Retry-After
 	// hint (backpressure 429s, drain-gate 503s) before resuming its stream.
 	// The server advertises whole seconds; a saturation harness that slept
-	// the full hint would measure its own sleeping, so the default cap is
-	// 50ms — long enough to let an overloaded shard drain, short enough to
-	// keep probing it. 0 selects the default; negative disables the backoff.
-	RetryAfterCap time.Duration
-
-	// DialContext, when non-nil, replaces the network dialer in BaseURL
-	// mode. The connection-reuse regression test counts physical dials
-	// through it; production runs leave it nil.
-	DialContext func(ctx context.Context, network, addr string) (net.Conn, error)
+	// the full hint would measure its own sleeping, so the cap is 50ms —
+	// long enough to let an overloaded shard drain, short enough to keep
+	// probing it. Only this package's tests set another (0 selects 50ms).
+	retryAfterCap time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -177,8 +178,8 @@ func (o Options) withDefaults() Options {
 	if o.OpsPerWorker <= 0 && o.Duration <= 0 {
 		o.Duration = 5 * time.Second
 	}
-	if o.RetryAfterCap == 0 {
-		o.RetryAfterCap = 50 * time.Millisecond
+	if o.retryAfterCap == 0 {
+		o.retryAfterCap = 50 * time.Millisecond
 	}
 	return o
 }
@@ -260,8 +261,8 @@ func Run(opts Options) (*Result, error) {
 			// Tiny JSON bodies never win from gzip; skip the negotiation.
 			DisableCompression: true,
 		}
-		if opts.DialContext != nil {
-			tr.DialContext = opts.DialContext
+		if opts.dialContext != nil {
+			tr.DialContext = opts.dialContext
 		}
 		tgt = &httpTarget{base: strings.TrimRight(opts.BaseURL, "/"), client: &http.Client{
 			Timeout:   30 * time.Second,
@@ -470,16 +471,14 @@ func (w *worker) issue(op, method, path, body string, wantBody bool) (int, []byt
 	return status, resp, err
 }
 
-// backoff honors a server Retry-After hint, capped by RetryAfterCap and cut
+// backoff honors a server Retry-After hint, capped by retryAfterCap and cut
 // short by Stop. No hint (0) means no sleep — a refusal without guidance
 // should not slow the deterministic op stream.
 func (w *worker) backoff(hint time.Duration) {
-	if hint <= 0 || w.opts.RetryAfterCap < 0 {
+	if hint <= 0 {
 		return
 	}
-	if hint > w.opts.RetryAfterCap {
-		hint = w.opts.RetryAfterCap
-	}
+	hint = min(hint, w.opts.retryAfterCap)
 	if w.opts.Stop != nil {
 		select {
 		case <-w.opts.Stop:

@@ -149,10 +149,10 @@ func TestRejectedClassification(t *testing.T) {
 		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusTooManyRequests)
 	})
-	// RetryAfterCap 1ns: the hint is honored (code path runs) without the
+	// retryAfterCap 1ns: the hint is honored (code path runs) without the
 	// test spending wall-clock sleeping.
 	res, err = Run(Options{Handler: h429, Workers: 2, OpsPerWorker: 50, Seed: 1,
-		RetryAfterCap: 1})
+		retryAfterCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRetryAfterBackoffHonored(t *testing.T) {
 	})
 	start := time.Now()
 	if _, err := Run(Options{Handler: withHint, Workers: 1, OpsPerWorker: 5, Seed: 1,
-		RetryAfterCap: 20 * time.Millisecond}); err != nil {
+		retryAfterCap: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	if got := time.Since(start); got < 5*20*time.Millisecond {
@@ -182,7 +182,7 @@ func TestRetryAfterBackoffHonored(t *testing.T) {
 	})
 	start = time.Now()
 	if _, err := Run(Options{Handler: noHint, Workers: 1, OpsPerWorker: 5, Seed: 1,
-		RetryAfterCap: time.Second}); err != nil {
+		retryAfterCap: time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	if got := time.Since(start); got > 500*time.Millisecond {
@@ -203,7 +203,7 @@ func TestNetworkModeReusesConnections(t *testing.T) {
 	res, err := Run(Options{
 		BaseURL: srv.URL, Workers: workers, OpsPerWorker: ops, Seed: 3,
 		Agents: 16, VCs: 4,
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			atomic.AddInt64(&dials, 1)
 			return (&net.Dialer{}).DialContext(ctx, network, addr)
 		},

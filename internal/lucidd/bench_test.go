@@ -147,7 +147,7 @@ func ingestOp(rng *rand.Rand, i, jobs, agents, vcs int) (path, body string) {
 func preload(b *testing.B, s *Server, jobs, agents, vcs int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	now := s.opts.Clock()
+	now := s.opts.clock()
 	apply := func(op walOp) {
 		sh := s.shardFor(op.VC)
 		sh.mu.Lock()
@@ -281,7 +281,7 @@ func BenchmarkRecoverWorstCase(b *testing.B) {
 		b.Fatal(err)
 	}
 	preload(b, s, jobs, agents, vcs)
-	now := s.opts.Clock()
+	now := s.opts.clock()
 	var records, walBytes, snapBytes int64
 	for _, sh := range s.shards {
 		if sh.nAgents.Load() == 0 {

@@ -42,7 +42,7 @@ func compactions(s *Server) int { return int(s.met.compacts.Value()) }
 // nothing else, every fsync runs without the shard mutex, and in sync mode
 // telemetry reaches the disk once per SyncEvery records.
 func TestAppendTimerHoldsNoFsync(t *testing.T) {
-	s, err := NewServerWith(Options{StateDir: t.TempDir(), Clock: parityClock()})
+	s, err := NewServerWith(Options{StateDir: t.TempDir(), clock: parityClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAppendTimerHoldsNoFsync(t *testing.T) {
 func TestFlushMeansDurable(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async-%v", async), func(t *testing.T) {
-			opts := Options{Shards: 4, StateDir: t.TempDir(), EnableChaos: true, Clock: parityClock()}
+			opts := Options{Shards: 4, StateDir: t.TempDir(), EnableChaos: true, clock: parityClock()}
 			if async {
 				opts.IngestQueue = 1024
 			}
@@ -387,7 +387,7 @@ func ratioOp(t *testing.T, s *Server, rng *rand.Rand, i int) {
 func TestCompactionByRatio(t *testing.T) {
 	const ops, floor = 900, 16
 	open := func(dir string) *Server {
-		s, err := NewServerWith(Options{StateDir: dir, CompactEvery: floor, Clock: parityClock()})
+		s, err := NewServerWith(Options{StateDir: dir, compactEvery: floor, clock: parityClock()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +453,7 @@ func TestCompactionByRatio(t *testing.T) {
 // Flushes taken one shard after another would leave the last shard's tail
 // unsynced for as long as the first is wedged.
 func TestBarriersOverlapAcrossShards(t *testing.T) {
-	s, err := NewServerWith(Options{Shards: 4, StateDir: t.TempDir(), IngestQueue: 64, Clock: parityClock()})
+	s, err := NewServerWith(Options{Shards: 4, StateDir: t.TempDir(), IngestQueue: 64, clock: parityClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestBarriersOverlapAcrossShards(t *testing.T) {
 // down serves what the live server serves.
 func TestCompactionInsideOneHold(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{StateDir: dir, CompactEvery: 4, IngestQueue: 64, Clock: parityClock()}
+	opts := Options{StateDir: dir, compactEvery: 4, IngestQueue: 64, clock: parityClock()}
 	s, err := NewServerWith(opts)
 	if err != nil {
 		t.Fatal(err)

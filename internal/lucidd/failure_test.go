@@ -67,7 +67,7 @@ func TestMalformedBodiesRejected(t *testing.T) {
 
 func TestAgentHeartbeatAndStaleEviction(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
-	s := newHardenedServer(t, Options{AgentStaleAfter: 60 * time.Second, Clock: clk.Now})
+	s := newHardenedServer(t, Options{AgentStaleAfter: 60 * time.Second, clock: clk.Now})
 
 	for _, body := range []string{
 		`{"name":"agent-0","node":0}`,

@@ -152,10 +152,10 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 			// log on top of it — the recovery shape the tiny floor is here for.
 			snapshots, snapAndReplay := 0, 0
 			open := func() *Server {
-				// CompactEvery 40 is the floor; past the first snapshot a shard
+				// compactEvery 40 is the floor; past the first snapshot a shard
 				// compacts again when its log is also twice that snapshot.
-				opts := Options{Shards: v.shards, EnableChaos: true, Clock: parityClock(),
-					StateDir: dir, CompactEvery: 40}
+				opts := Options{Shards: v.shards, EnableChaos: true, clock: parityClock(),
+					StateDir: dir, compactEvery: 40}
 				if v.async {
 					opts.IngestQueue = 4096
 				}

@@ -108,7 +108,7 @@ func (sh *shard) takeLocked(max int) (ops []walOp, left int) {
 // the shard no longer holds, can only be counted.
 func (sh *shard) drain(max int) (left int) {
 	met := sh.srv.met
-	now := sh.srv.opts.Clock()
+	now := sh.srv.opts.clock()
 	sh.mu.Lock()
 	ops, left := sh.takeLocked(max)
 	events, failed, dropped := sh.applyOpsLocked(ops, now, nil)

@@ -18,7 +18,7 @@ import (
 func asyncServer(t *testing.T, shards, queue int) *Server {
 	t.Helper()
 	s, err := NewServerWith(Options{Shards: shards, EnableChaos: true,
-		IngestQueue: queue, Clock: parityClock()})
+		IngestQueue: queue, clock: parityClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestAgentListDeterministicTieBreak(t *testing.T) {
 func TestAckOrderUnderConcurrentTakers(t *testing.T) {
 	const n, vc = 10000, "vc-0"
 	async := asyncServer(t, 4, 1024)
-	ref, err := NewServerWith(Options{Shards: 4, Clock: parityClock()})
+	ref, err := NewServerWith(Options{Shards: 4, clock: parityClock()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,10 +58,9 @@ type serverMetrics struct {
 	shardAgents *metrics.GaugeVec // lucidd_shard_agents{shard}
 }
 
-// latencyBuckets spans 10µs–~80s: local WAL fsyncs sit at the bottom,
-// chaos-delayed or drain-blocked requests at the top.
-func latencyBuckets() []float64 { return metrics.ExpBuckets(1e-5, 2, 24) }
-
+// newServerMetrics builds the server's registry. Every histogram takes the
+// registry's default buckets (nil), 10µs–~80s: local WAL fsyncs sit at the
+// bottom, chaos-delayed or drain-blocked requests at the top.
 func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 	reg := metrics.New()
 	reg.SetClock(clock)
@@ -71,16 +70,16 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 			"HTTP requests by endpoint, method and status code.",
 			"path", "method", "code"),
 		httpLatency: reg.HistogramVec("lucidd_http_request_seconds",
-			"HTTP request latency by endpoint.", latencyBuckets(), "path"),
+			"HTTP request latency by endpoint.", nil, "path"),
 		walAppend: reg.Histogram("lucidd_wal_append_seconds",
 			"WAL write() latency: one write() of a hold's records under the shard mutex (one per hold, more past 64 KiB), never an fsync.",
-			latencyBuckets()),
+			nil),
 		walFsync: reg.Histogram("lucidd_wal_fsync_seconds",
-			"WAL fsync latency (issued at a commit point, outside the shard mutex).", latencyBuckets()),
+			"WAL fsync latency (issued at a commit point, outside the shard mutex).", nil),
 		walUnsynced: reg.Gauge("lucidd_wal_unsynced_records",
 			"WAL records appended and not yet covered by an fsync, summed across shards."),
 		snapshot: reg.Histogram("lucidd_snapshot_seconds",
-			"Snapshot write + WAL reset (compaction) duration.", latencyBuckets()),
+			"Snapshot write + WAL reset (compaction) duration.", nil),
 		compacts: reg.Counter("lucidd_compactions_total",
 			"Snapshot compactions performed."),
 		ingestApplied: reg.Counter("lucidd_ingest_applied_total",
@@ -102,10 +101,10 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 			"Queued telemetry ops per shard ingest queue.", "shard"),
 		readBarrier: reg.HistogramVec("lucidd_read_barrier_seconds",
 			"List read: flush of the covered shards (acknowledged ops applied and fsynced).",
-			latencyBuckets(), "path"),
+			nil, "path"),
 		readCompose: reg.HistogramVec("lucidd_read_compose_seconds",
 			"List read after the barrier: per-shard copy-out, merge and body write.",
-			latencyBuckets(), "path"),
+			nil, "path"),
 		recRecords: reg.Gauge("lucidd_recovered_wal_records",
 			"WAL records replayed at boot, summed across shards."),
 		recTorn: reg.Gauge("lucidd_recovered_torn_bytes",

@@ -139,11 +139,6 @@ type Options struct {
 	// <StateDir>/shard-<idx>/ and recovers independently. Empty means
 	// in-memory only.
 	StateDir string
-	// CompactEvery overrides the floor of the per-shard compaction rule: a
-	// WAL is compacted into a snapshot once it holds at least this many
-	// records and compactRatio × the last snapshot's bytes (tests use tiny
-	// values). 0 selects the default (1,024).
-	CompactEvery int64
 	// IngestQueue > 0 enables async telemetry ingest: POST /metrics samples
 	// and POST /agents heartbeats are acknowledged with 202 once they are on
 	// a per-shard queue of at most this many ops, which whoever next holds the
@@ -155,8 +150,16 @@ type Options struct {
 	// and answers 200 with the result. Either way the op goes through
 	// shard.applyOpsLocked.
 	IngestQueue int
-	// Clock substitutes time.Now so staleness tests are deterministic.
-	Clock func() time.Time
+
+	// The seams below are set only by this package's tests.
+
+	// clock substitutes time.Now so staleness tests are deterministic.
+	clock func() time.Time
+	// compactEvery overrides the floor of the per-shard compaction rule: a
+	// WAL is compacted into a snapshot once it holds at least this many
+	// records and compactRatio × the last snapshot's bytes (tests use tiny
+	// values). 0 selects the default (1,024).
+	compactEvery int64
 	// fs opens and installs the state files: snap.OS, or a test's faults.
 	fs snap.FS
 }
@@ -171,8 +174,8 @@ func (o Options) withDefaults() Options {
 	if o.AgentStaleAfter == 0 {
 		o.AgentStaleAfter = 90 * time.Second
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
+	if o.clock == nil {
+		o.clock = time.Now
 	}
 	if o.fs == nil {
 		o.fs = snap.OS
@@ -265,12 +268,12 @@ func NewServerWith(opts Options) (*Server, error) {
 		mux:      http.NewServeMux(),
 		rec:      rec,
 	}
-	s.met = newServerMetrics(opts.Clock, opts.Shards)
+	s.met = newServerMetrics(opts.clock, opts.Shards)
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
 		s.shards[i] = newShard(i, s)
 	}
-	s.started = s.opts.Clock()
+	s.started = s.opts.clock()
 	s.mux.HandleFunc("/jobs", s.handleJobs)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/schedule", s.handleSchedule)
@@ -615,7 +618,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // node, it just stops trusting silence. The sweep is strictly shard-local,
 // so one tenant's eviction storm never stalls another tenant's heartbeats.
 func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
-	now := s.opts.Clock()
+	now := s.opts.clock()
 	switch r.Method {
 	case http.MethodPost:
 		var req agentBody
@@ -808,7 +811,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	now := s.opts.Clock()
+	now := s.opts.clock()
 	out := struct {
 		Status    string  `json:"status"`
 		UptimeSec float64 `json:"uptime_sec"`

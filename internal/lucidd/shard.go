@@ -388,7 +388,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 // 200 → 712 µs.
 func (sh *shard) applyOne(op walOp) opResult {
 	var res [1]opResult
-	now := sh.srv.opts.Clock()
+	now := sh.srv.opts.clock()
 	sh.mu.Lock()
 	events, _, _ := sh.applyOpsLocked([]walOp{op}, now, res[:])
 	seq := sh.commitPointLocked()

@@ -106,7 +106,7 @@ func get(t *testing.T, s *Server, path string) string {
 // package under -race.
 func TestShardParity(t *testing.T) {
 	build := func(shards int, async bool, dir string) *Server {
-		opts := Options{Shards: shards, EnableChaos: true, Clock: parityClock(), StateDir: dir}
+		opts := Options{Shards: shards, EnableChaos: true, clock: parityClock(), StateDir: dir}
 		if async {
 			// Large enough that the sequential op stream can never trip
 			// backpressure (parityOps fails on any 429).
@@ -260,14 +260,14 @@ func TestSlowShardDoesNotBlockSibling(t *testing.T) {
 // aggregate summing them.
 func TestShardRecoveryEdgeCases(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewServerWith(Options{Shards: 2, StateDir: dir, CompactEvery: 3})
+	s1, err := NewServerWith(Options{Shards: 2, StateDir: dir, compactEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	vcA, vcB := twoVCsOnDistinctShards(t, s1)
 	shardA, shardB := s1.shardFor(vcA).idx, s1.shardFor(vcB).idx
 
-	// Shard A: four submits — crosses CompactEvery=3, so it has a snapshot
+	// Shard A: four submits — crosses compactEvery=3, so it has a snapshot
 	// and a short post-compaction WAL.
 	for i := 0; i < 4; i++ {
 		body := fmt.Sprintf(`{"name":"a-%d","vc":"%s","gpus":1}`, i, vcA)
@@ -300,7 +300,7 @@ func TestShardRecoveryEdgeCases(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := NewServerWith(Options{Shards: 2, StateDir: dir, CompactEvery: 3})
+	s2, err := NewServerWith(Options{Shards: 2, StateDir: dir, compactEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

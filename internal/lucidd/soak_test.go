@@ -50,7 +50,7 @@ func TestSoakShardedDrainRecover(t *testing.T) {
 	// the queue drains (drainers, flushes, the final flush on Shutdown)
 	// under -race, and lets real 429 backpressure land — which
 	// loadgen must classify as Rejected, never as an error.
-	srv, err := NewServerWith(Options{Shards: shards, StateDir: dir, CompactEvery: 32,
+	srv, err := NewServerWith(Options{Shards: shards, StateDir: dir, compactEvery: 32,
 		IngestQueue: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestSoakShardedDrainRecover(t *testing.T) {
 
 	// Reboot and audit the ledger: every acked job recovered, on every shard
 	// a clean (snapshot-only, zero-torn) recovery after the clean drain.
-	srv2, err := NewServerWith(Options{Shards: shards, StateDir: dir, CompactEvery: 32})
+	srv2, err := NewServerWith(Options{Shards: shards, StateDir: dir, compactEvery: 32})
 	if err != nil {
 		t.Fatalf("post-drain reboot: %v", err)
 	}

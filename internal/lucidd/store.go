@@ -65,7 +65,7 @@ const (
 	// than this many records is never worth a snapshot.
 	defaultCompactEvery = 1024
 	// compactRatio is k in the compaction rule: a shard is re-snapshotted, and
-	// its WAL reset, when the WAL holds at least CompactEvery records AND at
+	// its WAL reset, when the WAL holds at least compactEvery records AND at
 	// least k × the bytes of the shard's last snapshot envelope (0 before the
 	// first, so the first compaction fires on the floor alone). A fixed record
 	// count rewrites a large state as often as a small one; the ratio makes the
@@ -204,7 +204,7 @@ func (sh *shard) openStore(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("state dir: %w", err)
 	}
-	st := &store{dir: dir, compactEvery: sh.srv.opts.CompactEvery, snapTime: sh.srv.opts.Clock()}
+	st := &store{dir: dir, compactEvery: sh.srv.opts.compactEvery, snapTime: sh.srv.opts.clock()}
 	if st.compactEvery <= 0 {
 		st.compactEvery = defaultCompactEvery
 	}
@@ -385,7 +385,7 @@ func (sh *shard) compactLocked() error {
 	}
 	sh.logged = sh.logged[:0] // the snapshot holds them
 	sh.store.snapBytes = int64(buf.Len())
-	sh.store.snapTime = sh.srv.opts.Clock()
+	sh.store.snapTime = sh.srv.opts.clock()
 	sh.store.hadSnapshot = true
 	// The /statusz count and lucidd_compactions_total are bumped together,
 	// here only, so they cannot disagree.

@@ -20,7 +20,7 @@ import (
 // shared process-wide, so this is cheap after the first test.
 func durableServer(t *testing.T, dir string, compactEvery int64) *Server {
 	t.Helper()
-	s, err := NewServerWith(Options{StateDir: dir, CompactEvery: compactEvery, EnableChaos: true})
+	s, err := NewServerWith(Options{StateDir: dir, compactEvery: compactEvery, EnableChaos: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func crashCompaction(t *testing.T, k int) (acked, recovered string, calls []stri
 		}
 		return nil
 	}}
-	s, err := NewServerWith(Options{StateDir: dir, CompactEvery: 4, fs: fs})
+	s, err := NewServerWith(Options{StateDir: dir, compactEvery: 4, fs: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

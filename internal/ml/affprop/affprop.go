@@ -5,38 +5,25 @@
 // its nearest exemplar, with no need to choose the cluster count up front.
 package affprop
 
-// Params controls the message-passing loop.
-type Params struct {
-	Damping    float64 // responsibility/availability damping (default 0.7)
-	MaxIter    int     // iteration cap (default 200)
-	Stable     int     // stop after this many iterations without exemplar change (default 20)
-	Preference float64 // self-similarity; 0 means "use the median similarity"
-	HasPref    bool    // set true to honor Preference (0 is a legal value)
-}
-
-func (p Params) normalized() Params {
-	if p.Damping <= 0 || p.Damping >= 1 {
-		p.Damping = 0.7
-	}
-	if p.MaxIter <= 0 {
-		p.MaxIter = 200
-	}
-	if p.Stable <= 0 {
-		p.Stable = 20
-	}
-	return p
-}
+// The message-passing loop's constants.
+const (
+	damping = 0.7 // responsibility/availability damping
+	maxIter = 200 // iteration cap
+	stableN = 20  // stop after this many iterations without exemplar change
+)
 
 // Cluster runs affinity propagation over a dense similarity matrix
-// (s[i][j] = similarity of i to j; higher is more similar) and returns the
-// exemplar index assigned to each point. Points that end up their own
-// exemplar are cluster centers. An empty input yields an empty result.
+// (s[i][j] = similarity of i to j; higher is more similar) with every
+// point's self-similarity set to preference (higher gives more clusters),
+// and returns the exemplar index assigned to each point. Points that end up
+// their own exemplar are cluster centers. An empty input yields an empty
+// result.
 //
 // Every pass walks the matrices row by row. The responsibility pass also
 // sums each column's positive responsibilities (rows ascending, the order
 // the textbook column loop adds them in), and the availability pass picks
 // each row's exemplar as it goes.
-func Cluster(s [][]float64, p Params) []int {
+func Cluster(s [][]float64, preference float64) []int {
 	n := len(s)
 	if n == 0 {
 		return nil
@@ -44,17 +31,12 @@ func Cluster(s [][]float64, p Params) []int {
 	if n == 1 {
 		return []int{0}
 	}
-	p = p.normalized()
 
 	// Working copy with preferences on the diagonal.
-	pref := p.Preference
-	if !p.HasPref {
-		pref = medianOffDiagonal(s)
-	}
 	sim := newMatrix(n)
 	for i := range sim {
 		copy(sim[i], s[i])
-		sim[i][i] = pref
+		sim[i][i] = preference
 		// Degeneracy breaker (Frey & Dueck's standard fix): perfectly
 		// symmetric similarities make message passing oscillate between
 		// equally good exemplars. A tiny deterministic jitter removes the
@@ -71,10 +53,12 @@ func Cluster(s [][]float64, p Params) []int {
 	sumPos := make([]float64, n)
 	diag := make([]float64, n) // r[k][k] after the responsibility pass
 	cur, prev := make([]int, n), make([]int, n)
-	damp := p.Damping
+	// A variable, not the constant: 1-damp must be float64 arithmetic's
+	// 0.30000000000000004, not the exact 0.3 a constant expression gives.
+	damp := damping
 
 	stable := 0
-	for iter := 0; iter < p.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		clear(sumPos)
 		for i := 0; i < n; i++ {
 			// Rows resliced to n: the inner loops then run without bounds
@@ -143,7 +127,7 @@ func Cluster(s [][]float64, p Params) []int {
 
 		if iter > 0 && equal(cur, prev) {
 			stable++
-			if stable >= p.Stable {
+			if stable >= stableN {
 				return cur
 			}
 		} else {
@@ -163,38 +147,6 @@ func newMatrix(n int) [][]float64 {
 		m[i] = buf[i*n : (i+1)*n]
 	}
 	return m
-}
-
-func medianOffDiagonal(s [][]float64) float64 {
-	var vals []float64
-	for i := range s {
-		for j := range s[i] {
-			if i != j {
-				vals = append(vals, s[i][j])
-			}
-		}
-	}
-	if len(vals) == 0 {
-		return 0
-	}
-	// Insertion-sort-free selection: simple sort is fine at these sizes.
-	sortFloats(vals)
-	return vals[len(vals)/2]
-}
-
-func sortFloats(v []float64) {
-	// Shell sort: no dependency on package sort for a tiny helper, and
-	// stable behaviour on the small slices we feed it.
-	for gap := len(v) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(v); i++ {
-			t := v[i]
-			j := i
-			for ; j >= gap && v[j-gap] > t; j -= gap {
-				v[j] = v[j-gap]
-			}
-			v[j] = t
-		}
-	}
 }
 
 func equal(a, b []int) bool {

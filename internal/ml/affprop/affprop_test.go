@@ -2,11 +2,30 @@ package affprop
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/ml/textdist"
 	"repro/internal/xrand"
 )
+
+// median is the median off-diagonal similarity, Frey & Dueck's default
+// preference, which gives a moderate number of clusters.
+func median(s [][]float64) float64 {
+	var vals []float64
+	for i := range s {
+		for j := range s[i] {
+			if i != j {
+				vals = append(vals, s[i][j])
+			}
+		}
+	}
+	if len(vals) == 0 {
+		return 0
+	}
+	sort.Float64s(vals)
+	return vals[len(vals)/2]
+}
 
 // twoBlobSimilarity builds a similarity matrix with two obvious groups.
 func twoBlobSimilarity() [][]float64 {
@@ -25,7 +44,8 @@ func twoBlobSimilarity() [][]float64 {
 }
 
 func TestTwoBlobsTwoClusters(t *testing.T) {
-	assign := Cluster(twoBlobSimilarity(), Params{})
+	s := twoBlobSimilarity()
+	assign := Cluster(s, median(s))
 	if len(assign) != 6 {
 		t.Fatalf("assignment length %d", len(assign))
 	}
@@ -45,10 +65,10 @@ func TestTwoBlobsTwoClusters(t *testing.T) {
 }
 
 func TestDegenerateInputs(t *testing.T) {
-	if got := Cluster(nil, Params{}); got != nil {
+	if got := Cluster(nil, 0); got != nil {
 		t.Fatal("nil input should yield nil")
 	}
-	if got := Cluster([][]float64{{0}}, Params{}); len(got) != 1 || got[0] != 0 {
+	if got := Cluster([][]float64{{0}}, 0); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("single point: %v", got)
 	}
 }
@@ -68,7 +88,7 @@ func TestJobNameBucketization(t *testing.T) {
 			s[i][j] = textdist.Similarity(names[i], names[j])
 		}
 	}
-	assign := Cluster(s, Params{})
+	assign := Cluster(s, median(s))
 	if assign[0] != assign[1] || assign[1] != assign[2] {
 		t.Fatalf("resnet names split: %v", assign)
 	}
@@ -83,19 +103,20 @@ func TestJobNameBucketization(t *testing.T) {
 func TestPreferenceControlsGranularity(t *testing.T) {
 	s := twoBlobSimilarity()
 	// A very high preference makes every point its own exemplar.
-	fine := Cluster(s, Params{Preference: 10, HasPref: true})
+	fine := Cluster(s, 10)
 	if NumClusters(fine) != len(s) {
 		t.Fatalf("high preference should give singleton clusters, got %d", NumClusters(fine))
 	}
 	// A very low preference collapses everything.
-	coarse := Cluster(s, Params{Preference: -1e6, HasPref: true})
+	coarse := Cluster(s, -1e6)
 	if NumClusters(coarse) != 1 {
 		t.Fatalf("low preference should give one cluster, got %d", NumClusters(coarse))
 	}
 }
 
 func TestExemplarsAreSelfAssigned(t *testing.T) {
-	assign := Cluster(twoBlobSimilarity(), Params{})
+	s := twoBlobSimilarity()
+	assign := Cluster(s, median(s))
 	for i, e := range assign {
 		if assign[e] != e {
 			t.Fatalf("point %d assigned to non-exemplar %d (%v)", i, e, assign)
@@ -106,7 +127,7 @@ func TestExemplarsAreSelfAssigned(t *testing.T) {
 // clusterOracle is Cluster as first written: column-major availabilities, a
 // separate assignment pass and a fresh assignment slice per iteration. Cluster
 // must return exactly its result.
-func clusterOracle(s [][]float64, p Params) []int {
+func clusterOracle(s [][]float64, pref float64) []int {
 	n := len(s)
 	if n == 0 {
 		return nil
@@ -114,11 +135,7 @@ func clusterOracle(s [][]float64, p Params) []int {
 	if n == 1 {
 		return []int{0}
 	}
-	p = p.normalized()
-	pref := p.Preference
-	if !p.HasPref {
-		pref = medianOffDiagonal(s)
-	}
+	damp := damping
 	sim := make([][]float64, n)
 	for i := range sim {
 		sim[i] = make([]float64, n)
@@ -155,7 +172,7 @@ func clusterOracle(s [][]float64, p Params) []int {
 	}
 	var prev []int
 	stable := 0
-	for iter := 0; iter < p.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		for i := 0; i < n; i++ {
 			max1, max2 := negInf, negInf
 			arg1 := -1
@@ -174,7 +191,7 @@ func clusterOracle(s [][]float64, p Params) []int {
 					cmp = max2
 				}
 				nv := sim[i][k] - cmp
-				r[i][k] = p.Damping*r[i][k] + (1-p.Damping)*nv
+				r[i][k] = damp*r[i][k] + (1-damp)*nv
 			}
 		}
 		for k := 0; k < n; k++ {
@@ -198,13 +215,13 @@ func clusterOracle(s [][]float64, p Params) []int {
 					}
 					nv = v
 				}
-				a[i][k] = p.Damping*a[i][k] + (1-p.Damping)*nv
+				a[i][k] = damp*a[i][k] + (1-damp)*nv
 			}
 		}
 		cur := assign()
 		if prev != nil && equal(cur, prev) {
 			stable++
-			if stable >= p.Stable {
+			if stable >= stableN {
 				return cur
 			}
 		} else {
@@ -219,8 +236,8 @@ func clusterOracle(s [][]float64, p Params) []int {
 // random similarity matrices whose entries come from five values (symmetric
 // at even sizes, as the name buckets' are) and on constant ones, where only
 // the jitter separates the entries, so ties are everywhere. It runs under
-// the median preference, a low and a high set preference (the latter makes
-// self-responsibilities positive) and capped iteration counts.
+// the median preference and a low and a high set preference (the latter
+// makes self-responsibilities positive).
 func TestClusterMatchesOracle(t *testing.T) {
 	rng := xrand.New(5)
 	sizes := []int{2, 3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 150, 160}
@@ -241,16 +258,10 @@ func TestClusterMatchesOracle(t *testing.T) {
 			random[i][i], constant[i][i] = 1, 1
 		}
 		for _, s := range [][][]float64{random, constant} {
-			for _, p := range []Params{
-				{},
-				{Preference: 0.25, HasPref: true},
-				{Preference: 2, HasPref: true},
-				{Preference: -1, HasPref: true, MaxIter: 7},
-				{MaxIter: 1},
-			} {
+			for _, p := range []float64{median(s), 0.25, 2, -1} {
 				got, want := Cluster(s, p), clusterOracle(s, p)
 				if !equal(got, want) {
-					t.Fatalf("n=%d %+v: Cluster = %v, oracle = %v", n, p, got, want)
+					t.Fatalf("n=%d preference %g: Cluster = %v, oracle = %v", n, p, got, want)
 				}
 			}
 		}
@@ -279,6 +290,6 @@ func BenchmarkCluster(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Cluster(s, Params{Preference: minSim, HasPref: true})
+		Cluster(s, minSim)
 	}
 }

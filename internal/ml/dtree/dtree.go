@@ -19,7 +19,6 @@ import (
 type Params struct {
 	MaxDepth       int // 0 means unlimited
 	MinSamplesLeaf int // minimum rows per leaf (≥1)
-	MinSamplesplit int // minimum rows to attempt a split (≥2)
 
 	// MaxFeatures, when >0, samples that many candidate features per split
 	// (random-forest style). Requires RNG.
@@ -30,9 +29,6 @@ type Params struct {
 func (p Params) normalized() Params {
 	if p.MinSamplesLeaf < 1 {
 		p.MinSamplesLeaf = 1
-	}
-	if p.MinSamplesplit < 2 {
-		p.MinSamplesplit = 2
 	}
 	return p
 }

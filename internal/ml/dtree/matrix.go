@@ -165,7 +165,7 @@ func (g *grower) leaf(lo, hi int) *node {
 
 func (g *grower) build(lo, hi, depth int) *node {
 	n := g.leaf(lo, hi)
-	if hi-lo < g.p.MinSamplesplit || n.impurity == 0 {
+	if hi-lo < 2 || n.impurity == 0 {
 		return n
 	}
 	if g.p.MaxDepth > 0 && depth >= g.p.MaxDepth {

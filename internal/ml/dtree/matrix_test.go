@@ -67,7 +67,6 @@ func randomParams(rng *xrand.RNG, n, d int) Params {
 	return Params{
 		MaxDepth:       pick(0, 0, 1, 2, 3, 6),
 		MinSamplesLeaf: pick(0, 1, 1, 2, 5, n/2, n),
-		MinSamplesplit: pick(0, 2, 3, 10, n, n+1),
 		MaxFeatures:    pick(0, 0, 1, d, d+1),
 	}
 }

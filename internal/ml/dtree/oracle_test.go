@@ -57,7 +57,7 @@ func (b *oracleBuilder) leaf(idx []int) *node {
 
 func (b *oracleBuilder) build(idx []int, depth int) *node {
 	n := b.leaf(idx)
-	if len(idx) < b.p.MinSamplesplit || n.impurity == 0 {
+	if len(idx) < 2 || n.impurity == 0 {
 		return n
 	}
 	if b.p.MaxDepth > 0 && depth >= b.p.MaxDepth {

@@ -13,31 +13,26 @@ import (
 	"repro/internal/xrand"
 )
 
+// The network's shape and step size.
+const (
+	hidden1 = 64   // first hidden width
+	hidden2 = 32   // second hidden width
+	lr      = 1e-3 // Adam learning rate
+)
+
 // Params configures the MLP.
 type Params struct {
-	Hidden1   int     // first hidden width (default 64)
-	Hidden2   int     // second hidden width (default 32)
-	Epochs    int     // passes over the data (default 50)
-	BatchSize int     // mini-batch size (default 32)
-	LR        float64 // Adam learning rate (default 1e-3)
+	Epochs    int // passes over the data (default 50)
+	BatchSize int // mini-batch size (default 32)
 	Seed      uint64
 }
 
 func (p Params) normalized() Params {
-	if p.Hidden1 <= 0 {
-		p.Hidden1 = 64
-	}
-	if p.Hidden2 <= 0 {
-		p.Hidden2 = 32
-	}
 	if p.Epochs <= 0 {
 		p.Epochs = 50
 	}
 	if p.BatchSize <= 0 {
 		p.BatchSize = 32
-	}
-	if p.LR <= 0 {
-		p.LR = 1e-3
 	}
 	return p
 }
@@ -59,7 +54,7 @@ type adam struct {
 
 func newAdam(n int) *adam { return &adam{m: make([]float64, n), v: make([]float64, n)} }
 
-func (a *adam) step(w, g []float64, lr float64) {
+func (a *adam) step(w, g []float64) {
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
 	a.t++
 	bc1 := 1 - math.Pow(beta1, float64(a.t))
@@ -79,7 +74,7 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	p = p.normalized()
 	rng := xrand.New(p.Seed + 0xd33d)
 	d := ds.NumFeatures()
-	m := &Model{d: d, h1: p.Hidden1, h2: p.Hidden2}
+	m := &Model{d: d, h1: hidden1, h2: hidden2}
 	m.standardize(ds)
 
 	// He initialization.
@@ -179,12 +174,12 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 					}
 				}
 			}
-			optW1.step(m.w1, gw1, p.LR)
-			optB1.step(m.b1, gb1, p.LR)
-			optW2.step(m.w2, gw2, p.LR)
-			optB2.step(m.b2, gb2, p.LR)
-			optW3.step(m.w3, gw3, p.LR)
-			optB3.step(m.b3, gb3, p.LR)
+			optW1.step(m.w1, gw1)
+			optB1.step(m.b1, gb1)
+			optW2.step(m.w2, gw2)
+			optB2.step(m.b2, gb2)
+			optW3.step(m.w3, gw3)
+			optB3.step(m.b3, gb3)
 		}
 	}
 	return m, nil

@@ -45,7 +45,7 @@ func TestFitsNonlinear(t *testing.T) {
 		y[i] = a * a
 	}
 	ds, _ := mlmodel.NewDataset(x, y, nil)
-	m, err := Fit(ds, Params{Epochs: 120, Hidden1: 32, Hidden2: 16, Seed: 5})
+	m, err := Fit(ds, Params{Epochs: 120, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,6 @@ func (s *Sim) killJob(j *job.Job, cause string) {
 		return
 	}
 	s.jobKills++
-	s.record(EvKill, j.ID, j.GPUs, j.VC)
 
 	spec := s.opts.Chaos.Spec()
 	j.Restarts++

@@ -34,7 +34,6 @@ func (e *Env) StartElastic(j *job.Job, gpus int) bool {
 		return false
 	}
 	e.s.startRunning(j, placed, gpus)
-	e.s.record(EvStartElastic, j.ID, gpus, j.VC)
 	e.s.trace(dtrace.ActPlaceElastic, j, "elastic", 0)
 	return true
 }

@@ -31,9 +31,6 @@ type Result struct {
 	// PerVCQueueSec is the average queuing delay per VC (Figure 9).
 	PerVCQueueSec map[string]float64
 
-	// Timeline is the per-job event log (only when Options.RecordTimeline).
-	Timeline []TimelineEvent
-
 	// Violations counts engine-invariant violations observed during the run
 	// (only when Options.Invariants is set and non-fatal);
 	// ViolationSamples holds the first few descriptions.
@@ -98,7 +95,6 @@ func (s *Sim) collect() *Result {
 		r.AvgSharedGPUs = s.sharedGPUSum / float64(s.utilSamples)
 	}
 	r.SharedStarts = s.sharedStarts
-	r.Timeline = s.timeline
 	if c := s.opts.Invariants; c != nil {
 		r.Violations = c.Count()
 		r.ViolationSamples = c.Samples()

@@ -53,21 +53,23 @@ type Options struct {
 
 	Tick           int64 // seconds per step (default 30)
 	SchedulerEvery int64 // max seconds between scheduler invocations (default 300)
-	SampleEvery    int64 // utilization sampling period (default 600)
-	MaxHorizon     int64 // hard stop, seconds (default 6× the trace window)
+	// SampleEvery is the utilization sampling period (default 600) and
+	// MaxHorizon the hard stop in seconds (default 6× the trace window).
+	// Runs keep both defaults; tests move them to reach a wake-up or the
+	// horizon.
+	SampleEvery int64
+	MaxHorizon  int64
 
 	// ProfilerNodes adds a decoupled profiling cluster of this many 8-GPU
 	// nodes (0 = none). Only Lucid uses it.
 	ProfilerNodes int
 
-	// RecordTimeline keeps a per-job event log on the Result (see
-	// timeline.go). Off by default: large runs emit millions of events.
-	RecordTimeline bool
-
 	// DecisionTrace records every scheduling decision — engine state
 	// transitions plus scheduler-annotated reasoning and counterfactuals —
-	// on the given flight recorder (see internal/dtrace). Nil (the
-	// default) disables tracing; the engine then pays only a nil check.
+	// on the given flight recorder (see internal/dtrace). It is the run's
+	// one event log: each job's placements, packs, preemptions, profiling
+	// transitions and retirement, in clock order. Nil (the default)
+	// disables tracing; the engine then pays only a nil check.
 	DecisionTrace *dtrace.Recorder
 
 	// Invariants validates the engine's physical invariants after every
@@ -148,9 +150,6 @@ type Sim struct {
 	// dirty records completions/preemptions since the last scheduler call,
 	// forcing an extra invocation so freed capacity is reused promptly.
 	dirty bool
-
-	// timeline is the optional event log (Options.RecordTimeline).
-	timeline []TimelineEvent
 
 	// pendAnn holds scheduler-provided explanations awaiting their engine
 	// event (decision tracing only; see dtrace.go).
@@ -367,7 +366,6 @@ func (s *Sim) advanceSet(set *residents, dt float64) {
 	for _, j := range done {
 		s.evict(j)
 		j.State = job.Finished
-		s.record(EvFinish, j.ID, j.GPUs, j.VC)
 		s.trace(dtrace.ActRetire, j, retireReason, 0)
 		s.finished++
 	}
@@ -636,7 +634,6 @@ func (e *Env) StartExclusivePrefer(j *job.Job, pref cluster.Preference) bool {
 		return false
 	}
 	e.s.startRunning(j, gpus, 0)
-	e.s.record(EvStart, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActPlace, j, placeReason(pref), 0)
 	return true
 }
@@ -720,7 +717,6 @@ func (e *Env) StartShared(j, partner *job.Job) bool {
 	e.s.startRunning(j, gpus, 0)
 	e.s.running.markStale(partner.ID) // it has company now
 	e.s.sharedStarts++
-	e.s.record(EvStartShared, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActPack, j, "packed", partner.ID)
 	return true
 }
@@ -757,7 +753,6 @@ func (e *Env) Preempt(j *job.Job, overheadSec float64) bool {
 	// The checkpoint is durable: if a fault later kills this job, it resumes
 	// from here rather than from zero (see killJob in chaos.go).
 	j.CheckpointedWork = float64(j.Duration) - j.RemainingWork
-	e.s.record(EvPreempt, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActPreempt, j, "checkpointed", 0)
 	return true
 }
@@ -776,7 +771,6 @@ func (e *Env) StartProfiling(j *job.Job) bool {
 		j.FirstStart = e.s.now
 	}
 	e.s.profiling.insert(j, placement{speed: 1, profStart: e.s.now})
-	e.s.record(EvProfileStart, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActProfileStart, j, "admitted", 0)
 	return true
 }
@@ -809,7 +803,6 @@ func (e *Env) StopProfiling(j *job.Job) {
 	// its next start even though no checkpoint exists anymore.
 	j.ColdStart = 0
 	j.CheckpointedWork = 0
-	e.s.record(EvProfileStop, j.ID, j.GPUs, j.VC)
 	e.s.trace(dtrace.ActProfileStop, j, "restart-from-zero", 0)
 }
 

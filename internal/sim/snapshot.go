@@ -89,10 +89,9 @@ type worldSnap struct {
 	GenSpeed     map[int]float64 `json:"gen_speed,omitempty"`
 	ChaosDown    map[int]int64   `json:"chaos_down,omitempty"`
 
-	Recorder   *dtrace.State   `json:"recorder,omitempty"`
-	InvCount   int             `json:"inv_count,omitempty"`
-	InvSamples []string        `json:"inv_samples,omitempty"`
-	Timeline   []TimelineEvent `json:"timeline,omitempty"`
+	Recorder   *dtrace.State `json:"recorder,omitempty"`
+	InvCount   int           `json:"inv_count,omitempty"`
+	InvSamples []string      `json:"inv_samples,omitempty"`
 
 	SchedState []byte `json:"sched_state,omitempty"`
 }
@@ -158,7 +157,6 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		Requeues:     s.requeues,
 		Exhausted:    s.exhausted,
 		Main:         s.main.SnapState(),
-		Timeline:     s.timeline,
 	}
 	if s.profiler != nil {
 		ps := s.profiler.SnapState()
@@ -271,7 +269,6 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 	s.jobKills = dto.JobKills
 	s.requeues = dto.Requeues
 	s.exhausted = dto.Exhausted
-	s.timeline = dto.Timeline
 
 	for _, js := range dto.Jobs {
 		i, ok := s.idxOf[js.ID]

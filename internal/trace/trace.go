@@ -60,6 +60,16 @@ func (u UtilLevel) String() string {
 	}
 }
 
+// The job mix every generated trace shares.
+const (
+	// debugFrac is the fraction of short debugging/test jobs (§2.2 reports
+	// the majority of jobs are short-term).
+	debugFrac = 0.55
+	// recurFrac is the probability a submission reuses an existing template
+	// (~0.9 in production).
+	recurFrac = 0.9
+)
+
 // GenSpec configures a trace generator.
 type GenSpec struct {
 	Name        string
@@ -72,12 +82,6 @@ type GenSpec struct {
 	Util        UtilLevel
 	Seed        uint64
 
-	// DebugFrac is the fraction of short debugging/test jobs (§2.2 reports
-	// the majority of jobs are short-term). Default 0.55.
-	DebugFrac float64
-	// RecurFrac is the probability a submission reuses an existing template
-	// (~0.9 in production). Default 0.9.
-	RecurFrac float64
 	// TargetLoad caps the cluster-wide offered load (Σ duration·GPUs over
 	// capacity·window). Production traces are feasible by construction —
 	// jobs that ran did fit — so an emitted month whose synthetic load
@@ -94,12 +98,6 @@ func (s GenSpec) normalized() GenSpec {
 	}
 	if s.Days <= 0 {
 		s.Days = 30
-	}
-	if s.DebugFrac <= 0 {
-		s.DebugFrac = 0.55
-	}
-	if s.RecurFrac <= 0 {
-		s.RecurFrac = 0.9
 	}
 	if s.TargetLoad <= 0 {
 		s.TargetLoad = 0.45
@@ -302,7 +300,7 @@ func (g *Generator) newTemplate(usr *user) *template {
 	// production observation that debugging jobs are a recognizable
 	// population, not random noise.
 	pDebug := 0.02 + 0.13*g.rng.Float64()
-	if g.rng.Bool(g.spec.DebugFrac) {
+	if g.rng.Bool(debugFrac) {
 		pDebug = 0.80 + 0.15*g.rng.Float64()
 	}
 
@@ -400,7 +398,7 @@ func (g *Generator) Emit(numJobs int) *Trace {
 		usr := users[g.rng.Intn(len(users))]
 
 		var tm *template
-		if g.rng.Bool(g.spec.RecurFrac) || len(usr.templates) == 0 {
+		if g.rng.Bool(recurFrac) || len(usr.templates) == 0 {
 			// Recurrence: Zipf over the user's templates — a few dominate.
 			tm = usr.templates[g.rng.Zipf(len(usr.templates), 1.1)]
 		} else {
