@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/job"
@@ -71,10 +74,37 @@ func TestOracleEstimator(t *testing.T) {
 	}
 }
 
+// TestSortHelpersDeterministic: rankBy puts jobs in the order sort.SliceStable
+// gives them under the comparison-time key (stableSortBy, the reference), for
+// tie-heavy keys, equal submits and NaN/±Inf keys, and breaks a full tie by
+// (submit, id).
 func TestSortHelpersDeterministic(t *testing.T) {
 	a := []*job.Job{mk(3, 1, 5, 10), mk(1, 1, 5, 10), mk(2, 1, 3, 10)}
-	stableSortBy(a, func(j *job.Job) float64 { return 0 }) // all equal keys
-	if a[0].ID != 2 || a[1].ID != 1 || a[2].ID != 3 {
-		t.Fatalf("tie-break order wrong: %d %d %d", a[0].ID, a[1].ID, a[2].ID)
+	r := rankBy(nil, a, func(j *job.Job) float64 { return 0 }) // all equal keys
+	if r[0].j.ID != 2 || r[1].j.ID != 1 || r[2].j.ID != 3 {
+		t.Fatalf("tie-break order wrong: %d %d %d", r[0].j.ID, r[1].j.ID, r[2].j.ID)
+	}
+
+	keys := []float64{0, 1, 2, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e12}
+	rng := rand.New(rand.NewSource(7))
+	var buf []ranked
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(120)
+		jobs := make([]*job.Job, n)
+		key := map[int]float64{}
+		for i, id := range rng.Perm(n) {
+			jobs[i] = mk(id, 1, int64(rng.Intn(4)), 10)
+			key[id] = keys[rng.Intn(len(keys))]
+		}
+		byKey := func(j *job.Job) float64 { return key[j.ID] }
+		want := slices.Clone(jobs)
+		stableSortBy(want, byKey)
+		buf = rankBy(buf, jobs, byKey)
+		for i, r := range buf {
+			if r.j != want[i] {
+				t.Fatalf("trial %d: position %d holds job %d (key %v, submit %d), sort.SliceStable's order has job %d (key %v, submit %d)",
+					trial, i, r.j.ID, r.key, r.j.Submit, want[i].ID, key[want[i].ID], want[i].Submit)
+			}
+		}
 	}
 }

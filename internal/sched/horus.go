@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"slices"
-
 	"repro/internal/job"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -28,6 +26,8 @@ type Horus struct {
 	// UtilBudget is the packing acceptance threshold on predicted combined
 	// utilization.
 	UtilBudget float64
+
+	buf []ranked // scratch for one queue's order
 }
 
 // NewHorus builds the policy around a duration estimator (Horus is also
@@ -75,11 +75,11 @@ func (h *Horus) predict(j *job.Job) workload.Profile {
 func (h *Horus) Tick(env *sim.Env) {
 	running := env.Running()
 	for _, q := range env.Queues() {
-		jobs := slices.Clone(q.Jobs) // the queue itself is the engine's
-		stableSortBy(jobs, func(j *job.Job) float64 {
+		h.buf = rankBy(h.buf, q.Jobs, func(j *job.Job) float64 {
 			return h.est.EstimateSec(j) * float64(j.GPUs)
 		})
-		for _, j := range jobs {
+		for _, r := range h.buf {
+			j := r.j
 			if env.StartExclusive(j) {
 				running = append(running, j)
 				continue

@@ -24,6 +24,8 @@ type Pollux struct {
 	// (Pollux schedules in rounds).
 	ReallocEverySec int64
 	lastRealloc     int64
+
+	hungry []ranked // scratch for one VC's growth order
 }
 
 // NewPollux returns the policy with Pollux's 60 s scheduling round.
@@ -75,7 +77,8 @@ func (p *Pollux) realloc(env *sim.Env) {
 		// most over-allocated job one step.
 		p.rebalance(env, jobs)
 		// Growth pass: hand out free GPUs to the hungriest jobs.
-		for _, j := range orderByHunger(env, jobs) {
+		for _, r := range p.orderByHunger(env, jobs) {
+			j := r.j
 			alloc := env.ElasticAlloc(j)
 			if alloc == 0 || alloc >= j.GPUs {
 				continue
@@ -136,15 +139,15 @@ func (p *Pollux) rebalance(env *sim.Env, jobs []*job.Job) {
 	}
 }
 
-// orderByHunger sorts by allocation fraction ascending (hungriest first).
-func orderByHunger(env *sim.Env, jobs []*job.Job) []*job.Job {
-	out := append([]*job.Job(nil), jobs...)
-	stableSortBy(out, func(j *job.Job) float64 {
+// orderByHunger ranks jobs by allocation fraction ascending (hungriest
+// first), in the scratch the next call overwrites.
+func (p *Pollux) orderByHunger(env *sim.Env, jobs []*job.Job) []ranked {
+	p.hungry = rankBy(p.hungry, jobs, func(j *job.Job) float64 {
 		alloc := env.ElasticAlloc(j)
 		if alloc == 0 {
 			return 2
 		}
 		return float64(alloc) / float64(j.GPUs)
 	})
-	return out
+	return p.hungry
 }

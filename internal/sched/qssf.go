@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"slices"
-
 	"repro/internal/job"
 	"repro/internal/sim"
 )
@@ -15,6 +13,7 @@ import (
 // estimate or pack jobs.
 type QSSF struct {
 	est Estimator
+	buf []ranked // scratch for one queue's order
 }
 
 // NewQSSF builds the policy around a duration estimator (typically the GBDT
@@ -27,10 +26,9 @@ func (*QSSF) Name() string { return "QSSF" }
 // Tick drains each VC queue in predicted-service order.
 func (q *QSSF) Tick(env *sim.Env) {
 	for _, qu := range env.Queues() {
-		jobs := slices.Clone(qu.Jobs) // the queue itself is the engine's
-		stableSortBy(jobs, func(j *job.Job) float64 {
+		q.buf = rankBy(q.buf, qu.Jobs, func(j *job.Job) float64 {
 			return q.est.EstimateSec(j) * float64(j.GPUs)
 		})
-		placeGreedy(env, jobs)
+		placeGreedy(env, q.buf)
 	}
 }

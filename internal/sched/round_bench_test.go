@@ -26,8 +26,11 @@ func (p *envProbe) Tick(env *sim.Env) {
 // waiting in a dozen VCs. One iteration
 // forks that state under the policy being timed and runs roundsPerOp forced
 // rounds, ticks included (the shape of core's BenchmarkLucidRoundCongested).
-// FIFO looks at each VC's head, SJF sorts every queue, Tiresias every queue
-// and every running job.
+// FIFO looks at each VC's head. SJF, QSSF and Horus rank every visible queue
+// by a key computed once per job (QSSF and Horus here with the oracle
+// estimator, so the row times the round and not a model). Tiresias ranks
+// every visible queue together with its VC's running jobs, and skips the
+// VCs with nothing visibly waiting.
 //
 //	go test ./internal/sched/ -run '^$' -bench BenchmarkBaselineRoundDeepQueue -benchtime 5x
 func BenchmarkBaselineRoundDeepQueue(b *testing.B) {
@@ -54,6 +57,8 @@ func BenchmarkBaselineRoundDeepQueue(b *testing.B) {
 	for _, mk := range []func() sim.Scheduler{
 		func() sim.Scheduler { return NewFIFO() },
 		func() sim.Scheduler { return NewSJF() },
+		func() sim.Scheduler { return NewQSSF(OracleEstimator{}) },
+		func() sim.Scheduler { return NewHorus(OracleEstimator{}, spec.Seed) },
 		func() sim.Scheduler { return NewTiresias() },
 	} {
 		b.Run(mk().Name(), func(b *testing.B) {

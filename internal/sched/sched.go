@@ -2,10 +2,14 @@
 // against (§4.1): FIFO, the SJF oracle, the prediction-driven QSSF, the
 // intrusive packing scheduler Horus, the preemptive Tiresias, and an
 // elastic Pollux-style scheduler for §4.7. Lucid itself lives in
-// internal/core; everything here shares the sim.Scheduler interface.
+// internal/core; everything here shares the sim.Scheduler interface. One
+// scheduler instance serves one simulation: besides any per-run state, each
+// keeps the scratch its rounds rank jobs in.
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/job"
@@ -44,11 +48,11 @@ func sortedVCs(m map[string][]*job.Job) []string {
 	return keys
 }
 
-// placeGreedy walks jobs in the given order, starting every one that fits
+// placeGreedy walks jobs in rank order, starting every one that fits
 // (skipping those that don't) — the standard non-blocking queue drain.
-func placeGreedy(env *sim.Env, jobs []*job.Job) {
-	for _, j := range jobs {
-		env.StartExclusive(j)
+func placeGreedy(env *sim.Env, jobs []ranked) {
+	for _, r := range jobs {
+		env.StartExclusive(r.j)
 	}
 }
 
@@ -63,17 +67,35 @@ func placeStrict(env *sim.Env, jobs []*job.Job) {
 	}
 }
 
-// stableSortBy sorts jobs by the key ascending with (submit, id) tiebreaks
-// for determinism.
-func stableSortBy(jobs []*job.Job, key func(*job.Job) float64) {
-	sort.SliceStable(jobs, func(a, b int) bool {
-		ka, kb := key(jobs[a]), key(jobs[b])
-		if ka != kb {
-			return ka < kb
+// ranked is a job beside its sort key, computed once per round.
+type ranked struct {
+	j   *job.Job
+	key float64
+}
+
+// cmpRanked orders by key ascending with (submit, id) tiebreaks for
+// determinism. It is negative exactly when a sorts before b, and
+// slices.SortStableFunc only ever asks whether it is negative, in the same
+// insertion-sort-plus-symMerge sequence as sort.SliceStable: the two put
+// any keys — ties, equal submits, NaN — in the same order.
+func cmpRanked(a, b ranked) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
 		}
-		if jobs[a].Submit != jobs[b].Submit {
-			return jobs[a].Submit < jobs[b].Submit
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
+		return 1
+	}
+	return cmp.Or(cmp.Compare(a.j.Submit, b.j.Submit), cmp.Compare(a.j.ID, b.j.ID))
+}
+
+// rankBy fills buf with jobs and their keys, each key computed once, sorts
+// it by cmpRanked and returns it; the caller keeps it as its scratch for the
+// next round.
+func rankBy(buf []ranked, jobs []*job.Job, key func(*job.Job) float64) []ranked {
+	buf = buf[:0]
+	for _, j := range jobs {
+		buf = append(buf, ranked{j, key(j)})
+	}
+	slices.SortStableFunc(buf, cmpRanked)
+	return buf
 }

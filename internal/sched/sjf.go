@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"slices"
-
 	"repro/internal/job"
 	"repro/internal/sim"
 )
@@ -11,7 +9,9 @@ import (
 // baseline 2): "an ideal policy … impractical as it requires perfect job
 // information which is impossible to attain." Non-preemptive; shorter jobs
 // jump the queue, which dissolves HOL blocking.
-type SJF struct{}
+type SJF struct {
+	buf []ranked // scratch for one queue's order
+}
 
 // NewSJF returns the oracle policy.
 func NewSJF() *SJF { return &SJF{} }
@@ -21,10 +21,9 @@ func (*SJF) Name() string { return "SJF" }
 
 // Tick drains each VC queue in true-duration order, skipping jobs that do
 // not fit.
-func (*SJF) Tick(env *sim.Env) {
+func (s *SJF) Tick(env *sim.Env) {
 	for _, q := range env.Queues() {
-		jobs := slices.Clone(q.Jobs) // the queue itself is the engine's
-		stableSortBy(jobs, func(j *job.Job) float64 { return float64(j.Duration) })
-		placeGreedy(env, jobs)
+		s.buf = rankBy(s.buf, q.Jobs, func(j *job.Job) float64 { return float64(j.Duration) })
+		placeGreedy(env, s.buf)
 	}
 }

@@ -10,6 +10,8 @@ import (
 // SchedulerState implementations (see sim.SchedulerState) for the stateful
 // baselines. FIFO, SJF and QSSF are stateless across ticks and deliberately
 // do not implement the interface — a snapshot of them is just the world.
+// The per-round scratch buffers the rankers keep are not state either: a
+// round overwrites them before it reads them, so none is saved.
 
 // tiresiasState captures the LAS bookkeeping clocks.
 type tiresiasState struct {

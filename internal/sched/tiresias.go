@@ -2,6 +2,7 @@ package sched
 
 import (
 	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -31,6 +32,19 @@ type Tiresias struct {
 
 	startedAt map[int]int64
 	stoppedAt map[int]int64
+
+	// Scratch for one round, not state: one VC's ranked candidates, and
+	// each visible queue's running jobs.
+	cands   []lasCand
+	running [][]*job.Job
+}
+
+// lasCand is a Tiresias candidate with its LAS queue, computed once per
+// round, and whether it made the round's desired set.
+type lasCand struct {
+	ranked
+	queue   int
+	desired bool
 }
 
 // NewTiresias returns the policy with defaults in the range Gu et al.
@@ -72,29 +86,50 @@ func (t *Tiresias) queueOf(j *job.Job, now int64) int {
 
 // Tick recomputes the desired running set per VC and preempts/starts to
 // realize it.
+//
+// Only VCs with a visible waiting job are looked at. In any other VC no
+// waiting job is desired, so the preemption bar stays above every queue and
+// nothing starts: the round would change nothing there. It is the per-VC
+// form of NextWake's "no waiting jobs, no wake".
 func (t *Tiresias) Tick(env *sim.Env) {
+	queues := env.Queues() // VCs in name order
+	if len(queues) == 0 {
+		return
+	}
 	now := env.Now()
-	// Each VC's candidates: its queue, then its running jobs.
-	groups := byVC(env.Running())
-	for _, q := range env.Queues() {
-		groups[q.VC] = append(slices.Clone(q.Jobs), groups[q.VC]...)
+	// Each VC's running jobs, in id order, beside its queue.
+	t.running = slices.Grow(t.running[:0], len(queues))[:len(queues)]
+	for k := range t.running {
+		t.running[k] = t.running[k][:0]
+	}
+	for _, j := range env.Running() {
+		if k, ok := slices.BinarySearchFunc(queues, j.VC, func(q sim.Queue, vc string) int {
+			return strings.Compare(q.VC, vc)
+		}); ok {
+			t.running[k] = append(t.running[k], j)
+		}
 	}
 	cl := env.Cluster()
 
-	for _, vc := range sortedVCs(groups) {
-		jobs := groups[vc]
-		// Priority order: (queue, submit).
-		stableSortBy(jobs, func(j *job.Job) float64 {
-			return float64(t.queueOf(j, now))*1e12 + float64(j.Submit)
-		})
+	for k, q := range queues {
+		// Candidates: the queue, then the running jobs, each ranked by
+		// (queue, submit) once.
+		cands := t.cands[:0]
+		for _, jobs := range [2][]*job.Job{q.Jobs, t.running[k]} {
+			for _, j := range jobs {
+				lq := t.queueOf(j, now)
+				cands = append(cands, lasCand{ranked: ranked{j, float64(lq)*1e12 + float64(j.Submit)}, queue: lq})
+			}
+		}
+		slices.SortStableFunc(cands, func(a, b lasCand) int { return cmpRanked(a.ranked, b.ranked) })
+		t.cands = cands
 
 		// Capacity-greedy desired set.
-		capacity := vcGPUs(cl, vc)
-		desired := map[int]bool{}
-		for _, j := range jobs {
-			if j.GPUs <= capacity {
-				desired[j.ID] = true
-				capacity -= j.GPUs
+		capacity := vcGPUs(cl, q.VC)
+		for i := range cands {
+			if c := &cands[i]; c.j.GPUs <= capacity {
+				c.desired = true
+				capacity -= c.j.GPUs
 			}
 		}
 
@@ -103,16 +138,15 @@ func (t *Tiresias) Tick(env *sim.Env) {
 		// wait (FIFO within a queue), which is what keeps Tiresias from
 		// thrashing.
 		minUnplaced := 1 << 30
-		for _, j := range jobs {
-			if desired[j.ID] && j.State != job.Running {
-				if q := t.queueOf(j, now); q < minUnplaced {
-					minUnplaced = q
-				}
+		for _, c := range cands {
+			if c.desired && c.j.State != job.Running && c.queue < minUnplaced {
+				minUnplaced = c.queue
 			}
 		}
-		for _, j := range jobs {
-			if j.State == job.Running && !desired[j.ID] {
-				if t.queueOf(j, now) <= minUnplaced {
+		for _, c := range cands {
+			j := c.j
+			if j.State == job.Running && !c.desired {
+				if c.queue <= minUnplaced {
 					continue
 				}
 				if started, ok := t.startedAt[j.ID]; ok && float64(now-started) < t.MinRunQuantumSec {
@@ -125,10 +159,10 @@ func (t *Tiresias) Tick(env *sim.Env) {
 		}
 		// Start desired waiting jobs in priority order (placement may still
 		// fail on fragmentation; those wait for the next round).
-		for _, j := range jobs {
-			if j.State != job.Running && desired[j.ID] {
-				if env.StartExclusive(j) {
-					t.startedAt[j.ID] = now
+		for _, c := range cands {
+			if c.j.State != job.Running && c.desired {
+				if env.StartExclusive(c.j) {
+					t.startedAt[c.j.ID] = now
 				}
 			}
 		}
