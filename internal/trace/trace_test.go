@@ -2,9 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/job"
+	"repro/internal/workload"
 )
 
 // smallVenus is a scaled-down Venus for fast tests.
@@ -329,4 +337,88 @@ func TestLoadIsFeasible(t *testing.T) {
 	if demand > 0.9*capacity {
 		t.Fatalf("offered load %.0f%% of capacity", demand/capacity*100)
 	}
+}
+
+// TestEmitBytesPinned pins every field of every emitted job over the five
+// evaluation worlds at 0.95 offered load (three months each at a fifth of
+// their Table 2 size) plus one 200,000-job Helios month. The digest was
+// generated while Zipf and weighted draws still summed their weights per
+// draw, so it proves the prebuilt sampling tables draw the same jobs.
+func TestEmitBytesPinned(t *testing.T) {
+	// A new field must join appendJob before these counts move.
+	for _, c := range []struct {
+		v    any
+		want int
+	}{{job.Job{}, 22}, {workload.Config{}, 3}, {workload.Profile{}, 4}} {
+		if n := reflect.TypeOf(c.v).NumField(); n != c.want {
+			t.Fatalf("%T has %d fields; appendJob covers %d", c.v, n, c.want)
+		}
+	}
+	lowVenus, highSaturn := Venus(), Saturn()
+	lowVenus.Util, highSaturn.Util = UtilLow, UtilHigh
+	h := fnv.New64a()
+	for _, spec := range []GenSpec{Venus(), Saturn(), Philly(), lowVenus, highSaturn} {
+		spec.TargetLoad = 0.95
+		g := NewGenerator(spec)
+		for m := 0; m < 3; m++ {
+			hashTrace(h, g.Emit(spec.NumJobs/5))
+		}
+	}
+	hashTrace(h, NewGenerator(Helios()).Emit(200_000))
+	const want = 0xa781c705d324325d
+	if got := h.Sum64(); got != want {
+		t.Fatalf("emitted traces hash to %#016x, want %#016x", got, uint64(want))
+	}
+}
+
+func hashTrace(h hash.Hash64, tr *Trace) {
+	fmt.Fprintf(h, "%s %d %+v\n", tr.Name, tr.Days, tr.Cluster)
+	var buf []byte
+	for _, j := range tr.Jobs {
+		buf = appendJob(buf[:0], j)
+		h.Write(buf)
+	}
+}
+
+// appendJob encodes every field of j, strings length-prefixed.
+func appendJob(b []byte, j *job.Job) []byte {
+	le := binary.LittleEndian
+	str := func(b []byte, s string) []byte {
+		return append(le.AppendUint64(b, uint64(len(s))), s...)
+	}
+	i64 := func(b []byte, v int64) []byte { return le.AppendUint64(b, uint64(v)) }
+	f64 := func(b []byte, v float64) []byte { return le.AppendUint64(b, math.Float64bits(v)) }
+	flag := func(b []byte, v bool) []byte {
+		if v {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	}
+	b = i64(b, int64(j.ID))
+	b = str(b, j.Name)
+	b = str(b, j.User)
+	b = str(b, j.VC)
+	b = i64(b, int64(j.GPUs))
+	b = i64(b, j.Submit)
+	b = flag(b, j.AMP)
+	b = i64(b, j.Duration)
+	b = i64(b, int64(j.Config.Model))
+	b = i64(b, int64(j.Config.BatchSize))
+	b = flag(b, j.Config.AMP)
+	b = flag(b, j.Profiled)
+	b = f64(b, j.Profile.GPUUtil)
+	b = f64(b, j.Profile.GPUMemMB)
+	b = f64(b, j.Profile.GPUMemUtil)
+	b = flag(b, j.Profile.AMP)
+	b = i64(b, int64(j.State))
+	b = f64(b, j.RemainingWork)
+	b = i64(b, j.FirstStart)
+	b = i64(b, j.Finish)
+	b = f64(b, j.RunTime)
+	b = i64(b, int64(j.Preemptions))
+	b = f64(b, j.ColdStart)
+	b = f64(b, j.AttainedGPUT)
+	b = i64(b, int64(j.Restarts))
+	b = i64(b, j.NextEligible)
+	return f64(b, j.CheckpointedWork)
 }
