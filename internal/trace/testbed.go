@@ -20,10 +20,10 @@ func TestbedSpec() cluster.Spec {
 // jobs all available at time 0, sampled Venus-like. Used for the makespan
 // comparison of Table 3.
 func StaticTestbed(numJobs int, seed uint64) *Trace {
-	rng := xrand.New(seed)
+	rng, gpuW := xrand.New(seed), xrand.NewChoiceTable(testbedGPUW)
 	jobs := make([]*job.Job, 0, numJobs)
 	for i := 0; i < numJobs; i++ {
-		jobs = append(jobs, testbedJob(i+1, 0, rng, false))
+		jobs = append(jobs, testbedJob(i+1, 0, rng, gpuW, false))
 	}
 	sortBySubmit(jobs)
 	return &Trace{Name: "testbed-static", Cluster: TestbedSpec(), Jobs: jobs, Days: 1}
@@ -34,20 +34,24 @@ func StaticTestbed(numJobs int, seed uint64) *Trace {
 // arrival gap, sampling "more long-term jobs" per the paper. Used for the
 // average-JCT comparison of Table 3.
 func ContinuousTestbed(numJobs int, meanGapSec float64, seed uint64) *Trace {
-	rng := xrand.New(seed)
+	rng, gpuW := xrand.New(seed), xrand.NewChoiceTable(testbedGPUW)
 	jobs := make([]*job.Job, 0, numJobs)
 	t := 0.0
 	for i := 0; i < numJobs; i++ {
 		t += rng.Exp(meanGapSec)
-		jobs = append(jobs, testbedJob(i+1, int64(t), rng, true))
+		jobs = append(jobs, testbedJob(i+1, int64(t), rng, gpuW, true))
 	}
 	sortBySubmit(jobs)
 	return &Trace{Name: "testbed-continuous", Cluster: TestbedSpec(), Jobs: jobs, Days: 1}
 }
 
-// testbedJob samples one Venus-flavored job for the 32-GPU testbed.
-func testbedJob(id int, submit int64, rng *xrand.RNG, longBias bool) *job.Job {
-	gpus := gpuDemands[rng.Choice([]float64{0.55, 0.20, 0.15, 0.10, 0, 0})]
+// testbedGPUW weights gpuDemands for the 32-GPU testbed: at most 8 GPUs.
+var testbedGPUW = []float64{0.55, 0.20, 0.15, 0.10, 0, 0}
+
+// testbedJob samples one Venus-flavored job for the 32-GPU testbed; gpuW is
+// a table over testbedGPUW.
+func testbedJob(id int, submit int64, rng *xrand.RNG, gpuW *xrand.ChoiceTable, longBias bool) *job.Job {
+	gpus := gpuDemands[gpuW.Draw(rng)]
 	var dur float64
 	pDebug := 0.35
 	if longBias {
@@ -85,14 +89,14 @@ func PolluxTrace(intensity float64, seed uint64) *Trace {
 	if intensity <= 0 {
 		intensity = 1
 	}
-	rng := xrand.New(seed)
+	rng, gpuW := xrand.New(seed), xrand.NewChoiceTable(testbedGPUW)
 	numJobs := 160
 	baseGap := 180.0 // seconds between submissions at intensity 1.0
 	jobs := make([]*job.Job, 0, numJobs)
 	t := 0.0
 	for i := 0; i < numJobs; i++ {
 		t += rng.Exp(baseGap / intensity)
-		j := testbedJob(i+1, int64(t), rng, true)
+		j := testbedJob(i+1, int64(t), rng, gpuW, true)
 		j.VC = "pollux"
 		jobs = append(jobs, j)
 	}

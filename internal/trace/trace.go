@@ -176,9 +176,17 @@ type Generator struct {
 	spec    GenSpec
 	cluster cluster.Spec
 	vcs     []string
-	vcJobW  []float64 // job-share weights per VC (skewed)
 	users   [][]*user // per VC
 	rng     *xrand.RNG
+
+	// Sampling tables, built once: GPU demand, job share per VC (skewed),
+	// the (day, hour) slot of a submission, and the Zipf rank of a recurring
+	// template, whose table every user's template list shares.
+	gpuDemand *xrand.ChoiceTable
+	vcJob     *xrand.ChoiceTable
+	slots     []slot
+	slotW     *xrand.ChoiceTable
+	zipf      *xrand.ZipfTable
 
 	nextJobID int
 	nextTmpl  int
@@ -188,7 +196,8 @@ type Generator struct {
 // NewGenerator builds the population deterministically from the spec seed.
 func NewGenerator(spec GenSpec) *Generator {
 	spec = spec.normalized()
-	g := &Generator{spec: spec, rng: xrand.New(spec.Seed), nextJobID: 1}
+	g := &Generator{spec: spec, rng: xrand.New(spec.Seed), nextJobID: 1,
+		gpuDemand: xrand.NewChoiceTable(gpuDemandW), zipf: xrand.NewZipfTable(1.1)}
 
 	// VC sizes: skewed (production VCs are sized per team). Largest VCs get
 	// several times the nodes of the smallest, with every VC getting at
@@ -231,12 +240,23 @@ func NewGenerator(spec GenSpec) *Generator {
 	// load varies around the global mean (hot VCs ~2.5× the mean, cold VCs
 	// ~0.5×) without any VC being unboundedly overloaded. The rank scatter
 	// decorrelates hotness from size.
-	g.vcJobW = make([]float64, spec.NumVCs)
-	for i := range g.vcJobW {
+	vcJobW := make([]float64, spec.NumVCs)
+	for i := range vcJobW {
 		rank := (i*7 + 3) % spec.NumVCs
 		m := 1 / (1 + 1.2*float64(rank))
-		g.vcJobW[i] = float64(specVCs[i].Nodes) * m
+		vcJobW[i] = float64(specVCs[i].Nodes) * m
 	}
+	g.vcJob = xrand.NewChoiceTable(vcJobW)
+
+	// Per-(day,hour) arrival weights.
+	slotW := make([]float64, 0, spec.Days*24)
+	for d := 0; d < spec.Days; d++ {
+		for h := 0; h < 24; h++ {
+			g.slots = append(g.slots, slot{d, h})
+			slotW = append(slotW, dayWeight(d)*hourWeights[h])
+		}
+	}
+	g.slotW = xrand.NewChoiceTable(slotW)
 
 	// Users per VC scale with VC size.
 	g.users = make([][]*user, spec.NumVCs)
@@ -272,13 +292,13 @@ var lightModels = []workload.Model{workload.ResNet18, workload.MobileNetV2, work
 
 func (g *Generator) newTemplate(usr *user) *template {
 	g.nextTmpl++
-	gpus := gpuDemands[g.rng.Choice(gpuDemandW)]
+	gpus := gpuDemands[g.gpuDemand.Draw(g.rng)]
 	// Clamp demand to what the VC can ever host (whole nodes for the
 	// distributed part), or the job would starve forever.
 	vcNodes := g.vcNodesOf(usr.vc)
 	maxG := vcNodes * g.spec.GPUsPerNode
 	for gpus > maxG || (gpus > g.spec.GPUsPerNode && (gpus+g.spec.GPUsPerNode-1)/g.spec.GPUsPerNode > vcNodes) {
-		gpus = gpuDemands[g.rng.Choice(gpuDemandW)]
+		gpus = gpuDemands[g.gpuDemand.Draw(g.rng)]
 	}
 
 	// Characteristic duration: heavy lognormal tail. Median ≈ 1 h with a
@@ -358,6 +378,11 @@ var hourWeights = []float64{
 	0.80, 0.70, 0.60, 0.50, 0.40, 0.30, // 18-23
 }
 
+// slot is one (day, hour) of the emission window.
+type slot struct {
+	day, hour int
+}
+
 // dayWeight damps weekends.
 func dayWeight(day int) float64 {
 	switch day % 7 {
@@ -378,29 +403,16 @@ func (g *Generator) Emit(numJobs int) *Trace {
 	g.emitted++
 	days := g.spec.Days
 
-	// Build per-(day,hour) arrival weights once.
-	type slot struct {
-		day, hour int
-	}
-	slots := make([]slot, 0, days*24)
-	slotW := make([]float64, 0, days*24)
-	for d := 0; d < days; d++ {
-		for h := 0; h < 24; h++ {
-			slots = append(slots, slot{d, h})
-			slotW = append(slotW, dayWeight(d)*hourWeights[h])
-		}
-	}
-
 	jobs := make([]*job.Job, 0, numJobs)
 	for i := 0; i < numJobs; i++ {
-		vcIdx := g.rng.Choice(g.vcJobW)
+		vcIdx := g.vcJob.Draw(g.rng)
 		users := g.users[vcIdx]
 		usr := users[g.rng.Intn(len(users))]
 
 		var tm *template
 		if g.rng.Bool(recurFrac) || len(usr.templates) == 0 {
 			// Recurrence: Zipf over the user's templates — a few dominate.
-			tm = usr.templates[g.rng.Zipf(len(usr.templates), 1.1)]
+			tm = usr.templates[g.zipf.Draw(g.rng, len(usr.templates))]
 		} else {
 			tm = g.newTemplate(usr)
 			usr.templates = append(usr.templates, tm)
@@ -421,7 +433,7 @@ func (g *Generator) Emit(numJobs int) *Trace {
 			dur = tm.longMedian * g.rng.LogNormal(0, 0.35)
 		}
 
-		s := slots[g.rng.Choice(slotW)]
+		s := g.slots[g.slotW.Draw(g.rng)]
 		submit := int64(s.day)*86400 + int64(s.hour)*3600 + g.rng.Int63n(3600)
 
 		j := job.New(g.nextJobID,

@@ -422,3 +422,15 @@ func appendJob(b []byte, j *job.Job) []byte {
 	b = i64(b, j.NextEligible)
 	return f64(b, j.CheckpointedWork)
 }
+
+// BenchmarkEmit builds a Saturn generator and emits two full months from it,
+// the history and evaluation months of a world build, and reports the cost
+// per emitted job.
+func BenchmarkEmit(b *testing.B) {
+	jobs := 0
+	for i := 0; i < b.N; i++ {
+		g := NewGenerator(Saturn())
+		jobs += len(g.Emit(0).Jobs) + len(g.Emit(0).Jobs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
+}

@@ -108,57 +108,86 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Zipf returns a Zipf-distributed integer in [0, n) with exponent s > 0.
-// Small ranks are most probable — used to pick which recurring job template
-// a user resubmits (a few templates dominate, matching production traces).
-func (r *RNG) Zipf(n int, s float64) int {
+// ZipfTable draws Zipf-distributed ranks in [0, n) with exponent s > 0:
+// rank k has weight 1/(k+1)^s, so small ranks are most probable. It picks
+// which recurring job template a user resubmits (a few templates dominate,
+// matching production traces). The table keeps the running sums of the
+// weights and extends them when a draw asks for a larger n, so a draw over
+// any prefix of the support is one uniform draw and a binary search.
+type ZipfTable struct {
+	s   float64
+	cum []float64 // cum[k] = Σ_{i≤k} 1/(i+1)^s, added in rank order
+}
+
+// NewZipfTable returns an empty table for exponent s.
+func NewZipfTable(s float64) *ZipfTable { return &ZipfTable{s: s} }
+
+// Draw returns a rank in [0, n). n ≤ 1 returns 0 without drawing from r.
+func (z *ZipfTable) Draw(r *RNG, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	// Inverse-CDF over the (small) support; n is at most a few thousand in
-	// our generators so the linear scan is fine and allocation-free with a
-	// running harmonic normalizer would be overkill.
-	target := r.Float64() * zipfNorm(n, s)
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		sum += 1 / math.Pow(float64(k+1), s)
-		if sum >= target {
-			return k
+	for k := len(z.cum); k < n; k++ {
+		sum := 0.0
+		if k > 0 {
+			sum = z.cum[k-1]
 		}
+		z.cum = append(z.cum, sum+1/math.Pow(float64(k+1), z.s))
 	}
-	return n - 1
+	cum := z.cum[:n]
+	return search(cum, r.Float64()*cum[n-1])
 }
 
-func zipfNorm(n int, s float64) float64 {
-	sum := 0.0
-	for k := 1; k <= n; k++ {
-		sum += 1 / math.Pow(float64(k), s)
-	}
-	return sum
+// ChoiceTable draws an index in [0, len(weights)) with probability
+// proportional to weights[i], from running sums built once.
+type ChoiceTable struct {
+	cum []float64
 }
 
-// Choice returns a random index in [0, len(weights)) with probability
-// proportional to weights[i]. Panics if weights is empty or sums to <= 0.
-func (r *RNG) Choice(weights []float64) int {
+// NewChoiceTable builds the table over weights. It panics if a weight is
+// negative, NaN or infinite, or if weights is empty or sums to <= 0.
+func NewChoiceTable(weights []float64) *ChoiceTable {
+	cum := make([]float64, len(weights))
 	total := 0.0
-	for _, w := range weights {
+	for i, w := range weights {
 		if w < 0 {
 			panic("xrand: negative weight")
 		}
 		total += w
+		cum[i] = total
 	}
 	if len(weights) == 0 || total <= 0 {
 		panic("xrand: Choice needs positive total weight")
 	}
-	target := r.Float64() * total
-	sum := 0.0
-	for i, w := range weights {
-		sum += w
-		if sum >= target {
-			return i
+	// A NaN leaves the running sums unordered, so the search would not stop
+	// where a scan does; an infinite weight is no probability.
+	for _, w := range weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			panic("xrand: non-finite weight")
 		}
 	}
-	return len(weights) - 1
+	return &ChoiceTable{cum: cum}
+}
+
+// Draw returns an index drawn with one r.Float64().
+func (c *ChoiceTable) Draw(r *RNG) int {
+	return search(c.cum, r.Float64()*c.cum[len(c.cum)-1])
+}
+
+// search returns the first index whose running sum reaches target, which is
+// where a scan adding the weights in order stops, or the last index when no
+// sum does (a NaN target).
+func search(cum []float64, target float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cum[mid] >= target {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Shuffle permutes the first n elements using the provided swap function

@@ -132,10 +132,10 @@ func TestLogNormalPositive(t *testing.T) {
 }
 
 func TestZipfSkew(t *testing.T) {
-	r := New(13)
+	r, z := New(13), NewZipfTable(1.2)
 	counts := make([]int, 10)
 	for i := 0; i < 50000; i++ {
-		counts[r.Zipf(10, 1.2)]++
+		counts[z.Draw(r, 10)]++
 	}
 	// Rank 0 must dominate rank 9 by a large factor.
 	if counts[0] < 5*counts[9] {
@@ -149,21 +149,24 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestZipfDegenerate(t *testing.T) {
-	r := New(14)
-	if r.Zipf(1, 1.0) != 0 {
-		t.Fatal("Zipf(1) must return 0")
+	r, z := New(14), NewZipfTable(1.0)
+	before := r.State()
+	if z.Draw(r, 1) != 0 {
+		t.Fatal("Zipf over n=1 must return 0")
 	}
-	if r.Zipf(0, 1.0) != 0 {
-		t.Fatal("Zipf(0) must return 0")
+	if z.Draw(r, 0) != 0 {
+		t.Fatal("Zipf over n=0 must return 0")
+	}
+	if r.State() != before {
+		t.Fatal("Zipf over n<=1 consumed a draw")
 	}
 }
 
 func TestChoiceDistribution(t *testing.T) {
-	r := New(15)
-	w := []float64{1, 0, 3}
+	r, c := New(15), NewChoiceTable([]float64{1, 0, 3})
 	counts := make([]int, 3)
 	for i := 0; i < 40000; i++ {
-		counts[r.Choice(w)]++
+		counts[c.Draw(r)]++
 	}
 	if counts[1] != 0 {
 		t.Fatalf("zero-weight index chosen %d times", counts[1])
@@ -171,6 +174,229 @@ func TestChoiceDistribution(t *testing.T) {
 	ratio := float64(counts[2]) / float64(counts[0])
 	if ratio < 2.7 || ratio > 3.3 {
 		t.Fatalf("weight-3 / weight-1 ratio = %v, want ~3", ratio)
+	}
+}
+
+func TestChoiceTablePanics(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		weights []float64
+		msg     string
+	}{
+		{"empty", nil, "xrand: Choice needs positive total weight"},
+		{"negative", []float64{1, -1, 2}, "xrand: negative weight"},
+		{"-Inf", []float64{1, math.Inf(-1)}, "xrand: negative weight"},
+		{"zero total", []float64{0, 0}, "xrand: Choice needs positive total weight"},
+		{"NaN", []float64{1, math.NaN(), 2}, "xrand: non-finite weight"},
+		{"+Inf", []float64{1, math.Inf(1)}, "xrand: non-finite weight"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != c.msg {
+					t.Fatalf("panic %v, want %q", got, c.msg)
+				}
+			}()
+			NewChoiceTable(c.weights)
+		})
+	}
+}
+
+// The oracles: the per-draw samplers the tables replaced, kept unchanged.
+
+// Zipf returns a Zipf-distributed integer in [0, n) with exponent s > 0,
+// summing the harmonic normalizer and scanning the weights on every draw.
+func (r *RNG) Zipf(n int, s float64) int {
+	if n <= 1 {
+		return 0
+	}
+	target := r.Float64() * zipfNorm(n, s)
+	sum := 0.0
+	for k := 0; k < n; k++ {
+		sum += 1 / math.Pow(float64(k+1), s)
+		if sum >= target {
+			return k
+		}
+	}
+	return n - 1
+}
+
+func zipfNorm(n int, s float64) float64 {
+	sum := 0.0
+	for k := 1; k <= n; k++ {
+		sum += 1 / math.Pow(float64(k), s)
+	}
+	return sum
+}
+
+// Choice returns a random index in [0, len(weights)) with probability
+// proportional to weights[i]. Panics if weights is empty or sums to <= 0.
+func (r *RNG) Choice(weights []float64) int {
+	total := 0.0
+	for _, w := range weights {
+		if w < 0 {
+			panic("xrand: negative weight")
+		}
+		total += w
+	}
+	if len(weights) == 0 || total <= 0 {
+		panic("xrand: Choice needs positive total weight")
+	}
+	target := r.Float64() * total
+	sum := 0.0
+	for i, w := range weights {
+		sum += w
+		if sum >= target {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// stateFor returns the state whose next Float64 is u·2⁻⁵³ for an integer
+// u < 2⁵³: it runs splitmix64's output mix backwards.
+func stateFor(u uint64) uint64 {
+	z := u << 11
+	z ^= z>>31 ^ z>>62
+	z *= 0x319642b2d24d8ec3 // inverse of 0x94d049bb133111eb mod 2⁶⁴
+	z ^= z>>27 ^ z>>54
+	z *= 0x96de1b173f119089 // inverse of 0xbf58476d1ce4e5b9 mod 2⁶⁴
+	z ^= z>>30 ^ z>>60
+	return z - 0x9e3779b97f4a7c15
+}
+
+func TestStateFor(t *testing.T) {
+	for _, u := range []uint64{0, 1, 12345, 1<<52 + 7, 1<<53 - 1} {
+		r := New(stateFor(u))
+		if got := r.Float64(); got != float64(u)/(1<<53) {
+			t.Fatalf("stateFor(%d) draws %v", u, got)
+		}
+	}
+}
+
+// edgeStates returns RNG states whose next draw puts the target on or next
+// to each running sum in cum[:n]: the uniform draws just below and above
+// cum[k]/cum[n-1], plus 0 and the largest draw below 1.
+func edgeStates(cum []float64) []uint64 {
+	const one = 1 << 53
+	states := []uint64{stateFor(0), stateFor(one - 1)}
+	total := cum[len(cum)-1]
+	for _, c := range cum {
+		u := uint64(c / total * one)
+		for _, v := range []uint64{u - 1, u, u + 1} {
+			if v < one {
+				states = append(states, stateFor(v))
+			}
+		}
+	}
+	return states
+}
+
+// TestZipfTableMatchesOracle draws from one table per exponent and from the
+// oracle on twin generators, over a support that grows, shrinks and repeats,
+// and requires the same rank and the same generator state after every draw.
+func TestZipfTableMatchesOracle(t *testing.T) {
+	ctl := New(21)
+	for _, s := range []float64{0.5, 1, 1.1, 1.2, 2, 3.7} {
+		z := NewZipfTable(s)
+		a, b := New(uint64(s*1000)), New(uint64(s*1000))
+		ns := []int{0, 1, 2, 2, 5, 3, 1, 0, 50, 10, 50, 200, 7, 1000, 999, 1, 2}
+		for i := 0; i < 300; i++ {
+			switch ctl.Intn(4) {
+			case 0: // repeat
+				ns = append(ns, ns[len(ns)-1])
+			case 1: // small
+				ns = append(ns, ctl.Intn(8))
+			default:
+				ns = append(ns, ctl.Intn(2500))
+			}
+		}
+		check := func(n int) {
+			got, want := z.Draw(a, n), b.Zipf(n, s)
+			if got != want || a.State() != b.State() {
+				t.Fatalf("s=%v n=%d: table drew %d (state %#x), oracle %d (state %#x)",
+					s, n, got, a.State(), want, b.State())
+			}
+		}
+		for _, n := range ns {
+			check(n)
+			if n < 2 || n > 64 {
+				continue // the oracle costs O(n) a draw, and edges cost 3n draws
+			}
+			for _, st := range edgeStates(z.cum[:n]) {
+				a.SetState(st)
+				b.SetState(st)
+				check(n)
+			}
+		}
+	}
+}
+
+// TestChoiceTableMatchesOracle compares the table with the oracle on twin
+// generators over weight vectors with zeros (leading, trailing and
+// interior), subnormals and 1e300:1e-300 ratios, at random draws and at
+// draws that land on the running sums.
+func TestChoiceTableMatchesOracle(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	vectors := [][]float64{
+		{1},
+		{0, 0, 1},
+		{1, 0, 0},
+		{1, 0, 0, 2, 0, 3},
+		{0, 1, 0, 1, 0},
+		{sub, sub, 0, 3 * sub},
+		{1, sub, 1},
+		{1e300, 1e-300, 1e300},
+		{1e-300, 1e300, 0, 1e-300},
+		{1e-300, 1e-300, 1e-300},
+		{0.55, 0.20, 0.15, 0.10, 0, 0},
+		{0.78, 0.10, 0.05, 0.037, 0.020, 0.013},
+	}
+	ctl := New(22)
+	for len(vectors) < 400 {
+		w := make([]float64, 1+ctl.Intn(40))
+		for i := range w {
+			switch ctl.Intn(7) {
+			case 0:
+				w[i] = 0
+			case 1:
+				w[i] = sub * float64(1+ctl.Intn(8))
+			case 2:
+				w[i] = 1e-300 * ctl.Float64()
+			case 3:
+				w[i] = 1e300 * ctl.Float64()
+			case 4:
+				w[i] = float64(ctl.Intn(4))
+			default:
+				w[i] = ctl.Float64()
+			}
+		}
+		vectors = append(vectors, w)
+	}
+	for vi, w := range vectors {
+		total := 0.0
+		for _, x := range w {
+			total += x
+		}
+		if total <= 0 {
+			continue
+		}
+		c := NewChoiceTable(w)
+		a, b := New(uint64(vi)), New(uint64(vi))
+		check := func() {
+			got, want := c.Draw(a), b.Choice(w)
+			if got != want || a.State() != b.State() {
+				t.Fatalf("weights %v: table drew %d (state %#x), oracle %d (state %#x)",
+					w, got, a.State(), want, b.State())
+			}
+		}
+		for i := 0; i < 50; i++ {
+			check()
+		}
+		for _, st := range edgeStates(c.cum) {
+			a.SetState(st)
+			b.SetState(st)
+			check()
+		}
 	}
 }
 
