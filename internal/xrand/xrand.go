@@ -9,7 +9,10 @@
 // derived from a master seed.
 package xrand
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // RNG is a splitmix64 pseudo-random generator. The zero value is a valid
 // generator seeded with 0; use New to seed explicitly.
@@ -113,7 +116,8 @@ func (r *RNG) Exp(mean float64) float64 {
 // which recurring job template a user resubmits (a few templates dominate,
 // matching production traces). The table keeps the running sums of the
 // weights and extends them when a draw asks for a larger n, so a draw over
-// any prefix of the support is one uniform draw and a binary search.
+// any prefix of the support is one uniform draw and a binary search. A draw
+// may extend the table, so one table serves one goroutine.
 type ZipfTable struct {
 	s   float64
 	cum []float64 // cum[k] = Σ_{i≤k} 1/(i+1)^s, added in rank order
@@ -178,16 +182,7 @@ func (c *ChoiceTable) Draw(r *RNG) int {
 // where a scan adding the weights in order stops, or the last index when no
 // sum does (a NaN target).
 func search(cum []float64, target float64) int {
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cum[mid] >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
+	return min(sort.SearchFloat64s(cum, target), len(cum)-1)
 }
 
 // Shuffle permutes the first n elements using the provided swap function

@@ -274,14 +274,19 @@ func TestStateFor(t *testing.T) {
 }
 
 // edgeStates returns RNG states whose next draw puts the target on or next
-// to each running sum in cum[:n]: the uniform draws just below and above
-// cum[k]/cum[n-1], plus 0 and the largest draw below 1.
-func edgeStates(cum []float64) []uint64 {
+// to each running sum of weights: the uniform draws nearest to the sum's
+// share of the total, plus 0 and the largest draw below 1.
+func edgeStates(weights []float64) []uint64 {
 	const one = 1 << 53
 	states := []uint64{stateFor(0), stateFor(one - 1)}
-	total := cum[len(cum)-1]
-	for _, c := range cum {
-		u := uint64(c / total * one)
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	sum := 0.0
+	for _, w := range weights {
+		sum += w
+		u := uint64(sum / total * one)
 		for _, v := range []uint64{u - 1, u, u + 1} {
 			if v < one {
 				states = append(states, stateFor(v))
@@ -322,7 +327,11 @@ func TestZipfTableMatchesOracle(t *testing.T) {
 			if n < 2 || n > 64 {
 				continue // the oracle costs O(n) a draw, and edges cost 3n draws
 			}
-			for _, st := range edgeStates(z.cum[:n]) {
+			w := make([]float64, n)
+			for k := range w {
+				w[k] = 1 / math.Pow(float64(k+1), s)
+			}
+			for _, st := range edgeStates(w) {
 				a.SetState(st)
 				b.SetState(st)
 				check(n)
@@ -333,8 +342,8 @@ func TestZipfTableMatchesOracle(t *testing.T) {
 
 // TestChoiceTableMatchesOracle compares the table with the oracle on twin
 // generators over weight vectors with zeros (leading, trailing and
-// interior), subnormals and 1e300:1e-300 ratios, at random draws and at
-// draws that land on the running sums.
+// interior), subnormals, 1e300:1e-300 ratios and a total that overflows, at
+// random draws and at draws that land on the running sums.
 func TestChoiceTableMatchesOracle(t *testing.T) {
 	sub := math.SmallestNonzeroFloat64
 	vectors := [][]float64{
@@ -348,6 +357,7 @@ func TestChoiceTableMatchesOracle(t *testing.T) {
 		{1e300, 1e-300, 1e300},
 		{1e-300, 1e300, 0, 1e-300},
 		{1e-300, 1e-300, 1e-300},
+		{1e308, 1e308, 0}, // the total overflows: a zero draw's target is NaN
 		{0.55, 0.20, 0.15, 0.10, 0, 0},
 		{0.78, 0.10, 0.05, 0.037, 0.020, 0.013},
 	}
@@ -392,7 +402,7 @@ func TestChoiceTableMatchesOracle(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			check()
 		}
-		for _, st := range edgeStates(c.cum) {
+		for _, st := range edgeStates(w) {
 			a.SetState(st)
 			b.SetState(st)
 			check()
