@@ -180,12 +180,11 @@ type Generator struct {
 	rng     *xrand.RNG
 
 	// Sampling tables, built once: GPU demand, job share per VC (skewed),
-	// the (day, hour) slot of a submission, and the Zipf rank of a recurring
-	// template, whose table every user's template list shares.
+	// the hour of the window a job is submitted in, and the Zipf rank of a
+	// recurring template, whose table every user's template list shares.
 	gpuDemand *xrand.ChoiceTable
 	vcJob     *xrand.ChoiceTable
-	slots     []slot
-	slotW     *xrand.ChoiceTable
+	hour      *xrand.ChoiceTable
 	zipf      *xrand.ZipfTable
 
 	nextJobID int
@@ -248,15 +247,14 @@ func NewGenerator(spec GenSpec) *Generator {
 	}
 	g.vcJob = xrand.NewChoiceTable(vcJobW)
 
-	// Per-(day,hour) arrival weights.
-	slotW := make([]float64, 0, spec.Days*24)
+	// Arrival weight of each hour of the window, day by day.
+	hourW := make([]float64, 0, spec.Days*24)
 	for d := 0; d < spec.Days; d++ {
 		for h := 0; h < 24; h++ {
-			g.slots = append(g.slots, slot{d, h})
-			slotW = append(slotW, dayWeight(d)*hourWeights[h])
+			hourW = append(hourW, dayWeight(d)*hourWeights[h])
 		}
 	}
-	g.slotW = xrand.NewChoiceTable(slotW)
+	g.hour = xrand.NewChoiceTable(hourW)
 
 	// Users per VC scale with VC size.
 	g.users = make([][]*user, spec.NumVCs)
@@ -378,11 +376,6 @@ var hourWeights = []float64{
 	0.80, 0.70, 0.60, 0.50, 0.40, 0.30, // 18-23
 }
 
-// slot is one (day, hour) of the emission window.
-type slot struct {
-	day, hour int
-}
-
 // dayWeight damps weekends.
 func dayWeight(day int) float64 {
 	switch day % 7 {
@@ -433,8 +426,7 @@ func (g *Generator) Emit(numJobs int) *Trace {
 			dur = tm.longMedian * g.rng.LogNormal(0, 0.35)
 		}
 
-		s := g.slots[g.slotW.Draw(g.rng)]
-		submit := int64(s.day)*86400 + int64(s.hour)*3600 + g.rng.Int63n(3600)
+		submit := int64(g.hour.Draw(g.rng))*3600 + g.rng.Int63n(3600)
 
 		j := job.New(g.nextJobID,
 			fmt.Sprintf("%s-v%d", tm.name, tm.uses),

@@ -201,7 +201,7 @@ func TestChoiceTablePanics(t *testing.T) {
 	}
 }
 
-// The oracles: the per-draw samplers the tables replaced, kept unchanged.
+// The oracles: the per-draw samplers the tables replaced.
 
 // Zipf returns a Zipf-distributed integer in [0, n) with exponent s > 0,
 // summing the harmonic normalizer and scanning the weights on every draw.
