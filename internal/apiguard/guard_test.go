@@ -1,37 +1,42 @@
-// Package apiguard keeps the module free of exported functions and option
-// fields that only tests use. It has no non-test code. Its tests parse every
-// non-test Go file under cmd/, internal/, bench/ and examples/ and fail,
-// naming the declaration, when an exported func or method has no caller in
-// those files, or when an exported field of an exported *Options, *Config,
-// *Spec or *Params struct is never written there. A test that needs such a
-// function goes through the API production code uses instead, or keeps its
-// helper in a _test.go file; a knob only tests turn is deleted, or becomes
-// an unexported seam of its package.
+// Package apiguard keeps the module free of exported declarations and option
+// fields that only tests use. It has no non-test code. Its tests type-check
+// every non-test package under cmd/, internal/, bench/ and examples/ and fail,
+// naming the declaration, when an exported func, method, const, var or type
+// has no use in that code, or when an exported field of an exported *Options,
+// *Config, *Spec or *Params struct is never written there. A test that needs
+// such a declaration goes through the API production code uses instead, or
+// keeps its helper in a _test.go file; a knob only tests turn is deleted, or
+// becomes an unexported seam of its package. TestNonTestLineBudget caps the
+// lines of non-test Go.
 //
 // Run it with: go test ./internal/apiguard/
 package apiguard
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// module is the import path of the module root, two directories up.
-const module = "repro/"
+// module is the module's path; its root is two directories up.
+const module = "repro"
 
-// roots are the trees searched for both declarations and callers: every
-// directory that holds non-test Go. The runnable examples count as callers.
+// roots are the trees searched for both declarations and uses: every
+// directory that holds non-test Go. The runnable examples count as users.
 var roots = []string{"cmd", "internal", "bench", "examples"}
 
-// allowed lists the exported functions that may have no caller outside
-// tests, each with the reason. Keys are "dir.Func" or "dir.Type.Method",
+// allowed lists the exported declarations that may have no use outside
+// tests, each with the reason. Keys are "dir.Name" or "dir.Type.Method",
 // dir being the package's directory below the module root.
 var allowed = map[string]string{
 	// Accessors that tests assert on: each reads a property of a fitted
@@ -57,134 +62,6 @@ var allowed = map[string]string{
 	"internal/trace.ReadCSV": "reads tracegen's CSV output back; parked real-trace ingestion starts here",
 }
 
-// decl is one exported func or method declaration.
-type decl struct {
-	key string // "dir.Func" or "dir.Type.Method"
-	use string // the uses key it is looked up under
-	pos token.Position
-}
-
-type file struct {
-	dir string
-	ast *ast.File
-}
-
-// parseTree parses every non-test Go file under roots, returning each with
-// its directory below the module root, and each directory's package name.
-func parseTree(t *testing.T) (*token.FileSet, []file, map[string]string) {
-	t.Helper()
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	var files []file
-	pkgName := map[string]string{} // dir → package clause name
-	for _, r := range roots {
-		err := filepath.WalkDir(filepath.Join(root, r), func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			rel, err := filepath.Rel(root, filepath.Dir(path))
-			if err != nil {
-				return err
-			}
-			dir := filepath.ToSlash(rel)
-			files = append(files, file{dir, f})
-			pkgName[dir] = f.Name.Name
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return fset, files, pkgName
-}
-
-func TestNoExportOnlyTestsCall(t *testing.T) {
-	fset, files, pkgName := parseTree(t)
-
-	// A package-level function is used where its package names it bare or
-	// another package names it through an import ("dir.Func"). A method is
-	// used wherever its name appears, since without type information any
-	// x.Name may call it ("..Method").
-	uses := map[string]int{}
-	var decls []decl
-	for _, f := range files {
-		own := map[*ast.Ident]bool{}
-		for _, d := range f.ast.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			own[fn.Name] = true
-			if !fn.Name.IsExported() {
-				continue
-			}
-			dc := decl{key: f.dir + "." + fn.Name.Name, use: f.dir + "." + fn.Name.Name, pos: fset.Position(fn.Pos())}
-			if fn.Recv != nil {
-				dc.key = f.dir + "." + recvType(fn.Recv.List[0].Type) + "." + fn.Name.Name
-				dc.use = ".." + fn.Name.Name
-			}
-			decls = append(decls, dc)
-		}
-		imports := map[string]string{} // local name → dir
-		for _, im := range f.ast.Imports {
-			path, _ := strconv.Unquote(im.Path.Value) // the parser has checked the literal
-			if !strings.HasPrefix(path, module) {
-				continue
-			}
-			dir := strings.TrimPrefix(path, module)
-			name := pkgName[dir]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = dir
-		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				uses[".."+n.Sel.Name]++
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					uses[imports[x.Name]+"."+n.Sel.Name]++
-					return false
-				}
-			case *ast.Ident:
-				if !own[n] {
-					uses[f.dir+"."+n.Name]++
-				}
-			}
-			return true
-		})
-	}
-	if len(decls) == 0 {
-		t.Fatal("no exported declarations found: wrong module root?")
-	}
-
-	var unused []string
-	declared := map[string]bool{}
-	for _, d := range decls {
-		declared[d.key] = true
-		if uses[d.use] > 0 {
-			if allowed[d.key] != "" {
-				t.Errorf("%s is on the allowlist but has a caller outside tests: take it off", d.key)
-			}
-		} else if allowed[d.key] == "" {
-			unused = append(unused, d.key+" ("+d.pos.String()+")")
-		}
-	}
-	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("exported %s has no caller outside _test.go: delete it, or add it to the allowlist with the reason", u)
-	}
-	for k := range allowed {
-		if !declared[k] {
-			t.Errorf("allowlist entry %s names no exported declaration", k)
-		}
-	}
-}
-
 // optionSuffixes name the structs whose exported fields are knobs: a type
 // whose name ends in one of them holds options a caller sets.
 var optionSuffixes = []string{"Options", "Config", "Spec", "Params"}
@@ -195,109 +72,309 @@ var allowedFields = map[string]string{
 	"internal/ml/gam.Params.Interactions": "the paper's GA²M has pair terms; turning them on is a model re-baseline, and without them it is a plain GAM",
 	"internal/ml/gam.Params.PairRounds":   "the boosting rounds of those pair terms, set with Interactions",
 	"internal/loadgen.Options.Stop":       "lucidd's soak test stops the load from another package after a mid-run drain",
+	"internal/loadgen.Options.Handler":    "lucidd's soak test drives the server in-process from another package",
 	"internal/sim.Options.MaxHorizon":     "tests cut runs short to reach the horizon's own rules (an arrival past it, jobs it leaves unfinished); runs stop at 6× the trace window",
 	"internal/sim.Options.SampleEvery":    "tests move the sampling instants to put an event-engine wake-up where they need one; runs sample every 600 s",
 }
 
-// TestNoOptionOnlyTestsSet fails on an exported field of an exported
-// options struct (see optionSuffixes) that nothing outside _test.go writes:
-// a knob only tests turn. The check goes by name, as the function guard
-// does: a field is written when a composite literal outside tests keys it
-// or an assignment or ++/-- outside tests stores to a selector of its name,
-// whatever the struct. Writes in the options types' own methods (the
-// normalized defaults) do not count, since they only fill in what no caller
-// set.
-func TestNoOptionOnlyTestsSet(t *testing.T) {
-	fset, files, _ := parseTree(t)
+// fset positions every file the guard reads. std type-checks the standard
+// library from source, once for every tree the tests check.
+var (
+	fset = token.NewFileSet()
+	std  = importer.ForCompiler(fset, "source", nil)
+)
 
-	type field struct {
-		key  string // "dir.Type.Field"
-		name string
-		pos  token.Position
+// pkg is one type-checked package of a tree.
+type pkg struct {
+	dir   string // below the tree's root, slash-separated
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// tree type-checks a module's non-test packages. As the types.Importer of
+// its own checks it loads the module's packages from source, non-test files
+// only, and hands every other import to std.
+type tree struct {
+	root, module string
+	pkgs         map[string]*pkg // import path → package
+}
+
+func (tr *tree) Import(path string) (*types.Package, error) {
+	if path != tr.module && !strings.HasPrefix(path, tr.module+"/") {
+		return std.Import(path)
 	}
-	var fields []field
-	isOption := map[string]bool{} // "dir.Type" of every options struct
-	for _, f := range files {
-		for _, d := range f.ast.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
+	if p := tr.pkgs[path]; p != nil {
+		return p.types, nil
+	}
+	dir := strings.TrimPrefix(strings.TrimPrefix(path, tr.module), "/")
+	bp, err := build.ImportDir(filepath.Join(tr.root, filepath.FromSlash(dir)), 0)
+	if err != nil {
+		return nil, err
+	}
+	p := &pkg{dir: dir, info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: tr}
+	if p.types, err = conf.Check(path, fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	tr.pkgs[path] = p
+	return p.types, nil
+}
+
+// walkGo calls visit with the path of every non-test Go file under root's
+// dirs, testdata/ excluded.
+func walkGo(t *testing.T, root string, dirs []string, visit func(path string) error) {
+	t.Helper()
+	for _, d := range dirs {
+		err := filepath.WalkDir(filepath.Join(root, d), func(path string, e fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case e.IsDir() && e.Name() == "testdata":
+				return filepath.SkipDir
+			case e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+				return nil
+			}
+			return visit(path)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// load type-checks every package that holds non-test Go under root's dirs.
+func load(t *testing.T, root, module string, dirs []string) *tree {
+	t.Helper()
+	tr := &tree{root: root, module: module, pkgs: map[string]*pkg{}}
+	walkGo(t, root, dirs, func(path string) error {
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		_, err = tr.Import(module + "/" + filepath.ToSlash(rel))
+		return err
+	})
+	if len(tr.pkgs) == 0 {
+		t.Fatalf("no packages under %s: wrong root?", root)
+	}
+	return tr
+}
+
+var (
+	repoOnce sync.Once
+	repoTree *tree
+)
+
+// repo is the module, type-checked once for all the tests.
+func repo(t *testing.T) *tree {
+	t.Helper()
+	repoOnce.Do(func() { repoTree = load(t, filepath.Join("..", ".."), module, roots) })
+	if repoTree == nil {
+		t.Fatal("the module failed to type-check")
+	}
+	return repoTree
+}
+
+// sorted lists the tree's packages by directory.
+func (tr *tree) sorted() []*pkg {
+	ps := make([]*pkg, 0, len(tr.pkgs))
+	for _, p := range tr.pkgs {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].dir < ps[j].dir })
+	return ps
+}
+
+// decl is one exported declaration or option field, and whether non-test
+// code uses (for a field: writes) it.
+type decl struct {
+	key  string // "dir.Name", "dir.Type.Method" or "dir.Type.Field"
+	obj  types.Object
+	used bool
+}
+
+// origin maps an instantiated generic method or field to its declaration.
+func origin(o types.Object) types.Object {
+	switch o := o.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return o
+}
+
+// exports lists every exported package-level func, const, var and type and
+// every exported method. One is used when some non-test identifier resolves
+// to it, or, for a method, when its receiver type implements an interface of
+// the import closure that declares a method of its name: that is how
+// String, ServeHTTP and a sim.Scheduler's methods are reached.
+func exports(tr *tree) []decl {
+	uses := map[types.Object]bool{}
+	for _, p := range tr.pkgs {
+		for _, o := range p.info.Uses {
+			uses[origin(o)] = true
+		}
+	}
+	ifaces := interfaces(tr)
+	var ds []decl
+	for _, p := range tr.sorted() {
+		sc := p.types.Scope()
+		for _, name := range sc.Names() {
+			o := sc.Lookup(name)
+			if o.Exported() {
+				ds = append(ds, decl{p.dir + "." + name, o, uses[o]})
+			}
+			tn, ok := o.(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			for _, sp := range gd.Specs {
-				ts := sp.(*ast.TypeSpec)
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || !ts.Name.IsExported() || !hasOptionSuffix(ts.Name.Name) {
+			n, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < n.NumMethods(); i++ {
+				m := n.Method(i)
+				if !m.Exported() {
 					continue
 				}
-				isOption[f.dir+"."+ts.Name.Name] = true
-				for _, fl := range st.Fields.List {
-					for _, n := range fl.Names {
-						if n.IsExported() {
-							fields = append(fields, field{f.dir + "." + ts.Name.Name + "." + n.Name, n.Name, fset.Position(n.Pos())})
-						}
-					}
+				used := uses[m]
+				for _, it := range ifaces[m.Name()] {
+					used = used || n.TypeParams().Len() == 0 &&
+						(types.Implements(n, it) || types.Implements(types.NewPointer(n), it))
 				}
+				ds = append(ds, decl{p.dir + "." + name + "." + m.Name(), m, used})
 			}
 		}
 	}
-	if len(fields) == 0 {
-		t.Fatal("no option fields found: wrong module root?")
-	}
+	return ds
+}
 
-	written := map[string]bool{} // field name → written outside tests
-	store := func(e ast.Expr) {
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			written[sel.Sel.Name] = true
+// interfaces indexes every non-generic package-level interface of the tree's
+// import closure, and error, by the names of its methods.
+func interfaces(tr *tree) map[string][]*types.Interface {
+	byName := map[string][]*types.Interface{}
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				byName[it.Method(i).Name()] = append(byName[it.Method(i).Name()], it)
+			}
 		}
 	}
-	for _, f := range files {
-		for _, d := range f.ast.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && isOption[f.dir+"."+recvType(fn.Recv.List[0].Type)] {
+	add(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); !ok || n.TypeParams().Len() == 0 {
+					add(tn.Type())
+				}
+			}
+		}
+		for _, im := range p.Imports() {
+			walk(im)
+		}
+	}
+	for _, p := range tr.sorted() {
+		walk(p.types)
+	}
+	return byName
+}
+
+// optionFields lists the exported fields of the exported option structs (see
+// optionSuffixes). One is used when non-test code writes it: as the key of a
+// keyed composite literal, by position in an unkeyed one, as the selector on
+// the left of an assignment or ++/--, or as a selector whose address is
+// taken. Writes in the option types' own methods (the normalized defaults)
+// do not count, since they only fill in what no caller set.
+func optionFields(tr *tree) []decl {
+	var ds []decl
+	isOption := map[*types.TypeName]bool{}
+	for _, p := range tr.sorted() {
+		sc := p.types.Scope()
+		for _, name := range sc.Names() {
+			tn, ok := sc.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !hasOptionSuffix(name) {
 				continue
 			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					for _, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							if k, ok := kv.Key.(*ast.Ident); ok {
-								written[k.Name] = true
-							}
-						}
-					}
-				case *ast.AssignStmt:
-					for _, l := range n.Lhs {
-						store(l)
-					}
-				case *ast.IncDecStmt:
-					store(n.X)
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			isOption[tn] = true
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					ds = append(ds, decl{p.dir + "." + name + "." + f.Name(), f, false})
 				}
-				return true
-			})
+			}
 		}
 	}
 
-	declared := map[string]bool{}
-	var unset []string
-	for _, fl := range fields {
-		declared[fl.key] = true
-		if written[fl.name] {
-			if allowedFields[fl.key] != "" {
-				t.Errorf("%s is on the allowlist but is written outside tests: take it off", fl.key)
+	written := map[types.Object]bool{}
+	for _, p := range tr.pkgs {
+		store := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok && p.info.Uses[sel.Sel] != nil {
+				written[origin(p.info.Uses[sel.Sel])] = true
 			}
-		} else if allowedFields[fl.key] == "" {
-			unset = append(unset, fl.key+" ("+fl.pos.String()+")")
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && isOption[recvType(p.info.Defs[fn.Name])] {
+					continue
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						var st *types.Struct
+						if tv, ok := p.info.Types[n]; ok {
+							st, _ = deref(tv.Type).Underlying().(*types.Struct)
+						}
+						for i, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if k, ok := kv.Key.(*ast.Ident); ok && p.info.Uses[k] != nil {
+									written[origin(p.info.Uses[k])] = true
+								}
+							} else if st != nil {
+								written[st.Field(i).Origin()] = true
+							}
+						}
+					case *ast.AssignStmt:
+						for _, l := range n.Lhs {
+							store(l)
+						}
+					case *ast.IncDecStmt:
+						store(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							store(n.X)
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
-	sort.Strings(unset)
-	for _, u := range unset {
-		t.Errorf("option field %s is written only by tests: delete it, unexport it, or add it to the allowlist with the reason", u)
+	for i := range ds {
+		ds[i].used = written[ds[i].obj]
 	}
-	for k := range allowedFields {
-		if !declared[k] {
-			t.Errorf("allowlist entry %s names no option field", k)
-		}
-	}
+	return ds
 }
 
 func hasOptionSuffix(name string) bool {
@@ -309,20 +386,114 @@ func hasOptionSuffix(name string) bool {
 	return false
 }
 
-// recvType names a method receiver's base type: T for T, *T, T[K] and *T[K].
-func recvType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
+// recvType is a method's receiver base type: T for T, *T, T[K] and *T[K].
+func recvType(o types.Object) *types.TypeName {
+	if n, ok := deref(o.Type().(*types.Signature).Recv().Type()).(*types.Named); ok {
+		return n.Obj()
+	}
+	return nil
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// unused lists the keys of the declarations nothing outside tests uses.
+func unused(ds []decl) []string {
+	var keys []string
+	for _, d := range ds {
+		if !d.used {
+			keys = append(keys, d.key)
 		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// check fails on every unused declaration the allowlist does not name, on
+// every allowlisted one that has a use, and on every allowlist key that
+// names nothing.
+func check(t *testing.T, ds []decl, allow map[string]string, unusedMsg, usedMsg, noneMsg string) {
+	t.Helper()
+	declared := map[string]bool{}
+	var bad []string
+	for _, d := range ds {
+		declared[d.key] = true
+		if d.used {
+			if allow[d.key] != "" {
+				t.Errorf(usedMsg, d.key)
+			}
+		} else if allow[d.key] == "" {
+			bad = append(bad, d.key+" ("+fset.Position(d.obj.Pos()).String()+")")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Errorf(unusedMsg, b)
+	}
+	for k := range allow {
+		if !declared[k] {
+			t.Errorf(noneMsg, k)
+		}
+	}
+}
+
+func TestNoExportOnlyTestsCall(t *testing.T) {
+	check(t, exports(repo(t)), allowed,
+		"exported %s has no caller outside _test.go: delete it, or add it to the allowlist with the reason",
+		"%s is on the allowlist but has a caller outside tests: take it off",
+		"allowlist entry %s names no exported declaration")
+}
+
+// TestNoOptionOnlyTestsSet fails on an exported field of an exported
+// options struct (see optionSuffixes) that nothing outside _test.go writes:
+// a knob only tests turn.
+func TestNoOptionOnlyTestsSet(t *testing.T) {
+	check(t, optionFields(repo(t)), allowedFields,
+		"option field %s is written only by tests: delete it, unexport it, or add it to the allowlist with the reason",
+		"%s is on the allowlist but is written outside tests: take it off",
+		"allowlist entry %s names no option field")
+}
+
+// TestGuardFixture runs both rules over testdata/, a module whose code
+// exercises what resolving by name gets wrong, and asserts the exact
+// findings.
+func TestGuardFixture(t *testing.T) {
+	tr := load(t, "testdata", "fixture", []string{"lib", "cmd"})
+	same := func(what string, got, want []string) {
+		t.Helper()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("unused %s:\n got %q\nwant %q", what, got, want)
+		}
+	}
+	same("exports", unused(exports(tr)), []string{
+		"lib.Gauge.Inc",  // Counter.Inc has a caller
+		"lib.Unused",     // a const
+		"lib.Vec.Unused", // a generic type's method nothing calls
+	})
+	same("option fields", unused(optionFields(tr)), []string{
+		"lib.Params.Depth",  // written only by Params' own method and a test
+		"lib.Params.Leaves", // Config.Leaves is written
+	})
+}
+
+// budget is the most lines of non-test Go that cmd/, internal/ and examples/
+// may hold.
+const budget = 22048
+
+// TestNonTestLineBudget counts the lines of non-test Go under cmd/, internal/
+// and examples/ (bench/ and testdata/ excluded): the size ROADMAP.md tracks.
+func TestNonTestLineBudget(t *testing.T) {
+	n := 0
+	walkGo(t, filepath.Join("..", ".."), []string{"cmd", "internal", "examples"}, func(path string) error {
+		b, err := os.ReadFile(path)
+		n += strings.Count(string(b), "\n")
+		return err
+	})
+	if n > budget {
+		t.Errorf("non-test Go is %d lines, %d over the budget of %d: a change that grows the code raises budget in the same diff and states the delta in CHANGES.md", n, n-budget, budget)
 	}
 }

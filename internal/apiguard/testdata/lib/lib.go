@@ -1,0 +1,39 @@
+// Package lib declares what the guard judges; cmd/use is its only user.
+package lib
+
+import "fmt"
+
+type Counter struct{ n int }
+
+func (c *Counter) Inc() { c.n++ }
+
+// Gauge.Inc shares its name with Counter.Inc, which has a caller.
+type Gauge struct{ n int }
+
+func (g *Gauge) Inc() { g.n++ }
+
+// Level's String is reached only through fmt.Stringer.
+type Level int
+
+func (l Level) String() string { return fmt.Sprint(int(l)) }
+
+// Vec's Push is called on a Vec[int]; nothing calls Unused.
+type Vec[T any] struct{ xs []T }
+
+func (v *Vec[T]) Push(x T)    { v.xs = append(v.xs, x) }
+func (v *Vec[T]) Unused() int { return len(v.xs) }
+
+const Unused = 1
+
+type Config struct{ Leaves int }
+
+// Params.Leaves shares its name with Config.Leaves, which is written;
+// Params' own method and a test write Depth.
+type Params struct{ Leaves, Depth int }
+
+func (p *Params) norm() { p.Depth = 3 }
+
+// Spec is written by an unkeyed literal, Options through &o.Workers.
+type Spec struct{ Lo, Hi int }
+
+type Options struct{ Workers int }

@@ -88,7 +88,7 @@ func TestWorkloadEstimatorEndToEnd(t *testing.T) {
 	if got >= 61 && abs(sum-got) > 1e-6 {
 		t.Fatalf("explanation sums to %v, estimate is %v", sum, got)
 	}
-	if len(est.FeatureNames()) == 0 || len(est.GlobalImportance()) != len(est.FeatureNames()) {
+	if len(est.FeatureNames()) == 0 || len(est.model.GlobalImportance()) != len(est.FeatureNames()) {
 		t.Fatal("importance/name mismatch")
 	}
 }
@@ -126,10 +126,10 @@ func TestThroughputModelForecast(t *testing.T) {
 	if tp.Level(0) != LoadLow {
 		t.Fatal("zero forecast must be LoadLow")
 	}
-	if tp.Level(tp.Baseline()*2) != LoadHigh {
+	if tp.Level(tp.baseline*2) != LoadHigh {
 		t.Fatal("2× baseline must be LoadHigh")
 	}
-	if tp.Level(tp.Baseline()) != LoadNormal {
+	if tp.Level(tp.baseline) != LoadNormal {
 		t.Fatal("baseline must be LoadNormal")
 	}
 	// Observing keeps the window bounded.

@@ -164,10 +164,6 @@ func (w *WorkloadEstimator) Explain(j *job.Job) (intercept float64, contribs []g
 	return w.model.Explain(w.feat.Features(j))
 }
 
-// GlobalImportance exposes the model's Figure 7a-style term importances,
-// aligned with FeatureNames.
-func (w *WorkloadEstimator) GlobalImportance() []float64 { return w.model.GlobalImportance() }
-
 // FeatureNames lists the model's input features.
 func (w *WorkloadEstimator) FeatureNames() []string { return w.feat.Names() }
 

@@ -193,9 +193,6 @@ func New(models *Models, cfg Config) *Lucid {
 // Name implements sim.Scheduler.
 func (l *Lucid) Name() string { return "Lucid" }
 
-// Profiler exposes the profiler (tests and benchmarks).
-func (l *Lucid) Profiler() *Profiler { return l.profiler }
-
 // ModelsRefit reports whether the Update Engine has retrained the estimator
 // since construction (tests; snapshots embed the model bundle only then).
 func (l *Lucid) ModelsRefit() bool { return l.modelsDirty }

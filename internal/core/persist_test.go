@@ -52,7 +52,7 @@ func TestModelBundleRoundTrip(t *testing.T) {
 	if loaded.Throughput.ForecastNextHour(14, 3) != models.Throughput.ForecastNextHour(14, 3) {
 		t.Fatal("throughput model drifted after round trip")
 	}
-	if loaded.Throughput.Baseline() != models.Throughput.Baseline() {
+	if loaded.Throughput.baseline != models.Throughput.baseline {
 		t.Fatal("baseline drifted")
 	}
 

@@ -204,7 +204,7 @@ func TestRekeyDropsStamps(t *testing.T) {
 		}
 		return n
 	}
-	for s.Now() < 3*86400 && stamped() < 2 {
+	for tick := 0; tick < 3*86400/60 && stamped() < 2; tick++ { // one StepOnce is one 60 s tick
 		s.StepOnce()
 	}
 	if stamped() < 2 {

@@ -88,9 +88,6 @@ func (t *ThroughputModel) ForecastNextHour(hourOfDay, dayIndex int) float64 {
 // Figure 13 and Table 7 experiments).
 func (t *ThroughputModel) PredictRow(row []float64) float64 { return t.model.Predict(row) }
 
-// Baseline returns the training-mean throughput.
-func (t *ThroughputModel) Baseline() float64 { return t.baseline }
-
 // LoadLevel classifies the forecast relative to the baseline: below
 // lowFrac·baseline is "low" (sharing can relax), above highFrac·baseline is
 // "high".

@@ -268,17 +268,6 @@ func (r *Recorder) Record(ev Event) {
 	}
 }
 
-// Len returns the total number of events recorded (including any dropped
-// from memory by the keep bound).
-func (r *Recorder) Len() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
 // Events returns a copy of the retained events.
 func (r *Recorder) Events() []Event {
 	if r == nil {

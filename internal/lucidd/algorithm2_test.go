@@ -138,7 +138,7 @@ func TestScheduleEqualsSimulatorQueue(t *testing.T) {
 		// Estimates bit for bit (the simulator's estimator caches what its
 		// queue was keyed by), and keys.
 		reestimated := 0
-		for _, j := range sm.Jobs() {
+		for _, j := range jobs {
 			if got, want := estOf[j.ID], models.Estimator.EstimateSec(j); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d: job %d: the daemon estimates %v s, the simulator %v s", seed, j.ID, got, want)
 			}

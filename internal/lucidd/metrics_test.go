@@ -90,7 +90,7 @@ func TestMetricsPathLabelBounded(t *testing.T) {
 	s := testServer(t)
 	do(t, s, http.MethodGet, "/favicon.ico", "")
 	do(t, s, http.MethodGet, "/secret/../../etc/passwd", "")
-	out := s.Metrics().Render()
+	out := s.met.reg.Render()
 	if !strings.Contains(out, `path="other"`) {
 		t.Fatal("unknown paths not collapsed into \"other\"")
 	}

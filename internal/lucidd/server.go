@@ -569,10 +569,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter) {
 	_ = s.met.reg.WriteText(w)
 }
 
-// Metrics exposes the server's registry (for embedding servers that merge
-// instruments or tests that assert on them).
-func (s *Server) Metrics() *metrics.Registry { return s.met.reg }
-
 // handleSchedule returns the queue in Algorithm 2's order, core.Key's: GPUs ×
 // estimated duration ascending, then global job ID (the daemon keys every job
 // with Submit 0). ?vc= scopes the queue to one tenant's shard; otherwise

@@ -230,17 +230,6 @@ func (g *Gauge) Set(v float64) {
 	g.v.set(v)
 }
 
-// Add shifts the gauge by v (negative allowed).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.v.add(v)
-}
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.Add(1) }
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

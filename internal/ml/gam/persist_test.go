@@ -41,7 +41,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.NumPairs() != m.NumPairs() {
 		t.Fatal("pair terms lost")
 	}
-	if loaded.FeatureName(0) != "a" {
+	if loaded.feats[0].name != "a" {
 		t.Fatal("feature names lost")
 	}
 	// Explanations still work.

@@ -25,7 +25,7 @@ type Params struct {
 	MaxDepth     int     // per-tree depth (default 3)
 	MinLeaf      int     // min samples per leaf (default 5)
 	Subsample    float64 // row-sampling fraction per round (default 1.0)
-	Seed         uint64
+	seed         uint64  // keys the row sampling; production fits use 0
 }
 
 func (p Params) normalized() Params {
@@ -76,7 +76,7 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 		return nil, fmt.Errorf("gbdt: %w", err)
 	}
 	p = p.normalized()
-	rng := xrand.New(p.Seed + 0xb005)
+	rng := xrand.New(p.seed + 0xb005)
 	n := ds.Len()
 
 	m := &Model{base: mlmodel.Mean(ds.Y), lr: p.LearningRate, trees: make([]*dtree.Tree, 0, p.NumRounds)}
@@ -131,8 +131,5 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	return s
 }
-
-// NumTrees returns the ensemble size.
-func (m *Model) NumTrees() int { return len(m.trees) }
 
 var _ mlmodel.Regressor = (*Model)(nil)

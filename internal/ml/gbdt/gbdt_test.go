@@ -85,7 +85,7 @@ func TestConstantTarget(t *testing.T) {
 
 func TestSubsampleStillLearns(t *testing.T) {
 	ds := nonlinearData(500, 5)
-	m, err := Fit(ds, Params{NumRounds: 100, Subsample: 0.5, Seed: 9})
+	m, err := Fit(ds, Params{NumRounds: 100, Subsample: 0.5, seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +93,8 @@ func TestSubsampleStillLearns(t *testing.T) {
 	if r2 := mlmodel.R2(pred, ds.Y); r2 < 0.85 {
 		t.Fatalf("subsampled gbdt R2 = %v", r2)
 	}
-	if m.NumTrees() != 100 {
-		t.Fatalf("NumTrees = %d", m.NumTrees())
+	if len(m.trees) != 100 {
+		t.Fatalf("%d trees", len(m.trees))
 	}
 }
 
@@ -115,7 +115,7 @@ func tieHeavyData(n int, seed uint64) *mlmodel.Dataset {
 
 func TestSameSeedSamePredictionBits(t *testing.T) {
 	ds := tieHeavyData(600, 21)
-	p := Params{NumRounds: 40, MaxDepth: 4, MinLeaf: 3, Subsample: 0.7, Seed: 3}
+	p := Params{NumRounds: 40, MaxDepth: 4, MinLeaf: 3, Subsample: 0.7, seed: 3}
 	a, err := Fit(ds, p)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +139,8 @@ func TestSameSeedSamePredictionBits(t *testing.T) {
 func TestFitMatchesSubsetBoosting(t *testing.T) {
 	ds := tieHeavyData(500, 22)
 	for _, p := range []Params{
-		{NumRounds: 25, MaxDepth: 3, MinLeaf: 5, Subsample: 0.6, Seed: 4},
-		{NumRounds: 25, MaxDepth: 5, MinLeaf: 1, LearningRate: 0.3, Seed: 5},
+		{NumRounds: 25, MaxDepth: 3, MinLeaf: 5, Subsample: 0.6, seed: 4},
+		{NumRounds: 25, MaxDepth: 5, MinLeaf: 1, LearningRate: 0.3, seed: 5},
 	} {
 		m, err := Fit(ds, p)
 		if err != nil {
@@ -148,7 +148,7 @@ func TestFitMatchesSubsetBoosting(t *testing.T) {
 		}
 		p = p.normalized()
 		n := ds.Len()
-		rng := xrand.New(p.Seed + 0xb005)
+		rng := xrand.New(p.seed + 0xb005)
 		pred := make([]float64, n)
 		for i := range pred {
 			pred[i] = mlmodel.Mean(ds.Y)

@@ -57,24 +57,6 @@ func (d *Dataset) FeatureName(i int) string {
 	return fmt.Sprintf("f%d", i)
 }
 
-// Split partitions the dataset into train and test halves: the first
-// floor(trainFrac·n) rows train, the rest test. Rows are NOT shuffled —
-// time-series data (the throughput model) must split chronologically, which
-// is also how the paper splits (train on April–August, test on September).
-func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
-	n := len(d.X)
-	cut := int(float64(n) * trainFrac)
-	if cut < 0 {
-		cut = 0
-	}
-	if cut > n {
-		cut = n
-	}
-	train = &Dataset{X: d.X[:cut], Y: d.Y[:cut], Names: d.Names}
-	test = &Dataset{X: d.X[cut:], Y: d.Y[cut:], Names: d.Names}
-	return train, test
-}
-
 // Subset returns the dataset restricted to the given row indices (views, no
 // copies of rows).
 func (d *Dataset) Subset(idx []int) *Dataset {

@@ -35,28 +35,6 @@ func TestFeatureNameFallback(t *testing.T) {
 	}
 }
 
-func TestSplitChronological(t *testing.T) {
-	x := [][]float64{{0}, {1}, {2}, {3}, {4}}
-	y := []float64{0, 1, 2, 3, 4}
-	ds := &Dataset{X: x, Y: y}
-	train, test := ds.Split(0.6)
-	if train.Len() != 3 || test.Len() != 2 {
-		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	if train.Y[0] != 0 || test.Y[0] != 3 {
-		t.Fatal("split shuffled rows; must be chronological")
-	}
-	// Degenerate fractions clamp.
-	tr, te := ds.Split(-1)
-	if tr.Len() != 0 || te.Len() != 5 {
-		t.Fatal("negative fraction not clamped")
-	}
-	tr, te = ds.Split(2)
-	if tr.Len() != 5 || te.Len() != 0 {
-		t.Fatal("fraction >1 not clamped")
-	}
-}
-
 func TestSubset(t *testing.T) {
 	ds := &Dataset{X: [][]float64{{0}, {1}, {2}}, Y: []float64{0, 1, 2}}
 	s := ds.Subset([]int{2, 0})

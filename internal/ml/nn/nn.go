@@ -13,28 +13,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// The network's shape and step size.
+// The network's shape, step size and mini-batch size.
 const (
-	hidden1 = 64   // first hidden width
-	hidden2 = 32   // second hidden width
-	lr      = 1e-3 // Adam learning rate
+	hidden1   = 64   // first hidden width
+	hidden2   = 32   // second hidden width
+	lr        = 1e-3 // Adam learning rate
+	batchSize = 32
 )
 
 // Params configures the MLP.
 type Params struct {
-	Epochs    int // passes over the data (default 50)
-	BatchSize int // mini-batch size (default 32)
-	Seed      uint64
-}
-
-func (p Params) normalized() Params {
-	if p.Epochs <= 0 {
-		p.Epochs = 50
-	}
-	if p.BatchSize <= 0 {
-		p.BatchSize = 32
-	}
-	return p
+	Epochs int // passes over the data (default 50)
+	Seed   uint64
 }
 
 // Model is a trained MLP regressor.
@@ -71,7 +61,9 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("nn: empty dataset")
 	}
-	p = p.normalized()
+	if p.Epochs <= 0 {
+		p.Epochs = 50
+	}
 	rng := xrand.New(p.Seed + 0xd33d)
 	d := ds.NumFeatures()
 	m := &Model{d: d, h1: hidden1, h2: hidden2}
@@ -115,8 +107,8 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	n := ds.Len()
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		perm := rng.Perm(n)
-		for start := 0; start < n; start += p.BatchSize {
-			end := start + p.BatchSize
+		for start := 0; start < n; start += batchSize {
+			end := start + batchSize
 			if end > n {
 				end = n
 			}

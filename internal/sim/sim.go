@@ -532,14 +532,6 @@ func (s *Sim) sample() {
 	s.utilSamples++
 }
 
-// Now returns the simulation clock (exposed for white-box tests).
-func (s *Sim) Now() int64 { return s.now }
-
-// Jobs exposes the simulation's job set (shared, not a copy) so parity
-// tooling and tests can inspect mid-run state between RunUntil calls.
-// Callers must treat it as read-only.
-func (s *Sim) Jobs() []*job.Job { return s.jobs }
-
 // StepOnce advances exactly one tick, invoking the scheduler once — used by
 // the Figure 10a latency benchmark to time a single scheduling decision
 // over a controlled queue. It delegates to the real engine body with the

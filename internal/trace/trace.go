@@ -68,13 +68,14 @@ const (
 	// recurFrac is the probability a submission reuses an existing template
 	// (~0.9 in production).
 	recurFrac = 0.9
+	// gpusPerNode is every generated cluster's node size.
+	gpusPerNode = 8
 )
 
 // GenSpec configures a trace generator.
 type GenSpec struct {
 	Name        string
 	Nodes       int // total nodes
-	GPUsPerNode int // default 8
 	NumVCs      int
 	NumJobs     int     // jobs per emitted month
 	AvgDuration float64 // target mean duration, seconds
@@ -90,9 +91,6 @@ type GenSpec struct {
 }
 
 func (s GenSpec) normalized() GenSpec {
-	if s.GPUsPerNode <= 0 {
-		s.GPUsPerNode = 8
-	}
 	if s.NumVCs <= 0 {
 		s.NumVCs = 1
 	}
@@ -154,7 +152,6 @@ type Trace struct {
 
 // template is one recurring job archetype owned by a user.
 type template struct {
-	id         int
 	name       string
 	cfg        workload.Config
 	gpus       int
@@ -230,7 +227,7 @@ func NewGenerator(spec GenSpec) *Generator {
 		specVCs[i].Nodes++
 		nodesLeft--
 	}
-	g.cluster = cluster.Spec{GPUsPerNode: spec.GPUsPerNode, GPUMemMB: workload.GPUMemMBCap, VCs: specVCs}
+	g.cluster = cluster.Spec{GPUsPerNode: gpusPerNode, GPUMemMB: workload.GPUMemMBCap, VCs: specVCs}
 
 	// Job-share weights per VC: *differently* skewed than capacity, so some
 	// VCs run hot (Figure 9's spread). Rotate the skew so the busiest VC is
@@ -294,8 +291,8 @@ func (g *Generator) newTemplate(usr *user) *template {
 	// Clamp demand to what the VC can ever host (whole nodes for the
 	// distributed part), or the job would starve forever.
 	vcNodes := g.vcNodesOf(usr.vc)
-	maxG := vcNodes * g.spec.GPUsPerNode
-	for gpus > maxG || (gpus > g.spec.GPUsPerNode && (gpus+g.spec.GPUsPerNode-1)/g.spec.GPUsPerNode > vcNodes) {
+	maxG := vcNodes * gpusPerNode
+	for gpus > maxG || (gpus > gpusPerNode && (gpus+gpusPerNode-1)/gpusPerNode > vcNodes) {
 		gpus = gpuDemands[g.gpuDemand.Draw(g.rng)]
 	}
 
@@ -348,7 +345,6 @@ func (g *Generator) newTemplate(usr *user) *template {
 	}
 
 	return &template{
-		id:         g.nextTmpl,
 		name:       fmt.Sprintf("%s-%s-t%d", usr.name, cfg.Model.Name(), g.nextTmpl),
 		cfg:        cfg,
 		gpus:       gpus,
@@ -499,7 +495,7 @@ func (g *Generator) capPerVCLoad(jobs []*job.Job, days int) {
 	window := float64(days) * 86400
 	scale := map[string]float64{}
 	for _, vcSpec := range g.cluster.VCs {
-		cap := float64(vcSpec.Nodes*g.spec.GPUsPerNode) * window
+		cap := float64(vcSpec.Nodes*gpusPerNode) * window
 		if d := demand[vcSpec.Name]; d > maxVCLoad*cap {
 			scale[vcSpec.Name] = maxVCLoad * cap / d
 		}

@@ -79,9 +79,6 @@ const (
 	numModels
 )
 
-// NumModels is the number of distinct models in the catalog.
-const NumModels = int(numModels)
-
 // modelSpec is the static, per-model portion of the catalog.
 type modelSpec struct {
 	name       string

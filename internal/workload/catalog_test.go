@@ -64,7 +64,7 @@ func TestProfileRanges(t *testing.T) {
 
 func TestProfileBatchMonotonic(t *testing.T) {
 	// Bigger batches never use less memory or utilization.
-	for m := Model(0); m < Model(NumModels); m++ {
+	for m := Model(0); m < numModels; m++ {
 		bs := m.BatchSizes()
 		for i := 1; i < len(bs); i++ {
 			lo := Config{Model: m, BatchSize: bs[i-1]}.Profile()
@@ -114,7 +114,7 @@ func TestConfigByName(t *testing.T) {
 
 func TestDomainStrings(t *testing.T) {
 	seen := map[string]bool{}
-	for m := Model(0); m < Model(NumModels); m++ {
+	for m := Model(0); m < numModels; m++ {
 		s := m.Domain().String()
 		if s == "unknown" {
 			t.Errorf("%s has unknown domain", m.Name())
@@ -136,7 +136,7 @@ func TestConfigStringStable(t *testing.T) {
 func TestValidRejectsOutOfRangeModel(t *testing.T) {
 	check := func(m int16, b uint8) bool {
 		c := Config{Model: Model(m), BatchSize: int(b)}
-		if m < 0 || int(m) >= NumModels {
+		if m < 0 || int(m) >= int(numModels) {
 			return !c.Valid()
 		}
 		return true
