@@ -17,9 +17,9 @@
 //
 // -chaos arms deterministic fault injection (node crashes, GPU faults, job
 // crashes, stragglers) from a comma-separated key=value spec; "default"
-// selects Hu et al.-calibrated rates and "off" disables every fault. Each
-// scheduler run gets its own injector, so -sched all replays the identical
-// fault schedule against every scheduler.
+// selects Hu et al.-calibrated rates and "off" disables every fault. The
+// schedule is a pure function of the spec, so -sched all replays the
+// identical fault schedule against every scheduler.
 //
 // With -decision-trace, every scheduling decision is streamed as JSONL to
 // the given path (one file per scheduler when -sched all; the scheduler
@@ -262,16 +262,15 @@ type runFlags struct {
 	fault      chaos.Spec
 }
 
-// apply sets the flags on one run's options. Each run gets its own checker
-// and its own injector: injectors carry per-run repair state, and a fresh one
-// per scheduler replays the identical fault schedule.
+// apply sets the flags on one run's options. Each run gets its own checker;
+// every run reads the one fault spec.
 func (f runFlags) apply(opts *sim.Options) {
 	opts.Engine = f.engine
 	if f.invariants {
 		opts.Invariants = sim.NewInvariantChecker(false)
 	}
 	if f.fault.Enabled() {
-		opts.Chaos = chaos.NewInjector(f.fault)
+		opts.Chaos = &f.fault
 	}
 }
 

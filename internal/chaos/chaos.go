@@ -14,10 +14,11 @@
 // iteration order, goroutine interleaving, or how many other entities exist
 // — the property the golden-trace chaos determinism tests lock in.
 //
-// The package knows nothing about jobs or scheduling. The simulator
-// (internal/sim) asks "which nodes crash this tick?" and owns the recovery
-// half: killing residents, voiding or restoring checkpoints, and requeueing
-// with backoff.
+// The package knows nothing about jobs or scheduling, and it keeps no state:
+// which nodes are down is the caller's to track. The simulator (internal/sim)
+// asks "which of the up nodes crash this tick?" and owns the rest: the
+// repair clock, killing residents, voiding or restoring checkpoints, and
+// requeueing with backoff.
 package chaos
 
 import (
@@ -27,6 +28,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/xrand"
 )
 
 // Spec configures the fault model. Rates are expected events per entity per
@@ -235,21 +237,13 @@ const (
 	kindJobCrash uint64 = 0xA11CE<<16 + 3
 )
 
-// mix64 is the splitmix64 output function (same constants as
-// internal/xrand), used here as a stateless hash.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // roll returns a deterministic uniform value in [0,1) for one (kind, entity,
 // tick) trial under the spec's seed.
 func (inj *Injector) roll(kind uint64, entity int, tick int64) float64 {
-	h := mix64(inj.spec.Seed + 0x9e3779b97f4a7c15)
-	h = mix64(h ^ kind)
-	h = mix64(h ^ uint64(entity)*0x9e3779b97f4a7c15)
-	h = mix64(h ^ uint64(tick)*0xbf58476d1ce4e5b9)
+	h := xrand.Mix64(inj.spec.Seed + 0x9e3779b97f4a7c15)
+	h = xrand.Mix64(h ^ kind)
+	h = xrand.Mix64(h ^ uint64(entity)*0x9e3779b97f4a7c15)
+	h = xrand.Mix64(h ^ uint64(tick)*0xbf58476d1ce4e5b9)
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -262,46 +256,34 @@ func prob(perDay float64, dt int64) float64 {
 	return p
 }
 
-// Injector samples the fault schedule for one simulation run. It is bound to
-// a cluster size by Bind (called from sim.New), holds only the down-node
-// clock and the straggler set, and is not safe for concurrent use — each
-// run gets its own Injector, exactly as each run gets its own Cluster.
+// Injector is the fault schedule of one spec on one cluster shape: a pure
+// function of (spec, shape, tick). It holds no mutable state, so one
+// injector may serve any number of concurrent readers. Which nodes are down
+// is the caller's state; the samplers take it as a predicate and draw
+// nothing for a down node.
 type Injector struct {
 	spec      Spec
 	numNodes  int
 	perNode   int
-	downUntil map[int]int64 // node → repair-completion time
 	straggler map[int]bool
 }
 
-// NewInjector returns an unbound injector for the spec.
-func NewInjector(spec Spec) *Injector {
-	return &Injector{spec: spec}
-}
-
-// Spec returns the injector's configuration.
-func (inj *Injector) Spec() Spec { return inj.spec }
-
-// Bind (re)attaches the injector to a cluster shape and resets all mutable
-// fault state, so a reused injector starts every run from the same schedule.
-// The straggler set is a deterministic function of (seed, numNodes).
-func (inj *Injector) Bind(numNodes, gpusPerNode int) {
-	inj.numNodes = numNodes
-	inj.perNode = gpusPerNode
-	inj.downUntil = make(map[int]int64)
-	inj.straggler = make(map[int]bool)
-	if inj.spec.StragglerFrac > 0 && inj.spec.StragglerSlowdown < 1 {
+// NewInjector binds the spec to a cluster of nodes × gpusPerNode GPUs. The
+// straggler set is a deterministic function of (seed, nodes).
+func NewInjector(spec Spec, nodes, gpusPerNode int) *Injector {
+	inj := &Injector{spec: spec, numNodes: nodes, perNode: gpusPerNode}
+	if spec.StragglerFrac > 0 && spec.StragglerSlowdown < 1 {
 		// Rank nodes by a per-node hash and degrade the lowest-ranked
 		// fraction: deterministic, order-independent, and uniform.
-		want := int(float64(numNodes)*inj.spec.StragglerFrac + 0.5)
+		want := int(float64(nodes)*spec.StragglerFrac + 0.5)
 		type ranked struct {
 			node int
 			key  uint64
 		}
-		rs := make([]ranked, numNodes)
-		for n := 0; n < numNodes; n++ {
-			h := mix64(inj.spec.Seed ^ 0x57a661e5)
-			rs[n] = ranked{n, mix64(h ^ uint64(n)*0x9e3779b97f4a7c15)}
+		rs := make([]ranked, nodes)
+		for n := 0; n < nodes; n++ {
+			h := xrand.Mix64(spec.Seed ^ 0x57a661e5)
+			rs[n] = ranked{n, xrand.Mix64(h ^ uint64(n)*0x9e3779b97f4a7c15)}
 		}
 		sort.Slice(rs, func(i, j int) bool {
 			if rs[i].key != rs[j].key {
@@ -309,160 +291,40 @@ func (inj *Injector) Bind(numNodes, gpusPerNode int) {
 			}
 			return rs[i].node < rs[j].node
 		})
-		for i := 0; i < want && i < numNodes; i++ {
+		inj.straggler = make(map[int]bool, want)
+		for i := 0; i < want && i < nodes; i++ {
 			inj.straggler[rs[i].node] = true
 		}
 	}
+	return inj
 }
 
-// DownState returns the injector's only mutable fault state — the node →
-// repair-completion clock — as a snapshot copy. The straggler set is a pure
-// function of (seed, cluster shape) and is rebuilt by Bind, so it needs no
-// serialization.
-func (inj *Injector) DownState() map[int]int64 {
-	if len(inj.downUntil) == 0 {
-		return nil
-	}
-	out := make(map[int]int64, len(inj.downUntil))
-	for n, until := range inj.downUntil {
-		out[n] = until
-	}
-	return out
-}
-
-// SetDownState overwrites the down-node clock from a snapshot. Call after
-// Bind (Bind resets the clock).
-func (inj *Injector) SetDownState(m map[int]int64) {
-	inj.downUntil = make(map[int]int64, len(m))
-	for n, until := range m {
-		inj.downUntil[n] = until
-	}
-}
-
-// Repairs returns (and forgets) the sorted set of nodes whose repair window
-// has elapsed by now.
-func (inj *Injector) Repairs(now int64) []int {
-	if len(inj.downUntil) == 0 {
-		return nil
-	}
-	var out []int
-	for n, until := range inj.downUntil {
-		if until <= now {
-			out = append(out, n)
-		}
-	}
-	for _, n := range out {
-		delete(inj.downUntil, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// NodeCrashes samples this tick's node crashes among currently-up nodes,
-// marks them down until now+RepairSec, and returns them sorted.
-func (inj *Injector) NodeCrashes(now, dt int64) []int {
-	if inj.spec.NodeFailPerDay <= 0 || inj.numNodes == 0 {
+// NodeCrashes returns, sorted, the nodes not down that crash in the tick of
+// dt seconds ending at now.
+func (inj *Injector) NodeCrashes(now, dt int64, down func(node int) bool) []int {
+	if inj.spec.NodeFailPerDay <= 0 {
 		return nil
 	}
 	p := prob(inj.spec.NodeFailPerDay, dt)
 	var out []int
 	for n := 0; n < inj.numNodes; n++ {
-		if _, down := inj.downUntil[n]; down {
-			continue
-		}
-		if inj.roll(kindNodeFail, n, now) < p {
-			inj.downUntil[n] = now + inj.spec.RepairSec
+		if !down(n) && inj.roll(kindNodeFail, n, now) < p {
 			out = append(out, n)
 		}
 	}
 	return out
 }
 
-// Read-only peeks for the event engine (internal/sim's discrete-event mode):
-// it scans the deterministic fault schedule ahead of the clock to find the
-// next tick it must execute. Peeks must not mutate injector state — at the
-// fire tick the regular sampling methods run and draw the same hashes.
-
-// MinDownUntil returns the earliest repair-completion time among down nodes.
-func (inj *Injector) MinDownUntil() (int64, bool) {
-	if len(inj.downUntil) == 0 {
-		return 0, false
-	}
-	first := true
-	var min int64
-	for _, until := range inj.downUntil {
-		if first || until < min {
-			min = until
-			first = false
-		}
-	}
-	return min, true
-}
-
-// AnyNodeCrash reports whether NodeCrashes(now, dt) would return a non-empty
-// set, without marking anything down.
-func (inj *Injector) AnyNodeCrash(now, dt int64) bool {
-	if inj.spec.NodeFailPerDay <= 0 || inj.numNodes == 0 {
-		return false
-	}
-	p := prob(inj.spec.NodeFailPerDay, dt)
-	for n := 0; n < inj.numNodes; n++ {
-		if _, down := inj.downUntil[n]; down {
-			continue
-		}
-		if inj.roll(kindNodeFail, n, now) < p {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyGPUFailure reports whether GPUFailures(now, dt) would return a fault
-// the caller considers observable (resident jobs on an up node — idle-GPU
-// faults have no effect and must not wake the engine).
-func (inj *Injector) AnyGPUFailure(now, dt int64, observable func(cluster.GPUID) bool) bool {
-	if inj.spec.GPUFailPerDay <= 0 || inj.numNodes == 0 || inj.perNode == 0 {
-		return false
-	}
-	p := prob(inj.spec.GPUFailPerDay, dt)
-	for n := 0; n < inj.numNodes; n++ {
-		if _, down := inj.downUntil[n]; down {
-			continue
-		}
-		for i := 0; i < inj.perNode; i++ {
-			if inj.roll(kindGPUFail, n*inj.perNode+i, now) < p &&
-				observable(cluster.GPUID{Node: n, Index: i}) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// AnyJobCrash reports whether JobCrashes(now, dt, ids) would be non-empty.
-func (inj *Injector) AnyJobCrash(now, dt int64, ids []int) bool {
-	if inj.spec.JobCrashPerDay <= 0 || len(ids) == 0 {
-		return false
-	}
-	p := prob(inj.spec.JobCrashPerDay, dt)
-	for _, id := range ids {
-		if inj.roll(kindJobCrash, id, now) < p {
-			return true
-		}
-	}
-	return false
-}
-
-// GPUFailures samples this tick's transient GPU faults on up nodes, in
-// (node, index) order.
-func (inj *Injector) GPUFailures(now, dt int64) []cluster.GPUID {
-	if inj.spec.GPUFailPerDay <= 0 || inj.numNodes == 0 || inj.perNode == 0 {
+// GPUFailures returns this tick's transient GPU faults on nodes not down,
+// in (node, index) order.
+func (inj *Injector) GPUFailures(now, dt int64, down func(node int) bool) []cluster.GPUID {
+	if inj.spec.GPUFailPerDay <= 0 {
 		return nil
 	}
 	p := prob(inj.spec.GPUFailPerDay, dt)
 	var out []cluster.GPUID
 	for n := 0; n < inj.numNodes; n++ {
-		if _, down := inj.downUntil[n]; down {
+		if down(n) {
 			continue
 		}
 		for i := 0; i < inj.perNode; i++ {
@@ -494,7 +356,7 @@ func (inj *Injector) JobCrashes(now, dt int64, ids []int) []int {
 
 // SpeedFactor returns the straggler degradation for a node (1.0 = nominal).
 func (inj *Injector) SpeedFactor(node int) float64 {
-	if inj == nil || !inj.straggler[node] {
+	if !inj.straggler[node] {
 		return 1
 	}
 	return inj.spec.StragglerSlowdown

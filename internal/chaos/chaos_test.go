@@ -95,24 +95,30 @@ func TestBackoffExponentialWithCap(t *testing.T) {
 	}
 }
 
-// collectSchedule replays the injector tick by tick and returns a compact
-// rendering of every fault it fires.
+// collectSchedule replays the injector tick by tick, keeping its own repair
+// clock the way the simulator does, and returns a compact rendering of every
+// fault it fires.
 func collectSchedule(spec Spec, nodes, perNode int, ticks int, dt int64) string {
-	inj := NewInjector(spec)
-	inj.Bind(nodes, perNode)
+	inj := NewInjector(spec, nodes, perNode)
+	repairAt := map[int]int64{}
+	down := func(n int) bool { _, ok := repairAt[n]; return ok }
 	jobs := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	var sb strings.Builder
 	for i := 1; i <= ticks; i++ {
 		now := int64(i) * dt
-		for _, n := range inj.Repairs(now) {
-			sb.WriteString("R")
-			sb.WriteByte(byte('0' + n%10))
+		for n := 0; n < nodes; n++ {
+			if at, ok := repairAt[n]; ok && at <= now {
+				delete(repairAt, n)
+				sb.WriteString("R")
+				sb.WriteByte(byte('0' + n%10))
+			}
 		}
-		for _, n := range inj.NodeCrashes(now, dt) {
+		for _, n := range inj.NodeCrashes(now, dt, down) {
+			repairAt[n] = now + spec.RepairSec
 			sb.WriteString("N")
 			sb.WriteByte(byte('0' + n%10))
 		}
-		for _, g := range inj.GPUFailures(now, dt) {
+		for _, g := range inj.GPUFailures(now, dt, down) {
 			sb.WriteString("G")
 			sb.WriteByte(byte('0' + (g.Node*perNode+g.Index)%10))
 		}
@@ -145,55 +151,30 @@ func TestScheduleDeterministicPerSeed(t *testing.T) {
 	if c := collectSchedule(spec2, 4, 8, 500, 30); c == a {
 		t.Fatal("different seeds produced identical fault schedules")
 	}
-
-	// Rebinding resets mutable state: a reused injector replays identically.
-	inj := NewInjector(spec)
-	inj.Bind(4, 8)
-	inj.NodeCrashes(30, 30) // perturb
-	inj.Bind(4, 8)
-	first := NewInjector(spec)
-	first.Bind(4, 8)
-	for i := 1; i <= 100; i++ {
-		now := int64(i) * 30
-		got := inj.NodeCrashes(now, 30)
-		want := first.NodeCrashes(now, 30)
-		if len(got) != len(want) {
-			t.Fatal("rebind did not reset the schedule")
-		}
-	}
 }
 
-func TestCrashRepairLifecycle(t *testing.T) {
+// TestDownNodeDrawsNothing: at rates that fault every entity every tick, a
+// node the caller reports down neither crashes nor takes GPU faults, and
+// the nodes still up do both. (The repair lifecycle around it is the
+// simulator's; see TestCrashRepairLifecycle in internal/sim.)
+func TestDownNodeDrawsNothing(t *testing.T) {
 	spec := DefaultSpec()
-	spec.NodeFailPerDay = 86400 // p = 1 every tick: all nodes crash at once
-	spec.RepairSec = 100
-	inj := NewInjector(spec)
-	inj.Bind(2, 8)
+	spec.NodeFailPerDay = 86400 // p = 1 every tick
+	spec.GPUFailPerDay = 86400
+	inj := NewInjector(spec, 2, 8)
+	down := func(n int) bool { return n == 0 }
 
-	crashed := inj.NodeCrashes(30, 30)
-	if len(crashed) != 2 {
-		t.Fatalf("crashed = %v, want both nodes", crashed)
+	if got := inj.NodeCrashes(30, 30, down); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("crashes = %v, want only node 1", got)
 	}
-	// The nodes are marked down: they neither re-crash nor suffer GPU
-	// faults.
-	if again := inj.NodeCrashes(60, 30); len(again) != 0 {
-		t.Fatalf("down nodes crashed again: %v", again)
+	faults := inj.GPUFailures(30, 30, down)
+	if len(faults) != 8 {
+		t.Fatalf("%d GPU faults, want node 1's 8", len(faults))
 	}
-	spec2 := spec
-	spec2.GPUFailPerDay = 86400
-	if faults := inj.GPUFailures(60, 30); len(faults) != 0 {
-		t.Fatalf("GPU faults on down nodes: %v", faults)
-	}
-	// Before the window: no repairs. After: both, and capacity returns.
-	if r := inj.Repairs(100); len(r) != 0 {
-		t.Fatalf("premature repairs: %v", r)
-	}
-	if r := inj.Repairs(130); len(r) != 2 {
-		t.Fatalf("repairs = %v, want both nodes", r)
-	}
-	// Repaired nodes are up again, so they can crash again.
-	if again := inj.NodeCrashes(160, 30); len(again) != 2 {
-		t.Fatalf("crashes after repair = %v, want both nodes", again)
+	for _, g := range faults {
+		if g.Node != 1 {
+			t.Fatalf("GPU fault on down node: %v", g)
+		}
 	}
 }
 
@@ -201,8 +182,7 @@ func TestStragglerSelection(t *testing.T) {
 	spec := DefaultSpec()
 	spec.StragglerFrac = 0.25
 	spec.StragglerSlowdown = 0.5
-	inj := NewInjector(spec)
-	inj.Bind(8, 8)
+	inj := NewInjector(spec, 8, 8)
 	slow := 0
 	for n := 0; n < 8; n++ {
 		switch inj.SpeedFactor(n) {
@@ -217,17 +197,11 @@ func TestStragglerSelection(t *testing.T) {
 		t.Fatalf("%d stragglers of 8 nodes, want 2 (frac 0.25)", slow)
 	}
 	// Selection is a pure function of (seed, cluster size).
-	inj2 := NewInjector(spec)
-	inj2.Bind(8, 8)
+	inj2 := NewInjector(spec, 8, 8)
 	for n := 0; n < 8; n++ {
 		if inj.SpeedFactor(n) != inj2.SpeedFactor(n) {
 			t.Fatal("straggler selection not deterministic")
 		}
-	}
-	// A nil injector (chaos off) is full speed everywhere.
-	var none *Injector
-	if none.SpeedFactor(0) != 1 {
-		t.Fatal("nil injector must report nominal speed")
 	}
 }
 
@@ -237,8 +211,7 @@ func TestRateScalesWithTickSize(t *testing.T) {
 	// horizon should land within a factor of ~1.5 of each other.
 	spec := DefaultSpec()
 	spec.JobCrashPerDay = 100
-	inj := NewInjector(spec)
-	inj.Bind(1, 8)
+	inj := NewInjector(spec, 1, 8)
 	jobs := []int{1, 2, 3, 4}
 	count := func(dt int64) int {
 		total := 0

@@ -134,7 +134,8 @@ func TestChaosSchedulerInvariants(t *testing.T) {
 				tr := randomTrace(r, 120)
 				s, opts := ps.mk()
 				opts.Invariants = sim.NewInvariantChecker(true)
-				opts.Chaos = chaos.NewInjector(chaosSpecFor(seed))
+				cs := chaosSpecFor(seed)
+				opts.Chaos = &cs
 				res := sim.New(tr, s, opts).Run()
 				if res.Violations > 0 {
 					t.Fatalf("seed %d: %d violations: %v", seed, res.Violations, res.ViolationSamples)
@@ -181,7 +182,7 @@ func runDigest(t *testing.T, traceSeed uint64, spec chaos.Spec) string {
 	rec.SetKeep(0)
 	opts := sim.Options{Tick: 30, SchedulerEvery: 60, DecisionTrace: rec,
 		Invariants: sim.NewInvariantChecker(true),
-		Chaos:      chaos.NewInjector(spec)}
+		Chaos:      &spec}
 	res := sim.New(tr, sched.NewFIFO(), opts).Run()
 	if res.Violations > 0 {
 		t.Fatalf("violations: %v", res.ViolationSamples)

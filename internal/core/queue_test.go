@@ -105,7 +105,7 @@ func TestQueueMatchesPerRoundSort(t *testing.T) {
 					cs := chaos.DefaultSpec()
 					cs.NodeFailPerDay, cs.GPUFailPerDay, cs.JobCrashPerDay = 4, 0.5, 6
 					cs.MaxRetries, cs.BackoffSec = 3, 120
-					o.Chaos = chaos.NewInjector(cs)
+					o.Chaos = &cs
 				}
 				return o
 			}
@@ -211,7 +211,7 @@ func TestResumedLucidMatchesUninterrupted(t *testing.T) {
 	opts := func() sim.Options {
 		cs := chaos.DefaultSpec()
 		cs.NodeFailPerDay, cs.JobCrashPerDay, cs.MaxRetries, cs.BackoffSec = 4, 6, 3, 120
-		return sim.Options{Tick: 60, SchedulerEvery: 60, ProfilerNodes: 2, Chaos: chaos.NewInjector(cs)}
+		return sim.Options{Tick: 60, SchedulerEvery: 60, ProfilerNodes: 2, Chaos: &cs}
 	}
 	cfg := DefaultConfig()
 	cfg.UpdateIntervalSec = 86400

@@ -76,7 +76,7 @@ func TestSkippedRetriesChangeNothing(t *testing.T) {
 					cs := chaos.DefaultSpec()
 					cs.NodeFailPerDay, cs.GPUFailPerDay, cs.JobCrashPerDay = 4, 0.5, 6
 					cs.MaxRetries, cs.BackoffSec = 3, 120
-					o.Chaos = chaos.NewInjector(cs)
+					o.Chaos = &cs
 				}
 				return o
 			}

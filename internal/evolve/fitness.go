@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/chaos"
 	"repro/internal/lab"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -20,8 +19,8 @@ import (
 // order of magnitude (Saturn vs Venus).
 //
 // Evaluations are pure: worlds come from the process-wide cache
-// (lab.GetWorld), every run clones its models and jobs, and chaos injectors
-// are per-run — so a fitness value is a deterministic function of (genome,
+// (lab.GetWorld), every run clones its models and jobs, and a chaos spec
+// is only read — so a fitness value is a deterministic function of (genome,
 // suite) and the population fan-out over lab's bounded worker pool is
 // byte-identical to a serial sweep.
 
@@ -141,7 +140,7 @@ func (e *Evaluator) runCell(g Genome, wi, mi int) (CellMetrics, error) {
 	w := e.worlds[wi]
 	opts := lab.LucidOpts(w.Spec)
 	if m := e.mults[mi]; m > 0 {
-		opts.Chaos = chaos.NewInjector(lab.ChaosSweepSpec(m))
+		opts.Chaos = lab.ChaosSweepSpec(m)
 	}
 	sched, err := w.NewLucidTuned(g.Config())
 	if err != nil {

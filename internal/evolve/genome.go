@@ -202,14 +202,6 @@ func ParseGenomeSpec(text string) (Genome, error) {
 	return g, nil
 }
 
-// mix64 is the splitmix64 output function (same constants as internal/xrand
-// and internal/chaos), used as a stateless hash for stream derivation.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // rngFor derives the private random stream for individual idx of generation
 // gen under the search seed. Streams are independent functions of their
 // coordinates — not positions in a shared sequence — so populations can be
@@ -217,9 +209,9 @@ func mix64(z uint64) uint64 {
 // single draw: the same property internal/chaos relies on for fault
 // schedules.
 func rngFor(seed uint64, gen, idx int) *xrand.RNG {
-	h := mix64(seed + 0x9e3779b97f4a7c15)
-	h = mix64(h ^ uint64(gen)*0xbf58476d1ce4e5b9)
-	h = mix64(h ^ uint64(idx)*0x94d049bb133111eb)
+	h := xrand.Mix64(seed + 0x9e3779b97f4a7c15)
+	h = xrand.Mix64(h ^ uint64(gen)*0xbf58476d1ce4e5b9)
+	h = xrand.Mix64(h ^ uint64(idx)*0x94d049bb133111eb)
 	return xrand.New(h)
 }
 

@@ -18,9 +18,9 @@ import (
 // retry exhaustion, and the kill/requeue counters — then the JCT
 // degradation relative to the fault-free column.
 //
-// Every cell runs shared-nothing — a fresh scheduler instance and a fresh
-// injector over the cached world — so the grid parallelizes across the
-// harness worker pool, and serial vs parallel execution is byte-identical.
+// Every cell runs a fresh scheduler instance over the cached world and only
+// reads its fault spec, so the grid parallelizes across the harness worker
+// pool, and serial vs parallel execution is byte-identical.
 func FigR(scale float64) (string, error) {
 	w, err := GetWorld(trace.Venus(), scale)
 	if err != nil {
@@ -35,12 +35,12 @@ func FigR(scale float64) (string, error) {
 // the sweep varies how often faults strike, not how recovery behaves.
 // Shared with internal/evolve, whose fitness suite scores genomes under the
 // same fault intensities Fig R sweeps.
-func ChaosSweepSpec(mult float64) chaos.Spec {
+func ChaosSweepSpec(mult float64) *chaos.Spec {
 	s := chaos.DefaultSpec()
 	s.NodeFailPerDay *= mult
 	s.GPUFailPerDay *= mult
 	s.JobCrashPerDay *= mult
-	return s
+	return &s
 }
 
 // figRCell is one (scheduler, failure-rate multiplier) grid entry.
@@ -70,7 +70,7 @@ func figRGrid(w *World, mults []float64) ([]figRCell, string) {
 		// clones the Lucid models), so cells never share mutable state.
 		nr := w.Schedulers()[c.run]
 		if m := mults[c.mult]; m > 0 {
-			nr.Opts.Chaos = chaos.NewInjector(ChaosSweepSpec(m))
+			nr.Opts.Chaos = ChaosSweepSpec(m)
 		}
 		return figRCell{Name: nr.Name, Mult: mults[c.mult], Res: w.Run(nr)}
 	})

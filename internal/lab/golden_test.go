@@ -92,10 +92,10 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 		}},
 		// Chaos scenario: FIFO under a heavy deterministic fault schedule.
 		// Pins the whole fault→kill→requeue→recover pipeline to a golden
-		// digest; a fresh injector per mk() call keeps repeat runs identical.
+		// digest.
 		{"FIFO-chaos", func() (sim.Scheduler, sim.Options) {
 			opts := SimOpts()
-			opts.Chaos = chaos.NewInjector(goldenChaos())
+			opts.Chaos = goldenChaos()
 			return sched.NewFIFO(), opts
 		}},
 		// Horus as lab.World runs it (GBDT estimator, the world's seed). It
@@ -114,7 +114,7 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 		// Lucid fails to take back into its queue.
 		{"Lucid-chaos", func() (sim.Scheduler, sim.Options) {
 			opts := LucidOpts(spec)
-			opts.Chaos = chaos.NewInjector(goldenChaos())
+			opts.Chaos = goldenChaos()
 			return core.New(models.Clone(), core.DefaultConfig()), opts
 		}},
 		// Lucid with a 12 h Update Engine: the golden days are too few for
@@ -135,14 +135,14 @@ func refitConfig() core.Config {
 }
 
 // goldenChaos is the heavy deterministic fault schedule of the chaos lines.
-func goldenChaos() chaos.Spec {
+func goldenChaos() *chaos.Spec {
 	cs := chaos.DefaultSpec()
 	cs.NodeFailPerDay = 4
 	cs.GPUFailPerDay = 0.5
 	cs.JobCrashPerDay = 6
 	cs.MaxRetries = 3
 	cs.BackoffSec = 120
-	return cs
+	return &cs
 }
 
 // runTraced executes one traced, invariant-checked simulation and returns

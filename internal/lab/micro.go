@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ml/gam"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -235,6 +234,3 @@ func UpdateIntervalStudy(scale float64) (string, error) {
 	return "§4.5(3) — model update interval on Venus\n" +
 		table([]string{"update", "avg JCT(s)", "avg queue(s)"}, tb), nil
 }
-
-// keep gam referenced for the Fig7 helpers living in models.go
-var _ = gam.Params{}

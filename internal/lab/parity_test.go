@@ -135,7 +135,7 @@ func TestEventEngineFastParity(t *testing.T) {
 		cs.JobCrashPerDay = 6
 		cs.MaxRetries = 3
 		cs.BackoffSec = 120
-		base.Chaos = chaos.NewInjector(cs)
+		base.Chaos = &cs
 		return base
 	}
 
@@ -262,7 +262,7 @@ func TestEventEngineSnapshotParity(t *testing.T) {
 		cs.JobCrashPerDay = 6
 		cs.MaxRetries = 3
 		cs.BackoffSec = 120
-		opts.Chaos = chaos.NewInjector(cs)
+		opts.Chaos = &cs
 		return sched.NewFIFO(), opts
 	}
 	sT, oT := withEngine(mkFast, sim.EngineTick)()

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/xrand"
 )
 
 // Op names (the {op} label on lucidload_request_seconds).
@@ -354,22 +355,16 @@ type worker struct {
 func newWorker(idx int, opts Options, tgt target, lat *metrics.HistogramVec, all *metrics.Histogram) *worker {
 	lo := idx * opts.Agents / opts.Workers
 	hi := (idx + 1) * opts.Agents / opts.Workers
+	// One splitmix64 step from a per-worker key decorrelates a worker's
+	// stream from its neighbors' even for adjacent seeds.
+	key := uint64(opts.Seed)*0x9e3779b97f4a7c15 + uint64(idx) + 1
 	return &worker{
 		idx: idx, opts: opts, tgt: tgt,
-		rng: rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed)*0x9e3779b97f4a7c15 + uint64(idx) + 1)))),
+		rng: rand.New(rand.NewSource(int64(xrand.Mix64(key + 0x9e3779b97f4a7c15)))),
 		lat: lat, all: all,
 		agentLo: lo, agentHi: hi, nextAgent: lo,
 		opErrors: map[string]int64{},
 	}
-}
-
-// splitmix64 is the standard 64-bit mixer — one worker's stream is
-// decorrelated from its neighbors even for adjacent seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 func (w *worker) vcName(i int) string { return "vc-" + strconv.Itoa(i) }

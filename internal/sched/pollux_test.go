@@ -61,7 +61,7 @@ func TestPolluxPerVCAdmitMatchesGlobal(t *testing.T) {
 					cs := chaos.DefaultSpec()
 					cs.NodeFailPerDay, cs.GPUFailPerDay, cs.JobCrashPerDay = 4, 0.5, 6
 					cs.MaxRetries, cs.BackoffSec = 3, 120
-					opts.Chaos = chaos.NewInjector(cs)
+					opts.Chaos = &cs
 				}
 				res := sim.New(tr, s, opts).Run()
 				var events []string

@@ -151,7 +151,7 @@ func TestTiresiasRoundMatchesOracle(t *testing.T) {
 		cs := chaos.DefaultSpec()
 		cs.NodeFailPerDay, cs.GPUFailPerDay, cs.JobCrashPerDay = 4, 0.5, 24
 		cs.MaxRetries, cs.BackoffSec = 6, 900
-		o.Chaos = chaos.NewInjector(cs)
+		o.Chaos = &cs
 		return o
 	}
 

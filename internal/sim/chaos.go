@@ -1,15 +1,18 @@
 package sim
 
 import (
+	"sort"
+
 	"repro/internal/dtrace"
 	"repro/internal/job"
 )
 
 // Fault application: the engine half of internal/chaos. The injector decides
-// *which* faults fire each tick (deterministically, from its seed); this
-// file owns *what they mean* — revoking node capacity, killing resident
-// jobs, and the recovery path: checkpoint-vs-restart-from-zero semantics,
-// retry budgets, and exponential-backoff requeue.
+// *which* faults fire each tick (deterministically, from its seed and the
+// nodes this run has down); this file owns *what they mean* — the repair
+// clock, revoking node capacity, killing resident jobs, and the recovery
+// path: checkpoint-vs-restart-from-zero semantics, retry budgets, and
+// exponential-backoff requeue.
 //
 // Everything here is a no-op when Options.Chaos is nil; the tick loop pays a
 // single nil check.
@@ -20,7 +23,7 @@ import (
 // crashes, GPU faults, job crashes, each in ascending entity order) so the
 // event stream is identical across same-seed runs.
 func (s *Sim) applyChaos() {
-	inj := s.opts.Chaos
+	inj := s.faults
 	if inj == nil {
 		return
 	}
@@ -28,7 +31,15 @@ func (s *Sim) applyChaos() {
 
 	// Repairs first: a node that crashed RepairSec ago returns to service
 	// this tick and is immediately eligible for placement.
-	for _, n := range inj.Repairs(now) {
+	var repaired []int
+	for n, at := range s.repairAt {
+		if at <= now {
+			repaired = append(repaired, n)
+		}
+	}
+	sort.Ints(repaired)
+	for _, n := range repaired {
+		delete(s.repairAt, n)
 		s.main.RepairNode(n)
 		s.chaosNodeEvent(dtrace.ActNodeRepair, "repair-window-elapsed", n)
 		s.dirty = true
@@ -37,7 +48,8 @@ func (s *Sim) applyChaos() {
 	// Node crashes: capacity revoked for the repair window, every resident
 	// job killed. Distributed jobs touching the node die with it (their
 	// allocations on other nodes are freed by killJob).
-	for _, n := range inj.NodeCrashes(now, dt) {
+	for _, n := range inj.NodeCrashes(now, dt, s.main.NodeDown) {
+		s.repairAt[n] = now + s.opts.Chaos.RepairSec
 		victims := s.main.FailNode(n)
 		s.nodeFailures++
 		s.chaosNodeEvent(dtrace.ActNodeFail, "node-crash", n)
@@ -47,13 +59,10 @@ func (s *Sim) applyChaos() {
 		s.dirty = true
 	}
 
-	// Transient GPU faults: residents killed, no capacity revoked. Faults on
-	// idle GPUs have no observable effect and are not counted, keeping the
-	// stats meaningful.
-	for _, g := range inj.GPUFailures(now, dt) {
-		if s.main.NodeDown(g.Node) {
-			continue
-		}
+	// Transient GPU faults on the nodes still up: residents killed, no
+	// capacity revoked. Faults on idle GPUs have no observable effect and
+	// are not counted, keeping the stats meaningful.
+	for _, g := range inj.GPUFailures(now, dt, s.main.NodeDown) {
 		victims := s.main.JobsOnGPU(g)
 		if len(victims) == 0 {
 			continue
@@ -101,7 +110,7 @@ func (s *Sim) killJob(j *job.Job, cause string) {
 	}
 	s.jobKills++
 
-	spec := s.opts.Chaos.Spec()
+	spec := s.opts.Chaos
 	j.Restarts++
 	if spec.MaxRetries >= 0 && j.Restarts > spec.MaxRetries {
 		j.State = job.Failed

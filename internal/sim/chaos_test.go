@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/dtrace"
 	"repro/internal/job"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // quietSpec is a chaos spec with every fault rate zeroed — the injector is
@@ -23,7 +27,7 @@ func newChaosSim(t *testing.T, spec chaos.Spec, jobs ...*job.Job) *Sim {
 	t.Helper()
 	tr := mkTrace(jobs...)
 	return New(tr, fifoLike{}, Options{Tick: 10, SchedulerEvery: 10,
-		Chaos: chaos.NewInjector(spec), Invariants: NewInvariantChecker(true)})
+		Chaos: &spec, Invariants: NewInvariantChecker(true)})
 }
 
 // TestChaosKillVoidsPhantomColdStart is the Preempt-mirror of the
@@ -204,6 +208,79 @@ func TestChaosNodeFailureEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCrashRepairLifecycle follows every node of a faulty run through its
+// node-crash and repair-window-elapsed events, under both engines: a crashed
+// node neither re-crashes nor takes a GPU fault while down, it returns at
+// the first tick ≥ crash + RepairSec, and it can crash again after repair.
+// One repair window is on the tick grid and one is off it, where "first
+// tick ≥" is not "crash + repair".
+func TestCrashRepairLifecycle(t *testing.T) {
+	spec := quietSpec()
+	spec.Seed = 3
+	spec.NodeFailPerDay = 400 // p ≈ 0.05 per node per tick
+	spec.GPUFailPerDay = 200
+	spec.BackoffSec = 20
+	var jobs []*job.Job
+	for i := 1; i <= 8; i++ {
+		jobs = append(jobs, mkJob(i, 1+i%3, int64(i*10), 4000))
+	}
+	tr := &trace.Trace{Name: "t", Jobs: jobs, Days: 1, Cluster: cluster.Spec{GPUsPerNode: 4,
+		GPUMemMB: workload.GPUMemMBCap, VCs: []cluster.VCSpec{{Name: "vc", Nodes: 3}}}}
+	for _, c := range []struct {
+		eng    EngineKind
+		repair int64
+	}{{EngineTick, 95}, {EngineEvent, 95}, {EngineTick, 100}, {EngineEvent, 100}} {
+		spec := spec
+		spec.RepairSec = c.repair
+		t.Run(fmt.Sprintf("%s/repair=%d", c.eng, c.repair), func(t *testing.T) {
+			rec := dtrace.New()
+			res := New(tr, fifoLike{}, Options{Tick: 10, SchedulerEvery: 10, Engine: c.eng,
+				MaxHorizon: 6000, Chaos: &spec, DecisionTrace: rec,
+				Invariants: NewInvariantChecker(true)}).Run()
+			if res.Violations > 0 {
+				t.Fatalf("violations: %v", res.ViolationSamples)
+			}
+			downSince := map[int]int64{} // node → crash tick, while down
+			crashes := map[int]int{}
+			gpuFaults := 0
+			for _, ev := range rec.Events() {
+				n := ev.Node - 1
+				switch ev.Reason {
+				case "node-crash":
+					if at, down := downSince[n]; down {
+						t.Fatalf("node %d crashed at %d while down since %d", n, ev.Tick, at)
+					}
+					downSince[n] = ev.Tick
+					crashes[n]++
+				case "gpu-fault":
+					if at, down := downSince[n]; down {
+						t.Fatalf("GPU fault on node %d at %d while down since %d", n, ev.Tick, at)
+					}
+					gpuFaults++
+				case "repair-window-elapsed":
+					at, down := downSince[n]
+					if !down {
+						t.Fatalf("node %d repaired at %d while up", n, ev.Tick)
+					}
+					if want := firstTickGE(at+spec.RepairSec, 10); ev.Tick != want {
+						t.Fatalf("node %d crashed at %d, repaired at %d, want %d", n, at, ev.Tick, want)
+					}
+					delete(downSince, n)
+				}
+			}
+			again := 0
+			for _, c := range crashes {
+				if c >= 2 {
+					again++
+				}
+			}
+			if again == 0 || gpuFaults == 0 {
+				t.Fatalf("schedule too quiet to mean anything: crashes %v, %d GPU faults", crashes, gpuFaults)
+			}
+		})
+	}
+}
+
 // TestChaosStragglerSlowsJob: a 100%-straggler cluster at 0.5× speed must
 // roughly double an uncontended job's JCT.
 func TestChaosStragglerSlowsJob(t *testing.T) {
@@ -220,15 +297,15 @@ func TestChaosStragglerSlowsJob(t *testing.T) {
 	}
 }
 
-// TestChaosOffMatchesNilInjector: an injector whose spec disables every
-// fault must leave the decision trace byte-identical to running with no
-// injector at all — the "chaos disabled costs only a nil check" claim,
-// verified at the event-stream level.
+// TestChaosOffMatchesNilInjector: a spec that disables every fault must
+// leave the decision trace byte-identical to running with no spec at all —
+// the "chaos disabled costs only a nil check" claim, verified at the
+// event-stream level.
 func TestChaosOffMatchesNilInjector(t *testing.T) {
-	run := func(inj *chaos.Injector) string {
+	run := func(spec *chaos.Spec) string {
 		rec := dtrace.New()
 		tr := mkTrace(mkJob(1, 2, 0, 500), mkJob(2, 8, 100, 700), mkJob(3, 4, 200, 300))
-		res := New(tr, fifoLike{}, Options{Tick: 10, Chaos: inj, DecisionTrace: rec,
+		res := New(tr, fifoLike{}, Options{Tick: 10, Chaos: spec, DecisionTrace: rec,
 			Invariants: NewInvariantChecker(true)}).Run()
 		if res.Violations > 0 {
 			t.Fatalf("violations: %v", res.ViolationSamples)
@@ -239,7 +316,7 @@ func TestChaosOffMatchesNilInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := run(nil), run(chaos.NewInjector(off)); a != b {
+	if a, b := run(nil), run(&off); a != b {
 		t.Fatalf("digest differs: nil=%s off=%s", a, b)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/job"
 )
 
@@ -194,7 +193,7 @@ func (s *Sim) nextWake(env *Env, until int64, elide bool) int64 {
 
 	// Earliest chaos fire strictly before best (a fire at best is handled
 	// by that tick's own applyChaos).
-	if s.opts.Chaos != nil {
+	if s.faults != nil {
 		consider(s.chaosNext(best))
 	}
 	return best
@@ -406,40 +405,34 @@ func (s *Sim) predSeqOf(id int) uint64 {
 	return p.predSeq
 }
 
-// chaosNext scans the injector's deterministic schedule for the first tick
+// chaosNext scans the run's deterministic fault schedule for the first tick
 // in (now, bound) with an *observable* fault — one applyChaos would act on.
-// The scan is read-only (peek APIs; see internal/chaos): at the returned
-// tick the real applyChaos runs verbatim and draws the same samples. The
-// resident-job and node-down sets are constant over the scanned span — every
-// action that changes them happens on an executed tick, and repairs (which
-// would re-arm crashed nodes) bound the scan themselves.
+// It asks the same samplers applyChaos calls, which hold no state, so at the
+// returned tick applyChaos draws the same samples. The resident-job and
+// node-down sets are constant over the scanned span — every action that
+// changes them happens on an executed tick, and repairs (which would re-arm
+// crashed nodes) bound the scan themselves.
 func (s *Sim) chaosNext(bound int64) int64 {
-	inj := s.opts.Chaos
-	tick := s.opts.Tick
-
-	if until, ok := inj.MinDownUntil(); ok {
-		if at := firstTickGE(until, tick); at < bound {
+	inj, tick := s.faults, s.opts.Tick
+	for _, at := range s.repairAt {
+		if at = firstTickGE(at, tick); at < bound {
 			bound = at // repairs are always observable
 		}
 	}
 
-	rollJobs := inj.Spec().JobCrashPerDay > 0 && len(s.running.jobs)+len(s.profiling.jobs) > 0
 	var ids []int
-	if rollJobs {
+	if s.opts.Chaos.JobCrashPerDay > 0 {
 		ids = s.residentIDs()
 	}
-	observable := func(g cluster.GPUID) bool {
-		return !s.main.NodeDown(g.Node) && len(s.main.JobsOnGPU(g)) > 0
-	}
+	down := s.main.NodeDown
 	for t := s.now + tick; t < bound; t += tick {
-		if inj.AnyNodeCrash(t, tick) {
+		if len(inj.NodeCrashes(t, tick, down)) > 0 || len(inj.JobCrashes(t, tick, ids)) > 0 {
 			return t
 		}
-		if inj.AnyGPUFailure(t, tick, observable) {
-			return t
-		}
-		if rollJobs && inj.AnyJobCrash(t, tick, ids) {
-			return t
+		for _, g := range inj.GPUFailures(t, tick, down) {
+			if len(s.main.JobsOnGPU(g)) > 0 {
+				return t
+			}
 		}
 	}
 	return bound

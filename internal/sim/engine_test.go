@@ -10,15 +10,15 @@ import (
 	"repro/internal/job"
 )
 
-// quietChaos builds an injector that never fires spontaneously (all rates
-// zero) but still supplies retry/backoff policy, so tests can invoke killJob
+// quietChaos builds a spec that never fires spontaneously (all rates zero)
+// but still supplies retry/backoff policy, so tests can invoke killJob
 // deterministically.
-func quietChaos(backoffSec int64) *chaos.Injector {
-	return chaos.NewInjector(chaos.Spec{
+func quietChaos(backoffSec int64) *chaos.Spec {
+	return &chaos.Spec{
 		MaxRetries:    10,
 		BackoffSec:    backoffSec,
 		MaxBackoffSec: backoffSec,
-	})
+	}
 }
 
 // TestBackoffExpiryWakesScheduler is the satellite-2 regression test: a

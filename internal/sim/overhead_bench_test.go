@@ -60,8 +60,8 @@ func BenchmarkSimChaosOff(b *testing.B) {
 
 func BenchmarkSimChaosOn(b *testing.B) {
 	benchSim(b, func() sim.Options {
-		return sim.Options{Tick: 30, SchedulerEvery: 60,
-			Chaos: chaos.NewInjector(chaos.DefaultSpec())}
+		cs := chaos.DefaultSpec()
+		return sim.Options{Tick: 30, SchedulerEvery: 60, Chaos: &cs}
 	})
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/job"
 )
 
@@ -78,7 +77,7 @@ func TestRunningWithMatchesScan(t *testing.T) {
 			spec := quietSpec()
 			spec.BackoffSec = 25 // killed jobs hide for a few ticks
 			return Options{Tick: 10, SchedulerEvery: 10, ProfilerNodes: 1,
-				Chaos: chaos.NewInjector(spec), Invariants: NewInvariantChecker(true)}
+				Chaos: &spec, Invariants: NewInvariantChecker(true)}
 		}
 		tr := waitingWorld(rng, 120)
 		s := New(tr, &handSched{}, opts())

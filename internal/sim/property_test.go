@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/job"
@@ -194,6 +195,40 @@ func TestArrivalAfterHorizon(t *testing.T) {
 	for _, j := range res.Jobs {
 		if j.ID == 2 && (j.State != job.Pending || j.FirstStart >= 0) {
 			t.Fatalf("post-horizon job entered the system: %+v", j)
+		}
+	}
+}
+
+// TestSharedChaosSpecConcurrentRuns: a run only reads its chaos spec, so
+// one spec serves runs on several goroutines at once, and each run's
+// summary equals the serial run's. Under -race this also checks that no
+// fault state is shared between the runs.
+func TestSharedChaosSpecConcurrentRuns(t *testing.T) {
+	tr := drainTrace(xrand.New(21), 300)
+	spec := chaos.DefaultSpec()
+	spec.NodeFailPerDay, spec.GPUFailPerDay, spec.JobCrashPerDay = 40, 4, 20
+	spec.RepairSec, spec.MaxRetries, spec.BackoffSec = 600, 3, 60
+	spec.StragglerFrac, spec.StragglerSlowdown = 0.25, 0.5
+	run := func() *sim.Result {
+		return sim.New(tr, sched.NewFIFO(), sim.Options{Tick: 30, SchedulerEvery: 60, Chaos: &spec}).Run()
+	}
+	serial := run()
+	if serial.NodeFailures == 0 || serial.GPUFailures == 0 || serial.JobKills == 0 {
+		t.Fatalf("schedule too quiet to mean anything: %s", serial.Summary())
+	}
+	got := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run().Summary()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != serial.Summary() {
+			t.Fatalf("run %d: %s\nserial: %s", i, g, serial.Summary())
 		}
 	}
 }

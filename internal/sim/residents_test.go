@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/job"
 )
 
@@ -28,8 +27,9 @@ func (h *handSched) Tick(env *Env) {
 func newHandSim(t *testing.T, jobs ...*job.Job) (*Sim, *Env, *handSched) {
 	t.Helper()
 	h := &handSched{}
+	spec := quietSpec()
 	s := New(mkTrace(jobs...), h, Options{Tick: 10, SchedulerEvery: 10, ProfilerNodes: 1,
-		Chaos: chaos.NewInjector(quietSpec()), Invariants: NewInvariantChecker(true)})
+		Chaos: &spec, Invariants: NewInvariantChecker(true)})
 	s.StepOnce()
 	return s, &Env{s: s}, h
 }
@@ -322,7 +322,7 @@ func TestStartElasticRefusesWhatTheOtherStartsRefuse(t *testing.T) {
 	spec.MaxRetries = 0 // the first kill is final
 	s := New(mkTrace(mkJob(1, 2, 0, 5000), mkJob(2, 2, 0, 5000)), &handSched{},
 		Options{Tick: 10, SchedulerEvery: 10, ProfilerNodes: 1,
-			Chaos: chaos.NewInjector(spec), Invariants: NewInvariantChecker(true)})
+			Chaos: &spec, Invariants: NewInvariantChecker(true)})
 	s.StepOnce()
 	env := &Env{s: s}
 	prof, failed := s.byID(1), s.byID(2)

@@ -79,9 +79,9 @@ type Options struct {
 
 	// Chaos injects node/GPU/job faults each tick (see internal/chaos and
 	// chaos.go in this package). Nil (the default) disables injection; the
-	// engine then pays only a nil check. Injectors hold per-run mutable
-	// state — give every run its own.
-	Chaos *chaos.Injector
+	// engine then pays only a nil check. The run only reads the spec, so one
+	// spec may serve any number of runs.
+	Chaos *chaos.Spec
 
 	// Metrics records per-tick phase timings and scheduler-decision latency
 	// histograms on the given registry (see metrics.go in this package). Nil
@@ -161,7 +161,12 @@ type Sim struct {
 	sharedStarts int
 	sharedGPUSum float64
 
-	// Fault-injection counters (Options.Chaos; see chaos.go).
+	// Fault injection (Options.Chaos; see chaos.go): the run's fault
+	// schedule, nil when chaos is off, and the repair clock of every down
+	// node (node → repair-completion time).
+	faults   *chaos.Injector
+	repairAt map[int]int64
+
 	nodeFailures int
 	gpuFailures  int
 	jobKills     int
@@ -219,9 +224,8 @@ func New(tr *trace.Trace, sched Scheduler, opts Options) *Sim {
 		s.jobs[i] = &cp
 	}
 	if opts.Chaos != nil {
-		// (Re)bind resets the injector's mutable fault state, so a reused
-		// injector replays the identical schedule on a fresh run.
-		opts.Chaos.Bind(s.main.NumNodes(), s.main.Spec().GPUsPerNode)
+		s.faults = chaos.NewInjector(*opts.Chaos, s.main.NumNodes(), s.main.Spec().GPUsPerNode)
+		s.repairAt = make(map[int]int64)
 	}
 	return s
 }
@@ -666,7 +670,7 @@ func (s *Sim) genFactor(gpus []cluster.GPUID) float64 {
 	min := 0.0
 	for _, g := range gpus {
 		sp := s.main.SpeedOf(g)
-		if inj := s.opts.Chaos; inj != nil {
+		if inj := s.faults; inj != nil {
 			// Straggler nodes run degraded; like the generation factor, the
 			// whole job goes at its slowest worker's pace.
 			sp *= inj.SpeedFactor(g.Node)

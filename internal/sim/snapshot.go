@@ -195,8 +195,8 @@ func (s *Sim) Snapshot(w io.Writer) error {
 			put(&dto.GenSpeed, j.ID, p.gen)
 		}
 	}
-	if inj := s.opts.Chaos; inj != nil {
-		dto.ChaosDown = inj.DownState()
+	for n, at := range s.repairAt {
+		put(&dto.ChaosDown, n, at)
 	}
 	if rec := s.opts.DecisionTrace; rec != nil {
 		st := rec.SnapState()
@@ -329,10 +329,10 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 	}
 
 	if len(dto.ChaosDown) > 0 && s.opts.Chaos == nil {
-		return nil, fmt.Errorf("sim: snapshot has %d nodes under repair but options configure no chaos injector", len(dto.ChaosDown))
+		return nil, fmt.Errorf("sim: snapshot has %d nodes under repair but options configure no chaos spec", len(dto.ChaosDown))
 	}
-	if s.opts.Chaos != nil {
-		s.opts.Chaos.SetDownState(dto.ChaosDown)
+	for n, at := range dto.ChaosDown {
+		s.repairAt[n] = at
 	}
 	if rec := s.opts.DecisionTrace; rec != nil && dto.Recorder != nil {
 		rec.SetState(*dto.Recorder)

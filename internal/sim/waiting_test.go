@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/trace"
@@ -99,7 +98,7 @@ func TestWaitingSetMatchesOldScans(t *testing.T) {
 		spec := quietSpec()
 		spec.BackoffSec = 25 // killed jobs hide for a few ticks
 		s := New(waitingWorld(rng, 120), &handSched{}, Options{Tick: 10, SchedulerEvery: 10, ProfilerNodes: 1,
-			Chaos: chaos.NewInjector(spec), Invariants: NewInvariantChecker(true)})
+			Chaos: &spec, Invariants: NewInvariantChecker(true)})
 		env := &Env{s: s}
 		pick := func(js []*job.Job) *job.Job {
 			if len(js) == 0 {

@@ -134,8 +134,9 @@ func Philly() GenSpec {
 // i.e. ~550k jobs/month datacenter-wide, short-job-dominated with mean
 // durations in the low thousands of seconds). This spec rounds the
 // datacenter up to one 10,000-GPU federation replaying a million-job month —
-// the scalability target the event engine is benchmarked against (-exp
-// scale). It is deliberately not part of the Table 2 evaluation set.
+// the scalability target the event engine is benchmarked against
+// (BenchmarkHeliosMonth in internal/lab). It is deliberately not part of the
+// Table 2 evaluation set.
 func Helios() GenSpec {
 	return GenSpec{Name: "Helios", Nodes: 1250, NumVCs: 40, NumJobs: 1_000_000,
 		AvgDuration: 3600, Days: 30, Util: UtilMedium, Seed: 0x8e1105}

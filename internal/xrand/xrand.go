@@ -44,7 +44,13 @@ func (r *RNG) Fork() *RNG {
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	return Mix64(r.state)
+}
+
+// Mix64 is splitmix64's output function. Used on its own it is a stateless
+// 64-bit hash: fault schedules and per-individual streams key their draws by
+// coordinates through it instead of by position in a shared sequence.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
