@@ -115,7 +115,7 @@ func main() {
 		return
 	}
 
-	spec, ok := specByName(*traceName)
+	spec, ok := trace.SpecByName(strings.ToLower(*traceName))
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown trace %q\n", *traceName)
 		os.Exit(2)
@@ -385,17 +385,4 @@ func summarizeFile(path string) error {
 	}
 	fmt.Print(dtrace.SummarizeEvents(events).String())
 	return nil
-}
-
-func specByName(name string) (trace.GenSpec, bool) {
-	switch strings.ToLower(name) {
-	case "venus":
-		return trace.Venus(), true
-	case "saturn":
-		return trace.Saturn(), true
-	case "philly":
-		return trace.Philly(), true
-	default:
-		return trace.GenSpec{}, false
-	}
 }

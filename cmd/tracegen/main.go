@@ -20,15 +20,8 @@ func main() {
 	months := flag.Int("months", 1, "months to emit (later months recur on the same templates)")
 	flag.Parse()
 
-	var spec trace.GenSpec
-	switch strings.ToLower(*traceName) {
-	case "venus":
-		spec = trace.Venus()
-	case "saturn":
-		spec = trace.Saturn()
-	case "philly":
-		spec = trace.Philly()
-	default:
+	spec, ok := trace.SpecByName(strings.ToLower(*traceName))
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown trace %q\n", *traceName)
 		os.Exit(2)
 	}

@@ -74,14 +74,12 @@ func (l *Lucid) SnapshotState() ([]byte, error) {
 // (and, if the Update Engine had refit, the refit estimator and forecaster
 // from the embedded bundle).
 func (l *Lucid) RestoreState(blob []byte) error {
-	var st lucidState
+	// Unmarshal fills these maps; an omitted one stays empty.
+	st := lucidState{Scores: map[int]workload.SharingScore{}, EstCache: map[int]float64{}}
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return fmt.Errorf("core: decode lucid state: %w", err)
 	}
-	l.scores = make(map[int]workload.SharingScore, len(st.Scores))
-	for id, s := range st.Scores {
-		l.scores[id] = s
-	}
+	l.scores = st.Scores
 	l.arrived = st.Arrived
 	l.hourCount = st.HourCount
 	l.curHour = st.CurHour
@@ -104,10 +102,7 @@ func (l *Lucid) RestoreState(blob []byte) error {
 		l.models.Estimator = loaded.Estimator
 		l.models.Throughput = loaded.Throughput
 	}
-	l.models.Estimator.cache = make(map[int]float64, len(st.EstCache))
-	for id, v := range st.EstCache {
-		l.models.Estimator.cache[id] = v
-	}
+	l.models.Estimator.cache = st.EstCache
 	l.models.Throughput.recent = append([]float64(nil), st.TPRecent...)
 	return nil
 }

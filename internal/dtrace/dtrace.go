@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sync"
 )
@@ -116,16 +117,8 @@ type Recorder struct {
 	sink    io.Writer
 	sinkErr error
 
-	seq     int64
-	events  []Event
-	dropped int64
-	digest  uint64 // running FNV-1a over the serialized trace
-
-	counts    map[Action]int64
-	reasons   map[string]int64 // "action/reason" → count
-	regretSum float64
-	regretMax float64
-	regretN   int64
+	st     State
+	events []Event
 }
 
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters.
@@ -141,11 +134,9 @@ const DefaultTopK = 3
 // New returns an enabled recorder retaining every event in memory.
 func New() *Recorder {
 	return &Recorder{
-		topK:    DefaultTopK,
-		keep:    -1,
-		digest:  fnvOffset,
-		counts:  map[Action]int64{},
-		reasons: map[string]int64{},
+		topK: DefaultTopK,
+		keep: -1,
+		st:   State{Digest: fnvOffset, Counts: map[Action]int64{}, Reasons: map[string]int64{}},
 	}
 }
 
@@ -222,8 +213,9 @@ func (r *Recorder) Record(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	ev.Seq = r.seq
-	r.seq++
+	st := &r.st
+	ev.Seq = st.Seq
+	st.Seq++
 	ev.Score = sanitize(ev.Score)
 	ev.Regret = sanitize(ev.Regret)
 	if r.topK >= 0 && len(ev.Alternatives) > r.topK {
@@ -239,19 +231,19 @@ func (r *Recorder) Record(ev Event) {
 		line = []byte(fmt.Sprintf(`{"seq":%d,"action":"encode-error"}`, ev.Seq))
 	}
 	for _, b := range line {
-		r.digest = (r.digest ^ uint64(b)) * fnvPrime
+		st.Digest = (st.Digest ^ uint64(b)) * fnvPrime
 	}
-	r.digest = (r.digest ^ uint64('\n')) * fnvPrime
+	st.Digest = (st.Digest ^ uint64('\n')) * fnvPrime
 
-	r.counts[ev.Action]++
+	st.Counts[ev.Action]++
 	if ev.Reason != "" {
-		r.reasons[string(ev.Action)+"/"+ev.Reason]++
+		st.Reasons[string(ev.Action)+"/"+ev.Reason]++
 	}
 	if ev.Regret > 0 {
-		r.regretSum += ev.Regret
-		r.regretN++
-		if ev.Regret > r.regretMax {
-			r.regretMax = ev.Regret
+		st.RegretSum += ev.Regret
+		st.RegretN++
+		if ev.Regret > st.RegretMax {
+			st.RegretMax = ev.Regret
 		}
 	}
 
@@ -264,7 +256,7 @@ func (r *Recorder) Record(ev Event) {
 	if r.keep < 0 || len(r.events) < r.keep {
 		r.events = append(r.events, ev)
 	} else {
-		r.dropped++
+		st.Dropped++
 	}
 }
 
@@ -287,79 +279,58 @@ func (r *Recorder) Digest() string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return fmt.Sprintf("%016x", r.digest)
+	return fmt.Sprintf("%016x", r.st.Digest)
 }
 
 // State is the recorder's cumulative position in a trace: everything needed
 // for a restored simulation to continue the digest and summary counters as
-// if recording had never stopped. Retained events and the sink are
-// deliberately NOT part of the state — a resumed run re-attaches its own
-// sink, and the digest covers the full trace regardless of retention.
+// if recording had never stopped. The recorder keeps its position in exactly
+// this struct. Retained events and the sink are deliberately NOT part of the
+// state — a resumed run re-attaches its own sink, and the digest covers the
+// full trace regardless of retention.
 type State struct {
 	Seq       int64            `json:"seq"`
-	Digest    uint64           `json:"digest"`
+	Digest    uint64           `json:"digest"` // running FNV-1a over the serialized trace
 	Dropped   int64            `json:"dropped"`
 	Counts    map[Action]int64 `json:"counts,omitempty"`
-	Reasons   map[string]int64 `json:"reasons,omitempty"`
+	Reasons   map[string]int64 `json:"reasons,omitempty"` // "action/reason" → count
 	RegretSum float64          `json:"regret_sum,omitempty"`
 	RegretMax float64          `json:"regret_max,omitempty"`
 	RegretN   int64            `json:"regret_n,omitempty"`
 }
 
-// SnapState captures the recorder's cumulative state (see State).
+// SnapState captures a copy of the recorder's cumulative state (see State).
 func (r *Recorder) SnapState() State {
 	if r == nil {
 		return State{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := State{
-		Seq:       r.seq,
-		Digest:    r.digest,
-		Dropped:   r.dropped,
-		RegretSum: r.regretSum,
-		RegretMax: r.regretMax,
-		RegretN:   r.regretN,
-	}
-	if len(r.counts) > 0 {
-		st.Counts = make(map[Action]int64, len(r.counts))
-		for k, v := range r.counts {
-			st.Counts[k] = v
-		}
-	}
-	if len(r.reasons) > 0 {
-		st.Reasons = make(map[string]int64, len(r.reasons))
-		for k, v := range r.reasons {
-			st.Reasons[k] = v
-		}
-	}
+	st := r.st
+	st.Counts = maps.Clone(st.Counts)
+	st.Reasons = maps.Clone(st.Reasons)
 	return st
 }
 
 // SetState overwrites the recorder's cumulative counters from a snapshot,
 // so subsequent Record calls continue the interrupted trace's sequence
-// numbers and digest exactly.
+// numbers and digest exactly. The recorder takes ownership of st's maps.
 func (r *Recorder) SetState(st State) {
 	if r == nil {
 		return
 	}
+	if st.Digest == 0 {
+		st.Digest = fnvOffset // zero-value State means "fresh trace"
+	}
+	if st.Counts == nil {
+		st.Counts = map[Action]int64{}
+	}
+	if st.Reasons == nil {
+		st.Reasons = map[string]int64{}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq = st.Seq
-	r.digest = st.Digest
-	if r.digest == 0 {
-		r.digest = fnvOffset // zero-value State means "fresh trace"
-	}
-	r.dropped = st.Dropped
-	r.counts = make(map[Action]int64, len(st.Counts))
-	for k, v := range st.Counts {
-		r.counts[k] = v
-	}
-	r.reasons = make(map[string]int64, len(st.Reasons))
-	for k, v := range st.Reasons {
-		r.reasons[k] = v
-	}
-	r.regretSum, r.regretMax, r.regretN = st.RegretSum, st.RegretMax, st.RegretN
+	r.st = st
 	r.events = nil
 }
 

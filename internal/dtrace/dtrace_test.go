@@ -2,7 +2,9 @@ package dtrace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -166,8 +168,8 @@ func TestConcurrentRecording(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	if r.seq != 1600 {
-		t.Fatalf("recorded %d events, want 1600", r.seq)
+	if r.st.Seq != 1600 {
+		t.Fatalf("recorded %d events, want 1600", r.st.Seq)
 	}
 	seen := map[int64]bool{}
 	for _, ev := range r.Events() {
@@ -175,5 +177,37 @@ func TestConcurrentRecording(t *testing.T) {
 			t.Fatalf("duplicate seq %d", ev.Seq)
 		}
 		seen[ev.Seq] = true
+	}
+}
+
+// TestStateResumesTrace: a State taken with SnapState is a copy — later
+// events leave it unchanged — and a fresh recorder given it with SetState
+// ends, after the same further events, with the uninterrupted recorder's
+// digest and summary.
+func TestStateResumesTrace(t *testing.T) {
+	actions := []Action{ActPlace, ActPackReject, ActPreempt, ActOrder}
+	record := func(r *Recorder, from, to int) {
+		for i := from; i < to; i++ {
+			r.Record(Event{Job: i, Action: actions[i%len(actions)],
+				Reason: []string{"", "no-capacity", "score-budget"}[i%3], Regret: float64(i % 5)})
+		}
+	}
+	whole := New()
+	record(whole, 0, 60)
+	st := whole.SnapState()
+	before, _ := json.Marshal(st)
+	record(whole, 60, 150)
+	if after, _ := json.Marshal(st); !bytes.Equal(before, after) {
+		t.Fatalf("SnapState's copy moved with the recorder:\n%s\n%s", before, after)
+	}
+
+	resumed := New()
+	resumed.SetState(st)
+	record(resumed, 60, 150)
+	if got, want := resumed.Digest(), whole.Digest(); got != want {
+		t.Fatalf("resumed digest %s, uninterrupted %s", got, want)
+	}
+	if got, want := resumed.Summary(), whole.Summary(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed summary %+v, uninterrupted %+v", got, want)
 	}
 }

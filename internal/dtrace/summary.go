@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -35,23 +36,21 @@ func (r *Recorder) Summary() Summary {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	st := r.st
 	s := Summary{
-		Total:     r.seq,
-		Dropped:   r.dropped,
-		Digest:    fmt.Sprintf("%016x", r.digest),
+		Total:     st.Seq,
+		Dropped:   st.Dropped,
+		Digest:    fmt.Sprintf("%016x", st.Digest),
 		Actions:   map[string]int64{},
-		Reasons:   map[string]int64{},
-		RegretMax: r.regretMax,
-		RegretN:   r.regretN,
+		Reasons:   maps.Clone(st.Reasons),
+		RegretMax: st.RegretMax,
+		RegretN:   st.RegretN,
 	}
-	for a, n := range r.counts {
+	for a, n := range st.Counts {
 		s.Actions[string(a)] = n
 	}
-	for k, n := range r.reasons {
-		s.Reasons[k] = n
-	}
-	if r.regretN > 0 {
-		s.RegretMean = r.regretSum / float64(r.regretN)
+	if st.RegretN > 0 {
+		s.RegretMean = st.RegretSum / float64(st.RegretN)
 	}
 	return s
 }

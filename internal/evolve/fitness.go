@@ -62,19 +62,6 @@ type Fitness struct {
 	Cells []CellMetrics `json:"cells,omitempty"`
 }
 
-// worldSpec resolves a suite world name to its generator spec.
-func worldSpec(name string) (trace.GenSpec, error) {
-	switch name {
-	case "venus":
-		return trace.Venus(), nil
-	case "saturn":
-		return trace.Saturn(), nil
-	case "philly":
-		return trace.Philly(), nil
-	}
-	return trace.GenSpec{}, fmt.Errorf("evolve: unknown world %q (want venus, saturn or philly)", name)
-}
-
 // Evaluator scores genomes against one fixed suite. It memoizes fitness by
 // genome — re-scoring an elite or a duplicate child costs nothing — but the
 // cache is a pure wall-clock optimization: evaluation is deterministic, so
@@ -99,9 +86,9 @@ func NewEvaluator(worldNames []string, chaosMults []float64, scale float64) (*Ev
 	}
 	specs := make([]trace.GenSpec, len(worldNames))
 	for i, name := range worldNames {
-		spec, err := worldSpec(name)
-		if err != nil {
-			return nil, err
+		spec, ok := trace.SpecByName(name)
+		if !ok {
+			return nil, fmt.Errorf("evolve: unknown world %q (want venus, saturn or philly)", name)
 		}
 		specs[i] = spec
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/snap"
+	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -71,8 +72,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("evolve: no chaos levels")
 	}
 	for _, w := range s.Worlds {
-		if _, err := worldSpec(w); err != nil {
-			return err
+		if _, ok := trace.SpecByName(w); !ok {
+			return fmt.Errorf("evolve: unknown world %q (want venus, saturn or philly)", w)
 		}
 	}
 	for _, m := range s.ChaosMults {

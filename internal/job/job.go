@@ -80,43 +80,54 @@ type Job struct {
 	Duration int64           // exclusive-execution duration in seconds
 	Config   workload.Config // drives the interference model
 
+	Runtime
+}
+
+// Runtime is the state the simulator maintains for a job during a run —
+// everything that a simulator snapshot saves per job. The JSON tags are the
+// snapshot format.
+type Runtime struct {
+	State         State   `json:"state"`
+	RemainingWork float64 `json:"rem"`                   // seconds of exclusive-speed execution left
+	FirstStart    int64   `json:"first_start"`           // first time the job ran anywhere (-1 = never)
+	Finish        int64   `json:"finish"`                // completion time (-1 = not finished)
+	RunTime       float64 `json:"run_time"`              // accumulated wall-clock seconds spent running
+	Preemptions   int     `json:"preemptions,omitempty"` // times the job was preempted (Tiresias)
+	ColdStart     float64 `json:"cold_start,omitempty"`  // seconds of no-progress overhead pending at next start
+	AttainedGPUT  float64 `json:"attained_gput"`         // attained GPU-time service (for LAS schedulers)
+
 	// Observable after profiling (or measured on the fly for jobs that skip
 	// profiling).
-	Profiled bool
-	Profile  workload.Profile
-
-	// Runtime accounting, maintained by the simulator.
-	State         State
-	RemainingWork float64 // seconds of exclusive-speed execution left
-	FirstStart    int64   // first time the job ran anywhere (-1 = never)
-	Finish        int64   // completion time (-1 = not finished)
-	RunTime       float64 // accumulated wall-clock seconds spent running
-	Preemptions   int     // times the job was preempted (Tiresias)
-	ColdStart     float64 // seconds of no-progress overhead pending at next start
-	AttainedGPUT  float64 // attained GPU-time service (for LAS schedulers)
+	Profiled bool             `json:"profiled,omitempty"`
+	Profile  workload.Profile `json:"profile"`
 
 	// Fault-injection accounting (internal/chaos).
-	Restarts         int     // times the job was killed by a fault and requeued
-	NextEligible     int64   // requeue backoff: not schedulable before this time
-	CheckpointedWork float64 // exclusive-speed seconds durably checkpointed (0 = none)
+	Restarts         int     `json:"restarts,omitempty"`      // times the job was killed by a fault and requeued
+	NextEligible     int64   `json:"next_eligible,omitempty"` // requeue backoff: not schedulable before this time
+	CheckpointedWork float64 `json:"ckpt_work,omitempty"`     // exclusive-speed seconds durably checkpointed (0 = none)
 }
 
 // New returns a job initialized with runtime sentinels.
 func New(id int, name, user, vc string, gpus int, submit, duration int64, cfg workload.Config) *Job {
-	return &Job{
-		ID:            id,
-		Name:          name,
-		User:          user,
-		VC:            vc,
-		GPUs:          gpus,
-		Submit:        submit,
-		AMP:           cfg.AMP,
-		Duration:      duration,
-		Config:        cfg,
-		RemainingWork: float64(duration),
-		FirstStart:    -1,
-		Finish:        -1,
+	j := &Job{
+		ID:       id,
+		Name:     name,
+		User:     user,
+		VC:       vc,
+		GPUs:     gpus,
+		Submit:   submit,
+		AMP:      cfg.AMP,
+		Duration: duration,
+		Config:   cfg,
 	}
+	j.Reset()
+	return j
+}
+
+// Reset returns the job's runtime state to submission time: pending, all
+// work left, never started, not finished.
+func (j *Job) Reset() {
+	j.Runtime = Runtime{State: Pending, RemainingWork: float64(j.Duration), FirstStart: -1, Finish: -1}
 }
 
 // JCT returns the job completion time (finish − submit); -1 if unfinished.

@@ -31,15 +31,11 @@ func BinderThresholdStudy(scale float64) (spreadPct float64, report string, err 
 	cells := collectPar(len(ths), func(i int) cell {
 		cfg := core.DefaultConfig()
 		cfg.Thresholds = ths[i]
-		// The analyzer is threshold-dependent; retrain it for the variant.
-		// Clone the shared world's models before swapping it in.
-		analyzer, err := core.TrainPackingAnalyzer(ths[i])
+		lucid, err := w.NewLucidTuned(cfg)
 		if err != nil {
 			return cell{nil, err}
 		}
-		models := w.Models.Clone()
-		models.Analyzer = analyzer
-		return cell{w.Run(NamedRun{"Lucid", core.New(models, cfg), LucidOpts(w.Spec)}), nil}
+		return cell{w.Run(NamedRun{"Lucid", lucid, LucidOpts(w.Spec)}), nil}
 	})
 	var tb [][]string
 	var lo, hi float64

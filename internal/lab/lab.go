@@ -158,9 +158,9 @@ func (w *World) NewLucid(cfg core.Config) sim.Scheduler {
 // thresholds. The Packing Analyze Model is threshold-dependent — its labeled
 // dataset is cut at (Medium, Tiny) — so the world's cached analyzer (trained
 // at the defaults) would silently ignore a tuned cut point; this retrains it
-// on the variant thresholds, exactly as BinderThresholdStudy does. With
-// default thresholds it is NewLucid. internal/evolve routes every genome
-// through here so the threshold genes actually steer behaviour.
+// on the variant thresholds. With default thresholds it is NewLucid.
+// internal/evolve routes every genome through here so the threshold genes
+// actually steer behaviour.
 func (w *World) NewLucidTuned(cfg core.Config) (sim.Scheduler, error) {
 	cfg = cfg.Normalized()
 	if cfg.Thresholds == workload.DefaultThresholds {

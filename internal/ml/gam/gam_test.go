@@ -335,9 +335,9 @@ func TestFitRejectsMaxBinsBeyondIndexWidth(t *testing.T) {
 // quantiles from, so for a column with more distinct values than bins the low
 // quantiles come from the deduplicated prefix, not from the data: the b/8
 // quantiles of the column below are [0 1 2 59 184]. Fixing it moves every
-// fitted GA²M bit and every golden digest, so the fix belongs to the one
-// model re-baseline ROADMAP item 1(d) allows; until then this test keeps a
-// refactor from changing the output by accident.
+// fitted GA²M bit and every golden digest, so the fix is its own model
+// re-baseline (ROADMAP item 2(b)); until then this test keeps a refactor
+// from changing the output by accident.
 func TestQuantileEdgesKnownDefect(t *testing.T) {
 	var vals []float64
 	for i := 0; i < 700; i++ {
@@ -347,7 +347,7 @@ func TestQuantileEdgesKnownDefect(t *testing.T) {
 		vals = append(vals, float64(10+i))
 	}
 	if got, today := quantileEdges(vals, 8), []float64{131, 256}; !reflect.DeepEqual(got, today) {
-		t.Fatalf("quantileEdges = %v, pinned %v (if this is the 1(d) fix, re-baseline and pin [0 1 2 59 184])", got, today)
+		t.Fatalf("quantileEdges = %v, pinned %v (if this is the 2(b) fix, re-baseline and pin [0 1 2 59 184])", got, today)
 	}
 }
 

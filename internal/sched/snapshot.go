@@ -26,18 +26,12 @@ func (t *Tiresias) SnapshotState() ([]byte, error) {
 
 // RestoreState implements sim.SchedulerState.
 func (t *Tiresias) RestoreState(blob []byte) error {
-	var st tiresiasState
+	// Unmarshal fills these maps; an omitted one stays empty.
+	st := tiresiasState{StartedAt: map[int]int64{}, StoppedAt: map[int]int64{}}
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return fmt.Errorf("tiresias: decode state: %w", err)
 	}
-	t.startedAt = map[int]int64{}
-	for id, v := range st.StartedAt {
-		t.startedAt[id] = v
-	}
-	t.stoppedAt = map[int]int64{}
-	for id, v := range st.StoppedAt {
-		t.stoppedAt[id] = v
-	}
+	t.startedAt, t.stoppedAt = st.StartedAt, st.StoppedAt
 	return nil
 }
 
@@ -57,15 +51,12 @@ func (h *Horus) SnapshotState() ([]byte, error) {
 
 // RestoreState implements sim.SchedulerState.
 func (h *Horus) RestoreState(blob []byte) error {
-	var st horusState
+	st := horusState{Predicted: map[int]workload.Profile{}}
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return fmt.Errorf("horus: decode state: %w", err)
 	}
 	h.rng.SetState(st.RNG)
-	h.predicted = make(map[int]workload.Profile, len(st.Predicted))
-	for id, p := range st.Predicted {
-		h.predicted[id] = p
-	}
+	h.predicted = st.Predicted
 	return nil
 }
 

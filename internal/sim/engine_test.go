@@ -173,8 +173,8 @@ func TestAdvanceJobTicksBitExact(t *testing.T) {
 		}
 		k := int64(1 + rng.Intn(50))
 
-		a := &job.Job{GPUs: 1 + rng.Intn(8), RemainingWork: rem, ColdStart: cs}
-		b := &job.Job{GPUs: a.GPUs, RemainingWork: rem, ColdStart: cs}
+		a := &job.Job{GPUs: 1 + rng.Intn(8), Runtime: job.Runtime{RemainingWork: rem, ColdStart: cs}}
+		b := &job.Job{GPUs: a.GPUs, Runtime: job.Runtime{RemainingWork: rem, ColdStart: cs}}
 
 		// Only spans with no completion inside are ever bulk-advanced; skip
 		// states where the reference would finish within k ticks.
@@ -218,7 +218,7 @@ func TestTicksToFinishMatchesLoop(t *testing.T) {
 			sp = 0.4 + rng.Float64()
 		}
 
-		j := &job.Job{GPUs: 1, RemainingWork: rem, ColdStart: cs}
+		j := &job.Job{GPUs: 1, Runtime: job.Runtime{RemainingWork: rem, ColdStart: cs}}
 		var want int64
 		for want = 1; ; want++ {
 			eff := dt

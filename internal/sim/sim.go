@@ -209,18 +209,7 @@ func New(tr *trace.Trace, sched Scheduler, opts Options) *Sim {
 	for i, j := range tr.Jobs {
 		s.idxOf[j.ID] = i
 		cp := *j
-		cp.State = job.Pending
-		cp.RemainingWork = float64(j.Duration)
-		cp.FirstStart = -1
-		cp.Finish = -1
-		cp.RunTime = 0
-		cp.Preemptions = 0
-		cp.ColdStart = 0
-		cp.AttainedGPUT = 0
-		cp.Profiled = false
-		cp.Restarts = 0
-		cp.NextEligible = 0
-		cp.CheckpointedWork = 0
+		cp.Reset()
 		s.jobs[i] = &cp
 	}
 	if opts.Chaos != nil {

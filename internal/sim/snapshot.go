@@ -12,7 +12,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/snap"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // SnapshotKind is the envelope kind for a full simulator world.
@@ -32,20 +31,8 @@ type SchedulerState interface {
 // ground-truth duration) lives in the trace and is not repeated here; ID
 // keys the snapshot back to the trace's job.
 type jobSnap struct {
-	ID               int              `json:"id"`
-	State            job.State        `json:"state"`
-	RemainingWork    float64          `json:"rem"`
-	FirstStart       int64            `json:"first_start"`
-	Finish           int64            `json:"finish"`
-	RunTime          float64          `json:"run_time"`
-	Preemptions      int              `json:"preemptions,omitempty"`
-	ColdStart        float64          `json:"cold_start,omitempty"`
-	AttainedGPUT     float64          `json:"attained_gput"`
-	Profiled         bool             `json:"profiled,omitempty"`
-	Profile          workload.Profile `json:"profile"`
-	Restarts         int              `json:"restarts,omitempty"`
-	NextEligible     int64            `json:"next_eligible,omitempty"`
-	CheckpointedWork float64          `json:"ckpt_work,omitempty"`
+	ID int `json:"id"`
+	job.Runtime
 }
 
 // worldSnap is the complete serializable state of a Sim between two ticks.
@@ -164,22 +151,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 	}
 	dto.Jobs = make([]jobSnap, len(s.jobs))
 	for i, j := range s.jobs {
-		dto.Jobs[i] = jobSnap{
-			ID:               j.ID,
-			State:            j.State,
-			RemainingWork:    j.RemainingWork,
-			FirstStart:       j.FirstStart,
-			Finish:           j.Finish,
-			RunTime:          j.RunTime,
-			Preemptions:      j.Preemptions,
-			ColdStart:        j.ColdStart,
-			AttainedGPUT:     j.AttainedGPUT,
-			Profiled:         j.Profiled,
-			Profile:          j.Profile,
-			Restarts:         j.Restarts,
-			NextEligible:     j.NextEligible,
-			CheckpointedWork: j.CheckpointedWork,
-		}
+		dto.Jobs[i] = jobSnap{ID: j.ID, Runtime: j.Runtime}
 	}
 	// The format carries the per-placement records as three ID-keyed maps,
 	// each absent when it would be empty.
@@ -276,19 +248,7 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 			return nil, fmt.Errorf("sim: snapshot job %d not in trace", js.ID)
 		}
 		j := s.jobs[i]
-		j.State = js.State
-		j.RemainingWork = js.RemainingWork
-		j.FirstStart = js.FirstStart
-		j.Finish = js.Finish
-		j.RunTime = js.RunTime
-		j.Preemptions = js.Preemptions
-		j.ColdStart = js.ColdStart
-		j.AttainedGPUT = js.AttainedGPUT
-		j.Profiled = js.Profiled
-		j.Profile = js.Profile
-		j.Restarts = js.Restarts
-		j.NextEligible = js.NextEligible
-		j.CheckpointedWork = js.CheckpointedWork
+		j.Runtime = js.Runtime
 		// Every running record starts stale: speeds are a pure function of
 		// placement + colocation + generation factors, rebuilt below once the
 		// clusters are restored.

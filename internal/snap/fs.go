@@ -39,7 +39,7 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 // WriteFile is the one way a file that is read back later is installed: it
 // writes path.tmp, fsyncs and closes it, then renames it over path, so path
 // holds the old bytes or all of the new ones, never a prefix. The directory
-// is not fsynced, so a power cut may still undo the rename (ROADMAP 1(b)).
+// is not fsynced, so a power cut may still undo the rename (ROADMAP 1(b2)).
 func WriteFile(fs FS, path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -128,6 +128,20 @@ func Philly() GenSpec {
 		TargetLoad: 0.95}
 }
 
+// SpecByName resolves a lower-case world name — "venus", "saturn" or
+// "philly" — to its generator spec.
+func SpecByName(name string) (GenSpec, bool) {
+	switch name {
+	case "venus":
+		return Venus(), true
+	case "saturn":
+		return Saturn(), true
+	case "philly":
+		return Philly(), true
+	}
+	return GenSpec{}, false
+}
+
 // Helios returns a datacenter-scale spec calibrated against the published
 // Helios characterization (Hu et al., SC '21: the SenseTime Helios
 // datacenter — four clusters, 6,416 GPUs, ~3.3M GPU jobs over six months,

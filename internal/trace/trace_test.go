@@ -349,7 +349,7 @@ func TestEmitBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		v    any
 		want int
-	}{{job.Job{}, 22}, {workload.Config{}, 3}, {workload.Profile{}, 4}} {
+	}{{job.Job{}, 10}, {job.Runtime{}, 13}, {workload.Config{}, 3}, {workload.Profile{}, 4}} {
 		if n := reflect.TypeOf(c.v).NumField(); n != c.want {
 			t.Fatalf("%T has %d fields; appendJob covers %d", c.v, n, c.want)
 		}
