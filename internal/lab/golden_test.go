@@ -77,10 +77,11 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 	mk   func() (sim.Scheduler, sim.Options)
 } {
 	spec := goldenSpec()
-	return []struct {
+	type golden = struct {
 		name string
 		mk   func() (sim.Scheduler, sim.Options)
-	}{
+	}
+	gs := []golden{
 		{"FIFO", func() (sim.Scheduler, sim.Options) { return sched.NewFIFO(), SimOpts() }},
 		{"SJF", func() (sim.Scheduler, sim.Options) { return sched.NewSJF(), SimOpts() }},
 		{"QSSF", func() (sim.Scheduler, sim.Options) { return sched.NewQSSF(sched.OracleEstimator{}), SimOpts() }},
@@ -124,6 +125,25 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 			return core.New(models.Clone(), refitConfig()), LucidOpts(spec)
 		}},
 	}
+	// Lucid under each Figure 11 / §4.5 ablation switch: these digests are
+	// what notice a switch that no longer reaches the component it turns off.
+	for _, ab := range []struct {
+		suffix string
+		set    func(*core.Config)
+	}{
+		{"nosharing", func(c *core.Config) { c.DisableSharing = true }},
+		{"nobinder", func(c *core.Config) { c.DisableBinder = true }},
+		{"noestimator", func(c *core.Config) { c.DisableEstimator = true }},
+		{"nospaceaware", func(c *core.Config) { c.DisableSpaceAware = true }},
+		{"notimeaware", func(c *core.Config) { c.DisableTimeAware = true }},
+	} {
+		gs = append(gs, golden{"Lucid-" + ab.suffix, func() (sim.Scheduler, sim.Options) {
+			cfg := core.DefaultConfig()
+			ab.set(&cfg)
+			return core.New(models.Clone(), cfg), LucidOpts(spec)
+		}})
+	}
+	return gs
 }
 
 // refitConfig is the default Lucid configuration with a 12 h refit interval:
