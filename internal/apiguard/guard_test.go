@@ -2,12 +2,15 @@
 // fields that only tests use. It has no non-test code. Its tests type-check
 // every non-test package under cmd/, internal/, bench/ and examples/ and fail,
 // naming the declaration, when an exported func, method, const, var or type
-// has no use in that code, or when an exported field of an exported *Options,
-// *Config, *Spec or *Params struct is never written there. A test that needs
+// has no use in that code, when an exported field of an exported *Options,
+// *Config, *Spec or *Params struct is never written there, or when an
+// exported field of an exported struct is written there only by its
+// package's New… functions, always with the same constant. A test that needs
 // such a declaration goes through the API production code uses instead, or
 // keeps its helper in a _test.go file; a knob only tests turn is deleted, or
-// becomes an unexported seam of its package. TestNonTestLineBudget caps the
-// lines of non-test Go.
+// becomes an unexported seam of its package; a parameter only its constructor
+// sets becomes a constant. TestNonTestLineBudget caps the lines of non-test
+// Go.
 //
 // Run it with: go test ./internal/apiguard/
 package apiguard
@@ -15,6 +18,7 @@ package apiguard
 import (
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -197,8 +201,9 @@ func (tr *tree) sorted() []*pkg {
 	return ps
 }
 
-// decl is one exported declaration or option field, and whether non-test
-// code uses (for a field: writes) it.
+// decl is one exported declaration or field, and whether non-test code uses
+// it: calls or names it, or, for a field, writes it (optionFields) or writes
+// it other than as its constructors' one constant (fixedFields).
 type decl struct {
 	key  string // "dir.Name", "dir.Type.Method" or "dir.Type.Field"
 	obj  types.Object
@@ -298,46 +303,44 @@ func interfaces(tr *tree) map[string][]*types.Interface {
 	return byName
 }
 
-// optionFields lists the exported fields of the exported option structs (see
-// optionSuffixes). One is used when non-test code writes it: as the key of a
-// keyed composite literal, by position in an unkeyed one, as the selector on
-// the left of an assignment or ++/--, or as a selector whose address is
-// taken. Writes in the option types' own methods (the normalized defaults)
-// do not count, since they only fill in what no caller set.
-func optionFields(tr *tree) []decl {
-	var ds []decl
-	isOption := map[*types.TypeName]bool{}
-	for _, p := range tr.sorted() {
-		sc := p.types.Scope()
-		for _, name := range sc.Names() {
-			tn, ok := sc.Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || !hasOptionSuffix(name) {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			isOption[tn] = true
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() && !f.Embedded() {
-					ds = append(ds, decl{p.dir + "." + name + "." + f.Name(), f, false})
-				}
-			}
-		}
-	}
+// site is one non-test write of a field: its package, the name of the
+// function it is in ("" outside any) with that method's receiver type (nil
+// for a plain function), and the constant it stores (nil when it stores
+// none).
+type site struct {
+	pkg  *types.Package
+	fn   string
+	recv *types.TypeName
+	val  constant.Value
+}
 
-	written := map[types.Object]bool{}
+// fieldWrites maps each field non-test code writes to its write sites: the
+// key of a keyed composite literal, a position in an unkeyed one, the
+// selector on the left of an assignment or ++/--, or a selector whose
+// address is taken. Only a plain assignment or a literal stores a constant.
+func fieldWrites(tr *tree) map[types.Object][]site {
+	ws := map[types.Object][]site{}
 	for _, p := range tr.pkgs {
-		store := func(e ast.Expr) {
-			if sel, ok := e.(*ast.SelectorExpr); ok && p.info.Uses[sel.Sel] != nil {
-				written[origin(p.info.Uses[sel.Sel])] = true
-			}
-		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && isOption[recvType(p.info.Defs[fn.Name])] {
-					continue
+				w := site{pkg: p.types}
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					w.fn = fn.Name.Name
+					if fn.Recv != nil {
+						w.recv = recvType(p.info.Defs[fn.Name])
+					}
+				}
+				add := func(o types.Object, val ast.Expr) {
+					s := w
+					if val != nil {
+						s.val = p.info.Types[val].Value
+					}
+					ws[origin(o)] = append(ws[origin(o)], s)
+				}
+				store := func(e, val ast.Expr) {
+					if sel, ok := e.(*ast.SelectorExpr); ok && p.info.Uses[sel.Sel] != nil {
+						add(p.info.Uses[sel.Sel], val)
+					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
 					switch n := n.(type) {
@@ -349,21 +352,25 @@ func optionFields(tr *tree) []decl {
 						for i, el := range n.Elts {
 							if kv, ok := el.(*ast.KeyValueExpr); ok {
 								if k, ok := kv.Key.(*ast.Ident); ok && p.info.Uses[k] != nil {
-									written[origin(p.info.Uses[k])] = true
+									add(p.info.Uses[k], kv.Value)
 								}
 							} else if st != nil {
-								written[st.Field(i).Origin()] = true
+								add(st.Field(i), el)
 							}
 						}
 					case *ast.AssignStmt:
-						for _, l := range n.Lhs {
-							store(l)
+						for i, l := range n.Lhs {
+							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+								store(l, n.Rhs[i])
+							} else {
+								store(l, nil)
+							}
 						}
 					case *ast.IncDecStmt:
-						store(n.X)
+						store(n.X, nil)
 					case *ast.UnaryExpr:
 						if n.Op == token.AND {
-							store(n.X)
+							store(n.X, nil)
 						}
 					}
 					return true
@@ -371,15 +378,73 @@ func optionFields(tr *tree) []decl {
 			}
 		}
 	}
-	for i := range ds {
-		ds[i].used = written[ds[i].obj]
+	return ws
+}
+
+// fields lists the exported fields of the structs keep accepts, each judged
+// by ok over its write sites.
+func fields(tr *tree, keep func(*types.TypeName) bool, ok func(f *types.Var, ws []site) bool) []decl {
+	writes := fieldWrites(tr)
+	var ds []decl
+	for _, p := range tr.sorted() {
+		sc := p.types.Scope()
+		for _, name := range sc.Names() {
+			tn, isType := sc.Lookup(name).(*types.TypeName)
+			if !isType || !keep(tn) {
+				continue
+			}
+			st, isStruct := tn.Type().Underlying().(*types.Struct)
+			if !isStruct {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					ds = append(ds, decl{p.dir + "." + name + "." + f.Name(), f, ok(f, writes[f])})
+				}
+			}
+		}
 	}
 	return ds
 }
 
-func hasOptionSuffix(name string) bool {
+// optionFields lists the exported fields of the exported option structs (see
+// optionSuffixes). One is used when non-test code writes it. Writes in the
+// option types' own methods (the normalized defaults) do not count, since
+// they only fill in what no caller set.
+func optionFields(tr *tree) []decl {
+	return fields(tr, isOption, func(f *types.Var, ws []site) bool {
+		for _, w := range ws {
+			if w.recv == nil || !isOption(w.recv) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// fixedFields lists the exported fields of every exported struct. One is
+// used unless each of its non-test writes is in a New… function of its own
+// package, always with the same constant: a parameter its constructor fixes
+// is a constant, not a field.
+func fixedFields(tr *tree) []decl {
+	return fields(tr, (*types.TypeName).Exported, func(f *types.Var, ws []site) bool {
+		for _, w := range ws {
+			if w.recv != nil || !strings.HasPrefix(w.fn, "New") || w.pkg != f.Pkg() ||
+				w.val == nil || w.val.ExactString() != ws[0].val.ExactString() {
+				return true
+			}
+		}
+		return len(ws) == 0
+	})
+}
+
+// isOption reports whether tn is an exported option struct.
+func isOption(tn *types.TypeName) bool {
+	if _, ok := tn.Type().Underlying().(*types.Struct); !ok || !tn.Exported() {
+		return false
+	}
 	for _, s := range optionSuffixes {
-		if strings.HasSuffix(name, s) {
+		if strings.HasSuffix(tn.Name(), s) {
 			return true
 		}
 	}
@@ -458,7 +523,19 @@ func TestNoOptionOnlyTestsSet(t *testing.T) {
 		"allowlist entry %s names no option field")
 }
 
-// TestGuardFixture runs both rules over testdata/, a module whose code
+// TestNoFieldFixedByConstructor fails on an exported field of an exported
+// struct that only its package's constructors write, always with the same
+// constant: a fixed parameter dressed as a knob.
+func TestNoFieldFixedByConstructor(t *testing.T) {
+	for _, d := range fixedFields(repo(t)) {
+		if !d.used {
+			t.Errorf("field %s (%s) is only ever set to one constant by its constructor: make it an unexported constant",
+				d.key, fset.Position(d.obj.Pos()))
+		}
+	}
+}
+
+// TestGuardFixture runs every rule over testdata/, a module whose code
 // exercises what resolving by name gets wrong, and asserts the exact
 // findings.
 func TestGuardFixture(t *testing.T) {
@@ -478,11 +555,14 @@ func TestGuardFixture(t *testing.T) {
 		"lib.Params.Depth",  // written only by Params' own method and a test
 		"lib.Params.Leaves", // Config.Leaves is written
 	})
+	same("fixed fields", unused(fixedFields(tr)), []string{
+		"lib.Pool.Size", // 4 and 2*2, each in a New… function of lib
+	})
 }
 
 // budget is the most lines of non-test Go that cmd/, internal/ and examples/
 // may hold.
-const budget = 21798
+const budget = 21698
 
 // TestNonTestLineBudget counts the lines of non-test Go under cmd/, internal/
 // and examples/ (bench/ and testdata/ excluded): the size ROADMAP.md tracks.

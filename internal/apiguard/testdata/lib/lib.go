@@ -37,3 +37,18 @@ func (p *Params) norm() { p.Depth = 3 }
 type Spec struct{ Lo, Hi int }
 
 type Options struct{ Workers int }
+
+// Both constructors fix Pool.Size at 4, one through a constant expression;
+// Cap is a parameter, the constructors set Mode to different constants, and
+// a method also writes Depth.
+type Pool struct{ Size, Cap, Mode, Depth int }
+
+func NewPool(c int) *Pool { return &Pool{Size: 4, Cap: c, Mode: 1, Depth: 1} }
+
+func NewSmallPool() *Pool {
+	p := NewPool(1)
+	p.Size, p.Mode = 2*2, 2
+	return p
+}
+
+func (p *Pool) Deepen() { p.Depth++ }

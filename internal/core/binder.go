@@ -44,32 +44,33 @@ func (m PackMode) String() string {
 //     construction — documented substitution),
 //  5. never pack distributed jobs (network contention).
 type Binder struct {
-	// GSS is the GPU Sharing Capacity in Default mode (paper default 2).
-	GSS int
-	// Indolent toggles the Sharing-Score discipline; disabling it (the
-	// Figure 11a "w/o Binder" ablation) packs naively under only the hard
-	// rules.
-	Indolent bool
-	// TimeAwarePack skips partners that are about to finish ("eliminate
-	// jobs with little remaining runtime", Algorithm 2); needs the
-	// estimator.
-	TimeAwarePack bool
-	// MinRemainSec is the partner-remaining-runtime floor for packing.
-	MinRemainSec float64
-	// MemMarginFrac keeps this fraction of GPU memory free as OOM headroom.
-	MemMarginFrac float64
-
+	// cfg is the run's normalized Config: GSS is the Default-mode budget,
+	// DisableBinder drops the Sharing-Score discipline (the Figure 11a "w/o
+	// Binder" ablation packs naively under only the hard rules) and
+	// DisableSharing holds the Binder in PackDisabled.
+	cfg  Config
 	mode PackMode
 }
 
-// NewBinder returns the paper-default binder.
-func NewBinder() *Binder {
-	return &Binder{GSS: 2, Indolent: true, TimeAwarePack: true,
-		MinRemainSec: 600, MemMarginFrac: 0.08, mode: PackDefault}
+// A partner with less estimated runtime left than minRemainSec is about to
+// finish (Algorithm 2); memMarginFrac of GPU memory stays free as OOM headroom.
+const minRemainSec, memMarginFrac = 600, 0.08
+
+// newBinder returns cfg's Binder, in PackDefault mode unless DisableSharing.
+func newBinder(cfg Config) *Binder {
+	b := &Binder{cfg: cfg}
+	b.SetMode(PackDefault)
+	return b
 }
 
-// SetMode applies the Dynamic Strategy decision.
-func (b *Binder) SetMode(m PackMode) { b.mode = m }
+// SetMode applies the Dynamic Strategy decision. Under DisableSharing the
+// Binder stays PackDisabled whatever the decision.
+func (b *Binder) SetMode(m PackMode) {
+	if b.cfg.DisableSharing {
+		m = PackDisabled
+	}
+	b.mode = m
+}
 
 // Mode returns the current packing mode.
 func (b *Binder) Mode() PackMode { return b.mode }
@@ -89,11 +90,11 @@ func ModeFromLoad(level LoadLevel) PackMode {
 func (b *Binder) gssNow() int {
 	switch b.mode {
 	case PackApathetic:
-		return b.GSS - 1
+		return b.cfg.GSS - 1
 	case PackDisabled:
 		return -1
 	default:
-		return b.GSS
+		return b.cfg.GSS
 	}
 }
 
@@ -135,7 +136,8 @@ func (ex *PackExplain) add(id int, score float64, reason string) {
 
 // FindPartner returns the best running job to pack j with, or nil
 // (Algorithm 2's CheckAffineJobPair). score gives each job's Sharing Score;
-// remaining estimates a running job's remaining seconds.
+// remaining estimates a running job's remaining seconds; nil (the estimator
+// ablated) skips the remaining-runtime rule.
 func (b *Binder) FindPartner(env *sim.Env, j *job.Job,
 	score func(*job.Job) workload.SharingScore,
 	remaining func(*job.Job) float64) *job.Job {
@@ -163,12 +165,13 @@ func (b *Binder) FindPartnerExplain(env *sim.Env, j *job.Job,
 	}
 	gss := b.gssNow()
 	sj := score(j)
-	if b.Indolent && int(sj) > gss {
+	indolent := !b.cfg.DisableBinder
+	if indolent && int(sj) > gss {
 		ex.fail("score-over-budget") // a job too heavy for any partner under the budget
 		return nil
 	}
 
-	memCap := workload.GPUMemMBCap * (1 - b.MemMarginFrac)
+	memCap := workload.GPUMemMBCap * (1 - memMarginFrac)
 	var best *job.Job
 	bestKey := 1e18
 	// Rule 2 (same VC and demand) picks the candidates; jobs it rules out are
@@ -191,15 +194,13 @@ func (b *Binder) FindPartnerExplain(env *sim.Env, j *job.Job,
 			ex.add(r.ID, key, "oom-guard") // rule 1: hard memory limit
 			continue
 		}
-		if b.Indolent && int(sj)+int(score(r)) > gss {
+		if indolent && int(sj)+int(score(r)) > gss {
 			ex.add(r.ID, key, "score-budget") // Indolent Packing: sharing-score budget
 			continue
 		}
-		if b.TimeAwarePack && remaining != nil {
-			if rem := remaining(r); rem < b.MinRemainSec {
-				ex.add(r.ID, key, "ending-soon") // partner about to exit; packing buys nothing
-				continue
-			}
+		if remaining != nil && remaining(r) < minRemainSec {
+			ex.add(r.ID, key, "ending-soon") // partner about to exit; packing buys nothing
+			continue
 		}
 		// Prefer the least-contended pairing: lowest combined utilization.
 		if key < bestKey {

@@ -142,7 +142,7 @@ func TestThroughputModelForecast(t *testing.T) {
 }
 
 func TestBinderRules(t *testing.T) {
-	b := NewBinder()
+	b := newBinder(DefaultConfig())
 	cfgLight := workload.Config{Model: workload.PointNet, BatchSize: 64}
 	cfgHeavy := workload.Config{Model: workload.BERT, BatchSize: 32}
 
@@ -181,6 +181,34 @@ func TestBinderRules(t *testing.T) {
 	}
 	if PackDefault.String() != "Default" || PackDisabled.String() != "Disabled" {
 		t.Fatal("mode strings wrong")
+	}
+}
+
+// TestDisableSharingHoldsPackDisabled: under DisableSharing the Binder is
+// PackDisabled from construction on, whatever mode it is handed — the hourly
+// Dynamic Strategy's, or the one a snapshot taken without the switch carries.
+func TestDisableSharingHoldsPackDisabled(t *testing.T) {
+	_, models := queueWorld(t, 1)
+	blob, err := New(models.Clone(), DefaultConfig()).SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.DisableSharing = true
+	l := New(models.Clone(), cfg)
+	if l.binder.Mode() != PackDisabled {
+		t.Fatalf("new Binder under DisableSharing is %v, want Disabled", l.binder.Mode())
+	}
+	for _, m := range []PackMode{PackDefault, PackApathetic} {
+		if l.binder.SetMode(m); l.binder.SharingEnabled() {
+			t.Fatalf("SetMode(%v) enabled sharing under DisableSharing", m)
+		}
+	}
+	if err := l.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if l.binder.Mode() != PackDisabled {
+		t.Fatalf("restoring a Default-mode snapshot left the Binder %v, want Disabled", l.binder.Mode())
 	}
 }
 

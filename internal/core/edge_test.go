@@ -78,11 +78,10 @@ func constScore(s workload.SharingScore) func(*job.Job) workload.SharingScore {
 }
 
 // TestBinderGSSZero: GSS 0 is a legal, ultra-conservative budget — only
-// score-0 (Tiny) pairs may share. core.New clamps GSS ≤ 0 to the default,
-// so the field is driven directly.
+// score-0 (Tiny) pairs may share. core.New normalizes GSS 0 to the default,
+// so the test builds the Binder from a config that keeps it.
 func TestBinderGSSZero(t *testing.T) {
-	b := NewBinder()
-	b.GSS = 0
+	b := newBinder(Config{GSS: 0})
 
 	// Tiny + Tiny = 0 ≤ 0: packs.
 	bp := runProbe(t, b, constScore(constTiny))
@@ -92,9 +91,7 @@ func TestBinderGSSZero(t *testing.T) {
 
 	// Medium scores 1 > 0: the job itself busts the budget before any
 	// partner is examined.
-	b2 := NewBinder()
-	b2.GSS = 0
-	bp = runProbe(t, b2, constScore(constMedium))
+	bp = runProbe(t, newBinder(Config{GSS: 0}), constScore(constMedium))
 	if _, ok := bp.found[2]; ok {
 		t.Fatal("Medium job packed under GSS=0")
 	}
@@ -107,14 +104,14 @@ func TestBinderGSSZero(t *testing.T) {
 // two Jumbos sum to 4.
 func TestBinderGSSWide(t *testing.T) {
 	// Default GSS=2 rejects the Jumbo pair at the partner check.
-	bp := runProbe(t, NewBinder(), constScore(constJumbo))
+	bp := runProbe(t, newBinder(DefaultConfig()), constScore(constJumbo))
 	if _, ok := bp.found[2]; ok {
 		t.Fatal("Jumbo pair packed under default GSS=2")
 	}
 
-	b := NewBinder()
-	b.GSS = 4
-	bp = runProbe(t, b, constScore(constJumbo))
+	cfg := DefaultConfig()
+	cfg.GSS = 4
+	bp = runProbe(t, newBinder(cfg), constScore(constJumbo))
 	if bp.found[2] != 1 {
 		t.Fatalf("Jumbo pair must pack under GSS=4; reason=%v", bp.reason)
 	}

@@ -22,9 +22,9 @@ type WorkloadEstimator struct {
 	// all read it.
 	cache map[int]float64
 
-	// MonotonicGPUNum applies the §3.6.1 System Tuner constraint: the
+	// monotonicGPUNum applies the §3.6.1 System Tuner constraint: the
 	// gpu_num shape function is forced non-decreasing at training time.
-	MonotonicGPUNum bool
+	monotonicGPUNum bool
 
 	// FullRefits makes every Update a full fit, as the Update Engine did
 	// before it fine-tuned: the reference the warm refits are held to
@@ -67,7 +67,7 @@ func trainWorkloadEstimator(history []*job.Job, monotonic bool) (*WorkloadEstima
 	if len(history) == 0 {
 		return nil, fmt.Errorf("core: estimator needs history")
 	}
-	w := &WorkloadEstimator{MonotonicGPUNum: monotonic, params: estimatorGAMParams()}
+	w := &WorkloadEstimator{monotonicGPUNum: monotonic, params: estimatorGAMParams()}
 	if err := w.Update(history); err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func (w *WorkloadEstimator) update(history []*job.Job, m updateMetrics) error {
 	if err != nil {
 		return fmt.Errorf("core: estimator fit: %w", err)
 	}
-	if w.MonotonicGPUNum {
+	if w.monotonicGPUNum {
 		model.ApplyMonotonic(0, true) // feature 0 is gpu_num
 	}
 	t.Stop()

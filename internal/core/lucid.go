@@ -133,9 +133,9 @@ type Lucid struct {
 	// join at their place, the jobs the profiler took or admitted leave after
 	// its step.
 	unprofiled []*job.Job
-	// binderAt is the Binder the queue's failure stamps were taken under
+	// binderAt is the pack mode the queue's failure stamps were taken under
 	// (keyedJob.failedAt); orchestrate drops them when it changes.
-	binderAt Binder
+	binderAt PackMode
 	// roundHook, when set (tests), sees the queue at the top of orchestrate.
 	roundHook func(env *sim.Env, queue []keyedJob)
 	// retryAll, when set (tests), tries every queued job every round: the
@@ -165,26 +165,11 @@ func New(models *Models, cfg Config) *Lucid {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := NewProfiler()
-	p.TprofSec = cfg.TprofSec
-	p.tprofNow = cfg.TprofSec
-	p.Nprof = cfg.Nprof
-	p.SpaceAware = !cfg.DisableSpaceAware
-	p.TimeAware = !cfg.DisableTimeAware
-
-	b := NewBinder()
-	b.GSS = cfg.GSS
-	b.Indolent = !cfg.DisableBinder
-	b.TimeAwarePack = !cfg.DisableEstimator
-	if cfg.DisableSharing {
-		b.SetMode(PackDisabled)
-	}
-
 	return &Lucid{
 		cfg:      cfg,
 		models:   models,
-		profiler: p,
-		binder:   b,
+		profiler: newProfiler(cfg),
+		binder:   newBinder(cfg),
 		scores:   map[int]workload.SharingScore{},
 		arrived:  -1,
 	}
@@ -208,7 +193,7 @@ func (l *Lucid) ModelsRefit() bool { return l.modelsDirty }
 //
 // Everything else reacts to queue/cluster changes, which wake the engine on
 // their own. The binder's time-aware packing rule (partner remaining time
-// below MinRemainSec) only *removes* pack options as runtime accrues, and
+// below minRemainSec) only *removes* pack options as runtime accrues, and
 // the fairness-aging credit grows alike for every waiting job, so it never
 // reorders the queue (see key) — neither can turn an idle round into an
 // acting one, so neither needs a wake-up.
@@ -303,9 +288,7 @@ func (l *Lucid) hourlyMaintenance(env *sim.Env) {
 	forecast := l.models.Throughput.ForecastNextHour(int(hour%24), int(hour/24))
 	level := l.models.Throughput.Level(forecast)
 	l.profiler.Retune(level)
-	if !l.cfg.DisableSharing {
-		l.binder.SetMode(ModeFromLoad(level))
-	}
+	l.binder.SetMode(ModeFromLoad(level))
 }
 
 // onProfiled classifies a freshly profiled job, refreshes its estimate (the
@@ -460,25 +443,25 @@ func (l *Lucid) rekey() {
 //
 // A job that failed to place is not tried again while nothing its attempt
 // read has changed, since the attempt would fail the same way. The attempt
-// read the Binder, the estimates, and the job's VC: its free GPUs and, for
+// read the pack mode, the estimates, and the job's VC: its free GPUs and, for
 // packing, its running jobs of the same demand, their partners and their
 // remaining time. Any change to the VC but the passing of time moves its
 // generation (Cluster.VCGen); time only shortens remaining time, which can
 // only turn a viable partner into one that ends too soon (NextWake relies on
 // the same). So a job whose Binder found no partner and whose exclusive
 // placement failed is stamped with its VC's generation, and skipped while
-// the generation stays. A Binder change (the hourly pack mode) and a refit
-// (rekey) drop every stamp. A job whose partner was found but refused the
-// pack is not stamped: as time passes the Binder may pick another. Skipping
-// an attempt skips nothing else — the score and estimate caches it would
-// fill were filled by the attempt that failed — and a traced round skips
-// nothing, because every failure is an event of the trace.
+// the generation stays. A pack mode change (the hourly Dynamic Strategy) and
+// a refit (rekey) drop every stamp. A job whose partner was found but
+// refused the pack is not stamped: as time passes the Binder may pick
+// another. Skipping an attempt skips nothing else — the score and estimate
+// caches it would fill were filled by the attempt that failed — and a traced
+// round skips nothing, because every failure is an event of the trace.
 func (l *Lucid) orchestrate(env *sim.Env) {
 	if l.roundHook != nil {
 		l.roundHook(env, l.queue)
 	}
-	if *l.binder != l.binderAt {
-		l.binderAt = *l.binder
+	if l.binder.Mode() != l.binderAt {
+		l.binderAt = l.binder.Mode()
 		for i := range l.queue {
 			l.queue[i].failedAt = 0
 		}
@@ -495,7 +478,7 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 	main := env.Cluster()
 	skip := (!rec.Enabled() || l.traceSkips) && !l.retryAll
 
-	sharing := !l.cfg.DisableSharing && l.binder.SharingEnabled()
+	sharing := l.binder.SharingEnabled()
 	var remaining func(*job.Job) float64
 	if !l.cfg.DisableEstimator {
 		remaining = l.remainingEstimate
@@ -610,11 +593,7 @@ func (l *Lucid) placementPref(j *job.Job) cluster.Preference {
 	if !l.cfg.HeterogeneityAware || l.cfg.DisableEstimator {
 		return cluster.PreferAny
 	}
-	thr := l.cfg.FastJobThresholdSec
-	if thr <= 0 {
-		thr = 2 * 3600
-	}
-	if l.models.Estimator.EstimateSec(j) >= thr {
+	if l.models.Estimator.EstimateSec(j) >= l.cfg.FastJobThresholdSec {
 		return cluster.PreferFast
 	}
 	// Short jobs stay indifferent: forcing them onto old nodes would idle

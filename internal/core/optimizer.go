@@ -17,7 +17,7 @@ import (
 // and returns the configuration minimizing average queuing delay.
 //
 // The model-side tuning — posing monotonic constraints on learned shape
-// functions via PAV — lives in WorkloadEstimator.MonotonicGPUNum and
+// functions via PAV — lives in WorkloadEstimator.monotonicGPUNum and
 // gam.ApplyMonotonic.
 
 // TuneCandidate is one profiler configuration with its simulated outcome.

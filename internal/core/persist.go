@@ -48,7 +48,7 @@ func (m *Models) Save(w io.Writer) error {
 		Thresholds: m.Analyzer.thresholds,
 		TPBaseline: m.Throughput.baseline,
 		TPRecent:   m.Throughput.recent,
-		Monotonic:  m.Estimator.MonotonicGPUNum,
+		Monotonic:  m.Estimator.monotonicGPUNum,
 		EdgeRows:   m.Estimator.edgeRows,
 	}
 	var err error
@@ -126,7 +126,7 @@ func LoadModels(r io.Reader) (*Models, error) {
 			feat:            fz,
 			model:           estGAM,
 			cache:           map[int]float64{},
-			MonotonicGPUNum: dto.Monotonic,
+			monotonicGPUNum: dto.Monotonic,
 			params:          estimatorGAMParams(),
 			edgeRows:        dto.EdgeRows,
 		},

@@ -25,17 +25,12 @@ import (
 //     breathe with the Throughput Predict Model's forecast — bursts shrink
 //     T_prof and borrow capacity, quiet hours return it.
 type Profiler struct {
-	// TprofSec is the per-job profiling time limit (paper default 200 s,
-	// Table 6 explores 100–600 s).
-	TprofSec int64
-	// Nprof is the job scale limit: jobs demanding more GPUs skip profiling
-	// and are measured on the fly (§3.2).
-	Nprof int
-	// SpaceAware toggles Algorithm 1's least-GPU-first ordering (the
-	// Figure 11b ablation disables it, falling back to FIFO order).
-	SpaceAware bool
-	// TimeAware toggles Time-aware Scaling.
-	TimeAware bool
+	// cfg is the run's normalized Config: TprofSec is the per-job profiling
+	// time limit, Nprof the job scale limit (jobs demanding more GPUs skip
+	// profiling and are measured on the fly, §3.2), DisableSpaceAware drops
+	// Algorithm 1's least-GPU-first ordering (the Figure 11b ablation falls
+	// back to FIFO order) and DisableTimeAware turns Time-aware Scaling off.
+	cfg Config
 
 	// capacityFrac is the currently usable fraction of the profiling
 	// partition, adjusted by Time-aware Scaling.
@@ -44,52 +39,50 @@ type Profiler struct {
 	tprofNow int64
 }
 
-// NewProfiler returns the paper-default profiler: Tprof 200 s, Nprof 8,
-// both optimizations on.
-func NewProfiler() *Profiler {
-	return &Profiler{TprofSec: 200, Nprof: 8, SpaceAware: true, TimeAware: true,
-		capacityFrac: 0.75, tprofNow: 200}
+// newProfiler returns cfg's Profiler at Time-aware Scaling's normal setting.
+func newProfiler(cfg Config) *Profiler {
+	return &Profiler{cfg: cfg, capacityFrac: 0.75, tprofNow: cfg.TprofSec}
 }
 
 // Retune applies Time-aware Scaling from the load forecast: bursts borrow
 // the whole partition and halve T_prof; quiet hours shrink usable capacity
 // (returning the loaned nodes) and restore the full limit.
 func (p *Profiler) Retune(level LoadLevel) {
-	if !p.TimeAware {
+	if p.cfg.DisableTimeAware {
 		p.capacityFrac = 0.75
-		p.tprofNow = p.TprofSec
+		p.tprofNow = p.cfg.TprofSec
 		return
 	}
 	switch level {
 	case LoadHigh:
 		p.capacityFrac = 1.0
-		p.tprofNow = p.TprofSec / 2
+		p.tprofNow = p.cfg.TprofSec / 2
 		if p.tprofNow < 60 {
 			p.tprofNow = 60
 		}
 	case LoadLow:
 		p.capacityFrac = 0.5
-		p.tprofNow = p.TprofSec
+		p.tprofNow = p.cfg.TprofSec
 	default:
 		p.capacityFrac = 0.75
-		p.tprofNow = p.TprofSec
+		p.tprofNow = p.cfg.TprofSec
 	}
 }
 
 // CurrentTprof returns the active profiling time limit.
 func (p *Profiler) CurrentTprof() int64 {
 	if p.tprofNow <= 0 {
-		return p.TprofSec
+		return p.cfg.TprofSec
 	}
 	return p.tprofNow
 }
 
 // Step runs one profiler round (Algorithm 1) over the Pending jobs among
-// waiting, which must be in (Submit, ID) order — the FIFO order without
-// SpaceAware: evict overtime jobs, admit oversized jobs on the fly, then fill
-// the partition least-GPUs-first. onProfiled is invoked for each job that
-// leaves the profiler Queued with a fresh profile — evicted, or admitted
-// without a run.
+// waiting, which must be in (Submit, ID) order — the FIFO order that
+// DisableSpaceAware keeps: evict overtime jobs, admit oversized jobs on the
+// fly, then fill the partition least-GPUs-first. onProfiled is invoked for
+// each job that leaves the profiler Queued with a fresh profile — evicted,
+// or admitted without a run.
 func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.Job)) {
 	rec := env.Trace()
 
@@ -131,7 +124,7 @@ func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.J
 	// current capacity budget can ever host — a job larger than the budget
 	// would otherwise wait forever for a slot that cannot exist.
 	budget := int(float64(pc.TotalGPUs()) * p.capacityFrac)
-	effLimit := p.Nprof
+	effLimit := p.cfg.Nprof
 	if budget < effLimit {
 		effLimit = budget
 	}
@@ -157,7 +150,7 @@ func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.J
 	}
 
 	// SortJobGPUNum: least GPUs first (space-aware); FIFO otherwise.
-	if p.SpaceAware {
+	if !p.cfg.DisableSpaceAware {
 		sort.SliceStable(queue, func(a, b int) bool {
 			if queue[a].GPUs != queue[b].GPUs {
 				return queue[a].GPUs < queue[b].GPUs

@@ -11,8 +11,7 @@ import (
 )
 
 func TestProfilerRetune(t *testing.T) {
-	p := NewProfiler()
-	p.TprofSec = 200
+	p := newProfiler(DefaultConfig()) // Tprof 200 s
 
 	p.Retune(LoadHigh)
 	if p.CurrentTprof() != 100 {
@@ -28,7 +27,7 @@ func TestProfilerRetune(t *testing.T) {
 	}
 
 	// Time-aware scaling off → static settings regardless of load.
-	p.TimeAware = false
+	p.cfg.DisableTimeAware = true
 	p.Retune(LoadHigh)
 	if p.CurrentTprof() != 200 || p.capacityFrac != 0.75 {
 		t.Fatal("static profiler must ignore load level")
@@ -36,8 +35,9 @@ func TestProfilerRetune(t *testing.T) {
 }
 
 func TestProfilerTprofFloor(t *testing.T) {
-	p := NewProfiler()
-	p.TprofSec = 80
+	cfg := DefaultConfig()
+	cfg.TprofSec = 80
+	p := newProfiler(cfg)
 	p.Retune(LoadHigh)
 	if p.CurrentTprof() < 60 {
 		t.Fatalf("Tprof floor violated: %d", p.CurrentTprof())
@@ -70,10 +70,11 @@ func TestSpaceAwareOrdering(t *testing.T) {
 		Jobs: []*job.Job{big, small1, small2},
 		Days: 1,
 	}
-	po := &profilerOnly{p: NewProfiler()}
-	po.p.TprofSec = 100
+	pcfg := DefaultConfig()
+	pcfg.TprofSec = 100
+	pcfg.DisableTimeAware = true
+	po := &profilerOnly{p: newProfiler(pcfg)}
 	po.p.capacityFrac = 1.0
-	po.p.TimeAware = false
 	s := sim.New(tr, po, sim.Options{Tick: 10, SchedulerEvery: 10, ProfilerNodes: 1})
 	s.StepOnce()
 	s.StepOnce()
@@ -103,7 +104,7 @@ func TestOversizedJobsSkipProfiling(t *testing.T) {
 		Jobs: []*job.Job{big},
 		Days: 1,
 	}
-	po := &profilerOnly{p: NewProfiler()} // Nprof = 8 < 16
+	po := &profilerOnly{p: newProfiler(DefaultConfig())} // Nprof = 8 < 16
 	s := sim.New(tr, po, sim.Options{Tick: 10, SchedulerEvery: 10, ProfilerNodes: 1})
 	s.StepOnce()
 	s.StepOnce()

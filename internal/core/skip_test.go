@@ -185,7 +185,7 @@ func transitions(rec *dtrace.Recorder) []transition {
 }
 
 // TestRekeyDropsStamps: a refit drops every failure stamp. It can lengthen a
-// running job's estimate past the Binder's MinRemainSec, which makes a
+// running job's estimate past the Binder's minRemainSec, which makes a
 // partner that was ending too soon viable again with no change to its VC;
 // TestSkippedRetriesChangeNothing's worlds never reach that case, so the rule
 // is pinned here.

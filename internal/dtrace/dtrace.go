@@ -67,8 +67,6 @@ const (
 type Alternative struct {
 	// Job identifies the alternative job (partner candidate, next-in-queue).
 	Job int `json:"job,omitempty"`
-	// Label carries non-job alternatives (a VC, a preference, a mode).
-	Label string `json:"label,omitempty"`
 	// Score is the alternative's value under the deciding metric.
 	Score float64 `json:"score"`
 	// Reason states why this alternative lost (or was never viable).

@@ -54,7 +54,7 @@ type Explanation struct {
 // the medium/tiny partner so the ordering constraint holds without moving a
 // second knob past it.
 func revertGene(g Genome, i int) Genome {
-	g[i] = Genes[i].Default
+	g[i] = DefaultGenome()[i]
 	if g[GeneMedium] > g[GeneTiny] {
 		if i == GeneMedium {
 			g[GeneMedium] = g[GeneTiny]
@@ -85,7 +85,7 @@ func Explain(best Genome, bestFit Fitness, ev *Evaluator) (*Explanation, error) 
 		}
 		ex.Knobs = append(ex.Knobs, KnobReport{
 			Key:         d.Key,
-			Default:     d.Default,
+			Default:     def[i],
 			Tuned:       best[i],
 			RevertScore: rf.Score,
 			Delta:       rf.Score - bestFit.Score,

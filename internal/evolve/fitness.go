@@ -71,7 +71,7 @@ type Evaluator struct {
 	worlds     []*lab.World
 	mults      []float64
 
-	baseline []CellMetrics // default genome, aligned with cells()
+	baseline []CellMetrics // default genome, one per (world, chaos) cell
 	baseFit  Fitness
 
 	mu    sync.Mutex
@@ -102,13 +102,14 @@ func NewEvaluator(worldNames []string, chaosMults []float64, scale float64) (*Ev
 		mults:      append([]float64(nil), chaosMults...),
 		cache:      map[Genome]Fitness{},
 	}
-	base, err := e.runSuite(DefaultGenome())
+	// With no baseline yet, assemble scores the default genome against
+	// itself: its Score is exactly 1, and it is cached as such.
+	base, err := e.Evaluate(DefaultGenome())
 	if err != nil {
 		return nil, err
 	}
-	e.baseline = base
-	e.baseFit = e.assemble(base)
-	e.cache[DefaultGenome()] = e.baseFit
+	e.baseline = base.Cells
+	e.baseFit = base
 	return e, nil
 }
 
@@ -118,9 +119,6 @@ func (e *Evaluator) Baseline() Fitness { return e.baseFit }
 
 // Worlds returns the suite's worlds (read-only; shared with the lab cache).
 func (e *Evaluator) Worlds() []*lab.World { return e.worlds }
-
-// cellCount is len(worlds) × len(mults); cells are ordered world-major.
-func (e *Evaluator) cellCount() int { return len(e.worlds) * len(e.mults) }
 
 // runCell executes one (genome, world, chaos) simulation.
 func (e *Evaluator) runCell(g Genome, wi, mi int) (CellMetrics, error) {
@@ -142,22 +140,6 @@ func (e *Evaluator) runCell(g Genome, wi, mi int) (CellMetrics, error) {
 		P999QueueSec: res.P999QueueSec,
 		GoodputPct:   res.GoodputPct(),
 	}, nil
-}
-
-// runSuite executes every cell for one genome, fanning across the lab pool.
-func (e *Evaluator) runSuite(g Genome) ([]CellMetrics, error) {
-	n := e.cellCount()
-	cells := make([]CellMetrics, n)
-	errs := make([]error, n)
-	lab.ForEachPar(n, func(i int) {
-		cells[i], errs[i] = e.runCell(g, i/len(e.mults), i%len(e.mults))
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cells, nil
 }
 
 // ratio compares a candidate metric to the baseline's, lower-is-better. The
@@ -225,7 +207,7 @@ func (e *Evaluator) EvaluateAll(gs []Genome) ([]Fitness, error) {
 	e.mu.Unlock()
 
 	if len(todo) > 0 {
-		nc := e.cellCount()
+		nc := len(e.worlds) * len(e.mults) // cells per genome, world-major
 		cells := make([]CellMetrics, len(todo)*nc)
 		errs := make([]error, len(todo)*nc)
 		lab.ForEachPar(len(todo)*nc, func(i int) {

@@ -53,20 +53,19 @@ type GeneDef struct {
 	Key     string  // spec key, e.g. "tprof"
 	Min     float64 // inclusive lower bound
 	Max     float64 // inclusive upper bound
-	Default float64 // the paper default
 	Integer bool    // values are rounded to integers
 }
 
 // Genes is the canonical gene table (indexed by the Gene* constants).
 var Genes = [NumGenes]GeneDef{
-	{Key: "tprof", Min: 30, Max: 900, Default: 200, Integer: true},
-	{Key: "nprof", Min: 1, Max: 32, Default: 8, Integer: true},
-	{Key: "gss", Min: 1, Max: 4, Default: 2, Integer: true},
-	{Key: "medium", Min: 0.5, Max: 1, Default: 0.85},
-	{Key: "tiny", Min: 0.5, Max: 1, Default: 0.95},
-	{Key: "update", Min: 43200, Max: 2419200, Default: 604800, Integer: true},
-	{Key: "aging", Min: 0, Max: 4, Default: 0},
-	{Key: "fastjob", Min: 600, Max: 28800, Default: 7200},
+	{Key: "tprof", Min: 30, Max: 900, Integer: true},
+	{Key: "nprof", Min: 1, Max: 32, Integer: true},
+	{Key: "gss", Min: 1, Max: 4, Integer: true},
+	{Key: "medium", Min: 0.5, Max: 1},
+	{Key: "tiny", Min: 0.5, Max: 1},
+	{Key: "update", Min: 43200, Max: 2419200, Integer: true},
+	{Key: "aging", Min: 0, Max: 4},
+	{Key: "fastjob", Min: 600, Max: 28800},
 }
 
 // Genome is one point in the knob box: a bounded, validated parameter
@@ -75,13 +74,20 @@ var Genes = [NumGenes]GeneDef{
 // round-trip exactly.
 type Genome [NumGenes]float64
 
-// DefaultGenome returns the paper-default point.
+// DefaultGenome returns the paper-default point: Config's inverse of
+// core.DefaultConfig.
 func DefaultGenome() Genome {
-	var g Genome
-	for i, d := range Genes {
-		g[i] = d.Default
+	c := core.DefaultConfig()
+	return Genome{
+		GeneTprof:   float64(c.TprofSec),
+		GeneNprof:   float64(c.Nprof),
+		GeneGSS:     float64(c.GSS),
+		GeneMedium:  c.Thresholds.Medium,
+		GeneTiny:    c.Thresholds.Tiny,
+		GeneUpdate:  float64(c.UpdateIntervalSec),
+		GeneAging:   c.FairnessAgingSec,
+		GeneFastJob: c.FastJobThresholdSec,
 	}
-	return g
 }
 
 // Validate reports the first out-of-bounds gene (or ordering violation) as a
@@ -107,10 +113,11 @@ func (g Genome) Validate() error {
 // search applies it after every mutation/crossover so candidates are valid
 // by construction.
 func (g Genome) repair() Genome {
+	def := DefaultGenome()
 	for i, d := range Genes {
 		v := g[i]
 		if math.IsNaN(v) {
-			v = d.Default
+			v = def[i]
 		}
 		if d.Integer {
 			v = math.Round(v)

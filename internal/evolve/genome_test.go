@@ -12,11 +12,6 @@ func TestDefaultGenomeValid(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("default genome invalid: %v", err)
 	}
-	for i, d := range Genes {
-		if g[i] != d.Default {
-			t.Fatalf("gene %s: default %g != table %g", d.Key, g[i], d.Default)
-		}
-	}
 }
 
 func TestGenomeStringRoundTrip(t *testing.T) {
@@ -134,9 +129,9 @@ func TestGenomeConfigValidates(t *testing.T) {
 	}
 }
 
-// TestDefaultGenomeIsDefaultConfig: the gene table's defaults are Lucid's
-// paper defaults, knob for knob, so the search starts from the scheduler
-// the paper evaluates.
+// TestDefaultGenomeIsDefaultConfig: DefaultGenome is Lucid's paper defaults,
+// knob for knob — Config inverts it — so the search starts from the
+// scheduler the paper evaluates.
 func TestDefaultGenomeIsDefaultConfig(t *testing.T) {
 	if got, want := DefaultGenome().Config(), core.DefaultConfig(); got != want {
 		t.Fatalf("DefaultGenome().Config() = %+v\ncore.DefaultConfig()   = %+v", got, want)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,8 +78,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, m := range s.ChaosMults {
-		if m < 0 || m != m {
-			return fmt.Errorf("evolve: chaos multiplier %g < 0", m)
+		if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+			return fmt.Errorf("evolve: chaos multiplier %g is not a finite value ≥ 0", m)
 		}
 	}
 	return nil

@@ -77,6 +77,8 @@ func TestParseSpecRejects(t *testing.T) {
 		{"budget=-1", "budget"},
 		{"worlds=mars", "unknown world"},
 		{"chaos=-2", "chaos"},
+		{"chaos=inf", "chaos"},
+		{"chaos=0+inf", "chaos"},
 		{"seed", "not key=value"},
 		{"turbo=1", "unknown key"},
 		{"seed=abc", "bad value"},

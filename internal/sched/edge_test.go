@@ -25,7 +25,7 @@ func TestTiresiasPromoteRescuesStarvedJob(t *testing.T) {
 	}
 	tr := &trace.Trace{Name: "starve", Cluster: specOneNode(), Jobs: jobs, Days: 1}
 	tir := NewTiresias()
-	tir.PromoteIntervalSec = 2 * 3600
+	tir.promoteSec = 2 * 3600
 	res := sim.New(tr, tir, sim.Options{Tick: 10, SchedulerEvery: 30}).Run()
 	long := res.Jobs[0]
 	if long.Finish < 0 {

@@ -38,7 +38,7 @@ func (*Horus) NextWake(*sim.Env) int64 { return sim.NoWake }
 //     exactly GPUs/sec (cold-start ticks accrue service too), so the tick
 //     it crosses a queue threshold is computable;
 //   - PROMOTE anti-starvation: a waiting job is lifted to the top queue
-//     once it has waited PromoteIntervalSec (strict >, hence the +1);
+//     once it has waited promoteSec (strict >, hence the +1);
 //   - the MinRunQuantum preemption shield expiring on a running job, which
 //     can unblock an eviction that was desired but suppressed.
 //
@@ -82,13 +82,13 @@ func (t *Tiresias) NextWake(env *sim.Env) int64 {
 		// the true crossing — a pending one cannot slip under lastRound).
 		// Future crossings beyond the nearest are reported too; consider
 		// takes the minimum, so they cost nothing.
-		for _, thr := range t.QueueThresholdsGPUSec {
+		for _, thr := range t.thresholds {
 			consider(now + int64(math.Ceil((thr-j.AttainedGPUT)/float64(j.GPUs))))
 		}
 		if started, ok := t.startedAt[j.ID]; ok {
-			consider(started + int64(math.Ceil(t.MinRunQuantumSec)))
+			consider(started + minRunQuantumSec)
 			if started == lastRound {
-				if stopped, ok := t.stoppedAt[j.ID]; ok && started-stopped > t.PromoteIntervalSec {
+				if stopped, ok := t.stoppedAt[j.ID]; ok && started-stopped > t.promoteSec {
 					consider(started + 1)
 				}
 			}
@@ -97,10 +97,10 @@ func (t *Tiresias) NextWake(env *sim.Env) int64 {
 	for _, q := range queues {
 		for _, j := range q.Jobs {
 			if j.FirstStart < 0 {
-				consider(j.Submit + t.PromoteIntervalSec + 1)
+				consider(j.Submit + t.promoteSec + 1)
 			}
 			if stopped, ok := t.stoppedAt[j.ID]; ok {
-				consider(stopped + t.PromoteIntervalSec + 1)
+				consider(stopped + t.promoteSec + 1)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func TestTiresiasDemotionCrossingWakesEngine(t *testing.T) {
 	}
 	mkSched := func() *Tiresias {
 		tir := NewTiresias()
-		tir.QueueThresholdsGPUSec = []float64{3650}
+		tir.thresholds = []float64{3650}
 		return tir
 	}
 	// SampleEvery is chosen to land a wake-up just after the crossing but

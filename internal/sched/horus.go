@@ -21,24 +21,21 @@ type Horus struct {
 	// predicted caches the noisy utilization prediction per job so the
 	// decision is consistent across ticks.
 	predicted map[int]workload.Profile
-	// PredNoise is the relative std-dev of the graph-based prediction error.
-	PredNoise float64
-	// UtilBudget is the packing acceptance threshold on predicted combined
-	// utilization.
-	UtilBudget float64
 
 	buf []ranked // scratch for one queue's order
 }
+
+// Horus's graph-based prediction error has relative std-dev predNoise, and it
+// packs while the predicted combined utilization stays within utilBudget.
+const predNoise, utilBudget = 0.22, 105.0
 
 // NewHorus builds the policy around a duration estimator (Horus is also
 // data-driven for ordering) and a seed for its prediction noise.
 func NewHorus(est Estimator, seed uint64) *Horus {
 	return &Horus{
-		est:        est,
-		rng:        xrand.New(seed ^ 0x40e05),
-		predicted:  make(map[int]workload.Profile),
-		PredNoise:  0.22,
-		UtilBudget: 105,
+		est:       est,
+		rng:       xrand.New(seed ^ 0x40e05),
+		predicted: make(map[int]workload.Profile),
 	}
 }
 
@@ -54,7 +51,7 @@ func (h *Horus) predict(j *job.Job) workload.Profile {
 	}
 	truth := j.Config.Profile()
 	noise := func(v float64) float64 {
-		n := v * (1 + h.rng.Norm(0, h.PredNoise))
+		n := v * (1 + h.rng.Norm(0, predNoise))
 		if n < 1 {
 			n = 1
 		}
@@ -94,7 +91,7 @@ func (h *Horus) Tick(env *sim.Env) {
 func (h *Horus) tryPack(env *sim.Env, j *job.Job, running []*job.Job) {
 	pj := h.predict(j)
 	var best *job.Job
-	bestSum := h.UtilBudget
+	bestSum := utilBudget
 	for _, r := range running {
 		if r.VC != j.VC || r.GPUs != j.GPUs || r.State != job.Running {
 			continue

@@ -20,16 +20,17 @@ import (
 //
 // Resizes are intrusive and charged sim.ElasticResizeOverheadSec each.
 type Pollux struct {
-	// ReallocEverySec bounds how often the allocation is re-optimized
-	// (Pollux schedules in rounds).
-	ReallocEverySec int64
-	lastRealloc     int64
+	lastRealloc int64
 
 	hungry []ranked // scratch for one VC's growth order
 }
 
-// NewPollux returns the policy with Pollux's 60 s scheduling round.
-func NewPollux() *Pollux { return &Pollux{ReallocEverySec: 60} }
+// reallocEverySec bounds how often the allocation is re-optimized: Pollux
+// schedules in 60 s rounds.
+const reallocEverySec = 60
+
+// NewPollux returns the policy.
+func NewPollux() *Pollux { return &Pollux{} }
 
 // Name implements sim.Scheduler.
 func (*Pollux) Name() string { return "Pollux" }
@@ -60,9 +61,9 @@ func (p *Pollux) admit(env *sim.Env, j *job.Job) {
 }
 
 // realloc re-optimizes the running jobs' allocations, at most once every
-// ReallocEverySec.
+// reallocEverySec.
 func (p *Pollux) realloc(env *sim.Env) {
-	if env.Now()-p.lastRealloc < p.ReallocEverySec {
+	if env.Now()-p.lastRealloc < reallocEverySec {
 		return
 	}
 	p.lastRealloc = env.Now()

@@ -17,18 +17,12 @@ import (
 // jobs, each preemption costing the checkpoint-restore overhead the paper
 // measures at 62 s.
 type Tiresias struct {
-	// QueueThresholdsGPUSec are the discretization boundaries; attained
-	// service below thresholds[i] lands in queue i.
-	QueueThresholdsGPUSec []float64
-	// PreemptOverheadSec is charged per preemption.
-	PreemptOverheadSec float64
-	// PromoteIntervalSec starves-proofs long jobs: a job waiting longer than
-	// this is promoted to the top queue (Tiresias's PROMOTE knob).
-	PromoteIntervalSec int64
-	// MinRunQuantumSec protects a freshly (re)started job from immediate
-	// re-preemption — Tiresias schedules in coarse rounds, so victims always
-	// get a useful quantum.
-	MinRunQuantumSec float64
+	// thresholds are the discretization boundaries; attained service below
+	// thresholds[i] lands in queue i.
+	thresholds []float64
+	// promoteSec starves-proofs long jobs: a job waiting longer than this is
+	// promoted to the top queue (Tiresias's PROMOTE knob).
+	promoteSec int64
 
 	startedAt map[int]int64
 	stoppedAt map[int]int64
@@ -47,17 +41,20 @@ type lasCand struct {
 	desired bool
 }
 
+// Each preemption costs preemptOverheadSec (the overhead §4.8 cites), and a
+// job (re)started less than minRunQuantumSec ago is not preempted: Tiresias
+// schedules in coarse rounds, so victims always get a useful quantum.
+const preemptOverheadSec, minRunQuantumSec = 62, 120
+
 // NewTiresias returns the policy with defaults in the range Gu et al.
-// explore: two queues split at 1 GPU-hour of attained service, 62 s
-// preemption cost (the per-preemption overhead §4.8 cites).
+// explore: two queues split at 1 GPU-hour of attained service, and a day's
+// wait before PROMOTE.
 func NewTiresias() *Tiresias {
 	return &Tiresias{
-		QueueThresholdsGPUSec: []float64{3600},
-		PreemptOverheadSec:    62,
-		PromoteIntervalSec:    24 * 3600,
-		MinRunQuantumSec:      120,
-		startedAt:             map[int]int64{},
-		stoppedAt:             map[int]int64{},
+		thresholds: []float64{3600},
+		promoteSec: 24 * 3600,
+		startedAt:  map[int]int64{},
+		stoppedAt:  map[int]int64{},
 	}
 }
 
@@ -69,19 +66,19 @@ func (t *Tiresias) queueOf(j *job.Job, now int64) int {
 	// PROMOTE: a starved waiting job — never started, or evicted long ago —
 	// is lifted back to the top queue (Tiresias's anti-starvation knob).
 	if j.State != job.Running {
-		if j.FirstStart < 0 && now-j.Submit > t.PromoteIntervalSec {
+		if j.FirstStart < 0 && now-j.Submit > t.promoteSec {
 			return 0
 		}
-		if stopped, ok := t.stoppedAt[j.ID]; ok && now-stopped > t.PromoteIntervalSec {
+		if stopped, ok := t.stoppedAt[j.ID]; ok && now-stopped > t.promoteSec {
 			return 0
 		}
 	}
-	for i, thr := range t.QueueThresholdsGPUSec {
+	for i, thr := range t.thresholds {
 		if j.AttainedGPUT < thr {
 			return i
 		}
 	}
-	return len(t.QueueThresholdsGPUSec)
+	return len(t.thresholds)
 }
 
 // Tick recomputes the desired running set per VC and preempts/starts to
@@ -149,10 +146,10 @@ func (t *Tiresias) Tick(env *sim.Env) {
 				if c.queue <= minUnplaced {
 					continue
 				}
-				if started, ok := t.startedAt[j.ID]; ok && float64(now-started) < t.MinRunQuantumSec {
+				if started, ok := t.startedAt[j.ID]; ok && now-started < minRunQuantumSec {
 					continue
 				}
-				if env.Preempt(j, t.PreemptOverheadSec) {
+				if env.Preempt(j, preemptOverheadSec) {
 					t.stoppedAt[j.ID] = now
 				}
 			}

@@ -76,10 +76,10 @@ func (o oracleTiresias) Tick(env *sim.Env) {
 				if t.queueOf(j, now) <= minUnplaced {
 					continue
 				}
-				if started, ok := t.startedAt[j.ID]; ok && float64(now-started) < t.MinRunQuantumSec {
+				if started, ok := t.startedAt[j.ID]; ok && now-started < minRunQuantumSec {
 					continue
 				}
-				if env.Preempt(j, t.PreemptOverheadSec) {
+				if env.Preempt(j, preemptOverheadSec) {
 					t.stoppedAt[j.ID] = now
 				}
 			}

@@ -30,14 +30,12 @@ import (
 //   - non-intrusiveness: a job leaving the profiler restarts from zero
 //     progress (checked at the StopProfiling transition).
 //
-// With Fatal set, the first violation panics — the property tests run this
+// With fatal set, the first violation panics — the property tests run this
 // way so a broken engine fails loudly. Otherwise violations are counted and
 // sampled onto Result.Violations / Result.ViolationSamples.
 type InvariantChecker struct {
-	// Fatal panics on the first violation (tests).
-	Fatal bool
-	// MaxSamples bounds the retained violation descriptions.
-	MaxSamples int
+	// fatal panics on the first violation (tests).
+	fatal bool
 
 	count   int
 	samples []string
@@ -45,24 +43,27 @@ type InvariantChecker struct {
 
 // NewInvariantChecker returns a checker; fatal selects panic-on-violation.
 func NewInvariantChecker(fatal bool) *InvariantChecker {
-	return &InvariantChecker{Fatal: fatal, MaxSamples: 8}
+	return &InvariantChecker{fatal: fatal}
 }
 
 // Count returns the number of violations observed so far.
 func (c *InvariantChecker) Count() int { return c.count }
 
-// Samples returns up to MaxSamples violation descriptions.
+// maxSamples bounds the retained violation descriptions.
+const maxSamples = 8
+
+// Samples returns up to maxSamples violation descriptions.
 func (c *InvariantChecker) Samples() []string {
 	return append([]string(nil), c.samples...)
 }
 
 func (c *InvariantChecker) violate(format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
-	if c.Fatal {
+	if c.fatal {
 		panic("sim: invariant violation: " + msg)
 	}
 	c.count++
-	if len(c.samples) < c.MaxSamples {
+	if len(c.samples) < maxSamples {
 		c.samples = append(c.samples, msg)
 	}
 }

@@ -94,21 +94,7 @@ func configKey(c Config) uint64 {
 // PairSpeed returns the normalized training speeds (speedA, speedB) of two
 // configs packed on the same GPU(s), each in (0, 1]. 1.0 means no slowdown
 // versus exclusive execution.
-//
-// Catalog configs are answered from a read-only memo table built on first
-// use (see pairspeedcache.go): the simulator re-asks for the same pair
-// every tick a packed placement lives, making this the hottest call in
-// recomputeSpeeds. Off-catalog configs fall back to direct computation.
 func PairSpeed(a, b Config) (float64, float64) {
-	if sa, sb, ok := pairSpeedCached(a, b); ok {
-		return sa, sb
-	}
-	return computePairSpeed(a, b)
-}
-
-// computePairSpeed is the uncached pair-speed model; the memo table is
-// built from it, so cached and direct answers are bit-identical.
-func computePairSpeed(a, b Config) (float64, float64) {
 	pa, pb := a.Profile(), b.Profile()
 	return pairSpeedProfiles(pa, pb, pairNoise(a, b))
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -194,73 +193,9 @@ func TestCrossNodeConstant(t *testing.T) {
 	}
 }
 
-func TestPairSpeedMemoMatchesDirect(t *testing.T) {
-	// The memo table must be invisible: for every ordered catalog pair the
-	// cached answer is bit-identical to computePairSpeed (the table is
-	// built from it), and every pair must actually hit the table.
-	cfgs := AllConfigs()
-	for _, a := range cfgs {
-		for _, b := range cfgs {
-			ca, cb, ok := pairSpeedCached(a, b)
-			if !ok {
-				t.Fatalf("catalog pair %v + %v missed the memo table", a, b)
-			}
-			da, db := computePairSpeed(a, b)
-			if ca != da || cb != db {
-				t.Fatalf("memo mismatch for %v + %v: cached (%v, %v) direct (%v, %v)",
-					a, b, ca, cb, da, db)
-			}
-			pa, pb := PairSpeed(a, b)
-			if pa != ca || pb != cb {
-				t.Fatalf("PairSpeed for %v + %v returned (%v, %v), cached (%v, %v)",
-					a, b, pa, pb, ca, cb)
-			}
-		}
-	}
-}
-
-func TestPairSpeedOffCatalogFallsBack(t *testing.T) {
-	// A batch size the catalog doesn't carry must bypass the table and
-	// still produce the direct computation's answer.
-	a := cfg(ResNet18, 224, false)
-	b := cfg(VGG11, 64, false)
-	if _, _, ok := pairSpeedCached(a, b); ok {
-		t.Fatal("off-catalog config unexpectedly tabulated")
-	}
-	pa, pb := PairSpeed(a, b)
-	da, db := computePairSpeed(a, b)
-	if pa != da || pb != db {
-		t.Fatalf("fallback mismatch: PairSpeed (%v, %v) direct (%v, %v)", pa, pb, da, db)
-	}
-}
-
-func TestPairSpeedConcurrentReads(t *testing.T) {
-	// Exercised under -race in CI: concurrent first-touch builds and reads
-	// of the memo table from many goroutines.
-	cfgs := AllConfigs()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < len(cfgs); i++ {
-				a := cfgs[(i+g)%len(cfgs)]
-				b := cfgs[(i*7+g)%len(cfgs)]
-				sa, sb := PairSpeed(a, b)
-				if sa <= 0 || sb <= 0 {
-					panic("non-positive pair speed")
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 func BenchmarkPairSpeed(b *testing.B) {
 	cfgs := AllConfigs()
-	PairSpeed(cfgs[0], cfgs[1]) // build the table outside the timer
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PairSpeed(cfgs[i%len(cfgs)], cfgs[(i*13+1)%len(cfgs)])
 	}
