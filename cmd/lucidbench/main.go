@@ -13,10 +13,11 @@
 //
 // Independent simulation runs within each experiment fan out across a
 // bounded worker pool (-parallel, default GOMAXPROCS); -parallel 1 forces
-// serial execution. Worlds (traces + trained models) are memoized
-// process-wide, so experiments sharing a (cluster, scale) pair train once;
-// the suite line and -metrics-out report how many were built and the
-// seconds the builds took.
+// serial execution. Worlds (trace months, and the models fit on them at
+// first use) are memoized process-wide, so experiments sharing a (cluster,
+// scale) pair build and train once; the suite line and -metrics-out report
+// how many worlds were built and the seconds the builds took, and beside
+// them how many worlds fit Lucid's models and the seconds the fits took.
 package main
 
 import (
@@ -268,18 +269,23 @@ func main() {
 		fmt.Printf("(%.1fs)\n\n", elapsed)
 	}
 	builds, hits, buildSec := lab.WorldCacheStats()
+	fits, fitSec := lab.ModelFitStats()
 	if len(exps) > 1 {
-		fmt.Printf("suite wall-clock: %.1fs (parallelism %d; worlds built %d in %.2fs, cache hits %d)\n",
-			time.Since(suiteStart).Seconds(), lab.Parallelism(), builds, buildSec, hits)
+		fmt.Printf("suite wall-clock: %.1fs (parallelism %d; worlds built %d in %.2fs, Lucid models fit %d in %.2fs, cache hits %d)\n",
+			time.Since(suiteStart).Seconds(), lab.Parallelism(), builds, buildSec, fits, fitSec, hits)
 	}
 	if *metricsOut != "" {
 		reg.Gauge("lucidbench_suite_seconds", "Suite wall-clock seconds.").
 			Set(time.Since(suiteStart).Seconds())
-		reg.Gauge("lucidbench_worlds_built", "Worlds (trace + trained models) built.").
+		reg.Gauge("lucidbench_worlds_built", "Worlds (history and evaluation trace months) built.").
 			Set(float64(builds))
 		reg.Gauge("lucidbench_world_build_seconds",
-			"Wall seconds spent building worlds, summed over builds (GBDT estimator fits happen in the runs).").
+			"Wall seconds spent building worlds, summed over builds (model fits happen in the runs).").
 			Set(buildSec)
+		reg.Gauge("lucidbench_model_fits", "Worlds whose Lucid models were fit, at their first Lucid run.").
+			Set(float64(fits))
+		reg.Gauge("lucidbench_model_fit_seconds", "Wall seconds spent fitting Lucid's models, summed over fits.").
+			Set(fitSec)
 		reg.Gauge("lucidbench_world_cache_hits", "World cache hits.").
 			Set(float64(hits))
 		reg.Gauge("lucidbench_parallelism", "Concurrent simulation-run cap.").

@@ -35,9 +35,10 @@
 // refit counts, and prints them. Metrics never influence the run: digests
 // are identical with or without them.
 //
-// The build leaves the QSSF/Horus GBDT estimator to its first use, so the
-// first of those runs over a world includes the estimator fit in its wall
-// time.
+// The build emits the world's two trace months and fits no model: Lucid's
+// models are fit at the first Lucid round and the QSSF/Horus GBDT estimator
+// at its first estimate, so the first run of each over a world includes
+// that fit in its wall time.
 //
 // Snapshot / resume / time-travel (all require a single -sched, and the
 // world flags — trace, scale, util, chaos — must match the original run;
@@ -129,7 +130,7 @@ func main() {
 		spec.Util = trace.UtilMedium
 	}
 
-	fmt.Printf("building %s world at scale %.2f (training models on a history month)...\n", spec.Name, *scale)
+	fmt.Printf("building %s world at scale %.2f (history and evaluation months)...\n", spec.Name, *scale)
 	buildStart := time.Now()
 	w, err := lab.BuildWorld(spec, *scale)
 	if err != nil {

@@ -562,7 +562,7 @@ func TestGuardFixture(t *testing.T) {
 
 // budget is the most lines of non-test Go that cmd/, internal/ and examples/
 // may hold.
-const budget = 21698
+const budget = 21768
 
 // TestNonTestLineBudget counts the lines of non-test Go under cmd/, internal/
 // and examples/ (bench/ and testdata/ excluded): the size ROADMAP.md tracks.

@@ -107,8 +107,11 @@ func (m *Models) Clone() *Models {
 // Lucid is the scheduler (Figure 4): Profiler → Binder → Orchestrator,
 // maintained by the Update Engine and tuned by the System Tuner.
 type Lucid struct {
-	cfg      Config
+	cfg Config
+	// models is nil until resolveModels takes it from src, at the first Tick,
+	// SnapshotState or RestoreState.
 	models   *Models
+	src      func() *Models
 	profiler *Profiler
 	binder   *Binder
 
@@ -161,17 +164,31 @@ type Lucid struct {
 // constructing configs from external input (flags, search vectors) should
 // run cfg.Normalized().Validate() themselves first.
 func New(models *Models, cfg Config) *Lucid {
+	return NewDeferred(func() *Models { return models }, cfg)
+}
+
+// NewDeferred is New over a model source that Lucid calls once, at its first
+// Tick, SnapshotState or RestoreState, so a Lucid that is built but never run
+// never asks for its models. NextWake reads no model.
+func NewDeferred(src func() *Models, cfg Config) *Lucid {
 	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	return &Lucid{
 		cfg:      cfg,
-		models:   models,
+		src:      src,
 		profiler: newProfiler(cfg),
 		binder:   newBinder(cfg),
 		scores:   map[int]workload.SharingScore{},
 		arrived:  -1,
+	}
+}
+
+// resolveModels takes the models from the source on first use.
+func (l *Lucid) resolveModels() {
+	if l.models == nil {
+		l.models, l.src = l.src(), nil
 	}
 }
 
@@ -221,6 +238,7 @@ func (l *Lucid) NextWake(env *sim.Env) int64 {
 // Tick implements the full Figure 4 workflow. Every job the profiler turns
 // Queued enters the orchestrator's queue through onProfiled, the same round.
 func (l *Lucid) Tick(env *sim.Env) {
+	l.resolveModels()
 	l.observe(env)
 	l.hourlyMaintenance(env)
 	l.profiler.Step(env, l.unprofiled, l.onProfiled)

@@ -22,7 +22,7 @@ import (
 // The trained model weights are embedded (via Models.Save) only when the
 // Update Engine has refit them mid-run: until then they are exactly the
 // constructor-provided models, which the caller reproduces deterministically
-// (lab.BuildWorld trains the same models for the same spec), so embedding
+// (a lab.World fits the same models for the same spec), so embedding
 // them would only bloat every snapshot. History is never embedded — it is
 // construction-time input, exactly as Models.Save documents.
 type lucidState struct {
@@ -45,6 +45,7 @@ type lucidState struct {
 
 // SnapshotState implements sim.SchedulerState.
 func (l *Lucid) SnapshotState() ([]byte, error) {
+	l.resolveModels()
 	st := lucidState{
 		Scores:           l.scores,
 		Arrived:          l.arrived,
@@ -70,7 +71,8 @@ func (l *Lucid) SnapshotState() ([]byte, error) {
 
 // RestoreState implements sim.SchedulerState. The receiver must be a fresh
 // Lucid built with the same Config and the same trained Models the
-// interrupted run started from; RestoreState overlays the run-mutable state
+// interrupted run started from, which it takes from its model source here
+// when this is its first call; RestoreState overlays the run-mutable state
 // (and, if the Update Engine had refit, the refit estimator and forecaster
 // from the embedded bundle).
 func (l *Lucid) RestoreState(blob []byte) error {
@@ -79,6 +81,7 @@ func (l *Lucid) RestoreState(blob []byte) error {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return fmt.Errorf("core: decode lucid state: %w", err)
 	}
+	l.resolveModels()
 	l.scores = st.Scores
 	l.arrived = st.Arrived
 	l.hourCount = st.HourCount

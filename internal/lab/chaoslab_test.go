@@ -15,7 +15,7 @@ import (
 // actually kill jobs.
 func TestFigRSerialParallelIdentical(t *testing.T) {
 	eval, models, _ := goldenWorld(t)
-	w := &World{Spec: goldenSpec(), Eval: eval, Models: models,
+	w := &World{Spec: goldenSpec(), Eval: eval, models: fixedModels(models),
 		Estimator: sched.OracleEstimator{}}
 	mults := []float64{0, 8}
 

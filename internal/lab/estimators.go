@@ -3,7 +3,9 @@ package lab
 import (
 	"fmt"
 	"sync"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/feat"
 	"repro/internal/job"
 	"repro/internal/ml/gbdt"
@@ -53,14 +55,39 @@ func (l *lazyGBDT) EstimateSec(j *job.Job) float64 {
 	l.once.Do(func() {
 		est, err := NewGBDTEstimator(l.hist)
 		if err != nil {
-			// Unreachable: gbdt.Fit rejects only an empty or non-finite
-			// dataset, and BuildWorld's history is at least 500 generated
-			// jobs that core.TrainModels has already fit over.
+			// Unreachable: gbdt.Fit rejects only an empty dataset or a
+			// non-finite feature or target, and BuildWorld's history is at
+			// least 500 generated jobs, whose trace features and durations
+			// are finite.
 			panic(fmt.Sprintf("lab: %s: GBDT estimator: %v", l.world, err))
 		}
 		l.est = est
 	})
 	return l.est.EstimateSec(j)
+}
+
+// lazyModels is what BuildWorld stores as World.models: Lucid's models of the
+// world's history month, fit at the first call. Only Lucid reads them, so a
+// world that runs no Lucid never pays for the fit. Concurrent first callers
+// (Lucids under the parallel harness) share one fit, counted in
+// ModelFitStats.
+func lazyModels(world string, hist *trace.Trace) func() *core.Models {
+	return sync.OnceValue(func() *core.Models {
+		start := time.Now()
+		m, err := core.TrainModels(hist, core.DefaultConfig())
+		if err != nil {
+			// Unreachable: the packing analyzer reads no history and fits at
+			// the default thresholds; gam.Fit rejects only an empty dataset
+			// or a non-finite feature or target, and BuildWorld's history is
+			// at least 500 generated jobs with finite features, over more
+			// hours than the throughput forecaster's warm-up (BuildWorld
+			// rejects a shorter one).
+			panic(fmt.Sprintf("lab: %s: Lucid models: %v", world, err))
+		}
+		modelFits.Add(1)
+		modelFitNs.Add(int64(time.Since(start)))
+		return m
+	})
 }
 
 // EstimateSec implements sched.Estimator.

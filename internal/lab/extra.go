@@ -80,7 +80,7 @@ func GuidedTuningStudy(scale float64) (string, error) {
 	// Tune on the *history* month (what an operator has), pick the winner.
 	tuneOpts := LucidOpts(w.Spec)
 	tuneOpts.Tick = 120 // coarse replays are fine for ranking configs
-	cands := core.TuneProfiler(w.History, w.Models, base,
+	cands := core.TuneProfiler(w.History, w.Models(), base,
 		[]int64{100, 200, 400}, []int{4, 8}, tuneOpts)
 	best := cands[0]
 

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/feat"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -21,12 +22,16 @@ import (
 )
 
 // World is a prepared evaluation context for one cluster: a history month
-// (model training data), an evaluation month, and the trained Lucid models.
+// (model training data), an evaluation month, and the models fit on the
+// history month at their first use — Lucid's (Models) and the GBDT
+// estimator.
 type World struct {
 	Spec    trace.GenSpec
 	History *trace.Trace
 	Eval    *trace.Trace
-	Models  *core.Models
+	// models yields Lucid's models; BuildWorld's fits them at the first call
+	// (lazyModels), so the first Lucid run over a world pays for the fit.
+	models func() *core.Models
 	// Estimator is the black-box GBDT duration model QSSF and Horus use
 	// (their papers use LightGBM-family models). BuildWorld fits it on the
 	// history month at its first EstimateSec, not during the build, so the
@@ -35,17 +40,19 @@ type World struct {
 	Estimator sched.Estimator
 }
 
-// BuildWorld generates traces and trains models for one trace spec at the
-// given scale. Scaling shrinks the job count AND the cluster together, so
-// the offered-load profile — and therefore the queueing behaviour the
-// schedulers differ on — matches the full-size trace. Scale 1.0 reproduces
-// the Table 2 configuration exactly.
+// Models returns Lucid's models trained on the world's history month, shared
+// by every caller: a run clones them (see NewLucid).
+func (w *World) Models() *core.Models { return w.models() }
+
+// BuildWorld generates the traces of one trace spec at the given scale.
+// Scaling shrinks the job count AND the cluster together, so the offered-load
+// profile — and therefore the queueing behaviour the schedulers differ on —
+// matches the full-size trace. Scale 1.0 reproduces the Table 2
+// configuration exactly.
 //
-// The build emits the history month, then trains Lucid's models on it
-// while the same generator emits the evaluation month, and returns once
-// both are done. The GBDT estimator is left to its first use (see
-// World.Estimator); the bytes of every month and model are those of doing
-// each step in turn.
+// The build emits the history month and then the evaluation month. Lucid's
+// models are left to their first use (see World.Models) and the GBDT
+// estimator to its first estimate (see World.Estimator).
 func BuildWorld(spec trace.GenSpec, scale float64) (*World, error) {
 	if scale <= 0 || scale > 1 {
 		scale = 1
@@ -85,24 +92,12 @@ func BuildWorld(spec trace.GenSpec, scale float64) (*World, error) {
 	}
 	g := trace.NewGenerator(spec)
 	hist := g.Emit(n)
-
-	// The fits read only the history month and the evaluation month only
-	// the generator, so the two overlap. The evaluation month cannot start
-	// earlier: it draws from the generator's state after the history month.
-	var models *core.Models
-	var err error
-	trained := make(chan struct{})
-	go func() {
-		defer close(trained)
-		models, err = core.TrainModels(hist, core.DefaultConfig())
-	}()
-	eval := g.Emit(n)
-	<-trained
-	if err != nil {
-		return nil, fmt.Errorf("lab: %s: %w", spec.Name, err)
+	if hist.Days*24 <= feat.ThroughputWarmup() {
+		return nil, fmt.Errorf("lab: %s: a %d-day history is too short for Lucid's throughput forecaster", spec.Name, hist.Days)
 	}
-	est := &lazyGBDT{world: spec.Name, hist: hist}
-	return &World{Spec: spec, History: hist, Eval: eval, Models: models, Estimator: est}, nil
+	eval := g.Emit(n)
+	return &World{Spec: spec, History: hist, Eval: eval,
+		models: lazyModels(spec.Name, hist), Estimator: &lazyGBDT{world: spec.Name, hist: hist}}, nil
 }
 
 // SimOpts are the standard large-scale simulation options.
@@ -131,9 +126,7 @@ func (w *World) Schedulers() []NamedRun {
 		{"QSSF", sched.NewQSSF(w.Estimator), SimOpts()},
 		{"Horus", sched.NewHorus(w.Estimator, w.Spec.Seed), SimOpts()},
 		{"Tiresias", sched.NewTiresias(), SimOpts()},
-		// Clone: Lucid's Update Engine and online forecaster mutate model
-		// state; a clone keeps repeated Schedulers() calls independent.
-		{"Lucid", core.New(w.Models.Clone(), cfg), LucidOpts(w.Spec)},
+		{"Lucid", w.lucid(cfg, nil), LucidOpts(w.Spec)},
 	}
 }
 
@@ -151,7 +144,7 @@ type NamedRun struct {
 // one run's updates leak into the next and results depend on execution
 // order.
 func (w *World) NewLucid(cfg core.Config) sim.Scheduler {
-	return core.New(w.Models.Clone(), cfg)
+	return w.lucid(cfg, nil)
 }
 
 // NewLucidTuned builds a Lucid whose config may carry non-default classifier
@@ -170,9 +163,20 @@ func (w *World) NewLucidTuned(cfg core.Config) (sim.Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	models := w.Models.Clone()
-	models.Analyzer = analyzer
-	return core.New(models, cfg), nil
+	return w.lucid(cfg, analyzer), nil
+}
+
+// lucid builds every Lucid over the world: its models are a clone of
+// w.Models(), taken at the scheduler's first use, with the analyzer swapped
+// for a non-nil one.
+func (w *World) lucid(cfg core.Config, analyzer *core.PackingAnalyzer) *core.Lucid {
+	return core.NewDeferred(func() *core.Models {
+		m := w.Models().Clone()
+		if analyzer != nil {
+			m.Analyzer = analyzer
+		}
+		return m
+	}, cfg)
 }
 
 // Run executes one scheduler over the world's evaluation trace.

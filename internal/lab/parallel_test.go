@@ -81,7 +81,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // serially and in parallel over one world, and demands identical metrics.
 func TestRunManySerialParallelIdentical(t *testing.T) {
 	eval, models, _ := goldenWorld(t)
-	w := &World{Spec: goldenSpec(), Eval: eval, Models: models,
+	w := &World{Spec: goldenSpec(), Eval: eval, models: fixedModels(models),
 		Estimator: sched.OracleEstimator{}}
 
 	SetParallelism(1)

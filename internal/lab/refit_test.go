@@ -79,7 +79,7 @@ func TestWarmRefitTracksFullRefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(fullRefits bool) (*refitRecorder, *sim.Result) {
-		m := w.Models.Clone()
+		m := w.Models().Clone()
 		m.Estimator.FullRefits = fullRefits
 		r := newRefitRecorder(m)
 		return r, sim.New(w.Eval, r, LucidOpts(w.Spec)).Run()

@@ -8,15 +8,16 @@ import (
 	"repro/internal/trace"
 )
 
-// The world cache memoizes BuildWorld process-wide. Building a world —
-// emitting two trace months and training Lucid's GA²M models — is a large
-// share of every end-to-end experiment's wall-clock, and the suite rebuilds
-// identical worlds constantly (tab4, tab5, fig8 and fig9 all want the same
-// three; eight studies all want Venus at the same scale). A cached World
-// is shared across experiments and across goroutines, which is safe
-// because a World is read-only after construction: runs clone the trace's
-// jobs (sim.New) and the models (World.NewLucid / Schedulers), the GBDT
-// estimator is fit once under a sync.Once at its first use, and its
+// The world cache memoizes BuildWorld process-wide. A world — two emitted
+// trace months, then Lucid's GA²M models and the GBDT estimator, each fit on
+// the history month at its first use — is a large share of every end-to-end
+// experiment's wall-clock, and the suite rebuilds identical worlds
+// constantly (tab4, tab5, fig8 and fig9 all want the same three; eight
+// studies all want Venus at the same scale). A cached World is shared across experiments and
+// across goroutines, which is safe because a World is read-only after
+// construction: runs clone the trace's jobs (sim.New) and the models
+// (World.NewLucid / Schedulers), the models and the GBDT estimator are each
+// fit once under a sync.Once at their first use, and the estimator's
 // prediction cache is mutex-guarded.
 //
 // GenSpec is a flat comparable struct, so (spec, scale) keys directly.
@@ -36,6 +37,8 @@ var (
 	worldBuilds  atomic.Int64
 	worldBuildNs atomic.Int64 // Σ BuildWorld wall time over worldBuilds
 	worldHits    atomic.Int64
+	modelFits    atomic.Int64 // lazy fits of Lucid's models (World.Models)
+	modelFitNs   atomic.Int64 // Σ their wall time
 )
 
 // GetWorld returns the memoized world for (spec, scale), building it on
@@ -74,11 +77,19 @@ func GetWorlds(specs []trace.GenSpec, scale float64) ([]*World, error) {
 
 // WorldCacheStats reports lifetime cache traffic: worlds built from
 // scratch vs. requests served from the cache, and the wall seconds the
-// builds took in total (summed across concurrent builds). A GBDT estimator
-// fit at first use is part of the run that first asks for an estimate, not
-// of the build.
+// builds took in total (summed across concurrent builds). A model fit at
+// first use is part of the run that first asks for the model, not of the
+// build (see ModelFitStats).
 func WorldCacheStats() (builds, hits int64, buildSec float64) {
 	return worldBuilds.Load(), worldHits.Load(), time.Duration(worldBuildNs.Load()).Seconds()
+}
+
+// ModelFitStats reports the fits of Lucid's models that worlds made at
+// their first World.Models call, and the wall seconds they took in total
+// (summed across concurrent fits). They are part of the first Lucid run over
+// each world, not of its build.
+func ModelFitStats() (fits int64, fitSec float64) {
+	return modelFits.Load(), time.Duration(modelFitNs.Load()).Seconds()
 }
 
 // ResetWorldCache drops every cached world and memoized Table 4 sweep
