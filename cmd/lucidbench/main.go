@@ -1,14 +1,12 @@
 // Command lucidbench regenerates every table and figure of the Lucid
 // paper's evaluation section from this repository's substrates. Each
-// experiment is addressable by id; -exp all runs the full suite except the
-// benchmarks flagged as excluded (run those by id). -list and -help
-// enumerate every registered experiment.
+// experiment is addressable by id; -exp all runs the full suite. -list and
+// -help enumerate every registered experiment.
 //
 // Usage:
 //
 //	lucidbench -exp tab4 -scale 0.2
 //	lucidbench -exp all -scale 0.1 -parallel 8
-//	lucidbench -exp evolve -scale 0.05 -evolve-spec seed=1
 //	lucidbench -list
 //
 // Independent simulation runs within each experiment fan out across a
@@ -28,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/evolve"
 	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -38,12 +35,6 @@ import (
 type experiment struct {
 	id, desc string
 	run      func(scale float64) (string, error)
-}
-
-// excludedFromAll keeps an experiment out of -exp all (it still runs when
-// named by id) and documents why in -list/-help output.
-var excludedFromAll = map[string]string{
-	"evolve": "multi-generation search over full suite runs; orders of magnitude costlier than one experiment",
 }
 
 func experiments() []experiment {
@@ -113,38 +104,22 @@ func experiments() []experiment {
 		{"hetero", "heterogeneous GPU generations extension (§6)", lab.HeterogeneityStudy},
 		{"figr", "goodput & JCT under failure-rate sweep (chaos extension)", lab.FigR},
 		{"warmstart", "warm-started what-if sweep via in-memory world forks", lab.WarmStartStudy},
-		{"evolve", "closed-loop knob tuning against the simulator (writes BENCH_evolve.json)", func(scale float64) (string, error) {
-			return evolve.Bench(*evolveSpec, scale, *evolveCheckpoint)
-		}},
 	}
 }
 
-// evolve-specific flags (read by the evolve experiment's runner, which is
-// built in experiments() after flag.Parse).
-var (
-	evolveSpec = flag.String("evolve-spec", "default",
-		"evolve search spec, comma-separated key=value (seed, pop, gens, budget, worlds=venus+saturn+philly, chaos=0+1); 'default' = "+evolve.DefaultSpec().String())
-	evolveCheckpoint = flag.String("evolve-checkpoint", "",
-		"evolve: snap-envelope checkpoint path, written after every search step and resumed from when the file already exists")
-)
-
 // listExperiments enumerates every registered experiment (the -list and
-// -help body), flagging the ones -exp all skips and why.
+// -help body).
 func listExperiments() string {
 	var sb strings.Builder
 	for _, e := range experiments() {
 		fmt.Fprintf(&sb, "  %-8s %s\n", e.id, e.desc)
-		if why := excludedFromAll[e.id]; why != "" {
-			fmt.Fprintf(&sb, "  %-8s   excluded from -exp all: %s\n", "", why)
-		}
 	}
 	return sb.String()
 }
 
 // selectExperiments resolves an -exp value (ids separated by commas, or
-// "all") against the registry, in registry order. Experiments in
-// excludedFromAll are selected only when named. Any unknown id is an error,
-// so a typo cannot quietly shrink the list.
+// "all") against the registry, in registry order. Any unknown id is an
+// error, so a typo cannot quietly shrink the list.
 func selectExperiments(exps []experiment, spec string) ([]experiment, error) {
 	want := map[string]bool{}
 	for _, id := range strings.Split(strings.ToLower(spec), ",") {
@@ -154,7 +129,7 @@ func selectExperiments(exps []experiment, spec string) ([]experiment, error) {
 	known := make([]string, 0, len(exps))
 	for _, e := range exps {
 		known = append(known, e.id)
-		if want[e.id] || (want["all"] && excludedFromAll[e.id] == "") {
+		if want[e.id] || want["all"] {
 			picked = append(picked, e)
 		}
 		delete(want, e.id)

@@ -14,17 +14,14 @@ func ids(exps []experiment) string {
 }
 
 // TestSelectExperiments pins -exp resolution: registry order whatever order
-// the ids were typed in, "all" minus the excluded set unless one is named
-// too, and — the regression — one unknown id among known ones fails the
-// whole selection instead of being dropped.
+// the ids were typed in, and — the regression — one unknown id among known
+// ones fails the whole selection instead of being dropped.
 func TestSelectExperiments(t *testing.T) {
-	reg := []experiment{{id: "fig2a"}, {id: "tab4"}, {id: "tab6"}, {id: "evolve"}}
+	reg := []experiment{{id: "fig2a"}, {id: "tab4"}, {id: "tab6"}}
 	for _, tc := range []struct{ spec, want string }{
 		{"tab4", "tab4"},
 		{"tab6, FIG2A", "fig2a,tab6"},
 		{"all", "fig2a,tab4,tab6"},
-		{"all,evolve", "fig2a,tab4,tab6,evolve"},
-		{"evolve", "evolve"},
 	} {
 		got, err := selectExperiments(reg, tc.spec)
 		if err != nil || ids(got) != tc.want {

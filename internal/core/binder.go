@@ -44,13 +44,16 @@ func (m PackMode) String() string {
 //     construction — documented substitution),
 //  5. never pack distributed jobs (network contention).
 type Binder struct {
-	// cfg is the run's normalized Config: GSS is the Default-mode budget,
-	// DisableBinder drops the Sharing-Score discipline (the Figure 11a "w/o
-	// Binder" ablation packs naively under only the hard rules) and
-	// DisableSharing holds the Binder in PackDisabled.
+	// cfg is the run's normalized Config: DisableBinder drops the
+	// Sharing-Score discipline (the Figure 11a "w/o Binder" ablation packs
+	// naively under only the hard rules) and DisableSharing holds the Binder
+	// in PackDisabled.
 	cfg  Config
 	mode PackMode
 }
+
+// gss is the GPU Sharing Capacity, the Default-mode sharing budget (§3.3).
+const gss = 2
 
 // A partner with less estimated runtime left than minRemainSec is about to
 // finish (Algorithm 2); memMarginFrac of GPU memory stays free as OOM headroom.
@@ -90,11 +93,11 @@ func ModeFromLoad(level LoadLevel) PackMode {
 func (b *Binder) gssNow() int {
 	switch b.mode {
 	case PackApathetic:
-		return b.cfg.GSS - 1
+		return gss - 1
 	case PackDisabled:
 		return -1
 	default:
-		return b.cfg.GSS
+		return gss
 	}
 }
 
@@ -163,10 +166,10 @@ func (b *Binder) FindPartnerExplain(env *sim.Env, j *job.Job,
 		ex.fail("distributed") // rule 5
 		return nil
 	}
-	gss := b.gssNow()
+	budget := b.gssNow()
 	sj := score(j)
 	indolent := !b.cfg.DisableBinder
-	if indolent && int(sj) > gss {
+	if indolent && int(sj) > budget {
 		ex.fail("score-over-budget") // a job too heavy for any partner under the budget
 		return nil
 	}
@@ -194,7 +197,7 @@ func (b *Binder) FindPartnerExplain(env *sim.Env, j *job.Job,
 			ex.add(r.ID, key, "oom-guard") // rule 1: hard memory limit
 			continue
 		}
-		if indolent && int(sj)+int(score(r)) > gss {
+		if indolent && int(sj)+int(score(r)) > budget {
 			ex.add(r.ID, key, "score-budget") // Indolent Packing: sharing-score budget
 			continue
 		}

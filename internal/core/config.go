@@ -19,14 +19,8 @@ func (c Config) Normalized() Config {
 	if c.Nprof == 0 {
 		c.Nprof = 8
 	}
-	if c.GSS == 0 {
-		c.GSS = 2
-	}
 	if c.Thresholds == (workload.Thresholds{}) {
 		c.Thresholds = workload.DefaultThresholds
-	}
-	if c.FastJobThresholdSec == 0 {
-		c.FastJobThresholdSec = 2 * 3600
 	}
 	return c
 }
@@ -38,17 +32,15 @@ func (c Config) Normalized() Config {
 // axis (§3.5.1) — and every duration or rate knob must be non-negative.
 //
 // Configs used to be repaired silently (New clamped non-positive knobs to
-// their defaults), which hid sign bugs in programmatically-generated configs;
-// now that internal/evolve synthesizes configs from search vectors, a wrong
-// knob must fail loudly at construction, not quietly become the default.
+// their defaults), which hid sign bugs in programmatically-generated configs
+// such as TuneProfiler's candidates: a wrong knob must fail loudly at
+// construction, not quietly become the default.
 func (c Config) Validate() error {
 	switch {
 	case c.TprofSec < 0:
 		return fmt.Errorf("core: config TprofSec %d < 0", c.TprofSec)
 	case c.Nprof < 0:
 		return fmt.Errorf("core: config Nprof %d < 0", c.Nprof)
-	case c.GSS < 0:
-		return fmt.Errorf("core: config GSS %d < 0", c.GSS)
 	case c.Thresholds.Medium <= 0 || c.Thresholds.Medium > 1:
 		return fmt.Errorf("core: config Thresholds.Medium %g outside (0,1]", c.Thresholds.Medium)
 	case c.Thresholds.Tiny <= 0 || c.Thresholds.Tiny > 1:
@@ -60,8 +52,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: config UpdateIntervalSec %d < 0", c.UpdateIntervalSec)
 	case c.FairnessAgingSec < 0:
 		return fmt.Errorf("core: config FairnessAgingSec %g < 0", c.FairnessAgingSec)
-	case c.FastJobThresholdSec < 0:
-		return fmt.Errorf("core: config FastJobThresholdSec %g < 0", c.FastJobThresholdSec)
 	}
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 
 // TestConfigValidateRejections: every out-of-range knob fails with an error
 // naming the offending field, so a bad programmatically-generated config
-// (e.g. an evolve search vector with a sign bug) is diagnosable at a glance.
+// (e.g. a tuning candidate with a sign bug) is diagnosable at a glance.
 func TestConfigValidateRejections(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -18,7 +18,6 @@ func TestConfigValidateRejections(t *testing.T) {
 	}{
 		{"negative Tprof", func(c *Config) { c.TprofSec = -1 }, "TprofSec"},
 		{"negative Nprof", func(c *Config) { c.Nprof = -8 }, "Nprof"},
-		{"negative GSS", func(c *Config) { c.GSS = -2 }, "GSS"},
 		{"Medium zero", func(c *Config) { c.Thresholds.Medium = 0 }, "Thresholds.Medium"},
 		{"Medium above one", func(c *Config) { c.Thresholds.Medium = 1.2 }, "Thresholds.Medium"},
 		{"Tiny negative", func(c *Config) { c.Thresholds.Tiny = -0.5 }, "Thresholds.Tiny"},
@@ -28,7 +27,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		}, "Thresholds.Medium"},
 		{"negative update interval", func(c *Config) { c.UpdateIntervalSec = -3600 }, "UpdateIntervalSec"},
 		{"negative fairness aging", func(c *Config) { c.FairnessAgingSec = -0.5 }, "FairnessAgingSec"},
-		{"negative fast-job threshold", func(c *Config) { c.FastJobThresholdSec = -1 }, "FastJobThresholdSec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,14 +69,11 @@ func TestConfigValidateAccepts(t *testing.T) {
 func TestConfigNormalizedFillsZeros(t *testing.T) {
 	n := Config{}.Normalized()
 	def := DefaultConfig()
-	if n.TprofSec != def.TprofSec || n.Nprof != def.Nprof || n.GSS != def.GSS {
-		t.Fatalf("profiler/binder defaults not filled: %+v", n)
+	if n.TprofSec != def.TprofSec || n.Nprof != def.Nprof {
+		t.Fatalf("profiler defaults not filled: %+v", n)
 	}
 	if n.Thresholds != workload.DefaultThresholds {
 		t.Fatalf("thresholds not filled: %+v", n.Thresholds)
-	}
-	if n.FastJobThresholdSec != 2*3600 {
-		t.Fatalf("fast-job threshold not filled: %g", n.FastJobThresholdSec)
 	}
 	if n.UpdateIntervalSec != 0 || n.FairnessAgingSec != 0 {
 		t.Fatalf("meaningful zeros were overwritten: %+v", n)

@@ -71,49 +71,16 @@ func runProbe(t *testing.T, b *Binder, score func(*job.Job) workload.SharingScor
 	return bp
 }
 
-const constTiny, constMedium, constJumbo = workload.Tiny, workload.Medium, workload.Jumbo
-
 func constScore(s workload.SharingScore) func(*job.Job) workload.SharingScore {
 	return func(*job.Job) workload.SharingScore { return s }
 }
 
-// TestBinderGSSZero: GSS 0 is a legal, ultra-conservative budget — only
-// score-0 (Tiny) pairs may share. core.New normalizes GSS 0 to the default,
-// so the test builds the Binder from a config that keeps it.
-func TestBinderGSSZero(t *testing.T) {
-	b := newBinder(Config{GSS: 0})
-
-	// Tiny + Tiny = 0 ≤ 0: packs.
-	bp := runProbe(t, b, constScore(constTiny))
-	if bp.found[2] != 1 {
-		t.Fatalf("Tiny pair must pack under GSS=0; outcome: found=%v reason=%v", bp.found, bp.reason)
-	}
-
-	// Medium scores 1 > 0: the job itself busts the budget before any
-	// partner is examined.
-	bp = runProbe(t, newBinder(Config{GSS: 0}), constScore(constMedium))
-	if _, ok := bp.found[2]; ok {
-		t.Fatal("Medium job packed under GSS=0")
-	}
-	if bp.reason[2] != "score-over-budget" {
-		t.Fatalf("reason = %q, want score-over-budget", bp.reason[2])
-	}
-}
-
-// TestBinderGSSWide: GSS 4 admits pairings the default budget forbids —
-// two Jumbos sum to 4.
+// TestBinderGSSWide: the default budget GSS=2 rejects the Jumbo pair (two
+// Jumbos sum to 4) at the partner check.
 func TestBinderGSSWide(t *testing.T) {
-	// Default GSS=2 rejects the Jumbo pair at the partner check.
-	bp := runProbe(t, newBinder(DefaultConfig()), constScore(constJumbo))
+	bp := runProbe(t, newBinder(DefaultConfig()), constScore(workload.Jumbo))
 	if _, ok := bp.found[2]; ok {
 		t.Fatal("Jumbo pair packed under default GSS=2")
-	}
-
-	cfg := DefaultConfig()
-	cfg.GSS = 4
-	bp = runProbe(t, newBinder(cfg), constScore(constJumbo))
-	if bp.found[2] != 1 {
-		t.Fatalf("Jumbo pair must pack under GSS=4; reason=%v", bp.reason)
 	}
 }
 

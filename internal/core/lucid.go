@@ -21,8 +21,6 @@ type Config struct {
 	TprofSec int64
 	// Nprof is the profiling job-scale limit in GPUs (default 8).
 	Nprof int
-	// GSS is the GPU Sharing Capacity (default 2).
-	GSS int
 	// Thresholds are the (Medium, Tiny) classifier cut points (default
 	// 0.85/0.95, §4.5).
 	Thresholds workload.Thresholds
@@ -35,9 +33,6 @@ type Config struct {
 	// nodes, short jobs to the oldest, so expensive silicon does the long
 	// work. No effect on homogeneous clusters.
 	HeterogeneityAware bool
-	// FastJobThresholdSec is the estimated duration above which a job
-	// prefers fast nodes (default 2 h).
-	FastJobThresholdSec float64
 
 	// FairnessAgingSec implements the paper's §6 fairness extension: each
 	// second a job waits buys it this many seconds of priority credit, so
@@ -606,12 +601,16 @@ func (l *Lucid) findPartnerTraced(env *sim.Env, j *job.Job,
 	return p
 }
 
+// fastJobSec is the estimated duration at or above which a job prefers fast
+// nodes under HeterogeneityAware.
+const fastJobSec = 2 * 3600
+
 // placementPref steers long jobs to fast GPU generations (§6 extension).
 func (l *Lucid) placementPref(j *job.Job) cluster.Preference {
 	if !l.cfg.HeterogeneityAware || l.cfg.DisableEstimator {
 		return cluster.PreferAny
 	}
-	if l.models.Estimator.EstimateSec(j) >= l.cfg.FastJobThresholdSec {
+	if l.models.Estimator.EstimateSec(j) >= fastJobSec {
 		return cluster.PreferFast
 	}
 	// Short jobs stay indifferent: forcing them onto old nodes would idle

@@ -30,12 +30,10 @@ func FigR(scale float64) (string, error) {
 	return report, nil
 }
 
-// ChaosSweepSpec scales the calibrated fault rates by mult. The recovery
+// chaosSweepSpec scales the calibrated fault rates by mult. The recovery
 // knobs (repair window, retry budget, backoff, restore cost) stay fixed:
 // the sweep varies how often faults strike, not how recovery behaves.
-// Shared with internal/evolve, whose fitness suite scores genomes under the
-// same fault intensities Fig R sweeps.
-func ChaosSweepSpec(mult float64) *chaos.Spec {
+func chaosSweepSpec(mult float64) *chaos.Spec {
 	s := chaos.DefaultSpec()
 	s.NodeFailPerDay *= mult
 	s.GPUFailPerDay *= mult
@@ -70,7 +68,7 @@ func figRGrid(w *World, mults []float64) ([]figRCell, string) {
 		// clones the Lucid models), so cells never share mutable state.
 		nr := w.Schedulers()[c.run]
 		if m := mults[c.mult]; m > 0 {
-			nr.Opts.Chaos = ChaosSweepSpec(m)
+			nr.Opts.Chaos = chaosSweepSpec(m)
 		}
 		return figRCell{Name: nr.Name, Mult: mults[c.mult], Res: w.Run(nr)}
 	})

@@ -152,8 +152,7 @@ func (w *World) NewLucid(cfg core.Config) sim.Scheduler {
 // dataset is cut at (Medium, Tiny) — so the world's cached analyzer (trained
 // at the defaults) would silently ignore a tuned cut point; this retrains it
 // on the variant thresholds. With default thresholds it is NewLucid.
-// internal/evolve routes every genome through here so the threshold genes
-// actually steer behaviour.
+// BinderThresholdStudy (§4.5(2)) builds every threshold variant through here.
 func (w *World) NewLucidTuned(cfg core.Config) (sim.Scheduler, error) {
 	cfg = cfg.Normalized()
 	if cfg.Thresholds == workload.DefaultThresholds {

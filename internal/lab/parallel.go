@@ -42,10 +42,9 @@ func Parallelism() int {
 }
 
 // ForEachPar runs fn(i) for every i in [0, n) on at most Parallelism()
-// goroutines: the harness worker pool, which internal/evolve also fans its
-// fitness evaluations through. fn must confine its writes to per-index
-// state; because results are assembled by index, serial (-parallel 1) and
-// parallel execution are byte-identical.
+// goroutines: the harness worker pool. fn must confine its writes to
+// per-index state; because results are assembled by index, serial
+// (-parallel 1) and parallel execution are byte-identical.
 func ForEachPar(n int, fn func(i int)) {
 	workers := Parallelism()
 	if workers > n {

@@ -78,11 +78,6 @@ func (r *RNG) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
 }
 
-// Range returns a uniform float64 in [lo, hi).
-func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p

@@ -427,16 +427,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestRangeBounds(t *testing.T) {
-	check := func(seed uint64) bool {
-		v := New(seed).Range(5, 10)
-		return v >= 5 && v < 10
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
