@@ -411,6 +411,32 @@ func TestEstimatorModelBitsPinned(t *testing.T) {
 	}
 }
 
+// TestWarmRefitModelBitsPinned pins the Workload Estimate Model after one
+// warm Update (gam.FitFrom) on the same seeded history: the FNV-1a hash of
+// its Save bytes, computed at commit 75c22d9, before the GA²M fit binned
+// each distinct value once. A change that is meant to move model bits
+// re-pins it in the same commit as the golden digests.
+func TestWarmRefitModelBitsPinned(t *testing.T) {
+	hist, _ := historyTrace(1500)
+	est, err := TrainWorkloadEstimator(hist.Jobs[:1000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := est.Update(hist.Jobs); err != nil {
+		t.Fatal(err)
+	}
+	if warm, full := est.Fits(); warm != 1 || full != 1 {
+		t.Fatalf("fits: %d warm, %d full; want 1 and 1", warm, full)
+	}
+	h := fnv.New64a()
+	if err := est.model.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.Sum64(), uint64(0x8cf353771af14a5d); got != want {
+		t.Fatalf("warm-refit model hash %#x, pinned %#x", got, want)
+	}
+}
+
 // oracleOrder is the queue ordering orchestrate had before the keys were
 // hoisted out of the comparator — sort.SliceStable re-deriving priority() on
 // every comparison — kept verbatim as the reference for orderQueue.
