@@ -208,3 +208,63 @@ func TestFitFromLeavesPrevUntouched(t *testing.T) {
 		t.Fatal("two warm fits from one prev differ")
 	}
 }
+
+// TestFitFromMatchesOracle is the warm path's bit-identity contract: FitFrom
+// serializes to the bytes oracleFitFrom — the binning and boosting loop that
+// preceded per-distinct-value binning — gives, re-binning no, some or every
+// feature, with and without pairs, over the bin counts that cross n and the
+// 256-bin line.
+func TestFitFromMatchesOracle(t *testing.T) {
+	for _, n := range []int{1, 40, 700, 2500} {
+		old, next := tieHeavyTable(n+300, uint64(300+n)), tieHeavyTable(n, uint64(400+n))
+		for _, maxBins := range []int{2, 64, 300} {
+			prev, err := Fit(old, Params{MaxBins: maxBins, Rounds: 9, LearningRate: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fresh := range [][]int{nil, {3, 4, 5}, {0, 1, 2, 3, 4, 5}} {
+				for _, inter := range []int{0, 2} {
+					name := fmt.Sprintf("n=%d/bins=%d/fresh=%v/pairs=%d", n, maxBins, fresh, inter)
+					p := Params{MaxBins: maxBins, Rounds: 7, LearningRate: 0.3, Interactions: inter, PairRounds: 4}
+					got, err := FitFrom(prev, next, p, fresh)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want, err := oracleFitFrom(prev, next, p, fresh)
+					if err != nil {
+						t.Fatalf("%s: oracle: %v", name, err)
+					}
+					if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+						t.Fatalf("%s: FitFrom and the oracle serialize differently", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFitFromAllocsIndependentOfRows: a fit allocates per column and per
+// distinct value, never per row — FitFrom allocates as often on a table as on
+// the same table four times over.
+func TestFitFromAllocsIndependentOfRows(t *testing.T) {
+	base := tieHeavyTable(400, 6)
+	prev, err := Fit(base, Params{MaxBins: 64, Rounds: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quad := &mlmodel.Dataset{Names: base.Names}
+	for k := 0; k < 4; k++ {
+		quad.X = append(quad.X, base.X...)
+		quad.Y = append(quad.Y, base.Y...)
+	}
+	allocs := func(ds *mlmodel.Dataset) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := FitFrom(prev, ds, Params{MaxBins: 64, Rounds: 5}, []int{3, 4, 5}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, four := allocs(base), allocs(quad); one != four {
+		t.Fatalf("FitFrom allocates %v times on %d rows and %v on %d", one, base.Len(), four, quad.Len())
+	}
+}

@@ -2,9 +2,11 @@ package gam
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -330,15 +332,9 @@ func TestFitRejectsMaxBinsBeyondIndexWidth(t *testing.T) {
 	}
 }
 
-// TestQuantileEdgesKnownDefect pins a defect, it does not bless it.
-// quantileEdges deduplicates into the prefix of the slice it then reads
-// quantiles from, so for a column with more distinct values than bins the low
-// quantiles come from the deduplicated prefix, not from the data: the b/8
-// quantiles of the column below are [0 1 2 59 184]. Fixing it moves every
-// fitted GA²M bit and every golden digest, so the fix is its own model
-// re-baseline (ROADMAP item 2(b)); until then this test keeps a refactor
-// from changing the output by accident.
-func TestQuantileEdgesKnownDefect(t *testing.T) {
+// defectColumn is TestQuantileEdgesKnownDefect's column: 700 rows over
+// three small values, then 300 distinct ones.
+func defectColumn() []float64 {
 	var vals []float64
 	for i := 0; i < 700; i++ {
 		vals = append(vals, float64(i%3))
@@ -346,8 +342,132 @@ func TestQuantileEdgesKnownDefect(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		vals = append(vals, float64(10+i))
 	}
-	if got, today := quantileEdges(vals, 8), []float64{131, 256}; !reflect.DeepEqual(got, today) {
+	return vals
+}
+
+// TestQuantileEdgesKnownDefect pins a defect, it does not bless it. In its
+// sorted-column form (quantileEdges), the edges are read from a slice
+// deduplicated into its own prefix; in the count form boostFrom uses
+// (distinct.edges), a rank r below the number of distinct values reads the
+// r-th distinct value, not the r-th order statistic. Either way, for a
+// column with more distinct values than bins the low quantiles do not come
+// from the data: the b/8 quantiles of the column below are [0 1 2 59 184].
+// Fixing it moves every fitted GA²M bit and every golden digest, so the fix
+// is its own model re-baseline (ROADMAP item 2(b)); until then this test
+// keeps a refactor from changing the output by accident.
+func TestQuantileEdgesKnownDefect(t *testing.T) {
+	vals := defectColumn()
+	today := []float64{131, 256}
+	if got := quantileEdges(vals, 8); !reflect.DeepEqual(got, today) {
 		t.Fatalf("quantileEdges = %v, pinned %v (if this is the 2(b) fix, re-baseline and pin [0 1 2 59 184])", got, today)
+	}
+	if got, _ := countEdges(t, vals, 8); !reflect.DeepEqual(got, today) {
+		t.Fatalf("distinct.edges = %v, pinned %v (if this is the 2(b) fix, re-baseline and pin [0 1 2 59 184])", got, today)
+	}
+}
+
+// countEdges codes vals as a one-feature column and returns its count-form
+// edges and the coded column.
+func countEdges(t *testing.T, vals []float64, maxBins int) ([]float64, *distinct) {
+	t.Helper()
+	ds := &mlmodel.Dataset{X: make([][]float64, len(vals)), Y: make([]float64, len(vals))}
+	for i, v := range vals {
+		ds.X[i] = []float64{v}
+	}
+	c := &distinct{ids: make([]int32, len(vals))}
+	if err := c.code(ds, 0); err != nil {
+		t.Fatal(err)
+	}
+	return c.edges(maxBins), c
+}
+
+// FuzzEdgesFromCounts holds the count-form binning to the sorted-column
+// oracle on any finite column: the edges equal quantileEdges' bit for bit,
+// and every row's looked-up bin is feature.bin of its value. The one bit
+// left unpinned is the sign of a zero edge on a column holding both zeros,
+// which the oracle takes from sort.Float64s' unstable order and the count
+// form from the first zero seen; binning cannot tell the two apart. data is
+// one value per byte (a quarter-integer in [-32, 32), 0xff for -0) unless
+// raw, then one per 8 bytes of float bits, NaN and ±Inf skipped.
+func FuzzEdgesFromCounts(f *testing.F) {
+	b := func(vals ...float64) []byte {
+		var out []byte
+		for _, v := range vals {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(b(negZero, 0, 1, negZero, 2, 0, 3, 4), true, uint16(2))
+	f.Add(b(0, negZero, 0, 5, -5, 1e-300, -1e-300), true, uint16(3))
+	f.Add([]byte{0xff, 0, 0, 0xff, 4, 8, 0xfc, 0, 0xff}, false, uint16(2))
+	f.Add(b(7.5), true, uint16(64))                          // one value
+	f.Add([]byte{3, 3, 3, 3}, false, uint16(2))              // one value, repeated
+	f.Add([]byte{1, 9, 2, 8, 3, 7, 1, 9}, false, uint16(64)) // n < MaxBins
+	f.Add([]byte("a column with more distinct values than bins, and ties"), false, uint16(8))
+	f.Add(b(defectColumn()...), true, uint16(8))
+	f.Fuzz(func(t *testing.T, data []byte, raw bool, bins uint16) {
+		maxBins := 2 + int(bins%300)
+		var vals []float64
+		if raw {
+			for ; len(data) >= 8; data = data[8:] {
+				if v := math.Float64frombits(binary.LittleEndian.Uint64(data)); v-v == 0 {
+					vals = append(vals, v)
+				}
+			}
+		} else {
+			for _, c := range data {
+				v := float64(int8(c)) / 4
+				if c == 0xff {
+					v = negZero
+				}
+				vals = append(vals, v)
+			}
+		}
+		if len(vals) == 0 {
+			return
+		}
+		want := quantileEdges(vals, maxBins)
+		got, c := countEdges(t, vals, maxBins)
+		bothZeros := slices.ContainsFunc(vals, func(v float64) bool { return v == 0 && math.Signbit(v) }) &&
+			slices.ContainsFunc(vals, func(v float64) bool { return v == 0 && !math.Signbit(v) })
+		if len(got) != len(want) {
+			t.Fatalf("maxBins %d: edges %v, oracle %v", maxBins, got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] || !bothZeros && math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("maxBins %d: edge %d is %v, oracle %v (all: %v vs %v)", maxBins, k, got[k], want[k], got, want)
+			}
+		}
+		feat := &feature{edges: got}
+		rows := 0
+		for _, e := range c.vals {
+			rows += e.n
+		}
+		if rows != len(vals) {
+			t.Fatalf("distinct counts sum to %d rows, want %d", rows, len(vals))
+		}
+		for i, v := range vals {
+			if e := c.vals[c.ids[i]]; e.v != v || feat.bin(e.v) != feat.bin(v) {
+				t.Fatalf("row %d (%v) coded as %v", i, v, e.v)
+			}
+		}
+	})
+}
+
+// TestFitRejectsPairBeyondCellIndex: a pair term's occupied cells are
+// indexed by uint16, so a pair occupying more than 65,536 cells is an
+// error, not a wrapped index.
+func TestFitRejectsPairBeyondCellIndex(t *testing.T) {
+	n := 300 * 300 // every cell of two 300-bin features, once
+	ds := &mlmodel.Dataset{X: make([][]float64, n), Y: make([]float64, n), Names: []string{"a", "b"}}
+	for i := range ds.X {
+		ds.X[i] = []float64{float64(i % 300), float64(i / 300)}
+		ds.Y[i] = float64(i % 7)
+	}
+	_, err := Fit(ds, Params{MaxBins: 300, Rounds: 1, Interactions: 1, PairRounds: 1})
+	if err == nil || !strings.Contains(err.Error(), "pair (a, b) occupies more than the 65536 cells") {
+		t.Fatalf("error %v, want one naming the pair and the 65536-cell limit", err)
 	}
 }
 
@@ -537,4 +657,158 @@ func oracleColumn(x [][]float64, j int) []float64 {
 		out[i] = row[j]
 	}
 	return out
+}
+
+// quantileEdges is the binning boostFrom had before it binned each distinct
+// value once, verbatim, defect included: ≤ maxBins-1 ascending cut points
+// from the value distribution; duplicate quantiles collapse, so
+// low-cardinality features get one bin per distinct value. It is the oracle
+// distinct.edges is held to (FuzzEdgesFromCounts, TestQuantileEdgesKnownDefect).
+func quantileEdges(vals []float64, maxBins int) []float64 {
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	uniq := sorted[:0]
+	for i, v := range sorted {
+		if i == 0 || v != uniq[len(uniq)-1] {
+			uniq = append(uniq, v)
+		}
+	}
+	if len(uniq) <= 1 {
+		return nil // single bin
+	}
+	if len(uniq) <= maxBins {
+		// One bin per distinct value: edges halfway between neighbours.
+		edges := make([]float64, len(uniq)-1)
+		for i := 0; i+1 < len(uniq); i++ {
+			edges[i] = (uniq[i] + uniq[i+1]) / 2
+		}
+		return edges
+	}
+	edges := make([]float64, 0, maxBins-1)
+	for b := 1; b < maxBins; b++ {
+		q := float64(b) / float64(maxBins)
+		v := sorted[int(q*float64(len(sorted)-1))]
+		if len(edges) == 0 || v > edges[len(edges)-1] {
+			edges = append(edges, v)
+		}
+	}
+	return edges
+}
+
+// oracleFitFrom is FitFrom over oracleBoostFrom: the warm path as it was
+// before each column was coded against its distinct values.
+func oracleFitFrom(prev *Model, ds *mlmodel.Dataset, p Params, fresh []int) (*Model, error) {
+	m := &Model{intercept: prev.intercept, feats: make([]*feature, len(prev.feats))}
+	for j, f := range prev.feats {
+		m.feats[j] = &feature{name: f.name, edges: f.edges, score: append([]float64(nil), f.score...)}
+	}
+	for _, j := range fresh {
+		m.feats[j] = nil
+	}
+	return m.oracleBoostFrom(ds, p)
+}
+
+// oracleBoostFrom is boostFrom before it binned each distinct value once,
+// verbatim but for its checks: every column gathered, a fresh one's edges
+// from quantileEdges, every row binned by binary search, pair cells indexed
+// over all ni·nj, and the generic oracleBoost.
+func (m *Model) oracleBoostFrom(ds *mlmodel.Dataset, p Params) (*Model, error) {
+	p = p.normalized()
+	n := ds.Len()
+	d := ds.NumFeatures()
+
+	pred := make([]float64, n)
+	for i := range ds.Y {
+		pred[i] = m.intercept
+	}
+	bins := make([]uint16, n*d)
+	col := make([]float64, n)
+	unary := make([]oracleTerm[uint16], d)
+	for j := 0; j < d; j++ {
+		for i, row := range ds.X {
+			col[i] = row[j]
+		}
+		f := m.feats[j]
+		if f == nil {
+			f = &feature{name: ds.FeatureName(j), edges: quantileEdges(col, p.MaxBins)}
+			f.score = make([]float64, f.numBins())
+			m.feats[j] = f
+		}
+		f.count = make([]int, f.numBins())
+		idx := bins[j*n : (j+1)*n : (j+1)*n]
+		for i, v := range col {
+			b := f.bin(v)
+			idx[i] = uint16(b)
+			f.count[b]++
+			pred[i] += f.score[b]
+		}
+		unary[j] = oracleTerm[uint16]{idx: idx, count: f.count, score: f.score}
+	}
+
+	oracleBoost(ds.Y, pred, unary, p.Rounds, p.LearningRate)
+
+	if p.Interactions > 0 && d >= 2 {
+		kept := detectPairs(ds.Y, pred, m.feats, bins, p.Interactions)
+		pairs := make([]oracleTerm[uint32], len(kept))
+		for k, pr := range kept {
+			ni, nj := m.feats[pr[0]].numBins(), m.feats[pr[1]].numBins()
+			t := oracleTerm[uint32]{idx: make([]uint32, n), count: make([]int, ni*nj), score: make([]float64, ni*nj)}
+			bi, bj := bins[pr[0]*n:(pr[0]+1)*n], bins[pr[1]*n:(pr[1]+1)*n]
+			for i := range t.idx {
+				cell := uint32(bi[i])*uint32(nj) + uint32(bj[i])
+				t.idx[i] = cell
+				t.count[cell]++
+			}
+			pt := &pairTerm{i: pr[0], j: pr[1], score: make([][]float64, ni)}
+			for a := range pt.score {
+				pt.score[a] = t.score[a*nj : (a+1)*nj : (a+1)*nj]
+			}
+			m.pairs = append(m.pairs, pt)
+			pairs[k] = t
+		}
+		oracleBoost(ds.Y, pred, pairs, p.PairRounds, p.LearningRate)
+	}
+
+	m.center()
+	return m, nil
+}
+
+type oracleTerm[I uint16 | uint32] struct {
+	idx   []I
+	count []int
+	score []float64
+}
+
+// oracleBoost is boost before its cells were fixed at 65,536, verbatim:
+// generic over the index width, its tables sized to the widest term.
+func oracleBoost[I uint16 | uint32](y, pred []float64, terms []oracleTerm[I], rounds int, lr float64) {
+	if len(terms) == 0 || rounds <= 0 {
+		return
+	}
+	cells := 0
+	for _, t := range terms {
+		cells = max(cells, len(t.count))
+	}
+	sum := make([]float64, cells)
+	delta := make([]float64, cells)
+	for i, c := range terms[0].idx {
+		sum[c] += y[i] - pred[i]
+	}
+	for step, steps := 0, rounds*len(terms); step < steps; step++ {
+		cur, next := terms[step%len(terms)], terms[(step+1)%len(terms)]
+		for c, cnt := range cur.count {
+			delta[c] = 0
+			if cnt != 0 {
+				delta[c] = lr * sum[c] / float64(cnt)
+				cur.score[c] += delta[c]
+			}
+		}
+		clear(sum[:len(next.count)])
+		curIdx, nextIdx := cur.idx[:len(pred)], next.idx[:len(pred)]
+		for i, yi := range y[:len(pred)] {
+			v := pred[i] + delta[curIdx[i]]
+			pred[i] = v
+			sum[nextIdx[i]] += yi - v
+		}
+	}
 }

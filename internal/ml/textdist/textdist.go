@@ -14,13 +14,23 @@ import "unicode/utf8"
 // bit-parallel path: O(longer) word operations and no allocation. Anything
 // else takes the O(len(a)·len(b)) dynamic program.
 func Levenshtein(a, b string) int {
+	d, _ := distance(a, b)
+	return d
+}
+
+// distance is Levenshtein(a, b) and the longer string's length in runes,
+// which is its length in bytes when both are ASCII.
+func distance(a, b string) (d, longest int) {
 	if len(a) < len(b) {
 		a, b = b, a
 	}
-	if len(b) <= 64 && isASCII(a) && isASCII(b) {
-		return bitParallel(a, b)
+	if isASCII(a) && isASCII(b) {
+		if len(b) <= 64 {
+			return bitParallel(a, b), len(a)
+		}
+		return dp(a, b), len(a)
 	}
-	return dp(a, b)
+	return dp(a, b), max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
 }
 
 func isASCII(s string) bool {
@@ -101,11 +111,11 @@ func dp(a, b string) int {
 // Similarity maps distance to [0, 1]: 1 for identical strings, approaching 0
 // as the distance reaches the longer length.
 func Similarity(a, b string) float64 {
-	longest := max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
+	d, longest := distance(a, b)
 	if longest == 0 {
 		return 1
 	}
-	return 1 - float64(Levenshtein(a, b))/float64(longest)
+	return 1 - float64(d)/float64(longest)
 }
 
 func min3(a, b, c int) int {

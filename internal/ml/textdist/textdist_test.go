@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 
 	"repro/internal/xrand"
 )
@@ -137,6 +138,15 @@ func FuzzLevenshtein(f *testing.F) {
 		}
 		if got, want := Levenshtein(a, b), dp(a, b); got != want {
 			t.Fatalf("Levenshtein(%q,%q) = %d, DP says %d", a, b, got, want)
+		}
+		// Similarity as it was before it took the rune count from the
+		// ASCII check: both counts taken, the distance from the DP.
+		want := 1.0
+		if longest := max(utf8.RuneCountInString(a), utf8.RuneCountInString(b)); longest > 0 {
+			want = 1 - float64(dp(a, b))/float64(longest)
+		}
+		if got := Similarity(a, b); got != want {
+			t.Fatalf("Similarity(%q,%q) = %v, the old formula says %v", a, b, got, want)
 		}
 	})
 }
