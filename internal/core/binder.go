@@ -44,12 +44,11 @@ func (m PackMode) String() string {
 //     construction — documented substitution),
 //  5. never pack distributed jobs (network contention).
 type Binder struct {
-	// cfg is the run's normalized Config: DisableBinder drops the
-	// Sharing-Score discipline (the Figure 11a "w/o Binder" ablation packs
-	// naively under only the hard rules) and DisableSharing holds the Binder
-	// in PackDisabled.
-	cfg  Config
-	mode PackMode
+	// indolent applies the Sharing-Score budget; without it (the Figure 11a
+	// "w/o Binder" ablation) the Binder packs naively under only the hard
+	// rules. noSharing holds the Binder in PackDisabled ("w/o Sharing").
+	indolent, noSharing bool
+	mode                PackMode
 }
 
 // gss is the GPU Sharing Capacity, the Default-mode sharing budget (§3.3).
@@ -59,17 +58,18 @@ const gss = 2
 // finish (Algorithm 2); memMarginFrac of GPU memory stays free as OOM headroom.
 const minRemainSec, memMarginFrac = 600, 0.08
 
-// newBinder returns cfg's Binder, in PackDefault mode unless DisableSharing.
+// newBinder returns the Binder cfg's ablation switches choose, in PackDefault
+// mode unless DisableSharing.
 func newBinder(cfg Config) *Binder {
-	b := &Binder{cfg: cfg}
+	b := &Binder{indolent: !cfg.DisableBinder, noSharing: cfg.DisableSharing}
 	b.SetMode(PackDefault)
 	return b
 }
 
-// SetMode applies the Dynamic Strategy decision. Under DisableSharing the
-// Binder stays PackDisabled whatever the decision.
+// SetMode applies the Dynamic Strategy decision. A noSharing Binder stays
+// PackDisabled whatever the decision.
 func (b *Binder) SetMode(m PackMode) {
-	if b.cfg.DisableSharing {
+	if b.noSharing {
 		m = PackDisabled
 	}
 	b.mode = m
@@ -137,19 +137,11 @@ func (ex *PackExplain) add(id int, score float64, reason string) {
 	}
 }
 
-// FindPartner returns the best running job to pack j with, or nil
+// FindPartnerExplain returns the best running job to pack j with, or nil
 // (Algorithm 2's CheckAffineJobPair). score gives each job's Sharing Score;
-// remaining estimates a running job's remaining seconds; nil (the estimator
-// ablated) skips the remaining-runtime rule.
-func (b *Binder) FindPartner(env *sim.Env, j *job.Job,
-	score func(*job.Job) workload.SharingScore,
-	remaining func(*job.Job) float64) *job.Job {
-	return b.FindPartnerExplain(env, j, score, remaining, nil)
-}
-
-// FindPartnerExplain is FindPartner with an optional explanation collector
-// for decision tracing. Passing nil costs nothing extra — the default
-// FindPartner path.
+// remaining estimates a running job's remaining seconds, and nil (the
+// submit orderer's) skips the remaining-runtime rule. ex, when non-nil,
+// collects the explanation for decision tracing; nil costs nothing extra.
 func (b *Binder) FindPartnerExplain(env *sim.Env, j *job.Job,
 	score func(*job.Job) workload.SharingScore,
 	remaining func(*job.Job) float64, ex *PackExplain) *job.Job {
@@ -168,8 +160,7 @@ func (b *Binder) FindPartnerExplain(env *sim.Env, j *job.Job,
 	}
 	budget := b.gssNow()
 	sj := score(j)
-	indolent := !b.cfg.DisableBinder
-	if indolent && int(sj) > budget {
+	if b.indolent && int(sj) > budget {
 		ex.fail("score-over-budget") // a job too heavy for any partner under the budget
 		return nil
 	}
@@ -197,7 +188,7 @@ func (b *Binder) FindPartnerExplain(env *sim.Env, j *job.Job,
 			ex.add(r.ID, key, "oom-guard") // rule 1: hard memory limit
 			continue
 		}
-		if indolent && int(sj)+int(score(r)) > budget {
+		if b.indolent && int(sj)+int(score(r)) > budget {
 			ex.add(r.ID, key, "score-budget") // Indolent Packing: sharing-score budget
 			continue
 		}

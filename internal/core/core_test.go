@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -161,13 +162,13 @@ func TestBinderRules(t *testing.T) {
 
 	// Distributed jobs never pack (rule 5).
 	jDist := mk(1, 16, cfgLight)
-	if p := b.FindPartner(nil, jDist, score, nil); p != nil {
+	if p := b.FindPartnerExplain(nil, jDist, score, nil, nil); p != nil {
 		t.Fatal("distributed job offered a partner")
 	}
 	// Jumbo job under Apathetic mode (GSS=1) cannot pack at all.
 	b.SetMode(PackApathetic)
 	jHeavy := mk(2, 1, cfgHeavy)
-	if p := b.FindPartner(nil, jHeavy, score, nil); p != nil {
+	if p := b.FindPartnerExplain(nil, jHeavy, score, nil, nil); p != nil {
 		t.Fatal("Jumbo job packed under GSS=1")
 	}
 	// Disabled mode packs nothing.
@@ -437,6 +438,30 @@ func TestWarmRefitModelBitsPinned(t *testing.T) {
 	}
 }
 
+// oraclePriority is how Lucid scored a job at time now before the orderer
+// was chosen once at construction — the estimator ablation a branch of every
+// call — kept verbatim as the reference for orderer.score: line 4 (NewKey
+// without aging), less the aging credit; submission order when ablated.
+func oraclePriority(l *Lucid, j *job.Job, now int64) float64 {
+	if l.cfg.DisableEstimator {
+		return float64(j.Submit)
+	}
+	p := NewKey(j.GPUs, l.models.Estimator.EstimateSec(j), 0, 0, j.ID).Prio
+	if l.cfg.FairnessAgingSec > 0 {
+		p -= l.cfg.FairnessAgingSec * float64(now-j.Submit)
+	}
+	return p
+}
+
+// oracleKey is the queue key of the same era, the reference for
+// orderer.key: oraclePriority with the clock taken out.
+func oracleKey(l *Lucid, j *job.Job) Key {
+	if l.cfg.DisableEstimator {
+		return Key{Prio: float64(j.Submit), Submit: j.Submit, ID: j.ID}
+	}
+	return NewKey(j.GPUs, l.models.Estimator.EstimateSec(j), l.cfg.FairnessAgingSec, j.Submit, j.ID)
+}
+
 // oracleOrder is the queue ordering orchestrate had before the keys were
 // hoisted out of the comparator — sort.SliceStable re-deriving priority() on
 // every comparison — kept verbatim as the reference for orderQueue.
@@ -448,7 +473,7 @@ func oracleOrder(l *Lucid, pending []*job.Job, now int64) []*job.Job {
 		}
 	}
 	sort.SliceStable(queued, func(a, b int) bool {
-		pa, pb := l.priority(queued[a], now), l.priority(queued[b], now)
+		pa, pb := oraclePriority(l, queued[a], now), oraclePriority(l, queued[b], now)
 		if pa != pb {
 			return pa < pb
 		}
@@ -468,7 +493,7 @@ func (l *Lucid) orderQueue(pending []*job.Job, now int64) []keyedJob {
 	var q []keyedJob
 	for _, j := range pending {
 		if j.State == job.Queued {
-			q = append(q, keyedJob{job: j, prio: l.priority(j, now)})
+			q = append(q, keyedJob{job: j, prio: oraclePriority(l, j, now)})
 		}
 	}
 	slices.SortStableFunc(q, compareKeyed)
@@ -482,6 +507,10 @@ func (l *Lucid) orderQueue(pending []*job.Job, now int64) []keyedJob {
 // with fairness aging off and on and with the estimator ablated, on a queue
 // and on a prefix of it.
 //
+// The orderer NewDeferred chooses is held to the branches it replaced, job by
+// job: its key, score, trace reason, placement preference and remaining-time
+// hook (nil-ness and value), with heterogeneity steering off and on.
+//
 // The kept queue orders by key, aging's static form, and is held to the same
 // oracle: exactly wherever aging is off, and with aging on — at fractional
 // rates over fractional estimates too — up to near-ties, where rounding may
@@ -492,11 +521,17 @@ func TestOrderQueueMatchesOracle(t *testing.T) {
 		"aging":            {FairnessAgingSec: 0.5},
 		"no-estimator":     {DisableEstimator: true},
 		"aging-fractional": {FairnessAgingSec: 1.0 / 3},
+		"hetero":           {HeterogeneityAware: true},
+		"hetero-aging":     {HeterogeneityAware: true, FairnessAgingSec: 0.5},
+		"hetero-no-est":    {HeterogeneityAware: true, DisableEstimator: true},
 	}
 	for name, cfg := range cfgs {
 		ests := []float64{60, 120, 240, 3600}
 		if name == "aging-fractional" {
 			ests = []float64{60.1, 120.2, 240.4, 3600.3, 100.0 / 3}
+		}
+		if cfg.HeterogeneityAware {
+			ests = append(ests, fastJobSec, 3*3600)
 		}
 		gpus := []int{1, 2, 4, 8}
 		split := 0
@@ -504,6 +539,7 @@ func TestOrderQueueMatchesOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			est := &WorkloadEstimator{cache: map[int]float64{}}
 			l := &Lucid{cfg: cfg, models: &Models{Estimator: est}}
+			l.order = newOrderer(l, cfg)
 			n := 1 + rng.Intn(400)
 			pending := make([]*job.Job, n)
 			for i, id := range rng.Perm(n) {
@@ -514,9 +550,11 @@ func TestOrderQueueMatchesOracle(t *testing.T) {
 					j.State = job.Pending
 				}
 				est.cache[id] = ests[rng.Intn(len(ests))]
+				j.RunTime = float64(rng.Intn(8000))
 				pending[i] = j
 			}
 			const now = 7200
+			checkOrderer(t, l, pending, now)
 			for _, q := range [][]*job.Job{pending, pending[:n/3]} {
 				want := oracleOrder(l, q, now)
 				got := l.orderQueue(q, now)
@@ -528,9 +566,9 @@ func TestOrderQueueMatchesOracle(t *testing.T) {
 						t.Fatalf("%s seed %d: position %d is job %d, oracle has job %d",
 							name, seed, i, got[i].job.ID, want[i].ID)
 					}
-					if len(got) > 1 && got[i].prio != l.priority(want[i], now) {
+					if len(got) > 1 && got[i].prio != oraclePriority(l, want[i], now) {
 						t.Fatalf("%s seed %d: job %d carries key %v, priority is %v",
-							name, seed, want[i].ID, got[i].prio, l.priority(want[i], now))
+							name, seed, want[i].ID, got[i].prio, oraclePriority(l, want[i], now))
 					}
 				}
 				split += checkKeyOrder(t, l, want, now)
@@ -550,7 +588,7 @@ func checkKeyOrder(t *testing.T, l *Lucid, want []*job.Job, now int64) int {
 	t.Helper()
 	got := make([]keyedJob, len(want))
 	for i, j := range want {
-		got[i] = keyedJob{job: j, prio: l.key(j).Prio}
+		got[i] = keyedJob{job: j, prio: oracleKey(l, j).Prio}
 	}
 	slices.SortFunc(got, compareKeyed)
 	split := 0
@@ -558,7 +596,7 @@ func checkKeyOrder(t *testing.T, l *Lucid, want []*job.Job, now int64) int {
 		if got[i].job == want[i] {
 			continue
 		}
-		a, b := l.priority(got[i].job, now), l.priority(want[i], now)
+		a, b := oraclePriority(l, got[i].job, now), oraclePriority(l, want[i], now)
 		if l.cfg.FairnessAgingSec == 0 || math.Abs(a-b) > 1e-9*math.Max(math.Abs(a), math.Abs(b)) {
 			t.Fatalf("key order: position %d is job %d (priority %v), oracle has job %d (priority %v)",
 				i, got[i].job.ID, a, want[i].ID, b)
@@ -566,4 +604,46 @@ func checkKeyOrder(t *testing.T, l *Lucid, want []*job.Job, now int64) int {
 		split++
 	}
 	return split
+}
+
+// checkOrderer holds l.order to the ablation branches it replaced, on every
+// job in jobs: the key and score bit for bit, the trace reason, the placement
+// preference, and the remaining-time hook, nil exactly when the estimator is
+// ablated and otherwise the estimate less the runtime, floored at 0.
+func checkOrderer(t *testing.T, l *Lucid, jobs []*job.Job, now int64) {
+	t.Helper()
+	reason := "min-gpu-demand-x-estimate"
+	switch {
+	case l.cfg.DisableEstimator:
+		reason = "submit-order"
+	case l.cfg.FairnessAgingSec > 0:
+		reason = "min-gpu-demand-x-estimate-aged"
+	}
+	if l.order.reason != reason {
+		t.Fatalf("order reason %q, want %q", l.order.reason, reason)
+	}
+	if (l.order.remaining == nil) != l.cfg.DisableEstimator {
+		t.Fatalf("remaining hook nil = %v under DisableEstimator = %v", l.order.remaining == nil, l.cfg.DisableEstimator)
+	}
+	for _, j := range jobs {
+		if got, want := l.order.key(j), oracleKey(l, j); got != want {
+			t.Fatalf("job %d: key %+v, oracle %+v", j.ID, got, want)
+		}
+		if got, want := l.order.score(j, now), oraclePriority(l, j, now); got != want {
+			t.Fatalf("job %d: score %v, oracle %v", j.ID, got, want)
+		}
+		est := l.models.Estimator.EstimateSec(j)
+		pref := cluster.PreferAny
+		if l.cfg.HeterogeneityAware && !l.cfg.DisableEstimator && est >= fastJobSec {
+			pref = cluster.PreferFast
+		}
+		if got := l.order.pref(j); got != pref {
+			t.Fatalf("job %d (estimate %v): preference %v, oracle %v", j.ID, est, got, pref)
+		}
+		if l.order.remaining != nil {
+			if got, want := l.order.remaining(j), math.Max(est-j.RunTime, 0); got != want {
+				t.Fatalf("job %d: remaining %v, oracle %v", j.ID, got, want)
+			}
+		}
+	}
 }

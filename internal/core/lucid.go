@@ -109,6 +109,7 @@ type Lucid struct {
 	src      func() *Models
 	profiler *Profiler
 	binder   *Binder
+	order    orderer
 
 	scores     map[int]workload.SharingScore
 	hourCount  float64
@@ -170,7 +171,7 @@ func NewDeferred(src func() *Models, cfg Config) *Lucid {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Lucid{
+	l := &Lucid{
 		cfg:      cfg,
 		src:      src,
 		profiler: newProfiler(cfg),
@@ -178,6 +179,8 @@ func NewDeferred(src func() *Models, cfg Config) *Lucid {
 		scores:   map[int]workload.SharingScore{},
 		arrived:  -1,
 	}
+	l.order = newOrderer(l, cfg)
+	return l
 }
 
 // resolveModels takes the models from the source on first use.
@@ -207,7 +210,7 @@ func (l *Lucid) ModelsRefit() bool { return l.modelsDirty }
 // their own. The binder's time-aware packing rule (partner remaining time
 // below minRemainSec) only *removes* pack options as runtime accrues, and
 // the fairness-aging credit grows alike for every waiting job, so it never
-// reorders the queue (see key) — neither can turn an idle round into an
+// reorders the queue (see orderer) — neither can turn an idle round into an
 // acting one, so neither needs a wake-up.
 func (l *Lucid) NextWake(env *sim.Env) int64 {
 	now := env.Now()
@@ -271,7 +274,7 @@ func (l *Lucid) observe(env *sim.Env) {
 				case job.Pending:
 					l.unprofiled = append(l.unprofiled, j)
 				case job.Queued:
-					l.queue = append(l.queue, keyedJob{job: j, prio: l.key(j).Prio})
+					l.queue = append(l.queue, keyedJob{job: j, prio: l.order.key(j).Prio})
 				}
 			}
 		}
@@ -323,7 +326,7 @@ type Key struct {
 }
 
 // NewKey keys a job: Algorithm 2 line 4, GPU demand × estimated duration,
-// plus aging·submit, the static form of the §6 aging credit (Lucid.key says
+// plus aging·submit, the static form of the §6 aging credit (orderer says
 // why). lucidd has neither and passes 0 for both: its ties fall to the ID.
 func NewKey(gpus int, estSec, aging float64, submit int64, id int) Key {
 	p := float64(gpus) * estSec
@@ -344,42 +347,72 @@ func (k Key) Compare(o Key) int {
 	return cmp.Compare(k.ID, o.ID)
 }
 
-// priority is a job's score at time now: line 4 (NewKey without aging), less
-// the fairness extension's aging credit proportional to waiting time, which
-// bounds starvation of long/large jobs (§6 future work). With the estimator
-// ablated, ordering degrades to submission order. Decision traces report it.
-func (l *Lucid) priority(j *job.Job, now int64) float64 {
-	if l.cfg.DisableEstimator {
-		return float64(j.Submit)
-	}
-	p := NewKey(j.GPUs, l.models.Estimator.EstimateSec(j), 0, 0, j.ID).Prio
-	if l.cfg.FairnessAgingSec > 0 {
-		p -= l.cfg.FairnessAgingSec * float64(now-j.Submit)
-	}
-	return p
+// orderer is Algorithm 2's queue order and everything the "w/o Estimator"
+// ablation (Figure 11a) changes with it. NewDeferred chooses one, by estimate
+// or by submit order, and the round reads its fields, never the switch. Its
+// hooks read l.models when called: a refit or RestoreState may swap the
+// estimator after construction.
+type orderer struct {
+	// score is a job's priority at time now, as decision traces report it:
+	// line 4 (NewKey without aging), less the §6 aging credit a·(now −
+	// Submit), which bounds starvation of long/large jobs. key is what the
+	// queue orders by, score with the clock taken out: line 4 − a·(now −
+	// Submit) is line 4 + a·Submit − a·now, and the last term is the same for
+	// every job in a round, so line 4 + a·Submit orders the queue as score
+	// does and stays fixed while the job waits. At a = 0 (the paper's
+	// setting) and in submit order its Prio is score, bit for bit; with aging
+	// on, rounding can split a near-tie the other way.
+	score  func(j *job.Job, now int64) float64
+	key    func(j *job.Job) Key
+	reason string // the order events' reason
+	// remaining is the Binder's time-awareness hook, estimated duration less
+	// observed runtime; nil skips its ending-soon rule. pref is a job's
+	// placement preference.
+	remaining func(j *job.Job) float64
+	pref      func(j *job.Job) cluster.Preference
 }
 
-// key is what the queue orders by: priority with the clock taken out. The
-// aging credit a·(now − Submit) is line 4 + a·Submit − a·now, and the last
-// term is the same for every job in a round, so line 4 + a·Submit orders the
-// queue as priority does and stays fixed while the job waits. At a = 0 (the
-// paper's setting) and with the estimator ablated its Prio is priority, bit
-// for bit; with aging on, rounding can split a near-tie the other way.
-func (l *Lucid) key(j *job.Job) Key {
-	if l.cfg.DisableEstimator {
-		return Key{Prio: float64(j.Submit), Submit: j.Submit, ID: j.ID}
-	}
-	return NewKey(j.GPUs, l.models.Estimator.EstimateSec(j), l.cfg.FairnessAgingSec, j.Submit, j.ID)
-}
+// fastJobSec is the estimated duration at or above which a job prefers fast
+// nodes under HeterogeneityAware.
+const fastJobSec = 2 * 3600
 
-// remainingEstimate is the binder's time-awareness hook: estimated duration
-// minus observed runtime.
-func (l *Lucid) remainingEstimate(j *job.Job) float64 {
-	rem := l.models.Estimator.EstimateSec(j) - j.RunTime
-	if rem < 0 {
-		rem = 0
+// newOrderer returns l's orderer for cfg. Under DisableEstimator the order
+// degrades to submission order, with no time-awareness and no steering.
+func newOrderer(l *Lucid, cfg Config) orderer {
+	o := orderer{pref: func(*job.Job) cluster.Preference { return cluster.PreferAny }}
+	if cfg.DisableEstimator {
+		o.key = func(j *job.Job) Key { return Key{Prio: float64(j.Submit), Submit: j.Submit, ID: j.ID} }
+		o.score = func(j *job.Job, _ int64) float64 { return float64(j.Submit) }
+		o.reason = "submit-order"
+		return o
 	}
-	return rem
+	aging := cfg.FairnessAgingSec
+	est := func(j *job.Job) float64 { return l.models.Estimator.EstimateSec(j) }
+	o.key = func(j *job.Job) Key { return NewKey(j.GPUs, est(j), aging, j.Submit, j.ID) }
+	o.score = func(j *job.Job, now int64) float64 {
+		p := NewKey(j.GPUs, est(j), 0, 0, j.ID).Prio
+		if aging > 0 {
+			p -= aging * float64(now-j.Submit)
+		}
+		return p
+	}
+	o.reason = "min-gpu-demand-x-estimate"
+	o.remaining = func(j *job.Job) float64 { return max(est(j)-j.RunTime, 0) }
+	if aging > 0 {
+		o.reason += "-aged"
+	}
+	if cfg.HeterogeneityAware {
+		// §6 extension: long jobs go to fast GPU generations. Short jobs stay
+		// indifferent: forcing them onto old nodes would idle the fast
+		// generation whenever long jobs are scarce.
+		o.pref = func(j *job.Job) cluster.Preference {
+			if est(j) >= fastJobSec {
+				return cluster.PreferFast
+			}
+			return cluster.PreferAny
+		}
+	}
+	return o
 }
 
 // score returns the cached Sharing Score (Jumbo when unknown).
@@ -420,7 +453,7 @@ func bySubmit(a, b *job.Job) int {
 
 // enqueue puts a Queued job in its place (a no-op for a member).
 func (l *Lucid) enqueue(j *job.Job) {
-	kj := keyedJob{job: j, prio: l.key(j).Prio}
+	kj := keyedJob{job: j, prio: l.order.key(j).Prio}
 	if i, ok := slices.BinarySearchFunc(l.queue, kj, compareKeyed); !ok {
 		l.queue = slices.Insert(l.queue, i, kj)
 	}
@@ -445,7 +478,7 @@ func (l *Lucid) addUnprofiled(j *job.Job) {
 // time.
 func (l *Lucid) rekey() {
 	for i, q := range l.queue {
-		l.queue[i] = keyedJob{job: q.job, prio: l.key(q.job).Prio}
+		l.queue[i] = keyedJob{job: q.job, prio: l.order.key(q.job).Prio}
 	}
 	slices.SortFunc(l.queue, compareKeyed)
 }
@@ -492,10 +525,6 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 	skip := (!rec.Enabled() || l.traceSkips) && !l.retryAll
 
 	sharing := l.binder.SharingEnabled()
-	var remaining func(*job.Job) float64
-	if !l.cfg.DisableEstimator {
-		remaining = l.remainingEstimate
-	}
 	kept := queued[:0]
 	for _, q := range queued {
 		if skip && q.failedAt != 0 && q.failedAt == main.VCGen(q.vc) {
@@ -507,15 +536,15 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 		var p *job.Job
 		if sharing {
 			if rec.Enabled() {
-				p = l.findPartnerTraced(env, j, remaining, now)
+				p = l.findPartnerTraced(env, j, now)
 			} else {
-				p = l.binder.FindPartner(env, j, l.score, remaining)
+				p = l.binder.FindPartnerExplain(env, j, l.score, l.order.remaining, nil)
 			}
 			if p != nil && env.StartShared(j, p) {
 				continue
 			}
 		}
-		pref := l.placementPref(j)
+		pref := l.order.pref(j)
 		if rec.Enabled() && pref == cluster.PreferFast {
 			// Heterogeneity steering (§6): explain why this job targets the
 			// newest generation. The estimate is the deciding score.
@@ -539,16 +568,9 @@ func (l *Lucid) orchestrate(env *sim.Env) {
 // traceOrder records the Resource Orchestrator's queue-ordering decision:
 // the job granted the head of the queue, its priority score, and the top-K
 // jobs it was preferred over — Figure 12's "why does job A go before job
-// B?" answer. Scores are priority's, aging credit at now included.
+// B?" answer. Scores are the orderer's, aging credit at now included.
 func (l *Lucid) traceOrder(env *sim.Env, queued []keyedJob, now int64) {
 	head := queued[0].job
-	reason := "min-gpu-demand-x-estimate"
-	switch {
-	case l.cfg.DisableEstimator:
-		reason = "submit-order"
-	case l.cfg.FairnessAgingSec > 0:
-		reason = "min-gpu-demand-x-estimate-aged"
-	}
 	k := env.Trace().TopK()
 	var alts []dtrace.Alternative
 	for _, q := range queued[1:] {
@@ -556,11 +578,11 @@ func (l *Lucid) traceOrder(env *sim.Env, queued []keyedJob, now int64) {
 			break
 		}
 		alts = append(alts, dtrace.Alternative{
-			Job: q.job.ID, Score: l.priority(q.job, now), Reason: "behind-in-queue"})
+			Job: q.job.ID, Score: l.order.score(q.job, now), Reason: "behind-in-queue"})
 	}
 	env.Trace().Record(dtrace.Event{
-		Tick: now, Job: head.ID, Action: dtrace.ActOrder, Reason: reason,
-		VC: head.VC, GPUs: head.GPUs, Score: l.priority(head, now),
+		Tick: now, Job: head.ID, Action: dtrace.ActOrder, Reason: l.order.reason,
+		VC: head.VC, GPUs: head.GPUs, Score: l.order.score(head, now),
 		Alternatives: alts,
 	})
 }
@@ -569,11 +591,9 @@ func (l *Lucid) traceOrder(env *sim.Env, queued []keyedJob, now int64) {
 // records the outcome: a pack annotation (consumed by the engine's pack
 // event) carrying the counterfactual partner list and a regret score, or a
 // pack-reject event naming the Indolent rule that fired.
-func (l *Lucid) findPartnerTraced(env *sim.Env, j *job.Job,
-	remaining func(*job.Job) float64, now int64) *job.Job {
-
+func (l *Lucid) findPartnerTraced(env *sim.Env, j *job.Job, now int64) *job.Job {
 	ex := &PackExplain{}
-	p := l.binder.FindPartnerExplain(env, j, l.score, remaining, ex)
+	p := l.binder.FindPartnerExplain(env, j, l.score, l.order.remaining, ex)
 	if p == nil {
 		// Only an explicit rule firing is a decision worth a record;
 		// "no-viable-partner" with zero candidates just means an empty VC.
@@ -599,23 +619,6 @@ func (l *Lucid) findPartnerTraced(env *sim.Env, j *job.Job,
 	regret := dtrace.Regret(ex.ChosenScore, scored, true)
 	env.Annotate(j.ID, "indolent-pack", ex.ChosenScore, regret, ex.Candidates)
 	return p
-}
-
-// fastJobSec is the estimated duration at or above which a job prefers fast
-// nodes under HeterogeneityAware.
-const fastJobSec = 2 * 3600
-
-// placementPref steers long jobs to fast GPU generations (§6 extension).
-func (l *Lucid) placementPref(j *job.Job) cluster.Preference {
-	if !l.cfg.HeterogeneityAware || l.cfg.DisableEstimator {
-		return cluster.PreferAny
-	}
-	if l.models.Estimator.EstimateSec(j) >= fastJobSec {
-		return cluster.PreferFast
-	}
-	// Short jobs stay indifferent: forcing them onto old nodes would idle
-	// the fast generation whenever long jobs are scarce.
-	return cluster.PreferAny
 }
 
 // updateEngine periodically refits the Workload Estimate Model on the

@@ -25,12 +25,14 @@ import (
 //     breathe with the Throughput Predict Model's forecast — bursts shrink
 //     T_prof and borrow capacity, quiet hours return it.
 type Profiler struct {
-	// cfg is the run's normalized Config: TprofSec is the per-job profiling
-	// time limit, Nprof the job scale limit (jobs demanding more GPUs skip
-	// profiling and are measured on the fly, §3.2), DisableSpaceAware drops
-	// Algorithm 1's least-GPU-first ordering (the Figure 11b ablation falls
-	// back to FIFO order) and DisableTimeAware turns Time-aware Scaling off.
-	cfg Config
+	// tprof is the per-job profiling time limit and nprof the job scale limit:
+	// jobs demanding more GPUs skip profiling and are measured on the fly
+	// (§3.2). spaceAware orders the profiling queue least-GPUs-first
+	// (Algorithm 1; without it, the Figure 11b ablation, the queue stays
+	// FIFO), and timeAware lets Retune follow the load forecast.
+	tprof                 int64
+	nprof                 int
+	spaceAware, timeAware bool
 
 	// capacityFrac is the currently usable fraction of the profiling
 	// partition, adjusted by Time-aware Scaling.
@@ -39,47 +41,43 @@ type Profiler struct {
 	tprofNow int64
 }
 
-// newProfiler returns cfg's Profiler at Time-aware Scaling's normal setting.
+// newProfiler returns the Profiler cfg's limits and ablation switches choose,
+// at Time-aware Scaling's normal setting.
 func newProfiler(cfg Config) *Profiler {
-	return &Profiler{cfg: cfg, capacityFrac: 0.75, tprofNow: cfg.TprofSec}
+	return &Profiler{tprof: cfg.TprofSec, nprof: cfg.Nprof,
+		spaceAware: !cfg.DisableSpaceAware, timeAware: !cfg.DisableTimeAware,
+		capacityFrac: 0.75, tprofNow: cfg.TprofSec}
 }
 
 // Retune applies Time-aware Scaling from the load forecast: bursts borrow
 // the whole partition and halve T_prof; quiet hours shrink usable capacity
-// (returning the loaned nodes) and restore the full limit.
+// (returning the loaned nodes) and restore the full limit. Without timeAware
+// every level gets the normal setting.
 func (p *Profiler) Retune(level LoadLevel) {
-	if p.cfg.DisableTimeAware {
-		p.capacityFrac = 0.75
-		p.tprofNow = p.cfg.TprofSec
+	p.capacityFrac, p.tprofNow = 0.75, p.tprof
+	if !p.timeAware {
 		return
 	}
 	switch level {
 	case LoadHigh:
 		p.capacityFrac = 1.0
-		p.tprofNow = p.cfg.TprofSec / 2
-		if p.tprofNow < 60 {
-			p.tprofNow = 60
-		}
+		p.tprofNow = max(p.tprof/2, 60)
 	case LoadLow:
 		p.capacityFrac = 0.5
-		p.tprofNow = p.cfg.TprofSec
-	default:
-		p.capacityFrac = 0.75
-		p.tprofNow = p.cfg.TprofSec
 	}
 }
 
 // CurrentTprof returns the active profiling time limit.
 func (p *Profiler) CurrentTprof() int64 {
 	if p.tprofNow <= 0 {
-		return p.cfg.TprofSec
+		return p.tprof
 	}
 	return p.tprofNow
 }
 
 // Step runs one profiler round (Algorithm 1) over the Pending jobs among
-// waiting, which must be in (Submit, ID) order — the FIFO order that
-// DisableSpaceAware keeps: evict overtime jobs, admit oversized jobs on the
+// waiting, which must be in (Submit, ID) order — the FIFO order a Profiler
+// without spaceAware keeps: evict overtime jobs, admit oversized jobs on the
 // fly, then fill the partition least-GPUs-first. onProfiled is invoked for
 // each job that leaves the profiler Queued with a fresh profile — evicted,
 // or admitted without a run.
@@ -124,7 +122,7 @@ func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.J
 	// current capacity budget can ever host — a job larger than the budget
 	// would otherwise wait forever for a slot that cannot exist.
 	budget := int(float64(pc.TotalGPUs()) * p.capacityFrac)
-	effLimit := p.cfg.Nprof
+	effLimit := p.nprof
 	if budget < effLimit {
 		effLimit = budget
 	}
@@ -150,7 +148,7 @@ func (p *Profiler) Step(env *sim.Env, waiting []*job.Job, onProfiled func(*job.J
 	}
 
 	// SortJobGPUNum: least GPUs first (space-aware); FIFO otherwise.
-	if !p.cfg.DisableSpaceAware {
+	if p.spaceAware {
 		sort.SliceStable(queue, func(a, b int) bool {
 			if queue[a].GPUs != queue[b].GPUs {
 				return queue[a].GPUs < queue[b].GPUs

@@ -27,7 +27,7 @@ func TestProfilerRetune(t *testing.T) {
 	}
 
 	// Time-aware scaling off → static settings regardless of load.
-	p.cfg.DisableTimeAware = true
+	p.timeAware = false
 	p.Retune(LoadHigh)
 	if p.CurrentTprof() != 200 || p.capacityFrac != 0.75 {
 		t.Fatal("static profiler must ignore load level")

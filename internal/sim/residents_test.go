@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dtrace"
 	"repro/internal/job"
 )
 
@@ -351,4 +352,40 @@ func TestStartElasticRefusesWhatTheOtherStartsRefuse(t *testing.T) {
 		t.Errorf("failed job touched: state %v, main allocation %v", failed.State, s.main.Allocated(2))
 	}
 	s.checkInvariants()
+}
+
+// TestStartSharedRefusesAnElasticPartnerBelowDemand: StartShared compared the
+// two jobs' demands, not the partner's allocation, so a job packed onto an
+// elastic partner running on 2 of its 4 GPUs and then ran on those 2 itself
+// ("job 2 holds 2 GPUs, expected 4"). A refused call changes no state; at
+// full size the partner takes company as before.
+func TestStartSharedRefusesAnElasticPartnerBelowDemand(t *testing.T) {
+	rec := dtrace.New()
+	s := New(mkTrace(mkJob(1, 4, 0, 5000), mkJob(2, 4, 0, 5000)), &handSched{},
+		Options{Tick: 10, SchedulerEvery: 10, DecisionTrace: rec, Invariants: NewInvariantChecker(true)})
+	s.StepOnce()
+	env := &Env{s: s}
+	partner, j := s.byID(1), s.byID(2)
+	for _, x := range []*job.Job{partner, j} {
+		x.Profiled, x.Profile = true, x.Config.Profile()
+	}
+	if !env.StartElastic(partner, 2) {
+		t.Fatal("setup: elastic placement failed")
+	}
+	if env.StartShared(j, partner) {
+		t.Fatalf("packed onto a partner holding %d of its %d GPUs", env.ElasticAlloc(partner), partner.GPUs)
+	}
+	if j.State != job.Pending || s.main.Allocated(2) || s.running.has(2) || s.main.PartnerOf(1) >= 0 {
+		t.Fatalf("refused pack changed state: job 2 %v, allocated %v", j.State, s.main.Allocated(2))
+	}
+	evs := rec.Events()
+	if last := evs[len(evs)-1]; last.Action != dtrace.ActPackReject || last.Reason != "partner-below-demand" {
+		t.Fatalf("last trace event %v %q, want a pack-reject naming partner-below-demand", last.Action, last.Reason)
+	}
+	s.StepOnce() // fatal invariants: every running job holds its demand
+
+	if !env.ResizeElastic(partner, 4) || !env.StartShared(j, partner) {
+		t.Fatal("a partner at full size refused the pack")
+	}
+	s.StepOnce()
 }

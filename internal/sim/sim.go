@@ -14,7 +14,8 @@
 // (4) invokes the scheduler, and (5) recomputes execution speeds from the
 // resulting placement. Schedulers drive placement exclusively through Env,
 // which also exposes the decoupled profiling cluster Lucid's Non-intrusive
-// Job Profiler manages (§3.2).
+// Job Profiler manages (§3.2). Each Env mutator either succeeds and keeps
+// every invariant, or returns false and changes no state but the trace.
 //
 // Non-intrusiveness is a simulation rule, not just a slogan: a job moved off
 // the profiling cluster restarts from zero progress (no checkpoints exist
@@ -674,9 +675,9 @@ func (s *Sim) genFactor(gpus []cluster.GPUID) float64 {
 	return min
 }
 
-// StartShared packs the job onto partner's GPUs. The caller is responsible
-// for policy (GSS budgets, equal demand, …); the cluster enforces only the
-// two-job cap and the memory guard.
+// StartShared packs the job onto partner's GPUs, so it refuses a partner of
+// another demand or an elastic one running below its own. Policy (GSS
+// budgets, …) is the caller's; the cluster enforces the cap and memory guard.
 func (e *Env) StartShared(j, partner *job.Job) bool {
 	if reason, bad := unplaceable(j); bad {
 		e.s.trace(dtrace.ActPackReject, j, reason, partner.ID)
@@ -688,6 +689,10 @@ func (e *Env) StartShared(j, partner *job.Job) bool {
 	}
 	if j.GPUs != partner.GPUs {
 		e.s.trace(dtrace.ActPackReject, j, "demand-mismatch", partner.ID)
+		return false
+	}
+	if a := e.ElasticAlloc(partner); a != 0 && a != partner.GPUs {
+		e.s.trace(dtrace.ActPackReject, j, "partner-below-demand", partner.ID)
 		return false
 	}
 	mem := 0.0
