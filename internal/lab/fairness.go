@@ -9,9 +9,10 @@ import (
 
 // FairnessStudy evaluates the §6 fairness extension: Lucid with priority
 // aging versus stock Lucid, reporting Jain's index over per-user slowdowns,
-// the worst user's slowdown, and the tail queueing delay. The expected
-// trade: aging trims the tail and lifts fairness for a small average-JCT
-// cost.
+// the worst user's slowdown, and the tail queueing delay. Over five Venus
+// trace seeds aging 0.5 trims the p99.9 queue on 3 and lengthens it on none,
+// while Jain's index rises on 2 and falls on 2 (EXPERIMENTS.md): a
+// tail-latency knob, not a fairness one.
 func FairnessStudy(scale float64) (string, error) {
 	w, err := GetWorld(trace.Venus(), scale)
 	if err != nil {
