@@ -343,7 +343,9 @@ func TestLoadIsFeasible(t *testing.T) {
 // evaluation worlds at 0.95 offered load (three months each at a fifth of
 // their Table 2 size) plus one 200,000-job Helios month. The digest was
 // generated while Zipf and weighted draws still summed their weights per
-// draw, so it proves the prebuilt sampling tables draw the same jobs.
+// draw, so it proves the prebuilt sampling tables draw the same jobs. The
+// cluster is hashed by its fields, so a Spec field no trace sets does not
+// move the digest.
 func TestEmitBytesPinned(t *testing.T) {
 	// A new field must join appendJob before these counts move.
 	for _, c := range []struct {
@@ -365,14 +367,15 @@ func TestEmitBytesPinned(t *testing.T) {
 		}
 	}
 	hashTrace(h, NewGenerator(Helios()).Emit(200_000))
-	const want = 0xa781c705d324325d
+	const want = 0xceeeace13df03669
 	if got := h.Sum64(); got != want {
 		t.Fatalf("emitted traces hash to %#016x, want %#016x", got, uint64(want))
 	}
 }
 
 func hashTrace(h hash.Hash64, tr *Trace) {
-	fmt.Fprintf(h, "%s %d %+v\n", tr.Name, tr.Days, tr.Cluster)
+	c := tr.Cluster
+	fmt.Fprintf(h, "%s %d %d %v %+v\n", tr.Name, tr.Days, c.GPUsPerNode, c.GPUMemMB, c.VCs)
 	var buf []byte
 	for _, j := range tr.Jobs {
 		buf = appendJob(buf[:0], j)
