@@ -101,7 +101,6 @@ func experiments() []experiment {
 		{"tuning", "guided system tuning (§4.6)", lab.GuidedTuningStudy},
 		{"monotonic", "monotonic constraint study (§4.6)", lab.MonotonicConstraintStudy},
 		{"fairness", "fairness extension: priority aging (§6)", lab.FairnessStudy},
-		{"hetero", "heterogeneous GPU generations extension (§6)", lab.HeterogeneityStudy},
 		{"figr", "goodput & JCT under failure-rate sweep (chaos extension)", lab.FigR},
 		{"warmstart", "warm-started what-if sweep via in-memory world forks", lab.WarmStartStudy},
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -312,7 +313,7 @@ func TestNoCapacityIsASentinel(t *testing.T) {
 		vc string
 		n  int
 	}{{"vcB", 1}, {"vcB", 9}, {"vcA", 17}, {"nowhere", 1}} {
-		if _, err := c.AllocatePrefer(2, tc.vc, tc.n, 0, PreferFast); !errors.Is(err, ErrNoCapacity) {
+		if _, err := c.Allocate(2, tc.vc, tc.n, 0); !errors.Is(err, ErrNoCapacity) {
 			t.Errorf("%d GPUs in %q: err = %v, want ErrNoCapacity", tc.n, tc.vc, err)
 		}
 	}
@@ -331,7 +332,7 @@ func TestNoCapacityIsASentinel(t *testing.T) {
 	}
 }
 
-// TestDuplicateIDCheckedAfterCapacity: AllocatePrefer asks for room before
+// TestDuplicateIDCheckedAfterCapacity: Allocate asks for room before
 // it looks the job's ID up. A job that already holds GPUs is refused with
 // its own message wherever room exists — a VC with idle GPUs, another VC, a
 // distributed request — and gets ErrNoCapacity where none does; either way
@@ -350,7 +351,7 @@ func TestDuplicateIDCheckedAfterCapacity(t *testing.T) {
 		n     int
 		noCap bool
 	}{{"vcA", 1, false}, {"vcA", 6, false}, {"vcB", 1, true}, {"vcA", 14, false}, {"vcA", 15, true}} {
-		_, err := c.AllocatePrefer(1, tc.vc, tc.n, 0, PreferAny)
+		_, err := c.Allocate(1, tc.vc, tc.n, 0)
 		switch {
 		case err == nil:
 			t.Errorf("job 1 allocated twice (%d GPUs in %s)", tc.n, tc.vc)
@@ -366,12 +367,15 @@ func TestDuplicateIDCheckedAfterCapacity(t *testing.T) {
 // TestFreeCountShortcutAgreesWithScan: planExclusive answers "no" from the
 // per-VC idle count without looking at a node. On randomized occupancy —
 // exclusive, distributed and packed jobs, frees, nodes going down and coming
-// back — it must return exactly what the node scan returns, for every VC,
-// size and preference, and the shortcut must actually be taken.
+// back — it must return exactly what the node scan returns, for every VC and
+// size, and the shortcut must actually be taken. The scan itself is held to
+// oracleScan, which sorts the whole free nodes by id where scanExclusive
+// trusts the node list's order; vcA is named twice, so its nodes are two
+// id ranges apart.
 func TestFreeCountShortcutAgreesWithScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	spec := Spec{GPUsPerNode: 8, FastNodesFrac: 0.5, FastSpeed: 1.5,
-		VCs: []VCSpec{{"vcA", 5}, {"vcB", 3}, {"vcC", 1}}}
+	spec := Spec{GPUsPerNode: 8,
+		VCs: []VCSpec{{"vcA", 5}, {"vcB", 3}, {"vcC", 1}, {"vcA", 2}}}
 	vcs := []string{"vcA", "vcB", "vcC", "", "nowhere"}
 	sizes := []int{1, 2, 3, 4, 7, 8, 9, 12, 16, 17, 24, 40, 41}
 	shortcuts := 0
@@ -403,12 +407,14 @@ func TestFreeCountShortcutAgreesWithScan(t *testing.T) {
 			}
 			for _, vc := range vcs {
 				for _, n := range sizes {
-					for _, pref := range []Preference{PreferAny, PreferFast, PreferSlow} {
-						got, want := c.planExclusive(vc, n, pref), c.scanExclusive(vc, n, pref)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("round %d step %d: plan(%q, %d, %v) = %v, the scan says %v",
-								round, step, vc, n, pref, got, want)
-						}
+					got, scan, want := c.planExclusive(vc, n), c.scanExclusive(vc, n), c.oracleScan(vc, n)
+					if !reflect.DeepEqual(scan, want) {
+						t.Fatalf("round %d step %d: scan(%q, %d) = %v, the oracle says %v",
+							round, step, vc, n, scan, want)
+					}
+					if !reflect.DeepEqual(got, scan) {
+						t.Fatalf("round %d step %d: plan(%q, %d) = %v, the scan says %v",
+							round, step, vc, n, got, scan)
 					}
 					if vc != "" && c.FreeGPUs(vc) < n {
 						shortcuts++
@@ -420,6 +426,68 @@ func TestFreeCountShortcutAgreesWithScan(t *testing.T) {
 	if shortcuts == 0 {
 		t.Fatal("the shortcut was never taken")
 	}
+}
+
+// oracleScan is scanExclusive as it was while placement took a GPU-generation
+// preference, copied at "any generation" (pure best-fit) with its comparison
+// inlined: the whole free nodes are sorted by id before the lowest are taken.
+func (c *Cluster) oracleScan(vc string, n int) []GPUID {
+	nodes := c.nodesOf(vc)
+	per := c.spec.GPUsPerNode
+
+	if n <= per {
+		var best *node
+		bestFree := per + 1
+		for _, nd := range nodes {
+			f := nd.freeCount()
+			if f >= n && (best == nil || f < bestFree) {
+				best, bestFree = nd, f
+			}
+		}
+		if best == nil {
+			return nil
+		}
+		return takeFree(best, n)
+	}
+
+	whole := n / per
+	rem := n % per
+	var fullFree []*node
+	for _, nd := range nodes {
+		if nd.freeCount() == per {
+			fullFree = append(fullFree, nd)
+		}
+	}
+	if len(fullFree) < whole {
+		return nil
+	}
+	sort.Slice(fullFree, func(i, j int) bool {
+		return fullFree[i].id < fullFree[j].id
+	})
+	plan := make([]GPUID, 0, n)
+	used := map[int]bool{}
+	for _, nd := range fullFree[:whole] {
+		plan = append(plan, takeFree(nd, per)...)
+		used[nd.id] = true
+	}
+	if rem > 0 {
+		var best *node
+		bestFree := per + 1
+		for _, nd := range nodes {
+			if used[nd.id] {
+				continue
+			}
+			f := nd.freeCount()
+			if f >= rem && (best == nil || f < bestFree) {
+				best, bestFree = nd, f
+			}
+		}
+		if best == nil {
+			return nil
+		}
+		plan = append(plan, takeFree(best, rem)...)
+	}
+	return plan
 }
 
 // TestVCGenCountsChanges: every change a placement reads moves the generation

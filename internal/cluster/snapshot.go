@@ -17,7 +17,7 @@ type NodeState struct {
 }
 
 // SnapState is the complete mutable allocation state of a Cluster. The spec
-// (shape, VC layout, generation speeds) is construction-time configuration
+// (shape, VC layout, GPU memory) is construction-time configuration
 // and is deliberately not included: Restore applies a SnapState to a cluster
 // rebuilt from the same spec, and validates the shapes agree.
 type SnapState struct {

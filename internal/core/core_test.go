@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -508,8 +507,8 @@ func (l *Lucid) orderQueue(pending []*job.Job, now int64) []keyedJob {
 // and on a prefix of it.
 //
 // The orderer NewDeferred chooses is held to the branches it replaced, job by
-// job: its key, score, trace reason, placement preference and remaining-time
-// hook (nil-ness and value), with heterogeneity steering off and on.
+// job: its key, score, trace reason and remaining-time hook (nil-ness and
+// value).
 //
 // The kept queue orders by key, aging's static form, and is held to the same
 // oracle: exactly wherever aging is off, and with aging on — at fractional
@@ -521,17 +520,11 @@ func TestOrderQueueMatchesOracle(t *testing.T) {
 		"aging":            {FairnessAgingSec: 0.5},
 		"no-estimator":     {DisableEstimator: true},
 		"aging-fractional": {FairnessAgingSec: 1.0 / 3},
-		"hetero":           {HeterogeneityAware: true},
-		"hetero-aging":     {HeterogeneityAware: true, FairnessAgingSec: 0.5},
-		"hetero-no-est":    {HeterogeneityAware: true, DisableEstimator: true},
 	}
 	for name, cfg := range cfgs {
 		ests := []float64{60, 120, 240, 3600}
 		if name == "aging-fractional" {
 			ests = []float64{60.1, 120.2, 240.4, 3600.3, 100.0 / 3}
-		}
-		if cfg.HeterogeneityAware {
-			ests = append(ests, fastJobSec, 3*3600)
 		}
 		gpus := []int{1, 2, 4, 8}
 		split := 0
@@ -607,9 +600,9 @@ func checkKeyOrder(t *testing.T, l *Lucid, want []*job.Job, now int64) int {
 }
 
 // checkOrderer holds l.order to the ablation branches it replaced, on every
-// job in jobs: the key and score bit for bit, the trace reason, the placement
-// preference, and the remaining-time hook, nil exactly when the estimator is
-// ablated and otherwise the estimate less the runtime, floored at 0.
+// job in jobs: the key and score bit for bit, the trace reason, and the
+// remaining-time hook, nil exactly when the estimator is ablated and otherwise
+// the estimate less the runtime, floored at 0.
 func checkOrderer(t *testing.T, l *Lucid, jobs []*job.Job, now int64) {
 	t.Helper()
 	reason := "min-gpu-demand-x-estimate"
@@ -633,13 +626,6 @@ func checkOrderer(t *testing.T, l *Lucid, jobs []*job.Job, now int64) {
 			t.Fatalf("job %d: score %v, oracle %v", j.ID, got, want)
 		}
 		est := l.models.Estimator.EstimateSec(j)
-		pref := cluster.PreferAny
-		if l.cfg.HeterogeneityAware && !l.cfg.DisableEstimator && est >= fastJobSec {
-			pref = cluster.PreferFast
-		}
-		if got := l.order.pref(j); got != pref {
-			t.Fatalf("job %d (estimate %v): preference %v, oracle %v", j.ID, est, got, pref)
-		}
 		if l.order.remaining != nil {
 			if got, want := l.order.remaining(j), math.Max(est-j.RunTime, 0); got != want {
 				t.Fatalf("job %d: remaining %v, oracle %v", j.ID, got, want)

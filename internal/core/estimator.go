@@ -18,8 +18,7 @@ type WorkloadEstimator struct {
 	model *gam.Model
 	// cache keeps each job's estimate from its first use until the job is
 	// profiled (Invalidate) or the model refit (Update): a queued job's key
-	// and placement preference, and a running partner's remaining time,
-	// all read it.
+	// and a running partner's remaining time both read it.
 	cache map[int]float64
 
 	// monotonicGPUNum applies the §3.6.1 System Tuner constraint: the

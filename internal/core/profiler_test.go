@@ -113,35 +113,6 @@ func TestOversizedJobsSkipProfiling(t *testing.T) {
 	}
 }
 
-func TestLucidHeterogeneityAwarePlacesLongJobsFast(t *testing.T) {
-	// Two long 8-GPU jobs and heterogeneous nodes: with awareness on, the
-	// long jobs land on fast nodes and finish sooner.
-	s := miniVenus()
-	g := trace.NewGenerator(s)
-	hist := g.Emit(2500)
-	eval := g.Emit(2500)
-	eval.Cluster.FastNodesFrac = 0.3
-	eval.Cluster.FastSpeed = 1.6
-
-	run := func(aware bool) float64 {
-		cfg := DefaultConfig()
-		cfg.HeterogeneityAware = aware
-		models, err := TrainModels(hist, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := sim.New(eval, New(models, cfg), sim.Options{
-			Tick: 60, SchedulerEvery: 60, ProfilerNodes: 2}).Run()
-		return res.AvgJCTSec
-	}
-	blind := run(false)
-	aware := run(true)
-	// Generation awareness must not hurt; it usually helps.
-	if aware > blind*1.1 {
-		t.Fatalf("generation-aware JCT %.0f worse than blind %.0f", aware, blind)
-	}
-}
-
 func TestFairnessAgingImprovesTail(t *testing.T) {
 	g := trace.NewGenerator(miniVenus())
 	hist := g.Emit(3000)

@@ -19,15 +19,13 @@ import (
 // Random worlds, in a burst so queues stay long, × every input of a failed
 // attempt the stamp must answer for: the Binder's pack mode (dynamic, and
 // flapping), its rules (naive packing, sharing off), the estimates (ablated,
-// a refit every day re-keying the queue, aging), the placement preference
-// (a heterogeneous cluster), the profiler (none, so every job is queued on
-// arrival), and faults that crash and repair nodes and kill jobs, once more
+// a refit every day re-keying the queue, aging), the profiler (none, so
+// every job is queued on arrival), and faults that crash and repair nodes and kill jobs, once more
 // resumed on fresh instances mid-run.
 func TestSkippedRetriesChangeNothing(t *testing.T) {
 	cases := []struct {
 		name   string
 		cfg    func(*Config)
-		hetero bool
 		noProf bool
 		flap   bool // the pack mode flips every ten minutes
 		chaos  bool
@@ -40,7 +38,6 @@ func TestSkippedRetriesChangeNothing(t *testing.T) {
 		{name: "no-estimator", cfg: func(c *Config) { c.DisableEstimator = true }},
 		{name: "refit", cfg: func(c *Config) { c.UpdateIntervalSec = 86400 }},
 		{name: "aging", cfg: func(c *Config) { c.FairnessAgingSec = 1 }},
-		{name: "hetero", cfg: func(c *Config) { c.HeterogeneityAware = true }, hetero: true},
 		{name: "no-profiler", noProf: true},
 		{name: "chaos", chaos: true},
 		{name: "chaos-resumed", chaos: true, resume: true},
@@ -56,11 +53,6 @@ func TestSkippedRetriesChangeNothing(t *testing.T) {
 		}
 		for _, tc := range cases {
 			world := &burst
-			if tc.hetero {
-				w := burst
-				w.Cluster.FastNodesFrac, w.Cluster.FastSpeed = 0.3, 2
-				world = &w
-			}
 			cfg := DefaultConfig()
 			cfg.UpdateIntervalSec = 0
 			if tc.cfg != nil {

@@ -11,10 +11,9 @@
 //     pack, preempt, profile transitions, retirement;
 //   - the policy (internal/core) annotates why: the estimator ordering that
 //     put a job at the head of the queue, the Indolent-packing rule that
-//     rejected a partner, the profiler's admit/evict rationale, and the
-//     heterogeneity steering preference — including a per-decision
-//     counterfactual: the top-K unchosen alternatives with their scores and
-//     a regret value.
+//     rejected a partner, and the profiler's admit/evict rationale —
+//     including a per-decision counterfactual: the top-K unchosen
+//     alternatives with their scores and a regret value.
 //
 // The recorder is deterministic by construction: events are serialized to
 // canonical JSON in record order and folded into a running FNV-1a digest,

@@ -40,16 +40,6 @@ func TestFairnessStudy(t *testing.T) {
 	}
 }
 
-func TestHeterogeneityStudy(t *testing.T) {
-	rep, err := HeterogeneityStudy(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep, "generation-aware") {
-		t.Fatal("report malformed")
-	}
-}
-
 func TestGuidedTuningStudy(t *testing.T) {
 	rep, err := GuidedTuningStudy(0.02)
 	if err != nil {

@@ -76,7 +76,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestRunManySerialParallelIdentical drives World.RunMany, the pool path
-// the fairness, micro and hetero experiments run through, over the full
+// the fairness and micro experiments run through, over the full
 // six-scheduler Schedulers() set (Horus and GBDT-backed QSSF included),
 // serially and in parallel over one world, and demands identical metrics.
 func TestRunManySerialParallelIdentical(t *testing.T) {

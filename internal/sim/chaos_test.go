@@ -297,6 +297,80 @@ func TestChaosStragglerSlowsJob(t *testing.T) {
 	}
 }
 
+// stragglerTrace is a two-node VC whose node 1 straggles at 0.5× under
+// stragglerSpec (seed 0 picks it).
+func stragglerTrace(jobs ...*job.Job) *trace.Trace {
+	return &trace.Trace{
+		Name: "stragglers",
+		Cluster: cluster.Spec{GPUsPerNode: 8, GPUMemMB: workload.GPUMemMBCap,
+			VCs: []cluster.VCSpec{{Name: "vc", Nodes: 2}}},
+		Jobs: jobs,
+		Days: 1,
+	}
+}
+
+var stragglerSpec = chaos.Spec{StragglerFrac: 0.5, StragglerSlowdown: 0.5}
+
+// TestDistributedJobPacedBySlowestNode: a 16-GPU job spans both nodes, one
+// healthy and one straggling at 0.5×, and goes at the straggler's pace.
+func TestDistributedJobPacedBySlowestNode(t *testing.T) {
+	spec := stragglerSpec
+	s := New(stragglerTrace(mkJob(1, 16, 0, 1000)), fifoLike{},
+		Options{Tick: 10, Chaos: &spec, Invariants: NewInvariantChecker(true)})
+	if s.faults.SpeedFactor(0) != 1 || s.faults.SpeedFactor(1) != 0.5 {
+		t.Fatal("setup: node 1 must be the only straggler")
+	}
+	res := s.Run()
+	if jct := res.Jobs[0].JCT(); jct < 1990 || jct > 2100 {
+		t.Fatalf("job across a healthy and a straggling node: JCT = %d, want ≈2000 (0.5× speed)", jct)
+	}
+}
+
+// TestResizeElasticTakesTheNewNodesGeneration: a resize frees the job and
+// allocates it again, possibly on other nodes. The job must then run at the
+// pace of the nodes it is on — it used to keep the straggler factor of the
+// ones it left, here running 2× too fast on a straggling node.
+func TestResizeElasticTakesTheNewNodesGeneration(t *testing.T) {
+	spec := stragglerSpec
+	s := New(stragglerTrace(mkJob(1, 8, 0, 50000), mkJob(2, 1, 0, 50000)), &handSched{},
+		Options{Tick: 10, SchedulerEvery: 10, Chaos: &spec, Invariants: NewInvariantChecker(true)})
+	if s.faults.SpeedFactor(0) != 1 || s.faults.SpeedFactor(1) != 0.5 {
+		t.Fatal("setup: node 1 must be the only straggler")
+	}
+	s.StepOnce()
+	env := &Env{s: s}
+	j := s.byID(1)
+	// Both nodes idle: best-fit ties go to the first, the healthy one. Job 2
+	// then takes a GPU beside it, so the full 8 only fit on the straggler.
+	if !env.StartElastic(j, 4) || !env.StartExclusive(s.byID(2)) {
+		t.Fatal("setup: placement failed")
+	}
+	if n := s.main.GPUsOf(1)[0].Node; n != 0 {
+		t.Fatalf("setup: job 1 on node %d, want the healthy node 0", n)
+	}
+	s.StepOnce()
+	before := j.RemainingWork
+	s.StepOnce()
+	if got := before - j.RemainingWork; got != 5 { // half the demand × 1.0 × 10 s
+		t.Fatalf("on the healthy node at half size: %v s of work a tick, want 5", got)
+	}
+
+	if !env.ResizeElastic(j, 8) {
+		t.Fatal("resize failed")
+	}
+	if n := s.main.GPUsOf(1)[0].Node; n != 1 {
+		t.Fatalf("job 1 on node %d after the resize, want the straggler node 1", n)
+	}
+	for i := 0; i < 3; i++ { // the resize's 30 s restart
+		s.StepOnce()
+	}
+	before = j.RemainingWork
+	s.StepOnce() // fatal invariants compare the speed with one computed from scratch
+	if got := before - j.RemainingWork; got != 5 {
+		t.Fatalf("on the straggler at full size: %v s of work a tick, want 5 (10 is the old node's factor)", got)
+	}
+}
+
 // TestChaosOffMatchesNilInjector: a spec that disables every fault must
 // leave the decision trace byte-identical to running with no spec at all —
 // the "chaos disabled costs only a nil check" claim, verified at the

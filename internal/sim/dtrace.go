@@ -49,7 +49,7 @@ func (s *Sim) trace(act dtrace.Action, j *job.Job, reason string, partner int) {
 
 // Trace returns the decision-trace recorder (nil when tracing is off).
 // Schedulers use it to record policy-level events (ordering, pack
-// rejections, steering) and to gate building alternative lists on
+// rejections) and to gate building alternative lists on
 // Trace().Enabled().
 func (e *Env) Trace() *dtrace.Recorder { return e.s.opts.DecisionTrace }
 

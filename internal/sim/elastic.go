@@ -70,10 +70,10 @@ func (e *Env) ResizeElastic(j *job.Job, gpus int) bool {
 		}
 	}
 	// The job sits on the nodes the allocator picked this time: its
-	// generation factor is theirs, not that of the nodes it left, and its
+	// straggler factor is theirs, not that of the nodes it left, and its
 	// speed follows.
 	p := s.running.rec(j.ID)
-	p.gen, p.elastic = s.genFactor(placed), gpus
+	p.gen, p.elastic = s.stragglerFactor(placed), gpus
 	s.running.markStale(j.ID)
 	if resized {
 		j.ColdStart += ElasticResizeOverheadSec

@@ -108,7 +108,7 @@ func (s *Sim) checkInvariants() {
 			}
 			// A stale record is waiting for the end of the tick; any other
 			// must already hold what a full recomputation would give it.
-			if sp := s.speedOf(j, s.genFactor(s.main.GPUsOf(id)), p.elastic); !p.stale && p.speed != sp {
+			if sp := s.speedOf(j, s.stragglerFactor(s.main.GPUsOf(id)), p.elastic); !p.stale && p.speed != sp {
 				c.violate("tick %d: job %d recorded at speed %v, its placement gives %v",
 					s.now, id, p.speed, sp)
 			}

@@ -12,14 +12,14 @@ import (
 // remember to forget it, and every per-resident loop reads it by position.
 type placement struct {
 	// speed is the job's execution speed under its current colocation,
-	// generation factor included. A pure function of the placement, so it is
+	// straggler factor included. A pure function of the placement, so it is
 	// recomputed only when stale is set (see Sim.recomputeSpeeds).
 	speed float64
 	stale bool
-	// gen is the GPU-generation speed factor: the minimum across the job's
-	// nodes (a distributed job goes at its slowest worker's pace), times any
-	// chaos straggler factor. 1.0 on homogeneous clusters. 0 — a snapshot
-	// that did not carry it — reads as 1.
+	// gen is the straggler factor (Sim.stragglerFactor): the minimum chaos
+	// slowdown across the job's nodes, since a distributed job goes at its
+	// slowest worker's pace, and 1.0 without stragglers. Snapshots carry it
+	// as GenSpeed; 0 — a snapshot that did not carry it — reads as 1.
 	gen float64
 	// elastic is the job's current GPU allocation when it was placed through
 	// StartElastic (Pollux baseline; see elastic.go), 0 otherwise.

@@ -469,7 +469,7 @@ func (s *Sim) recomputeSpeeds() {
 }
 
 // speedOf computes a running job's execution speed from its colocation, its
-// generation factor and its elastic allocation (0 = not elastic).
+// straggler factor and its elastic allocation (0 = not elastic).
 func (s *Sim) speedOf(j *job.Job, gen float64, elastic int) float64 {
 	if gen <= 0 {
 		gen = 1
@@ -600,12 +600,6 @@ func (e *Env) ProfilerCluster() *cluster.Cluster { return e.s.profiler }
 // StartExclusive places the job consolidated-and-exclusive on the main
 // cluster. Returns false if capacity is lacking.
 func (e *Env) StartExclusive(j *job.Job) bool {
-	return e.StartExclusivePrefer(j, cluster.PreferAny)
-}
-
-// StartExclusivePrefer is StartExclusive with a GPU-generation preference —
-// the §6 heterogeneity-aware placement extension.
-func (e *Env) StartExclusivePrefer(j *job.Job, pref cluster.Preference) bool {
 	if reason, bad := unplaceable(j); bad {
 		e.s.trace(dtrace.ActPlaceFail, j, reason, 0)
 		return false
@@ -614,13 +608,13 @@ func (e *Env) StartExclusivePrefer(j *job.Job, pref cluster.Preference) bool {
 	if j.Profiled {
 		mem = j.Profile.GPUMemMB
 	}
-	gpus, err := e.s.main.AllocatePrefer(j.ID, j.VC, j.GPUs, mem, pref)
+	gpus, err := e.s.main.Allocate(j.ID, j.VC, j.GPUs, mem)
 	if err != nil {
 		e.s.trace(dtrace.ActPlaceFail, j, "no-capacity", 0)
 		return false
 	}
 	e.s.startRunning(j, gpus, 0)
-	e.s.trace(dtrace.ActPlace, j, placeReason(pref), 0)
+	e.s.trace(dtrace.ActPlace, j, "exclusive", 0)
 	return true
 }
 
@@ -642,37 +636,17 @@ func unplaceable(j *job.Job) (string, bool) {
 	return "", false
 }
 
-// placeReason labels an exclusive placement with its generation
-// preference.
-func placeReason(pref cluster.Preference) string {
-	switch pref {
-	case cluster.PreferFast:
-		return "exclusive-prefer-fast"
-	case cluster.PreferSlow:
-		return "exclusive-prefer-slow"
-	default:
-		return "exclusive"
-	}
-}
-
-// genFactor is the slowest generation factor across a placement.
-func (s *Sim) genFactor(gpus []cluster.GPUID) float64 {
-	min := 0.0
-	for _, g := range gpus {
-		sp := s.main.SpeedOf(g)
-		if inj := s.faults; inj != nil {
-			// Straggler nodes run degraded; like the generation factor, the
-			// whole job goes at its slowest worker's pace.
-			sp *= inj.SpeedFactor(g.Node)
-		}
-		if min == 0 || sp < min {
-			min = sp
+// stragglerFactor is a placement's speed factor: the slowest of its nodes'
+// chaos.Injector.SpeedFactor, since the whole job goes at its slowest
+// worker's pace, and 1 without an injector.
+func (s *Sim) stragglerFactor(gpus []cluster.GPUID) float64 {
+	f := 1.0
+	if inj := s.faults; inj != nil {
+		for _, g := range gpus {
+			f = min(f, inj.SpeedFactor(g.Node))
 		}
 	}
-	if min <= 0 {
-		min = 1
-	}
-	return min
+	return f
 }
 
 // StartShared packs the job onto partner's GPUs, so it refuses a partner of
@@ -721,7 +695,7 @@ func (s *Sim) startRunning(j *job.Job, gpus []cluster.GPUID, elastic int) {
 	if j.FirstStart < 0 {
 		j.FirstStart = s.now
 	}
-	s.running.insert(j, placement{speed: 1, stale: true, gen: s.genFactor(gpus), elastic: elastic})
+	s.running.insert(j, placement{speed: 1, stale: true, gen: s.stragglerFactor(gpus), elastic: elastic})
 	if s.peers != nil {
 		s.peers.of(s.vcPos[j.VC], j.GPUs).add(j)
 	}

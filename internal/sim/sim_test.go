@@ -570,9 +570,9 @@ func TestPlacementGuardsRejectIneligibleStates(t *testing.T) {
 		place  bool
 		reason string
 	}{
-		{"exclusive-failed", env.StartExclusivePrefer(jFail, cluster.PreferAny), "terminal-state"},
+		{"exclusive-failed", env.StartExclusive(jFail), "terminal-state"},
 		{"shared-failed", env.StartShared(jFail, partner), "terminal-state"},
-		{"exclusive-profiling", env.StartExclusivePrefer(jProf, cluster.PreferAny), "still-profiling"},
+		{"exclusive-profiling", env.StartExclusive(jProf), "still-profiling"},
 		{"shared-profiling", env.StartShared(jProf, partner), "still-profiling"},
 	} {
 		if tc.place {

@@ -250,7 +250,7 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 		j := s.jobs[i]
 		j.Runtime = js.Runtime
 		// Every running record starts stale: speeds are a pure function of
-		// placement + colocation + generation factors, rebuilt below once the
+		// placement + colocation + straggler factors, rebuilt below once the
 		// clusters are restored.
 		switch js.State {
 		case job.Running:
