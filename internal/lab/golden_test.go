@@ -124,6 +124,16 @@ func goldenSchedulers(models *core.Models, est *GBDTEstimator) []struct {
 		{"Lucid-refit", func() (sim.Scheduler, sim.Options) {
 			return core.New(models.Clone(), refitConfig()), LucidOpts(spec)
 		}},
+		// Tiresias under FIFO-chaos's faults: node failures and repairs move
+		// the VC free index, backoff hides a VC's only waiting jobs so that
+		// Env.Queues skips the VC, and the round preempts. This digest is
+		// what notices a running job grouped under the wrong VC or a VC's
+		// capacity read wrong.
+		{"Tiresias-chaos", func() (sim.Scheduler, sim.Options) {
+			opts := SimOpts()
+			opts.Chaos = goldenChaos()
+			return sched.NewTiresias(), opts
+		}},
 	}
 	// Lucid under each Figure 11 / §4.5 ablation switch: these digests are
 	// what notice a switch that no longer reaches the component it turns off.
