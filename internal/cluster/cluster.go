@@ -57,8 +57,7 @@ type gpu struct {
 // node is one server.
 type node struct {
 	id   int
-	vc   string
-	vci  int  // vc's index in Cluster.gen
+	vci  int  // its VC's index in Cluster.vcNodes, vcFree and gen
 	down bool // crashed: capacity revoked until repaired
 	gpus []gpu
 	// free is the count of completely idle GPUs, maintained incrementally
@@ -82,16 +81,21 @@ func (n *node) freeCount() int {
 type Cluster struct {
 	spec    Spec
 	nodes   []*node
-	vcNodes map[string][]*node
 	jobGPUs map[int][]GPUID
 	jobMem  map[int]float64 // per-GPU memory reserved by the job
-	// vcFree counts idle GPUs on *up* nodes per VC, so FreeGPUs is O(1)
-	// instead of a node scan (elastic schedulers call it per pending job).
-	vcFree map[string]int
-	// vcIdx numbers the VCs by first appearance in the spec, and gen[i] is
-	// the VC's generation (VCGen).
-	vcIdx map[string]int
-	gen   []uint64
+	// vcIdx numbers the VCs by first appearance in the spec; the per-VC
+	// state is indexed by that number, so a call resolves a VC's name once.
+	// vcNodes[i] lists the VC's nodes in id order. vcFree[i] counts idle
+	// GPUs on its *up* nodes, so FreeGPUs is O(1) instead of a node scan
+	// (elastic schedulers call it per pending job). gen[i] is its
+	// generation (VCGen).
+	vcIdx   map[string]int
+	vcNodes [][]*node
+	vcFree  []int
+	gen     []uint64
+	// single and shared count the GPUs hosting one job and two (Occupancy),
+	// moved wherever a GPU's job list changes.
+	single, shared int
 
 	maxShare int
 }
@@ -107,10 +111,8 @@ func New(spec Spec) *Cluster {
 	}
 	c := &Cluster{
 		spec:     spec,
-		vcNodes:  make(map[string][]*node),
 		jobGPUs:  make(map[int][]GPUID),
 		jobMem:   make(map[int]float64),
-		vcFree:   make(map[string]int),
 		vcIdx:    make(map[string]int),
 		maxShare: 2,
 	}
@@ -120,14 +122,16 @@ func New(spec Spec) *Cluster {
 		if !ok {
 			vci = len(c.gen)
 			c.vcIdx[vc.Name] = vci
+			c.vcNodes = append(c.vcNodes, nil)
+			c.vcFree = append(c.vcFree, 0)
 			c.gen = append(c.gen, 1)
 		}
 		for k := 0; k < vc.Nodes; k++ {
-			n := &node{id: id, vc: vc.Name, vci: vci,
+			n := &node{id: id, vci: vci,
 				gpus: make([]gpu, spec.GPUsPerNode), free: spec.GPUsPerNode}
 			c.nodes = append(c.nodes, n)
-			c.vcNodes[vc.Name] = append(c.vcNodes[vc.Name], n)
-			c.vcFree[vc.Name] += spec.GPUsPerNode
+			c.vcNodes[vci] = append(c.vcNodes[vci], n)
+			c.vcFree[vci] += spec.GPUsPerNode
 			id++
 		}
 	}
@@ -145,12 +149,15 @@ func (c *Cluster) TotalGPUs() int { return len(c.nodes) * c.spec.GPUsPerNode }
 func (c *Cluster) FreeGPUs(vc string) int {
 	if vc == "" {
 		n := 0
-		for _, v := range c.spec.VCs {
-			n += c.vcFree[v.Name]
+		for _, f := range c.vcFree {
+			n += f
 		}
 		return n
 	}
-	return c.vcFree[vc]
+	if i, ok := c.vcIdx[vc]; ok {
+		return c.vcFree[i]
+	}
+	return 0
 }
 
 // VCIndex returns the VC's index for VCGen, or -1 for a VC the cluster does
@@ -175,13 +182,6 @@ func (c *Cluster) VCGen(i int) uint64 {
 	return c.gen[i]
 }
 
-func (c *Cluster) nodesOf(vc string) []*node {
-	if vc == "" {
-		return c.nodes
-	}
-	return c.vcNodes[vc]
-}
-
 // Allocate places a job exclusively and consolidated: single-node jobs land
 // on the best-fit node (fewest free GPUs that still fit, reducing
 // fragmentation per §3.2); multi-node jobs take whole nodes plus a best-fit
@@ -204,21 +204,25 @@ func (c *Cluster) Allocate(jobID int, vc string, n int, memPerGPU float64) ([]GP
 	return plan, nil
 }
 
-// planExclusive computes a consolidated placement or nil.
+// planExclusive computes a consolidated placement in the VC ("" = anywhere)
+// or nil.
 func (c *Cluster) planExclusive(vc string, n int) []GPUID {
+	if vc == "" {
+		return c.scanExclusive(c.nodes, n)
+	}
 	// A VC with fewer idle GPUs than the request cannot host it however they
 	// are spread; at high load that is the answer for most of the queue, so
 	// ask the O(1) index before scanning nodes. (The whole-cluster case would
 	// have to sum the index first and is not on a hot path.)
-	if vc != "" && c.vcFree[vc] < n {
+	i, ok := c.vcIdx[vc]
+	if !ok || c.vcFree[i] < n {
 		return nil
 	}
-	return c.scanExclusive(vc, n)
+	return c.scanExclusive(c.vcNodes[i], n)
 }
 
-// scanExclusive is planExclusive's search over the VC's nodes.
-func (c *Cluster) scanExclusive(vc string, n int) []GPUID {
-	nodes := c.nodesOf(vc)
+// scanExclusive is planExclusive's search over nodes, in id order.
+func (c *Cluster) scanExclusive(nodes []*node, n int) []GPUID {
 	per := c.spec.GPUsPerNode
 
 	if n <= per {
@@ -296,11 +300,13 @@ func (c *Cluster) commit(jobID int, plan []GPUID, memPerGPU float64) {
 		if len(st.jobs) == 0 {
 			nd.free--
 			if !nd.down {
-				c.vcFree[nd.vc]--
+				c.vcFree[nd.vci]--
 			}
 		}
 		c.gen[nd.vci]++
+		c.recount(len(st.jobs), -1)
 		st.jobs = append(st.jobs, jobID)
+		c.recount(len(st.jobs), 1)
 		st.memUsed += memPerGPU
 	}
 	c.jobGPUs[jobID] = plan
@@ -358,14 +364,16 @@ func (c *Cluster) Free(jobID int) {
 		}
 		for i, id := range st.jobs {
 			if id == jobID {
+				c.recount(len(st.jobs), -1)
 				st.jobs = append(st.jobs[:i], st.jobs[i+1:]...)
+				c.recount(len(st.jobs), 1)
 				break
 			}
 		}
 		if len(st.jobs) == 0 {
 			nd.free++
 			if !nd.down {
-				c.vcFree[nd.vc]++
+				c.vcFree[nd.vci]++
 			}
 		}
 	}
@@ -400,18 +408,16 @@ func (c *Cluster) PartnerOf(jobID int) int {
 
 // Occupancy returns how many GPUs host exactly one job and how many host
 // two.
-func (c *Cluster) Occupancy() (single, shared int) {
-	for _, nd := range c.nodes {
-		for i := range nd.gpus {
-			switch len(nd.gpus[i].jobs) {
-			case 1:
-				single++
-			case 2:
-				shared++
-			}
-		}
+func (c *Cluster) Occupancy() (single, shared int) { return c.single, c.shared }
+
+// recount moves the occupancy counters by d for a GPU hosting n jobs.
+func (c *Cluster) recount(n, d int) {
+	switch n {
+	case 1:
+		c.single += d
+	case 2:
+		c.shared += d
 	}
-	return single, shared
 }
 
 // Audit validates the cluster's physical invariants and internal
@@ -423,7 +429,8 @@ func (c *Cluster) Occupancy() (single, shared int) {
 func (c *Cluster) Audit() []string {
 	var out []string
 	held := map[int]int{} // job → GPUs referencing it in per-GPU lists
-	upFree := map[string]int{}
+	upFree := make([]int, len(c.vcFree))
+	var single, shared int
 	for _, nd := range c.nodes {
 		idle := 0
 		for i := range nd.gpus {
@@ -436,10 +443,16 @@ func (c *Cluster) Audit() []string {
 				"node %d free index %d disagrees with %d actually idle GPUs", nd.id, nd.free, idle))
 		}
 		if !nd.down {
-			upFree[nd.vc] += idle
+			upFree[nd.vci] += idle
 		}
 		for i := range nd.gpus {
 			st := &nd.gpus[i]
+			switch len(st.jobs) {
+			case 1:
+				single++
+			case 2:
+				shared++
+			}
 			if nd.down && len(st.jobs) > 0 {
 				out = append(out, fmt.Sprintf(
 					"gpu %d/%d hosts %d jobs on a down node", nd.id, i, len(st.jobs)))
@@ -492,11 +505,16 @@ func (c *Cluster) Audit() []string {
 		}
 	}
 	for _, vc := range c.spec.VCs {
-		if c.vcFree[vc.Name] != upFree[vc.Name] {
+		if i := c.vcIdx[vc.Name]; c.vcFree[i] != upFree[i] {
 			out = append(out, fmt.Sprintf(
 				"vc %q free index %d disagrees with %d actually idle up-node GPUs",
-				vc.Name, c.vcFree[vc.Name], upFree[vc.Name]))
+				vc.Name, c.vcFree[i], upFree[i]))
 		}
+	}
+	if c.single != single || c.shared != shared {
+		out = append(out, fmt.Sprintf(
+			"occupancy counters %d single, %d shared disagree with %d and %d actual GPUs",
+			c.single, c.shared, single, shared))
 	}
 	return out
 }
@@ -554,7 +572,7 @@ func (c *Cluster) FailNode(nodeID int) []int {
 	nd := c.nodes[nodeID]
 	if !nd.down {
 		nd.down = true
-		c.vcFree[nd.vc] -= nd.free
+		c.vcFree[nd.vci] -= nd.free
 		c.gen[nd.vci]++
 	}
 	return victims
@@ -569,30 +587,31 @@ func (c *Cluster) RepairNode(nodeID int) {
 	nd := c.nodes[nodeID]
 	if nd.down {
 		nd.down = false
-		c.vcFree[nd.vc] += nd.free
+		c.vcFree[nd.vci] += nd.free
 		c.gen[nd.vci]++
 	}
 }
 
-// rebuildFreeIndex recomputes the per-node and per-VC idle-GPU counters from
-// the ground-truth per-GPU job lists. The counters are maintained
-// incrementally on every allocation path; this full rebuild exists for bulk
-// state overwrites (snapshot Restore), where recomputing is simpler and
-// cheaper than replaying the deltas.
+// rebuildFreeIndex recomputes the per-node and per-VC idle-GPU counters and
+// the occupancy counters from the ground-truth per-GPU job lists. The
+// counters are maintained incrementally on every allocation path; this full
+// rebuild exists for bulk state overwrites (snapshot Restore), where
+// recomputing is simpler and cheaper than replaying the deltas.
 func (c *Cluster) rebuildFreeIndex() {
-	for vc := range c.vcFree {
-		c.vcFree[vc] = 0
-	}
+	clear(c.vcFree)
+	c.single, c.shared = 0, 0
 	for _, nd := range c.nodes {
 		idle := 0
 		for i := range nd.gpus {
-			if len(nd.gpus[i].jobs) == 0 {
+			n := len(nd.gpus[i].jobs)
+			if n == 0 {
 				idle++
 			}
+			c.recount(n, 1)
 		}
 		nd.free = idle
 		if !nd.down {
-			c.vcFree[nd.vc] += idle
+			c.vcFree[nd.vci] += idle
 		}
 	}
 }

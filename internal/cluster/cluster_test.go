@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -252,8 +253,8 @@ func TestAllocateFreeInvariant(t *testing.T) {
 func TestVCOf(t *testing.T) {
 	c := twoVC()
 	gpus, _ := c.Allocate(1, "vcB", 1, 0)
-	if got := c.nodes[gpus[0].Node].vc; got != "vcB" {
-		t.Fatalf("a vcB job landed on a node of %q", got)
+	if got := c.nodes[gpus[0].Node].vci; got != c.VCIndex("vcB") {
+		t.Fatalf("a vcB job landed on a node of VC %d", got)
 	}
 }
 
@@ -407,7 +408,7 @@ func TestFreeCountShortcutAgreesWithScan(t *testing.T) {
 			}
 			for _, vc := range vcs {
 				for _, n := range sizes {
-					got, scan, want := c.planExclusive(vc, n), c.scanExclusive(vc, n), c.oracleScan(vc, n)
+					got, scan, want := c.planExclusive(vc, n), c.scanExclusive(c.nodesOf(vc), n), c.oracleScan(vc, n)
 					if !reflect.DeepEqual(scan, want) {
 						t.Fatalf("round %d step %d: scan(%q, %d) = %v, the oracle says %v",
 							round, step, vc, n, scan, want)
@@ -426,6 +427,18 @@ func TestFreeCountShortcutAgreesWithScan(t *testing.T) {
 	if shortcuts == 0 {
 		t.Fatal("the shortcut was never taken")
 	}
+}
+
+// nodesOf is the node list a placement in vc searches: every node for "",
+// none for a VC the cluster does not have.
+func (c *Cluster) nodesOf(vc string) []*node {
+	if vc == "" {
+		return c.nodes
+	}
+	if i, ok := c.vcIdx[vc]; ok {
+		return c.vcNodes[i]
+	}
+	return nil
 }
 
 // oracleScan is scanExclusive as it was while placement took a GPU-generation
@@ -557,4 +570,142 @@ func TestVCGenCountsChanges(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// occupancyScan is Occupancy as it was before the counters: a scan of every
+// GPU's job list.
+func occupancyScan(c *Cluster) (single, shared int) {
+	for _, nd := range c.nodes {
+		for i := range nd.gpus {
+			switch len(nd.gpus[i].jobs) {
+			case 1:
+				single++
+			case 2:
+				shared++
+			}
+		}
+	}
+	return single, shared
+}
+
+// freeByName is the per-VC free index as it was before it moved into a
+// slice: idle GPUs on up nodes keyed by VC name, each node's VC read off the
+// spec's node ranges.
+func freeByName(c *Cluster) map[string]int {
+	var names []string
+	for _, vc := range c.spec.VCs {
+		for k := 0; k < vc.Nodes; k++ {
+			names = append(names, vc.Name)
+		}
+	}
+	free := map[string]int{}
+	for _, nd := range c.nodes {
+		for i := range nd.gpus {
+			if !nd.down && len(nd.gpus[i].jobs) == 0 {
+				free[names[nd.id]]++
+			}
+		}
+	}
+	return free
+}
+
+// TestCountersMatchTheScans: over random allocations, packs, frees, node
+// failures (their victims freed, as the engine frees them), repairs and
+// restores — into the same cluster and into a fresh one — the occupancy
+// counters equal occupancyScan, every VC's free count equals freeByName, and
+// Audit finds nothing. vcA is named twice, so its nodes are two id ranges
+// apart and one index.
+func TestCountersMatchTheScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	spec := Spec{GPUsPerNode: 4, VCs: []VCSpec{{"vcA", 3}, {"vcB", 2}, {"vcC", 1}, {"vcA", 1}}}
+	vcs := []string{"vcA", "vcB", "vcC", "", "nowhere"}
+	mems := []float64{0, 6000, 12000, 20000}
+	restores := 0
+	for round := 0; round < 30; round++ {
+		c := New(spec)
+		var live, savedLive []int
+		var saved *SnapState
+		drop := func(id int) {
+			c.Free(id)
+			if k := slices.Index(live, id); k >= 0 {
+				live = slices.Delete(live, k, k+1)
+			}
+		}
+		for step, next := 0, 1; step < 200; step++ {
+			switch op := rng.Intn(12); {
+			case op < 5:
+				if _, err := c.Allocate(next, vcs[rng.Intn(len(vcs))], 1+rng.Intn(9), mems[rng.Intn(len(mems))]); err == nil {
+					live = append(live, next)
+				}
+				next++
+			case op < 7 && len(live) > 0:
+				if _, err := c.AllocateShared(next, live[rng.Intn(len(live))], mems[rng.Intn(len(mems))]); err == nil {
+					live = append(live, next)
+				}
+				next++
+			case op < 9 && len(live) > 0:
+				drop(live[rng.Intn(len(live))])
+			case op < 10:
+				for _, id := range c.FailNode(rng.Intn(c.NumNodes())) {
+					drop(id)
+				}
+			case op < 11:
+				c.RepairNode(rng.Intn(c.NumNodes()))
+			case saved == nil:
+				st := c.SnapState()
+				saved, savedLive = &st, slices.Clone(live)
+			default:
+				if rng.Intn(2) == 0 {
+					c = New(spec)
+				}
+				if err := c.Restore(*saved); err != nil {
+					t.Fatal(err)
+				}
+				live, saved = slices.Clone(savedLive), nil
+				restores++
+			}
+			single, shared := c.Occupancy()
+			if ws, wsh := occupancyScan(c); single != ws || shared != wsh {
+				t.Fatalf("round %d step %d: occupancy %d/%d, the scan says %d/%d", round, step, single, shared, ws, wsh)
+			}
+			free, total := freeByName(c), 0
+			for _, n := range free {
+				total += n
+			}
+			free[""] = total
+			for _, vc := range vcs {
+				if got := c.FreeGPUs(vc); got != free[vc] {
+					t.Fatalf("round %d step %d: FreeGPUs(%q) = %d, the scan says %d", round, step, vc, got, free[vc])
+				}
+			}
+			if bad := c.Audit(); len(bad) > 0 {
+				t.Fatalf("round %d step %d: %v", round, step, bad)
+			}
+		}
+	}
+	if restores == 0 {
+		t.Fatal("no restore was drawn")
+	}
+}
+
+// TestAuditReportsDriftedCounters: a free index or an occupancy counter that
+// no longer matches the GPUs' job lists is a violation.
+func TestAuditReportsDriftedCounters(t *testing.T) {
+	for _, cook := range []func(c *Cluster){
+		func(c *Cluster) { c.single++ },
+		func(c *Cluster) { c.shared-- },
+		func(c *Cluster) { c.vcFree[c.VCIndex("vcB")]++ },
+	} {
+		c := twoVC()
+		if _, err := c.Allocate(1, "vcA", 2, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AllocateShared(2, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		cook(c)
+		if len(c.Audit()) != 1 {
+			t.Errorf("drifted counter reported as %v, want one violation", c.Audit())
+		}
+	}
 }

@@ -76,6 +76,13 @@ type Job struct {
 	// job-submission flag), so schedulers may read it pre-profiling.
 	AMP bool
 
+	// VCPos and Slot are a simulation's own: sim.New sets them on its copy
+	// of the job to the VC's position among the trace's VCs in name order
+	// and to the job's index in the trace. On any other copy they mean
+	// nothing. They sit in AMP's padding, so a Job stays 240 bytes.
+	VCPos uint16
+	Slot  uint32
+
 	// Ground truth — simulator only.
 	Duration int64           // exclusive-execution duration in seconds
 	Config   workload.Config // drives the interference model

@@ -3,6 +3,7 @@ package job
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/workload"
 )
@@ -10,6 +11,15 @@ import (
 func sample() *Job {
 	cfg := workload.Config{Model: workload.ResNet18, BatchSize: 64}
 	return New(7, "train-v1", "alice", "vc0", 4, 100, 3600, cfg)
+}
+
+// TestJobStays240Bytes: the simulator's per-run fields live in AMP's
+// padding. One more word would move every job copy into the 256-byte size
+// class, and a month's run allocates one copy per job.
+func TestJobStays240Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Job{}); n != 240 {
+		t.Fatalf("job.Job is %d bytes, want 240", n)
+	}
 }
 
 func TestNewInitializesSentinels(t *testing.T) {

@@ -93,7 +93,7 @@ func (h *Horus) tryPack(env *sim.Env, j *job.Job, running []*job.Job) {
 	var best *job.Job
 	bestSum := utilBudget
 	for _, r := range running {
-		if r.VC != j.VC || r.GPUs != j.GPUs || r.State != job.Running {
+		if r.VCPos != j.VCPos || r.GPUs != j.GPUs || r.State != job.Running {
 			continue
 		}
 		if env.Cluster().PartnerOf(r.ID) >= 0 {

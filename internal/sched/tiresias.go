@@ -2,7 +2,6 @@ package sched
 
 import (
 	"slices"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -27,10 +26,12 @@ type Tiresias struct {
 	startedAt map[int]int64
 	stoppedAt map[int]int64
 
-	// Scratch for one round, not state: one VC's ranked candidates, and
-	// each visible queue's running jobs.
+	// Scratch for one round, not state: one VC's ranked candidates, each
+	// visible queue's running jobs, and the queue of each VC position (-1 for
+	// none).
 	cands   []lasCand
 	running [][]*job.Job
+	queueAt []int
 }
 
 // lasCand is a Tiresias candidate with its LAS queue, computed once per
@@ -94,18 +95,7 @@ func (t *Tiresias) Tick(env *sim.Env) {
 		return
 	}
 	now := env.Now()
-	// Each VC's running jobs, in id order, beside its queue.
-	t.running = slices.Grow(t.running[:0], len(queues))[:len(queues)]
-	for k := range t.running {
-		t.running[k] = t.running[k][:0]
-	}
-	for _, j := range env.Running() {
-		if k, ok := slices.BinarySearchFunc(queues, j.VC, func(q sim.Queue, vc string) int {
-			return strings.Compare(q.VC, vc)
-		}); ok {
-			t.running[k] = append(t.running[k], j)
-		}
-	}
+	t.group(queues, env.Running())
 	cl := env.Cluster()
 
 	for k, q := range queues {
@@ -161,6 +151,30 @@ func (t *Tiresias) Tick(env *sim.Env) {
 				if env.StartExclusive(c.j) {
 					t.startedAt[c.j.ID] = now
 				}
+			}
+		}
+	}
+}
+
+// group puts each VC's running jobs, in id order, beside its queue, finding
+// the queue by the job's VC position. queues is Env.Queues' non-empty list.
+func (t *Tiresias) group(queues []sim.Queue, running []*job.Job) {
+	t.running = slices.Grow(t.running[:0], len(queues))[:len(queues)]
+	for k := range t.running {
+		t.running[k] = t.running[k][:0]
+	}
+	n := queues[len(queues)-1].Pos + 1 // queues are in position order
+	t.queueAt = slices.Grow(t.queueAt[:0], n)[:n]
+	for p := range t.queueAt {
+		t.queueAt[p] = -1
+	}
+	for k, q := range queues {
+		t.queueAt[q.Pos] = k
+	}
+	for _, j := range running {
+		if p := int(j.VCPos); p < n {
+			if k := t.queueAt[p]; k >= 0 {
+				t.running[k] = append(t.running[k], j)
 			}
 		}
 	}

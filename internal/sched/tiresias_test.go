@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -94,23 +95,55 @@ func (o oracleTiresias) Tick(env *sim.Env) {
 	}
 }
 
+// groupByName is Tiresias's grouping of the running jobs before it read VC
+// positions: a binary search over the queues' VC names for every running
+// job, every round.
+func groupByName(queues []sim.Queue, running []*job.Job) [][]*job.Job {
+	out := make([][]*job.Job, len(queues))
+	for _, j := range running {
+		if k, ok := slices.BinarySearchFunc(queues, j.VC, func(q sim.Queue, vc string) int {
+			return strings.Compare(q.VC, vc)
+		}); ok {
+			out[k] = append(out[k], j)
+		}
+	}
+	return out
+}
+
 // roundProbe measures what a world asks of the round: the most jobs that
 // waited visibly at once, and the rounds the skipped-VC rule is exercised at
 // its edge — a VC with running jobs whose waiting jobs are all hidden by
-// requeue backoff, so Queues leaves the VC out.
+// requeue backoff, so Queues leaves the VC out. Every round it also holds
+// the grouping by VC position to groupByName, and counts the rounds where
+// that grouped a running job into a queue other than the first.
 type roundProbe struct {
 	*Tiresias
-	deepest, hidden int
+	deepest, hidden, grouped int
+	t                        *testing.T
 }
 
 func (p *roundProbe) Tick(env *sim.Env) {
 	visible, running := map[string]bool{}, map[string]bool{}
 	waiting := 0
-	for _, q := range env.Queues() {
+	queues := env.Queues()
+	for _, q := range queues {
 		visible[q.VC] = true
 		waiting += len(q.Jobs)
 	}
 	p.deepest = max(p.deepest, waiting)
+	if len(queues) > 0 {
+		want := groupByName(queues, env.Running())
+		p.group(queues, env.Running())
+		for k := range want {
+			if !slices.Equal(p.running[k], want[k]) {
+				p.t.Fatalf("t=%d: queue %s groups running jobs %v, by name %v",
+					env.Now(), queues[k].VC, jobIDs(p.running[k]), jobIDs(want[k]))
+			}
+			if k > 0 && len(want[k]) > 0 {
+				p.grouped++
+			}
+		}
+	}
 	for _, j := range env.Running() {
 		running[j.VC] = true
 	}
@@ -174,7 +207,7 @@ func TestTiresiasRoundMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want, wantTrace := run(tc.tr, oracleTiresias{NewTiresias()}, tc.opts())
-		probe := &roundProbe{Tiresias: NewTiresias()}
+		probe := &roundProbe{Tiresias: NewTiresias(), t: t}
 		got, gotTrace := run(tc.tr, probe, tc.opts())
 		sameRun(t, tc.name, got, gotTrace, want, wantTrace)
 		if tc.name == "helios-deep" && probe.deepest < 500 {
@@ -182,6 +215,9 @@ func TestTiresiasRoundMatchesOracle(t *testing.T) {
 		}
 		if tc.name == "chaos-backoff" && probe.hidden == 0 {
 			t.Fatalf("%s: no round had a VC with running jobs and only hidden waiting ones", tc.name)
+		}
+		if tc.name != "hol" && probe.grouped == 0 {
+			t.Fatalf("%s: no round grouped a running job into a queue other than the first", tc.name)
 		}
 	}
 
@@ -245,4 +281,12 @@ func at(lines [][]byte, i int) []byte {
 		return lines[i]
 	}
 	return []byte("<end>")
+}
+
+func jobIDs(js []*job.Job) []int {
+	out := make([]int, len(js))
+	for i, j := range js {
+		out[i] = j.ID
+	}
+	return out
 }

@@ -54,7 +54,7 @@ func (s *Sim) applyChaos() {
 		s.nodeFailures++
 		s.chaosNodeEvent(dtrace.ActNodeFail, "node-crash", n)
 		for _, id := range victims {
-			s.killJob(s.jobs[s.idxOf[id]], "node-crash")
+			s.killJob(s.byID(id), "node-crash")
 		}
 		s.dirty = true
 	}
@@ -71,7 +71,7 @@ func (s *Sim) applyChaos() {
 		s.chaosNodeEvent(dtrace.ActGPUFail, "gpu-fault", g.Node)
 		for _, id := range victims {
 			// A node crash above may already have killed a co-resident.
-			if j := s.jobs[s.idxOf[id]]; j.State == job.Running {
+			if j := s.byID(id); j.State == job.Running {
 				s.killJob(j, "gpu-fault")
 			}
 		}
@@ -83,7 +83,7 @@ func (s *Sim) applyChaos() {
 	// does not depend on which other jobs exist.
 	if len(s.running.jobs)+len(s.profiling.jobs) > 0 {
 		for _, id := range inj.JobCrashes(now, dt, s.residentIDs()) {
-			s.killJob(s.jobs[s.idxOf[id]], "job-crash")
+			s.killJob(s.byID(id), "job-crash")
 		}
 	}
 }

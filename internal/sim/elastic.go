@@ -23,7 +23,7 @@ const ElasticResizeOverheadSec = 30
 // StartElastic places the job with an allocation of gpus (which may be below
 // its demand) and registers elastic speed scaling for it.
 func (e *Env) StartElastic(j *job.Job, gpus int) bool {
-	if _, bad := unplaceable(j); bad || gpus <= 0 {
+	if _, bad := e.s.unplaceable(j); bad || gpus <= 0 {
 		return false
 	}
 	if gpus > j.GPUs {
@@ -42,7 +42,7 @@ func (e *Env) StartElastic(j *job.Job, gpus int) bool {
 // resize overhead. Returns false (leaving the job running at its old size)
 // if the new allocation cannot be placed.
 func (e *Env) ResizeElastic(j *job.Job, gpus int) bool {
-	if j.State != job.Running {
+	if j.State != job.Running || !e.s.own(j) {
 		return false
 	}
 	old := e.ElasticAlloc(j)

@@ -145,6 +145,12 @@ func (s *Sim) checkInvariants() {
 	}
 
 	for i, j := range s.jobs {
+		// The engine finds a job's queue, and Env tells its own copies from
+		// others, by these two fields alone.
+		if int(j.Slot) != i || int(j.VCPos) != s.vcPos[j.VC] {
+			c.violate("tick %d: job %d at index %d carries slot %d and VC position %d, want %d",
+				s.now, j.ID, i, j.Slot, j.VCPos, s.vcPos[j.VC])
+		}
 		if i >= s.arriveIdx {
 			// Not yet submitted: the scheduler must never have touched it.
 			if j.State != job.Pending || j.FirstStart >= 0 || s.main.Allocated(j.ID) {

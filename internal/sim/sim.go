@@ -15,7 +15,10 @@
 // resulting placement. Schedulers drive placement exclusively through Env,
 // which also exposes the decoupled profiling cluster Lucid's Non-intrusive
 // Job Profiler manages (§3.2). Each Env mutator either succeeds and keeps
-// every invariant, or returns false and changes no state but the trace.
+// every invariant, or returns false and changes no state but the trace. A
+// mutator acts only on the run's own copy of a job, the pointer Env's views
+// hand out, and refuses any other, such as the trace's *job.Job of the same
+// ID.
 //
 // Non-intrusiveness is a simulation rule, not just a slogan: a job moved off
 // the profiling cluster restarts from zero progress (no checkpoints exist
@@ -25,6 +28,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/dtrace"
@@ -123,7 +128,7 @@ type Sim struct {
 
 	now        int64
 	arriveIdx  int
-	idxOf      map[int]int // job ID → index in jobs, the engine's one ID index
+	idxOf      map[int]int // job ID → index in jobs, built by byID on first use
 	backoff    evheap      // requeue-backoff expiry ticks (chaos wake-ups)
 	running    residents   // on the main cluster, ascending ID (residents.go)
 	profiling  residents   // on the profiling cluster, ascending ID
@@ -203,14 +208,17 @@ func New(tr *trace.Trace, sched Scheduler, opts Options) *Sim {
 		})
 	}
 	// Fresh runtime state per run: clone the jobs so a trace can be replayed
-	// under several schedulers.
+	// under several schedulers. Each copy carries its slot and its VC's
+	// position, so the engine finds its queue without a lookup.
 	s.jobs = make([]*job.Job, len(tr.Jobs))
 	s.waiting, s.vcPos = newWaiting(tr.Jobs)
-	s.idxOf = make(map[int]int, len(tr.Jobs))
+	if len(s.waiting) > math.MaxUint16+1 {
+		panic("sim: a trace holds at most 65536 VCs")
+	}
 	for i, j := range tr.Jobs {
-		s.idxOf[j.ID] = i
 		cp := *j
 		cp.Reset()
+		cp.Slot, cp.VCPos = uint32(i), uint16(s.vcPos[j.VC])
 		s.jobs[i] = &cp
 	}
 	if opts.Chaos != nil {
@@ -378,7 +386,7 @@ func (s *Sim) evict(j *job.Job) bool {
 		s.freeMain(j.ID)
 		s.running.remove(j.ID)
 		if s.peers != nil {
-			s.peers.of(s.vcPos[j.VC], j.GPUs).drop(j.ID)
+			s.peers.of(int(j.VCPos), j.GPUs).drop(j.ID)
 		}
 	case job.Profiling:
 		s.profiler.Free(j.ID)
@@ -408,7 +416,7 @@ func (s *Sim) admitArrivals() bool {
 		// State stays Pending; schedulers decide what Pending means.
 		j := s.jobs[s.arriveIdx]
 		s.trace(dtrace.ActRelease, j, "submitted", 0)
-		s.enqueueAt(s.arriveIdx, j)
+		s.enqueue(j)
 		s.arriveIdx++
 		any = true
 	}
@@ -442,7 +450,7 @@ func (s *Sim) drainBackoff() bool {
 			return len(s.requeued) > 0
 		}
 		s.backoff.pop()
-		j := s.jobs[s.idxOf[top.id]]
+		j := s.byID(top.id)
 		if (j.State == job.Pending || j.State == job.Queued) && j.NextEligible <= s.now {
 			s.requeued = append(s.requeued, j)
 		}
@@ -573,7 +581,7 @@ func (e *Env) RunningWith(vc string, gpus int) []*job.Job {
 	if s.peers == nil {
 		s.peers = make(peers, len(s.waiting))
 		for _, j := range s.running.jobs {
-			s.peers.of(s.vcPos[j.VC], j.GPUs).add(j)
+			s.peers.of(int(j.VCPos), j.GPUs).add(j)
 		}
 	}
 	return s.peers.of(p, gpus).view()
@@ -600,7 +608,7 @@ func (e *Env) ProfilerCluster() *cluster.Cluster { return e.s.profiler }
 // StartExclusive places the job consolidated-and-exclusive on the main
 // cluster. Returns false if capacity is lacking.
 func (e *Env) StartExclusive(j *job.Job) bool {
-	if reason, bad := unplaceable(j); bad {
+	if reason, bad := e.s.unplaceable(j); bad {
 		e.s.trace(dtrace.ActPlaceFail, j, reason, 0)
 		return false
 	}
@@ -618,14 +626,16 @@ func (e *Env) StartExclusive(j *job.Job) bool {
 	return true
 }
 
-// unplaceable rejects every state a placement request must not act on: only
-// Pending and Queued jobs may be (re)started on the main cluster. The guard
-// previously checked Running||Finished alone, which let a buggy scheduler
-// resurrect a terminal Failed job — its retries were exhausted for good — or
-// double-place a job currently on the profiling cluster, corrupting both
-// clusters' accounting.
-func unplaceable(j *job.Job) (string, bool) {
+// unplaceable rejects every job a placement request must not act on: only
+// the run's own Pending and Queued jobs may be (re)started on the main
+// cluster. The guard previously checked Running||Finished alone, which let a
+// buggy scheduler resurrect a terminal Failed job — its retries were
+// exhausted for good — or double-place a job currently on the profiling
+// cluster, corrupting both clusters' accounting.
+func (s *Sim) unplaceable(j *job.Job) (string, bool) {
 	switch {
+	case !s.own(j):
+		return "foreign-job", true
 	case j.State == job.Running:
 		return "already-placed", true
 	case j.State.Terminal():
@@ -634,6 +644,32 @@ func unplaceable(j *job.Job) (string, bool) {
 		return "still-profiling", true
 	}
 	return "", false
+}
+
+// byID returns the job with the given ID, nil for none. The ID index behind
+// it is built on first use: only the paths that start from an ID need it —
+// the backoff heap, chaos victims, snapshot restore — and a run without
+// faults takes none of them.
+func (s *Sim) byID(id int) *job.Job {
+	if s.idxOf == nil {
+		s.idxOf = make(map[int]int, len(s.jobs))
+		for i, j := range s.jobs {
+			s.idxOf[j.ID] = i
+		}
+	}
+	if i, ok := s.idxOf[id]; ok {
+		return s.jobs[i]
+	}
+	return nil
+}
+
+// own reports whether j is this run's copy of its job, the only pointer an
+// Env mutator acts on. Any other copy — the trace's own job, a clone — has
+// the ID of one of the run's jobs but not its state, and its slot names
+// another job's place or none: acting on it would queue, place or free by
+// that ID while the run's copy stayed where it was.
+func (s *Sim) own(j *job.Job) bool {
+	return int(j.Slot) < len(s.jobs) && s.jobs[j.Slot] == j
 }
 
 // stragglerFactor is a placement's speed factor: the slowest of its nodes'
@@ -653,11 +689,11 @@ func (s *Sim) stragglerFactor(gpus []cluster.GPUID) float64 {
 // another demand or an elastic one running below its own. Policy (GSS
 // budgets, …) is the caller's; the cluster enforces the cap and memory guard.
 func (e *Env) StartShared(j, partner *job.Job) bool {
-	if reason, bad := unplaceable(j); bad {
+	if reason, bad := e.s.unplaceable(j); bad {
 		e.s.trace(dtrace.ActPackReject, j, reason, partner.ID)
 		return false
 	}
-	if partner.State != job.Running {
+	if partner.State != job.Running || !e.s.own(partner) {
 		e.s.trace(dtrace.ActPackReject, j, "partner-not-running", partner.ID)
 		return false
 	}
@@ -697,7 +733,7 @@ func (s *Sim) startRunning(j *job.Job, gpus []cluster.GPUID, elastic int) {
 	}
 	s.running.insert(j, placement{speed: 1, stale: true, gen: s.stragglerFactor(gpus), elastic: elastic})
 	if s.peers != nil {
-		s.peers.of(s.vcPos[j.VC], j.GPUs).add(j)
+		s.peers.of(int(j.VCPos), j.GPUs).add(j)
 	}
 }
 
@@ -706,7 +742,7 @@ func (s *Sim) startRunning(j *job.Job, gpus []cluster.GPUID, elastic int) {
 // charged when it next runs. Per §4.8 the paper measures 62 s per
 // preemption.
 func (e *Env) Preempt(j *job.Job, overheadSec float64) bool {
-	if j.State != job.Running {
+	if j.State != job.Running || !e.s.own(j) {
 		return false
 	}
 	e.s.evict(j)
@@ -723,7 +759,7 @@ func (e *Env) Preempt(j *job.Job, overheadSec float64) bool {
 
 // StartProfiling places the job exclusively on the profiling cluster.
 func (e *Env) StartProfiling(j *job.Job) bool {
-	if e.s.profiler == nil || j.State != job.Pending {
+	if e.s.profiler == nil || j.State != job.Pending || !e.s.own(j) {
 		return false
 	}
 	if _, err := e.s.profiler.Allocate(j.ID, "profiler", j.GPUs, 0); err != nil {
@@ -753,7 +789,7 @@ func (e *Env) ProfilingElapsed(j *job.Job) int64 {
 // attached, the job restarts from zero progress (non-intrusive — no
 // checkpoint exists), and it joins the main queue as Queued.
 func (e *Env) StopProfiling(j *job.Job) {
-	if j.State != job.Profiling {
+	if j.State != job.Profiling || !e.s.own(j) {
 		return
 	}
 	e.s.evict(j)
@@ -780,7 +816,7 @@ func (e *Env) AllJobs() []*job.Job {
 // used for jobs above the profiler's scale limit (§3.2) after their metrics
 // are observed on the fly.
 func (e *Env) Admit(j *job.Job) {
-	if j.State == job.Pending {
+	if j.State == job.Pending && e.s.own(j) {
 		j.State = job.Queued
 	}
 }
@@ -790,6 +826,9 @@ func (e *Env) Admit(j *job.Job) {
 // simulator grants the measurement immediately; in reality it converges
 // within the first minutes of execution.
 func (e *Env) ObserveOnTheFly(j *job.Job) {
+	if !e.s.own(j) {
+		return
+	}
 	j.Profiled = true
 	j.Profile = j.Config.Profile()
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -593,4 +595,119 @@ func TestPlacementGuardsRejectIneligibleStates(t *testing.T) {
 	if jFail.State != job.Failed || jProf.State != job.Profiling {
 		t.Fatal("rejected placements mutated job state")
 	}
+}
+
+// TestEnvRefusesAJobThatIsNotTheRunsCopy: New copies every job, and Env acts
+// on the copies. Handed another pointer with a copy's ID — the trace's own
+// job, or a clone of the copy with its slot — every mutator must refuse and
+// change nothing, that job included. StartExclusive used to place the
+// trace's job by its ID, and the next tick found the run's copy "state
+// Pending but not in the waiting set" while its ID held GPUs.
+func TestEnvRefusesAJobThatIsNotTheRunsCopy(t *testing.T) {
+	s, env, _ := newHandSim(t, mkJob(1, 2, 0, 5000), mkJob(2, 2, 0, 5000),
+		mkJob(3, 2, 0, 5000), mkJob(4, 2, 0, 5000))
+	run, wait, elastic, prof := s.byID(1), s.byID(2), s.byID(3), s.byID(4)
+	if !env.StartExclusive(run) || !env.StartElastic(elastic, 1) || !env.StartProfiling(prof) {
+		t.Fatal("setup: placement failed")
+	}
+	state := func() string {
+		var b bytes.Buffer
+		if err := s.Snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		// The snapshot does not carry the sets; who is in them, by pointer.
+		for _, set := range [][]*job.Job{s.running.jobs, s.profiling.jobs, s.waiting[0].jobs} {
+			for _, j := range set {
+				fmt.Fprintf(&b, "%p ", j)
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+
+	others := map[string]func(*job.Job) *job.Job{
+		"trace job": func(j *job.Job) *job.Job { return s.tr.Jobs[j.Slot] },
+		"clone":     func(j *job.Job) *job.Job { c := *j; return &c },
+	}
+	calls := []struct {
+		name string
+		call func(other func(*job.Job) *job.Job) (*job.Job, bool)
+	}{
+		{"StartExclusive", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(wait)
+			return f, env.StartExclusive(f)
+		}},
+		{"StartShared", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(wait)
+			return f, env.StartShared(f, run)
+		}},
+		{"StartShared partner", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(run)
+			return f, env.StartShared(wait, f)
+		}},
+		{"StartElastic", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(wait)
+			return f, env.StartElastic(f, 1)
+		}},
+		{"ResizeElastic", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(elastic)
+			return f, env.ResizeElastic(f, 2)
+		}},
+		{"Preempt", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(run)
+			return f, env.Preempt(f, 62)
+		}},
+		{"StartProfiling", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(wait)
+			return f, env.StartProfiling(f)
+		}},
+		{"StopProfiling", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(prof)
+			env.StopProfiling(f)
+			return f, false
+		}},
+		{"Admit", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(wait)
+			env.Admit(f)
+			return f, false
+		}},
+		{"ObserveOnTheFly", func(o func(*job.Job) *job.Job) (*job.Job, bool) {
+			f := o(wait)
+			env.ObserveOnTheFly(f)
+			return f, false
+		}},
+	}
+	for _, kind := range []string{"trace job", "clone"} {
+		for _, c := range calls {
+			before := state()
+			var was job.Job
+			f, ok := c.call(func(j *job.Job) *job.Job {
+				f := others[kind](j)
+				was = *f
+				return f
+			})
+			if ok {
+				t.Fatalf("%s accepted a %s", c.name, kind)
+			}
+			if state() != before {
+				t.Fatalf("%s on a %s changed the run's state", c.name, kind)
+			}
+			if *f != was {
+				t.Fatalf("%s changed the %s it refused", c.name, kind)
+			}
+		}
+	}
+	s.checkInvariants()
+
+	// The run's own copies are accepted in the same state.
+	env.Admit(wait)
+	env.ObserveOnTheFly(wait)
+	env.StopProfiling(prof)
+	if wait.State != job.Queued || !wait.Profiled || prof.State != job.Queued {
+		t.Fatalf("own copies refused: states %v and %v", wait.State, prof.State)
+	}
+	if !env.StartShared(wait, run) || !env.ResizeElastic(elastic, 2) || !env.Preempt(run, 62) {
+		t.Fatal("own copies refused")
+	}
+	s.StepOnce()
 }

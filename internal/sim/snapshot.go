@@ -243,11 +243,10 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 	s.exhausted = dto.Exhausted
 
 	for _, js := range dto.Jobs {
-		i, ok := s.idxOf[js.ID]
-		if !ok {
+		j := s.byID(js.ID)
+		if j == nil {
 			return nil, fmt.Errorf("sim: snapshot job %d not in trace", js.ID)
 		}
-		j := s.jobs[i]
 		j.Runtime = js.Runtime
 		// Every running record starts stale: speeds are a pure function of
 		// placement + colocation + straggler factors, rebuilt below once the
@@ -267,9 +266,9 @@ func Resume(tr *trace.Trace, sched Scheduler, opts Options, r io.Reader) (*Sim, 
 	// The waiting set and the backoff heap are pure functions of restored
 	// job state — rebuild rather than serialize. Queue order is identical to
 	// a continuous run's: both are ascending trace index.
-	for i, j := range s.jobs[:s.arriveIdx] {
+	for _, j := range s.jobs[:s.arriveIdx] {
 		if j.State == job.Pending || j.State == job.Queued {
-			s.enqueueAt(i, j)
+			s.enqueue(j)
 			if j.NextEligible > s.now {
 				s.pushBackoff(j)
 			}

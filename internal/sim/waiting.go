@@ -7,9 +7,11 @@ import (
 )
 
 // Queue is one virtual cluster's waiting jobs, in trace order, as Env.Queues
-// hands them out.
+// hands them out. Pos is the VC's position, the job.Job.VCPos of the run's
+// jobs of that VC.
 type Queue struct {
 	VC   string
+	Pos  int
 	Jobs []*job.Job
 }
 
@@ -101,17 +103,11 @@ func newWaiting(jobs []*job.Job) ([]waitq, map[string]int) {
 // enqueue and dequeue are the two edges of the waiting set. Jobs enter when
 // they are admitted and whenever they stop being resident without turning
 // terminal (Preempt, StopProfiling, a fault requeue, the elastic rollback);
-// they leave when they are placed on either cluster.
-func (s *Sim) enqueue(j *job.Job) { s.enqueueAt(s.idxOf[j.ID], j) }
+// they leave when they are placed on either cluster. A job is one of the
+// run's own copies, so its VC position and slot find its place.
+func (s *Sim) enqueue(j *job.Job) { s.waiting[j.VCPos].add(int32(j.Slot), j) }
 
-// enqueueAt is enqueue for a caller that knows the job's trace index.
-func (s *Sim) enqueueAt(i int, j *job.Job) {
-	s.waiting[s.vcPos[j.VC]].add(int32(i), j)
-}
-
-func (s *Sim) dequeue(j *job.Job) {
-	s.waiting[s.vcPos[j.VC]].remove(int32(s.idxOf[j.ID]))
-}
+func (s *Sim) dequeue(j *job.Job) { s.waiting[j.VCPos].remove(int32(j.Slot)) }
 
 // waitingCount is the number of waiting jobs, backoff-hidden ones included.
 func (s *Sim) waitingCount() int {
@@ -151,7 +147,7 @@ func (e *Env) Queues() []Queue {
 				continue
 			}
 		}
-		out = append(out, Queue{VC: q.vc, Jobs: jobs})
+		out = append(out, Queue{VC: q.vc, Pos: i, Jobs: jobs})
 	}
 	s.queues = out
 	return out

@@ -22,13 +22,9 @@ func pending(env *Env) []*job.Job {
 	for _, q := range env.Queues() {
 		out = append(out, q.Jobs...)
 	}
-	idx := env.s.idxOf
-	slices.SortFunc(out, func(a, b *job.Job) int { return cmp.Compare(idx[a.ID], idx[b.ID]) })
+	slices.SortFunc(out, func(a, b *job.Job) int { return cmp.Compare(a.Slot, b.Slot) })
 	return out
 }
-
-// byID is the job with the given ID.
-func (s *Sim) byID(id int) *job.Job { return s.jobs[s.idxOf[id]] }
 
 // oldPending is the waiting set as it was before the engine kept one:
 // a scan of the submitted jobs in trace order (the live window held exactly

@@ -351,7 +351,7 @@ func TestEmitBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		v    any
 		want int
-	}{{job.Job{}, 10}, {job.Runtime{}, 13}, {workload.Config{}, 3}, {workload.Profile{}, 4}} {
+	}{{job.Job{}, 12}, {job.Runtime{}, 13}, {workload.Config{}, 3}, {workload.Profile{}, 4}} {
 		if n := reflect.TypeOf(c.v).NumField(); n != c.want {
 			t.Fatalf("%T has %d fields; appendJob covers %d", c.v, n, c.want)
 		}
@@ -404,6 +404,11 @@ func appendJob(b []byte, j *job.Job) []byte {
 	b = i64(b, int64(j.GPUs))
 	b = i64(b, j.Submit)
 	b = flag(b, j.AMP)
+	// A simulation sets VCPos and Slot on its own copies; an emitted job
+	// leaves them zero, which hashes as nothing, so the digest predates them.
+	if j.VCPos != 0 || j.Slot != 0 {
+		b = i64(i64(b, int64(j.VCPos)), int64(j.Slot))
+	}
 	b = i64(b, j.Duration)
 	b = i64(b, int64(j.Config.Model))
 	b = i64(b, int64(j.Config.BatchSize))
