@@ -42,8 +42,9 @@ type serverMetrics struct {
 	ingestBatch    *metrics.Histogram // lucidd_ingest_batch_ops
 	ingestDepth    *metrics.GaugeVec  // lucidd_ingest_queue_depth{shard}
 
-	readBarrier *metrics.HistogramVec // lucidd_read_barrier_seconds{path}
-	readCompose *metrics.HistogramVec // lucidd_read_compose_seconds{path}
+	readBarrier  *metrics.HistogramVec // lucidd_read_barrier_seconds{path}
+	readCompose  *metrics.HistogramVec // lucidd_read_compose_seconds{path}
+	schedCompose *metrics.CounterVec   // lucidd_schedule_compose_total{kind}
 
 	recRecords *metrics.Gauge // lucidd_recovered_wal_records
 	recTorn    *metrics.Gauge // lucidd_recovered_torn_bytes
@@ -105,6 +106,9 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 		readCompose: reg.HistogramVec("lucidd_read_compose_seconds",
 			"List read after the barrier: per-shard copy-out, merge and body write.",
 			nil, "path"),
+		schedCompose: reg.CounterVec("lucidd_schedule_compose_total",
+			"Cluster-wide GET /schedule bodies by how they were composed: patched from the last body, or rebuilt from every shard.",
+			"kind"),
 		recRecords: reg.Gauge("lucidd_recovered_wal_records",
 			"WAL records replayed at boot, summed across shards."),
 		recTorn: reg.Gauge("lucidd_recovered_torn_bytes",

@@ -13,7 +13,8 @@ import (
 // sequence against a durable server, then scrapes GET /metrics and checks
 // the Prometheus text covers the instrumented layers: per-endpoint request
 // latency and status codes, the two halves of a list read (barrier wait,
-// compose), WAL append+fsync latency, and the population gauges.
+// compose), how a global /schedule was composed, WAL append+fsync latency, and
+// the population gauges.
 func TestMetricsScrapeRoundTrip(t *testing.T) {
 	s, err := NewServerWith(Options{StateDir: t.TempDir()})
 	if err != nil {
@@ -61,6 +62,8 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		`lucidd_read_barrier_seconds_count{path="/schedule"} 1`,
 		"# TYPE lucidd_read_compose_seconds histogram",
 		`lucidd_read_compose_seconds_bucket{path="/schedule",le="+Inf"} 1`,
+		"# TYPE lucidd_schedule_compose_total counter",
+		`lucidd_schedule_compose_total{kind="rebuild"} 1`, // the first global read
 		"lucidd_ingest_dropped_total 0",
 		"# TYPE lucidd_wal_unsynced_records gauge",
 		"lucidd_wal_unsynced_records 4", // 3 samples + heartbeat behind the submission's fsync

@@ -57,7 +57,7 @@ type jobState struct {
 	key core.Key
 	// frag is the job's pre-marshaled listing fragment, or nil when a mutation
 	// has invalidated it (refreshLocked) and no list read has re-encoded it
-	// yet (copyJobFrags). The field is read and written under the shard mutex.
+	// yet (listFrag). The field is read and written under the shard mutex.
 	// Ownership rule: a jobFrag is IMMUTABLE ONCE PUBLISHED — a change
 	// replaces the pointer, nothing ever writes through it — so a reader
 	// keeps the pointer past the unlock without copying.
@@ -210,6 +210,8 @@ type Server struct {
 	// synchronized and never require a shard lock.
 	met     *serverMetrics
 	started time.Time
+	// sched is the cluster-wide /schedule body kept between reads.
+	sched scheduleCache
 
 	// Graceful-shutdown state: once draining flips, new requests are refused
 	// with 503 while in-flight ones (tracked by inflight) run to completion.
@@ -502,9 +504,9 @@ func (s *Server) readBarrier(path string, shards []*shard) (compose metrics.Time
 	return s.met.reg.StartTimer(s.met.readCompose.With(path))
 }
 
-// readJobFrags is the shared front half of GET /jobs and GET /schedule: barrier,
-// then one priority-ordered view per covered shard (at most one shard lock
-// held at a time). An error names a job encoding/json refuses to encode.
+// readJobFrags is the front half of GET /jobs and a scoped GET /schedule:
+// barrier, then one priority-ordered view per covered shard (at most one
+// shard lock held at a time). An error names a job encoding/json refuses.
 func (s *Server) readJobFrags(path, vc string) (views [][]*jobFrag, compose metrics.Timer, err error) {
 	shards := s.readShards(vc)
 	compose = s.readBarrier(path, shards)
@@ -571,38 +573,29 @@ func (s *Server) serveMetrics(w http.ResponseWriter) {
 
 // handleSchedule returns the queue in Algorithm 2's order, core.Key's: GPUs ×
 // estimated duration ascending, then global job ID (the daemon keys every job
-// with Submit 0). ?vc= scopes the queue to one tenant's shard; otherwise
-// every shard contributes its pre-sorted incremental index and the front door
-// K-way merges by the same key — no per-request re-sort, and the merged order
-// is identical at any shard count.
+// with Submit 0), and records the ordering decision. ?vc= scopes the queue to
+// one tenant's shard, a copy of its pre-sorted incremental index; otherwise
+// the front door patches the body it served last (scheduleCache) — no
+// per-request re-sort, and the order is identical at any shard count.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	views, compose, err := s.readJobFrags("/schedule", r.URL.Query().Get("vc"))
+	vc := r.URL.Query().Get("vc")
+	if vc == "" {
+		s.serveGlobalSchedule(w)
+		return
+	}
+	views, compose, err := s.readJobFrags("/schedule", vc)
 	defer compose.Stop()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	out := mergeSorted(views, func(a, b *jobFrag) int { return a.key.Compare(b.key) })
+	out := mergeSorted(views, byKey)
 	if len(out) > 0 {
-		// Record the ordering decision: who leads the queue and why, plus
-		// the runners-up with their keys as counterfactuals. The key's Prio
-		// IS the score, as in the simulator's ActOrder.
-		head := out[0]
-		ev := dtrace.Event{Job: head.key.ID, Action: dtrace.ActOrder,
-			Reason: "min-gpu-demand-x-estimate", VC: head.vc, GPUs: head.gpus,
-			Score: head.key.Prio}
-		for _, f := range out[1:] {
-			if len(ev.Alternatives) >= s.rec.TopK() {
-				break
-			}
-			ev.Alternatives = append(ev.Alternatives, dtrace.Alternative{
-				Job: f.key.ID, Score: f.key.Prio, Reason: "behind-in-queue"})
-		}
-		s.rec.Record(ev)
+		s.rec.Record(s.orderEvent(out[0], len(out), func(i int) core.Key { return out[i].key }))
 	}
 	writeJSONRefs(w, out)
 }
@@ -897,9 +890,10 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // JSON. *jobFrag and agentRef are the two implementations.
 type fragRef interface{ fragment() []byte }
 
-// listChunk bounds the memory one list response holds beyond its refs: the
-// body is composed and written listChunk bytes at a time, never whole (a
-// global /schedule body is ~1 MB at 4,096 jobs, /agents 3 MB at 32k agents).
+// listChunk bounds the memory one writeJSONRefs response holds beyond its
+// refs: the body is composed and written listChunk bytes at a time, never
+// whole (/jobs is ~1 MB at 4,096 jobs, /agents 3 MB at 32k agents). The global
+// /schedule body is the exception, kept whole between reads (scheduleCache).
 const listChunk = 16 << 10
 
 // writeJSONRefs is THE fragment-list writer: it streams a 200 JSON array made

@@ -32,7 +32,10 @@ import (
 // Lock discipline: a request path may hold AT MOST ONE shard mutex at a time.
 // Fan-out reads (/jobs, /schedule, /agents without ?vc=) visit shards
 // sequentially — lock, copy, unlock, next — so a stalled shard delays only
-// requests that need it, never a sibling's mutating path. The population
+// requests that need it, never a sibling's mutating path. The global
+// /schedule read does so holding the schedule cache's mutex: lock order is
+// that mutex first, then at most one shard mutex at a time, and no shard path
+// ever takes the cache mutex. The population
 // atomics (nJobs, nProfiled, nAgents) exist so read-mostly paths
 // (GET /metrics, /statusz counts) can observe the shard without its lock.
 type shard struct {
@@ -62,6 +65,12 @@ type shard struct {
 	// cheap enough to run on every heartbeat and every read at any fleet
 	// size.
 	lruHead, lruTail *agentState
+	// touched lists the jobs whose /schedule entry changed (refreshLocked,
+	// dropJob) since the global /schedule cache last visited; touchedAll says
+	// to take the shard whole: a snapshot replaced it, or the list grew past
+	// half its jobs, which also bounds it when no global read comes.
+	touched    []int
+	touchedAll bool
 	// listBufs is the shard's free list of listing response buffers — see
 	// getListBufLocked for why this beats a sync.Pool here.
 	listBufs [][]byte
@@ -206,6 +215,7 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 	dropJob := func(js *jobState) {
 		sh.order = removeSorted(sh.order, js, (*jobState).compare)
 		delete(sh.jobs, js.ID)
+		sh.touchLocked(js.ID)
 		sh.srv.jobShard.Delete(js.ID)
 		if js.Samples >= minSamples {
 			sh.nProfiled.Add(-1)
@@ -461,14 +471,12 @@ func removeSorted[T comparable](s []T, v T, compare func(a, b T) int) []T {
 }
 
 // mergeSorted K-way merges per-shard views, each already sorted by compare,
-// into one globally ordered slice — /schedule, /jobs and the cluster-wide
-// /agents listing all end here, so none sorts the merged list per request.
-// compare must be a total order (every comparator tie-breaks down to a
-// cluster-unique key), which makes the merge deterministic at any shard count.
-// The merge is a loser tree: a pop replays one leaf-to-root path, log2(K)
-// comparator calls where a scan over the K heads makes K-1
-// (BenchmarkGlobalSchedule, 16 shards × 4,096 jobs, medians of five: 0.78
-// ms/op with the scan, 0.52 with the tree).
+// into one globally ordered slice — /jobs, a global /schedule rebuild and the
+// cluster-wide /agents listing all end here, so none sorts the merged list per
+// request. compare must be a total order (every comparator tie-breaks down to
+// a cluster-unique key), which makes the merge deterministic at any shard
+// count. The merge is a loser tree: a pop replays one leaf-to-root path,
+// log2(K) comparator calls where a scan over the K heads makes K-1.
 func mergeSorted[T any](views [][]T, compare func(a, b T) int) []T {
 	total := 0
 	only := []T{} // non-nil: an empty merge must still encode as [], not null
@@ -518,31 +526,45 @@ func mergeSorted[T any](views [][]T, compare func(a, b T) int) []T {
 }
 
 // copyJobFrags snapshots the shard's priority order (optionally scoped to one
-// VC) as fragments, already sorted — the unit step of every job list read, and
-// the one place a job becomes list JSON: a job whose fragment a mutation
-// invalidated since the last read is re-encoded here, lazily, because a job
-// changes on one write in five and encoding on every mutation taxed ingest for
-// reads that may never come. The fragments are retained, not copied
-// (jobState.frag states the ownership rule). encoding/json refuses non-finite
-// floats; a profile mean that is not finite surfaces as the error.
+// VC) as fragments, already sorted — the unit step of every job list read and
+// of a global /schedule rebuild. The fragments are retained, not copied
+// (jobState.frag states the ownership rule).
 func (sh *shard) copyJobFrags(vc string) ([]*jobFrag, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.copyJobFragsLocked(vc)
+}
+
+func (sh *shard) copyJobFragsLocked(vc string) ([]*jobFrag, error) {
 	out := make([]*jobFrag, 0, len(sh.order))
 	for _, js := range sh.order {
 		if vc != "" && js.VC != vc {
 			continue
 		}
-		if js.frag == nil {
-			b, err := json.Marshal(js)
-			if err != nil {
-				return nil, fmt.Errorf("encode job %d: %w", js.ID, err)
-			}
-			js.frag = &jobFrag{json: b, key: js.key, vc: js.VC, gpus: js.GPUs}
+		f, err := js.listFrag()
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, js.frag)
+		out = append(out, f)
 	}
 	return out, nil
+}
+
+// listFrag is the job's fragment, shard mutex held: the one place a job
+// becomes list JSON. A job whose fragment a mutation invalidated is re-encoded
+// here, lazily, because a job changes on one write in five and encoding on
+// every mutation taxed ingest for reads that may never come. encoding/json
+// refuses non-finite floats; a profile mean that is not finite surfaces as the
+// error.
+func (js *jobState) listFrag() (*jobFrag, error) {
+	if js.frag == nil {
+		b, err := json.Marshal(js)
+		if err != nil {
+			return nil, fmt.Errorf("encode job %d: %w", js.ID, err)
+		}
+		js.frag = &jobFrag{json: b, key: js.key, vc: js.VC, gpus: js.GPUs}
+	}
+	return js.frag, nil
 }
 
 // agentKey is the listing sort key: full (Name, VC, Node), because two shards
@@ -689,6 +711,15 @@ func (sh *shard) refreshLocked(js *jobState) {
 	js.EstSec = sh.est.EstimateSec(j)
 	js.key = core.NewKey(js.GPUs, js.EstSec, 0, 0, js.ID)
 	js.frag = nil // every serialized field is settled here; the next list read re-encodes
+	sh.touchLocked(js.ID)
+}
+
+// touchLocked records that a job's /schedule entry changed (shard.touched).
+func (sh *shard) touchLocked(id int) {
+	if !sh.touchedAll {
+		sh.touched = append(sh.touched, id)
+		sh.touchedAll = len(sh.touched) > len(sh.jobs)/2
+	}
 }
 
 // snapshotLocked copies the shard's job table, sorted by ID — the canonical

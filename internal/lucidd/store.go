@@ -269,6 +269,7 @@ func (sh *shard) loadSnapLocked(ss shardSnap) {
 	}
 	// One O(n log n) rebuild at snapshot load; incremental from here on.
 	slices.SortFunc(sh.order, (*jobState).compare)
+	sh.touched, sh.touchedAll = sh.touched[:0], true
 	sh.agents = make(map[string]*agentState, len(ss.Agents))
 	sh.aorder = make([]*agentState, 0, len(ss.Agents))
 	sh.lruHead, sh.lruTail = nil, nil
