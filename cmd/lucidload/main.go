@@ -1,17 +1,21 @@
-// Command lucidload drives load against a live lucidd control plane and
-// reports sustained req/s and latency quantiles:
+// Command lucidload drives HTTP load against a running lucidd control plane
+// and reports sustained req/s and latency quantiles:
 //
 //	lucidd -addr :8080 -shards 8 &
 //	lucidload -addr http://localhost:8080 -agents 1024 -vcs 8 -duration 10s
 //
 // The workload simulates node agents heartbeating and pushing GPU samples
 // across virtual clusters, plus job submissions and tenant-scoped schedule
-// and agent queries — the traffic shape sharding exists to serve. One seed
-// replays the same per-worker op streams. The repository's measured numbers
-// for the same server come from bench/ (ctl_ingest, ctl_read).
+// and agent queries — the traffic shape sharding exists to serve — with
+// each worker on one keep-alive connection, honoring the server's
+// Retry-After on 429 and 503. One seed replays the same per-worker op
+// streams, and -verify-acks checks afterwards that every 201-acked job is
+// served by GET /jobs. The repository's measured numbers for the same
+// server come from bench/ (ctl_ingest, ctl_read).
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,7 +36,6 @@ func main() {
 	vcs := flag.Int("vcs", 8, "virtual clusters the agents and jobs spread across")
 	workers := flag.Int("workers", 8, "concurrent client goroutines")
 	duration := flag.Duration("duration", 5*time.Second, "measured run length")
-	ramp := flag.Duration("ramp", 0, "stagger worker starts across this window")
 	ops := flag.Int("ops", 0, "per-worker op budget (0 = run for -duration)")
 	seed := flag.Int64("seed", 1, "workload seed (same seed, same per-worker op streams)")
 	mixSpec := flag.String("mix", loadgen.DefaultMix().String(), "op mix weights, e.g. heartbeat=8,sample=4,submit=1,schedule=1,agents=2")
@@ -59,10 +62,10 @@ func main() {
 	if *addr == "" {
 		log.Fatal("lucidload: need -addr, the base URL of a running lucidd")
 	}
-	res, err := loadgen.Run(loadgen.Options{
+	res, err := loadgen.Run(context.Background(), loadgen.Options{
 		BaseURL: *addr,
 		Agents:  *agents, VCs: *vcs, Workers: *workers,
-		Duration: *duration, Ramp: *ramp, OpsPerWorker: *ops,
+		Duration: *duration, OpsPerWorker: *ops,
 		Seed: *seed, Mix: mix,
 	})
 	if err != nil {

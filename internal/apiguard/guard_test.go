@@ -59,7 +59,6 @@ var allowed = map[string]string{
 
 	// Test set-up that production code never needs.
 	"internal/lab.ResetWorldCache":     "tests drop the process-wide world cache between cases",
-	"internal/lucidd.NewServer":        "tests build an in-process server without cmd/lucidd's flags",
 	"internal/dtrace.Recorder.SetTopK": "lucidd's Algorithm 2 parity test needs every alternative, not the top k",
 
 	// Parked entry points.
@@ -75,8 +74,6 @@ var optionSuffixes = []string{"Options", "Config", "Spec", "Params"}
 var allowedFields = map[string]string{
 	"internal/ml/gam.Params.Interactions": "the paper's GA²M has pair terms; turning them on is a model re-baseline, and without them it is a plain GAM",
 	"internal/ml/gam.Params.PairRounds":   "the boosting rounds of those pair terms, set with Interactions",
-	"internal/loadgen.Options.Stop":       "lucidd's soak test stops the load from another package after a mid-run drain",
-	"internal/loadgen.Options.Handler":    "lucidd's soak test drives the server in-process from another package",
 	"internal/sim.Options.MaxHorizon":     "tests cut runs short to reach the horizon's own rules (an arrival past it, jobs it leaves unfinished); runs stop at 6× the trace window",
 	"internal/sim.Options.SampleEvery":    "tests move the sampling instants to put an event-engine wake-up where they need one; runs sample every 600 s",
 }
@@ -562,7 +559,7 @@ func TestGuardFixture(t *testing.T) {
 
 // budget is the most lines of non-test Go that cmd/, internal/ and examples/
 // may hold.
-const budget = 20714
+const budget = 20663
 
 // TestNonTestLineBudget counts the lines of non-test Go under cmd/, internal/
 // and examples/ (bench/ and testdata/ excluded): the size ROADMAP.md tracks.

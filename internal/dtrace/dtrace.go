@@ -114,8 +114,11 @@ type Recorder struct {
 	sink    io.Writer
 	sinkErr error
 
-	st     State
+	st State
+	// events holds the retained events. Once a keep bound fills it, it is a
+	// ring: head indexes the oldest event, and each new event overwrites it.
 	events []Event
+	head   int
 }
 
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters.
@@ -159,15 +162,21 @@ func (r *Recorder) SetTopK(k int) {
 	r.mu.Unlock()
 }
 
-// SetKeep bounds in-memory retention to the first n events (the digest and
-// summary counters still cover the whole trace). n < 0 retains everything.
+// SetKeep bounds in-memory retention to the newest n events (the digest and
+// summary counters still cover the whole trace, and Dropped counts the events
+// no longer retained). n < 0 retains everything.
 func (r *Recorder) SetKeep(n int) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.events, r.head = r.retainedLocked(), 0
+	if n >= 0 && len(r.events) > n {
+		r.st.Dropped += int64(len(r.events) - n)
+		r.events = r.events[len(r.events)-n:]
+	}
 	r.keep = n
-	r.mu.Unlock()
 }
 
 // SetSink streams every event to w as one JSON object per line, in record
@@ -250,21 +259,36 @@ func (r *Recorder) Record(ev Event) {
 		}
 	}
 
-	if r.keep < 0 || len(r.events) < r.keep {
+	switch {
+	case r.keep < 0 || len(r.events) < r.keep:
 		r.events = append(r.events, ev)
-	} else {
+	case r.keep == 0:
+		st.Dropped++
+	default:
+		r.events[r.head] = ev
+		r.head = (r.head + 1) % len(r.events)
 		st.Dropped++
 	}
 }
 
-// Events returns a copy of the retained events.
+// Events returns a copy of the retained events in record order.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	return r.retainedLocked()
+}
+
+// retainedLocked copies the retained events out of the ring, oldest first.
+func (r *Recorder) retainedLocked() []Event {
+	if len(r.events) == 0 {
+		return nil
+	}
+	out := make([]Event, 0, len(r.events))
+	out = append(out, r.events[r.head:]...)
+	return append(out, r.events[:r.head]...)
 }
 
 // Digest returns the FNV-1a hash of the serialized trace so far, as a
@@ -328,7 +352,7 @@ func (r *Recorder) SetState(st State) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.st = st
-	r.events = nil
+	r.events, r.head = nil, 0
 }
 
 // WriteJSONL writes the retained events as JSON Lines. When a keep bound

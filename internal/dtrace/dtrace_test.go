@@ -104,6 +104,55 @@ func TestSinkStreamingMatchesMemory(t *testing.T) {
 	}
 }
 
+// TestKeepRetainsTheNewest: a keep bound retains the newest events, in record
+// order, and counts the older ones as dropped; a later SetKeep re-bounds the
+// window without reordering it.
+func TestKeepRetainsTheNewest(t *testing.T) {
+	seqs := func(evs []Event) []int64 {
+		var out []int64
+		for _, ev := range evs {
+			out = append(out, ev.Seq)
+		}
+		return out
+	}
+	const keep, k = 4, 7
+	r := New()
+	r.SetKeep(keep)
+	for i := 0; i < keep+k; i++ {
+		r.Record(Event{Job: i, Action: ActRelease})
+	}
+	if got, want := seqs(r.Events()), []int64{7, 8, 9, 10}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept seqs %v, want %v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := seqs(events), []int64{7, 8, 9, 10}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSONL seqs %v, want %v", got, want)
+	}
+	if d := r.Summary().Dropped; d != k {
+		t.Fatalf("dropped = %d, want %d", d, k)
+	}
+
+	r.SetKeep(2)
+	if got, want := seqs(r.Events()), []int64{9, 10}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after SetKeep(2): kept seqs %v, want %v", got, want)
+	}
+	r.SetKeep(-1)
+	r.Record(Event{Job: 99, Action: ActRetire})
+	if got, want := seqs(r.Events()), []int64{9, 10, 11}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after SetKeep(-1): kept seqs %v, want %v", got, want)
+	}
+	if d := r.Summary().Dropped; d != 9 {
+		t.Fatalf("dropped = %d, want 9", d)
+	}
+}
+
 func TestTopKTruncationAndSanitize(t *testing.T) {
 	r := New()
 	r.SetTopK(2)

@@ -1,11 +1,11 @@
 // Package loadgen is a deterministic, seedable load generator for the lucidd
 // control plane: it simulates a fleet of node agents spread across virtual
 // clusters, heartbeating, submitting jobs, pushing NVIDIA-SMI-style samples
-// and issuing tenant-scoped queue/agent queries, with a configurable op mix,
-// worker ramp and duration. It drives either an in-process http.Handler
-// (zero network overhead — the mode the soak and parity tests use)
-// or a live daemon over HTTP, and reports sustained req/s plus p50/p99/p999
-// latency through the repo's own metrics registry. cmd/lucidload is the CLI.
+// and issuing tenant-scoped queue/agent queries, with a configurable op mix
+// and duration. It speaks HTTP to a server's base URL — a live daemon for
+// cmd/lucidload, an httptest server for the tests and lucidd's soak — and
+// reports sustained req/s plus p50/p99/p999 latency through the repo's own
+// metrics registry. cmd/lucidload is the CLI.
 //
 // Determinism: every worker derives its op stream from a splitmix64-seeded
 // RNG of (Seed, worker index), so a given configuration replays the same
@@ -38,7 +38,6 @@ const (
 	OpSubmit    = "submit"
 	OpSchedule  = "schedule"
 	OpAgents    = "agents"
-	OpStatusz   = "statusz"
 )
 
 // Mix weighs the op types. Zero-valued fields never fire.
@@ -48,14 +47,13 @@ type Mix struct {
 	Submit    int
 	Schedule  int
 	Agents    int
-	Statusz   int
 }
 
 // DefaultMix is telemetry-dominated, the shape of a real control plane's
 // traffic: heartbeats and samples dwarf submissions, with a steady trickle
 // of tenant-scoped queue and agent queries (dashboards, pollers).
 func DefaultMix() Mix {
-	return Mix{Heartbeat: 8, Sample: 4, Submit: 1, Schedule: 1, Agents: 2, Statusz: 0}
+	return Mix{Heartbeat: 8, Sample: 4, Submit: 1, Schedule: 1, Agents: 2}
 }
 
 // ParseMix parses "heartbeat=8,sample=4,submit=1,schedule=1,agents=2" style
@@ -85,8 +83,6 @@ func ParseMix(s string) (Mix, error) {
 			m.Schedule = w
 		case OpAgents:
 			m.Agents = w
-		case OpStatusz:
-			m.Statusz = w
 		default:
 			return m, fmt.Errorf("loadgen: unknown op %q in mix", kv[0])
 		}
@@ -98,12 +94,12 @@ func ParseMix(s string) (Mix, error) {
 }
 
 func (m Mix) total() int {
-	return m.Heartbeat + m.Sample + m.Submit + m.Schedule + m.Agents + m.Statusz
+	return m.Heartbeat + m.Sample + m.Submit + m.Schedule + m.Agents
 }
 
 func (m Mix) String() string {
-	return fmt.Sprintf("heartbeat=%d,sample=%d,submit=%d,schedule=%d,agents=%d,statusz=%d",
-		m.Heartbeat, m.Sample, m.Submit, m.Schedule, m.Agents, m.Statusz)
+	return fmt.Sprintf("heartbeat=%d,sample=%d,submit=%d,schedule=%d,agents=%d",
+		m.Heartbeat, m.Sample, m.Submit, m.Schedule, m.Agents)
 }
 
 // pick maps a roll in [0, total) onto an op name.
@@ -113,7 +109,7 @@ func (m Mix) pick(roll int) string {
 		op string
 	}{
 		{m.Heartbeat, OpHeartbeat}, {m.Sample, OpSample}, {m.Submit, OpSubmit},
-		{m.Schedule, OpSchedule}, {m.Agents, OpAgents}, {m.Statusz, OpStatusz},
+		{m.Schedule, OpSchedule}, {m.Agents, OpAgents},
 	} {
 		if roll < c.w {
 			return c.op
@@ -123,11 +119,9 @@ func (m Mix) pick(roll int) string {
 	return OpHeartbeat
 }
 
-// Options configures one load run. Exactly one of Handler (in-process) or
-// BaseURL (network) must be set.
+// Options configures one load run.
 type Options struct {
-	Handler http.Handler
-	BaseURL string
+	BaseURL string // the server, e.g. http://127.0.0.1:8080
 
 	Agents  int // simulated node agents, partitioned across workers
 	VCs     int // virtual clusters vc-0 … vc-(N-1); agents and jobs spread across them
@@ -137,22 +131,14 @@ type Options struct {
 	// on Duration). Deterministic tests use OpsPerWorker with Duration 0.
 	OpsPerWorker int
 	Duration     time.Duration
-	// Ramp staggers worker starts linearly across the window, so a run
-	// climbs to full concurrency instead of stampeding.
-	Ramp time.Duration
 
 	Seed int64
 	Mix  Mix
 
-	// Stop, when non-nil, ends the run early when closed (soak tests use it
-	// to stop workers after a mid-run drain).
-	Stop <-chan struct{}
-
 	// The seams below are set only by this package's tests.
 
-	// dialContext, when non-nil, replaces the network dialer in BaseURL
-	// mode. The connection-reuse regression test counts physical dials
-	// through it.
+	// dialContext, when non-nil, replaces the network dialer. The
+	// connection-reuse regression test counts physical dials through it.
 	dialContext func(ctx context.Context, network, addr string) (net.Conn, error)
 	// retryAfterCap bounds how long a worker honors a server's Retry-After
 	// hint (backpressure 429s, drain-gate 503s) before resuming its stream.
@@ -225,53 +211,41 @@ func (r *Result) Summary() string {
 }
 
 // latencyBuckets resolves ~1µs to ~100s at ×1.35 granularity: fine enough
-// that bucketed p99s are meaningful for sub-millisecond in-process calls.
+// that bucketed p99s are meaningful for sub-millisecond loopback calls.
 func latencyBuckets() []float64 { return metrics.ExpBuckets(1e-6, 1.35, 62) }
 
-// target abstracts in-process vs network delivery.
-type target interface {
-	// do issues one request. wantBody asks for the response body (submits
-	// parse the acked job ID out of it); otherwise the body is discarded.
-	// retryAfter carries the server's Retry-After hint (0 when absent), so
-	// workers can honor backpressure without the target leaking headers.
-	do(method, path, body string, wantBody bool) (status int, retryAfter time.Duration, respBody []byte, err error)
-}
-
 // Run executes one load run and blocks until every worker finishes.
-func Run(opts Options) (*Result, error) {
+// Cancelling ctx ends the run early: each worker checks it between requests,
+// and it cuts a Retry-After backoff short. A request already in flight
+// completes, so a cancelled run counts no error for it.
+func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	var tgt target
-	switch {
-	case opts.Handler != nil && opts.BaseURL != "":
-		return nil, fmt.Errorf("loadgen: set Handler or BaseURL, not both")
-	case opts.Handler != nil:
-		tgt = &handlerTarget{h: opts.Handler}
-	case opts.BaseURL != "":
-		// Connection reuse is load-bearing: every worker must keep one
-		// persistent connection, or the harness measures TIME_WAIT churn and
-		// ephemeral-port exhaustion instead of the server. The idle pool is
-		// sized past the worker count on BOTH knobs (MaxIdleConnsPerHost
-		// defaults to 2 — the classic silent dial storm against a single
-		// host), idle conns outlive worker think-time, and response bodies
-		// are always drained (see httpTarget.do) so the transport can
-		// recycle them. TestNetworkModeReusesConnections counts dials.
-		tr := &http.Transport{
-			MaxIdleConns:        opts.Workers * 2,
-			MaxIdleConnsPerHost: opts.Workers * 2,
-			IdleConnTimeout:     90 * time.Second,
-			// Tiny JSON bodies never win from gzip; skip the negotiation.
-			DisableCompression: true,
-		}
-		if opts.dialContext != nil {
-			tr.DialContext = opts.dialContext
-		}
-		tgt = &httpTarget{base: strings.TrimRight(opts.BaseURL, "/"), client: &http.Client{
-			Timeout:   30 * time.Second,
-			Transport: tr,
-		}}
-	default:
-		return nil, fmt.Errorf("loadgen: no target (set Handler or BaseURL)")
+	if opts.BaseURL == "" {
+		return nil, fmt.Errorf("loadgen: no target (set BaseURL)")
 	}
+	// Connection reuse is load-bearing: every worker must keep one
+	// persistent connection, or the harness measures TIME_WAIT churn and
+	// ephemeral-port exhaustion instead of the server. The idle pool is
+	// sized past the worker count on BOTH knobs (MaxIdleConnsPerHost
+	// defaults to 2 — the classic silent dial storm against a single
+	// host), idle conns outlive worker think-time, and response bodies
+	// are always drained (see httpTarget.do) so the transport can
+	// recycle them. TestNetworkModeReusesConnections counts dials.
+	tr := &http.Transport{
+		MaxIdleConns:        opts.Workers * 2,
+		MaxIdleConnsPerHost: opts.Workers * 2,
+		IdleConnTimeout:     90 * time.Second,
+		// Tiny JSON bodies never win from gzip; skip the negotiation.
+		DisableCompression: true,
+	}
+	defer tr.CloseIdleConnections()
+	if opts.dialContext != nil {
+		tr.DialContext = opts.dialContext
+	}
+	tgt := &httpTarget{base: strings.TrimRight(opts.BaseURL, "/"), client: &http.Client{
+		Timeout:   30 * time.Second,
+		Transport: tr,
+	}}
 
 	reg := metrics.New()
 	lat := reg.HistogramVec("lucidload_request_seconds",
@@ -289,7 +263,7 @@ func Run(opts Options) (*Result, error) {
 		wg.Add(1)
 		go func(wk *worker) {
 			defer wg.Done()
-			wk.run(start)
+			wk.run(ctx, start)
 		}(wk)
 	}
 	wg.Wait()
@@ -315,7 +289,7 @@ func Run(opts Options) (*Result, error) {
 	res.P50ms = all.Quantile(0.50) * 1000
 	res.P99ms = all.Quantile(0.99) * 1000
 	res.P999ms = all.Quantile(0.999) * 1000
-	for _, op := range []string{OpHeartbeat, OpSample, OpSubmit, OpSchedule, OpAgents, OpStatusz} {
+	for _, op := range []string{OpHeartbeat, OpSample, OpSubmit, OpSchedule, OpAgents} {
 		h := lat.With(op)
 		if h.Count() == 0 && perOpErr[op] == 0 {
 			continue
@@ -335,7 +309,7 @@ func Run(opts Options) (*Result, error) {
 type worker struct {
 	idx  int
 	opts Options
-	tgt  target
+	tgt  *httpTarget
 	rng  *rand.Rand
 	lat  *metrics.HistogramVec
 	all  *metrics.Histogram
@@ -352,7 +326,7 @@ type worker struct {
 	acked       []int
 }
 
-func newWorker(idx int, opts Options, tgt target, lat *metrics.HistogramVec, all *metrics.Histogram) *worker {
+func newWorker(idx int, opts Options, tgt *httpTarget, lat *metrics.HistogramVec, all *metrics.Histogram) *worker {
 	lo := idx * opts.Agents / opts.Workers
 	hi := (idx + 1) * opts.Agents / opts.Workers
 	// One splitmix64 step from a per-worker key decorrelates a worker's
@@ -369,10 +343,7 @@ func newWorker(idx int, opts Options, tgt target, lat *metrics.HistogramVec, all
 
 func (w *worker) vcName(i int) string { return "vc-" + strconv.Itoa(i) }
 
-func (w *worker) run(start time.Time) {
-	if w.opts.Ramp > 0 && w.opts.Workers > 1 {
-		time.Sleep(w.opts.Ramp * time.Duration(w.idx) / time.Duration(w.opts.Workers))
-	}
+func (w *worker) run(ctx context.Context, start time.Time) {
 	var deadline time.Time
 	if w.opts.Duration > 0 {
 		deadline = start.Add(w.opts.Duration)
@@ -382,21 +353,17 @@ func (w *worker) run(start time.Time) {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return
 		}
-		if w.opts.Stop != nil {
-			select {
-			case <-w.opts.Stop:
-				return
-			default:
-			}
+		if ctx.Err() != nil {
+			return
 		}
-		w.step(w.opts.Mix.pick(w.rng.Intn(total)))
+		w.step(ctx, w.opts.Mix.pick(w.rng.Intn(total)))
 	}
 }
 
 // step issues one op. Agents are walked round-robin inside the worker's
 // slice (every agent keeps heartbeating); jobs are sampled from the worker's
 // own acked submissions, so samples never 404.
-func (w *worker) step(op string) {
+func (w *worker) step(ctx context.Context, op string) {
 	switch op {
 	case OpHeartbeat:
 		agent := w.nextAgent
@@ -406,33 +373,31 @@ func (w *worker) step(op string) {
 		}
 		vc := w.vcName(agent % w.opts.VCs)
 		body := fmt.Sprintf(`{"name":"agent-%d","vc":"%s","node":%d}`, agent, vc, agent)
-		w.issue(op, http.MethodPost, "/agents", body, false)
+		w.issue(ctx, op, http.MethodPost, "/agents", body, false)
 	case OpSample:
 		if len(w.acked) == 0 {
-			w.step(OpSubmit)
+			w.step(ctx, OpSubmit)
 			return
 		}
 		id := w.acked[w.rng.Intn(len(w.acked))]
 		body := fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%d,"gpu_mem_util":%d}`,
 			id, 20+w.rng.Intn(75), 1200+w.rng.Intn(14000), 5+w.rng.Intn(60))
-		w.issue(op, http.MethodPost, "/metrics", body, false)
+		w.issue(ctx, op, http.MethodPost, "/metrics", body, false)
 	case OpSubmit:
 		vc := w.vcName(w.rng.Intn(w.opts.VCs))
 		w.submitSeq++
 		body := fmt.Sprintf(`{"name":"load-w%d-%d","user":"loadgen","vc":"%s","gpus":%d}`,
 			w.idx, w.submitSeq, vc, 1<<w.rng.Intn(4))
-		status, resp, err := w.issue(op, http.MethodPost, "/jobs", body, true)
+		status, resp, err := w.issue(ctx, op, http.MethodPost, "/jobs", body, true)
 		if err == nil && status == http.StatusCreated {
 			if id := parseJobID(resp); id > 0 {
 				w.acked = append(w.acked, id)
 			}
 		}
 	case OpSchedule:
-		w.issue(op, http.MethodGet, "/schedule?vc="+w.vcName(w.rng.Intn(w.opts.VCs)), "", false)
+		w.issue(ctx, op, http.MethodGet, "/schedule?vc="+w.vcName(w.rng.Intn(w.opts.VCs)), "", false)
 	case OpAgents:
-		w.issue(op, http.MethodGet, "/agents?vc="+w.vcName(w.rng.Intn(w.opts.VCs)), "", false)
-	case OpStatusz:
-		w.issue(op, http.MethodGet, "/statusz", "", false)
+		w.issue(ctx, op, http.MethodGet, "/agents?vc="+w.vcName(w.rng.Intn(w.opts.VCs)), "", false)
 	}
 }
 
@@ -441,7 +406,7 @@ func (w *worker) step(op string) {
 // backpressure and 503 a drain rejection — both are explicit retryable
 // refusals, counted as Rejected and honored with a capped Retry-After
 // backoff, never errors; anything else, or a transport error, is an error.
-func (w *worker) issue(op, method, path, body string, wantBody bool) (int, []byte, error) {
+func (w *worker) issue(ctx context.Context, op, method, path, body string, wantBody bool) (int, []byte, error) {
 	t0 := time.Now()
 	status, retryAfter, resp, err := w.tgt.do(method, path, body, wantBody)
 	d := time.Since(t0).Seconds()
@@ -452,10 +417,10 @@ func (w *worker) issue(op, method, path, body string, wantBody bool) (int, []byt
 		w.opErrors[op]++
 	case status == http.StatusTooManyRequests:
 		w.rejected429++
-		w.backoff(retryAfter)
+		w.backoff(ctx, retryAfter)
 	case status == http.StatusServiceUnavailable:
 		w.rejected503++
-		w.backoff(retryAfter)
+		w.backoff(ctx, retryAfter)
 	case status >= 200 && status < 300:
 		w.lat.With(op).Observe(d)
 		w.all.Observe(d)
@@ -467,21 +432,18 @@ func (w *worker) issue(op, method, path, body string, wantBody bool) (int, []byt
 }
 
 // backoff honors a server Retry-After hint, capped by retryAfterCap and cut
-// short by Stop. No hint (0) means no sleep — a refusal without guidance
+// short by ctx. No hint (0) means no sleep — a refusal without guidance
 // should not slow the deterministic op stream.
-func (w *worker) backoff(hint time.Duration) {
+func (w *worker) backoff(ctx context.Context, hint time.Duration) {
 	if hint <= 0 {
 		return
 	}
-	hint = min(hint, w.opts.retryAfterCap)
-	if w.opts.Stop != nil {
-		select {
-		case <-w.opts.Stop:
-		case <-time.After(hint):
-		}
-		return
+	t := time.NewTimer(min(hint, w.opts.retryAfterCap))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-t.C:
 	}
-	time.Sleep(hint)
 }
 
 // parseJobID pulls the "id" field out of a 201 body without a full decode on
@@ -499,53 +461,15 @@ func parseJobID(body []byte) int {
 	return id
 }
 
-// handlerTarget delivers requests straight into an http.Handler — no
-// sockets, no syscalls, pure control-plane cost. Used by the soak and parity
-// tests.
-type handlerTarget struct{ h http.Handler }
-
-func (t *handlerTarget) do(method, path, body string, wantBody bool) (int, time.Duration, []byte, error) {
-	// A nil body leaves req.Body nil, which is legal for clients but not for
-	// handlers invoked directly — always hand the handler a real reader.
-	req, err := http.NewRequest(method, "http://lucidd"+path, strings.NewReader(body))
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	rw := &nullResponse{wantBody: wantBody, code: http.StatusOK}
-	t.h.ServeHTTP(rw, req)
-	return rw.code, parseRetryAfter(rw.hdr), rw.body.Bytes(), nil
-}
-
-// nullResponse is a minimal ResponseWriter: status captured, body retained
-// only when the caller asked for it.
-type nullResponse struct {
-	wantBody bool
-	code     int
-	body     bytes.Buffer
-	hdr      http.Header
-}
-
-func (r *nullResponse) Header() http.Header {
-	if r.hdr == nil {
-		r.hdr = http.Header{}
-	}
-	return r.hdr
-}
-
-func (r *nullResponse) WriteHeader(code int) { r.code = code }
-
-func (r *nullResponse) Write(p []byte) (int, error) {
-	if r.wantBody {
-		return r.body.Write(p)
-	}
-	return len(p), nil
-}
-
-// httpTarget delivers requests over the network to a live daemon.
+// httpTarget delivers requests over HTTP to a server's base URL.
 type httpTarget struct {
 	base   string
 	client *http.Client
 }
+
+// do issues one request. wantBody asks for the response body (submits parse
+// the acked job ID out of it); otherwise the body is discarded. The returned
+// duration is the server's Retry-After hint (0 when absent).
 
 func (t *httpTarget) do(method, path, body string, wantBody bool) (int, time.Duration, []byte, error) {
 	var rd io.Reader

@@ -41,6 +41,15 @@ func (h *recordingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(`{}`))
 }
 
+// serve puts h behind a loopback HTTP server for the rest of the test and
+// returns its base URL.
+func serve(t *testing.T, h http.Handler) string {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
 // TestParseMix covers the spec grammar and its rejects.
 func TestParseMix(t *testing.T) {
 	m, err := ParseMix("heartbeat=8,sample=4,submit=1,schedule=1,agents=2")
@@ -53,7 +62,7 @@ func TestParseMix(t *testing.T) {
 	if _, err := ParseMix(m.String()); err != nil {
 		t.Errorf("String() not re-parseable: %v", err)
 	}
-	for _, bad := range []string{"", "bogus=1", "heartbeat", "heartbeat=-1", "heartbeat=0"} {
+	for _, bad := range []string{"", "bogus=1", "heartbeat", "heartbeat=-1", "heartbeat=0", "statusz=1"} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) accepted", bad)
 		}
@@ -65,8 +74,8 @@ func TestParseMix(t *testing.T) {
 func TestDeterministicStream(t *testing.T) {
 	stream := func(seed int64) ([]string, []int) {
 		h := &recordingHandler{}
-		res, err := Run(Options{
-			Handler: h, Agents: 16, VCs: 4, Workers: 1,
+		res, err := Run(context.Background(), Options{
+			BaseURL: serve(t, h), Agents: 16, VCs: 4, Workers: 1,
 			OpsPerWorker: 300, Seed: seed,
 		})
 		if err != nil {
@@ -95,8 +104,8 @@ func TestDeterministicStream(t *testing.T) {
 // bucket and the per-op counts reconcile with the total.
 func TestResultAccounting(t *testing.T) {
 	h := &recordingHandler{}
-	res, err := Run(Options{
-		Handler: h, Agents: 32, VCs: 4, Workers: 4,
+	res, err := Run(context.Background(), Options{
+		BaseURL: serve(t, h), Agents: 32, VCs: 4, Workers: 4,
 		OpsPerWorker: 250, Seed: 42,
 	})
 	if err != nil {
@@ -136,7 +145,7 @@ func TestRejectedClassification(t *testing.T) {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	})
-	res, err := Run(Options{Handler: h, Workers: 2, OpsPerWorker: 50, Seed: 1})
+	res, err := Run(context.Background(), Options{BaseURL: serve(t, h), Workers: 2, OpsPerWorker: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +160,7 @@ func TestRejectedClassification(t *testing.T) {
 	})
 	// retryAfterCap 1ns: the hint is honored (code path runs) without the
 	// test spending wall-clock sleeping.
-	res, err = Run(Options{Handler: h429, Workers: 2, OpsPerWorker: 50, Seed: 1,
+	res, err = Run(context.Background(), Options{BaseURL: serve(t, h429), Workers: 2, OpsPerWorker: 50, Seed: 1,
 		retryAfterCap: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +179,7 @@ func TestRetryAfterBackoffHonored(t *testing.T) {
 		w.WriteHeader(http.StatusTooManyRequests)
 	})
 	start := time.Now()
-	if _, err := Run(Options{Handler: withHint, Workers: 1, OpsPerWorker: 5, Seed: 1,
+	if _, err := Run(context.Background(), Options{BaseURL: serve(t, withHint), Workers: 1, OpsPerWorker: 5, Seed: 1,
 		retryAfterCap: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +190,7 @@ func TestRetryAfterBackoffHonored(t *testing.T) {
 		w.WriteHeader(http.StatusTooManyRequests)
 	})
 	start = time.Now()
-	if _, err := Run(Options{Handler: noHint, Workers: 1, OpsPerWorker: 5, Seed: 1,
+	if _, err := Run(context.Background(), Options{BaseURL: serve(t, noHint), Workers: 1, OpsPerWorker: 5, Seed: 1,
 		retryAfterCap: time.Second}); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +209,7 @@ func TestNetworkModeReusesConnections(t *testing.T) {
 	defer srv.Close()
 	const workers, ops = 4, 100
 	var dials int64
-	res, err := Run(Options{
+	res, err := Run(context.Background(), Options{
 		BaseURL: srv.URL, Workers: workers, OpsPerWorker: ops, Seed: 3,
 		Agents: 16, VCs: 4,
 		dialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -224,6 +233,50 @@ func TestNetworkModeReusesConnections(t *testing.T) {
 	if got := atomic.LoadInt64(&dials); got > 2*workers {
 		t.Errorf("%d requests from %d workers needed %d dials; want <= %d (one persistent conn per worker, plus at most as many raced spares)",
 			res.Requests, workers, got, 2*workers)
+	}
+}
+
+// TestCancelEndsRun: cancelling the context cuts a Retry-After backoff short
+// and stops every worker, and the request in flight at the cancel completes
+// as a success, not an error.
+func TestCancelEndsRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var n atomic.Int64
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch n.Add(1) {
+		case 1:
+			// A 60 s hint under a one-minute cap: only the cancel ends
+			// this worker's backoff.
+			w.Header().Set("Retry-After", "60")
+			w.WriteHeader(http.StatusTooManyRequests)
+		case 2:
+			// Cancel while this request is still in flight.
+			cancel()
+			time.Sleep(20 * time.Millisecond)
+			w.Write([]byte(`{}`))
+		default:
+			w.Write([]byte(`{}`))
+		}
+	})
+	start := time.Now()
+	res, err := Run(ctx, Options{BaseURL: serve(t, h), Workers: 2, Seed: 1,
+		Duration: time.Minute, retryAfterCap: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Since(start); got > 10*time.Second {
+		t.Errorf("cancelled run took %v", got)
+	}
+	if res.Errors != 0 || res.Rejected429 != 1 {
+		t.Errorf("errors=%d rejected429=%d, want 0/1", res.Errors, res.Rejected429)
+	}
+	var ok int64
+	for _, st := range res.PerOp {
+		ok += st.Count
+	}
+	if res.Requests != 2 || ok != 1 {
+		t.Errorf("requests=%d successes=%d, want 2/1: the in-flight request must count as a success", res.Requests, ok)
 	}
 }
 

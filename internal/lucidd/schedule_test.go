@@ -139,7 +139,6 @@ func TestGlobalScheduleMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.rec.SetKeep(-1) // checkGlobalSchedule needs every ActOrder
 				return s
 			}
 			s := open()
@@ -286,7 +285,6 @@ func TestScheduleComposeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.rec.SetKeep(-1) // past 4,096 registrations, so checkGlobalSchedule sees every ActOrder
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 4096; i++ {
 		submitJob(t, s, fmt.Sprintf("train-%d", rng.Intn(400)), fmt.Sprintf("vc-%d", rng.Intn(16)), 1+rng.Intn(8))

@@ -113,7 +113,8 @@ type profile struct {
 const minSamples = 3
 
 // traceKeep bounds the in-memory decision-trace window the /trace endpoint
-// serves; summary counters still cover the server's whole lifetime.
+// serves to the newest events; summary counters still cover the server's
+// whole lifetime.
 const traceKeep = 4096
 
 // Options hardens the server against hostile or failing clients. The zero
@@ -250,9 +251,6 @@ func historySpec() trace.GenSpec {
 	spec.NumJobs = 3000
 	return spec
 }
-
-// NewServer builds a server with default hardening options.
-func NewServer() (*Server, error) { return NewServerWith(Options{}) }
 
 // NewServerWith trains the interpretable models (once per process, on a
 // synthetic history month standing in for the operator's real logs), builds

@@ -3,11 +3,14 @@ package lucidd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/dtrace"
 )
 
 // newTestServer shares one trained server across tests (training is the
@@ -20,7 +23,7 @@ var (
 
 func testServer(t *testing.T) *Server {
 	t.Helper()
-	once.Do(func() { shared, initErr = NewServer() })
+	once.Do(func() { shared, initErr = NewServerWith(Options{}) })
 	if initErr != nil {
 		t.Fatal(initErr)
 	}
@@ -182,6 +185,41 @@ func TestTraceEndpoint(t *testing.T) {
 
 	if rec := do(t, s, http.MethodPost, "/trace", ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /trace allowed: %d", rec.Code)
+	}
+}
+
+// TestTraceShowsTheLatestOrder: past traceKeep events, /trace still serves
+// the newest decisions — the ActOrder event of the last global /schedule read
+// is the window's final event, naming the head of the body that read served.
+func TestTraceShowsTheLatestOrder(t *testing.T) {
+	s, err := NewServerWith(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < traceKeep+100; i++ {
+		submitJob(t, s, fmt.Sprintf("train-%d", i%37), fmt.Sprintf("vc%d", i%4), 1+i%8)
+	}
+	rec := do(t, s, http.MethodGet, "/schedule", "")
+	var order []struct {
+		ID int `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &order); err != nil || len(order) == 0 {
+		t.Fatalf("GET /schedule: %d %v", rec.Code, err)
+	}
+	rec = do(t, s, http.MethodGet, "/trace", "")
+	var out struct {
+		Count  int64          `json:"count"`
+		Events []dtrace.Event `json:"events"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Events) != traceKeep {
+		t.Fatalf("/trace retained %d events, want %d", len(out.Events), traceKeep)
+	}
+	last := out.Events[len(out.Events)-1]
+	if last.Action != dtrace.ActOrder || last.Job != order[0].ID || last.Seq != out.Count-1 {
+		t.Fatalf("last /trace event %+v (of %d), want the ActOrder naming job %d", last, out.Count, order[0].ID)
 	}
 }
 

@@ -230,7 +230,7 @@ func TestCompactionAndShutdown(t *testing.T) {
 // TestHealthz covers the probe contract: 200 while serving, 503 "draining"
 // after Shutdown begins (served past the drain gate).
 func TestHealthz(t *testing.T) {
-	s, err := NewServer()
+	s, err := NewServerWith(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
