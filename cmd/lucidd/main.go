@@ -30,16 +30,15 @@
 // clean SIGTERM drain. A state dir is bound to the shard count that created
 // it. Drive it with cmd/lucidload to measure sustained req/s and latency.
 //
-// Every state change is one logged op through one apply function; what
-// -ingest-queue chooses is when a telemetry POST (/metrics, /agents) is
-// answered. At 0 the handler applies its op inline and answers 200 with the
-// result. With -ingest-queue N it answers 202 once the op sits on its shard's
-// queue of at most N, which whoever next holds the shard mutex drains through
-// that same function in ack order: the shard's drainer, fsyncing only once 64
-// records are unsynced, or a read flushing it; full queues shed load with
-// 429 + Retry-After instead of blocking. Job submissions are always
-// inline (fsynced before the 201). Reads flush the queue first, so
-// /jobs, /schedule and /agents still observe every acked sample.
+// Every state change is one logged op through one apply function. A
+// telemetry POST (/metrics, /agents) is answered 202 once its op sits on its
+// shard's queue of at most -ingest-queue ops (default 4,096), which whoever
+// next holds the shard mutex drains through that function in ack order: the
+// shard's drainer, fsyncing only once 64 records are unsynced, or a read
+// flushing it; full queues shed load with 429 + Retry-After instead of
+// blocking. Job submissions are applied inline (fsynced before the 201).
+// Reads flush the queue first, so /jobs, /schedule and /agents observe every
+// acked sample.
 //
 // GET /metrics serves the daemon's own instruments (request latency and
 // status codes per endpoint, WAL append/fsync latency, snapshot cost, queue
@@ -70,7 +69,7 @@ func main() {
 	maxBody := flag.Int64("max-body-bytes", 1<<20, "reject request bodies larger than this")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
 	stateDir := flag.String("state-dir", "", "directory for WAL + snapshot durability (empty = in-memory only)")
-	ingestQueue := flag.Int("ingest-queue", 0, "per-shard async telemetry queue depth; 0 = synchronous ingest, >0 acks samples/heartbeats with 202 and sheds overload with 429+Retry-After")
+	ingestQueue := flag.Int("ingest-queue", 4096, "per-shard telemetry queue depth: samples/heartbeats are acked with 202 once queued, and a full queue answers 429+Retry-After")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled); keep it private")
 	flag.Parse()
 
@@ -97,9 +96,7 @@ func main() {
 		}
 	}
 
-	if *ingestQueue > 0 {
-		log.Printf("lucidd async telemetry ingest: per-shard queue %d (drained in ack order; overload answers 429)", *ingestQueue)
-	}
+	log.Printf("lucidd telemetry ingest: per-shard queue %d (drained in ack order; overload answers 429)", srv.IngestQueue())
 
 	if *pprofAddr != "" {
 		// pprof gets its own listener (typically loopback-only), never the

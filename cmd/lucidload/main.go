@@ -82,8 +82,8 @@ func main() {
 
 // runVerifyAcks audits the server's ledger against the client's: every job ID
 // the server 201-acknowledged during the run must appear in GET /jobs. The
-// GET is itself a flush barrier on an async-ingest server, so this also
-// proves the drain/visibility contract end to end over the network.
+// GET is itself a flush barrier of the telemetry queues, so this also proves
+// the drain/visibility contract end to end over the network.
 func runVerifyAcks(addr string, acked []int) error {
 	resp, err := http.Get(addr + "/jobs")
 	if err != nil {

@@ -402,7 +402,7 @@ func (w *worker) step(ctx context.Context, op string) {
 }
 
 // issue sends one request, timing it and classifying the outcome. 2xx is
-// success (200 sync ack or 202 async-ingest ack); 429 is ingest
+// success (201 submission, 202 queued telemetry, 200 read); 429 is ingest
 // backpressure and 503 a drain rejection — both are explicit retryable
 // refusals, counted as Rejected and honored with a capped Retry-After
 // backoff, never errors; anything else, or a transport error, is an error.

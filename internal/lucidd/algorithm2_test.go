@@ -89,7 +89,7 @@ func TestScheduleEqualsSimulatorQueue(t *testing.T) {
 			sample := fmt.Sprintf(`{"job":%d,"gpu_util":%v,"gpu_mem_mb":%v,"gpu_mem_util":%v}`,
 				js.ID, p.GPUUtil, p.GPUMemMB, p.GPUMemUtil)
 			for k := 0; k < minSamples; k++ {
-				if rec := do(t, s, http.MethodPost, "/metrics", sample); rec.Code != http.StatusOK {
+				if rec := do(t, s, http.MethodPost, "/metrics", sample); rec.Code != http.StatusAccepted {
 					t.Fatalf("seed %d: sample: %d: %s", seed, rec.Code, rec.Body)
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -35,12 +34,24 @@ func waitApplied(t *testing.T, s *Server, n int) {
 	}
 }
 
+// postApplied POSTs one telemetry op, requires its 202 and waits until the
+// drainer has applied it: each op then gets its own hold of the shard mutex
+// and its own commit, whatever the test counts per op.
+func postApplied(t *testing.T, s *Server, path, body string) {
+	t.Helper()
+	n := int(s.met.ingestApplied.Value())
+	if rec := do(t, s, http.MethodPost, path, body); rec.Code != http.StatusAccepted {
+		t.Fatalf("POST %s: %d: %s", path, rec.Code, rec.Body)
+	}
+	waitApplied(t, s, n+1)
+}
+
 // compactions reads lucidd_compactions_total.
 func compactions(s *Server) int { return int(s.met.compacts.Value()) }
 
 // TestAppendTimerHoldsNoFsync: lucidd_wal_append_seconds times an append and
-// nothing else, every fsync runs without the shard mutex, and in sync mode
-// telemetry reaches the disk once per SyncEvery records.
+// nothing else, every fsync runs without the shard mutex, and telemetry
+// applied one op per hold reaches the disk once per SyncEvery records.
 func TestAppendTimerHoldsNoFsync(t *testing.T) {
 	s, err := NewServerWith(Options{StateDir: t.TempDir(), clock: parityClock()})
 	if err != nil {
@@ -59,10 +70,7 @@ func TestAppendTimerHoldsNoFsync(t *testing.T) {
 		}
 	}
 	for i := 0; i < 200; i++ {
-		hb := fmt.Sprintf(`{"name":"agent-%d","vc":"vc-0","node":%d}`, i%7, i%7)
-		if rec := do(t, s, http.MethodPost, "/agents", hb); rec.Code != http.StatusOK {
-			t.Fatalf("heartbeat %d: %d: %s", i, rec.Code, rec.Body)
-		}
+		postApplied(t, s, "/agents", fmt.Sprintf(`{"name":"agent-%d","vc":"vc-0","node":%d}`, i%7, i%7))
 	}
 	if got := s.met.walAppend.Count(); got != 200 {
 		t.Errorf("lucidd_wal_append_seconds_count = %d, want 200", got)
@@ -79,120 +87,103 @@ func TestAppendTimerHoldsNoFsync(t *testing.T) {
 }
 
 // TestFlushMeansDurable pins fsync on demand from both sides: telemetry nobody
-// waits for stays unsynced until SyncEvery records have piled up, in either
-// ingest mode, and every barrier — Flush, a list read, /chaos — returns with
-// nothing unsynced on the shards it covers.
+// waits for stays unsynced until SyncEvery records have piled up, and every
+// barrier — Flush, a list read, /chaos — returns with nothing unsynced on the
+// shards it covers.
 func TestFlushMeansDurable(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async-%v", async), func(t *testing.T) {
-			opts := Options{Shards: 4, StateDir: t.TempDir(), EnableChaos: true, clock: parityClock()}
-			if async {
-				opts.IngestQueue = 1024
+	s, err := NewServerWith(Options{Shards: 4, StateDir: t.TempDir(), EnableChaos: true, clock: parityClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vcA, vcB := twoVCsOnDistinctShards(t, s)
+	shA, shB := s.shardFor(vcA), s.shardFor(vcB)
+	telemetry := func(vc string, job, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			body, path := fmt.Sprintf(`{"name":"agent-%s-%d","vc":%q,"node":%d}`, vc, i%5, vc, i%5), "/agents"
+			if i%3 == 0 {
+				body, path = fmt.Sprintf(`{"job":%d,"gpu_util":40,"gpu_mem_mb":3000,"gpu_mem_util":20}`, job), "/metrics"
 			}
-			s, err := NewServerWith(opts)
-			if err != nil {
-				t.Fatal(err)
+			postApplied(t, s, path, body)
+		}
+	}
+	unsynced := func() (out []int64) {
+		for _, sh := range s.shards {
+			out = append(out, sh.wal.Unsynced())
+		}
+		return out
+	}
+	allZero := func(when string) {
+		t.Helper()
+		for i, u := range unsynced() {
+			if u != 0 {
+				t.Errorf("%s: shard %d has %d unsynced records, want 0", when, i, u)
 			}
-			vcA, vcB := twoVCsOnDistinctShards(t, s)
-			shA, shB := s.shardFor(vcA), s.shardFor(vcB)
-			applied := 0
-			telemetry := func(vc string, job, n int) {
-				t.Helper()
-				for i := 0; i < n; i++ {
-					body, path := fmt.Sprintf(`{"name":"agent-%s-%d","vc":%q,"node":%d}`, vc, i%5, vc, i%5), "/agents"
-					if i%3 == 0 {
-						body, path = fmt.Sprintf(`{"job":%d,"gpu_util":40,"gpu_mem_mb":3000,"gpu_mem_util":20}`, job), "/metrics"
-					}
-					if rec := do(t, s, http.MethodPost, path, body); rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
-						t.Fatalf("POST %s: %d: %s", path, rec.Code, rec.Body)
-					}
-				}
-				if applied += n; async {
-					waitApplied(t, s, applied)
-				}
-			}
-			unsynced := func() (out []int64) {
-				for _, sh := range s.shards {
-					out = append(out, sh.wal.Unsynced())
-				}
-				return out
-			}
-			allZero := func(when string) {
-				t.Helper()
-				for i, u := range unsynced() {
-					if u != 0 {
-						t.Errorf("%s: shard %d has %d unsynced records, want 0", when, i, u)
-					}
-				}
-			}
+		}
+	}
 
-			idA := submitJob(t, s, "a", vcA, 2)
-			idB := submitJob(t, s, "b", vcB, 1)
-			allZero("after two 201s")
+	idA := submitJob(t, s, "a", vcA, 2)
+	idB := submitJob(t, s, "b", vcB, 1)
+	allZero("after two 201s")
 
-			// Nobody waits for telemetry: N < SyncEvery ops leave exactly N
-			// unsynced, and the SyncEvery-th pays for all of them.
-			for _, n := range []int{31, 63} {
-				telemetry(vcA, idA, n-int(shA.wal.Unsynced()))
-				if got := shA.wal.Unsynced(); got != int64(n) {
-					t.Fatalf("%d telemetry ops and no barrier: %d unsynced, want %d", n, got, n)
-				}
-			}
-			telemetry(vcA, idA, 1)
-			if got := shA.wal.Unsynced(); got != 0 {
-				t.Fatalf("the 64th unsynced record did not bring the tail to the disk: %d unsynced", got)
-			}
-			if !async {
-				return // sync mode has no queue to flush: Flush and the read barrier are no-ops
-			}
+	// Nobody waits for telemetry: N < SyncEvery ops leave exactly N
+	// unsynced, and the SyncEvery-th pays for all of them.
+	for _, n := range []int{31, 63} {
+		telemetry(vcA, idA, n-int(shA.wal.Unsynced()))
+		if got := shA.wal.Unsynced(); got != int64(n) {
+			t.Fatalf("%d telemetry ops and no barrier: %d unsynced, want %d", n, got, n)
+		}
+	}
+	telemetry(vcA, idA, 1)
+	if got := shA.wal.Unsynced(); got != 0 {
+		t.Fatalf("the 64th unsynced record did not bring the tail to the disk: %d unsynced", got)
+	}
 
-			telemetry(vcA, idA, 5)
-			telemetry(vcB, idB, 3)
-			if a, b := shA.wal.Unsynced(), shB.wal.Unsynced(); a != 5 || b != 3 {
-				t.Fatalf("before Flush: %d and %d unsynced, want 5 and 3", a, b)
-			}
-			s.Flush()
-			allZero("after Flush")
+	telemetry(vcA, idA, 5)
+	telemetry(vcB, idB, 3)
+	if a, b := shA.wal.Unsynced(), shB.wal.Unsynced(); a != 5 || b != 3 {
+		t.Fatalf("before Flush: %d and %d unsynced, want 5 and 3", a, b)
+	}
+	s.Flush()
+	allZero("after Flush")
 
-			telemetry(vcA, idA, 4)
-			telemetry(vcB, idB, 2)
-			get(t, s, "/jobs?vc="+vcA)
-			if a, b := shA.wal.Unsynced(), shB.wal.Unsynced(); a != 0 || b != 2 {
-				t.Errorf("after a read scoped to %s: %d and %d unsynced, want 0 and 2 (only the covered shard)", vcA, a, b)
-			}
-			telemetry(vcA, idA, 4)
-			get(t, s, "/schedule")
-			allZero("after a cluster-wide read")
+	telemetry(vcA, idA, 4)
+	telemetry(vcB, idB, 2)
+	get(t, s, "/jobs?vc="+vcA)
+	if a, b := shA.wal.Unsynced(), shB.wal.Unsynced(); a != 0 || b != 2 {
+		t.Errorf("after a read scoped to %s: %d and %d unsynced, want 0 and 2 (only the covered shard)", vcA, a, b)
+	}
+	telemetry(vcA, idA, 4)
+	get(t, s, "/schedule")
+	allZero("after a cluster-wide read")
 
-			telemetry(vcA, idA, 4)
-			telemetry(vcB, idB, 2)
-			if rec := do(t, s, http.MethodPost, "/chaos", `{"action":"evict-agent","agent":"nobody"}`); rec.Code != http.StatusNotFound {
-				t.Fatalf("evict of an unknown agent: %d", rec.Code)
-			}
-			allZero("after /chaos evict-agent visited every shard")
+	telemetry(vcA, idA, 4)
+	telemetry(vcB, idB, 2)
+	if rec := do(t, s, http.MethodPost, "/chaos", `{"action":"evict-agent","agent":"nobody"}`); rec.Code != http.StatusNotFound {
+		t.Fatalf("evict of an unknown agent: %d", rec.Code)
+	}
+	allZero("after /chaos evict-agent visited every shard")
 
-			telemetry(vcA, idA, 4)
-			if rec := do(t, s, http.MethodPost, "/chaos", fmt.Sprintf(`{"action":"fail-job","job":%d}`, idA)); rec.Code != http.StatusOK {
-				t.Fatalf("fail-job: %d: %s", rec.Code, rec.Body)
-			}
-			// The barrier in front of the kill made the samples durable; the
-			// kill's own record is telemetry class and waits for the next commit.
-			if got := shA.wal.Unsynced(); got != 1 {
-				t.Errorf("after /chaos fail-job: %d unsynced, want 1 (the chaos record itself)", got)
-			}
+	telemetry(vcA, idA, 4)
+	if rec := do(t, s, http.MethodPost, "/chaos", fmt.Sprintf(`{"action":"fail-job","job":%d}`, idA)); rec.Code != http.StatusOK {
+		t.Fatalf("fail-job: %d: %s", rec.Code, rec.Body)
+	}
+	// The barrier in front of the kill made the samples durable; the
+	// kill's own record is telemetry class and waits for the next commit.
+	if got := shA.wal.Unsynced(); got != 1 {
+		t.Errorf("after /chaos fail-job: %d unsynced, want 1 (the chaos record itself)", got)
+	}
 
-			var status struct {
-				Durable durableStatus `json:"durable"`
-				ByShard []shardStatus `json:"by_shard"`
-			}
-			if err := json.Unmarshal([]byte(get(t, s, "/statusz")), &status); err != nil {
-				t.Fatal(err)
-			}
-			if status.Durable.WALUnsynced != 1 || status.ByShard[shA.idx].Durable.WALUnsynced != 1 {
-				t.Errorf("/statusz wal_unsynced = %d (aggregate), %d (shard %d), want 1 and 1",
-					status.Durable.WALUnsynced, status.ByShard[shA.idx].Durable.WALUnsynced, shA.idx)
-			}
-		})
+	var status struct {
+		Durable durableStatus `json:"durable"`
+		ByShard []shardStatus `json:"by_shard"`
+	}
+	if err := json.Unmarshal([]byte(get(t, s, "/statusz")), &status); err != nil {
+		t.Fatal(err)
+	}
+	if status.Durable.WALUnsynced != 1 || status.ByShard[shA.idx].Durable.WALUnsynced != 1 {
+		t.Errorf("/statusz wal_unsynced = %d (aggregate), %d (shard %d), want 1 and 1",
+			status.Durable.WALUnsynced, status.ByShard[shA.idx].Durable.WALUnsynced, shA.idx)
 	}
 }
 
@@ -277,7 +268,6 @@ func TestGroupCommitNoAckLost(t *testing.T) {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}
-	opts.IngestQueue = 0
 	s2, err := NewServerWith(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +292,8 @@ func TestGroupCommitNoAckLost(t *testing.T) {
 // TestFailedCommitWithdrawsTheJob: the fsync of a submission fails after the
 // shard mutex was released. The client is told 500, the job is not listed and
 // no "registered" event was recorded; telemetry on the same shard keeps being
-// applied (and reports the error once its commit reaches the threshold).
+// acked and applied, and the flush commit that asks the disk for it fails and
+// is counted in lucidd_ingest_errors_total.
 func TestFailedCommitWithdrawsTheJob(t *testing.T) {
 	// A disk that takes writes and fails fsync with EIO: the append under the
 	// mutex succeeds, the commit after it does not.
@@ -347,10 +338,20 @@ func TestFailedCommitWithdrawsTheJob(t *testing.T) {
 			t.Errorf("event recorded for the withdrawn job: %+v", ev)
 		}
 	}
-	// Telemetry is applied whatever the disk says, and is told so only when its
-	// own commit asks the disk.
-	if code := postSample(t, s, kept); code != http.StatusOK {
-		t.Errorf("sample below the fsync threshold: %d, want 200", code)
+	// Telemetry is acked and applied whatever the disk says; a flush commit
+	// that asks the disk fails, and nobody waits on it but a counter (the
+	// /jobs read above counted one already).
+	errs := s.met.ingestErrors.Value()
+	postApplied(t, s, "/metrics", fmt.Sprintf(`{"job":%d,"gpu_util":42,"gpu_mem_mb":2000,"gpu_mem_util":21}`, kept))
+	s.Flush()
+	if got := s.met.ingestErrors.Value() - errs; got != 1 {
+		t.Errorf("lucidd_ingest_errors_total rose by %v over one failed flush commit, want 1", got)
+	}
+	sh.mu.Lock()
+	samples := sh.jobs[kept].Samples
+	sh.mu.Unlock()
+	if samples != 1 {
+		t.Errorf("job %d holds %d samples after one acked sample, want 1", kept, samples)
 	}
 	sh.wal = good
 	if id := submitJob(t, s, "after", "vc-0", 1); id != kept+2 {
@@ -363,19 +364,17 @@ func TestFailedCommitWithdrawsTheJob(t *testing.T) {
 // the log grows fast — the regime the ratio is for.
 func ratioOp(t *testing.T, s *Server, rng *rand.Rand, i int) {
 	t.Helper()
-	var rec *httptest.ResponseRecorder
 	switch roll := rng.Intn(10); {
 	case roll == 0 || i < 8:
-		rec = do(t, s, http.MethodPost, "/jobs", fmt.Sprintf(`{"name":"ratio-%d","user":"u","vc":"vc-0","gpus":%d}`, i, 1+rng.Intn(8)))
+		if rec := do(t, s, http.MethodPost, "/jobs", fmt.Sprintf(`{"name":"ratio-%d","user":"u","vc":"vc-0","gpus":%d}`, i, 1+rng.Intn(8))); rec.Code != http.StatusCreated {
+			t.Fatalf("op %d: %d: %s", i, rec.Code, rec.Body)
+		}
 	case roll < 4:
-		rec = do(t, s, http.MethodPost, "/metrics", fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%d,"gpu_mem_util":%d}`,
+		postApplied(t, s, "/metrics", fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%d,"gpu_mem_util":%d}`,
 			1+rng.Intn(8), rng.Intn(101), 500+rng.Intn(30000), rng.Intn(101)))
 	default:
 		a := rng.Intn(40)
-		rec = do(t, s, http.MethodPost, "/agents", fmt.Sprintf(`{"name":"agent-%02d","vc":"vc-0","node":%d}`, a, a))
-	}
-	if rec.Code != http.StatusOK && rec.Code != http.StatusCreated {
-		t.Fatalf("op %d: %d: %s", i, rec.Code, rec.Body)
+		postApplied(t, s, "/agents", fmt.Sprintf(`{"name":"agent-%02d","vc":"vc-0","node":%d}`, a, a))
 	}
 }
 
@@ -551,6 +550,8 @@ func TestCompactionInsideOneHold(t *testing.T) {
 		check(fmt.Sprintf("after op %d", i))
 	}
 
+	// A drain that ran beside a Flush counts its hold after Flush returns.
+	waitApplied(t, s, 6)
 	sh.mu.Lock() // the drainer waits: all 50 ops are taken by one holder
 	for i := 6; i < 56; i++ {
 		op(i)
@@ -558,6 +559,7 @@ func TestCompactionInsideOneHold(t *testing.T) {
 	holds, compacts := s.met.ingestBatch.Count(), compactions(s)
 	sh.mu.Unlock()
 	s.Flush()
+	waitApplied(t, s, 56)
 	if got := s.met.ingestBatch.Count() - holds; got != 1 {
 		t.Fatalf("the 50 queued ops were applied in %d holds, want 1", got)
 	}

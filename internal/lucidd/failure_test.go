@@ -73,7 +73,7 @@ func TestAgentHeartbeatAndStaleEviction(t *testing.T) {
 		`{"name":"agent-0","node":0}`,
 		`{"name":"agent-1","node":1}`,
 	} {
-		if rec := do(t, s, http.MethodPost, "/agents", body); rec.Code != http.StatusOK {
+		if rec := do(t, s, http.MethodPost, "/agents", body); rec.Code != http.StatusAccepted {
 			t.Fatalf("register: status %d: %s", rec.Code, rec.Body)
 		}
 	}
@@ -99,7 +99,7 @@ func TestAgentHeartbeatAndStaleEviction(t *testing.T) {
 	// 45s in, agent-1 heartbeats; agent-0 stays silent. At 45+40s agent-0 is
 	// 85s stale (evicted) while agent-1 is only 40s stale (alive).
 	clk.Advance(45 * time.Second)
-	if rec := do(t, s, http.MethodPost, "/agents", `{"name":"agent-1","node":1}`); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/agents", `{"name":"agent-1","node":1}`); rec.Code != http.StatusAccepted {
 		t.Fatalf("heartbeat: %d", rec.Code)
 	}
 	clk.Advance(40 * time.Second)
@@ -122,7 +122,7 @@ func TestAgentHeartbeatAndStaleEviction(t *testing.T) {
 		t.Fatalf("stale eviction not traced: %v", tr.Summary.Actions)
 	}
 	// A returning agent re-registers cleanly.
-	if rec := do(t, s, http.MethodPost, "/agents", `{"name":"agent-0","node":0}`); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/agents", `{"name":"agent-0","node":0}`); rec.Code != http.StatusAccepted {
 		t.Fatalf("re-register after eviction: %d", rec.Code)
 	}
 	if got := list(); len(got) != 2 {
@@ -145,16 +145,14 @@ func TestChaosFailJobResetsProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	profileTiny := func() jobState {
-		var last jobState
 		for i := 0; i < minSamples; i++ {
 			rec := do(t, s, http.MethodPost, "/metrics",
 				`{"job":`+itoa(js.ID)+`,"gpu_util":11,"gpu_mem_mb":1200,"gpu_mem_util":7}`)
-			if rec.Code != http.StatusOK {
+			if rec.Code != http.StatusAccepted {
 				t.Fatalf("metrics: %d %s", rec.Code, rec.Body)
 			}
-			json.Unmarshal(rec.Body.Bytes(), &last)
 		}
-		return last
+		return jobOf(t, s, js.ID)
 	}
 	if got := profileTiny(); got.Score != "Tiny" {
 		t.Fatalf("profiled score %q, want Tiny", got.Score)

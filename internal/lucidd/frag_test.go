@@ -137,15 +137,12 @@ var hostileStrings = []string{
 // contract: a randomized stream of every op kind — submissions (hostile
 // strings included), samples, heartbeats, chaos kills and evictions — with
 // list reads interleaved so fragments exist to go stale, a kill-and-replay, and
-// a drain-and-snapshot-load, at 1 and 8 shards, sync and async. After every
-// step the four list endpoints must equal the replaced encoder's output.
+// a drain-and-snapshot-load, at 1 and 8 shards. After every step the four
+// list endpoints must equal the replaced encoder's output. Telemetry is always
+// queued; the -async-true suffix keeps the cells' test IDs stable.
 func TestListBytesMatchReplacedEncoder(t *testing.T) {
-	for _, v := range []struct {
-		shards int
-		async  bool
-	}{{1, false}, {8, false}, {1, true}, {8, true}} {
-		v := v
-		t.Run(fmt.Sprintf("%d-shards-async-%v", v.shards, v.async), func(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("%d-shards-async-true", shards), func(t *testing.T) {
 			dir := t.TempDir()
 			// snapshots counts the compactions of every incarnation, and
 			// snapAndReplay the reopens that loaded a snapshot AND replayed a
@@ -154,12 +151,8 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 			open := func() *Server {
 				// compactEvery 40 is the floor; past the first snapshot a shard
 				// compacts again when its log is also twice that snapshot.
-				opts := Options{Shards: v.shards, EnableChaos: true, clock: parityClock(),
-					StateDir: dir, compactEvery: 40}
-				if v.async {
-					opts.IngestQueue = 4096
-				}
-				s, err := NewServerWith(opts)
+				s, err := NewServerWith(Options{Shards: shards, EnableChaos: true, clock: parityClock(),
+					StateDir: dir, compactEvery: 40})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +162,7 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 			if got := get(t, s, "/schedule") + get(t, s, "/jobs?vc=nobody"); got != "[]\n[]\n" {
 				t.Fatalf("empty lists = %q, want [] and [] (never null)", got)
 			}
-			rng := rand.New(rand.NewSource(int64(20 + v.shards)))
+			rng := rand.New(rand.NewSource(int64(20 + shards)))
 			vcs := []string{"vc-0", "vc-1", "vc-2", "vc-3", `vc "quoted" <4>`}
 			var ids []int
 
@@ -185,7 +178,7 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 			}
 			sample := func(id int, util, memMB, memUtil float64) {
 				body := fmt.Sprintf(`{"job":%d,"gpu_util":%v,"gpu_mem_mb":%v,"gpu_mem_util":%v}`, id, util, memMB, memUtil)
-				if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
+				if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusAccepted {
 					t.Fatalf("sample: %d: %s", rec.Code, rec.Body)
 				}
 			}
@@ -229,7 +222,7 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 				case roll < 12:
 					a := rng.Intn(12)
 					hb := fmt.Sprintf(`{"name":"agent-%d","vc":"vc-%d","node":%d}`, a, a%4, a)
-					if rec := do(t, s, http.MethodPost, "/agents", hb); rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
+					if rec := do(t, s, http.MethodPost, "/agents", hb); rec.Code != http.StatusAccepted {
 						t.Fatalf("heartbeat: %d: %s", rec.Code, rec.Body)
 					}
 				case roll < 13:
@@ -276,9 +269,9 @@ func TestListBytesMatchReplacedEncoder(t *testing.T) {
 			}
 			snapshots += compactions(s)
 			t.Logf("%d compactions, %d reopens that were a snapshot load plus a replay", snapshots, snapAndReplay)
-			if snapshots < v.shards || snapAndReplay == 0 {
+			if snapshots < shards || snapAndReplay == 0 {
 				t.Errorf("%d compactions over %d shards and %d snapshot-plus-replay reopens: the stream no longer exercises compaction",
-					snapshots, v.shards, snapAndReplay)
+					snapshots, shards, snapAndReplay)
 			}
 		})
 	}
@@ -336,27 +329,14 @@ func TestRetainedFragmentsUnderWriters(t *testing.T) {
 		est   float64
 	}
 	fresh, profiled := map[int]version{}, map[int]version{}
-	one := func(id int) jobState {
-		var all []jobState
-		if err := json.Unmarshal([]byte(get(t, s, "/jobs")), &all); err != nil {
-			t.Fatal(err)
-		}
-		for _, js := range all {
-			if js.ID == id {
-				return js
-			}
-		}
-		t.Fatalf("job %d not listed", id)
-		return jobState{}
-	}
 	for i := 0; i < nJobs; i++ {
 		id := submitJob(t, s, fmt.Sprintf("race-%d", i%5), fmt.Sprintf("vc-%d", i%6), 1+i%4)
-		js := one(id)
+		js := jobOf(t, s, id)
 		fresh[id] = version{js.Score, js.EstSec}
 		for k := 0; k < minSamples; k++ {
 			do(t, s, http.MethodPost, "/metrics", fmt.Sprintf(`{"job":%d,%s`, id, sampleBody))
 		}
-		js = one(id)
+		js = jobOf(t, s, id)
 		profiled[id] = version{js.Score, js.EstSec}
 	}
 
@@ -445,8 +425,8 @@ func TestRetainedFragmentsUnderWriters(t *testing.T) {
 
 // TestAckedThenDroppedSampleIsCounted: a sample for a job the shard does not
 // hold (evicted between the 202 and the apply, or dropped by a snapshot before
-// replay) changes nothing and is not logged — inline, the caller answers 404
-// from res.ok; in a queue drain nobody is left to tell, so it must be counted.
+// replay) changes nothing and is not logged; nobody is left to tell, so the
+// drain must count it.
 func TestAckedThenDroppedSampleIsCounted(t *testing.T) {
 	s, err := NewServerWith(Options{StateDir: t.TempDir(), EnableChaos: true})
 	if err != nil {
@@ -457,14 +437,8 @@ func TestAckedThenDroppedSampleIsCounted(t *testing.T) {
 	before, records := get(t, s, "/jobs")+get(t, s, "/schedule"), sh.wal.Records()
 	orphan := walOp{Op: "metrics", ID: 4242, GPUUtil: 50, GPUMemMB: 1000, GPUMemUtil: 10}
 
-	if r := sh.applyOne(orphan); r.ok || r.err != nil {
-		t.Fatalf("inline apply of an orphan sample: ok=%v err=%v, want ok=false", r.ok, r.err)
-	}
-	if got := s.met.ingestDropped.Value(); got != 0 {
-		t.Fatalf("inline apply bumped lucidd_ingest_dropped_total to %v: its caller answers 404", got)
-	}
-	// Through the queue, applied by a flush: with no queue capacity there is no
-	// drainer to race it for the two ops.
+	// Through the queue, applied by a flush: appended behind enqueue's back,
+	// so no drainer races the flush for the two ops.
 	sh.queue = append(sh.queue, orphan, orphan)
 	sh.drain(0)
 	if got := s.met.ingestDropped.Value(); got != 2 {
@@ -536,7 +510,7 @@ func TestEqualSamplesListTheirProfile(t *testing.T) {
 		id := submitJob(t, s, fmt.Sprint("cfg-", i), fmt.Sprint("vc-", i%8), 1)
 		body := fmt.Sprintf(`{"job":%d,"gpu_util":%v,"gpu_mem_mb":%v,"gpu_mem_util":%v}`, id, p.GPUUtil, p.GPUMemMB, p.GPUMemUtil)
 		for k := 0; k < minSamples; k++ {
-			if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusOK {
+			if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusAccepted {
 				t.Fatalf("sample: %d: %s", rec.Code, rec.Body)
 			}
 		}
@@ -564,7 +538,7 @@ func TestHugeSamplesKeepListsEncodable(t *testing.T) {
 	id := submitJob(t, s, "huge", "vc-0", 1)
 	for i := 0; i < 2; i++ {
 		body := fmt.Sprintf(`{"job":%d,"gpu_util":%v,"gpu_mem_mb":%v}`, id, math.MaxFloat64, math.MaxFloat64)
-		if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusOK {
+		if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusAccepted {
 			t.Fatalf("sample: %d: %s", rec.Code, rec.Body)
 		}
 	}
@@ -580,22 +554,20 @@ func TestHugeSamplesKeepListsEncodable(t *testing.T) {
 }
 
 // TestNegativeSampleIsRejected: utilization and memory are never negative. A
-// sample that says otherwise gets 400 in both ingest modes and changes nothing.
+// sample that says otherwise gets 400, never a queue slot, and changes nothing.
 func TestNegativeSampleIsRejected(t *testing.T) {
-	for _, queue := range []int{0, 64} {
-		s, err := NewServerWith(Options{IngestQueue: queue})
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewServerWith(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := submitJob(t, s, "negative", "vc-0", 1)
+	for _, field := range []string{"gpu_util", "gpu_mem_mb", "gpu_mem_util"} {
+		body := fmt.Sprintf(`{"job":%d,%q:-1}`, id, field)
+		if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s -1: %d, want 400", field, rec.Code)
 		}
-		id := submitJob(t, s, "negative", "vc-0", 1)
-		for _, field := range []string{"gpu_util", "gpu_mem_mb", "gpu_mem_util"} {
-			body := fmt.Sprintf(`{"job":%d,%q:-1}`, id, field)
-			if rec := do(t, s, http.MethodPost, "/metrics", body); rec.Code != http.StatusBadRequest {
-				t.Errorf("queue %d: %s -1: %d, want 400", queue, field, rec.Code)
-			}
-		}
-		if got := samplesOf(t, s, id); got != 0 {
-			t.Errorf("queue %d: %d samples applied after three rejected ones", queue, got)
-		}
+	}
+	if got := samplesOf(t, s, id); got != 0 {
+		t.Errorf("%d samples applied after three rejected ones", got)
 	}
 }

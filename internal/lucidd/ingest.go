@@ -2,14 +2,11 @@ package lucidd
 
 import "sync"
 
-// Async telemetry ingest. A POST /metrics or POST /agents handler always
-// does the same work: validate, route, build the walOp. With
-// Options.IngestQueue == 0 it then applies the op inline (shard.applyOne) and
-// answers with the result; with IngestQueue > 0 it appends the op to the
-// owning shard's ack-ordered queue instead and answers 202 Accepted — or 429 +
-// Retry-After when the queue already holds IngestQueue ops (backpressure), so
-// an overloaded shard sheds telemetry load explicitly instead of queueing
-// unboundedly.
+// Telemetry ingest. A POST /metrics or POST /agents handler validates, routes
+// and builds the walOp, then appends it to the owning shard's ack-ordered
+// queue and answers 202 Accepted — or 429 + Retry-After when the queue already
+// holds Options.IngestQueue ops (backpressure), so an overloaded shard sheds
+// telemetry load explicitly instead of queueing unboundedly.
 //
 // Only a holder of the shard mutex takes ops off the queue, always the oldest
 // first, and applies them through applyOpsLocked in the same hold. Two kinds of
@@ -26,7 +23,7 @@ import "sync"
 //
 //   - Per-shard FIFO: ops are applied in exact ack order, so a job's samples
 //     fold into its running-mean profile in the same order the server
-//     acknowledged them — bit-identical to synchronous ingest.
+//     acknowledged them — bit-identical to applying each op on its own.
 //   - Flushes: read paths, /chaos mutations and Shutdown flush the shards they
 //     cover first, so every acknowledged sample is observable there and no
 //     chaos op can overtake telemetry it arrived after. A flush returns with
@@ -34,10 +31,9 @@ import "sync"
 //     the drainer ran beside it may land a moment later.
 //   - Durability: an acked-but-still-queued op is in memory only; an applied
 //     op is in the WAL file (a killed process loses nothing it applied) and
-//     reaches stable storage with the next fsync on its shard — same class
-//     as sync mode's unsynced WAL tail, telemetry the agents re-send anyway;
-//     an op a flush has covered is on disk. Recovery replays exactly what
-//     the files hold per shard.
+//     reaches stable storage with the next fsync on its shard — telemetry
+//     the agents re-send anyway; an op a flush has covered is on disk.
+//     Recovery replays exactly what the files hold per shard.
 //
 // The drainer asks the disk only when WAL.SyncEvery records are unsynced, and
 // either way the fsync runs after the shard mutex is released (shard.commit,
@@ -120,32 +116,32 @@ func (sh *shard) drain(max int) (left int) {
 	sh.srv.record(events)
 	met.ingestErrors.Add(float64(failed))
 	met.ingestDropped.Add(float64(dropped))
-	if len(ops) > 0 {
-		met.ingestApplied.Add(float64(len(ops)))
+	if len(ops) > 0 { // applied last: whoever waits on it sees this drain's other counters
 		met.ingestBatch.Observe(float64(len(ops)))
+		met.ingestApplied.Add(float64(len(ops)))
 	}
 	return left
 }
 
-// flush applies and fsyncs everything queued on the shard. No-op in sync
-// mode, where there is no queue.
-func (sh *shard) flush() {
-	if sh.srv.opts.IngestQueue > 0 {
-		sh.drain(0)
-	}
-}
+// flush applies and fsyncs everything queued on the shard.
+func (sh *shard) flush() { sh.drain(0) }
 
 // flushAll flushes every given shard, one goroutine per shard when there are
 // several, so one wedged shard delays the caller but not its siblings' fsyncs —
-// one per shard with anything unsynced, now that nobody fsyncs unasked.
+// one per shard with anything unsynced, now that nobody fsyncs unasked. A
+// settled shard is skipped: its flush would apply and fsync nothing, and an
+// idle in-memory daemon's global read starts no goroutines.
 func flushAll(shards []*shard) {
-	if len(shards) == 1 || shards[0].srv.opts.IngestQueue == 0 {
+	if len(shards) == 1 {
 		shards[0].flush()
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(shards))
 	for _, sh := range shards {
+		if sh.settled() {
+			continue
+		}
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sh.drain(0)
@@ -154,7 +150,21 @@ func flushAll(shards []*shard) {
 	wg.Wait()
 }
 
+// settled reports, without waiting, that every op acknowledged on sh is
+// applied and every record it appended is durable: nobody holds the shard
+// mutex (so no take is being applied), the queue is empty and the WAL has
+// nothing unsynced.
+func (sh *shard) settled() bool {
+	if !sh.mu.TryLock() {
+		return false
+	}
+	defer sh.mu.Unlock()
+	sh.qmu.Lock()
+	defer sh.qmu.Unlock()
+	return len(sh.queue) == 0 && (sh.wal == nil || sh.wal.Unsynced() == 0)
+}
+
 // Flush blocks until every telemetry op acknowledged before the call is
 // applied and durable on every shard — the explicit cluster-wide barrier
-// (parity tests use it before comparing bodies). No-op in sync mode.
+// (parity tests use it before comparing bodies).
 func (s *Server) Flush() { flushAll(s.shards) }

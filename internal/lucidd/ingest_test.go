@@ -10,11 +10,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
 
-// asyncServer builds a chaos-enabled async-ingest server with a pinned clock.
+// asyncServer builds a chaos-enabled server with a telemetry queue of the
+// given depth and a pinned clock.
 func asyncServer(t *testing.T, shards, queue int) *Server {
 	t.Helper()
 	s, err := NewServerWith(Options{Shards: shards, EnableChaos: true,
@@ -47,9 +49,9 @@ func postSample(t *testing.T, s *Server, id int) int {
 	return do(t, s, http.MethodPost, "/metrics", body).Code
 }
 
-// samplesOf reads a job's applied sample count through the public API (the
-// GET itself is a flush barrier).
-func samplesOf(t *testing.T, s *Server, id int) int {
+// jobOf reads a job through the public API (the GET itself is a flush
+// barrier).
+func jobOf(t *testing.T, s *Server, id int) jobState {
 	t.Helper()
 	var jobs []jobState
 	if err := json.Unmarshal([]byte(get(t, s, "/jobs")), &jobs); err != nil {
@@ -57,61 +59,115 @@ func samplesOf(t *testing.T, s *Server, id int) int {
 	}
 	for _, js := range jobs {
 		if js.ID == id {
-			return js.Samples
+			return js
 		}
 	}
 	t.Fatalf("job %d not in /jobs", id)
-	return -1
+	return jobState{}
 }
 
-// TestIngestBackpressure wedges a shard (by holding its mutex, which every
-// taker of the queue needs) and fills its tiny queue: the server must refuse
-// further telemetry with 429 + Retry-After instead of queueing unboundedly or
-// blocking the request path — after exactly capacity 202s — and after the
-// wedge lifts, exactly the acknowledged samples (every 202, no 429) must be
-// applied.
-func TestIngestBackpressure(t *testing.T) {
-	const capacity = 2
-	s := asyncServer(t, 1, capacity)
-	id := submitJob(t, s, "bp", "vc-0", 1)
-	s.Flush() // queue empty
+// samplesOf reads a job's applied sample count through the public API.
+func samplesOf(t *testing.T, s *Server, id int) int { return jobOf(t, s, id).Samples }
 
-	sh := s.shards[0]
-	sh.mu.Lock()
-	accepted, rejected := 0, 0
-	for i := 0; i < 10 && rejected == 0; i++ {
-		rec := do(t, s, http.MethodPost, "/metrics",
-			fmt.Sprintf(`{"job":%d,"gpu_util":10,"gpu_mem_mb":100,"gpu_mem_util":5}`, id))
-		switch rec.Code {
-		case http.StatusAccepted:
-			accepted++
-		case http.StatusTooManyRequests:
-			rejected++
-			if ra := rec.Header().Get("Retry-After"); ra == "" {
-				t.Error("429 without a Retry-After header")
+// TestIngestBackpressure wedges a shard (by holding its mutex, which every
+// taker of the queue needs) and fills its queue — a tiny one, and the default
+// depth of a zero Options: the server must refuse further telemetry with 429 +
+// Retry-After instead of queueing unboundedly or blocking the request path —
+// after exactly capacity 202s — and after the wedge lifts, exactly the
+// acknowledged samples (every 202, no 429) must be applied.
+func TestIngestBackpressure(t *testing.T) {
+	for _, c := range []struct {
+		opts     Options
+		capacity int
+	}{
+		{Options{IngestQueue: 2}, 2},
+		{Options{}, 4096},
+	} {
+		s, err := NewServerWith(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := submitJob(t, s, "bp", "vc-0", 1)
+		sample := fmt.Sprintf(`{"job":%d,"gpu_util":10,"gpu_mem_mb":100,"gpu_mem_util":5}`, id)
+		if rec, want := do(t, s, http.MethodPost, "/metrics", sample), fmt.Sprintf(`{"job":%d,"queued":true}`+"\n", id); rec.Code != http.StatusAccepted || rec.Body.String() != want {
+			t.Fatalf("queue of %d: POST /metrics: %d %q, want 202 %q", c.capacity, rec.Code, rec.Body, want)
+		}
+		s.Flush() // queue empty
+
+		sh := s.shards[0]
+		sh.mu.Lock()
+		accepted, rejected := 0, 0
+		for i := 0; i < c.capacity+8 && rejected == 0; i++ {
+			rec := do(t, s, http.MethodPost, "/metrics", sample)
+			switch rec.Code {
+			case http.StatusAccepted:
+				accepted++
+			case http.StatusTooManyRequests:
+				rejected++
+				if ra := rec.Header().Get("Retry-After"); ra == "" {
+					t.Error("429 without a Retry-After header")
+				}
+			default:
+				t.Fatalf("sample POST %d: unexpected status %d: %s", i, rec.Code, rec.Body)
 			}
-		default:
-			t.Fatalf("sample POST %d: unexpected status %d: %s", i, rec.Code, rec.Body)
+		}
+		if rejected == 0 {
+			sh.mu.Unlock()
+			t.Fatalf("no 429 after %d accepted samples on a queue of %d", accepted, c.capacity)
+		}
+		if accepted != c.capacity {
+			t.Errorf("queue of %d accepted %d samples before backpressure, want exactly %d", c.capacity, accepted, c.capacity)
+		}
+		// The depth gauge never waits for the wedged shard.
+		if want := fmt.Sprintf("lucidd_ingest_queue_depth{shard=\"0\"} %d\n", c.capacity); !strings.Contains(get(t, s, "/metrics"), want) {
+			t.Errorf("GET /metrics with the shard wedged lacks %q", want)
+		}
+		sh.mu.Unlock()
+
+		// Everything acknowledged — and only that — is applied once.
+		if got := samplesOf(t, s, id); got != 1+accepted {
+			t.Errorf("applied %d samples, want exactly the %d acknowledged", got, 1+accepted)
+		}
+		if got := s.met.ingestRejected.Value(); got != float64(rejected) {
+			t.Errorf("lucidd_ingest_rejected_total = %v, want %d", got, rejected)
 		}
 	}
-	if rejected == 0 {
-		t.Fatalf("no 429 after %d accepted samples on a queue of %d", accepted, capacity)
-	}
-	if accepted != capacity {
-		t.Errorf("queue of %d accepted %d samples before backpressure, want exactly %d", capacity, accepted, capacity)
-	}
-	// The depth gauge never waits for the wedged shard.
-	if want := fmt.Sprintf("lucidd_ingest_queue_depth{shard=\"0\"} %d\n", capacity); !strings.Contains(get(t, s, "/metrics"), want) {
-		t.Errorf("GET /metrics with the shard wedged lacks %q", want)
-	}
-	sh.mu.Unlock()
+}
 
-	// Everything acknowledged — and only that — is applied once.
-	if got := samplesOf(t, s, id); got != accepted {
-		t.Errorf("applied %d samples, want exactly the %d acknowledged", got, accepted)
+// TestFlushWaitsForATakeInProgress: a holder that has taken a shard's queue
+// but not yet applied it leaves the queue empty and the WAL synced, so the
+// shard looks settled to everything but its mutex. A Flush must still wait for
+// that hold and return with its op durable.
+func TestFlushWaitsForATakeInProgress(t *testing.T) {
+	s, err := NewServerWith(Options{Shards: 4, StateDir: t.TempDir(), clock: parityClock()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.met.ingestRejected.Value(); got != float64(rejected) {
-		t.Errorf("lucidd_ingest_rejected_total = %v, want %d", got, rejected)
+	vc, _ := twoVCsOnDistinctShards(t, s)
+	sh := s.shardFor(vc)
+	sh.mu.Lock()
+	if rec := do(t, s, http.MethodPost, "/agents", fmt.Sprintf(`{"name":"taken","vc":%q,"node":1}`, vc)); rec.Code != http.StatusAccepted {
+		sh.mu.Unlock()
+		t.Fatalf("heartbeat: %d: %s", rec.Code, rec.Body)
+	}
+	ops, _ := sh.takeLocked(0) // the take in progress; the drainer waits for the mutex
+	flushed := make(chan struct{})
+	go func() {
+		s.Flush()
+		close(flushed)
+	}()
+	// Correct code passes whatever the timing; the pause gives a Flush that
+	// skips the held shard the time to return before the op is applied.
+	time.Sleep(20 * time.Millisecond)
+	sh.applyOpsLocked(ops, s.opts.clock(), nil)
+	seq := sh.commitPointLocked()
+	sh.mu.Unlock()
+	if err := sh.commit(seq, false); err != nil {
+		t.Fatal(err)
+	}
+	<-flushed
+	if u := sh.wal.Unsynced(); u != 0 {
+		t.Errorf("Flush returned with %d unsynced records from a take it did not wait for", u)
 	}
 }
 
@@ -147,8 +203,8 @@ func TestFlushBarrierReadYourWrites(t *testing.T) {
 // TestCrashDuringAsyncIngest is the kill -9 analogue for the async
 // pipeline, per shard: samples acknowledged AND flushed (a barrier passed
 // behind them) must be recovered exactly; samples acknowledged but still
-// queued when the process dies are in-memory only and may be lost — the
-// same durability class as sync mode's unsynced WAL tail. The crash is
+// queued when the process dies are in-memory only and may be lost —
+// telemetry the agents re-send anyway. The crash is
 // simulated by wedging both shard mutexes (the drainers can never reach
 // the WAL again) and booting a second server over the same state dir.
 func TestCrashDuringAsyncIngest(t *testing.T) {
@@ -352,9 +408,10 @@ func TestAgentListDeterministicTieBreak(t *testing.T) {
 // into running means that depend on their order (gpu_util alternates 0 and
 // 100, the memory fields never repeat), while scoped /schedule and /agents
 // reads and Flush calls take the shard's queue beside its drainer. The job
-// must end bit-equal to a sync-mode server fed the same samples: every taker
-// holds the shard mutex from its take to its last apply, so no op can be
-// applied ahead of one acknowledged before it. Run under -race in CI.
+// must end bit-equal to a reference server that applies the same ops one by
+// one in order (shard.applyOne): every taker holds the shard mutex from its
+// take to its last apply, so no op can be applied ahead of one acknowledged
+// before it. Run under -race in CI.
 func TestAckOrderUnderConcurrentTakers(t *testing.T) {
 	const n, vc = 10000, "vc-0"
 	async := asyncServer(t, 4, 1024)
@@ -366,11 +423,14 @@ func TestAckOrderUnderConcurrentTakers(t *testing.T) {
 	if got := submitJob(t, ref, "order", vc, 2); got != id {
 		t.Fatalf("ID divergence: %d vs %d", id, got)
 	}
+	refShard, _ := ref.shardOfJob(id)
 	rng := rand.New(rand.NewSource(11))
-	bodies := make([]string, n)
+	bodies, ops := make([]string, n), make([]walOp, n)
 	for i := range bodies {
-		bodies[i] = fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%v,"gpu_mem_util":%v}`,
-			id, 100*(i%2), 1000+rng.Float64()*1e5, rng.Float64()*100)
+		ops[i] = walOp{Op: "metrics", ID: id, GPUUtil: float64(100 * (i % 2)),
+			GPUMemMB: 1000 + rng.Float64()*1e5, GPUMemUtil: rng.Float64() * 100}
+		bodies[i] = fmt.Sprintf(`{"job":%d,"gpu_util":%v,"gpu_mem_mb":%v,"gpu_mem_util":%v}`,
+			id, ops[i].GPUUtil, ops[i].GPUMemMB, ops[i].GPUMemUtil)
 	}
 
 	stop := make(chan struct{})
@@ -403,13 +463,13 @@ func TestAckOrderUnderConcurrentTakers(t *testing.T) {
 			takers.Wait()
 			t.Fatalf("async sample %d: %d", i, code)
 		}
-		if code := do(t, ref, http.MethodPost, "/metrics", body).Code; code != http.StatusOK {
-			t.Fatalf("sync sample %d: %d", i, code)
+		if r := refShard.applyOne(ops[i]); r.err != nil {
+			t.Fatalf("reference sample %d: %v", i, r.err)
 		}
 	}
 	close(stop)
 	takers.Wait()
 	if got, want := get(t, async, "/jobs"), get(t, ref, "/jobs"); got != want {
-		t.Errorf("samples applied out of ack order:\n async %s\n sync  %s", got, want)
+		t.Errorf("samples applied out of ack order:\n queued %s\n in order %s", got, want)
 	}
 }

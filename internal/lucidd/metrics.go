@@ -84,11 +84,11 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 		compacts: reg.Counter("lucidd_compactions_total",
 			"Snapshot compactions performed."),
 		ingestApplied: reg.Counter("lucidd_ingest_applied_total",
-			"Telemetry ops applied from the async ingest queues."),
+			"Telemetry ops applied from the ingest queues."),
 		ingestRejected: reg.Counter("lucidd_ingest_rejected_total",
 			"Telemetry POSTs refused with 429 (ingest queue at high-water mark)."),
 		ingestErrors: reg.Counter("lucidd_ingest_errors_total",
-			"WAL append/fsync errors while applying the async ingest queues."),
+			"WAL append/fsync errors while applying the ingest queues."),
 		ingestDropped: reg.Counter("lucidd_ingest_dropped_total",
 			"Telemetry ops acknowledged with 202 and then dropped: the job was unknown by the time the op was applied."),
 		// One observation per non-empty drain: the drainer's (at most
@@ -193,12 +193,10 @@ func (s *Server) observePopulation() {
 		label := strconv.Itoa(sh.idx)
 		m.shardJobs.With(label).Set(float64(j))
 		m.shardAgents.With(label).Set(float64(a))
-		if s.opts.IngestQueue > 0 {
-			sh.qmu.Lock()
-			depth := len(sh.queue)
-			sh.qmu.Unlock()
-			m.ingestDepth.With(label).Set(float64(depth))
-		}
+		sh.qmu.Lock()
+		depth := len(sh.queue)
+		sh.qmu.Unlock()
+		m.ingestDepth.With(label).Set(float64(depth))
 	}
 	m.queueDepth.Set(float64(jobs))
 	m.profiled.Set(float64(profiled))

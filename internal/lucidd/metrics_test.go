@@ -25,34 +25,47 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
 	}
 	for i := 0; i < 3; i++ {
-		if rec := do(t, s, http.MethodPost, "/metrics",
-			`{"job":1,"gpu_util":55,"gpu_mem_mb":2600,"gpu_mem_util":38}`); rec.Code != http.StatusOK {
-			t.Fatalf("sample %d: %d %s", i, rec.Code, rec.Body)
-		}
+		postApplied(t, s, "/metrics", `{"job":1,"gpu_util":55,"gpu_mem_mb":2600,"gpu_mem_util":38}`)
 	}
-	if rec := do(t, s, http.MethodPost, "/agents", `{"name":"agent-0","node":0}`); rec.Code != http.StatusOK {
-		t.Fatalf("agent: %d %s", rec.Code, rec.Body)
-	}
-	if rec := do(t, s, http.MethodGet, "/schedule", ""); rec.Code != http.StatusOK {
-		t.Fatalf("schedule: %d %s", rec.Code, rec.Body)
-	}
+	postApplied(t, s, "/agents", `{"name":"agent-0","node":0}`)
 	// One deliberate 404 to check error codes are counted too.
 	if rec := do(t, s, http.MethodPost, "/metrics", `{"job":99}`); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", rec.Code)
 	}
+	scrape := func() string {
+		t.Helper()
+		rec := do(t, s, http.MethodGet, "/metrics", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("scrape: %d %s", rec.Code, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != metrics.TextContentType {
+			t.Fatalf("content type = %q", ct)
+		}
+		return rec.Body.String()
+	}
+	// Before any read flushes the queue: 3 samples + heartbeat wait behind the
+	// submission's fsync. Submit + 3 samples + heartbeat + failed-sample-404
+	// (not logged) = 5 appends; the submission's commit is the one fsync
+	// anybody waited for.
+	if want := "lucidd_wal_unsynced_records 4\n"; !strings.Contains(scrape(), want) {
+		t.Errorf("exposition missing %q", want)
+	}
+	appends := s.met.walAppend.Count()
+	if appends != 5 {
+		t.Errorf("wal append observations = %d, want 5", appends)
+	}
+	if got := s.met.walFsync.Count(); got != 1 {
+		t.Errorf("%d wal fsyncs observed, want 1: the job submission's", got)
+	}
 
-	rec := do(t, s, http.MethodGet, "/metrics", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("scrape: %d %s", rec.Code, rec.Body)
+	if rec := do(t, s, http.MethodGet, "/schedule", ""); rec.Code != http.StatusOK {
+		t.Fatalf("schedule: %d %s", rec.Code, rec.Body)
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != metrics.TextContentType {
-		t.Fatalf("content type = %q", ct)
-	}
-	out := rec.Body.String()
+	out := scrape()
 	for _, want := range []string{
 		"# TYPE lucidd_http_requests_total counter",
 		`lucidd_http_requests_total{path="/jobs",method="POST",code="201"} 1`,
-		`lucidd_http_requests_total{path="/metrics",method="POST",code="200"} 3`,
+		`lucidd_http_requests_total{path="/metrics",method="POST",code="202"} 3`,
 		`lucidd_http_requests_total{path="/metrics",method="POST",code="404"} 1`,
 		`lucidd_http_requests_total{path="/schedule",method="GET",code="200"} 1`,
 		`lucidd_http_request_seconds_bucket{path="/jobs",le="+Inf"} 1`,
@@ -66,7 +79,8 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		`lucidd_schedule_compose_total{kind="rebuild"} 1`, // the first global read
 		"lucidd_ingest_dropped_total 0",
 		"# TYPE lucidd_wal_unsynced_records gauge",
-		"lucidd_wal_unsynced_records 4", // 3 samples + heartbeat behind the submission's fsync
+		"lucidd_wal_unsynced_records 0", // the read's barrier fsynced the telemetry tail
+		`lucidd_ingest_queue_depth{shard="0"} 0`,
 		"lucidd_queue_depth 1",
 		"lucidd_jobs_profiled 1",
 		"lucidd_agents 1",
@@ -75,15 +89,6 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-	// Submit + 3 samples + heartbeat + failed-sample-404 (not logged) = 5
-	// appends; the submission's commit is the one fsync anybody waited for.
-	appends := s.met.walAppend.Count()
-	if appends != 5 {
-		t.Errorf("wal append observations = %d, want 5", appends)
-	}
-	if got := s.met.walFsync.Count(); got != 1 {
-		t.Errorf("%d wal fsyncs observed, want 1: the job submission's", got)
 	}
 }
 

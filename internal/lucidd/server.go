@@ -140,16 +140,13 @@ type Options struct {
 	// <StateDir>/shard-<idx>/ and recovers independently. Empty means
 	// in-memory only.
 	StateDir string
-	// IngestQueue > 0 enables async telemetry ingest: POST /metrics samples
-	// and POST /agents heartbeats are acknowledged with 202 once they are on
-	// a per-shard queue of at most this many ops, which whoever next holds the
-	// shard mutex drains in ack order — the shard's drainer in holds of up
-	// to 256 ops, or a flush. A full queue refuses the POST with 429 +
-	// Retry-After (backpressure). Read paths, /chaos and Shutdown flush
-	// first, so every acknowledged sample is observed there — see ingest.go
-	// for the full contract. 0 (default): the handler applies the op inline
-	// and answers 200 with the result. Either way the op goes through
-	// shard.applyOpsLocked.
+	// IngestQueue is the depth of each shard's telemetry queue. POST /metrics
+	// samples and POST /agents heartbeats are acknowledged with 202 once they
+	// are on it, and whoever next holds the shard mutex drains it in ack
+	// order — the shard's drainer in holds of up to 256 ops, or a flush. A
+	// full queue refuses the POST with 429 + Retry-After (backpressure). Read
+	// paths, /chaos and Shutdown flush first, so every acknowledged sample is
+	// observed there — see ingest.go for the full contract. Defaults to 4,096.
 	IngestQueue int
 
 	// The seams below are set only by this package's tests.
@@ -174,6 +171,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AgentStaleAfter == 0 {
 		o.AgentStaleAfter = 90 * time.Second
+	}
+	if o.IngestQueue <= 0 {
+		o.IngestQueue = 4096
 	}
 	if o.clock == nil {
 		o.clock = time.Now
@@ -337,6 +337,9 @@ func (s *Server) Recovery() (records int, tornBytes int64, fromSnapshot bool) {
 // Shards reports the configured shard count.
 func (s *Server) Shards() int { return len(s.shards) }
 
+// IngestQueue reports the per-shard telemetry queue depth.
+func (s *Server) IngestQueue() int { return s.opts.IngestQueue }
+
 // ServeHTTP implements http.Handler. It is the hardening choke point: every
 // request is counted for drain tracking, refused while draining, optionally
 // delayed (chaos), and body-capped before reaching a handler.
@@ -381,9 +384,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Shutdown drains the server: new requests get 503 immediately, and the call
-// blocks until every in-flight request has completed or ctx expires. With
-// async ingest on, every acknowledged op still queued is then applied and
-// fsynced before the stores close.
+// blocks until every in-flight request has completed or ctx expires. Every
+// acknowledged op still queued is then applied and fsynced before the stores
+// close.
 // After a clean drain every shard's durable state (if any) is snapshotted
 // and its WAL closed, so the next boot restores from the snapshots alone.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -411,14 +414,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// enqueueAck is the async ack of a telemetry POST: an O(1) enqueue, no shard
+// enqueueAck is the ack of a telemetry POST: an O(1) enqueue, no shard
 // lock on the request path. 202 + {"<key>":<val>,"queued":true} means
 // acknowledged, will be applied in ack order; a queue at its high-water mark
 // answers 429 + Retry-After, the explicit backpressure signal — clients treat
 // it like the drain-gate 503 (back off and resend) and loadgen counts it as
 // Rejected, not an error. The body is hand-rolled: this is the hottest
-// response in async mode and an encoder pass per sample is measurable at
-// benchmark rates. val must already be valid JSON.
+// response and an encoder pass per sample is measurable at benchmark rates.
+// val must already be valid JSON.
 func (s *Server) enqueueAck(w http.ResponseWriter, sh *shard, op walOp, key string, val []byte) {
 	if !sh.enqueue(op) {
 		s.met.ingestRejected.Inc()
@@ -545,19 +548,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	op := walOp{Op: "metrics", ID: req.Job, GPUUtil: req.GPUUtil,
 		GPUMemMB: req.GPUMemMB, GPUMemUtil: req.GPUMemUtil}
-	if s.opts.IngestQueue > 0 {
-		var num [20]byte
-		s.enqueueAck(w, sh, op, "job", strconv.AppendInt(num[:0], int64(req.Job), 10))
-		return
-	}
-	switch r := sh.applyOne(op); {
-	case !r.ok:
-		http.Error(w, fmt.Sprintf("unknown job %d", req.Job), http.StatusNotFound)
-	case r.err != nil:
-		http.Error(w, fmt.Sprintf("persist sample: %v", r.err), http.StatusInternalServerError)
-	default:
-		writeJSON(w, http.StatusOK, r.job)
-	}
+	var num [20]byte
+	s.enqueueAck(w, sh, op, "job", strconv.AppendInt(num[:0], int64(req.Job), 10))
 }
 
 // serveMetrics renders the Prometheus scrape. Population gauges are
@@ -619,20 +611,11 @@ func (s *Server) handleAgents(w http.ResponseWriter, r *http.Request) {
 		sh := s.shardFor(req.VC)
 		op := walOp{Op: "agent", Name: req.Name, VC: req.VC, Node: req.Node,
 			UnixNano: now.UnixNano()}
-		if s.opts.IngestQueue > 0 {
-			// Heartbeats are ~3/4 of the default mix. The name is an
-			// arbitrary decoded string, quoted as encoding/json quotes it
-			// (strconv.Quote differs on some inputs).
-			var name [64]byte
-			s.enqueueAck(w, sh, op, "agent", appendJSONString(name[:0], req.Name))
-			return
-		}
-		r := sh.applyOne(op)
-		if r.err != nil {
-			http.Error(w, fmt.Sprintf("persist heartbeat: %v", r.err), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, http.StatusOK, r.agent)
+		// Heartbeats are ~3/4 of the default mix. The name is an arbitrary
+		// decoded string, quoted as encoding/json quotes it (strconv.Quote
+		// differs on some inputs).
+		var name [64]byte
+		s.enqueueAck(w, sh, op, "agent", appendJSONString(name[:0], req.Name))
 	case http.MethodGet:
 		// The listing is served from the per-shard (Name, VC, Node) indexes:
 		// a scoped read copies one pre-sorted, pre-serialized view, the

@@ -79,12 +79,11 @@ func TestMetricsIngestionFlipsScore(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rec = do(t, s, http.MethodPost, "/metrics",
 			`{"job":`+itoa(js.ID)+`,"gpu_util":11,"gpu_mem_mb":1200,"gpu_mem_util":7}`)
-		if rec.Code != http.StatusOK {
+		if rec.Code != http.StatusAccepted {
 			t.Fatalf("metrics rejected: %d %s", rec.Code, rec.Body)
 		}
 	}
-	var updated jobState
-	json.Unmarshal(rec.Body.Bytes(), &updated)
+	updated := jobOf(t, s, js.ID)
 	if updated.Samples != 3 {
 		t.Fatalf("samples = %d", updated.Samples)
 	}

@@ -93,7 +93,7 @@ type shard struct {
 	record []byte
 	logged []int
 
-	// Async ingest (unused when Options.IngestQueue is 0; see ingest.go).
+	// Telemetry ingest (see ingest.go).
 	// queue holds the acknowledged, not yet applied telemetry ops in ack
 	// order, and draining says a drainer goroutine is running, both under
 	// qmu. A holder of mu may take qmu, never the reverse, so enqueue and the
@@ -162,10 +162,11 @@ func (s *Server) bumpNextID(id int) {
 	}
 }
 
-// opResult is what one op did, for the callers that answer a request with it.
+// opResult is what one op did, for the callers that answer a request with it:
+// POST /jobs and /chaos. Telemetry ops fill in only err.
 type opResult struct {
-	job   jobState   // the job after a job / metrics / fail-job op
-	agent agentState // the agent after an agent op, or as it stood when evicted
+	job   jobState   // the job after a job / abort-job / fail-job op
+	agent agentState // the agent as it stood when evicted
 	ok    bool       // false: the op named a job or agent this shard does not hold — nothing changed, nothing was logged
 	err   error      // the WAL append or the commit failed: a job op is rolled back, any other op stays applied in memory
 }
@@ -186,7 +187,7 @@ func (sh *shard) sweepLocked(now time.Time) {
 // callers differ only in where the ops come from and what they do with the
 // outcome:
 //
-//	POST handler (inline) ─┐
+//	POST /jobs (inline)    ─┐
 //	queue drain | flush    ─┤                       ┌─ state (tables, indexes, LRU)
 //	/chaos evict | fail    ─┼─→ applyOpsLocked ─────┼─ WAL records (one write() per hold; the fsync is the caller's commit)
 //	read-path stale sweep  ─┤                       └─ events → caller records them
@@ -199,11 +200,10 @@ func (sh *shard) sweepLocked(now time.Time) {
 // before sh.store is set, so nothing is re-logged, and drops the events. res is
 // nil when the caller wants no per-op outcome, else len(ops) long; failed
 // counts the ops whose append failed and dropped the samples that named a job
-// the shard does not hold, which is all a drain can use (an inline caller
-// answers 404 from res; a queued op's client was told 202 long ago). now is the
-// staleness reference only — a heartbeat's LastSeen comes from its op — and
-// replay passes the zero time, against which nothing is stale: recovery never
-// evicts, the first live request does.
+// the shard does not hold, which is all a drain can use (a queued op's client
+// was told 202 long ago). now is the staleness reference only — a heartbeat's
+// LastSeen comes from its op — and replay passes the zero time, against which
+// nothing is stale: recovery never evicts, the first live request does.
 func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (events []dtrace.Event, failed, dropped int) {
 	evict := func(a *agentState, reason string) {
 		sh.lruUnlinkLocked(a)
@@ -282,7 +282,6 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 					Action: dtrace.ActProfileStop, Reason: "min-samples-reached",
 					VC: js.VC, GPUs: js.GPUs, Score: js.Profile.GPUUtil})
 			}
-			r.job, r.ok = *js, true
 		case "agent", "sweep":
 			// Evict agents whose last heartbeat predates the staleness
 			// window, each a presumed node failure. The heartbeat-order list
@@ -323,7 +322,6 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 			a.refreshFrag()
 			sh.lruPushBackLocked(a)
 			r.err = sh.logOpLocked(ops, i)
-			r.agent, r.ok = *a, true
 		case "evict-agent":
 			if a, ok := sh.agents[op.Name]; ok {
 				r.agent, r.ok = *a, true
@@ -384,18 +382,17 @@ func (sh *shard) applyOpsLocked(ops []walOp, now time.Time, res []opResult) (eve
 	return events, failed, dropped
 }
 
-// applyOne is the inline path of the POST handlers and /chaos: one op under
+// applyOne is the inline path of POST /jobs and /chaos: one op under
 // the shard lock, the commit after the unlock, then its events recorded (the
 // recorder is internally synchronized). A submission commits with must: the
 // handler answers 201 only once its record is fsynced.
 //
-// Submissions, sync-mode telemetry and /chaos ops are applied here, on their
-// handler's goroutine, in async mode too — by measurement. Handed to one
-// applier goroutine per shard instead (2-core Xeon, go1.24.0), a submission
-// waited for a CPU behind the other shards' busy appliers: the traced
-// ctl_ingest post_jobs_p50_ms went 0.15–0.19 → 0.54–0.59 ms, and the
-// submission p50 behind 511 queued heartbeats (BenchmarkSubmitAfterTelemetry)
-// 200 → 712 µs.
+// Submissions and /chaos ops are applied here, on their handler's goroutine,
+// while telemetry is queued — by measurement. Handed to one applier goroutine
+// per shard instead (2-core Xeon, go1.24.0), a submission waited for a CPU
+// behind the other shards' busy appliers: the traced ctl_ingest
+// post_jobs_p50_ms went 0.15–0.19 → 0.54–0.59 ms, and the submission p50
+// behind 511 queued heartbeats (BenchmarkSubmitAfterTelemetry) 200 → 712 µs.
 func (sh *shard) applyOne(op walOp) opResult {
 	var res [1]opResult
 	now := sh.srv.opts.clock()

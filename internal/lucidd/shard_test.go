@@ -24,10 +24,9 @@ func parityClock() func() time.Time {
 // applies it to srv. Ops are issued sequentially so the sequence (including
 // which job IDs get sampled and killed) is identical for every server it is
 // replayed on.
-// Telemetry POSTs accept 200 (sync ingest) or 202 (async ingest); anything
-// else — in particular a 429, which would silently thin the op sequence —
-// fails the run, so parity servers must be built with a queue large enough
-// to never hit its high-water mark.
+// Telemetry POSTs must answer 202; anything else — in particular a 429, which
+// would silently thin the op sequence — fails the run, so parity servers must
+// be built with a queue large enough to never hit its high-water mark.
 func parityOps(t *testing.T, srv *Server, seed int64, n int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -54,7 +53,7 @@ func parityOps(t *testing.T, srv *Server, seed int64, n int) {
 			id := acked[rng.Intn(len(acked))]
 			body := fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%d,"gpu_mem_util":%d}`,
 				id, 10+rng.Intn(80), 1000+rng.Intn(12000), 5+rng.Intn(50))
-			if rec := do(t, srv, http.MethodPost, "/metrics", body); rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
+			if rec := do(t, srv, http.MethodPost, "/metrics", body); rec.Code != http.StatusAccepted {
 				t.Fatalf("op %d sample: %d: %s", i, rec.Code, rec.Body)
 			}
 		case roll < 9: // heartbeat — an agent's VC is a stable function of its
@@ -62,7 +61,7 @@ func parityOps(t *testing.T, srv *Server, seed int64, n int) {
 			// stale twin behind until the sweep (a documented non-goal).
 			a := rng.Intn(24)
 			body := fmt.Sprintf(`{"name":"agent-%d","vc":"vc-%d","node":%d}`, a, a%5, a)
-			if rec := do(t, srv, http.MethodPost, "/agents", body); rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
+			if rec := do(t, srv, http.MethodPost, "/agents", body); rec.Code != http.StatusAccepted {
 				t.Fatalf("op %d heartbeat: %d: %s", i, rec.Code, rec.Body)
 			}
 		case roll < 10: // chaos kill
@@ -92,27 +91,22 @@ func get(t *testing.T, s *Server, path string) string {
 	return rec.Body.String()
 }
 
-// TestShardParity is the sharding, ingest-mode AND recovery correctness
-// contract: the identical randomized op sequence pushed through {1,8} shards ×
-// {sync,async ingest}, and through a durable server that is then abandoned
-// without Shutdown and reopened from its WALs, must yield byte-identical
-// observable state after a flush barrier — job listings, schedule order,
-// per-tenant views, agent listings and population counts. Job IDs come from
-// the global allocator, estimates from per-shard clones of one fitted model,
-// async ingest preserves per-shard FIFO apply order with chaos ops barriered
-// behind acknowledged telemetry, and replay feeds the logged ops through the
-// same apply function — so nothing may depend on the shard count, the ingest
-// mode or whether the state was built live. The CI race step runs this
-// package under -race.
+// TestShardParity is the sharding AND recovery correctness contract: the
+// identical randomized op sequence pushed through 1 and 8 shards, and through
+// a durable server that is then abandoned without Shutdown and reopened from
+// its WALs, must yield byte-identical observable state after a flush barrier —
+// job listings, schedule order, per-tenant views, agent listings and
+// population counts. Job IDs come from the global allocator, estimates from
+// per-shard clones of one fitted model, the ingest queues preserve per-shard
+// FIFO apply order with chaos ops barriered behind acknowledged telemetry, and
+// replay feeds the logged ops through the same apply function — so nothing may
+// depend on the shard count or whether the state was built live. The CI race
+// step runs this package under -race.
 func TestShardParity(t *testing.T) {
-	build := func(shards int, async bool, dir string) *Server {
-		opts := Options{Shards: shards, EnableChaos: true, clock: parityClock(), StateDir: dir}
-		if async {
-			// Large enough that the sequential op stream can never trip
-			// backpressure (parityOps fails on any 429).
-			opts.IngestQueue = 4096
-		}
-		s, err := NewServerWith(opts)
+	build := func(shards int, dir string) *Server {
+		// The default queue depth (4,096) is larger than the sequential op
+		// stream can ever fill (parityOps fails on any 429).
+		s, err := NewServerWith(Options{Shards: shards, EnableChaos: true, clock: parityClock(), StateDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,14 +115,11 @@ func TestShardParity(t *testing.T) {
 	variants := []struct {
 		name      string
 		shards    int
-		async     bool
 		recovered bool
 	}{
-		{"1-sync", 1, false, false},
-		{"8-sync", 8, false, false},
-		{"1-async", 1, true, false},
-		{"8-async", 8, true, false},
-		{"8-async-recovered", 8, true, true},
+		{"1-shard", 1, false},
+		{"8-shards", 8, false},
+		{"8-shards-recovered", 8, true},
 	}
 	servers := make([]*Server, len(variants))
 	for i, v := range variants {
@@ -136,7 +127,7 @@ func TestShardParity(t *testing.T) {
 		if v.recovered {
 			dir = t.TempDir()
 		}
-		servers[i] = build(v.shards, v.async, dir)
+		servers[i] = build(v.shards, dir)
 		if got := servers[i].Shards(); got != v.shards {
 			t.Fatalf("%s: shard count = %d", v.name, got)
 		}
@@ -148,7 +139,7 @@ func TestShardParity(t *testing.T) {
 		if v.recovered {
 			// Kill -9 analogue: no Shutdown, no final snapshot — what is
 			// compared below is pure WAL replay.
-			servers[i] = build(v.shards, v.async, dir)
+			servers[i] = build(v.shards, dir)
 		}
 	}
 
@@ -227,24 +218,24 @@ func TestSlowShardDoesNotBlockSibling(t *testing.T) {
 	defer slow.mu.Unlock()
 
 	type outcome struct {
-		what string
-		code int
+		what       string
+		code, want int
 	}
 	results := make(chan outcome, 3)
 	go func() {
 		defer close(released)
 		rec := do(t, s, http.MethodPost, "/agents",
 			fmt.Sprintf(`{"name":"live-1","vc":"%s","node":1}`, vcLive))
-		results <- outcome{"heartbeat " + vcLive, rec.Code}
+		results <- outcome{"heartbeat " + vcLive, rec.Code, http.StatusAccepted}
 		rec = do(t, s, http.MethodGet, "/agents?vc="+vcLive, "")
-		results <- outcome{"agents?vc=" + vcLive, rec.Code}
+		results <- outcome{"agents?vc=" + vcLive, rec.Code, http.StatusOK}
 		rec = do(t, s, http.MethodGet, "/metrics", "")
-		results <- outcome{"metrics scrape", rec.Code}
+		results <- outcome{"metrics scrape", rec.Code, http.StatusOK}
 	}()
 	for i := 0; i < 3; i++ {
 		select {
 		case r := <-results:
-			if r.code != http.StatusOK {
+			if r.code != r.want {
 				t.Errorf("%s returned %d with a sibling shard wedged", r.what, r.code)
 			}
 		case <-time.After(10 * time.Second):

@@ -46,7 +46,7 @@ func TestSoakShardedDrainRecover(t *testing.T) {
 	}
 	dir := t.TempDir()
 	const shards = 4
-	// Async ingest with a deliberately small queue: the soak also exercises
+	// A deliberately small telemetry queue: the soak also exercises
 	// the queue drains (drainers, flushes, the final flush on Shutdown)
 	// under -race, and lets real 429 backpressure land — which
 	// loadgen must classify as Rejected, never as an error.

@@ -54,11 +54,11 @@ func TestRecoverFromWAL(t *testing.T) {
 		// Near-idle PPO-like samples: the analyzer scores these Tiny, so the
 		// test can tell a recovered profile from the unprofiled Jumbo prior.
 		body := `{"job":1,"gpu_util":11,"gpu_mem_mb":1200,"gpu_mem_util":7}`
-		if rec := do(t, s1, http.MethodPost, "/metrics", body); rec.Code != http.StatusOK {
+		if rec := do(t, s1, http.MethodPost, "/metrics", body); rec.Code != http.StatusAccepted {
 			t.Fatalf("metrics: %d: %s", rec.Code, rec.Body)
 		}
 	}
-	if rec := do(t, s1, http.MethodPost, "/agents", `{"name":"agent-0","node":0}`); rec.Code != http.StatusOK {
+	if rec := do(t, s1, http.MethodPost, "/agents", `{"name":"agent-0","node":0}`); rec.Code != http.StatusAccepted {
 		t.Fatalf("agent: %d: %s", rec.Code, rec.Body)
 	}
 	if rec := do(t, s1, http.MethodPost, "/chaos", `{"action":"fail-job","job":2}`); rec.Code != http.StatusOK {
@@ -120,7 +120,7 @@ func TestRecoverEvictedAgent(t *testing.T) {
 	dir := t.TempDir()
 	s1 := durableServer(t, dir, 0)
 	for _, body := range []string{`{"name":"doomed","node":3}`, `{"name":"survivor","node":4}`} {
-		if rec := do(t, s1, http.MethodPost, "/agents", body); rec.Code != http.StatusOK {
+		if rec := do(t, s1, http.MethodPost, "/agents", body); rec.Code != http.StatusAccepted {
 			t.Fatalf("heartbeat: %d: %s", rec.Code, rec.Body)
 		}
 	}
@@ -143,7 +143,7 @@ func TestRecoverEvictedAgent(t *testing.T) {
 	if got := names(); len(got) != 1 || got[0] != "survivor" {
 		t.Errorf("agents after replaying an eviction = %v, want [survivor]", got)
 	}
-	if rec := do(t, s2, http.MethodPost, "/agents", `{"name":"doomed","node":3}`); rec.Code != http.StatusOK {
+	if rec := do(t, s2, http.MethodPost, "/agents", `{"name":"doomed","node":3}`); rec.Code != http.StatusAccepted {
 		t.Fatalf("returning heartbeat: %d: %s", rec.Code, rec.Body)
 	}
 	if got := names(); len(got) != 2 || got[0] != "doomed" || got[1] != "survivor" {
@@ -284,9 +284,7 @@ func TestStatusz(t *testing.T) {
 	d := durableServer(t, dir, 0)
 	submitJob(t, d, "j", "vc-0", 1)
 	for i := 0; i < 2; i++ {
-		if rec := do(t, d, http.MethodPost, "/agents", `{"name":"agent-0","vc":"vc-0","node":0}`); rec.Code != http.StatusOK {
-			t.Fatalf("heartbeat: %d: %s", rec.Code, rec.Body)
-		}
+		postApplied(t, d, "/agents", `{"name":"agent-0","vc":"vc-0","node":0}`)
 	}
 	var dst struct {
 		Durable *durableStatus `json:"durable"`
@@ -305,9 +303,7 @@ func TestStatusz(t *testing.T) {
 	// A reboot owes nobody an fsync: what replay read back is as durable as it
 	// will get, and the submission among it was answered by the last process.
 	d2 := durableServer(t, dir, 0)
-	if rec := do(t, d2, http.MethodPost, "/agents", `{"name":"agent-0","vc":"vc-0","node":0}`); rec.Code != http.StatusOK {
-		t.Fatalf("heartbeat after reboot: %d: %s", rec.Code, rec.Body)
-	}
+	postApplied(t, d2, "/agents", `{"name":"agent-0","vc":"vc-0","node":0}`)
 	if n, u := d2.met.walFsync.Count(), d2.shards[0].wal.Unsynced(); n != 0 || u != 1 {
 		t.Errorf("first heartbeat after a reboot: %d fsyncs, %d unsynced, want 0 and 1", n, u)
 	}
@@ -423,7 +419,7 @@ func crashCompaction(t *testing.T, k int) (acked, recovered string, calls []stri
 	fs.mu.Lock()
 	armed = true
 	fs.mu.Unlock()
-	do(t, s, http.MethodPost, "/agents", `{"name":"agent-0","vc":"vc-0","node":0}`)
+	postApplied(t, s, "/agents", `{"name":"agent-0","vc":"vc-0","node":0}`)
 	fs.mu.Lock()
 	armed = false
 	fs.mu.Unlock()
