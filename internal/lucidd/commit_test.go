@@ -89,8 +89,13 @@ func TestAppendTimerHoldsNoFsync(t *testing.T) {
 // TestFlushMeansDurable pins fsync on demand from both sides: telemetry nobody
 // waits for stays unsynced until SyncEvery records have piled up, and every
 // barrier — Flush, a list read, /chaos — returns with nothing unsynced on the
-// shards it covers.
+// shards it covers. Every telemetry op is queued; the async-true subtest name
+// keeps the test ID stable.
 func TestFlushMeansDurable(t *testing.T) {
+	t.Run("async-true", flushMeansDurable)
+}
+
+func flushMeansDurable(t *testing.T) {
 	s, err := NewServerWith(Options{Shards: 4, StateDir: t.TempDir(), EnableChaos: true, clock: parityClock()})
 	if err != nil {
 		t.Fatal(err)
