@@ -59,7 +59,7 @@ func experiments() []experiment {
 		{"fig6", "Packing Analyze Model tree + importances", func(float64) (string, error) {
 			return lab.Fig6()
 		}},
-		{"fig7", "GA²M interpretations (global, shape, local)", lab.Fig7},
+		{"fig7", "GAM interpretations (global, shape, local)", lab.Fig7},
 		{"tab3", "physical-vs-simulation fidelity on the 32-GPU testbed", func(float64) (string, error) {
 			_, rep, err := lab.Table3(1)
 			return rep, err

@@ -17,6 +17,12 @@ type Level int
 
 func (l Level) String() string { return fmt.Sprint(int(l)) }
 
+// Probe's String is reached through fmt.Stringer, but nothing outside its
+// own receiver names Probe.
+type Probe struct{}
+
+func (Probe) String() string { return "probe" }
+
 // Vec's Push is called on a Vec[int]; nothing calls Unused.
 type Vec[T any] struct{ xs []T }
 

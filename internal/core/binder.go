@@ -20,20 +20,6 @@ const (
 	PackDisabled
 )
 
-// String names the mode.
-func (m PackMode) String() string {
-	switch m {
-	case PackDefault:
-		return "Default"
-	case PackApathetic:
-		return "Apathetic"
-	case PackDisabled:
-		return "Disabled"
-	default:
-		return "?"
-	}
-}
-
 // Binder is the Affine-jobpair Binder (§3.3): Indolent Packing under a GPU
 // Sharing Capacity budget, with the rule set of the paper:
 //

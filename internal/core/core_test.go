@@ -179,9 +179,6 @@ func TestBinderRules(t *testing.T) {
 	if ModeFromLoad(LoadLow) != PackApathetic || ModeFromLoad(LoadHigh) != PackDefault {
 		t.Fatal("ModeFromLoad mapping wrong")
 	}
-	if PackDefault.String() != "Default" || PackDisabled.String() != "Disabled" {
-		t.Fatal("mode strings wrong")
-	}
 }
 
 // TestDisableSharingHoldsPackDisabled: under DisableSharing the Binder is

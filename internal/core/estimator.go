@@ -9,7 +9,7 @@ import (
 	"repro/internal/ml/mlmodel"
 )
 
-// WorkloadEstimator is the Workload Estimate Model (§3.5.3): a GA²M over
+// WorkloadEstimator is the Workload Estimate Model (§3.5.3): a GAM over
 // trace features plus — unlike QSSF — the profiled resource features,
 // predicting job duration for the Resource Orchestrator's priority values.
 // It satisfies sched.Estimator.
@@ -111,7 +111,7 @@ func (w *WorkloadEstimator) update(history []*job.Job, m updateMetrics) error {
 		return fmt.Errorf("core: estimator fit: %w", err)
 	}
 	if w.monotonicGPUNum {
-		model.ApplyMonotonic(0, true) // feature 0 is gpu_num
+		model.ApplyMonotonic(0) // feature 0 is gpu_num
 	}
 	t.Stop()
 	if full {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/ml/mlmodel"
 )
 
-// ThroughputModel is the Throughput Predict Model (§3.5.2): a GA²M
+// ThroughputModel is the Throughput Predict Model (§3.5.2): a GAM
 // time-series forecaster over hourly job-submission counts. The Binder's
 // Dynamic Strategy asks it whether load is about to rise (keep packing) or
 // stay low (relax to Apathetic mode or disable sharing), and the Profiler's

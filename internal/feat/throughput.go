@@ -1,4 +1,4 @@
-// Package feat is the feature-engineering layer behind Lucid's two GA²M
+// Package feat is the feature-engineering layer behind Lucid's two GAM
 // models (§3.5.2–§3.5.3): time-series features for the Throughput Predict
 // Model (trend, seasonality, rolling statistics of hourly submission
 // counts) and job features for the Workload Estimate Model (categorical

@@ -13,11 +13,7 @@
 // in the paper) read the ground-truth fields; honest schedulers must not.
 package job
 
-import (
-	"fmt"
-
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // State is a job's lifecycle position.
 type State int
@@ -162,8 +158,3 @@ func (j *Job) QueueDelay() int64 {
 
 // Distributed reports whether the job spans more than one 8-GPU node.
 func (j *Job) Distributed() bool { return j.GPUs > 8 }
-
-// String renders a short identity line.
-func (j *Job) String() string {
-	return fmt.Sprintf("job%d(%s/%s gpus=%d dur=%ds)", j.ID, j.User, j.Name, j.GPUs, j.Duration)
-}

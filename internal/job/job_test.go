@@ -1,6 +1,7 @@
 package job
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -92,4 +93,9 @@ func TestStringContainsIdentity(t *testing.T) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
 	}
+}
+
+// String renders a short identity line.
+func (j *Job) String() string {
+	return fmt.Sprintf("job%d(%s/%s gpus=%d dur=%ds)", j.ID, j.User, j.Name, j.GPUs, j.Duration)
 }

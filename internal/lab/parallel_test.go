@@ -157,3 +157,17 @@ func TestWorldCacheCoherence(t *testing.T) {
 	}
 	ResetWorldCache()
 }
+
+// ResetWorldCache drops every cached world and memoized Table 4 sweep
+// (benchmarks use it to measure cold builds; long-lived processes can use
+// it to bound memory).
+func ResetWorldCache() {
+	worldCache.Range(func(k, _ any) bool {
+		worldCache.Delete(k)
+		return true
+	})
+	sweepCache.Range(func(k, _ any) bool {
+		sweepCache.Delete(k)
+		return true
+	})
+}

@@ -9,7 +9,7 @@ import (
 )
 
 // The world cache memoizes BuildWorld process-wide. A world — two emitted
-// trace months, then Lucid's GA²M models and the GBDT estimator, each fit on
+// trace months, then Lucid's GAM models and the GBDT estimator, each fit on
 // the history month at its first use — is a large share of every end-to-end
 // experiment's wall-clock, and the suite rebuilds identical worlds
 // constantly (tab4, tab5, fig8 and fig9 all want the same three; eight
@@ -90,18 +90,4 @@ func WorldCacheStats() (builds, hits int64, buildSec float64) {
 // each world, not of its build.
 func ModelFitStats() (fits int64, fitSec float64) {
 	return modelFits.Load(), time.Duration(modelFitNs.Load()).Seconds()
-}
-
-// ResetWorldCache drops every cached world and memoized Table 4 sweep
-// (benchmarks use it to measure cold builds; long-lived processes can use
-// it to bound memory).
-func ResetWorldCache() {
-	worldCache.Range(func(k, _ any) bool {
-		worldCache.Delete(k)
-		return true
-	})
-	sweepCache.Range(func(k, _ any) bool {
-		sweepCache.Delete(k)
-		return true
-	})
 }

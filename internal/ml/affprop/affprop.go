@@ -160,12 +160,3 @@ func equal(a, b []int) bool {
 	}
 	return true
 }
-
-// NumClusters counts distinct exemplars in an assignment.
-func NumClusters(assign []int) int {
-	seen := map[int]bool{}
-	for _, e := range assign {
-		seen[e] = true
-	}
-	return len(seen)
-}

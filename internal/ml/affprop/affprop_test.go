@@ -293,3 +293,12 @@ func BenchmarkCluster(b *testing.B) {
 		Cluster(s, minSim)
 	}
 }
+
+// NumClusters counts distinct exemplars in an assignment.
+func NumClusters(assign []int) int {
+	seen := map[int]bool{}
+	for _, e := range assign {
+		seen[e] = true
+	}
+	return len(seen)
+}

@@ -134,30 +134,6 @@ func (t *Tree) descend(x []float64) *node {
 	return n
 }
 
-// NumLeaves returns the leaf count.
-func (t *Tree) NumLeaves() int { return countLeaves(t.root) }
-
-// Depth returns the maximum depth (a lone root counts as 0).
-func (t *Tree) Depth() int { return depth(t.root) - 1 }
-
-func countLeaves(n *node) int {
-	if n.isLeaf() {
-		return 1
-	}
-	return countLeaves(n.left) + countLeaves(n.right)
-}
-
-func depth(n *node) int {
-	if n.isLeaf() {
-		return 1
-	}
-	l, r := depth(n.left), depth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // FeatureImportances returns normalized Gini/variance importances (they sum
 // to 1 unless the tree is a single leaf) — the right panel of Figure 6.
 func (t *Tree) FeatureImportances() []float64 {

@@ -177,6 +177,25 @@ func TestFeatureImportances(t *testing.T) {
 	}
 }
 
+// TestFeatureImportancesWithoutNames: a tree fit on a dataset with no
+// feature names sizes its importances by the highest feature it splits on.
+func TestFeatureImportancesWithoutNames(t *testing.T) {
+	rng := xrand.New(3)
+	var x [][]float64
+	var y []float64
+	for i := 0; i < 500; i++ {
+		a, b := rng.Float64(), rng.Float64()
+		x = append(x, []float64{a, b})
+		y = append(y, math.Floor(2*b))
+	}
+	ds, _ := mlmodel.NewDataset(x, y, nil)
+	tr, _ := FitClassifier(ds, 2, Params{MaxDepth: 4})
+	imp := tr.FeatureImportances()
+	if len(imp) != 2 || imp[1] < 0.9 {
+		t.Fatalf("importances %v, want two with the signal on feature 1", imp)
+	}
+}
+
 func TestRenderContainsFeatureNames(t *testing.T) {
 	ds := xorDataset()
 	tr, _ := FitClassifier(ds, 2, Params{MaxDepth: 3})
@@ -217,4 +236,28 @@ func TestConstantTargetSingleLeaf(t *testing.T) {
 	if p := tr.Predict([]float64{99}); p != 5 {
 		t.Fatalf("predict = %v, want 5", p)
 	}
+}
+
+// NumLeaves returns the leaf count.
+func (t *Tree) NumLeaves() int { return countLeaves(t.root) }
+
+// Depth returns the maximum depth (a lone root counts as 0).
+func (t *Tree) Depth() int { return depth(t.root) - 1 }
+
+func countLeaves(n *node) int {
+	if n.isLeaf() {
+		return 1
+	}
+	return countLeaves(n.left) + countLeaves(n.right)
+}
+
+func depth(n *node) int {
+	if n.isLeaf() {
+		return 1
+	}
+	l, r := depth(n.left), depth(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
 }

@@ -23,28 +23,26 @@ func zeroFrom(m *Model, ds *mlmodel.Dataset) *Model {
 }
 
 // TestFitFromZeroModelIsFit: Fit and FitFrom are one path, so FitFrom from a
-// zero model carrying Fit's edges serializes to Fit's bytes — with and
-// without pairs, and whether it keeps those edges or re-bins every feature.
+// zero model carrying Fit's edges serializes to Fit's bytes, whether it keeps
+// those edges or re-bins every feature.
 func TestFitFromZeroModelIsFit(t *testing.T) {
 	all := []int{0, 1, 2, 3, 4, 5}
 	for _, n := range []int{1, 40, 700} {
 		ds := tieHeavyTable(n, uint64(200+n))
 		for _, maxBins := range []int{2, 64, 300} {
-			for _, inter := range []int{0, 3} {
-				p := Params{MaxBins: maxBins, Rounds: 7, LearningRate: 0.3, Interactions: inter, PairRounds: 5}
-				want, err := Fit(ds, p)
+			p := Params{MaxBins: maxBins, Rounds: 7, LearningRate: 0.3}
+			want, err := Fit(ds, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fresh := range [][]int{nil, all} {
+				name := fmt.Sprintf("n=%d/bins=%d/fresh=%v", n, maxBins, fresh)
+				got, err := FitFrom(zeroFrom(want, ds), ds, p, fresh)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				for _, fresh := range [][]int{nil, all} {
-					name := fmt.Sprintf("n=%d/bins=%d/pairs=%d/fresh=%v", n, maxBins, inter, fresh)
-					got, err := FitFrom(zeroFrom(want, ds), ds, p, fresh)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
-						t.Fatalf("%s: FitFrom a zero model and Fit serialize differently", name)
-					}
+				if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+					t.Fatalf("%s: FitFrom a zero model and Fit serialize differently", name)
 				}
 			}
 		}
@@ -132,10 +130,6 @@ func TestFitFromRejectsMismatches(t *testing.T) {
 	for _, row := range ds.X {
 		narrow.X = append(narrow.X, row[:5])
 	}
-	paired, err := Fit(ds, Params{Rounds: 3, Interactions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A loaded model's edges come from outside the program: one with more
 	// bins than a uint16 index holds is rejected, not truncated.
 	wide := &Model{}
@@ -156,7 +150,6 @@ func TestFitFromRejectsMismatches(t *testing.T) {
 		{"width", prev, narrow, nil, "5 features, the model 6"},
 		{"fresh index", prev, ds, []int{6}, "fresh feature 6"},
 		{"negative fresh index", prev, ds, []int{-1}, "fresh feature -1"},
-		{"pairs", paired, ds, nil, "pairwise"},
 		{"empty", prev, &mlmodel.Dataset{}, nil, "empty"},
 		{"bins beyond the index", wide, ds, nil, "feature 2 (const) has 65537 bins"},
 		{"wide feature re-binned", wide, ds, []int{2}, ""},
@@ -191,7 +184,7 @@ func TestFitFromLeavesPrevUntouched(t *testing.T) {
 			defer wg.Done()
 			got[g], errs[g] = FitFrom(prev, next, p, []int{3})
 			if errs[g] == nil {
-				got[g].ApplyMonotonic(0, true)
+				got[g].ApplyMonotonic(0)
 			}
 		}()
 	}
@@ -212,8 +205,7 @@ func TestFitFromLeavesPrevUntouched(t *testing.T) {
 // TestFitFromMatchesOracle is the warm path's bit-identity contract: FitFrom
 // serializes to the bytes oracleFitFrom — the binning and boosting loop that
 // preceded per-distinct-value binning — gives, re-binning no, some or every
-// feature, with and without pairs, over the bin counts that cross n and the
-// 256-bin line.
+// feature, over the bin counts that cross n and the 256-bin line.
 func TestFitFromMatchesOracle(t *testing.T) {
 	for _, n := range []int{1, 40, 700, 2500} {
 		old, next := tieHeavyTable(n+300, uint64(300+n)), tieHeavyTable(n, uint64(400+n))
@@ -223,20 +215,18 @@ func TestFitFromMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, fresh := range [][]int{nil, {3, 4, 5}, {0, 1, 2, 3, 4, 5}} {
-				for _, inter := range []int{0, 2} {
-					name := fmt.Sprintf("n=%d/bins=%d/fresh=%v/pairs=%d", n, maxBins, fresh, inter)
-					p := Params{MaxBins: maxBins, Rounds: 7, LearningRate: 0.3, Interactions: inter, PairRounds: 4}
-					got, err := FitFrom(prev, next, p, fresh)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					want, err := oracleFitFrom(prev, next, p, fresh)
-					if err != nil {
-						t.Fatalf("%s: oracle: %v", name, err)
-					}
-					if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
-						t.Fatalf("%s: FitFrom and the oracle serialize differently", name)
-					}
+				name := fmt.Sprintf("n=%d/bins=%d/fresh=%v", n, maxBins, fresh)
+				p := Params{MaxBins: maxBins, Rounds: 7, LearningRate: 0.3}
+				got, err := FitFrom(prev, next, p, fresh)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, err := oracleFitFrom(prev, next, p, fresh)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", name, err)
+				}
+				if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+					t.Fatalf("%s: FitFrom and the oracle serialize differently", name)
 				}
 			}
 		}

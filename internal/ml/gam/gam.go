@@ -1,21 +1,21 @@
-// Package gam implements GA²M — a Generalized Additive Model with pairwise
-// interactions (Lou et al. 2013 [59]; Nori et al. 2021 [69]) — the
-// interpretable model family behind Lucid's Throughput Predict Model and
+// Package gam implements the Generalized Additive Model (Lou et al. 2013
+// [59]; Nori et al. 2021 [69]) behind Lucid's Throughput Predict Model and
 // Workload Estimate Model (§3.5.2–3.5.3):
 //
-//	y = μ + Σ f_i(x_i) + Σ f_ij(x_i, x_j)
+//	y = μ + Σ f_i(x_i)
 //
-// Each unary shape function f_i is a per-bin additive score table learned by
+// Each shape function f_i is a per-bin additive score table learned by
 // cyclic gradient boosting (the Explainable Boosting Machine recipe: tiny
 // per-feature updates, round-robin over features, so correlated features
-// share credit). Pairwise terms are detected FAST-style — score every
-// candidate pair by the residual variance a one-shot 2-D fit removes, keep
-// the top K — then boosted the same way.
+// share credit). The paper's GA²M adds pairwise terms f_ij(x_i, x_j). At
+// Table 7's scale they lowered its duration R² on 4 of 5 trace seeds, and no
+// production fit used them, so the model has none (EXPERIMENTS.md, "Ruled
+// out").
 //
-// Because every term is a lookup table over one or two features, the model
-// is exactly as interpretable as the paper requires: global importance is
-// the mean absolute score of a term (Figure 7a), a shape function is the
-// table itself (Figure 7b), and a local explanation is the list of per-term
+// Because every term is a lookup table over one feature, the model is
+// exactly as interpretable as the paper requires: global importance is the
+// mean absolute score of a term (Figure 7a), a shape function is the table
+// itself (Figure 7b), and a local explanation is the list of per-term
 // contributions that sum to the prediction (Figure 7c).
 package gam
 
@@ -36,8 +36,6 @@ type Params struct {
 	MaxBins      int     // per-feature bins (default 32)
 	Rounds       int     // boosting rounds over all features (default 300)
 	LearningRate float64 // per-update shrinkage (default 0.05)
-	Interactions int     // number of pairwise terms to learn (default 0)
-	PairRounds   int     // boosting rounds for pairwise terms (default Rounds/2)
 }
 
 func (p Params) normalized() Params {
@@ -49,9 +47,6 @@ func (p Params) normalized() Params {
 	}
 	if p.LearningRate <= 0 {
 		p.LearningRate = 0.05
-	}
-	if p.PairRounds <= 0 {
-		p.PairRounds = p.Rounds / 2
 	}
 	return p
 }
@@ -70,20 +65,13 @@ func (f *feature) bin(v float64) int { return sort.SearchFloat64s(f.edges, v) }
 
 func (f *feature) numBins() int { return len(f.edges) + 1 }
 
-// pairTerm is one learned interaction f_ij.
-type pairTerm struct {
-	i, j  int
-	score [][]float64 // [bin_i][bin_j]
-}
-
-// Model is a trained GA²M.
+// Model is a trained GAM.
 type Model struct {
 	intercept float64
 	feats     []*feature
-	pairs     []*pairTerm
 }
 
-// Fit trains a GA²M on the dataset. It rejects an empty dataset, a MaxBins
+// Fit trains a GAM on the dataset. It rejects an empty dataset, a MaxBins
 // beyond the 65,536 a bin index holds, and any NaN or ±Inf feature or target,
 // naming the row and feature.
 //
@@ -98,13 +86,9 @@ func Fit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 // edges and shapes, re-bins only the fresh features (new quantile edges,
 // zero shape), runs p.Rounds boosting rounds from there and centres the
 // result. prev is only read, so many fits may start from one model at once.
-// It rejects what Fit rejects, a dataset whose width is not prev's, an
-// out-of-range fresh index, and a prev with pairwise terms; with
-// p.Interactions > 0 pairs are detected afresh, as in Fit.
+// It rejects what Fit rejects, a dataset whose width is not prev's and an
+// out-of-range fresh index.
 func FitFrom(prev *Model, ds *mlmodel.Dataset, p Params, fresh []int) (*Model, error) {
-	if len(prev.pairs) > 0 {
-		return nil, fmt.Errorf("gam: cannot fit from a model with pairwise terms")
-	}
 	if d := ds.NumFeatures(); ds.Len() > 0 && d != len(prev.feats) {
 		return nil, fmt.Errorf("gam: dataset has %d features, the model %d", d, len(prev.feats))
 	}
@@ -125,8 +109,8 @@ func FitFrom(prev *Model, ds *mlmodel.Dataset, p Params, fresh []int) (*Model, e
 // per feature either the edges and shape to continue from or nil, which
 // bins that feature afresh with a zero shape. It codes each column against
 // its distinct values, bins each distinct value once, counts the rows per
-// bin, boosts p.Rounds rounds from the start's predictions, detects and
-// boosts pairs if asked, and centres the result.
+// bin, boosts p.Rounds rounds from the start's predictions and centres the
+// result.
 func (m *Model) boostFrom(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("gam: empty dataset")
@@ -153,7 +137,7 @@ func (m *Model) boostFrom(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	bins := make([]uint16, n*d)
 	col := distinct{ids: make([]int32, n)}
 	var binOf []uint16
-	unary := make([]term, d)
+	terms := make([]term, d)
 	for j := 0; j < d; j++ {
 		if err := col.code(ds, j); err != nil {
 			return nil, err
@@ -179,60 +163,17 @@ func (m *Model) boostFrom(ds *mlmodel.Dataset, p Params) (*Model, error) {
 			idx[i] = b
 			pred[i] += f.score[b]
 		}
-		unary[j] = term{idx: idx, count: f.count, score: f.score}
+		terms[j] = term{idx: idx, count: f.count, score: f.score}
 	}
 
-	boost(ds.Y, pred, unary, p.Rounds, p.LearningRate)
-
-	// Pairwise interactions: a kept pair is one more lookup-table term, whose
-	// cells are the occupied ones among the ni·nj of two features, numbered
-	// in order of first row. An empty cell's step is always 0, so leaving it
-	// out changes no bit. Its score rows are views of the flat
-	// [bin_i·nj + bin_j] table each row's cell score is copied into.
-	if p.Interactions > 0 && d >= 2 {
-		kept := detectPairs(ds.Y, pred, m.feats, bins, p.Interactions)
-		pairs := make([]term, len(kept))
-		for k, pr := range kept {
-			nj := m.feats[pr[1]].numBins()
-			id := make([]int32, m.feats[pr[0]].numBins()*nj) // cell id + 1 per flat index; 0 while empty
-			t := term{idx: make([]uint16, n)}
-			bi, bj := bins[pr[0]*n:(pr[0]+1)*n], bins[pr[1]*n:(pr[1]+1)*n]
-			for i := range t.idx {
-				at := int(bi[i])*nj + int(bj[i])
-				if id[at] == 0 {
-					if len(t.count) == cells {
-						return nil, fmt.Errorf("gam: pair (%s, %s) occupies more than the %d cells a cell index holds", m.feats[pr[0]].name, m.feats[pr[1]].name, cells)
-					}
-					t.count = append(t.count, 0)
-					id[at] = int32(len(t.count))
-				}
-				t.idx[i] = uint16(id[at] - 1)
-				t.count[id[at]-1]++
-			}
-			t.score = make([]float64, len(t.count))
-			pairs[k] = t
-		}
-		boost(ds.Y, pred, pairs, p.PairRounds, p.LearningRate)
-		for k, pr := range kept {
-			ni, nj := m.feats[pr[0]].numBins(), m.feats[pr[1]].numBins()
-			table := make([]float64, ni*nj)
-			for i, c := range pairs[k].idx {
-				table[int(bins[pr[0]*n+i])*nj+int(bins[pr[1]*n+i])] = pairs[k].score[c]
-			}
-			pt := &pairTerm{i: pr[0], j: pr[1], score: make([][]float64, ni)}
-			for a := range pt.score {
-				pt.score[a] = table[a*nj : (a+1)*nj : (a+1)*nj]
-			}
-			m.pairs = append(m.pairs, pt)
-		}
-	}
+	boost(ds.Y, pred, terms, p.Rounds, p.LearningRate)
 
 	m.center()
 	return m, nil
 }
 
-// cells is how many cells a uint16 index reaches: the most bins a feature,
-// and the most occupied cells a pair term, may have.
+// cells is how many cells a uint16 index reaches: the most bins a feature
+// may have.
 const cells = math.MaxUint16 + 1
 
 // distinct codes one column against its distinct values: ids[i] is the
@@ -335,9 +276,8 @@ func (c *distinct) edges(maxBins int) []float64 {
 	return edges
 }
 
-// term is one additive lookup table during training: every row's cell, the
-// rows per cell and the score per cell. A unary term's cells are a feature's
-// bins; a pair term's are its occupied cells.
+// term is one additive lookup table during training: every row's bin, the
+// rows per bin and the score per bin.
 type term struct {
 	idx   []uint16
 	count []int
@@ -384,54 +324,6 @@ func boost(y, pred []float64, terms []term, rounds int, lr float64) {
 	}
 }
 
-// detectPairs scores all feature pairs by the one-shot 2-D residual fit
-// (FAST heuristic) and returns the top-k index pairs. bins is column-major:
-// feature j's bin of row r is bins[j*n+r].
-func detectPairs(y, pred []float64, feats []*feature, bins []uint16, k int) [][2]int {
-	d := len(feats)
-	n := len(y)
-	type cand struct {
-		i, j int
-		gain float64
-	}
-	var cands []cand
-	resid := make([]float64, n)
-	for i := 0; i < n; i++ {
-		resid[i] = y[i] - pred[i]
-	}
-	for i := 0; i < d; i++ {
-		for j := i + 1; j < d; j++ {
-			nj := feats[j].numBins()
-			cells := feats[i].numBins() * nj
-			sum := make([]float64, cells)
-			cnt := make([]int, cells)
-			bi, bj := bins[i*n:(i+1)*n], bins[j*n:(j+1)*n]
-			for r := 0; r < n; r++ {
-				cell := int(bi[r])*nj + int(bj[r])
-				sum[cell] += resid[r]
-				cnt[cell]++
-			}
-			// Variance removed by predicting each cell's mean.
-			removed := 0.0
-			for c := range sum {
-				if cnt[c] > 0 {
-					removed += sum[c] * sum[c] / float64(cnt[c])
-				}
-			}
-			cands = append(cands, cand{i, j, removed})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].gain > cands[b].gain })
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([][2]int, 0, k)
-	for _, c := range cands[:k] {
-		out = append(out, [2]int{c.i, c.j})
-	}
-	return out
-}
-
 // center shifts every term to zero weighted mean and folds the offsets into
 // the intercept, the canonical EBM normalization that makes term scores
 // comparable.
@@ -460,27 +352,10 @@ func (m *Model) Predict(x []float64) float64 {
 	for j, f := range m.feats {
 		s += f.score[f.bin(x[j])]
 	}
-	for _, pt := range m.pairs {
-		bi := m.feats[pt.i].bin(x[pt.i])
-		bj := m.feats[pt.j].bin(x[pt.j])
-		s += pt.score[bi][bj]
-	}
 	return s
 }
 
-// NumPairs returns the number of learned interaction terms.
-func (m *Model) NumPairs() int { return len(m.pairs) }
-
-// PairFeatures returns the feature-index pairs of the learned interactions.
-func (m *Model) PairFeatures() [][2]int {
-	out := make([][2]int, len(m.pairs))
-	for k, pt := range m.pairs {
-		out[k] = [2]int{pt.i, pt.j}
-	}
-	return out
-}
-
-// GlobalImportance returns the mean absolute score of each unary term over
+// GlobalImportance returns the mean absolute score of each term over
 // the training distribution — the Figure 7a "Average Absolute Score" bars.
 func (m *Model) GlobalImportance() []float64 {
 	out := make([]float64, len(m.feats))
@@ -506,7 +381,7 @@ type ShapePoint struct {
 	Count     int
 }
 
-// ShapeFunction returns the learned shape of unary term j — the Figure 7b
+// ShapeFunction returns the learned shape of term j — the Figure 7b
 // plot.
 func (m *Model) ShapeFunction(j int) []ShapePoint {
 	f := m.feats[j]
@@ -524,7 +399,7 @@ func (m *Model) ShapeFunction(j int) []ShapePoint {
 // Contribution is one term's share of a single prediction.
 type Contribution struct {
 	Name  string
-	Value float64 // raw feature value (NaN for pair terms)
+	Value float64 // raw feature value
 	Score float64
 }
 
@@ -540,22 +415,13 @@ func (m *Model) Explain(x []float64) (intercept float64, contribs []Contribution
 			Score: f.score[f.bin(x[j])],
 		})
 	}
-	for _, pt := range m.pairs {
-		bi := m.feats[pt.i].bin(x[pt.i])
-		bj := m.feats[pt.j].bin(x[pt.j])
-		contribs = append(contribs, Contribution{
-			Name:  m.feats[pt.i].name + " x " + m.feats[pt.j].name,
-			Value: math.NaN(),
-			Score: pt.score[bi][bj],
-		})
-	}
 	return intercept, contribs
 }
 
-// ApplyMonotonic replaces unary term j's shape with its isotonic (PAV)
-// projection, weighted by bin populations — §3.6.1's monotonic constraint.
-// increasing=false forces a non-increasing shape.
-func (m *Model) ApplyMonotonic(j int, increasing bool) {
+// ApplyMonotonic replaces term j's shape with its isotonic (PAV)
+// projection, weighted by bin populations — §3.6.1's monotonic constraint:
+// the shape becomes non-decreasing.
+func (m *Model) ApplyMonotonic(j int) {
 	f := m.feats[j]
 	w := make([]float64, f.numBins())
 	for b, c := range f.count {
@@ -564,11 +430,7 @@ func (m *Model) ApplyMonotonic(j int, increasing bool) {
 			w[b] = 1e-9 // keep empty bins from pinning the fit
 		}
 	}
-	if increasing {
-		f.score = isotonic.Regression(f.score, w)
-	} else {
-		f.score = isotonic.Decreasing(f.score, w)
-	}
+	f.score = isotonic.Regression(f.score, w)
 }
 
 var _ mlmodel.Regressor = (*Model)(nil)

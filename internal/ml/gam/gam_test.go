@@ -45,43 +45,9 @@ func TestFitsAdditiveFunction(t *testing.T) {
 	}
 }
 
-func TestInteractionDetection(t *testing.T) {
-	// y = x0·x1 is invisible to pure main effects; the pair term must pick
-	// the (0,1) interaction over the decoy feature 2.
-	rng := xrand.New(3)
-	n := 2000
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a := rng.Float64()*2 - 1
-		b := rng.Float64()*2 - 1
-		c := rng.Float64()
-		x[i] = []float64{a, b, c}
-		y[i] = a * b
-	}
-	ds, _ := mlmodel.NewDataset(x, y, nil)
-
-	noPair, _ := Fit(ds, Params{Rounds: 150})
-	withPair, err := Fit(ds, Params{Rounds: 150, Interactions: 1, PairRounds: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withPair.NumPairs() != 1 {
-		t.Fatalf("learned %d pairs, want 1", withPair.NumPairs())
-	}
-	if pf := withPair.PairFeatures()[0]; pf != [2]int{0, 1} {
-		t.Fatalf("picked pair %v, want {0,1}", pf)
-	}
-	r2No := mlmodel.R2(mlmodel.PredictAll(noPair, ds.X), ds.Y)
-	r2Yes := mlmodel.R2(mlmodel.PredictAll(withPair, ds.X), ds.Y)
-	if r2Yes < r2No+0.3 {
-		t.Fatalf("pair term did not help: %v → %v", r2No, r2Yes)
-	}
-}
-
 func TestExplainSumsToPrediction(t *testing.T) {
 	ds := additiveData(500, 4)
-	m, _ := Fit(ds, Params{Rounds: 100, Interactions: 1})
+	m, _ := Fit(ds, Params{Rounds: 100})
 	for i := 0; i < 20; i++ {
 		x := ds.X[i]
 		intercept, contribs := m.Explain(x)
@@ -158,7 +124,7 @@ func TestMonotonicConstraint(t *testing.T) {
 	}
 	ds, _ := mlmodel.NewDataset(x, y, nil)
 	m, _ := Fit(ds, Params{Rounds: 200})
-	m.ApplyMonotonic(0, true)
+	m.ApplyMonotonic(0)
 	shape := m.ShapeFunction(0)
 	scores := make([]float64, len(shape))
 	for i, s := range shape {
@@ -258,42 +224,36 @@ func saveBytes(t *testing.T, m *Model) []byte {
 
 // TestFitMatchesOracle is the bit-identity contract: on every table shape
 // and parameter set below, Fit serializes to the bytes the replaced loop
-// produces — unary and pair terms, before and after the monotonic projection.
+// produces, before and after the monotonic projection.
 func TestFitMatchesOracle(t *testing.T) {
 	for _, n := range []int{1, 40, 700, 2500} { // 40 < every MaxBins but 2; 2500 rows fill 300 bins
 		ds := tieHeavyTable(n, uint64(100+n))
 		for _, maxBins := range []int{2, 64, 300} { // 300 crosses the 256-bin line
-			for _, inter := range []int{0, 3} {
-				for _, lr := range []float64{0.05, 0.3} {
-					p := Params{MaxBins: maxBins, Rounds: 7, LearningRate: lr, Interactions: inter, PairRounds: 5}
-					name := fmt.Sprintf("n=%d/bins=%d/pairs=%d/lr=%v", n, maxBins, inter, lr)
-					got, err := Fit(ds, p)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					want, err := oracleFit(ds, p)
-					if err != nil {
-						t.Fatalf("%s: oracle: %v", name, err)
-					}
-					if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
-						t.Fatalf("%s: Fit and the oracle serialize differently", name)
-					}
-					if inter > 0 && n > 1 && got.NumPairs() != inter {
-						t.Fatalf("%s: %d pair terms, want %d", name, got.NumPairs(), inter)
-					}
-					got.ApplyMonotonic(0, true)
-					want.ApplyMonotonic(0, true)
-					if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
-						t.Fatalf("%s: models differ after ApplyMonotonic", name)
-					}
+			for _, lr := range []float64{0.05, 0.3} {
+				p := Params{MaxBins: maxBins, Rounds: 7, LearningRate: lr}
+				name := fmt.Sprintf("n=%d/bins=%d/lr=%v", n, maxBins, lr)
+				got, err := Fit(ds, p)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, err := oracleFit(ds, p)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", name, err)
+				}
+				if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+					t.Fatalf("%s: Fit and the oracle serialize differently", name)
+				}
+				got.ApplyMonotonic(0)
+				want.ApplyMonotonic(0)
+				if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+					t.Fatalf("%s: models differ after ApplyMonotonic", name)
 				}
 			}
 		}
 	}
-	// Default parameters (300 rounds, PairRounds derived) on the estimator's
-	// bin count, once.
+	// Default parameters (300 rounds) on the estimator's bin count, once.
 	ds := tieHeavyTable(1200, 9)
-	p := Params{MaxBins: 64, Interactions: 2}
+	p := Params{MaxBins: 64}
 	got, _ := Fit(ds, p)
 	want, _ := oracleFit(ds, p)
 	if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
@@ -455,27 +415,11 @@ func FuzzEdgesFromCounts(f *testing.F) {
 	})
 }
 
-// TestFitRejectsPairBeyondCellIndex: a pair term's occupied cells are
-// indexed by uint16, so a pair occupying more than 65,536 cells is an
-// error, not a wrapped index.
-func TestFitRejectsPairBeyondCellIndex(t *testing.T) {
-	n := 300 * 300 // every cell of two 300-bin features, once
-	ds := &mlmodel.Dataset{X: make([][]float64, n), Y: make([]float64, n), Names: []string{"a", "b"}}
-	for i := range ds.X {
-		ds.X[i] = []float64{float64(i % 300), float64(i / 300)}
-		ds.Y[i] = float64(i % 7)
-	}
-	_, err := Fit(ds, Params{MaxBins: 300, Rounds: 1, Interactions: 1, PairRounds: 1})
-	if err == nil || !strings.Contains(err.Error(), "pair (a, b) occupies more than the 65536 cells") {
-		t.Fatalf("error %v, want one naming the pair and the 65536-cell limit", err)
-	}
-}
-
 func TestFitAllocsIndependentOfRounds(t *testing.T) {
 	ds := tieHeavyTable(300, 2)
 	allocs := func(rounds int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Fit(ds, Params{MaxBins: 16, Rounds: rounds, Interactions: 2, PairRounds: rounds}); err != nil {
+			if _, err := Fit(ds, Params{MaxBins: 16, Rounds: rounds}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -486,9 +430,10 @@ func TestFitAllocsIndependentOfRounds(t *testing.T) {
 }
 
 // oracleFit is the Fit this package had before the column-major fused loop
-// replaced it, verbatim: a [][]int bin index, the per-bin step re-derived
-// (division included) for every row, separate accumulate and apply passes. It
-// survives here as the reference TestFitMatchesOracle compares against.
+// replaced it, verbatim but for its pair terms: a [][]int bin index, the
+// per-bin step re-derived (division included) for every row, separate
+// accumulate and apply passes. It survives here as the reference
+// TestFitMatchesOracle compares against.
 func oracleFit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("gam: empty dataset")
@@ -551,104 +496,8 @@ func oracleFit(ds *mlmodel.Dataset, p Params) (*Model, error) {
 		}
 	}
 
-	// Pairwise interactions.
-	if p.Interactions > 0 && d >= 2 {
-		pairs := oracleDetectPairs(ds, m, binIdx, pred, p.Interactions)
-		for _, pr := range pairs {
-			pt := &pairTerm{i: pr[0], j: pr[1]}
-			ni := m.feats[pr[0]].numBins()
-			nj := m.feats[pr[1]].numBins()
-			pt.score = make([][]float64, ni)
-			for a := range pt.score {
-				pt.score[a] = make([]float64, nj)
-			}
-			m.pairs = append(m.pairs, pt)
-		}
-		cnt := make([][]int, len(m.pairs))
-		for k, pt := range m.pairs {
-			c := make([]int, m.feats[pt.i].numBins()*m.feats[pt.j].numBins())
-			for i := 0; i < n; i++ {
-				c[binIdx[pt.i][i]*m.feats[pt.j].numBins()+binIdx[pt.j][i]]++
-			}
-			cnt[k] = c
-		}
-		for round := 0; round < p.PairRounds; round++ {
-			for k, pt := range m.pairs {
-				nj := m.feats[pt.j].numBins()
-				sums := make([]float64, m.feats[pt.i].numBins()*nj)
-				for i := 0; i < n; i++ {
-					cell := binIdx[pt.i][i]*nj + binIdx[pt.j][i]
-					sums[cell] += ds.Y[i] - pred[i]
-				}
-				for cell, s := range sums {
-					if cnt[k][cell] == 0 {
-						continue
-					}
-					delta := p.LearningRate * s / float64(cnt[k][cell])
-					pt.score[cell/nj][cell%nj] += delta
-				}
-				for i := 0; i < n; i++ {
-					cell := binIdx[pt.i][i]*nj + binIdx[pt.j][i]
-					if cnt[k][cell] != 0 {
-						pred[i] += p.LearningRate * sums[cell] / float64(cnt[k][cell])
-					}
-				}
-			}
-		}
-	}
-
 	m.center()
 	return m, nil
-}
-
-// oracleDetectPairs scores all feature pairs by the one-shot 2-D residual fit
-// (FAST heuristic) and returns the top-k index pairs.
-func oracleDetectPairs(ds *mlmodel.Dataset, m *Model, binIdx [][]int, pred []float64, k int) [][2]int {
-	d := len(m.feats)
-	n := ds.Len()
-	type cand struct {
-		i, j int
-		gain float64
-	}
-	var cands []cand
-	resid := make([]float64, n)
-	for i := 0; i < n; i++ {
-		resid[i] = ds.Y[i] - pred[i]
-	}
-	base := 0.0
-	for _, r := range resid {
-		base += r * r
-	}
-	for i := 0; i < d; i++ {
-		for j := i + 1; j < d; j++ {
-			nj := m.feats[j].numBins()
-			cells := m.feats[i].numBins() * nj
-			sum := make([]float64, cells)
-			cnt := make([]int, cells)
-			for r := 0; r < n; r++ {
-				cell := binIdx[i][r]*nj + binIdx[j][r]
-				sum[cell] += resid[r]
-				cnt[cell]++
-			}
-			// Variance removed by predicting each cell's mean.
-			removed := 0.0
-			for c := range sum {
-				if cnt[c] > 0 {
-					removed += sum[c] * sum[c] / float64(cnt[c])
-				}
-			}
-			cands = append(cands, cand{i, j, removed})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].gain > cands[b].gain })
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([][2]int, 0, k)
-	for _, c := range cands[:k] {
-		out = append(out, [2]int{c.i, c.j})
-	}
-	return out
 }
 
 func oracleColumn(x [][]float64, j int) []float64 {
@@ -709,9 +558,9 @@ func oracleFitFrom(prev *Model, ds *mlmodel.Dataset, p Params, fresh []int) (*Mo
 }
 
 // oracleBoostFrom is boostFrom before it binned each distinct value once,
-// verbatim but for its checks: every column gathered, a fresh one's edges
-// from quantileEdges, every row binned by binary search, pair cells indexed
-// over all ni·nj, and the generic oracleBoost.
+// verbatim but for its checks and pair terms: every column gathered, a fresh
+// one's edges from quantileEdges, every row binned by binary search, and
+// oracleBoost.
 func (m *Model) oracleBoostFrom(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	p = p.normalized()
 	n := ds.Len()
@@ -723,7 +572,7 @@ func (m *Model) oracleBoostFrom(ds *mlmodel.Dataset, p Params) (*Model, error) {
 	}
 	bins := make([]uint16, n*d)
 	col := make([]float64, n)
-	unary := make([]oracleTerm[uint16], d)
+	unary := make([]oracleTerm, d)
 	for j := 0; j < d; j++ {
 		for i, row := range ds.X {
 			col[i] = row[j]
@@ -742,46 +591,24 @@ func (m *Model) oracleBoostFrom(ds *mlmodel.Dataset, p Params) (*Model, error) {
 			f.count[b]++
 			pred[i] += f.score[b]
 		}
-		unary[j] = oracleTerm[uint16]{idx: idx, count: f.count, score: f.score}
+		unary[j] = oracleTerm{idx: idx, count: f.count, score: f.score}
 	}
 
 	oracleBoost(ds.Y, pred, unary, p.Rounds, p.LearningRate)
-
-	if p.Interactions > 0 && d >= 2 {
-		kept := detectPairs(ds.Y, pred, m.feats, bins, p.Interactions)
-		pairs := make([]oracleTerm[uint32], len(kept))
-		for k, pr := range kept {
-			ni, nj := m.feats[pr[0]].numBins(), m.feats[pr[1]].numBins()
-			t := oracleTerm[uint32]{idx: make([]uint32, n), count: make([]int, ni*nj), score: make([]float64, ni*nj)}
-			bi, bj := bins[pr[0]*n:(pr[0]+1)*n], bins[pr[1]*n:(pr[1]+1)*n]
-			for i := range t.idx {
-				cell := uint32(bi[i])*uint32(nj) + uint32(bj[i])
-				t.idx[i] = cell
-				t.count[cell]++
-			}
-			pt := &pairTerm{i: pr[0], j: pr[1], score: make([][]float64, ni)}
-			for a := range pt.score {
-				pt.score[a] = t.score[a*nj : (a+1)*nj : (a+1)*nj]
-			}
-			m.pairs = append(m.pairs, pt)
-			pairs[k] = t
-		}
-		oracleBoost(ds.Y, pred, pairs, p.PairRounds, p.LearningRate)
-	}
 
 	m.center()
 	return m, nil
 }
 
-type oracleTerm[I uint16 | uint32] struct {
-	idx   []I
+type oracleTerm struct {
+	idx   []uint16
 	count []int
 	score []float64
 }
 
-// oracleBoost is boost before its cells were fixed at 65,536, verbatim:
-// generic over the index width, its tables sized to the widest term.
-func oracleBoost[I uint16 | uint32](y, pred []float64, terms []oracleTerm[I], rounds int, lr float64) {
+// oracleBoost is boost before its cells were fixed at 65,536: its tables
+// sized to the widest term.
+func oracleBoost(y, pred []float64, terms []oracleTerm, rounds int, lr float64) {
 	if len(terms) == 0 || rounds <= 0 {
 		return
 	}

@@ -6,7 +6,7 @@ import (
 	"io"
 )
 
-// JSON persistence: a trained GA²M is just its intercept plus lookup tables,
+// JSON persistence: a trained GAM is just its intercept plus lookup tables,
 // so it serializes losslessly — the deployment story behind Lucid's A2
 // property (ship a trained model to the cluster manager; no retraining, no
 // framework dependency).
@@ -23,11 +23,6 @@ type featureDTO struct {
 type modelDTO struct {
 	Intercept float64      `json:"intercept"`
 	Features  []featureDTO `json:"features"`
-	Pairs     []struct {
-		I     int         `json:"i"`
-		J     int         `json:"j"`
-		Score [][]float64 `json:"score"`
-	} `json:"pairs,omitempty"`
 }
 
 // Save writes the model as JSON.
@@ -37,13 +32,6 @@ func (m *Model) Save(w io.Writer) error {
 		dto.Features = append(dto.Features, featureDTO{
 			Name: f.name, Edges: f.edges, Score: f.score, Count: f.count,
 		})
-	}
-	for _, p := range m.pairs {
-		dto.Pairs = append(dto.Pairs, struct {
-			I     int         `json:"i"`
-			J     int         `json:"j"`
-			Score [][]float64 `json:"score"`
-		}{p.i, p.j, p.score})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(dto)
@@ -63,20 +51,6 @@ func Load(r io.Reader) (*Model, error) {
 		m.feats = append(m.feats, &feature{
 			name: fd.Name, edges: fd.Edges, score: fd.Score, count: fd.Count,
 		})
-	}
-	for k, pd := range dto.Pairs {
-		if pd.I < 0 || pd.I >= len(m.feats) || pd.J < 0 || pd.J >= len(m.feats) {
-			return nil, fmt.Errorf("gam: load: pair %d references unknown feature", k)
-		}
-		if len(pd.Score) != m.feats[pd.I].numBins() {
-			return nil, fmt.Errorf("gam: load: pair %d table shape mismatch", k)
-		}
-		for _, row := range pd.Score {
-			if len(row) != m.feats[pd.J].numBins() {
-				return nil, fmt.Errorf("gam: load: pair %d table shape mismatch", k)
-			}
-		}
-		m.pairs = append(m.pairs, &pairTerm{i: pd.I, j: pd.J, score: pd.Score})
 	}
 	return m, nil
 }

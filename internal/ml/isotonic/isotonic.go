@@ -1,6 +1,6 @@
 // Package isotonic implements the Pool Adjacent Violators (PAV) algorithm
 // (Ayer et al. 1955, the paper's citation [8]). Lucid's System Tuner uses it
-// to pose monotonic constraints on learned GA²M shape functions (§3.6.1):
+// to pose monotonic constraints on learned GAM shape functions (§3.6.1):
 // e.g. forcing the gpu_num contribution to job duration to be
 // non-decreasing, which the paper reports buys +2.6 % R² and −3.9 % queuing
 // delay.
@@ -62,19 +62,6 @@ func mean(b struct {
 		return 0
 	}
 	return b.sum / b.weight
-}
-
-// Decreasing returns the non-increasing fit (PAV on the negated series).
-func Decreasing(y, weights []float64) []float64 {
-	neg := make([]float64, len(y))
-	for i, v := range y {
-		neg[i] = -v
-	}
-	fit := Regression(neg, weights)
-	for i := range fit {
-		fit[i] = -fit[i]
-	}
-	return fit
 }
 
 // IsMonotoneNonDecreasing reports whether xs never decreases.

@@ -77,16 +77,6 @@ func TestMeanPreserved(t *testing.T) {
 	}
 }
 
-func TestDecreasing(t *testing.T) {
-	y := []float64{1, 5, 2, 0}
-	got := Decreasing(y, nil)
-	for i := 1; i < len(got); i++ {
-		if got[i] > got[i-1]+1e-12 {
-			t.Fatalf("Decreasing output increases: %v", got)
-		}
-	}
-}
-
 func TestEmptyAndSingle(t *testing.T) {
 	if got := Regression(nil, nil); len(got) != 0 {
 		t.Fatal("empty input should give empty output")

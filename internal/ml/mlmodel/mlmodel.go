@@ -1,6 +1,6 @@
 // Package mlmodel holds the shared dataset representation and evaluation
 // metrics used by every model family in this repository (decision tree,
-// random forest, gradient boosting, GA²M, MLP). Table 7 of the Lucid paper
+// random forest, gradient boosting, GAM, MLP). Table 7 of the Lucid paper
 // compares those families with MAE and R²; the packing analyzer is scored
 // with classification accuracy.
 package mlmodel

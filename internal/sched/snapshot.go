@@ -10,6 +10,7 @@ import (
 // SchedulerState implementations (see sim.SchedulerState) for the stateful
 // baselines. FIFO, SJF and QSSF are stateless across ticks and deliberately
 // do not implement the interface — a snapshot of them is just the world.
+// Pollux runs only in §4.7's study, which never snapshots, so it has none.
 // The per-round scratch buffers the rankers keep are not state either: a
 // round overwrites them before it reads them, so none is saved.
 
@@ -57,25 +58,5 @@ func (h *Horus) RestoreState(blob []byte) error {
 	}
 	h.rng.SetState(st.RNG)
 	h.predicted = st.Predicted
-	return nil
-}
-
-// polluxState captures the scheduling-round clock.
-type polluxState struct {
-	LastRealloc int64 `json:"last_realloc"`
-}
-
-// SnapshotState implements sim.SchedulerState.
-func (p *Pollux) SnapshotState() ([]byte, error) {
-	return json.Marshal(polluxState{LastRealloc: p.lastRealloc})
-}
-
-// RestoreState implements sim.SchedulerState.
-func (p *Pollux) RestoreState(blob []byte) error {
-	var st polluxState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		return fmt.Errorf("pollux: decode state: %w", err)
-	}
-	p.lastRealloc = st.LastRealloc
 	return nil
 }

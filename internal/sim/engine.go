@@ -50,13 +50,6 @@ const (
 	EngineTick
 )
 
-func (k EngineKind) String() string {
-	if k == EngineEvent {
-		return "event"
-	}
-	return "tick"
-}
-
 // ParseEngine parses an -engine flag value.
 func ParseEngine(s string) (EngineKind, error) {
 	switch s {

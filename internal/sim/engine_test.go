@@ -260,3 +260,11 @@ func TestEventEngineHorizonParity(t *testing.T) {
 		t.Fatal("job should not have finished before the horizon")
 	}
 }
+
+// String names the engine, as -engine spells it.
+func (k EngineKind) String() string {
+	if k == EngineEvent {
+		return "event"
+	}
+	return "tick"
+}

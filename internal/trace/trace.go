@@ -288,9 +288,6 @@ func NewGenerator(spec GenSpec) *Generator {
 	return g
 }
 
-// ClusterSpec returns the generated cluster layout.
-func (g *Generator) ClusterSpec() cluster.Spec { return g.cluster }
-
 // gpuDemandDist is the §2.2 small-job skew: >95 % within one 8-GPU node.
 var gpuDemands = []int{1, 2, 4, 8, 16, 32}
 var gpuDemandW = []float64{0.78, 0.10, 0.05, 0.037, 0.020, 0.013}

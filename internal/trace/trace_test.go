@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/workload"
 )
@@ -442,3 +443,6 @@ func BenchmarkEmit(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
 }
+
+// ClusterSpec returns the generated cluster layout.
+func (g *Generator) ClusterSpec() cluster.Spec { return g.cluster }

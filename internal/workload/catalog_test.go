@@ -145,3 +145,27 @@ func TestValidRejectsOutOfRangeModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// String returns a short human-readable domain name.
+func (d Domain) String() string {
+	switch d {
+	case DomainImgClassification:
+		return "img-classification"
+	case DomainImgTranslation:
+		return "img-translation"
+	case DomainPointCloud:
+		return "point-cloud"
+	case DomainQA:
+		return "question-answering"
+	case DomainLM:
+		return "language-modeling"
+	case DomainTranslation:
+		return "translation"
+	case DomainRL:
+		return "reinforcement-learning"
+	case DomainRecommendation:
+		return "recommendation"
+	default:
+		return "unknown"
+	}
+}
