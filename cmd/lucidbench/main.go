@@ -65,9 +65,6 @@ func experiments() []experiment {
 			return rep, err
 		}},
 		{"tab4", "end-to-end: 3 clusters × 6 schedulers (also fig8, fig9, tab5)", runTab4},
-		{"tab5", "large vs small jobs on Venus", runTab5},
-		{"fig8", "JCT CDF checkpoints", runFig8},
-		{"fig9", "per-VC queuing delay", runFig9},
 		{"fig10a", "scheduling latency vs queue size", runFig10a},
 		{"fig10b", "model training time per cluster", func(scale float64) (string, error) {
 			return lab.Fig10b(allSpecs(), scale)
@@ -160,30 +157,6 @@ func runTab4(scale float64) (string, error) {
 		out += "\n" + lab.Table5(venus)
 	}
 	return out, nil
-}
-
-func runTab5(scale float64) (string, error) {
-	_, results, _, err := lab.Table4([]trace.GenSpec{trace.Venus()}, scale)
-	if err != nil {
-		return "", err
-	}
-	return lab.Table5(results["Venus"]), nil
-}
-
-func runFig8(scale float64) (string, error) {
-	_, results, _, err := lab.Table4(allSpecs(), scale)
-	if err != nil {
-		return "", err
-	}
-	return lab.Fig8(results), nil
-}
-
-func runFig9(scale float64) (string, error) {
-	_, results, _, err := lab.Table4(allSpecs(), scale)
-	if err != nil {
-		return "", err
-	}
-	return lab.Fig9(results), nil
 }
 
 func runFig10a(scale float64) (string, error) {

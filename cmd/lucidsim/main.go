@@ -40,19 +40,22 @@
 // at its first estimate, so the first run of each over a world includes
 // that fit in its wall time.
 //
-// Snapshot / resume / time-travel (all require a single -sched, and the
-// world flags — trace, scale, util, chaos — must match the original run;
-// a fingerprint in the snapshot enforces it):
+// Snapshot and resume are steps of the same run, so every other flag —
+// -decision-trace, -metrics-out, -invariants, -chaos, -engine — works with
+// them. Both need a single -sched, and the world flags (trace, scale, util,
+// chaos) must match the original run; a fingerprint in the snapshot
+// enforces it:
 //
 //	lucidsim -trace venus -sched lucid -snapshot-at 86400 -snapshot-out day1.snap
 //	lucidsim -trace venus -sched lucid -resume day1.snap
-//	lucidsim -trace venus -sched fifo -resume-at 86400 -with-scheduler sjf
+//	lucidsim -trace venus -sched sjf -resume day1.snap
 //
 // -snapshot-at writes the complete world state at the given simulated second
-// and then finishes the run; -resume restores it into a fresh scheduler and
-// continues — bit-identical to never having stopped. -resume-at forks the
-// world mid-run into a different scheduler (a what-if replay) and reports
-// both outcomes.
+// and then finishes the run; -resume starts the run from such a snapshot
+// instead of t = 0. Resumed under the same -sched it is bit-identical to
+// never having stopped (with -decision-trace on both runs, the same digest);
+// under a different -sched it is a what-if fork: the new scheduler starts
+// with fresh policy state over the restored world.
 package main
 
 import (
@@ -87,9 +90,7 @@ func main() {
 	chaosSpec := flag.String("chaos", "", `fault-injection spec, e.g. "nodefail=0.5,jobcrash=1" ("default" | "off" | key=value,...)`)
 	snapshotAt := flag.Int64("snapshot-at", 0, "run the selected scheduler to this simulated second, write a world snapshot, then finish the run")
 	snapshotOut := flag.String("snapshot-out", "world.snap", "snapshot path written by -snapshot-at")
-	resumeFrom := flag.String("resume", "", "restore a -snapshot-at world snapshot and run it to completion")
-	resumeAt := flag.Int64("resume-at", 0, "time-travel fork: run the base scheduler to this simulated second, then fork into -with-scheduler")
-	withSched := flag.String("with-scheduler", "", "scheduler the -resume-at fork continues with")
+	resumeFrom := flag.String("resume", "", "start the run from a -snapshot-at world snapshot instead of t = 0 (a different -sched forks a what-if)")
 	engineName := flag.String("engine", "event", "advancement engine: event (discrete-event) | tick (every fixed tick; the bit-identical reference)")
 	flag.Parse()
 
@@ -114,6 +115,12 @@ func main() {
 			os.Exit(1)
 		}
 		return
+	}
+
+	want := strings.ToLower(*schedName)
+	if want == "all" && (*snapshotAt > 0 || *resumeFrom != "") {
+		fmt.Fprintln(os.Stderr, "snapshot/resume need one explicit scheduler, not \"all\"")
+		os.Exit(1)
 	}
 
 	spec, ok := trace.SpecByName(strings.ToLower(*traceName))
@@ -149,33 +156,19 @@ func main() {
 		}
 	}
 
-	flags := runFlags{engine: engine, invariants: *invariants, fault: faultSpec}
-
-	// Snapshot / resume / fork modes operate on one explicit scheduler.
-	if *snapshotAt > 0 || *resumeFrom != "" || *resumeAt > 0 {
-		if err := runDurable(w, durableFlags{
-			sched:      *schedName,
-			snapshotAt: *snapshotAt,
-			out:        *snapshotOut,
-			resumeFrom: *resumeFrom,
-			resumeAt:   *resumeAt,
-			withSched:  *withSched,
-			runFlags:   flags,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	want := strings.ToLower(*schedName)
 	ran := false
 	for _, nr := range w.Schedulers() {
 		if want != "all" && strings.ToLower(nr.Name) != want {
 			continue
 		}
 		ran = true
-		flags.apply(&nr.Opts)
+		nr.Opts.Engine = engine
+		if *invariants {
+			nr.Opts.Invariants = sim.NewInvariantChecker(false)
+		}
+		if faultSpec.Enabled() {
+			nr.Opts.Chaos = &faultSpec
+		}
 		var rec *dtrace.Recorder
 		var closeTrace func() error
 		if *decisionTrace != "" {
@@ -207,7 +200,11 @@ func main() {
 			nr.Opts.Metrics = reg
 		}
 		t0 := time.Now()
-		res := w.Run(nr)
+		res, err := run(w, nr, *resumeFrom, *snapshotAt, *snapshotOut)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		fmt.Printf("%s  (wall %.1fs)\n", res.Summary(), time.Since(t0).Seconds())
 		if reg != nil {
 			path := tracePath(*metricsOut, nr.Name, want == "all")
@@ -245,122 +242,39 @@ func main() {
 	}
 }
 
-// durableFlags bundles the snapshot/resume/fork mode parameters.
-type durableFlags struct {
-	sched      string
-	snapshotAt int64
-	out        string
-	resumeFrom string
-	resumeAt   int64
-	withSched  string
-	runFlags
-}
-
-// runFlags are the flags every run takes, whichever mode starts it.
-type runFlags struct {
-	engine     sim.EngineKind
-	invariants bool
-	fault      chaos.Spec
-}
-
-// apply sets the flags on one run's options. Each run gets its own checker;
-// every run reads the one fault spec.
-func (f runFlags) apply(opts *sim.Options) {
-	opts.Engine = f.engine
-	if f.invariants {
-		opts.Invariants = sim.NewInvariantChecker(false)
-	}
-	if f.fault.Enabled() {
-		opts.Chaos = &f.fault
-	}
-}
-
-// pickRun resolves one scheduler by name.
-func pickRun(w *lab.World, name string, f durableFlags) (lab.NamedRun, error) {
-	if strings.ToLower(name) == "all" || name == "" {
-		return lab.NamedRun{}, fmt.Errorf("snapshot/resume modes need one explicit scheduler, not %q", name)
-	}
-	for _, nr := range w.Schedulers() {
-		if !strings.EqualFold(nr.Name, name) {
-			continue
-		}
-		f.apply(&nr.Opts)
-		return nr, nil
-	}
-	return lab.NamedRun{}, fmt.Errorf("unknown scheduler %q", name)
-}
-
-// runDurable dispatches the snapshot-at / resume / time-travel-fork modes.
-func runDurable(w *lab.World, f durableFlags) error {
-	switch {
-	case f.resumeFrom != "":
-		nr, err := pickRun(w, f.sched, f)
+// run simulates one scheduler from t = 0, or from the world snapshot at
+// resume, and returns its result. With snapshotAt > 0 it stops at that
+// simulated second, writes the world to out, and then finishes the run.
+func run(w *lab.World, nr lab.NamedRun, resume string, snapshotAt int64, out string) (*sim.Result, error) {
+	var s *sim.Sim
+	if resume == "" {
+		s = sim.New(w.Eval, nr.Sched, nr.Opts)
+	} else {
+		f, err := os.Open(resume)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		file, err := os.Open(f.resumeFrom)
+		s, err = sim.Resume(w.Eval, nr.Sched, nr.Opts, bufio.NewReader(f))
+		f.Close()
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("resume %s: %w", resume, err)
 		}
-		defer file.Close()
-		s, err := sim.Resume(w.Eval, nr.Sched, nr.Opts, bufio.NewReader(file))
-		if err != nil {
-			return fmt.Errorf("resume %s: %w", f.resumeFrom, err)
-		}
-		fmt.Printf("resumed %s world from %s\n", nr.Name, f.resumeFrom)
-		t0 := time.Now()
-		res := s.Run()
-		fmt.Printf("%s  (wall %.1fs)\n", res.Summary(), time.Since(t0).Seconds())
-		return nil
-
-	case f.snapshotAt > 0:
-		nr, err := pickRun(w, f.sched, f)
-		if err != nil {
-			return err
-		}
-		s := sim.New(w.Eval, nr.Sched, nr.Opts)
-		if done := s.RunUntil(f.snapshotAt); done {
-			fmt.Printf("note: run completed before t=%d; snapshotting the finished world\n", f.snapshotAt)
+		fmt.Printf("resumed %s world from %s\n", nr.Name, resume)
+	}
+	if snapshotAt > 0 {
+		if done := s.RunUntil(snapshotAt); done {
+			fmt.Printf("note: run completed before t=%d; snapshotting the finished world\n", snapshotAt)
 		}
 		var buf bytes.Buffer
 		if err := s.Snapshot(&buf); err != nil {
-			return err
+			return nil, err
 		}
-		if err := snap.WriteFile(snap.OS, f.out, buf.Bytes()); err != nil {
-			return err
+		if err := snap.WriteFile(snap.OS, out, buf.Bytes()); err != nil {
+			return nil, err
 		}
-		fmt.Printf("snapshot at t=%d → %s\n", f.snapshotAt, f.out)
-		res := s.Run() // snapshots are read-only; finish the run as normal
-		fmt.Printf("%s\n", res.Summary())
-		return nil
-
-	default: // resumeAt > 0: in-process time-travel fork
-		if f.withSched == "" {
-			return fmt.Errorf("-resume-at needs -with-scheduler")
-		}
-		base, err := pickRun(w, f.sched, f)
-		if err != nil {
-			return err
-		}
-		alt, err := pickRun(w, f.withSched, f)
-		if err != nil {
-			return err
-		}
-		s := sim.New(w.Eval, base.Sched, base.Opts)
-		if done := s.RunUntil(f.resumeAt); done {
-			return fmt.Errorf("base %s run completed before t=%d — nothing to fork", base.Name, f.resumeAt)
-		}
-		forked, err := s.Fork(alt.Sched, alt.Opts)
-		if err != nil {
-			return fmt.Errorf("fork into %s: %w", alt.Name, err)
-		}
-		fmt.Printf("forked %s world at t=%d into %s\n", base.Name, f.resumeAt, alt.Name)
-		altRes := forked.Run()
-		baseRes := s.Run()
-		fmt.Printf("%s\n", baseRes.Summary())
-		fmt.Printf("%s  (what-if from t=%d)\n", altRes.Summary(), f.resumeAt)
-		return nil
+		fmt.Printf("snapshot at t=%d → %s\n", snapshotAt, out)
 	}
+	return s.Run(), nil
 }
 
 // tracePath inserts the scheduler name before the extension when several

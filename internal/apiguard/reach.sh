@@ -22,8 +22,8 @@ export GOCOVERDIR="$out/cover"
 go build -cover -coverpkg=./cmd/...,./internal/...,./examples/...,./bench -o "$bin/" ./cmd/... ./examples/... ./bench
 
 # Simulator: chaos with invariants, both engines' decision traces, replay,
-# snapshots (Horus, and Lucid past its first refit), a fork, and the
-# refusals the docs promise.
+# snapshots (Horus, and Lucid past its first refit), a fork (a FIFO snapshot
+# resumed under SJF), and the refusals the docs promise.
 for s in fifo lucid tiresias horus; do
 	"$bin/lucidsim" -trace venus -sched "$s" -scale 0.05 -invariants \
 		-chaos "nodefail=2,jobcrash=4,gpufail=0.5,retries=3,backoff=60,stragglers=0.25,slowdown=0.5" >"$run/chaos-$s.txt"
@@ -44,7 +44,8 @@ done
 # Venus×0.05 refits first at day 7, so this snapshot carries the refit models.
 "$bin/lucidsim" -trace venus -sched lucid -scale 0.05 -snapshot-at 700000 -snapshot-out "$run/lucid.snap" >/dev/null
 "$bin/lucidsim" -trace venus -sched lucid -scale 0.05 -resume "$run/lucid.snap" >/dev/null
-"$bin/lucidsim" -trace venus -sched fifo -scale 0.02 -resume-at 86400 -with-scheduler sjf >/dev/null
+"$bin/lucidsim" -trace venus -sched fifo -scale 0.02 -snapshot-at 86400 -snapshot-out "$run/fifo.snap" >/dev/null
+"$bin/lucidsim" -trace venus -sched sjf -scale 0.02 -resume "$run/fifo.snap" >/dev/null
 if "$bin/lucidsim" -trace saturn -sched lucid -scale 0.05 -resume "$run/lucid.snap" >/dev/null 2>&1; then
 	echo "reach: a snapshot resumed under the wrong world flags" >&2
 	exit 1

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -146,41 +145,13 @@ type Table4Row struct {
 	UtilPct, MemPct    float64
 }
 
-// sweepEntry memoizes one full Table 4 sweep. Table 5, Figure 8 and
-// Figure 9 are render-only views over the same results, and lucidbench
-// `-exp all` requests each of them separately — without the memo the
-// dominant end-to-end sweep re-simulates up to four times per suite.
-// Results are shared read-only; ResetWorldCache drops this cache too.
-type sweepEntry struct {
-	once    sync.Once
-	rows    []Table4Row
-	results map[string]map[string]*sim.Result
-	report  string
-	err     error
-}
-
-var sweepCache sync.Map // "%+v|%g"-formatted (specs, scale) → *sweepEntry
-
-// Table4 runs the end-to-end large-scale evaluation (also yielding the raw
-// results for Figures 8 and 9). The returned map holds every Result for
-// downstream reuse; treat it as read-only — repeated calls for the same
-// (specs, scale) return the memoized sweep.
+// Table4 runs the end-to-end large-scale evaluation, also yielding the raw
+// results that Figures 8 and 9 and Table 5 render. Worlds come from the
+// process-wide cache (GetWorld) and the full cluster × scheduler grid runs
+// as one flat work list on the harness pool, so a slow cluster's runs don't
+// serialize behind a fast one. Rows are rendered from the assembled results
+// in canonical (spec, SchedulerOrder) order, never in completion order.
 func Table4(specs []trace.GenSpec, scale float64) ([]Table4Row, map[string]map[string]*sim.Result, string, error) {
-	key := fmt.Sprintf("%+v|%g", specs, scale)
-	e, _ := sweepCache.LoadOrStore(key, &sweepEntry{})
-	ent := e.(*sweepEntry)
-	ent.once.Do(func() {
-		ent.rows, ent.results, ent.report, ent.err = table4Sweep(specs, scale)
-	})
-	return ent.rows, ent.results, ent.report, ent.err
-}
-
-// table4Sweep does the real work. Worlds come from the process-wide cache
-// (GetWorld) and the full cluster × scheduler grid runs as one flat work
-// list on the harness pool, so a slow cluster's runs don't serialize
-// behind a fast one. Rows are rendered from the assembled results in
-// canonical (spec, SchedulerOrder) order, never in completion order.
-func table4Sweep(specs []trace.GenSpec, scale float64) ([]Table4Row, map[string]map[string]*sim.Result, string, error) {
 	worlds, err := GetWorlds(specs, scale)
 	if err != nil {
 		return nil, nil, "", err

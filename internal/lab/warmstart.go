@@ -21,9 +21,9 @@ import (
 // study also asserts the outcomes match candidate by candidate, making it a
 // correctness check that happens to carry a stopwatch.
 //
-// Lucid is not a candidate here: the FIFO base world has no profiling
-// partition, and a fork keeps the world's cluster shape (resuming into
-// profiler-bearing options is rejected).
+// Lucid is not a candidate here. A fork into Lucid's options runs, but its
+// suffix would run with a profiling partition that the FIFO prefix never
+// had, so it would not answer "what if Lucid had run this month".
 func WarmStartStudy(scale float64) (string, error) {
 	w, err := GetWorld(trace.Venus(), scale)
 	if err != nil {

@@ -494,10 +494,13 @@ func TestBarriersOverlapAcrossShards(t *testing.T) {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
+	// Shard 3 is synced, but shard 0's mutex is still held: Flush must keep
+	// waiting on it. A Flush that skipped shard 0 returns within
+	// microseconds of shard 3's fsync, so a bounded wait catches it.
 	select {
 	case <-flushed:
 		t.Error("Flush returned with shard 0's barrier still pending")
-	default:
+	case <-time.After(50 * time.Millisecond):
 	}
 	first.mu.Unlock()
 	select {

@@ -405,7 +405,7 @@ func (sh *shard) applyOne(op walOp) opResult {
 		if op.Op == "job" {
 			// Answered 500, so it must not be listed afterwards. Between the
 			// unlock above and this withdrawal a concurrent list read could
-			// have shown the job; ROADMAP item 1(b) replaces the rollback with
+			// have shown the job; ROADMAP item 1(b2) replaces the rollback with
 			// a shard that turns read-only when it cannot persist.
 			sh.applyOne(walOp{Op: "abort-job", ID: op.ID})
 			events = nil // "registered" was never true

@@ -346,12 +346,12 @@ func (sh *shard) commit(seq int64, must bool) error {
 // compactLocked installs a fresh shard snapshot and resets the shard's WAL. An
 // error up to the rename leaves the old snapshot and WAL: recovery replays a
 // longer log. A failed WAL truncate after it leaves a snapshot that holds the
-// WAL, and recovery replays it twice (ROADMAP 1(b)(vi)). The snapshot's own
-// fsync is the one fsync issued under a shard mutex: nothing may be applied
-// between the state it captures and the truncation of the log that led to it
-// (moving it off the mutex needs WAL segments). WAL.Reset publishes everything
-// appended so far as durable, so a commit point read after a compaction costs
-// no fsync.
+// WAL, and recovery replays it twice (ROADMAP 1(b3), defect (vi)). The
+// snapshot's own fsync is the one fsync issued under a shard mutex: nothing
+// may be applied between the state it captures and the truncation of the log
+// that led to it (moving it off the mutex needs WAL segments). WAL.Reset
+// publishes everything appended so far as durable, so a commit point read
+// after a compaction costs no fsync.
 func (sh *shard) compactLocked() error {
 	if sh.store == nil {
 		return nil

@@ -451,10 +451,10 @@ func TestCompactionCrashPoints(t *testing.T) {
 	}
 }
 
-// TestCompactionCrashAtWALTruncateKnownDefect pins ROADMAP 1(b)(vi): a crash at
-// the WAL truncate, after the rename installed a snapshot that holds every
-// record of the WAL, leaves both on disk, and the reboot replays the WAL over
-// the snapshot: every acknowledged job is listed twice. The fix (the snapshot
+// TestCompactionCrashAtWALTruncateKnownDefect pins ROADMAP 1(b3)'s defect
+// (vi): a crash at the WAL truncate, after the rename installed a snapshot
+// that holds every record of the WAL, leaves both on disk, and the reboot
+// replays the WAL over the snapshot: every acknowledged job is listed twice. The fix (the snapshot
 // records the WAL sequence it covers) makes the listing equal the acked one;
 // then fold this case into TestCompactionCrashPoints.
 func TestCompactionCrashAtWALTruncateKnownDefect(t *testing.T) {
