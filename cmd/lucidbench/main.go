@@ -170,7 +170,7 @@ func runFig10a(scale float64) (string, error) {
 
 func main() {
 	expID := flag.String("exp", "all", "experiment id (see -list)")
-	scale := flag.Float64("scale", 0.2, "trace scale for end-to-end experiments")
+	scale := flag.Float64("scale", 0.2, "trace scale for end-to-end experiments (0 < s ≤ 1)")
 	parallel := flag.Int("parallel", 0, "max concurrent simulation runs (0 = GOMAXPROCS, 1 = serial)")
 	list := flag.Bool("list", false, "list experiment ids")
 	metricsOut := flag.String("metrics-out", "", "write suite metrics (per-experiment wall-clock, world-cache stats) to this path in Prometheus text format")
@@ -188,6 +188,10 @@ func main() {
 	}
 	exps, err := selectExperiments(experiments(), *expID)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := lab.CheckScale(*scale); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -50,9 +50,9 @@
 //	lucidsim -trace venus -sched lucid -resume day1.snap
 //	lucidsim -trace venus -sched sjf -resume day1.snap
 //
-// -snapshot-at writes the complete world state at the given simulated second
-// and then finishes the run; -resume starts the run from such a snapshot
-// instead of t = 0. Resumed under the same -sched it is bit-identical to
+// -snapshot-at writes the complete world state at the first tick at or after
+// the given simulated second, prints that time, and then finishes the run;
+// -resume starts the run from such a snapshot instead of t = 0. Resumed under the same -sched it is bit-identical to
 // never having stopped (with -decision-trace on both runs, the same digest);
 // under a different -sched it is a what-if fork: the new scheduler starts
 // with fresh policy state over the restored world.
@@ -131,10 +131,17 @@ func main() {
 	switch strings.ToUpper(*util) {
 	case "L":
 		spec.Util = trace.UtilLow
+	case "M":
+		spec.Util = trace.UtilMedium
 	case "H":
 		spec.Util = trace.UtilHigh
 	default:
-		spec.Util = trace.UtilMedium
+		fmt.Fprintf(os.Stderr, "unknown -util %q (want L, M or H)\n", *util)
+		os.Exit(2)
+	}
+	if err := lab.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	fmt.Printf("building %s world at scale %.2f (history and evaluation months)...\n", spec.Name, *scale)
@@ -272,7 +279,7 @@ func run(w *lab.World, nr lab.NamedRun, resume string, snapshotAt int64, out str
 		if err := snap.WriteFile(snap.OS, out, buf.Bytes()); err != nil {
 			return nil, err
 		}
-		fmt.Printf("snapshot at t=%d → %s\n", snapshotAt, out)
+		fmt.Printf("snapshot at t=%d → %s\n", s.Now(), out)
 	}
 	return s.Run(), nil
 }

@@ -571,7 +571,7 @@ func TestGuardFixture(t *testing.T) {
 
 // budget is the most lines of non-test Go that cmd/, internal/ and examples/
 // may hold.
-const budget = 20208
+const budget = 20232
 
 // TestNonTestLineBudget counts the lines of non-test Go under cmd/, internal/
 // and examples/ (bench/ and testdata/ excluded): the size ROADMAP.md tracks.

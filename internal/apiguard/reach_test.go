@@ -23,8 +23,6 @@ var unreached = map[string]string{
 	"internal/job.State.String":             "error path: invariant violations name a job's state; sim's TestInvariantsCatchBrokenResidentSet reaches it",
 	"internal/sim.InvariantChecker.violate": "error path: sim's TestInvariantsCatchBrokenResidentSet reaches it",
 	"internal/snap.WAL.unstage":             "error path: a failed WAL write; snap's TestFailedWriteDropsTheStagedRecords reaches it",
-	"internal/dtrace.Recorder.SnapState":    "input path: a snapshot of a run that records a decision trace; lab's TestSnapshotResumeMatchesGolden reaches it",
-	"internal/dtrace.Recorder.SetState":     "input path: the resume of such a snapshot; lab's TestSnapshotResumeMatchesGolden reaches it",
 	"internal/feat.fillInt32":               "input path: a lineage long enough for its caches to go stale; feat's TestRefitCachesStayBounded reaches it",
 	"internal/ml/dtree.maxFeature":          "input path: the importances of a tree fit without feature names; dtree's TestFeatureImportancesWithoutNames reaches it",
 	"internal/ml/dtree.collapse":            "input path: a pruning alpha that collapses a split; dtree's TestPruningShrinksTree reaches it",

@@ -2,6 +2,7 @@ package lab
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -86,6 +87,16 @@ func TestBuildWorldMatchesSequential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBuildWorldRefusesScale holds BuildWorld to the (0, 1] it documents: a
+// scale outside it is an error, not a silent full-size month.
+func TestBuildWorldRefusesScale(t *testing.T) {
+	for _, scale := range []float64{0, -0.5, 1.5, math.NaN()} {
+		if w, err := BuildWorld(trace.Venus(), scale); err == nil {
+			t.Errorf("scale %v: built a %d-job world, want an error", scale, len(w.Eval.Jobs))
+		}
 	}
 }
 

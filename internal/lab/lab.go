@@ -44,6 +44,15 @@ type World struct {
 // by every caller: a run clones them (see NewLucid).
 func (w *World) Models() *core.Models { return w.models() }
 
+// CheckScale refuses a scale outside (0, 1], the fractions of the Table 2
+// job count BuildWorld can replay.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("lab: scale %v is outside (0, 1]", scale)
+	}
+	return nil
+}
+
 // BuildWorld generates the traces of one trace spec at the given scale.
 // Scaling shrinks the job count AND the cluster together, so the offered-load
 // profile — and therefore the queueing behaviour the schedulers differ on —
@@ -54,8 +63,8 @@ func (w *World) Models() *core.Models { return w.models() }
 // models are left to their first use (see World.Models) and the GBDT
 // estimator to its first estimate (see World.Estimator).
 func BuildWorld(spec trace.GenSpec, scale float64) (*World, error) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
+	if err := CheckScale(scale); err != nil {
+		return nil, err
 	}
 	n := int(float64(spec.NumJobs) * scale)
 	if n < 500 {

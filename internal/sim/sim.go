@@ -316,6 +316,10 @@ func (s *Sim) RunUntil(t int64) bool {
 	return !s.live()
 }
 
+// Now is the simulated second the engine's clock reads: after RunUntil(t),
+// the first tick boundary at or after t, which is what Snapshot records.
+func (s *Sim) Now() int64 { return s.now }
+
 // advance integrates dt seconds of execution for running and profiling
 // jobs, retiring completions.
 func (s *Sim) advance(dt float64) {
