@@ -34,11 +34,12 @@
 // telemetry POST (/metrics, /agents) is answered 202 once its op sits on its
 // shard's queue of at most -ingest-queue ops (default 4,096), which whoever
 // next holds the shard mutex drains through that function in ack order: the
-// shard's drainer, fsyncing only once 64 records are unsynced, or a read
-// flushing it; full queues shed load with 429 + Retry-After instead of
-// blocking. Job submissions are applied inline (fsynced before the 201).
-// Reads flush the queue first, so /jobs, /schedule and /agents observe every
-// acked sample.
+// shard's drainer, fsyncing only once 64 records are unsynced, or a
+// barrier; full queues shed load with 429 + Retry-After instead of blocking.
+// Job submissions are applied inline (fsynced before the 201). Reads apply
+// the queue first, so /jobs, /schedule and /agents observe every acked
+// sample, and wait for the last submission's fsync but not telemetry's; only
+// a graceful shutdown and /chaos make telemetry durable on demand.
 //
 // GET /metrics serves the daemon's own instruments (request latency and
 // status codes per endpoint, WAL append/fsync latency, snapshot cost, queue

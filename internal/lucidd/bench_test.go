@@ -54,11 +54,12 @@ func (c *poster) post(s *Server, path, body string) int {
 	return c.w.code
 }
 
-// benchListServer is the ctl_read working set without the disk: 16 shards,
-// 4,096 jobs spread over 16 VCs, a third of them profiled.
-func benchListServer(b *testing.B) *Server {
+// benchListServer is the ctl_read working set: 16 shards, 4,096 jobs spread
+// over 16 VCs, a third of them profiled; on disk when opts names a state dir.
+func benchListServer(b *testing.B, opts Options) *Server {
 	b.Helper()
-	s, err := NewServerWith(Options{Shards: 16})
+	opts.Shards = 16
+	s, err := NewServerWith(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,9 +86,10 @@ func benchListServer(b *testing.B) *Server {
 
 // benchList times GET target with 13 samples folded in before each read — the
 // share of ctl_read's 64 writes per read that touch a job — so the lazy
-// fragment re-encode is inside the measurement, not amortised away.
-func benchList(b *testing.B, target string) {
-	s := benchListServer(b)
+// fragment re-encode is inside the measurement, not amortised away. With flush
+// they are applied before the read, whose barrier then finds the queues empty;
+// without, the read's barrier applies what the drainers have not.
+func benchList(b *testing.B, s *Server, target string, flush bool) {
 	rng := rand.New(rand.NewSource(2))
 	sample := func() {
 		body := fmt.Sprintf(`{"job":%d,"gpu_util":%d,"gpu_mem_mb":%d,"gpu_mem_util":%d}`,
@@ -109,7 +111,9 @@ func benchList(b *testing.B, target string) {
 		for k := 0; k < 13; k++ {
 			sample()
 		}
-		s.Flush() // applied before the read, whose barrier then finds the queues empty
+		if flush {
+			s.Flush()
+		}
 		w.n = 0
 		b.StartTimer()
 		s.ServeHTTP(w, req)
@@ -123,11 +127,26 @@ func benchList(b *testing.B, target string) {
 
 // BenchmarkGlobalSchedule is one cluster-wide GET /schedule over the ctl_read
 // working set: 16 per-shard copy-outs, the K-way merge and the body write.
-func BenchmarkGlobalSchedule(b *testing.B) { benchList(b, "/schedule") }
+func BenchmarkGlobalSchedule(b *testing.B) {
+	benchList(b, benchListServer(b, Options{}), "/schedule", true)
+}
 
 // BenchmarkScopedSchedule is GET /schedule?vc= for one tenant: one shard's
 // copy-out filtered to a sixteenth of the jobs, no merge.
-func BenchmarkScopedSchedule(b *testing.B) { benchList(b, "/schedule?vc=vc-3") }
+func BenchmarkScopedSchedule(b *testing.B) {
+	benchList(b, benchListServer(b, Options{}), "/schedule?vc=vc-3", true)
+}
+
+// BenchmarkScopedScheduleDurable is BenchmarkScopedSchedule on disk with no
+// Flush between the samples and the read, as a client sees it. fsyncs/op counts
+// every fsync the run made — the drainers' and the reads' — per read: a read
+// that waits for telemetry to be durable shows as about one more.
+func BenchmarkScopedScheduleDurable(b *testing.B) {
+	s := benchListServer(b, Options{StateDir: b.TempDir()})
+	fsyncs := s.met.walFsync.Count()
+	benchList(b, s, "/schedule?vc=vc-3", false)
+	b.ReportMetric(float64(s.met.walFsync.Count()-fsyncs)/float64(b.N), "fsyncs/op")
+}
 
 // ingestOp is the i-th op of ctl_ingest's mix in miniature: four heartbeats to
 // one sample, every 512th op a submission.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -87,8 +88,9 @@ func TestAppendTimerHoldsNoFsync(t *testing.T) {
 }
 
 // TestFlushMeansDurable pins fsync on demand from both sides: telemetry nobody
-// waits for stays unsynced until SyncEvery records have piled up, and every
-// barrier — Flush, a list read, /chaos — returns with nothing unsynced on the
+// waits for stays unsynced until SyncEvery records have piled up — a list read,
+// scoped or global, only waits to see it and adds no fsync — and every
+// durability barrier — Flush, /chaos — returns with nothing unsynced on the
 // shards it covers. Every telemetry op is queued; the async-true subtest name
 // keeps the test ID stable.
 func TestFlushMeansDurable(t *testing.T) {
@@ -152,15 +154,27 @@ func flushMeansDurable(t *testing.T) {
 	s.Flush()
 	allZero("after Flush")
 
+	// A read waits to see telemetry, not for it to be on disk: scoped and
+	// global, every list read leaves the tail to the SyncEvery rule. Each read
+	// finds one heartbeat queued behind enqueue's back (no drainer races it
+	// for the op), so its barrier has something to apply and write.
 	telemetry(vcA, idA, 4)
 	telemetry(vcB, idB, 2)
-	get(t, s, "/jobs?vc="+vcA)
-	if a, b := shA.wal.Unsynced(), shB.wal.Unsynced(); a != 0 || b != 2 {
-		t.Errorf("after a read scoped to %s: %d and %d unsynced, want 0 and 2 (only the covered shard)", vcA, a, b)
+	fsyncs := s.met.walFsync.Count()
+	for i, path := range []string{"/jobs?vc=" + vcA, "/schedule?vc=" + vcA, "/agents?vc=" + vcA, "/jobs", "/schedule", "/agents"} {
+		shA.qmu.Lock()
+		shA.queue = append(shA.queue, walOp{Op: "agent", Name: fmt.Sprintf("queued-%d", i), VC: vcA, UnixNano: s.opts.clock().UnixNano()})
+		shA.qmu.Unlock()
+		get(t, s, path)
+		if got := s.met.walFsync.Count() - fsyncs; got != 0 {
+			t.Errorf("GET %s added %d to lucidd_wal_fsync_seconds_count, want 0", path, got)
+		}
+		if a, b := shA.wal.Unsynced(), shB.wal.Unsynced(); a != int64(5+i) || b != 2 {
+			t.Errorf("after GET %s: %d and %d unsynced, want %d and 2", path, a, b, 5+i)
+		}
 	}
-	telemetry(vcA, idA, 4)
-	get(t, s, "/schedule")
-	allZero("after a cluster-wide read")
+	s.Flush()
+	allZero("after a Flush behind the reads")
 
 	telemetry(vcA, idA, 4)
 	telemetry(vcB, idB, 2)
@@ -189,6 +203,74 @@ func flushMeansDurable(t *testing.T) {
 	if status.Durable.WALUnsynced != 1 || status.ByShard[shA.idx].Durable.WALUnsynced != 1 {
 		t.Errorf("/statusz wal_unsynced = %d (aggregate), %d (shard %d), want 1 and 1",
 			status.Durable.WALUnsynced, status.ByShard[shA.idx].Durable.WALUnsynced, shA.idx)
+	}
+}
+
+// TestReadWaitsForTheLedger: a list read does not fsync telemetry, but it
+// lists no job its barrier found before the job's record is durable. A
+// submission's fsync is held in the storage layer while reads that would list
+// the job run: none may answer with the job until the fsync is let go, and
+// each lists it after.
+func TestReadWaitsForTheLedger(t *testing.T) {
+	var (
+		once    sync.Once
+		armed   atomic.Bool
+		blocked = make(chan struct{})
+		release = make(chan struct{})
+	)
+	fs := &faultFS{fail: func(op string) error {
+		if op == "sync" && armed.Load() {
+			once.Do(func() {
+				close(blocked)
+				<-release
+			})
+		}
+		return nil
+	}}
+	s, err := NewServerWith(Options{Shards: 4, StateDir: t.TempDir(), fs: fs, clock: parityClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc, _ := twoVCsOnDistinctShards(t, s)
+	submitJob(t, s, "before", vc, 1)
+
+	armed.Store(true)
+	submitted := make(chan int, 1)
+	go func() {
+		submitted <- do(t, s, http.MethodPost, "/jobs", fmt.Sprintf(`{"name":"pending","user":"u","vc":%q,"gpus":2}`, vc)).Code
+	}()
+	<-blocked // applied and listable in memory; its fsync is under way
+	paths := []string{"/jobs?vc=" + vc, "/schedule?vc=" + vc, "/jobs", "/schedule"}
+	bodies := make([]chan string, len(paths))
+	for i, path := range paths {
+		bodies[i] = make(chan string, 1)
+		go func() { bodies[i] <- do(t, s, http.MethodGet, path, "").Body.String() }()
+	}
+	// Correct code passes whatever the timing; the pause gives a read that
+	// skips the ledger the time to answer with the job.
+	time.Sleep(50 * time.Millisecond)
+	early := make([]string, len(paths))
+	for i, path := range paths {
+		select {
+		case early[i] = <-bodies[i]:
+			if strings.Contains(early[i], `"pending"`) {
+				t.Errorf("GET %s listed the job while its fsync was still running", path)
+			}
+		default:
+		}
+	}
+	close(release)
+	if code := <-submitted; code != http.StatusCreated {
+		t.Fatalf("submission: %d, want 201", code)
+	}
+	for i, path := range paths {
+		body := early[i]
+		if body == "" {
+			body = <-bodies[i]
+		}
+		if !strings.Contains(body, `"pending"`) {
+			t.Errorf("GET %s, answered after the fsync, does not list the job: %s", path, body)
+		}
 	}
 }
 

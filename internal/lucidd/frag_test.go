@@ -440,7 +440,7 @@ func TestAckedThenDroppedSampleIsCounted(t *testing.T) {
 	// Through the queue, applied by a flush: appended behind enqueue's back,
 	// so no drainer races the flush for the two ops.
 	sh.queue = append(sh.queue, orphan, orphan)
-	sh.drain(0)
+	sh.flush()
 	if got := s.met.ingestDropped.Value(); got != 2 {
 		t.Errorf("lucidd_ingest_dropped_total = %v after a batch of two orphan samples, want 2", got)
 	}

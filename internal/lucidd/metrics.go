@@ -92,16 +92,16 @@ func newServerMetrics(clock func() time.Time, shards int) *serverMetrics {
 		ingestDropped: reg.Counter("lucidd_ingest_dropped_total",
 			"Telemetry ops acknowledged with 202 and then dropped: the job was unknown by the time the op was applied."),
 		// One observation per non-empty drain: the drainer's (at most
-		// drainBatch ops) and a flush's (everything queued) alike.
+		// drainBatch ops) and a barrier's (everything queued) alike.
 		ingestBatch: reg.Histogram("lucidd_ingest_batch_ops",
-			"Ops applied per ingest queue drain (one mutex hold, one commit), flushes included.",
+			"Ops applied per ingest queue drain (one mutex hold, one commit), barriers included.",
 			metrics.ExpBuckets(1, 2, 12)),
 		// Read under the queue's own mutex, never the shard mutex, so a
 		// wedged shard still scrapes (TestIngestBackpressure).
 		ingestDepth: reg.GaugeVec("lucidd_ingest_queue_depth",
 			"Queued telemetry ops per shard ingest queue.", "shard"),
 		readBarrier: reg.HistogramVec("lucidd_read_barrier_seconds",
-			"List read: flush of the covered shards (acknowledged ops applied and fsynced).",
+			"List read: barrier on the covered shards (acknowledged ops applied, last job submission durable).",
 			nil, "path"),
 		readCompose: reg.HistogramVec("lucidd_read_compose_seconds",
 			"List read after the barrier: per-shard copy-out, merge and body write.",

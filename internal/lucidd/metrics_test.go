@@ -79,7 +79,10 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		`lucidd_schedule_compose_total{kind="rebuild"} 1`, // the first global read
 		"lucidd_ingest_dropped_total 0",
 		"# TYPE lucidd_wal_unsynced_records gauge",
-		"lucidd_wal_unsynced_records 0", // the read's barrier fsynced the telemetry tail
+		// The read's barrier applied the telemetry and left its fsync to the
+		// SyncEvery rule: the submission's is still the only one.
+		"lucidd_wal_unsynced_records 4",
+		"lucidd_wal_fsync_seconds_count 1",
 		`lucidd_ingest_queue_depth{shard="0"} 0`,
 		"lucidd_queue_depth 1",
 		"lucidd_jobs_profiled 1",

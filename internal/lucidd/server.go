@@ -143,10 +143,10 @@ type Options struct {
 	// IngestQueue is the depth of each shard's telemetry queue. POST /metrics
 	// samples and POST /agents heartbeats are acknowledged with 202 once they
 	// are on it, and whoever next holds the shard mutex drains it in ack
-	// order — the shard's drainer in holds of up to 256 ops, or a flush. A
+	// order — the shard's drainer in holds of up to 256 ops, or a barrier. A
 	// full queue refuses the POST with 429 + Retry-After (backpressure). Read
-	// paths, /chaos and Shutdown flush first, so every acknowledged sample is
-	// observed there — see ingest.go for the full contract. Defaults to 4,096.
+	// paths, /chaos and Shutdown apply it first, so every acknowledged sample
+	// is observed there — see ingest.go for the full contract. Defaults to 4,096.
 	IngestQueue int
 
 	// The seams below are set only by this package's tests.
@@ -493,14 +493,15 @@ func (s *Server) readShards(vc string) []*shard {
 	return s.shards[i : i+1]
 }
 
-// readBarrier flushes the shards a list read covers, so the listing reflects
-// every sample and heartbeat acknowledged before the read arrived, and times
-// the read's two halves into lucidd_read_barrier_seconds{path} and
-// lucidd_read_compose_seconds{path}: the flush that applies and fsyncs what
-// was queued, then copy-out + merge + write. The caller stops compose once the body is written.
+// readBarrier is the visibility barrier of the shards a list read covers
+// (showAll), so the listing reflects every sample and heartbeat acknowledged
+// before the read arrived, and every job the barrier found is durable. It
+// times the read's two halves into lucidd_read_barrier_seconds{path} and
+// lucidd_read_compose_seconds{path}: the barrier, then copy-out + merge +
+// write. The caller stops compose once the body is written.
 func (s *Server) readBarrier(path string, shards []*shard) (compose metrics.Timer) {
 	t := s.met.reg.StartTimer(s.met.readBarrier.With(path))
-	flushAll(shards)
+	showAll(shards)
 	t.Stop()
 	return s.met.reg.StartTimer(s.met.readCompose.With(path))
 }

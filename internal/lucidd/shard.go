@@ -92,6 +92,9 @@ type shard struct {
 	// the ops a failed write fails (mu held).
 	record []byte
 	logged []int
+	// ledger is the seq of the shard's last job record, the one kind acked as
+	// durable: a list read waits for it to be durable (mu held).
+	ledger int64
 
 	// Telemetry ingest (see ingest.go).
 	// queue holds the acknowledged, not yet applied telemetry ops in ack
@@ -399,14 +402,18 @@ func (sh *shard) applyOne(op walOp) opResult {
 	sh.mu.Lock()
 	events, _, _ := sh.applyOpsLocked([]walOp{op}, now, res[:])
 	seq := sh.commitPointLocked()
+	if op.Op == "job" {
+		sh.ledger = seq
+	}
 	sh.mu.Unlock()
 	if err := sh.commit(seq, op.Op == "job"); err != nil && res[0].err == nil {
 		res[0].err = err
 		if op.Op == "job" {
-			// Answered 500, so it must not be listed afterwards. Between the
-			// unlock above and this withdrawal a concurrent list read could
-			// have shown the job; ROADMAP item 1(b2) replaces the rollback with
-			// a shard that turns read-only when it cannot persist.
+			// Answered 500, so it must not be listed afterwards. A concurrent
+			// list read waits for this fsync through the ledger and counts its
+			// failure, but may list the job before this withdrawal; ROADMAP
+			// item 1(b2) replaces the rollback with a shard that turns
+			// read-only when it cannot persist.
 			sh.applyOne(walOp{Op: "abort-job", ID: op.ID})
 			events = nil // "registered" was never true
 		}

@@ -38,9 +38,11 @@ import (
 // is one rule, snap.WAL.Commit's, for inline handlers and queue drains alike:
 //
 //   - must: a job submission (the 201 is written only after its record is
-//     fsynced: an acknowledged job survives any crash), a flush of the ingest
-//     queue (reads, /chaos, Flush and Shutdown see everything acknowledged
-//     before them applied and durable);
+//     fsynced: an acknowledged job survives any crash), a durability barrier
+//     (/chaos, Flush and Shutdown see everything acknowledged before them
+//     applied and durable). Only these three make telemetry durable on
+//     demand: a list read applies the queue, commits without must and waits
+//     only for the shard's ledger, its last submission (ingest.go);
 //   - otherwise — metric samples, heartbeats, chaos ops — only once
 //     WAL.SyncEvery (64) records are unsynced: losing the last few dozen
 //     telemetry records in a power cut is harmless, the agents re-send, while

@@ -17,12 +17,17 @@ const (
 // point's self-similarity set to preference (higher gives more clusters),
 // and returns the exemplar index assigned to each point. Points that end up
 // their own exemplar are cluster centers. An empty input yields an empty
-// result.
+// result. Similarities must be finite (the caller passes textdist.Similarity
+// values).
 //
 // Every pass walks the matrices row by row. The responsibility pass also
 // sums each column's positive responsibilities (rows ascending, the order
 // the textbook column loop adds them in), and the availability pass picks
-// each row's exemplar as it goes.
+// each row's exemplar as it goes. Both clamp with min and max instead of
+// branching on the sign of a message, which the branch predictor cannot
+// guess. That is exact, bit for bit: a column sum starts at +0 and only
+// grows, so it is never -0, and adding or subtracting the +0 that max(x, 0)
+// gives a non-positive x leaves any other value unchanged.
 func Cluster(s [][]float64, preference float64) []int {
 	n := len(s)
 	if n == 0 {
@@ -52,6 +57,7 @@ func Cluster(s [][]float64, preference float64) []int {
 	a := newMatrix(n) // availabilities
 	sumPos := make([]float64, n)
 	diag := make([]float64, n) // r[k][k] after the responsibility pass
+	col := make([]float64, n)  // diag[k] + sumPos[k]
 	cur, prev := make([]int, n), make([]int, n)
 	// A variable, not the constant: 1-damp must be float64 arithmetic's
 	// 0.30000000000000004, not the exact 0.3 a constant expression gives.
@@ -85,28 +91,22 @@ func Cluster(s [][]float64, preference float64) []int {
 				nv := si[k] - cmp
 				rv := damp*ri[k] + (1-damp)*nv
 				ri[k] = rv
-				if i != k && rv > 0 {
-					sumPos[k] += rv
+				if i != k {
+					sumPos[k] += max(rv, 0)
 				}
 			}
 			diag[i] = ri[i]
 		}
+		for k := range col {
+			col[k] = diag[k] + sumPos[k]
+		}
 		for i := 0; i < n; i++ {
-			ri, ai := r[i][:n], a[i][:n]
+			ri, ai, col := r[i][:n], a[i][:n], col[:n]
 			best, bi := negInf, i
 			for k := range ri {
-				var nv float64
+				nv := min(col[k]-max(ri[k], 0), 0)
 				if i == k {
 					nv = sumPos[k]
-				} else {
-					v := diag[k] + sumPos[k]
-					if ri[k] > 0 {
-						v -= ri[k]
-					}
-					if v > 0 {
-						v = 0
-					}
-					nv = v
 				}
 				av := damp*ai[k] + (1-damp)*nv
 				ai[k] = av

@@ -321,6 +321,10 @@ func (w *WAL) Sync() error { return w.SyncTo(w.appended.Load()) }
 // Seq is the sequence number of the last record written (0 before the first).
 func (w *WAL) Seq() int64 { return w.appended.Load() }
 
+// Durable is the sequence number of the last record known to be on stable
+// storage. Safe without the owner's lock.
+func (w *WAL) Durable() int64 { return w.durable.Load() }
+
 // Unsynced reports how many written records no fsync has covered yet. Safe
 // without the owner's lock.
 func (w *WAL) Unsynced() int64 {
